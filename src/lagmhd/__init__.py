@@ -4,7 +4,7 @@ temporal-weighted energy ledger that audits the decay structure at runtime."""
 
 from .grid import Grid
 from .fields import MatrixField, ScalarField, VectorField
-from .geometry import FlowState, cofactor_matrices, construct_initial_map
+from .geometry import FlowState, construct_initial_map
 from .evolution import EulerState, LagrangianStepper, EulerianStepper
 from .energy import EnergyEvaluator
 from .config import RunConfig, parse_config
@@ -17,7 +17,6 @@ __all__ = [
     "MatrixField",
     "FlowState",
     "EulerState",
-    "cofactor_matrices",
     "construct_initial_map",
     "LagrangianStepper",
     "EulerianStepper",

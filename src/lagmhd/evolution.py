@@ -18,12 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .fields import ScalarField, VectorField
-from .geometry import (
-    FlowState,
-    cofactor_values,
-    determinant_values,
-    graded_metric_values,
-)
+from .geometry import FlowState, cofactor_values, graded_metric_values
 from .grid import Grid
 from .pressure import PressureSolution, _tensor_rhs_spec, solve_pressure_spec
 from .spectral import (
@@ -197,22 +192,21 @@ class LinearPropagator:
 
 @dataclass
 class NonlinearForce:
-    """Exact forcing of the displacement equation and its diagnostics split."""
+    """Forcing f of the displacement equation with the pieces it was built from.
+
+    f is the viscous flux div((A^T A - I) grad Yt) plus pressure_force = -A grad_p.
+    f1 and f2 split the degree-one viscous piece for the quadratic rate monitors
+    and are computed only under compute_force(..., split_quadratic=True).
+    """
 
     f: VectorField
-    viscous_graded: tuple  # VectorField per homogeneity degree in grad Y
     pressure_force: VectorField  # -A grad_p
-    f3: VectorField  # viscous terms of degree >= 2
     pressure: PressureSolution
     a_values: np.ndarray
     grad_y: np.ndarray
     grad_yt: np.ndarray
     f1: Optional[VectorField] = None  # (div G1) . grad Yt
     f2: Optional[VectorField] = None  # G1 : hess Yt
-
-    @property
-    def det_values(self):
-        return determinant_values(self.grad_y)
 
 
 def compute_force(
@@ -221,40 +215,36 @@ def compute_force(
     pressure_max_iter: int = 50,
     split_quadratic: bool = False,
 ) -> NonlinearForce:
-    """Assemble f = sum_d div(G_d grad Yt) - A grad_p with dealiased products."""
+    """Assemble f = div(D grad Yt) - A grad_p with dealiased products, D = A^T A - I.
+
+    D is summed from its pieces G_d of degree d in grad Y rather than formed
+    as A^T A - I, which would cancel against I for small deformations; the
+    same D drives the pressure fixed point, so the viscous flux costs a
+    single transform whatever the dimension.
+    """
     grid = state.grid
     grad_y = gradient_values(state.Y.spec, grid)
     b1, b2, a_vals = cofactor_values(grad_y)
     graded = graded_metric_values(b1, b2)
     grad_yt = gradient_values(state.Yt.spec, grid)
 
-    visc_specs = []
-    for g in graded:
-        flux = np.einsum("jm...,im...->ij...", g, grad_yt)
-        flux_spec = dealias_spec(grid.fft(flux), grid)
-        f_d = np.zeros((grid.dim,) + grid.shape, dtype=complex)
-        for j in range(grid.dim):
-            f_d += 1j * grid.k_axes[j] * flux_spec[:, j]
-        visc_specs.append(f_d)
-
-    d1y = grad_y[:, 0]
-    rhs_spec = _tensor_rhs_spec(grid, a_vals, d1y, state.Yt.values)
     defect = graded[0].copy()
     for g in graded[1:]:
         defect += g
+    flux = np.einsum("jm...,im...->ij...", defect, grad_yt)
+    flux_spec = dealias_spec(grid.fft(flux), grid)
+    visc_spec = np.zeros((grid.dim,) + grid.shape, dtype=complex)
+    for j in range(grid.dim):
+        visc_spec += 1j * grid.k_axes[j] * flux_spec[:, j]
+
+    d1y = grad_y[:, 0]
+    rhs_spec = _tensor_rhs_spec(grid, a_vals, d1y, state.Yt.values)
     gp_spec, iters, residuals, contraction = solve_pressure_spec(
         grid, a_vals, defect, rhs_spec, pressure_tol, pressure_max_iter
     )
     gp_real = grid.ifft(gp_spec)
     a_gp = np.einsum("im...,m...->i...", a_vals, gp_real)
     fp_spec = -dealias_spec(grid.fft(a_gp), grid)
-
-    f_spec = fp_spec.copy()
-    for v in visc_specs:
-        f_spec += v
-    f3_spec = np.zeros_like(fp_spec)
-    for v in visc_specs[1:]:
-        f3_spec += v
 
     f1 = f2 = None
     if split_quadratic:
@@ -275,10 +265,8 @@ def compute_force(
         f2 = VectorField.from_spec(grid, dealias_spec(grid.fft(f2_vals), grid))
 
     return NonlinearForce(
-        f=VectorField.from_spec(grid, f_spec),
-        viscous_graded=tuple(VectorField.from_spec(grid, v) for v in visc_specs),
+        f=VectorField.from_spec(grid, fp_spec + visc_spec),
         pressure_force=VectorField.from_spec(grid, fp_spec),
-        f3=VectorField.from_spec(grid, f3_spec),
         pressure=PressureSolution(
             grad_p=VectorField.from_spec(grid, gp_spec),
             iterations=iters,
@@ -493,7 +481,3 @@ class EulerianStepper:
             VectorField.from_spec(grid, b_new),
             state.t + dt,
         )
-
-
-def step_eulerian(state: EulerState, dt: float, magnetic_filter: bool = True) -> EulerState:
-    return EulerianStepper(state.grid, dt, magnetic_filter).step(state)

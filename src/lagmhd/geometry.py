@@ -9,7 +9,7 @@ in grad Y (B2 = 0 in two dimensions).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,24 +37,6 @@ class FlowState:
     @classmethod
     def zeros(cls, grid: Grid, t: float = 0.0) -> "FlowState":
         return cls(VectorField.zeros(grid), VectorField.zeros(grid), t)
-
-
-@dataclass
-class CofactorData:
-    """A = I + B1 + B2 and the degree-graded pieces of A^T A - I."""
-
-    A: MatrixField
-    B1: MatrixField
-    B2: MatrixField
-    graded: tuple = field(default=())  # MatrixFields, degree 1..4 in grad Y
-
-    @property
-    def metric_defect(self):
-        """A^T A - I as raw values, reassembled from the graded pieces."""
-        out = np.zeros_like(self.A.values)
-        for g in self.graded:
-            out += g.values
-        return out
 
 
 # -- raw-array kernels -------------------------------------------------------
@@ -156,35 +138,10 @@ def inverse_transpose_values(mat):
 # -- field-level operations ---------------------------------------------------
 
 
-def cofactor_matrices(Y: VectorField) -> CofactorData:
-    """Cofactor matrix A = I + B1 + B2 with its graded metric pieces."""
-    grid = Y.grid
-    grad = gradient_values(Y.spec, grid)
-    b1, b2, a = cofactor_values(grad)
-    graded = tuple(
-        MatrixField.from_values(grid, g) for g in graded_metric_values(b1, b2)
-    )
-    return CofactorData(
-        A=MatrixField.from_values(grid, a),
-        B1=MatrixField.from_values(grid, b1),
-        B2=MatrixField.from_values(grid, b2),
-        graded=graded,
-    )
-
-
 def jacobian_determinant(Y: VectorField) -> ScalarField:
     """Pointwise det(I + grad Y); callers track max |det - 1| as the drift."""
     grad = gradient_values(Y.spec, Y.grid)
     return ScalarField.from_values(Y.grid, determinant_values(grad))
-
-
-def metric_graded(Y: VectorField):
-    """Degree 1..4 (1..2 in 2D) homogeneous pieces of A^T A - I."""
-    grad = gradient_values(Y.spec, Y.grid)
-    b1, b2, _ = cofactor_values(grad)
-    return tuple(
-        MatrixField.from_values(Y.grid, g) for g in graded_metric_values(b1, b2)
-    )
 
 
 @dataclass

@@ -105,9 +105,6 @@ class Grid:
         """Normalized coefficients -> real samples (imaginary part discarded)."""
         return sfft.ifftn(spec * self.npoints, axes=self.spatial_axes).real
 
-    def ifft_complex(self, spec):
-        return sfft.ifftn(spec * self.npoints, axes=self.spatial_axes)
-
     # -- norms and weights --------------------------------------------------
 
     def hs_weight(self, s: int):

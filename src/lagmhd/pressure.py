@@ -50,15 +50,6 @@ def _tensor_rhs_spec(grid: Grid, a_vals, v_vals, w_vals):
     return riesz_apply_spec(atw_spec, grid)
 
 
-def pressure_rhs(state, cof) -> VectorField:
-    """Quadratic source term of the pressure equation, fully dealiased."""
-    grid = state.grid
-    d1y = grid.ifft(state.Y.spec * (1j * grid.k_axes[0]))
-    return VectorField.from_spec(
-        grid, _tensor_rhs_spec(grid, cof.A.values, d1y, state.Yt.values)
-    )
-
-
 def solve_pressure_spec(grid: Grid, a_vals, defect_vals, rhs_spec, tol, max_iter):
     """Picard iteration grad_p <- -R[defect . grad_p] + rhs from grad_p = rhs."""
     gp = rhs_spec.copy()
@@ -90,22 +81,4 @@ def solve_pressure_spec(grid: Grid, a_vals, defect_vals, rhs_spec, tol, max_iter
         f"pressure fixed point not converged after {max_iter} iterations "
         f"(last residual {residuals[-1]:.3e})",
         residual=residuals[-1],
-    )
-
-
-def solve_pressure_gradient(
-    state, cof, tol: float = 1e-10, max_iter: int = 50
-) -> PressureSolution:
-    """Solve for grad_p; raises PressureDivergenceError outside the contraction regime."""
-    grid = state.grid
-    rhs = pressure_rhs(state, cof).spec
-    defect = cof.metric_defect
-    gp, iterations, residuals, contraction = solve_pressure_spec(
-        grid, cof.A.values, defect, rhs, tol, max_iter
-    )
-    return PressureSolution(
-        grad_p=VectorField.from_spec(grid, gp),
-        iterations=iterations,
-        residuals=residuals,
-        contraction_estimate=contraction,
     )

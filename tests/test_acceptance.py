@@ -13,12 +13,11 @@ from lagmhd.energy import (
     fit_decay_rate,
     nonlinear_scaling_study,
 )
-from lagmhd.evolution import LagrangianStepper, propagator_matrix
+from lagmhd.evolution import LagrangianStepper, compute_force, propagator_matrix
 from lagmhd.fields import VectorField
 from lagmhd.geometry import (
     FlowState,
     construct_initial_map,
-    cofactor_matrices,
     determinant_values,
 )
 from lagmhd.grid import Grid
@@ -29,7 +28,6 @@ from lagmhd.initial_data import (
     scaled_spec,
 )
 from lagmhd.oracle import linear_decay_oracle
-from lagmhd.pressure import solve_pressure_gradient
 from lagmhd.runner import compare_formulations, run_simulation, scaling_run
 from lagmhd.spectral import gradient_values, leray_project, weighted_norm_sq
 
@@ -260,14 +258,14 @@ def test_criterion_7_formulation_equivalence():
 def test_criterion_8_pressure_solver():
     grid = Grid((16, 16, 16), (2 * np.pi,) * 3)
     state = build_flow_state(grid, default_spec(3, 1e-4))
-    sol = solve_pressure_gradient(state, cofactor_matrices(state.Y))
+    sol = compute_force(state).pressure
     leray = np.sqrt(
         weighted_norm_sq(leray_project(sol.grad_p).spec, 1.0, grid)
     )
     contractions = []
     for amp in (0.08, 0.04):
         st = build_flow_state(grid, scaled_spec(default_spec(3, None), amp))
-        s = solve_pressure_gradient(st, cofactor_matrices(st.Y), tol=1e-13)
+        s = compute_force(st, pressure_tol=1e-13).pressure
         contractions.append(s.contraction_estimate)
     halving = contractions[1] / contractions[0]
     ok = sol.iterations <= 10 and abs(halving - 0.5) <= 0.125 and leray <= 1e-10

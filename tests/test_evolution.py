@@ -3,7 +3,12 @@ import pytest
 from scipy.integrate import quad
 
 from lagmhd.fields import VectorField
-from lagmhd.geometry import FlowState, determinant_values
+from lagmhd.geometry import (
+    FlowState,
+    cofactor_values,
+    determinant_values,
+    graded_metric_values,
+)
 from lagmhd.grid import Grid
 from lagmhd.evolution import (
     EulerianStepper,
@@ -18,7 +23,7 @@ from lagmhd.evolution import (
     step_lagrangian,
 )
 from lagmhd.initial_data import build_flow_state, default_spec, scaled_spec
-from lagmhd.spectral import gradient_values, weighted_norm_sq
+from lagmhd.spectral import dealias_spec, gradient_values, weighted_norm_sq
 
 from conftest import mesh, random_band_limited
 
@@ -133,8 +138,7 @@ def test_integral_entries_quadrature_oracle():
 def test_force_zero_at_equilibrium(grid3):
     force = compute_force(FlowState.zeros(grid3))
     assert np.abs(force.f.values).max() == 0.0
-    for g in force.viscous_graded:
-        assert np.abs(g.values).max() == 0.0
+    assert np.abs(force.f.values - force.pressure_force.values).max() == 0.0
 
 
 def test_force_viscous_vanishes_without_velocity():
@@ -142,8 +146,6 @@ def test_force_viscous_vanishes_without_velocity():
     state = build_flow_state(grid, scaled_spec(default_spec(3, None), 0.05))
     state = FlowState(state.Y, VectorField.zeros(grid), 0.0)
     force = compute_force(state)
-    for g in force.viscous_graded:
-        assert np.abs(g.values).max() == 0.0
     resid = force.f.spec - force.pressure_force.spec
     assert np.abs(resid).max() == 0.0
     assert np.abs(force.pressure_force.values).max() > 0.0
@@ -159,34 +161,59 @@ def test_force_quadratic_scaling():
     assert norms[0] / norms[1] == pytest.approx(4.0, rel=0.2)
 
 
+def _viscous_spec(metric, state):
+    """div(metric grad Yt), dealiased, for any metric field."""
+    grid = state.grid
+    grad_yt = gradient_values(state.Yt.spec, grid)
+    flux = np.einsum("jm...,im...->ij...", metric, grad_yt)
+    flux_spec = dealias_spec(grid.fft(flux), grid)
+    out = np.zeros((grid.dim,) + grid.shape, dtype=complex)
+    for j in range(grid.dim):
+        out += 1j * grid.k_axes[j] * flux_spec[:, j]
+    return out
+
+
 def test_force_decomposition_consistency():
     grid = Grid((16, 16, 16), (2 * np.pi,) * 3)
     state = build_flow_state(grid, scaled_spec(default_spec(3, None), 0.05))
     force = compute_force(state, split_quadratic=True)
-    # graded viscous pieces against the single-pass full metric defect
-    from lagmhd.geometry import cofactor_matrices
-    from lagmhd.spectral import dealias_spec
-
-    cof = cofactor_matrices(state.Y)
-    grad_yt = gradient_values(state.Yt.spec, grid)
-    flux = np.einsum("jm...,im...->ij...", cof.metric_defect, grad_yt)
-    flux_spec = dealias_spec(grid.fft(flux), grid)
-    full = np.zeros((3,) + grid.shape, dtype=complex)
-    for j in range(3):
-        full += 1j * grid.k_axes[j] * flux_spec[:, j]
-    graded_sum = sum(g.spec for g in force.viscous_graded)
+    # viscous part against A^T A - I formed directly from A
+    grad_y = gradient_values(state.Y.spec, grid)
+    b1, b2, a = cofactor_values(grad_y)
+    ata = np.einsum("ji...,jm...->im...", a, a)
+    for i in range(3):
+        ata[i, i] -= 1.0
+    full = _viscous_spec(ata, state)
     scale = max(np.abs(full).max(), 1e-300)
-    assert np.abs(graded_sum - full).max() < 1e-10 * scale
-    # f = graded viscous sum + pressure force
-    resid = force.f.spec - (graded_sum + force.pressure_force.spec)
-    assert np.abs(resid).max() < 1e-14 * scale
+    viscous = force.f.spec - force.pressure_force.spec
+    assert np.abs(viscous - full).max() < 1e-10 * scale
+    # f = viscous flux of the graded sum + pressure force
+    graded = graded_metric_values(b1, b2)
+    graded_sum = _viscous_spec(sum(graded), state)
+    assert np.abs(viscous - graded_sum).max() < 1e-14 * scale
     # quadratic split: f1 + f2 equals the degree-1 viscous piece
-    v1 = force.viscous_graded[0].spec
+    v1 = _viscous_spec(graded[0], state)
     resid2 = force.f1.spec + force.f2.spec - v1
     assert np.abs(resid2).max() < 1e-10 * max(np.abs(v1).max(), 1e-300)
-    # f3 is everything viscous beyond degree one
-    resid3 = force.f3.spec - sum(g.spec for g in force.viscous_graded[1:])
-    assert np.abs(resid3).max() == 0.0
+
+
+@pytest.mark.parametrize("sizes", [(16, 16, 16), (32, 32)])
+def test_force_takes_one_viscous_transform(monkeypatch, sizes):
+    grid = Grid(sizes, (2 * np.pi,) * len(sizes))
+    state = build_flow_state(grid, scaled_spec(default_spec(grid.dim, None), 0.05))
+    state.Y.spec, state.Yt.spec, state.Yt.values  # cache both views first
+    calls = []
+    fft = Grid.fft
+
+    def counted(self, values):
+        calls.append(values.shape)
+        return fft(self, values)
+
+    monkeypatch.setattr(Grid, "fft", counted)
+    force = compute_force(state)
+    # viscous flux + two for the pressure rhs + one per Picard iteration
+    # + the pressure force
+    assert len(calls) == 1 + 2 + force.pressure.iterations + 1
 
 
 # -- Lagrangian stepping ---------------------------------------------------------

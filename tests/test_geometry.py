@@ -5,13 +5,13 @@ from lagmhd.errors import ConstructionFailedError
 from lagmhd.fields import VectorField
 from lagmhd.geometry import (
     FlowState,
-    cofactor_matrices,
+    cofactor_values,
     construct_initial_map,
     determinant_values,
     evaluate_at_flow,
+    graded_metric_values,
     jacobian_determinant,
     make_trig_evaluator,
-    metric_graded,
     pushforward_fields,
 )
 from lagmhd.grid import Grid
@@ -35,36 +35,51 @@ def shear_state(grid, eps=0.1):
     return VectorField.from_values(grid, vals)
 
 
+def cofactors(y):
+    """(B1, B2, A) of a displacement field."""
+    return cofactor_values(gradient_values(y.spec, y.grid))
+
+
+def metric_graded(y):
+    b1, b2, _ = cofactors(y)
+    return graded_metric_values(b1, b2)
+
+
+def metric_defect(y):
+    """A^T A - I summed from its graded pieces, as compute_force sums it."""
+    return sum(metric_graded(y))
+
+
 # -- cofactor expansion ------------------------------------------------------
 
 
 def test_cofactor_identity_at_rest(grid3):
-    cof = cofactor_matrices(VectorField.zeros(grid3))
+    b1, b2, a = cofactors(VectorField.zeros(grid3))
     eye = np.zeros((3, 3) + grid3.shape)
     for i in range(3):
         eye[i, i] = 1.0
-    assert np.abs(cof.A.values - eye).max() == 0.0
-    assert np.abs(cof.B1.values).max() == 0.0
-    assert np.abs(cof.B2.values).max() == 0.0
+    assert np.abs(a - eye).max() == 0.0
+    assert np.abs(b1).max() == 0.0
+    assert np.abs(b2).max() == 0.0
 
 
 def test_cofactor_single_shear_closed_form(grid3):
     y = shear_state(grid3, eps=0.1)
-    cof = cofactor_matrices(y)
+    _, b2, a = cofactors(y)
     grad = gradient_values(y.spec, grid3)
-    assert np.abs(cof.B2.values).max() < 1e-14
+    assert np.abs(b2).max() < 1e-14
     # A = I - (grad Y)^T for a divergence-free shear
     expect = -np.swapaxes(grad, 0, 1).copy()
     for i in range(3):
         expect[i, i] += 1.0
-    assert np.abs(cof.A.values - expect).max() < 1e-12
+    assert np.abs(a - expect).max() < 1e-12
     # cross-check against the dense inverse-transpose (det = 1 for the shear)
     m = np.moveaxis(grad, (0, 1), (-2, -1)).copy()
     m[..., 0, 0] += 1.0
     m[..., 1, 1] += 1.0
     m[..., 2, 2] += 1.0
     inv_t = np.swapaxes(np.linalg.inv(m), -2, -1)
-    got = np.moveaxis(cof.A.values, (0, 1), (-2, -1))
+    got = np.moveaxis(a, (0, 1), (-2, -1))
     assert np.abs(got - inv_t).max() < 1e-12
 
 
@@ -75,21 +90,21 @@ def test_cofactor_quadratic_entry_sign(grid3):
     vals = np.zeros((3,) + grid3.shape)
     vals[2] = a * np.sin(y2)
     vals[1] = c * np.sin(y3)
-    cof = cofactor_matrices(VectorField.from_values(grid3, vals))
+    _, b2, _ = cofactors(VectorField.from_values(grid3, vals))
     expect = -a * np.cos(y2) * c * np.cos(y3)
-    assert np.abs(cof.B2.values[0, 0] - expect).max() < 1e-12
+    assert np.abs(b2[0, 0] - expect).max() < 1e-12
 
 
 def test_cofactor_matches_brute_force_adjugate(grid3, rng):
     y = random_band_limited(grid3, rng, rank=1, kmax=2, scale=0.2)
-    cof = cofactor_matrices(y)
+    _, _, a = cofactors(y)
     grad = gradient_values(y.spec, grid3)
     m = np.moveaxis(grad, (0, 1), (-2, -1)).copy()
     for i in range(3):
         m[..., i, i] += 1.0
     adj_t = np.linalg.inv(m) * np.linalg.det(m)[..., None, None]
     adj_t = np.swapaxes(adj_t, -2, -1)
-    got = np.moveaxis(cof.A.values, (0, 1), (-2, -1))
+    got = np.moveaxis(a, (0, 1), (-2, -1))
     assert np.abs(got - adj_t).max() < 1e-11
 
 
@@ -97,12 +112,12 @@ def test_cofactor_inverse_when_volume_preserving(grid3):
     # exact composition of shears: det(I + grad Y) = 1, so A^T (I + grad Y) = I
     grid = Grid((32, 32, 32), (2 * np.pi,) * 3)
     state = build_flow_state(grid, scaled_spec(default_spec(3, None), 0.05))
-    cof = cofactor_matrices(state.Y)
+    _, _, a = cofactors(state.Y)
     grad = gradient_values(state.Y.spec, grid)
     m = grad.copy()
     for i in range(3):
         m[i, i] += 1.0
-    atm = np.einsum("ji...,jm...->im...", cof.A.values, m)
+    atm = np.einsum("ji...,jm...->im...", a, m)
     det_defect = np.abs(determinant_values(grad) - 1.0).max()
     # A^T (I + grad Y) = det * I exactly; the residual from I is the det defect
     for i in range(3):
@@ -113,11 +128,11 @@ def test_cofactor_inverse_when_volume_preserving(grid3):
 
 def test_b_decomposition_sums_to_a(grid3, rng):
     y = random_band_limited(grid3, rng, rank=1, kmax=3, scale=0.5)
-    cof = cofactor_matrices(y)
+    b1, b2, a = cofactors(y)
     eye = np.zeros((3, 3) + grid3.shape)
     for i in range(3):
         eye[i, i] = 1.0
-    resid = cof.A.values - (eye + cof.B1.values + cof.B2.values)
+    resid = a - (eye + b1 + b2)
     assert np.abs(resid).max() == 0.0  # identity by construction
 
 
@@ -153,16 +168,16 @@ def test_determinant_brute_force_oracle(grid3, rng):
 
 def test_graded_zero_state(grid3):
     for g in metric_graded(VectorField.zeros(grid3)):
-        assert np.abs(g.values).max() == 0.0
+        assert np.abs(g).max() == 0.0
 
 
 def test_graded_sum_reproduces_metric_defect(grid3, rng):
     y = random_band_limited(grid3, rng, rank=1, kmax=3, scale=0.4)
-    cof = cofactor_matrices(y)
-    ata = np.einsum("ji...,jm...->im...", cof.A.values, cof.A.values)
+    _, _, a = cofactors(y)
+    ata = np.einsum("ji...,jm...->im...", a, a)
     for i in range(3):
         ata[i, i] -= 1.0
-    assert np.abs(cof.metric_defect - ata).max() < 1e-12
+    assert np.abs(metric_defect(y) - ata).max() < 1e-12
 
 
 @pytest.mark.parametrize("s", [0.5, 0.25])
@@ -171,32 +186,31 @@ def test_graded_homogeneity(grid3, rng, s):
     base = metric_graded(y)
     scaled = metric_graded(VectorField.from_values(grid3, s * y.values))
     for d, (g_base, g_scaled) in enumerate(zip(base, scaled), start=1):
-        ref = np.abs(g_base.values).max() * s**d
-        assert np.abs(g_scaled.values - s**d * g_base.values).max() < 1e-8 * ref
+        ref = np.abs(g_base).max() * s**d
+        assert np.abs(g_scaled - s**d * g_base).max() < 1e-8 * ref
 
 
 def test_graded_single_shear_structure(grid3):
     y = shear_state(grid3, eps=0.2)
     g1, g2, g3, g4 = metric_graded(y)
-    cof = cofactor_matrices(y)
-    b1 = cof.B1.values
-    assert np.abs(g1.values - (b1 + np.swapaxes(b1, 0, 1))).max() < 1e-14
+    b1, _, _ = cofactors(y)
+    assert np.abs(g1 - (b1 + np.swapaxes(b1, 0, 1))).max() < 1e-14
     b1tb1 = np.einsum("ji...,jm...->im...", b1, b1)
-    assert np.abs(g2.values - b1tb1).max() < 1e-14
-    assert np.abs(g3.values).max() < 1e-14
-    assert np.abs(g4.values).max() < 1e-14
+    assert np.abs(g2 - b1tb1).max() < 1e-14
+    assert np.abs(g3).max() < 1e-14
+    assert np.abs(g4).max() < 1e-14
 
 
 def test_graded_2d_has_two_pieces(grid2, rng):
     y = random_band_limited(grid2, rng, rank=1, kmax=3, scale=0.3)
     graded = metric_graded(y)
     assert len(graded) == 2
-    cof = cofactor_matrices(y)
-    assert np.abs(cof.B2.values).max() == 0.0
-    ata = np.einsum("ji...,jm...->im...", cof.A.values, cof.A.values)
+    _, b2, a = cofactors(y)
+    assert np.abs(b2).max() == 0.0
+    ata = np.einsum("ji...,jm...->im...", a, a)
     for i in range(2):
         ata[i, i] -= 1.0
-    assert np.abs(cof.metric_defect - ata).max() < 1e-12
+    assert np.abs(metric_defect(y) - ata).max() < 1e-12
 
 
 # -- pushforward and trig evaluation ------------------------------------------
@@ -216,8 +230,8 @@ def test_pushforward_b_is_divergence_compatible():
     grid = Grid((32, 32, 32), (2 * np.pi,) * 3)
     state = build_flow_state(grid, scaled_spec(default_spec(3, None), 0.02))
     sample = pushforward_fields(state)
-    cof = cofactor_matrices(state.Y)
-    atb = np.einsum("ji...,j...->i...", cof.A.values, sample.b.values)
+    _, _, a = cofactors(state.Y)
+    atb = np.einsum("ji...,j...->i...", a, sample.b.values)
     spec = grid.fft(atb)
     div = np.zeros(grid.shape, dtype=complex)
     for j in range(3):

@@ -3,17 +3,14 @@ import pytest
 
 from lagmhd.errors import NotConvergedError, PressureDivergenceError
 from lagmhd.fields import VectorField
-from lagmhd.geometry import FlowState, cofactor_matrices
+from lagmhd.evolution import compute_force
+from lagmhd.geometry import FlowState, cofactor_values, graded_metric_values
 from lagmhd.grid import Grid
 from lagmhd.initial_data import build_flow_state, default_spec, scaled_spec
-from lagmhd.pressure import (
-    _tensor_rhs_spec,
-    pressure_rhs,
-    solve_pressure_gradient,
-    solve_pressure_spec,
-)
+from lagmhd.pressure import _tensor_rhs_spec, solve_pressure_spec
 from lagmhd.spectral import (
     dealias_spec,
+    gradient_values,
     leray_project,
     riesz_apply_spec,
     weighted_norm_sq,
@@ -30,13 +27,26 @@ def small_state(grid, amp):
     return build_flow_state(grid, scaled_spec(default_spec(grid.dim, None), amp))
 
 
+def pressure_operands(state):
+    """(A, A^T A - I, rhs spectrum) assembled as compute_force assembles them."""
+    grid = state.grid
+    grad_y = gradient_values(state.Y.spec, grid)
+    b1, b2, a = cofactor_values(grad_y)
+    defect = sum(graded_metric_values(b1, b2))
+    rhs = _tensor_rhs_spec(grid, a, grad_y[:, 0], state.Yt.values)
+    return a, defect, rhs
+
+
+def solve_pressure(state, tol=1e-10, max_iter=50):
+    return compute_force(state, tol, max_iter).pressure
+
+
 # -- right-hand side -----------------------------------------------------------
 
 
 def test_rhs_zero_state(grid3):
-    state = FlowState.zeros(grid3)
-    cof = cofactor_matrices(state.Y)
-    assert np.abs(pressure_rhs(state, cof).values).max() == 0.0
+    _, _, rhs = pressure_operands(FlowState.zeros(grid3))
+    assert np.abs(grid3.ifft(rhs)).max() == 0.0
 
 
 def test_rhs_single_mode_against_direct_convolution(grid3):
@@ -52,8 +62,7 @@ def test_rhs_single_mode_against_direct_convolution(grid3):
     state = FlowState(
         VectorField.zeros(grid3), VectorField.from_values(grid3, yt), 0.0
     )
-    cof = cofactor_matrices(state.Y)
-    got = pressure_rhs(state, cof).values
+    got = grid3.ifft(pressure_operands(state)[2])
 
     # Yt x Yt = vv^T (1 + cos(2 theta))/2; div div annihilates the constant
     vv = np.outer(v, v)
@@ -73,12 +82,11 @@ def test_rhs_single_mode_against_direct_convolution(grid3):
 def test_rhs_swap_antisymmetry(grid3, rng):
     state = small_state(Grid((16, 16, 16), (2 * np.pi,) * 3), 0.05)
     grid = state.grid
-    cof = cofactor_matrices(state.Y)
-    from lagmhd.spectral import gradient_values
-
-    d1y = gradient_values(state.Y.spec, grid)[:, 0]
-    a = _tensor_rhs_spec(grid, cof.A.values, d1y, state.Yt.values)
-    b = _tensor_rhs_spec(grid, cof.A.values, state.Yt.values, d1y)
+    grad_y = gradient_values(state.Y.spec, grid)
+    _, _, a_vals = cofactor_values(grad_y)
+    d1y = grad_y[:, 0]
+    a = _tensor_rhs_spec(grid, a_vals, d1y, state.Yt.values)
+    b = _tensor_rhs_spec(grid, a_vals, state.Yt.values, d1y)
     assert np.abs(a + b).max() == 0.0
 
 
@@ -87,7 +95,7 @@ def test_rhs_swap_antisymmetry(grid3, rng):
 
 def test_zero_state_converges_immediately(grid3):
     state = FlowState.zeros(grid3)
-    sol = solve_pressure_gradient(state, cofactor_matrices(state.Y))
+    sol = solve_pressure(state)
     assert sol.iterations == 1
     assert np.abs(sol.grad_p.values).max() == 0.0
 
@@ -97,7 +105,7 @@ def test_contraction_estimate_tracks_amplitude():
     ratios = []
     for amp in (0.08, 0.04):
         state = small_state(grid, amp)
-        sol = solve_pressure_gradient(state, cofactor_matrices(state.Y), tol=1e-13)
+        sol = solve_pressure(state, tol=1e-13)
         ratios.append(sol.contraction_estimate)
     assert ratios[1] / ratios[0] == pytest.approx(0.5, rel=0.25)
 
@@ -105,14 +113,13 @@ def test_contraction_estimate_tracks_amplitude():
 def test_solution_is_gradient_and_solves_fixed_point():
     grid = Grid((16, 16, 16), (2 * np.pi,) * 3)
     state = small_state(grid, 0.05)
-    cof = cofactor_matrices(state.Y)
     tol = 1e-11
-    sol = solve_pressure_gradient(state, cof, tol=tol)
+    sol = solve_pressure(state, tol=tol)
     lp = leray_project(sol.grad_p)
     assert l2(lp.spec, grid) < 1e-10
-    rhs = pressure_rhs(state, cof).spec
+    _, metric_defect, rhs = pressure_operands(state)
     gp = sol.grad_p.spec
-    mgp = np.einsum("jm...,m...->j...", cof.metric_defect, grid.ifft(gp))
+    mgp = np.einsum("jm...,m...->j...", metric_defect, grid.ifft(gp))
     defect = gp + riesz_apply_spec(dealias_spec(grid.fft(mgp), grid), grid) - rhs
     assert l2(defect, grid) <= 2.0 * tol
 
@@ -120,13 +127,10 @@ def test_solution_is_gradient_and_solves_fixed_point():
 def test_linearity_in_rhs():
     grid = Grid((16, 16, 16), (2 * np.pi,) * 3)
     state = small_state(grid, 0.05)
-    cof = cofactor_matrices(state.Y)
-    rhs = pressure_rhs(state, cof).spec
-    gp1, _, _, _ = solve_pressure_spec(
-        grid, cof.A.values, cof.metric_defect, rhs, 1e-13, 60
-    )
+    a_vals, metric_defect, rhs = pressure_operands(state)
+    gp1, _, _, _ = solve_pressure_spec(grid, a_vals, metric_defect, rhs, 1e-13, 60)
     gp2, _, _, _ = solve_pressure_spec(
-        grid, cof.A.values, cof.metric_defect, 2.0 * rhs, 1e-13, 60
+        grid, a_vals, metric_defect, 2.0 * rhs, 1e-13, 60
     )
     assert np.abs(gp2 - 2.0 * gp1).max() < 1e-10 * max(np.abs(gp1).max(), 1e-300)
 
@@ -136,7 +140,7 @@ def test_quadratic_smallness_scaling():
     norms = []
     for amp in (0.08, 0.04, 0.02):
         state = small_state(grid, amp)
-        sol = solve_pressure_gradient(state, cofactor_matrices(state.Y), tol=1e-14)
+        sol = solve_pressure(state, tol=1e-14)
         w = grid.hs_weight(2)
         norms.append(np.sqrt(weighted_norm_sq(sol.grad_p.spec, w, grid)))
     r1 = norms[0] / norms[1]
@@ -150,21 +154,19 @@ def test_divergence_detected_for_large_deformation():
     grid = Grid((16, 16, 16), (2 * np.pi,) * 3)
     state = small_state(grid, 3.0)
     with pytest.raises(PressureDivergenceError):
-        solve_pressure_gradient(state, cofactor_matrices(state.Y), max_iter=30)
+        solve_pressure(state, max_iter=30)
 
 
 def test_iteration_cap_raises():
     grid = Grid((16, 16, 16), (2 * np.pi,) * 3)
     state = small_state(grid, 0.3)
     with pytest.raises(NotConvergedError):
-        solve_pressure_gradient(
-            state, cofactor_matrices(state.Y), tol=1e-14, max_iter=2
-        )
+        solve_pressure(state, tol=1e-14, max_iter=2)
 
 
 def test_residuals_decrease_in_contraction_regime():
     grid = Grid((16, 16, 16), (2 * np.pi,) * 3)
     state = small_state(grid, 0.08)
-    sol = solve_pressure_gradient(state, cofactor_matrices(state.Y), tol=1e-13)
+    sol = solve_pressure(state, tol=1e-13)
     res = sol.residuals
     assert all(res[i + 1] < res[i] for i in range(len(res) - 2))
