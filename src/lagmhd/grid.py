@@ -86,6 +86,8 @@ class Grid:
         object.__setattr__(self, "coords", coords)
         object.__setattr__(self, "dealias_mask", mask)
         object.__setattr__(self, "_hs_weights", {})
+        object.__setattr__(self, "_mirror_pairs", _mirror_pairs(sizes))
+        object.__setattr__(self, "_nyquist_pairs", _nyquist_pairs(sizes))
 
     # -- transforms --------------------------------------------------------
 
@@ -98,12 +100,41 @@ class Grid:
         return tuple(range(-self.dim, 0))
 
     def fft(self, values):
-        """Real samples -> normalized coefficients c_k with f(y) = sum c_k e^{ik.y}."""
-        return sfft.fftn(values, axes=self.spatial_axes) / self.npoints
+        """Real samples -> normalized coefficients c_k with f(y) = sum c_k e^{ik.y}.
+
+        Returns the full spectrum. The k_last >= 0 half comes from a real-data
+        transform (scaled by 1/N, exact for power-of-two sizes) and the rest
+        from c(-k) = conj(c(k)).
+        """
+        half = sfft.rfftn(values, axes=self.spatial_axes, norm="forward")
+        full = np.empty(half.shape[: -self.dim] + self.sizes, dtype=complex)
+        full[..., : half.shape[-1]] = half
+        for dst, src in self._mirror_pairs:
+            np.conjugate(half[src], out=full[dst])
+        return full
 
     def ifft(self, spec):
-        """Normalized coefficients -> real samples (imaginary part discarded)."""
-        return sfft.ifftn(spec * self.npoints, axes=self.spatial_axes).real
+        """Normalized coefficients -> real samples, as a contiguous float64 array.
+
+        Equals the real part of the full inverse transform, that is, the inverse
+        of the Hermitian part (s(k) + conj(s(-k)))/2. Only the k_last >= 0 half
+        is read, so the input must be Hermitian off the Nyquist hyperplanes of
+        the leading axes, as every product of a real field's spectrum with an
+        even or odd multiplier is. On those hyperplanes (interior k_last only)
+        the Hermitian part is taken explicitly: an odd multiplier leaves them
+        non-Hermitian, because the stored wavenumber -N/2 is its own negative.
+        """
+        half = spec[..., : self.sizes[-1] // 2 + 1].astype(complex)
+        # read spec, not half: the hyperplanes of two axes cross, and each
+        # write must see the unprojected s(-k)
+        for dst, src in self._nyquist_pairs:
+            part = np.conjugate(spec[src])
+            part += spec[dst]
+            part *= 0.5
+            half[dst] = part
+        return sfft.irfftn(
+            half, s=self.sizes, axes=self.spatial_axes, norm="forward", overwrite_x=True
+        )
 
     # -- norms and weights --------------------------------------------------
 
@@ -130,6 +161,46 @@ class Grid:
 
     def same_as(self, other: "Grid") -> bool:
         return self.sizes == other.sizes and np.allclose(self.lengths, other.lengths)
+
+
+def _negated(n: int):
+    """(dst, src) slice pairs of one leading axis with src index = -dst mod n."""
+    return ((slice(0, 1), slice(0, 1)), (slice(1, n), slice(n - 1, 0, -1)))
+
+
+def _mirror_pairs(sizes):
+    """(dst, src) index pairs that fill k_last < 0 from c(-k) = conj(c(k)).
+
+    One pair per choice of the zero or the nonzero block on each leading
+    axis: 2^(d-1) reversed-slice copies out of the k_last >= 0 half.
+    """
+    n = sizes[-1]
+    pairs = []
+    for lead in itertools.product(*(_negated(m) for m in sizes[:-1])):
+        dst = (Ellipsis,) + tuple(p[0] for p in lead) + (slice(n // 2 + 1, n),)
+        src = (Ellipsis,) + tuple(p[1] for p in lead) + (slice(n // 2 - 1, 0, -1),)
+        pairs.append((dst, src))
+    return tuple(pairs)
+
+
+def _nyquist_pairs(sizes):
+    """(dst, src) index pairs of each leading axis's Nyquist hyperplane.
+
+    dst covers the hyperplane at interior k_last > 0; src is its negated
+    wavevector, at k_last < 0 in the full spectrum.
+    """
+    n = sizes[-1]
+    pairs = []
+    for i, m in enumerate(sizes[:-1]):
+        nyq = (slice(m // 2, m // 2 + 1),) * 2
+        others = [
+            (nyq,) if j == i else _negated(mj) for j, mj in enumerate(sizes[:-1])
+        ]
+        for lead in itertools.product(*others):
+            dst = (Ellipsis,) + tuple(p[0] for p in lead) + (slice(1, n // 2),)
+            src = (Ellipsis,) + tuple(p[1] for p in lead) + (slice(n - 1, n // 2, -1),)
+            pairs.append((dst, src))
+    return tuple(pairs)
 
 
 def multi_indices(dim: int, s: int):

@@ -133,16 +133,10 @@ def riesz_projector(field) -> VectorField:
     Zero mode maps to 0.
     """
     grid = field.grid
-    inv = _inv_k2(grid)
     if isinstance(field, VectorField) or (field.rank == 1):
-        spec = field.spec
-        kv = np.zeros(grid.shape, dtype=complex)
-        for j in range(grid.dim):
-            kv += grid.k_axes[j] * spec[j]
-        out = np.stack([grid.k_axes[i] * kv * inv for i in range(grid.dim)])
-        out[(slice(None),) + (0,) * grid.dim] = 0.0
-        return VectorField.from_spec(grid, out)
+        return VectorField.from_spec(grid, riesz_apply_spec(field.spec, grid))
     if isinstance(field, MatrixField) or field.rank == 2:
+        inv = _inv_k2(grid)
         spec = field.spec
         kk = np.zeros(grid.shape, dtype=complex)
         for i in range(grid.dim):

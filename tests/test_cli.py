@@ -1,5 +1,3 @@
-import numpy as np
-
 from lagmhd.cli import main
 
 

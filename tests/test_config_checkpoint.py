@@ -2,12 +2,10 @@ import numpy as np
 import pytest
 
 from lagmhd.checkpoint import read_checkpoint, write_checkpoint
-from lagmhd.config import RunConfig, dump_config, parse_config
+from lagmhd.config import dump_config, parse_config
 from lagmhd.errors import CheckpointFormatError, ConfigError
 from lagmhd.evolution import EulerState
-from lagmhd.fields import ScalarField, VectorField
 from lagmhd.geometry import FlowState
-from lagmhd.grid import Grid
 
 from conftest import random_band_limited
 

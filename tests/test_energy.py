@@ -17,7 +17,6 @@ from lagmhd.energy import (
     grad_u_linf_time_integral,
     integrated_rhs,
     ledger_check,
-    lower_bound_value,
     nonlinear_scaling_study,
 )
 from lagmhd.evolution import LinearPropagator

@@ -25,7 +25,7 @@ from lagmhd.evolution import (
 from lagmhd.initial_data import build_flow_state, default_spec, scaled_spec
 from lagmhd.spectral import dealias_spec, gradient_values, weighted_norm_sq
 
-from conftest import mesh, random_band_limited
+from conftest import random_band_limited
 
 
 # -- dispersion roots ---------------------------------------------------------

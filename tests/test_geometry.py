@@ -11,7 +11,6 @@ from lagmhd.geometry import (
     evaluate_at_flow,
     graded_metric_values,
     jacobian_determinant,
-    make_trig_evaluator,
     pushforward_fields,
 )
 from lagmhd.grid import Grid

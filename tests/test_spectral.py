@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+import scipy.fft as sfft
 
 from lagmhd.errors import GridMismatchError
-from lagmhd.fields import ScalarField, VectorField, magnitude
+from lagmhd.fields import ScalarField, VectorField
 from lagmhd.grid import Grid, multi_indices
 from lagmhd.spectral import (
     anisotropic_norm,
@@ -11,6 +12,7 @@ from lagmhd.spectral import (
     l2_inner_quadrature,
     leray_project,
     partial_derivative,
+    riesz_apply_spec,
     riesz_projector,
     sobolev_interpolation_monitor,
 )
@@ -210,7 +212,6 @@ def test_leray_output_divergence_free_and_idempotent(grid3, rng):
 
 
 def test_riesz_matrix_input_matches_nested_divergence(grid3, rng):
-    from lagmhd.fields import MatrixField
     from lagmhd.spectral import divergence_spec, riesz_apply_spec
 
     m = random_band_limited(grid3, rng, rank=2)
@@ -253,12 +254,46 @@ def test_dealias_zeroes_top_third_and_is_idempotent(grid3, rng):
     assert np.array_equal(d1.spec, d2.spec)
 
 
-def test_real_field_roundtrip_and_conjugate_symmetry(grid3, rng):
-    f = random_band_limited(grid3, rng, rank=0)
-    back = grid3.ifft(f.spec)
+# non-cubic sizes and unequal lengths, so that a transposed axis shows
+TRANSFORM_GRIDS = {
+    "3D": Grid((16, 8, 32), (2 * np.pi, 3.0, 5.0), dealias=False),
+    "2D": Grid((32, 16), (64.0, 2 * np.pi), dealias=False),
+}
+
+
+def _complex_ifft(grid, spec):
+    return sfft.ifftn(spec * grid.npoints, axes=grid.spatial_axes).real
+
+
+@pytest.mark.parametrize("dim", TRANSFORM_GRIDS)
+def test_real_field_roundtrip_and_conjugate_symmetry(dim, rng):
+    grid = TRANSFORM_GRIDS[dim]
+    f = random_band_limited(grid, rng, rank=0)
+    back = grid.ifft(f.spec)
     rel = np.abs(back - f.values).max() / np.abs(f.values).max()
     assert rel < 1e-12
     assert f.conjugate_symmetry_error() < 1e-12
+    assert back.dtype == np.float64 and back.flags.c_contiguous
+    # the real-data transforms equal the complex ones on full-band data
+    vals = rng.standard_normal((grid.dim,) + grid.shape)
+    spec = grid.fft(vals)
+    full = sfft.fftn(vals, axes=grid.spatial_axes) / grid.npoints
+    assert np.abs(spec - full).max() < 1e-14 * np.abs(full).max()
+    want = _complex_ifft(grid, spec)
+    assert np.abs(grid.ifft(spec) - want).max() < 1e-14 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("dim", TRANSFORM_GRIDS)
+def test_ifft_takes_the_real_part_of_odd_multiplier_spectra(dim, rng):
+    # i k_j keeps the stored Nyquist wavenumber -N/2 unflipped, so the product
+    # is not Hermitian on that hyperplane; ifft must still equal the real part
+    grid = TRANSFORM_GRIDS[dim]
+    spec = grid.fft(rng.standard_normal((grid.dim,) + grid.shape))
+    for j in range(grid.dim):
+        odd = spec * (1j * grid.k_axes[j])
+        for s in (odd, riesz_apply_spec(odd, grid)):
+            want = _complex_ifft(grid, s)
+            assert np.abs(grid.ifft(s) - want).max() < 1e-14 * np.abs(want).max()
 
 
 # -- gradient bound monitor ---------------------------------------------------
