@@ -23,6 +23,7 @@ from .grid import Grid
 from .pressure import PressureSolution, _tensor_rhs_spec, solve_pressure_spec
 from .spectral import (
     dealias_spec,
+    divergence_spec,
     gradient_values,
     riesz_apply_spec,
 )
@@ -179,6 +180,10 @@ class LinearPropagator:
         self.phi0, self.phi1, self.dphi1 = _phi_entries(a, b, dt)
         self.dphi0 = -b * self.phi1
         self.i0, self.k1 = _integral_entries(a, b, dt)
+        # corrector weights: Y gains y_f0 f0 + k1 f1, Yt gains yt_f0 f0 + yt_f1 f1
+        self.y_f0 = self.i0 - self.k1
+        self.yt_f0 = self.phi1 - self.i0 / dt
+        self.yt_f1 = self.i0 / dt
 
     def apply(self, y_spec, yt_spec):
         return (
@@ -217,25 +222,24 @@ def compute_force(
 ) -> NonlinearForce:
     """Assemble f = div(D grad Yt) - A grad_p with dealiased products, D = A^T A - I.
 
-    D is summed from its pieces G_d of degree d in grad Y rather than formed
-    as A^T A - I, which would cancel against I for small deformations; the
-    same D drives the pressure fixed point, so the viscous flux costs a
-    single transform whatever the dimension.
+    D is formed from B = A - I = B1 + B2 as B + B^T + B^T B, the same algebra
+    as the sum of the graded pieces G_d, in one product; I is never added and
+    removed, so small deformations do not cancel. The same D drives the
+    pressure fixed point, and the viscous flux costs a single transform
+    whatever the dimension.
     """
     grid = state.grid
     grad_y = gradient_values(state.Y.spec, grid)
     b1, b2, a_vals = cofactor_values(grad_y)
-    graded = graded_metric_values(b1, b2)
     grad_yt = gradient_values(state.Yt.spec, grid)
 
-    defect = graded[0].copy()
-    for g in graded[1:]:
-        defect += g
+    b = b1 + b2
+    defect = np.einsum("mi...,mj...->ij...", b, b)
+    defect += b
+    defect += np.swapaxes(b, 0, 1)
     flux = np.einsum("jm...,im...->ij...", defect, grad_yt)
     flux_spec = dealias_spec(grid.fft(flux), grid)
-    visc_spec = np.zeros((grid.dim,) + grid.shape, dtype=complex)
-    for j in range(grid.dim):
-        visc_spec += 1j * grid.k_axes[j] * flux_spec[:, j]
+    visc_spec = divergence_spec(np.swapaxes(flux_spec, 0, 1), grid)
 
     d1y = grad_y[:, 0]
     rhs_spec = _tensor_rhs_spec(grid, a_vals, d1y, state.Yt.values)
@@ -248,11 +252,8 @@ def compute_force(
 
     f1 = f2 = None
     if split_quadratic:
-        g1_spec = grid.fft(graded[0])
-        div_g1 = np.zeros((grid.dim,) + grid.shape, dtype=complex)
-        for j in range(grid.dim):
-            div_g1 += 1j * grid.k_axes[j] * g1_spec[j]
-        div_g1_real = grid.ifft(div_g1)
+        g1 = graded_metric_values(b1, b2)[0]
+        div_g1_real = grid.ifft(divergence_spec(grid.fft(g1), grid))
         f1_vals = np.einsum("m...,im...->i...", div_g1_real, grad_yt)
         f1 = VectorField.from_spec(grid, dealias_spec(grid.fft(f1_vals), grid))
         f2_vals = np.zeros((grid.dim,) + grid.shape)
@@ -261,7 +262,7 @@ def compute_force(
                 hess_jm = grid.ifft(
                     -grid.k_axes[j] * grid.k_axes[m] * state.Yt.spec
                 )
-                f2_vals += graded[0][j, m] * hess_jm
+                f2_vals += g1[j, m] * hess_jm
         f2 = VectorField.from_spec(grid, dealias_spec(grid.fft(f2_vals), grid))
 
     return NonlinearForce(
@@ -335,8 +336,8 @@ class LagrangianStepper:
         )
         f1h = self.force(star).f.spec
 
-        y_new = py + (prop.i0 - prop.k1) * f0h + prop.k1 * f1h
-        yt_new = pyt + (prop.phi1 - prop.i0 / dt) * f0h + (prop.i0 / dt) * f1h
+        y_new = py + prop.y_f0 * f0h + prop.k1 * f1h
+        yt_new = pyt + prop.yt_f0 * f0h + prop.yt_f1 * f1h
         if not (np.isfinite(np.abs(y_new).max()) and np.isfinite(np.abs(yt_new).max())):
             raise FloatingPointError("non-finite spectral coefficients after step")
         new_state = FlowState(
@@ -454,13 +455,8 @@ class EulerianStepper:
         """Zero-mean pressure recovered from the instantaneous Leray constraint."""
         grid = self.grid
         _, _, n_spec = self._rhs(state.u.spec, state.b.spec)
-        kn = np.zeros(grid.shape, dtype=complex)
-        for j in range(grid.dim):
-            kn += grid.k_axes[j] * n_spec[j]
-        k2 = grid.k2.copy()
-        k2[(0,) * grid.dim] = 1.0
-        p_spec = 1j * kn / k2
-        p_spec[(0,) * grid.dim] = 0.0
+        p_spec = divergence_spec(n_spec, grid)
+        p_spec *= grid.inv_k2
         return ScalarField.from_spec(grid, p_spec)
 
     def step(self, state: EulerState) -> EulerState:

@@ -77,15 +77,17 @@ def quadratic_cofactor_values(grad):
 
 
 def cofactor_values(grad):
-    """Return (B1, B2, A) raw arrays from grad Y values."""
+    """Return (B1, B2, A) raw arrays from grad Y values; A = (I + B1) + B2."""
     dim = grad.shape[0]
-    shape = grad.shape[2:]
     div = np.trace(grad, axis1=0, axis2=1)
     b1 = -_transpose(grad).copy()
     for i in range(dim):
         b1[i, i] += div
     b2 = quadratic_cofactor_values(grad)
-    a = _identity(dim, shape) + b1 + b2
+    a = b1.copy()
+    for i in range(dim):
+        a[i, i] += 1.0
+    a += b2
     return b1, b2, a
 
 

@@ -60,6 +60,9 @@ class Grid:
         k2 = np.zeros(sizes)
         for ka in k_axes:
             k2 = k2 + ka**2
+        # inverse Laplacian symbol, 0 on the mean mode
+        inv_k2 = np.zeros(sizes)
+        np.divide(1.0, k2, out=inv_k2, where=k2 > 0)
         # 2/3 rule: keep |n_i| < N_i/3 per axis so that products of retained
         # modes alias only onto discarded ones
         mask = np.ones(sizes, dtype=bool)
@@ -82,6 +85,7 @@ class Grid:
         object.__setattr__(self, "k1d", k1d)
         object.__setattr__(self, "k_axes", k_axes)
         object.__setattr__(self, "k2", k2)
+        object.__setattr__(self, "inv_k2", inv_k2)
         object.__setattr__(self, "k1sq", k_axes[0] ** 2)
         object.__setattr__(self, "coords", coords)
         object.__setattr__(self, "dealias_mask", mask)

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import NotConvergedError, PressureDivergenceError
 from .fields import VectorField
 from .grid import Grid
-from .spectral import dealias_spec, riesz_apply_spec, weighted_norm_sq
+from .spectral import dealias_spec, divergence_spec, riesz_apply_spec, weighted_norm_sq
 
 
 @dataclass
@@ -34,17 +34,15 @@ def _tensor_rhs_spec(grid: Grid, a_vals, v_vals, w_vals):
     """R[A^T div2((v x v - w x w) A)] with div2 acting on the second index.
 
     The divergence-free rows of the cofactor matrix let the nested operator
-    collapse to this conservative form.
+    collapse to this conservative form. The product (v x v - w x w) A takes
+    two mat-vecs and two outer products: v_i (A^T v)_l - w_i (A^T w)_l.
     """
-    z = np.einsum("i...,j...->ij...", v_vals, v_vals) - np.einsum(
-        "i...,j...->ij...", w_vals, w_vals
-    )
-    za = np.einsum("im...,ml...->il...", z, a_vals)
+    at_v = np.einsum("ml...,m...->l...", a_vals, v_vals)
+    at_w = np.einsum("ml...,m...->l...", a_vals, w_vals)
+    za = np.einsum("i...,l...->il...", v_vals, at_v)
+    za -= np.einsum("i...,l...->il...", w_vals, at_w)
     za_spec = dealias_spec(grid.fft(za), grid)
-    w_spec = np.zeros((grid.dim,) + grid.shape, dtype=complex)
-    for l in range(grid.dim):
-        w_spec += 1j * grid.k_axes[l] * za_spec[:, l]
-    w_real = grid.ifft(w_spec)
+    w_real = grid.ifft(divergence_spec(np.swapaxes(za_spec, 0, 1), grid))
     atw = np.einsum("jm...,j...->m...", a_vals, w_real)
     atw_spec = dealias_spec(grid.fft(atw), grid)
     return riesz_apply_spec(atw_spec, grid)

@@ -40,20 +40,29 @@ def partial_derivative(field: _Field, alpha):
 
 
 def gradient_values(spec, grid: Grid):
-    """Real-space gradient of a spectral vector: out[i, j] = d_j v^i."""
+    """Real-space gradient of a spectral vector: out[i, j] = d_j v^i.
+
+    All components and directions go through one inverse transform.
+    """
     d = grid.dim
-    out = np.empty((spec.shape[0], d) + grid.shape)
+    buf = np.empty((spec.shape[0], d) + grid.shape, dtype=complex)
     for j in range(d):
-        out[:, j] = grid.ifft(spec * (1j * grid.k_axes[j]))
+        np.multiply(spec, 1j * grid.k_axes[j], out=buf[:, j])
+    return grid.ifft(buf)
+
+
+def _k_contract(spec, symbols):
+    """sum_j symbols[j] * spec[j] over the leading axis, with one temporary."""
+    out = np.multiply(symbols[0], spec[0])
+    tmp = np.empty_like(out)
+    for j in range(1, len(symbols)):
+        out += np.multiply(symbols[j], spec[j], out=tmp)
     return out
 
 
 def divergence_spec(spec, grid: Grid):
     """Spectral divergence over the leading component axis."""
-    out = np.zeros(spec.shape[1:], dtype=complex)
-    for j in range(grid.dim):
-        out += 1j * grid.k_axes[j] * spec[j]
-    return out
+    return _k_contract(spec, [1j * k for k in grid.k_axes])
 
 
 def dealias_spec(spec, grid: Grid):
@@ -119,12 +128,6 @@ def anisotropic_norm(field: _Field, p_outer, q_inner) -> float:
 # -- Riesz / Leray projectors ---------------------------------------------
 
 
-def _inv_k2(grid: Grid):
-    k2 = grid.k2.copy()
-    k2[(0,) * grid.dim] = 1.0
-    return 1.0 / k2
-
-
 def riesz_projector(field) -> VectorField:
     """Apply inverse_laplacian(grad(div .)); identity on gradients, 0 on div-free.
 
@@ -136,26 +139,25 @@ def riesz_projector(field) -> VectorField:
     if isinstance(field, VectorField) or (field.rank == 1):
         return VectorField.from_spec(grid, riesz_apply_spec(field.spec, grid))
     if isinstance(field, MatrixField) or field.rank == 2:
-        inv = _inv_k2(grid)
         spec = field.spec
         kk = np.zeros(grid.shape, dtype=complex)
         for i in range(grid.dim):
             for j in range(grid.dim):
                 kk += grid.k_axes[i] * grid.k_axes[j] * spec[i, j]
-        out = np.stack([1j * grid.k_axes[i] * kk * inv for i in range(grid.dim)])
-        out[(slice(None),) + (0,) * grid.dim] = 0.0
+        kk *= grid.inv_k2
+        out = np.stack([1j * grid.k_axes[i] * kk for i in range(grid.dim)])
         return VectorField.from_spec(grid, out)
     raise ValueError("riesz_projector expects a vector or matrix field")
 
 
 def riesz_apply_spec(spec, grid: Grid):
     """Vector-form Riesz projector acting on raw spectral coefficients."""
-    inv = _inv_k2(grid)
-    kv = np.zeros(grid.shape, dtype=complex)
-    for j in range(grid.dim):
-        kv += grid.k_axes[j] * spec[j]
-    out = np.stack([grid.k_axes[i] * kv * inv for i in range(grid.dim)])
-    out[(slice(None),) + (0,) * grid.dim] = 0.0
+    k = grid.k_axes
+    kv = _k_contract(spec, k)
+    kv *= grid.inv_k2
+    out = np.empty((grid.dim,) + grid.shape, dtype=complex)
+    for i in range(grid.dim):
+        np.multiply(k[i], kv, out=out[i])
     return out
 
 

@@ -216,6 +216,26 @@ def test_force_takes_one_viscous_transform(monkeypatch, sizes):
     assert len(calls) == 1 + 2 + force.pressure.iterations + 1
 
 
+@pytest.mark.parametrize("sizes", [(16, 16, 16), (32, 32)], ids=["3D", "2D"])
+def test_force_takes_one_inverse_transform_per_gradient(monkeypatch, sizes):
+    grid = Grid(sizes, (2 * np.pi,) * len(sizes))
+    state = build_flow_state(grid, scaled_spec(default_spec(grid.dim, None), 0.05))
+    state.Y.spec, state.Y.values, state.Yt.spec, state.Yt.values  # cache both views
+    calls = []
+    ifft = Grid.ifft
+
+    def counted(self, spec):
+        calls.append(spec.shape)
+        return ifft(self, spec)
+
+    monkeypatch.setattr(Grid, "ifft", counted)
+    force = compute_force(state)
+    # grad Y and grad Yt + one in the pressure rhs + one per Picard iteration
+    # + the pressure gradient
+    assert len(calls) == 2 + 1 + force.pressure.iterations + 1
+    assert calls[:2] == [(grid.dim, grid.dim) + grid.shape] * 2
+
+
 # -- Lagrangian stepping ---------------------------------------------------------
 
 

@@ -135,6 +135,19 @@ def test_b_decomposition_sums_to_a(grid3, rng):
     assert np.abs(resid).max() == 0.0  # identity by construction
 
 
+@pytest.mark.parametrize("amp", [1e-4, 0.05])
+def test_metric_defect_from_b_matches_graded_sum(amp):
+    grid = Grid((16, 16, 16), (2 * np.pi,) * 3)
+    state = build_flow_state(grid, scaled_spec(default_spec(3, None), amp))
+    b1, b2, _ = cofactor_values(gradient_values(state.Y.spec, grid))
+    b = b1 + b2
+    from_b = b + np.swapaxes(b, 0, 1) + np.einsum("mi...,mj...->ij...", b, b)
+    graded = sum(graded_metric_values(b1, b2))
+    scale = np.abs(graded).max()
+    assert scale > 0.0
+    assert np.abs(from_b - graded).max() < 1e-15 * scale
+
+
 # -- determinant -------------------------------------------------------------
 
 
