@@ -18,15 +18,13 @@ def _load_config(args):
         config = parse_config(fh.read())
     if args.output:
         config.output_dir = args.output
-    if args.resume:
-        config.checkpoint_in = args.resume
-    if args.seed is not None:
-        config.seed = args.seed
     return config
 
 
 def _cmd_run(args) -> int:
     config = _load_config(args)
+    if args.resume:
+        config.checkpoint_in = args.resume
     report = run_simulation(config)
     print(report.summary())
     if report.csv_path:
@@ -156,8 +154,7 @@ def main(argv=None) -> int:
     for p in (run_p, compare_p):
         p.add_argument("--config", required=True, help="key=value config file")
         p.add_argument("--output", default="", help="output directory")
-        p.add_argument("--resume", default="", help="checkpoint to resume from")
-        p.add_argument("--seed", type=int, default=None)
+    run_p.add_argument("--resume", default="", help="checkpoint to resume from")
     run_p.set_defaults(func=_cmd_run)
     compare_p.set_defaults(func=_cmd_compare)
 

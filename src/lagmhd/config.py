@@ -25,7 +25,6 @@ class RunConfig:
     pressure_tol: float = 1e-10
     pressure_max_iter: int = 50
     dealias: bool = True
-    seed: int = 0
     y0_modes_a: tuple = None  # None -> built-in profile
     y0_modes_c: tuple = None
     y1_modes: tuple = None
@@ -33,7 +32,6 @@ class RunConfig:
     output_dir: str = "."
     t_compare: float = 1.0
     fit_window: tuple = (5.0, 50.0)
-    script_e_cap: float = 3.0
 
     def __post_init__(self):
         if self.dimension not in (2, 3):
@@ -86,7 +84,7 @@ class RunConfig:
 
 _REQUIRED = ("dimension", "sizes", "dt", "t_end")
 
-_INT_KEYS = {"dimension", "pressure_max_iter", "seed"}
+_INT_KEYS = {"dimension", "pressure_max_iter"}
 _FLOAT_KEYS = {
     "dt",
     "t_end",
@@ -94,7 +92,6 @@ _FLOAT_KEYS = {
     "epsilon0",
     "pressure_tol",
     "t_compare",
-    "script_e_cap",
 }
 _BOOL_KEYS = {"dealias"}
 _STR_KEYS = {"solver", "checkpoint_in", "output_dir"}
@@ -229,7 +226,6 @@ def dump_config(config: RunConfig) -> str:
     out.append(f"pressure_tol = {config.pressure_tol:.17g}")
     out.append(f"pressure_max_iter = {config.pressure_max_iter}")
     out.append(f"dealias = {'on' if config.dealias else 'off'}")
-    out.append(f"seed = {config.seed}")
     if config.y0_modes_a is not None:
         out.append(
             "y0_modes_a = "
@@ -262,5 +258,4 @@ def dump_config(config: RunConfig) -> str:
     out.append(
         "fit_window = " + ",".join(f"{x:.17g}" for x in config.fit_window)
     )
-    out.append(f"script_e_cap = {config.script_e_cap:.17g}")
     return "\n".join(out) + "\n"

@@ -413,7 +413,7 @@ def fit_decay_rate(times, values, window, quantity: str = "") -> DecayFit:
     if mask.sum() < 10:
         raise ValueError(f"need at least 10 samples in window, got {int(mask.sum())}")
     v = values[mask]
-    if np.any(v <= 0.0):
+    if not np.all(v > 0.0):  # NaN too: a column the solver does not measure
         raise ValueError("decay fit requires positive values in the window")
     x = np.log(times[mask] + 1.0)
     y = np.log(v)

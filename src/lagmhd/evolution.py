@@ -61,14 +61,14 @@ def dispersion_eigenvalues(k):
     return complex(lp), complex(lm)
 
 
-def _phi_entries(a, b, t):
+def _phi_entries(a, b, t, roots=None):
     """Fundamental-solution entries (phi0, phi1, dphi1) of y'' + a y' + b y = 0.
 
     y(t) = phi0*y0 + phi1*y1, y'(t) = -b*phi1*y0 + dphi1*y1. Written through
     cosh/sinch of s*t/2 so the degenerate double-root locus is crossed smoothly;
     the large branch uses the root exponentials directly (|e^{lam t}| <= 1).
     """
-    lp, lm = characteristic_roots(a, b)
+    lp, lm = characteristic_roots(a, b) if roots is None else roots
     mu = 0.5 * (lp + lm)  # real: -a/2
     sig = 0.5 * (lp - lm)
     z = sig * t
@@ -130,9 +130,9 @@ def _exprel2_prime(z):
     )
 
 
-def _integral_entries(a, b, dt):
+def _integral_entries(a, b, dt, roots=None):
     """(I0, K1) = (int_0^dt phi1, int_0^dt (1 - tau/dt) phi1) for the Duhamel blocks."""
-    lp, lm = characteristic_roots(a, b)
+    lp, lm = characteristic_roots(a, b) if roots is None else roots
     s = lp - lm
     small = np.abs(s * dt) <= 1e-3
     s_safe = np.where(small, 1.0, s)
@@ -177,9 +177,9 @@ class LinearPropagator:
         self.lam_minus = lm
         disc = a * a - 4.0 * b
         self.degenerate = np.abs(disc) <= DEGENERATE_REL_TOL * a * a
-        self.phi0, self.phi1, self.dphi1 = _phi_entries(a, b, dt)
+        self.phi0, self.phi1, self.dphi1 = _phi_entries(a, b, dt, (lp, lm))
         self.dphi0 = -b * self.phi1
-        self.i0, self.k1 = _integral_entries(a, b, dt)
+        self.i0, self.k1 = _integral_entries(a, b, dt, (lp, lm))
         # corrector weights: Y gains y_f0 f0 + k1 f1, Yt gains yt_f0 f0 + yt_f1 f1
         self.y_f0 = self.i0 - self.k1
         self.yt_f0 = self.phi1 - self.i0 / dt
@@ -285,12 +285,6 @@ def compute_force(
 # -- Lagrangian stepper ------------------------------------------------------
 
 
-@dataclass
-class StepResult:
-    state: FlowState
-    force: NonlinearForce  # evaluated at the step start
-
-
 class LagrangianStepper:
     """Exponential predictor-corrector for the displacement system.
 
@@ -312,15 +306,15 @@ class LagrangianStepper:
         self.pressure_max_iter = pressure_max_iter
         self.propagator = LinearPropagator(grid, dt)
 
-    def force(self, state: FlowState, split_quadratic: bool = False) -> NonlinearForce:
+    def force(self, state: FlowState) -> NonlinearForce:
         return compute_force(
             state,
             pressure_tol=self.pressure_tol,
             pressure_max_iter=self.pressure_max_iter,
-            split_quadratic=split_quadratic,
         )
 
-    def step(self, state: FlowState, force: NonlinearForce = None) -> StepResult:
+    def step(self, state: FlowState, force: NonlinearForce = None) -> FlowState:
+        """Advance one dt; force, when given, is self.force(state)."""
         grid, dt, prop = self.grid, self.dt, self.propagator
         y0, yt0 = state.Y.spec, state.Yt.spec
         py, pyt = prop.apply(y0, yt0)
@@ -340,12 +334,11 @@ class LagrangianStepper:
         yt_new = pyt + prop.yt_f0 * f0h + prop.yt_f1 * f1h
         if not (np.isfinite(np.abs(y_new).max()) and np.isfinite(np.abs(yt_new).max())):
             raise FloatingPointError("non-finite spectral coefficients after step")
-        new_state = FlowState(
+        return FlowState(
             VectorField.from_spec(grid, y_new),
             VectorField.from_spec(grid, yt_new),
             state.t + dt,
         )
-        return StepResult(state=new_state, force=f0)
 
     def step_linear(self, state: FlowState) -> FlowState:
         """Propagate with the forcing forced to zero (linear system)."""
@@ -362,7 +355,7 @@ def step_lagrangian(
 ) -> FlowState:
     """One-shot stepping convenience; long runs should reuse a LagrangianStepper."""
     stepper = LagrangianStepper(state.grid, dt, pressure_tol, pressure_max_iter)
-    return stepper.step(state).state
+    return stepper.step(state)
 
 
 # -- Eulerian reference solver -------------------------------------------------
@@ -415,11 +408,11 @@ class EulerianStepper:
     zero to round-off, with a spectral filter replacing the absent diffusion.
     """
 
-    def __init__(self, grid: Grid, dt: float, magnetic_filter: bool = True):
+    def __init__(self, grid: Grid, dt: float):
         self.grid = grid
         self.dt = dt
         self.heat = np.exp(-grid.k2 * dt)
-        self.filter = _magnetic_filter(grid) if magnetic_filter else None
+        self.filter = _magnetic_filter(grid)
 
     def _rhs(self, u_spec, b_spec):
         grid = self.grid
@@ -467,9 +460,7 @@ class EulerianStepper:
         b_star = b0 + dt * h0
         ru1, h1, _ = self._rhs(u_star, b_star)
         u_new = self.heat * u0 + 0.5 * dt * (self.heat * ru0 + ru1)
-        b_new = b0 + 0.5 * dt * (h0 + h1)
-        if self.filter is not None:
-            b_new = b_new * self.filter
+        b_new = (b0 + 0.5 * dt * (h0 + h1)) * self.filter
         if not np.isfinite(np.abs(u_new).max()):
             raise FloatingPointError("non-finite Eulerian state after step")
         return EulerState(

@@ -1,4 +1,4 @@
-"""Run orchestration: stepping loops, diagnostics CSV, reports, comparisons."""
+"""Run orchestration: one stepping driver, diagnostics CSV, reports, comparisons."""
 
 from __future__ import annotations
 
@@ -31,8 +31,10 @@ from .evolution import (
 )
 from .geometry import FlowState, determinant_values, make_trig_evaluator
 from .grid import Grid
-from .initial_data import build_flow_state, euler_from_flow
+from .initial_data import build_flow_state, default_spec, euler_from_flow, scaled_spec
 from .spectral import gradient_values
+
+NAN = float("nan")
 
 CSV_COLUMNS = (
     "t",
@@ -65,26 +67,28 @@ CSV_COLUMNS = (
 
 @dataclass
 class RunSample:
+    """One diagnostics row; what a solver does not measure stays NaN."""
+
     t: float
-    energy: tuple
-    energy_total: float
-    dissipation: tuple
-    dissipation_total: float
-    corrected: float
-    diss_terms: tuple
-    rhs1: float
-    rhs2: float
-    det_drift: float
     grad_u_sup: float
-    pressure_iters: int
-    contraction: float
-    norm_grad_yt_h2: float
-    norm_grad_d1yt_h1: float
-    script_e: float = float("nan")
-    grad_u_l1t: float = float("nan")
-    ledger_lhs: float = float("nan")
-    ledger_rhs: float = float("nan")
-    ledger_pass: float = float("nan")
+    energy: tuple = (NAN,) * 7
+    energy_total: float = NAN
+    dissipation: tuple = (NAN,) * 5
+    dissipation_total: float = NAN
+    corrected: float = NAN
+    diss_terms: tuple = (NAN,) * 5
+    rhs1: float = NAN
+    rhs2: float = NAN
+    det_drift: float = NAN
+    pressure_iters: int = 0
+    contraction: float = NAN
+    norm_grad_yt_h2: float = NAN
+    norm_grad_d1yt_h1: float = NAN
+    script_e: float = NAN
+    grad_u_l1t: float = NAN
+    ledger_lhs: float = NAN
+    ledger_rhs: float = NAN
+    ledger_pass: float = NAN
 
 
 @dataclass
@@ -103,7 +107,7 @@ class RunReport:
     grad_u_l1t: float
     grad_u_tail_ratio: float
     pressure_iters_max: int
-    rhs_integral: float = float("nan")
+    rhs_integral: float = NAN
     samples: list = field(default_factory=list, repr=False)
     csv_path: str = ""
     checkpoint_path: str = ""
@@ -129,10 +133,9 @@ class RunReport:
         return "\n".join(lines)
 
 
-def _grad_u_sup(force: NonlinearForce) -> float:
-    # (grad_x u) composed with the flow equals (grad_y Yt) A^T
-    gu = np.einsum("im...,jm...->ij...", force.grad_yt, force.a_values)
-    return float(np.sqrt(np.sum(gu**2, axis=(0, 1))).max())
+def _grad_u_sup(grad_u) -> float:
+    """Largest pointwise Frobenius norm of a (d, d, ...) velocity gradient."""
+    return float(np.sqrt(np.sum(grad_u**2, axis=(0, 1))).max())
 
 
 def _record_sample(ev: EnergyEvaluator, state: FlowState, force: NonlinearForce):
@@ -142,6 +145,8 @@ def _record_sample(ev: EnergyEvaluator, state: FlowState, force: NonlinearForce)
     diss_terms = dissipation_inequality_terms(ev, state)
     rhs1, rhs2 = forcing_pairings(ev, state, force.f.spec)
     det = determinant_values(force.grad_y)
+    # (grad_x u) composed with the flow equals (grad_y Yt) A^T
+    grad_u = np.einsum("im...,jm...->ij...", force.grad_yt, force.a_values)
     return RunSample(
         t=state.t,
         energy=e.astuple(),
@@ -153,7 +158,7 @@ def _record_sample(ev: EnergyEvaluator, state: FlowState, force: NonlinearForce)
         rhs1=rhs1,
         rhs2=rhs2,
         det_drift=float(np.abs(det - 1.0).max()),
-        grad_u_sup=_grad_u_sup(force),
+        grad_u_sup=_grad_u_sup(grad_u),
         pressure_iters=force.pressure.iterations,
         contraction=force.pressure.contraction_estimate,
         norm_grad_yt_h2=float(np.sqrt(d.grad_yt_h2)),
@@ -175,29 +180,28 @@ def _postprocess(samples):
     for s, se, g in zip(samples, script_e, gul1):
         s.script_e = float(se)
         s.grad_u_l1t = float(g)
-    records = []
-    if len(samples) >= 3:
-        ledger_samples = [
-            LedgerSample(
-                t=s.t,
-                corrected=s.corrected,
-                dissipation_terms=s.diss_terms,
-                rhs1=s.rhs1,
-                rhs2=s.rhs2,
-                energy_total=s.energy_total,
-                dissipation_total=s.dissipation_total,
-            )
-            for s in samples
-        ]
-        records = ledger_check(ledger_samples)
-        for s, r in zip(samples[1:-1], records):
-            s.ledger_lhs = r.lhs
-            s.ledger_rhs = r.rhs
-            s.ledger_pass = float(r.passed)
-        rhs_integral = integrated_rhs(ledger_samples)
-    else:
-        rhs_integral = 0.0
-    return records, rhs_integral
+    if samples and np.isnan(e_tot).all():  # no energies measured, no ledger
+        return [], NAN
+    if len(samples) < 3:
+        return [], 0.0
+    ledger_samples = [
+        LedgerSample(
+            t=s.t,
+            corrected=s.corrected,
+            dissipation_terms=s.diss_terms,
+            rhs1=s.rhs1,
+            rhs2=s.rhs2,
+            energy_total=s.energy_total,
+            dissipation_total=s.dissipation_total,
+        )
+        for s in samples
+    ]
+    records = ledger_check(ledger_samples)
+    for s, r in zip(samples[1:-1], records):
+        s.ledger_lhs = r.lhs
+        s.ledger_rhs = r.rhs
+        s.ledger_pass = float(r.passed)
+    return records, integrated_rhs(ledger_samples)
 
 
 def write_diagnostics(path, samples) -> None:
@@ -239,44 +243,42 @@ def read_diagnostics(path):
 
 
 def _initial_state(config: RunConfig, grid: Grid):
+    """The start of the configured solver: its checkpoint, or the data."""
+    kind = EulerState if config.solver == "eulerian" else FlowState
     if config.checkpoint_in:
         state = read_checkpoint(config.checkpoint_in, dealias=config.dealias)
+        if not isinstance(state, kind):
+            raise ConfigError(
+                f"checkpoint holds a {type(state).__name__}, not a {kind.__name__}"
+            )
         if not state.grid.same_as(grid):
             raise ConfigError("checkpoint grid does not match the configured grid")
         return state
-    return build_flow_state(grid, config.initial_data_spec())
+    state = build_flow_state(grid, config.initial_data_spec())
+    return euler_from_flow(state) if kind is EulerState else state
 
 
-def run_simulation(config: RunConfig, write_outputs: bool = True) -> RunReport:
-    """Step the configured solver to t_end, emitting diagnostics per cadence."""
-    if config.solver == "both":
-        raise ConfigError("solver=both runs through compare_formulations")
-    if config.solver == "eulerian":
-        return _run_eulerian(config, write_outputs)
-    grid = Grid(config.sizes, config.lengths, dealias=config.dealias)
-    state = _initial_state(config, grid)
-    if isinstance(state, EulerState):
-        raise ConfigError("checkpoint stores primitive variables, not a flow map")
-    det0 = determinant_values(gradient_values(state.Y.spec, grid))
-    det0_err = float(np.abs(det0 - 1.0).max())
-    if det0_err > 1e-8:
-        raise InitialDataError(
-            f"initial displacement violates det(I + grad Y0) = 1 by {det0_err:.3e}"
-        )
+def _step_count(span: float, dt: float, name: str) -> int:
+    n_steps = round(span / dt)
+    if n_steps < 1 or abs(n_steps * dt - span) > 1e-9 * max(1.0, span):
+        raise ConfigError(f"{name} must be a positive multiple of dt")
+    return n_steps
 
+
+def _drive(config, initial, force, step, record, write_outputs=True, finish=None):
+    """Step initial() to t_end: f = force(state), a sample record(state, f)
+    every cadence, state = step(state, f); a last sample at t_end. initial()
+    runs here so that this frame holds the only reference to the state.
+    With outputs, finish(state) completes the state for its checkpoint and a
+    solver failure ends the run as an abort; without, the failure raises.
+    """
+    state = initial()
     t0 = state.t
-    span = config.t_end - t0
-    n_steps = round(span / config.dt)
-    if n_steps < 1 or abs(n_steps * config.dt - span) > 1e-9 * max(1.0, span):
-        raise ConfigError("t_end - t0 must be a positive multiple of dt")
+    n_steps = _step_count(config.t_end - t0, config.dt, "t_end - t0")
     sample_every = round(config.cadence / config.dt)
     if n_steps % sample_every != 0:
         raise ConfigError("t_end - t0 must be a multiple of the sample cadence")
 
-    ev = EnergyEvaluator(grid)
-    stepper = LagrangianStepper(
-        grid, config.dt, config.pressure_tol, config.pressure_max_iter
-    )
     samples = []
     aborted = False
     abort_reason = ""
@@ -287,13 +289,15 @@ def run_simulation(config: RunConfig, write_outputs: bool = True) -> RunReport:
 
     try:
         for i in range(n_steps):
-            force = stepper.force(state)
+            f = force(state)
             if i % sample_every == 0:
-                samples.append(_record_sample(ev, state, force))
-            state = stepper.step(state, force=force).state
-        force = stepper.force(state)
-        samples.append(_record_sample(ev, state, force))
+                samples.append(record(state, f))
+            state = step(state, f)
+        f = force(state)
+        samples.append(record(state, f))
     except (RuntimeError, FloatingPointError) as exc:
+        if not write_outputs:
+            raise
         aborted = True
         abort_reason = f"{type(exc).__name__}: {exc}"
         ckpt_path = os.path.join(out_dir, "state_abort.ckpt")
@@ -302,6 +306,8 @@ def run_simulation(config: RunConfig, write_outputs: bool = True) -> RunReport:
 
     csv_path = ""
     if write_outputs:
+        if finish is not None:
+            finish(state)
         write_checkpoint(ckpt_path, state)
         csv_path = os.path.join(out_dir, "diagnostics.csv")
         write_diagnostics(csv_path, samples)
@@ -322,26 +328,26 @@ def run_simulation(config: RunConfig, write_outputs: bool = True) -> RunReport:
         except ValueError:
             fits[name] = None
 
-    script_e0 = samples[0].script_e if samples else float("nan")
-    script_e_final = samples[-1].script_e if samples else float("nan")
-    gul1 = samples[-1].grad_u_l1t if samples else float("nan")
-    tail_ratio = float("nan")
+    script_e0 = samples[0].script_e if samples else NAN
+    script_e_final = samples[-1].script_e if samples else NAN
+    gul1 = samples[-1].grad_u_l1t if samples else NAN
+    tail_ratio = NAN
     if len(samples) >= 2 and gul1 > 0:
         t_tail = t0 + 0.8 * (times[-1] - t0)
         idx = int(np.searchsorted(times, t_tail))
         idx = min(max(idx, 0), len(samples) - 1)
         tail_ratio = (gul1 - samples[idx].grad_u_l1t) / gul1
     passed = sum(1 for r in records if r.passed)
-    report = RunReport(
+    return RunReport(
         config=config,
         aborted=aborted,
         abort_reason=abort_reason,
         t_final=state.t,
         script_e0=script_e0,
         script_e_final=script_e_final,
-        script_e_ratio=script_e_final / script_e0 if script_e0 > 0 else float("nan"),
-        det_drift_max=max((s.det_drift for s in samples), default=float("nan")),
-        ledger_pass_rate=passed / len(records) if records else float("nan"),
+        script_e_ratio=script_e_final / script_e0 if script_e0 > 0 else NAN,
+        det_drift_max=max((s.det_drift for s in samples), default=NAN),
+        ledger_pass_rate=passed / len(records) if records else NAN,
         ledger_checked=len(records),
         decay_fits=fits,
         grad_u_l1t=gul1,
@@ -353,96 +359,58 @@ def run_simulation(config: RunConfig, write_outputs: bool = True) -> RunReport:
         checkpoint_path=ckpt_path if write_outputs else "",
         final_state=state,
     )
-    return report
 
 
-def _run_eulerian(config: RunConfig, write_outputs: bool) -> RunReport:
-    """Primitive-variable run: only the velocity-gradient columns are live."""
-    grid = Grid(config.sizes, config.lengths, dealias=config.dealias)
-    if config.checkpoint_in:
-        state = read_checkpoint(config.checkpoint_in, dealias=config.dealias)
-        if not isinstance(state, EulerState):
-            raise ConfigError("checkpoint stores a flow map, not primitive variables")
-        if not state.grid.same_as(grid):
-            raise ConfigError("checkpoint grid does not match the configured grid")
-    else:
-        state = euler_from_flow(build_flow_state(grid, config.initial_data_spec()))
-    n_steps = round((config.t_end - state.t) / config.dt)
-    if n_steps < 1:
-        raise ConfigError("t_end must exceed the initial time by at least dt")
-    sample_every = round(config.cadence / config.dt)
-    stepper = EulerianStepper(grid, config.dt)
-    nan = float("nan")
-    samples = []
-    aborted = False
-    abort_reason = ""
+def _drive_flow_map(config: RunConfig, grid: Grid, initial, write_outputs=True):
+    ev = EnergyEvaluator(grid)
+    stepper = LagrangianStepper(
+        grid, config.dt, config.pressure_tol, config.pressure_max_iter
+    )
 
-    def record(st):
-        gu = gradient_values(st.u.spec, grid)
-        sup = float(np.sqrt(np.sum(gu**2, axis=(0, 1))).max())
-        samples.append(
-            RunSample(
-                t=st.t,
-                energy=(nan,) * 7,
-                energy_total=nan,
-                dissipation=(nan,) * 5,
-                dissipation_total=nan,
-                corrected=nan,
-                diss_terms=(nan,) * 5,
-                rhs1=nan,
-                rhs2=nan,
-                det_drift=nan,
-                grad_u_sup=sup,
-                pressure_iters=0,
-                contraction=nan,
-                norm_grad_yt_h2=nan,
-                norm_grad_d1yt_h1=nan,
+    def checked_initial():
+        state = initial()
+        det0 = determinant_values(gradient_values(state.Y.spec, grid))
+        det0_err = float(np.abs(det0 - 1.0).max())
+        if det0_err > 1e-8:
+            raise InitialDataError(
+                f"initial displacement violates det(I + grad Y0) = 1 by {det0_err:.3e}"
             )
-        )
+        return state
 
-    out_dir = config.output_dir or "."
-    if write_outputs:
-        os.makedirs(out_dir, exist_ok=True)
-    ckpt_path = os.path.join(out_dir, "state_final.ckpt")
-    try:
-        for i in range(n_steps):
-            if i % sample_every == 0:
-                record(state)
-            state = stepper.step(state)
-        record(state)
-    except (RuntimeError, FloatingPointError) as exc:
-        aborted = True
-        abort_reason = f"{type(exc).__name__}: {exc}"
-        ckpt_path = os.path.join(out_dir, "state_abort.ckpt")
-    times = np.array([s.t for s in samples])
-    gul1 = grad_u_linf_time_integral(times, [s.grad_u_sup for s in samples])
-    for s, g in zip(samples, gul1):
-        s.grad_u_l1t = float(g)
-    csv_path = ""
-    if write_outputs:
+    return _drive(
+        config,
+        checked_initial,
+        stepper.force,
+        stepper.step,
+        lambda state, force: _record_sample(ev, state, force),
+        write_outputs,
+    )
+
+
+def run_simulation(config: RunConfig) -> RunReport:
+    """Step the configured solver to t_end, emitting diagnostics per cadence."""
+    if config.solver == "both":
+        raise ConfigError("solver=both runs through compare_formulations")
+    grid = Grid(config.sizes, config.lengths, dealias=config.dealias)
+    if config.solver == "lagrangian":
+        return _drive_flow_map(config, grid, lambda: _initial_state(config, grid))
+    # primitive variables: only the velocity-gradient columns are live
+    stepper = EulerianStepper(grid, config.dt)
+
+    def record(state, _):
+        gu = gradient_values(state.u.spec, grid)
+        return RunSample(t=state.t, grad_u_sup=_grad_u_sup(gu))
+
+    def finish(state):
         state.p = stepper.pressure_of(state)
-        write_checkpoint(ckpt_path, state)
-        csv_path = os.path.join(out_dir, "diagnostics.csv")
-        write_diagnostics(csv_path, samples)
-    return RunReport(
-        config=config,
-        aborted=aborted,
-        abort_reason=abort_reason,
-        t_final=state.t,
-        script_e0=nan,
-        script_e_final=nan,
-        script_e_ratio=nan,
-        det_drift_max=nan,
-        ledger_pass_rate=nan,
-        ledger_checked=0,
-        decay_fits={},
-        grad_u_l1t=float(gul1[-1]) if len(gul1) else nan,
-        grad_u_tail_ratio=nan,
-        pressure_iters_max=0,
-        samples=samples,
-        csv_path=csv_path,
-        checkpoint_path=ckpt_path if write_outputs else "",
-        final_state=state,
+
+    return _drive(
+        config,
+        lambda: _initial_state(config, grid),
+        lambda state: None,
+        lambda state, _: stepper.step(state),
+        record,
+        finish=finish,
     )
 
 
@@ -468,18 +436,18 @@ def compare_formulations(config: RunConfig) -> CompareReport:
     measure the pushforward discrepancy at t_compare."""
     if config.solver != "both":
         raise ConfigError("compare_formulations requires solver = both")
+    if config.checkpoint_in:
+        raise ConfigError("compare_formulations starts from the data, not a checkpoint")
+    n_steps = _step_count(config.t_compare, config.dt, "t_compare")
     grid = Grid(config.sizes, config.lengths, dealias=config.dealias)
     flow = build_flow_state(grid, config.initial_data_spec())
     euler = euler_from_flow(flow)
-    n_steps = round(config.t_compare / config.dt)
-    if abs(n_steps * config.dt - config.t_compare) > 1e-9:
-        raise ConfigError("t_compare must be a multiple of dt")
     lstep = LagrangianStepper(
         grid, config.dt, config.pressure_tol, config.pressure_max_iter
     )
     estep = EulerianStepper(grid, config.dt)
     for _ in range(n_steps):
-        flow = lstep.step(flow).state
+        flow = lstep.step(flow)
         euler = estep.step(euler)
 
     stride = tuple(max(1, n // 8) for n in grid.sizes)
@@ -509,25 +477,11 @@ def scaling_run(config: RunConfig, amplitude: float):
     """One run of the nonlinear-bound scaling study at a raw data amplitude.
 
     Returns (script_e_final, integrated forcing pairings); used with
-    energy.nonlinear_scaling_study.
+    energy.nonlinear_scaling_study. Writes nothing; a solver failure raises.
     """
-    from .initial_data import default_spec, scaled_spec
-
-    base = default_spec(config.dimension, epsilon0=None)
-    spec = scaled_spec(base, amplitude)
+    spec = scaled_spec(default_spec(config.dimension, epsilon0=None), amplitude)
     grid = Grid(config.sizes, config.lengths, dealias=config.dealias)
-    state = build_flow_state(grid, spec)
-    cfg = config
-    ev = EnergyEvaluator(grid)
-    stepper = LagrangianStepper(grid, cfg.dt, cfg.pressure_tol, cfg.pressure_max_iter)
-    n_steps = round(cfg.t_end / cfg.dt)
-    sample_every = round(cfg.cadence / cfg.dt)
-    samples = []
-    for i in range(n_steps):
-        force = stepper.force(state)
-        if i % sample_every == 0:
-            samples.append(_record_sample(ev, state, force))
-        state = stepper.step(state, force=force).state
-    samples.append(_record_sample(ev, state, stepper.force(state)))
-    _, rhs_integral = _postprocess(samples)
-    return samples[-1].script_e, rhs_integral
+    report = _drive_flow_map(
+        config, grid, lambda: build_flow_state(grid, spec), write_outputs=False
+    )
+    return report.script_e_final, report.rhs_integral

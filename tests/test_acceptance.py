@@ -207,7 +207,7 @@ def test_criterion_6_constraint_convergence():
         st = FlowState(state0.Y, state0.Yt, 0.0)
         stepper = LagrangianStepper(grid, dt)
         for _ in range(round(1.0 / dt)):
-            st = stepper.step(st).state
+            st = stepper.step(st)
         det = determinant_values(gradient_values(st.Y.spec, grid))
         drifts.append(float(np.abs(det - 1.0).max()))
     r1, r2 = drifts[0] / drifts[1], drifts[1] / drifts[2]

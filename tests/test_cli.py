@@ -1,3 +1,5 @@
+import pytest
+
 from lagmhd.cli import main
 
 
@@ -68,3 +70,10 @@ def test_cli_admissible(capsys):
     assert "admissible     = True" in out
     rc = main(["admissible", "--case", "nonzero-mean", "--seeds", "3"])
     assert rc == 3
+
+
+def test_cli_compare_offers_no_resume(tmp_path):
+    cfg_path = tmp_path / "cmp.cfg"
+    cfg_path.write_text(CONFIG + "solver = both\n")
+    with pytest.raises(SystemExit):
+        main(["compare", "--config", str(cfg_path), "--resume", "state.ckpt"])

@@ -66,17 +66,23 @@ def test_dump_parse_round_trip():
         MINIMAL
         + "lengths = 64,6.283185307179586,6.283185307179586\n"
         + "cadence = 0.25\nsolver = both\nepsilon0 = 2e-4\npressure_tol = 1e-11\n"
-        + "pressure_max_iter = 40\ndealias = off\nseed = 7\n"
+        + "pressure_max_iter = 40\ndealias = off\n"
         + "y0_modes_a = 1,1,0.5,0.1; 2,-1,0.25,1.0\n"
         + "y0_modes_c = 1,1,0.2,0.3\n"
         + "y1_modes = 0,1,0,2,1.0,0.2; 1,1,0,2,0.3,2.1\n"
-        + "t_compare = 0.5\nfit_window = 5,50\nscript_e_cap = 3\n"
+        + "t_compare = 0.5\nfit_window = 5,50\n"
     )
     cfg = parse_config(text)
     dumped = dump_config(cfg)
     cfg2 = parse_config(dumped)
     assert dump_config(cfg2) == dumped
     assert cfg2 == cfg
+
+
+@pytest.mark.parametrize("key", ["seed", "script_e_cap"])
+def test_removed_keys_are_unknown(key):
+    with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+        parse_config(MINIMAL + f"{key} = 3\n")
 
 
 def test_mode_parsing_validation():

@@ -261,7 +261,7 @@ def test_equilibrium_preserved_many_steps():
     stepper = LagrangianStepper(grid, 0.05)
     state = FlowState.zeros(grid)
     for _ in range(1000):
-        state = stepper.step(state).state
+        state = stepper.step(state)
     assert np.abs(state.Y.values).max() == 0.0
     assert np.abs(state.Yt.values).max() == 0.0
 
@@ -274,7 +274,7 @@ def test_step_self_convergence_second_order():
         st = FlowState(state0.Y, state0.Yt, 0.0)
         stepper = LagrangianStepper(grid, dt)
         for _ in range(round(t_end / dt)):
-            st = stepper.step(st).state
+            st = stepper.step(st)
         return st
 
     ref = advance(0.0125)
@@ -302,7 +302,7 @@ def test_determinant_drift_second_order():
         st = FlowState(state0.Y, state0.Yt, 0.0)
         stepper = LagrangianStepper(grid, dt)
         for _ in range(round(1.0 / dt)):
-            st = stepper.step(st).state
+            st = stepper.step(st)
         det = determinant_values(gradient_values(st.Y.spec, grid))
         drifts.append(np.abs(det - 1.0).max())
     assert 3.0 < drifts[0] / drifts[1] < 5.0

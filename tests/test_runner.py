@@ -3,9 +3,12 @@ import os
 import numpy as np
 import pytest
 
-from lagmhd.checkpoint import read_checkpoint
+from lagmhd.checkpoint import read_checkpoint, write_checkpoint
 from lagmhd.config import RunConfig
 from lagmhd.errors import ConfigError
+from lagmhd.evolution import EulerianStepper, EulerState
+from lagmhd.geometry import FlowState
+from lagmhd.grid import Grid
 from lagmhd.initial_data import VelocityMode
 from lagmhd.runner import (
     CSV_COLUMNS,
@@ -145,6 +148,57 @@ def test_eulerian_run_emits_velocity_columns(tmp_path):
     assert np.isfinite(data["grad_u_linf"]).all()
     assert np.isnan(data["E_total"]).all()
     assert data["grad_u_l1t"][-1] > 0
+
+
+@pytest.mark.parametrize("solver", ["lagrangian", "eulerian"])
+def test_solver_paths_reject_the_same_bad_configs(tmp_path, solver):
+    sizes = (8, 8, 8)
+    lengths = (16.0, 2 * np.pi, 2 * np.pi)
+    other_kind = {"lagrangian": EulerState.equilibrium, "eulerian": FlowState.zeros}
+    own_kind = {"lagrangian": FlowState.zeros, "eulerian": EulerState.equilibrium}
+    wrong_type = str(tmp_path / "wrong_type.ckpt")
+    write_checkpoint(wrong_type, other_kind[solver](Grid(sizes, lengths)))
+    wrong_grid = str(tmp_path / "wrong_grid.ckpt")
+    write_checkpoint(wrong_grid, own_kind[solver](Grid((16, 8, 8), lengths)))
+    bad = [
+        dict(t_end=0.52),  # not a multiple of dt
+        dict(t_end=0.6),  # 12 steps, not a multiple of the 5-step cadence
+        dict(checkpoint_in=wrong_type),
+        dict(checkpoint_in=wrong_grid),
+    ]
+    for kw in bad:
+        cfg = small_config(tmp_path / "out", solver=solver, sizes=sizes, **kw)
+        with pytest.raises(ConfigError):
+            run_simulation(cfg)
+
+
+def test_eulerian_abort_leaves_checkpoint_and_report(tmp_path, monkeypatch):
+    step = EulerianStepper.step
+    calls = []
+
+    def failing_step(self, state):
+        calls.append(state.t)
+        if len(calls) == 3:
+            raise FloatingPointError("injected")
+        return step(self, state)
+
+    monkeypatch.setattr(EulerianStepper, "step", failing_step)
+    cfg = small_config(tmp_path, solver="eulerian", sizes=(8, 8, 8), t_end=0.5)
+    report = run_simulation(cfg)
+    assert report.aborted
+    assert "FloatingPointError" in report.abort_reason
+    assert report.checkpoint_path == os.path.join(cfg.output_dir, "state_abort.ckpt")
+    assert os.path.exists(report.checkpoint_path)
+    assert os.path.exists(os.path.join(cfg.output_dir, "abort_report.txt"))
+    assert read_checkpoint(report.checkpoint_path).t == pytest.approx(0.1)
+
+
+def test_compare_rejects_a_checkpoint(tmp_path):
+    ckpt = str(tmp_path / "state.ckpt")
+    cfg = small_config(tmp_path, solver="both", checkpoint_in=ckpt)
+    write_checkpoint(ckpt, FlowState.zeros(Grid(cfg.sizes, cfg.lengths)))
+    with pytest.raises(ConfigError, match="checkpoint"):
+        compare_formulations(cfg)
 
 
 def test_compare_zero_data(tmp_path):
