@@ -15,14 +15,13 @@ from .runner import compare_formulations, read_diagnostics, run_simulation
 
 def _load_config(args):
     with open(args.config, "r", encoding="utf-8") as fh:
-        config = parse_config(fh.read())
-    if args.output:
-        config.output_dir = args.output
-    return config
+        return parse_config(fh.read())
 
 
 def _cmd_run(args) -> int:
     config = _load_config(args)
+    if args.output:
+        config.output_dir = args.output
     if args.resume:
         config.checkpoint_in = args.resume
     report = run_simulation(config)
@@ -153,7 +152,7 @@ def main(argv=None) -> int:
     compare_p = sub.add_parser("compare", help="cross-validate the two formulations")
     for p in (run_p, compare_p):
         p.add_argument("--config", required=True, help="key=value config file")
-        p.add_argument("--output", default="", help="output directory")
+    run_p.add_argument("--output", default="", help="output directory")
     run_p.add_argument("--resume", default="", help="checkpoint to resume from")
     run_p.set_defaults(func=_cmd_run)
     compare_p.set_defaults(func=_cmd_compare)

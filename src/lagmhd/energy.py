@@ -1,16 +1,21 @@
 """Temporal-weighted energy functionals and the runtime inequality ledger.
 
-Every norm here is the literal multi-index H^s sum evaluated через Parseval,
+Every norm here is the literal multi-index H^s sum evaluated through Parseval,
 so the coefficients of the corrected (cross-term) energy, its coercivity lower
-bound, and the dissipation inequality are reproduced digit for digit. The
-ledger re-checks the differential inequality along computed trajectories from
-stored samples: the time derivative comes from centered differences, never
-from re-derived algebra, so it audits the run rather than the arithmetic.
+bound, and the dissipation inequality are exactly the paper's. Only the order
+of summation differs from the term-by-term formulas: each functional is
+diagonal in Fourier space, so a sample forms one table of eight weights
+against five per-mode spectra, and every term is a fixed coefficient times a
+power of (t+1) times one entry of that table.
+
+The ledger re-checks the differential inequality along computed trajectories
+from stored samples: the time derivative comes from centered differences,
+never from re-derived algebra, so it audits the run rather than the arithmetic.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -18,34 +23,74 @@ from .geometry import FlowState
 from .grid import Grid
 from .spectral import weighted_inner, weighted_norm_sq
 
+# rows of EnergyEvaluator.weights
+H2, D1_H2, LAP_H2, GRAD_H2, GRAD_D1_H2, GRAD_D1_H1, GRAD_D11_H1, LAP_D1_H1 = range(8)
+# columns of a sample table: |Y|^2, |Yt|^2, Re Yt.conj Y, Re f.conj Yt, Re f.conj Y
+YY, TT, TY, FT, FY = range(5)
+
+
+def _real_pairs(spec):
+    """(components, 2N) float view of a spectrum: Re and Im side by side."""
+    spec = np.ascontiguousarray(spec)
+    return spec.view(float).reshape(spec.shape[0], -1)
+
 
 class EnergyEvaluator:
-    """Precomputed spectral weights for all energy components on one grid."""
+    """Precomputed spectral weights for all energy components on one grid.
+
+    The eight weights of a sample are the rows of one (8, *grid.shape) array;
+    the named weight attributes are views of its rows.
+    """
 
     def __init__(self, grid: Grid):
         self.grid = grid
         w1 = grid.hs_weight(1)
         w2 = grid.hs_weight(2)
-        w3 = grid.hs_weight(3)
         k2 = grid.k2
         k1sq = np.broadcast_to(grid.k1sq, grid.shape)
-        self.w_h2 = w2
-        self.w_d1_h2 = k1sq * w2
-        self.w_lap_h2 = k2 * k2 * w2
-        self.w_grad_h2 = k2 * w2
-        self.w_grad_d1_h2 = k2 * k1sq * w2
-        self.w_grad_d1_h1 = k2 * k1sq * w1
-        self.w_grad_d11_h1 = k2 * k1sq * k1sq * w1
-        self.w_lap_d1_h1 = k2 * k2 * k1sq * w1
-        self.w_cross_h2 = k2 * w2  # (f | lap g)_{H^2} carries -k2 inside
-        self.w_h3 = w3
-        self.w_d1_h3 = k1sq * w3
+        w = self.weights = np.empty((8,) + grid.shape)
+        w[H2] = w2
+        w[D1_H2] = k1sq * w2
+        w[LAP_H2] = k2 * k2 * w2
+        w[GRAD_H2] = k2 * w2
+        w[GRAD_D1_H2] = k2 * k1sq * w2
+        w[GRAD_D1_H1] = k2 * k1sq * w1
+        w[GRAD_D11_H1] = k2 * k1sq * k1sq * w1
+        w[LAP_D1_H1] = k2 * k2 * k1sq * w1
+        (self.w_h2, self.w_d1_h2, self.w_lap_h2, self.w_grad_h2, self.w_grad_d1_h2,
+         self.w_grad_d1_h1, self.w_grad_d11_h1, self.w_lap_d1_h1) = w
+        self.w_cross_h2 = self.w_grad_h2  # (f | lap g)_{H^2} carries -k2 inside
+        self.w_h3 = grid.hs_weight(3)
+        self.w_d1_h3 = k1sq * self.w_h3
 
     def nsq(self, spec, w) -> float:
         return weighted_norm_sq(spec, w, self.grid)
 
     def ip(self, a, b, w) -> float:
         return weighted_inner(a, b, w, self.grid)
+
+    def sample_table(self, state: FlowState, f_spec=None):
+        """volume * W @ S: the (8, 5) table every sample functional reads.
+
+        The columns of S are five per-mode spectra, each summed over
+        components: |Y|^2, |Yt|^2, Re Yt.conj(Y), Re f.conj(Yt) and
+        Re f.conj(Y); the last two are zero without f. The table does not
+        depend on t: the (t+1) powers are applied by the functionals.
+        """
+        n = self.grid.npoints
+        y, yt = _real_pairs(state.Y.spec), _real_pairs(state.Yt.spec)
+        pairs = [(y, y), (yt, yt), (yt, y)]
+        if f_spec is not None:
+            f = _real_pairs(f_spec)
+            pairs += [(f, yt), (f, y)]
+        spectra = np.zeros((5, n))
+        acc, tmp = np.empty(2 * n), np.empty(2 * n)
+        for out, (a, b) in zip(spectra, pairs):
+            np.multiply(a[0], b[0], out=acc)
+            for j in range(1, len(a)):
+                acc += np.multiply(a[j], b[j], out=tmp)
+            np.add(acc[0::2], acc[1::2], out=out)  # Re.Re + Im.Im
+        return self.grid.volume * (self.weights.reshape(8, n) @ spectra.T)
 
     def initial_norm(self, state: FlowState) -> float:
         """Smallness functional of the data: |Yt|_{H^3}^2 + |d1 Y|_{H^3}^2 + |lap Y|_{H^2}^2."""
@@ -57,8 +102,32 @@ class EnergyEvaluator:
         )
 
 
+def _terms(ev, state, table, coeffs, terms):
+    """coeff * (t+1)^p * table[row, col] for each coefficient and (row, col, p).
+
+    Without a table, one is built from the state.
+    """
+    if table is None:
+        table = ev.sample_table(state)
+    w = state.t + 1.0
+    powers = (1.0, w, w * w)
+    rows = table.tolist()
+    return tuple(c * powers[p] * rows[r][s] for c, (r, s, p) in zip(coeffs, terms))
+
+
+class _Components:
+    """The components are the fields after t; their total is their sum."""
+
+    def astuple(self):
+        return tuple(getattr(self, f.name) for f in fields(self)[1:])
+
+    @property
+    def total(self) -> float:
+        return sum(self.astuple())
+
+
 @dataclass
-class EnergyReport:
+class EnergyReport(_Components):
     """Seven weighted energy components; weights are (t+1) and (t+1)^2 literally."""
 
     t: float
@@ -70,32 +139,9 @@ class EnergyReport:
     w2_grad_d1yt_h1: float
     w2_grad_d11y_h1: float
 
-    @property
-    def total(self) -> float:
-        return (
-            self.yt_h2
-            + self.d1y_h2
-            + self.lap_y_h2
-            + self.w_grad_yt_h2
-            + self.w_grad_d1y_h2
-            + self.w2_grad_d1yt_h1
-            + self.w2_grad_d11y_h1
-        )
-
-    def astuple(self):
-        return (
-            self.yt_h2,
-            self.d1y_h2,
-            self.lap_y_h2,
-            self.w_grad_yt_h2,
-            self.w_grad_d1y_h2,
-            self.w2_grad_d1yt_h1,
-            self.w2_grad_d11y_h1,
-        )
-
 
 @dataclass
-class DissipationReport:
+class DissipationReport(_Components):
     """Five dissipation components with their temporal weights."""
 
     t: float
@@ -105,80 +151,64 @@ class DissipationReport:
     w_lap_yt_h2: float
     w2_lap_d1yt_h1: float
 
-    @property
-    def total(self) -> float:
-        return (
-            self.grad_yt_h2
-            + self.grad_d1y_h2
-            + self.w_grad_d11y_h1
-            + self.w_lap_yt_h2
-            + self.w2_lap_d1yt_h1
-        )
 
-    def astuple(self):
-        return (
-            self.grad_yt_h2,
-            self.grad_d1y_h2,
-            self.w_grad_d11y_h1,
-            self.w_lap_yt_h2,
-            self.w2_lap_d1yt_h1,
-        )
-
-
-def energy_report(ev: EnergyEvaluator, state: FlowState) -> EnergyReport:
-    yh, yth = state.Y.spec, state.Yt.spec
-    w = state.t + 1.0
-    return EnergyReport(
-        t=state.t,
-        yt_h2=ev.nsq(yth, ev.w_h2),
-        d1y_h2=ev.nsq(yh, ev.w_d1_h2),
-        lap_y_h2=ev.nsq(yh, ev.w_lap_h2),
-        w_grad_yt_h2=w * ev.nsq(yth, ev.w_grad_h2),
-        w_grad_d1y_h2=w * ev.nsq(yh, ev.w_grad_d1_h2),
-        w2_grad_d1yt_h1=w * w * ev.nsq(yth, ev.w_grad_d1_h1),
-        w2_grad_d11y_h1=w * w * ev.nsq(yh, ev.w_grad_d11_h1),
-    )
-
-
-def dissipation_report(ev: EnergyEvaluator, state: FlowState) -> DissipationReport:
-    yh, yth = state.Y.spec, state.Yt.spec
-    w = state.t + 1.0
-    return DissipationReport(
-        t=state.t,
-        grad_yt_h2=ev.nsq(yth, ev.w_grad_h2),
-        grad_d1y_h2=ev.nsq(yh, ev.w_grad_d1_h2),
-        w_grad_d11y_h1=w * ev.nsq(yh, ev.w_grad_d11_h1),
-        w_lap_yt_h2=w * ev.nsq(yth, ev.w_lap_h2),
-        w2_lap_d1yt_h1=w * w * ev.nsq(yth, ev.w_lap_d1_h1),
-    )
-
+# Every term below is (weight row, spectrum column, power of t+1), in the
+# order of the components or coefficients it goes with.
+ENERGY_TERMS = (
+    (H2, TT, 0), (D1_H2, YY, 0), (LAP_H2, YY, 0), (GRAD_H2, TT, 1),
+    (GRAD_D1_H2, YY, 1), (GRAD_D1_H1, TT, 2), (GRAD_D11_H1, YY, 2),
+)
+DISSIPATION_TERMS = (
+    (GRAD_H2, TT, 0), (GRAD_D1_H2, YY, 0), (GRAD_D11_H1, YY, 1), (LAP_H2, TT, 1),
+    (LAP_D1_H1, TT, 2),
+)
+INEQUALITY_TERMS = (  # the dissipation terms in DISSIPATION_COEFFS order
+    (GRAD_H2, TT, 0), (GRAD_D1_H2, YY, 0), (LAP_H2, TT, 1), (GRAD_D11_H1, YY, 1),
+    (LAP_D1_H1, TT, 2),
+)
+# The two TY terms are (Yt | lap Y)_{H^2} and (lap d1 Y | d1 Yt)_{H^1}: the
+# Laplacian inside each is a factor -k2 on the table entry.
+CORRECTED_TERMS = (
+    (H2, TT, 0), (D1_H2, YY, 0), (LAP_H2, YY, 0), (GRAD_H2, TY, 0), (GRAD_H2, TT, 1),
+    (GRAD_D1_H2, YY, 1), (LAP_D1_H1, YY, 1), (GRAD_D1_H1, TY, 1), (GRAD_D1_H1, YY, 0),
+    (GRAD_D1_H1, TT, 2), (GRAD_D11_H1, YY, 2),
+)
+LOWER_BOUND_TERMS = (
+    (H2, TT, 0), (D1_H2, YY, 0), (LAP_H2, YY, 0), (GRAD_H2, TT, 1),
+    (GRAD_D1_H2, YY, 1), (LAP_D1_H1, YY, 1), (GRAD_D1_H1, TT, 2), (GRAD_D11_H1, YY, 2),
+)
+# rhs1 = |(f | Yt - lap Y/4 - (t+1) lap Yt/4)_{H^2}| and
+# rhs2 = |(f | (t+1) lap d1^2 Y/16 + (t+1)^2 lap d1^2 Yt/32)_{H^1}|
+RHS1_TERMS = ((H2, FT, 0), (GRAD_H2, FY, 0), (GRAD_H2, FT, 1))
+RHS2_TERMS = ((GRAD_D1_H1, FY, 1), (GRAD_D1_H1, FT, 2))
 
 CORRECTED_COEFFS = (
-    0.5,
-    0.5,
-    1.0 / 8.0,
-    -1.0 / 4.0,
-    1.0 / 8.0,
-    1.0 / 8.0,
-    1.0 / 32.0,
-    -1.0 / 16.0,
-    -1.0 / 32.0,
-    1.0 / 64.0,
-    1.0 / 64.0,
+    0.5, 0.5, 1.0 / 8.0, -1.0 / 4.0, 1.0 / 8.0, 1.0 / 8.0,
+    1.0 / 32.0, -1.0 / 16.0, -1.0 / 32.0, 1.0 / 64.0, 1.0 / 64.0,
 )
-
 LOWER_BOUND_COEFFS = (
-    1.0 / 4.0,
-    1.0 / 2.0,
-    1.0 / 32.0,
-    1.0 / 16.0,
-    1.0 / 16.0,
-    1.0 / 64.0,
-    1.0 / 64.0,
-    1.0 / 64.0,
+    1.0 / 4.0, 1.0 / 2.0, 1.0 / 32.0, 1.0 / 16.0,
+    1.0 / 16.0, 1.0 / 64.0, 1.0 / 64.0, 1.0 / 64.0,
+)
+DISSIPATION_COEFFS = (5.0 / 8.0, 3.0 / 32.0, 1.0 / 16.0, 1.0 / 32.0, 1.0 / 32.0)
+RHS1_COEFFS = (1.0, 0.25, 0.25)
+RHS2_COEFFS = (1.0 / 16.0, 1.0 / 32.0)
+
+_ONES = (1.0,) * 7
+_CORRECTED_ON_TABLE = tuple(  # the -k2 of the two cross terms
+    -c if s == TY else c for c, (_, s, _) in zip(CORRECTED_COEFFS, CORRECTED_TERMS)
 )
 
-DISSIPATION_COEFFS = (5.0 / 8.0, 3.0 / 32.0, 1.0 / 16.0, 1.0 / 32.0, 1.0 / 32.0)
+
+def energy_report(ev: EnergyEvaluator, state: FlowState, table=None) -> EnergyReport:
+    return EnergyReport(state.t, *_terms(ev, state, table, _ONES, ENERGY_TERMS))
+
+
+def dissipation_report(
+    ev: EnergyEvaluator, state: FlowState, table=None
+) -> DissipationReport:
+    terms = _terms(ev, state, table, _ONES, DISSIPATION_TERMS)
+    return DissipationReport(state.t, *terms)
 
 
 @dataclass
@@ -193,44 +223,16 @@ class CorrectedEnergy:
         return float(sum(self.terms))
 
 
-def corrected_energy(ev: EnergyEvaluator, state: FlowState) -> CorrectedEnergy:
-    yh, yth = state.Y.spec, state.Yt.spec
-    w = state.t + 1.0
-    c = CORRECTED_COEFFS
-    # (Yt | lap Y)_{H^2} and (lap d1 Y | d1 Yt)_{H^1} carry one -k2 factor
-    cross_yt_lapy = -ev.ip(yth, yh, ev.w_cross_h2)
-    cross_lapd1y_d1yt = -ev.ip(yh, yth, ev.w_grad_d1_h1)
-    terms = (
-        c[0] * ev.nsq(yth, ev.w_h2),
-        c[1] * ev.nsq(yh, ev.w_d1_h2),
-        c[2] * ev.nsq(yh, ev.w_lap_h2),
-        c[3] * cross_yt_lapy,
-        c[4] * w * ev.nsq(yth, ev.w_grad_h2),
-        c[5] * w * ev.nsq(yh, ev.w_grad_d1_h2),
-        c[6] * w * ev.nsq(yh, ev.w_lap_d1_h1),
-        c[7] * w * cross_lapd1y_d1yt,
-        c[8] * ev.nsq(yh, ev.w_grad_d1_h1),
-        c[9] * w * w * ev.nsq(yth, ev.w_grad_d1_h1),
-        c[10] * w * w * ev.nsq(yh, ev.w_grad_d11_h1),
-    )
-    return CorrectedEnergy(t=state.t, terms=terms)
+def corrected_energy(
+    ev: EnergyEvaluator, state: FlowState, table=None
+) -> CorrectedEnergy:
+    terms = _terms(ev, state, table, _CORRECTED_ON_TABLE, CORRECTED_TERMS)
+    return CorrectedEnergy(state.t, terms)
 
 
-def lower_bound_value(ev: EnergyEvaluator, state: FlowState) -> float:
+def lower_bound_value(ev: EnergyEvaluator, state: FlowState, table=None) -> float:
     """Coercivity lower bound for the corrected energy (Young absorption)."""
-    yh, yth = state.Y.spec, state.Yt.spec
-    w = state.t + 1.0
-    c = LOWER_BOUND_COEFFS
-    return (
-        c[0] * ev.nsq(yth, ev.w_h2)
-        + c[1] * ev.nsq(yh, ev.w_d1_h2)
-        + c[2] * ev.nsq(yh, ev.w_lap_h2)
-        + c[3] * w * ev.nsq(yth, ev.w_grad_h2)
-        + c[4] * w * ev.nsq(yh, ev.w_grad_d1_h2)
-        + c[5] * w * ev.nsq(yh, ev.w_lap_d1_h1)
-        + c[6] * w * w * ev.nsq(yth, ev.w_grad_d1_h1)
-        + c[7] * w * w * ev.nsq(yh, ev.w_grad_d11_h1)
-    )
+    return sum(_terms(ev, state, table, LOWER_BOUND_COEFFS, LOWER_BOUND_TERMS))
 
 
 @dataclass
@@ -244,39 +246,27 @@ class LowerBoundCheck:
 def check_lower_bound(
     ev: EnergyEvaluator, state: FlowState, rel_tol: float = 1e-12
 ) -> LowerBoundCheck:
-    ce = corrected_energy(ev, state).total
-    lb = lower_bound_value(ev, state)
+    table = ev.sample_table(state)
+    ce = corrected_energy(ev, state, table).total
+    lb = lower_bound_value(ev, state, table)
     margin = ce - lb
     scale = max(abs(ce), abs(lb), 1e-300)
     return LowerBoundCheck(margin >= -rel_tol * scale, margin, ce, lb)
 
 
-def dissipation_inequality_terms(ev: EnergyEvaluator, state: FlowState):
+def dissipation_inequality_terms(ev: EnergyEvaluator, state: FlowState, table=None):
     """The five dissipative terms of the differential inequality, weighted."""
-    yh, yth = state.Y.spec, state.Yt.spec
-    w = state.t + 1.0
-    c = DISSIPATION_COEFFS
-    return (
-        c[0] * ev.nsq(yth, ev.w_grad_h2),
-        c[1] * ev.nsq(yh, ev.w_grad_d1_h2),
-        c[2] * w * ev.nsq(yth, ev.w_lap_h2),
-        c[3] * w * ev.nsq(yh, ev.w_grad_d11_h1),
-        c[4] * w * w * ev.nsq(yth, ev.w_lap_d1_h1),
-    )
+    return _terms(ev, state, table, DISSIPATION_COEFFS, INEQUALITY_TERMS)
 
 
-def forcing_pairings(ev: EnergyEvaluator, state: FlowState, f_spec) -> tuple:
-    """|(f | Yt - lap Y/4 - (t+1) lap Yt/4)_{H^2}| and the H^1 pairing."""
-    yh, yth = state.Y.spec, state.Yt.spec
-    grid = ev.grid
-    w = state.t + 1.0
-    k2 = grid.k2
-    k1sq = np.broadcast_to(grid.k1sq, grid.shape)
-    test1 = yth + 0.25 * k2 * yh + 0.25 * w * k2 * yth
-    rhs1 = abs(ev.ip(f_spec, test1, ev.w_h2))
-    test2 = (w / 16.0) * k2 * k1sq * yh + (w * w / 32.0) * k2 * k1sq * yth
-    rhs2 = abs(ev.ip(f_spec, test2, grid.hs_weight(1)))
-    return rhs1, rhs2
+def forcing_pairings(ev: EnergyEvaluator, state: FlowState, f_spec, table=None) -> tuple:
+    """(rhs1, rhs2), the absolute forcing pairings above. A given table must
+    have been built with f_spec."""
+    if table is None:
+        table = ev.sample_table(state, f_spec)
+    rhs1 = sum(_terms(ev, state, table, RHS1_COEFFS, RHS1_TERMS))
+    rhs2 = sum(_terms(ev, state, table, RHS2_COEFFS, RHS2_TERMS))
+    return abs(rhs1), abs(rhs2)
 
 
 # -- trajectory ledger ---------------------------------------------------------
@@ -373,8 +363,9 @@ def quadratic_force_rate_monitors(ev: EnergyEvaluator, state: FlowState, f1, f2)
     these are monitors, never assertions. Returns nan entries at rest.
     """
     grid = ev.grid
-    e = energy_report(ev, state).total
-    d = dissipation_report(ev, state).total
+    table = ev.sample_table(state)
+    e = energy_report(ev, state, table).total
+    d = dissipation_report(ev, state, table).total
     denom = np.sqrt(e * d)
     w = state.t + 1.0
     k1sq = np.broadcast_to(grid.k1sq, grid.shape)

@@ -139,11 +139,12 @@ def _grad_u_sup(grad_u) -> float:
 
 
 def _record_sample(ev: EnergyEvaluator, state: FlowState, force: NonlinearForce):
-    e = energy_report(ev, state)
-    d = dissipation_report(ev, state)
-    ce = corrected_energy(ev, state)
-    diss_terms = dissipation_inequality_terms(ev, state)
-    rhs1, rhs2 = forcing_pairings(ev, state, force.f.spec)
+    table = ev.sample_table(state, force.f.spec)
+    e = energy_report(ev, state, table)
+    d = dissipation_report(ev, state, table)
+    ce = corrected_energy(ev, state, table)
+    diss_terms = dissipation_inequality_terms(ev, state, table)
+    rhs1, rhs2 = forcing_pairings(ev, state, force.f.spec, table)
     det = determinant_values(force.grad_y)
     # (grad_x u) composed with the flow equals (grad_y Yt) A^T
     grad_u = np.einsum("im...,jm...->ij...", force.grad_yt, force.a_values)
@@ -459,11 +460,11 @@ def compare_formulations(config: RunConfig) -> CompareReport:
     u_at_x = u_eval(x_pts)
     b_at_x = b_eval(x_pts)
     yt_samples = flow.Yt.values[(slice(None),) + sel].reshape(grid.dim, -1)
-    d1y = gradient_values(flow.Y.spec, grid)[:, 0]
-    b_lagr = d1y[(slice(None),) + sel].reshape(grid.dim, -1)
+    grad_y = gradient_values(flow.Y.spec, grid)
+    b_lagr = grad_y[:, 0][(slice(None),) + sel].reshape(grid.dim, -1)
     b_lagr = b_lagr.copy()
     b_lagr[0] += 1.0
-    det = determinant_values(gradient_values(flow.Y.spec, grid))
+    det = determinant_values(grad_y)
     return CompareReport(
         t_compare=config.t_compare,
         dt=config.dt,

@@ -77,3 +77,10 @@ def test_cli_compare_offers_no_resume(tmp_path):
     cfg_path.write_text(CONFIG + "solver = both\n")
     with pytest.raises(SystemExit):
         main(["compare", "--config", str(cfg_path), "--resume", "state.ckpt"])
+
+
+def test_cli_compare_offers_no_output(tmp_path):
+    cfg_path = tmp_path / "cmp.cfg"
+    cfg_path.write_text(CONFIG + "solver = both\n")
+    with pytest.raises(SystemExit):
+        main(["compare", "--config", str(cfg_path), "--output", str(tmp_path / "out")])

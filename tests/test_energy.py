@@ -17,6 +17,7 @@ from lagmhd.energy import (
     grad_u_linf_time_integral,
     integrated_rhs,
     ledger_check,
+    lower_bound_value,
     nonlinear_scaling_study,
 )
 from lagmhd.evolution import LinearPropagator
@@ -130,6 +131,143 @@ def test_corrected_energy_bounded_by_initial_norm(ev3, rng):
         ce = corrected_energy(ev3, state).total
         ratios.append(ce / ev3.initial_norm(state))
     assert max(ratios) < 4.0
+
+
+# -- one weight table per sample ----------------------------------------------
+
+
+def _literal_functionals(ev, state, f_spec):
+    """Every sample functional written out term by term with ev.nsq and ev.ip."""
+    grid = ev.grid
+    yh, yth = state.Y.spec, state.Yt.spec
+    w = state.t + 1.0
+    nsq, ip = ev.nsq, ev.ip
+    c, b, q = CORRECTED_COEFFS, LOWER_BOUND_COEFFS, DISSIPATION_COEFFS
+    k2, k1sq = grid.k2, grid.k1sq
+    test1 = yth + 0.25 * k2 * yh + 0.25 * w * k2 * yth
+    test2 = (w / 16.0) * k2 * k1sq * yh + (w * w / 32.0) * k2 * k1sq * yth
+    return {
+        "energy": (
+            nsq(yth, ev.w_h2),
+            nsq(yh, ev.w_d1_h2),
+            nsq(yh, ev.w_lap_h2),
+            w * nsq(yth, ev.w_grad_h2),
+            w * nsq(yh, ev.w_grad_d1_h2),
+            w * w * nsq(yth, ev.w_grad_d1_h1),
+            w * w * nsq(yh, ev.w_grad_d11_h1),
+        ),
+        "dissipation": (
+            nsq(yth, ev.w_grad_h2),
+            nsq(yh, ev.w_grad_d1_h2),
+            w * nsq(yh, ev.w_grad_d11_h1),
+            w * nsq(yth, ev.w_lap_h2),
+            w * w * nsq(yth, ev.w_lap_d1_h1),
+        ),
+        "corrected": (
+            c[0] * nsq(yth, ev.w_h2),
+            c[1] * nsq(yh, ev.w_d1_h2),
+            c[2] * nsq(yh, ev.w_lap_h2),
+            c[3] * -ip(yth, yh, ev.w_cross_h2),
+            c[4] * w * nsq(yth, ev.w_grad_h2),
+            c[5] * w * nsq(yh, ev.w_grad_d1_h2),
+            c[6] * w * nsq(yh, ev.w_lap_d1_h1),
+            c[7] * w * -ip(yh, yth, ev.w_grad_d1_h1),
+            c[8] * nsq(yh, ev.w_grad_d1_h1),
+            c[9] * w * w * nsq(yth, ev.w_grad_d1_h1),
+            c[10] * w * w * nsq(yh, ev.w_grad_d11_h1),
+        ),
+        "lower_bound": (
+            b[0] * nsq(yth, ev.w_h2)
+            + b[1] * nsq(yh, ev.w_d1_h2)
+            + b[2] * nsq(yh, ev.w_lap_h2)
+            + b[3] * w * nsq(yth, ev.w_grad_h2)
+            + b[4] * w * nsq(yh, ev.w_grad_d1_h2)
+            + b[5] * w * nsq(yh, ev.w_lap_d1_h1)
+            + b[6] * w * w * nsq(yth, ev.w_grad_d1_h1)
+            + b[7] * w * w * nsq(yh, ev.w_grad_d11_h1),
+        ),
+        "dissipation_terms": (
+            q[0] * nsq(yth, ev.w_grad_h2),
+            q[1] * nsq(yh, ev.w_grad_d1_h2),
+            q[2] * w * nsq(yth, ev.w_lap_h2),
+            q[3] * w * nsq(yh, ev.w_grad_d11_h1),
+            q[4] * w * w * nsq(yth, ev.w_lap_d1_h1),
+        ),
+        "rhs": (
+            abs(ip(f_spec, test1, ev.w_h2)),
+            abs(ip(f_spec, test2, grid.hs_weight(1))),
+        ),
+    }
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [Grid((16, 16, 16), (8.0, 2 * np.pi, 2 * np.pi)), Grid((32, 32), (16.0, 2 * np.pi))],
+    ids=["3D", "2D"],
+)
+@pytest.mark.parametrize("t", [0.0, 1.7])
+def test_table_functionals_match_literal_formulas(grid, t, rng):
+    ev = EnergyEvaluator(grid)
+    state = random_state(grid, rng, t=t)
+    f_spec = random_band_limited(grid, rng, rank=1, kmax=4).spec
+    table = ev.sample_table(state, f_spec)
+    got = {
+        "energy": energy_report(ev, state, table).astuple(),
+        "dissipation": dissipation_report(ev, state, table).astuple(),
+        "corrected": corrected_energy(ev, state, table).terms,
+        "lower_bound": (lower_bound_value(ev, state, table),),
+        "dissipation_terms": dissipation_inequality_terms(ev, state, table),
+        "rhs": forcing_pairings(ev, state, f_spec, table),
+    }
+    for name, expect in _literal_functionals(ev, state, f_spec).items():
+        scale = abs(sum(expect))
+        assert scale > 0.0, name
+        err = max(abs(a - e) for a, e in zip(got[name], expect, strict=True))
+        assert err <= 1e-14 * scale, (name, err / scale)
+    # without a table each function builds its own, with the same result
+    assert energy_report(ev, state).astuple() == got["energy"]
+    assert forcing_pairings(ev, state, f_spec) == got["rhs"]
+
+
+def test_weights_are_rows_of_one_table(ev3):
+    names = ("w_h2", "w_d1_h2", "w_lap_h2", "w_grad_h2", "w_grad_d1_h2",
+             "w_grad_d1_h1", "w_grad_d11_h1", "w_lap_d1_h1")
+    assert ev3.weights.shape == (len(names),) + ev3.grid.shape
+    for row, name in enumerate(names):
+        weight = getattr(ev3, name)
+        assert weight.base is ev3.weights and np.shares_memory(weight, ev3.weights[row])
+    assert ev3.w_cross_h2 is ev3.w_grad_h2
+
+
+def test_record_sample_builds_one_table_and_no_reductions(monkeypatch):
+    import lagmhd.energy as energy
+    import lagmhd.spectral as spectral
+    from lagmhd.evolution import compute_force
+    from lagmhd.initial_data import build_flow_state, default_spec, scaled_spec
+    from lagmhd.runner import _record_sample
+
+    grid = Grid((16, 16, 16), (16.0, 2 * np.pi, 2 * np.pi))
+    state = build_flow_state(grid, scaled_spec(default_spec(3, None), 0.05))
+    force = compute_force(state)
+    ev = EnergyEvaluator(grid)
+    calls = {}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        EnergyEvaluator, "sample_table", counted("table", EnergyEvaluator.sample_table)
+    )
+    for module in (energy, spectral):
+        for name in ("weighted_norm_sq", "weighted_inner"):
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    sample = _record_sample(ev, state, force)
+    assert calls == {"table": 1}
+    assert sample.energy_total > 0.0 and sample.rhs1 > 0.0
 
 
 # -- ledger ------------------------------------------------------------------
