@@ -60,8 +60,6 @@ class EnergyEvaluator:
         (self.w_h2, self.w_d1_h2, self.w_lap_h2, self.w_grad_h2, self.w_grad_d1_h2,
          self.w_grad_d1_h1, self.w_grad_d11_h1, self.w_lap_d1_h1) = w
         self.w_cross_h2 = self.w_grad_h2  # (f | lap g)_{H^2} carries -k2 inside
-        self.w_h3 = grid.hs_weight(3)
-        self.w_d1_h3 = k1sq * self.w_h3
 
     def nsq(self, spec, w) -> float:
         return weighted_norm_sq(spec, w, self.grid)
@@ -92,13 +90,21 @@ class EnergyEvaluator:
             np.add(acc[0::2], acc[1::2], out=out)  # Re.Re + Im.Im
         return self.grid.volume * (self.weights.reshape(8, n) @ spectra.T)
 
-    def initial_norm(self, state: FlowState) -> float:
-        """Smallness functional of the data: |Yt|_{H^3}^2 + |d1 Y|_{H^3}^2 + |lap Y|_{H^2}^2."""
+    @staticmethod
+    def initial_norm(state: FlowState) -> float:
+        """Smallness functional of the data: |Yt|_{H^3}^2 + |d1 Y|_{H^3}^2 + |lap Y|_{H^2}^2.
+
+        Reads only the grid's cached H^s weights, so initial data can be
+        scaled with it before any evaluator is built.
+        """
+        grid = state.grid
+        w_h3 = grid.hs_weight(3)
+        k1sq = np.broadcast_to(grid.k1sq, grid.shape)
         yh, yth = state.Y.spec, state.Yt.spec
         return (
-            self.nsq(yth, self.w_h3)
-            + self.nsq(yh, self.w_d1_h3)
-            + self.nsq(yh, self.w_lap_h2)
+            weighted_norm_sq(yth, w_h3, grid)
+            + weighted_norm_sq(yh, k1sq * w_h3, grid)
+            + weighted_norm_sq(yh, grid.k2 * grid.k2 * grid.hs_weight(2), grid)
         )
 
 

@@ -237,9 +237,9 @@ def compute_force(
     defect = np.einsum("mi...,mj...->ij...", b, b)
     defect += b
     defect += np.swapaxes(b, 0, 1)
-    flux = np.einsum("jm...,im...->ij...", defect, grad_yt)
-    flux_spec = dealias_spec(grid.fft(flux), grid)
-    visc_spec = divergence_spec(np.swapaxes(flux_spec, 0, 1), grid)
+    flux_spec = grid.fft(np.einsum("jm...,im...->ij...", defect, grad_yt))
+    visc_spec = dealias_spec(divergence_spec(np.swapaxes(flux_spec, 0, 1), grid), grid)
+    del flux_spec  # nine full spectra, not held through the pressure solve
 
     d1y = grad_y[:, 0]
     rhs_spec = _tensor_rhs_spec(grid, a_vals, d1y, state.Yt.values)
@@ -248,7 +248,8 @@ def compute_force(
     )
     gp_real = grid.ifft(gp_spec)
     a_gp = np.einsum("im...,m...->i...", a_vals, gp_real)
-    fp_spec = -dealias_spec(grid.fft(a_gp), grid)
+    fp_spec = grid.fft(a_gp)
+    fp_spec *= -grid.dealias_mask
 
     f1 = f2 = None
     if split_quadratic:
@@ -348,14 +349,6 @@ class LagrangianStepper:
             VectorField.from_spec(self.grid, yt),
             state.t + self.dt,
         )
-
-
-def step_lagrangian(
-    state: FlowState, dt: float, pressure_tol: float = 1e-10, pressure_max_iter: int = 50
-) -> FlowState:
-    """One-shot stepping convenience; long runs should reuse a LagrangianStepper."""
-    stepper = LagrangianStepper(state.grid, dt, pressure_tol, pressure_max_iter)
-    return stepper.step(state)
 
 
 # -- Eulerian reference solver -------------------------------------------------

@@ -64,13 +64,14 @@ class Grid:
         inv_k2 = np.zeros(sizes)
         np.divide(1.0, k2, out=inv_k2, where=k2 > 0)
         # 2/3 rule: keep |n_i| < N_i/3 per axis so that products of retained
-        # modes alias only onto discarded ones
-        mask = np.ones(sizes, dtype=bool)
+        # modes alias only onto discarded ones; stored as 0.0/1.0 so that a
+        # multiply applies it
+        mask = np.ones(sizes)
         if self.dealias:
             for i, n in enumerate(sizes):
                 ncut = int(np.ceil(n / 3.0)) - 1
                 idx = np.abs(np.fft.fftfreq(n) * n) <= ncut
-                mask = mask & idx.reshape([-1 if j == i else 1 for j in range(dim)])
+                mask = mask * idx.reshape([-1 if j == i else 1 for j in range(dim)])
         coords = tuple(
             (spacings[i] * np.arange(sizes[i])).reshape(
                 [-1 if j == i else 1 for j in range(dim)]
@@ -89,6 +90,8 @@ class Grid:
         object.__setattr__(self, "k1sq", k_axes[0] ** 2)
         object.__setattr__(self, "coords", coords)
         object.__setattr__(self, "dealias_mask", mask)
+        # inverse Laplacian restricted to the retained band
+        object.__setattr__(self, "masked_inv_k2", mask * inv_k2)
         object.__setattr__(self, "_hs_weights", {})
         object.__setattr__(self, "_mirror_pairs", _mirror_pairs(sizes))
         object.__setattr__(self, "_nyquist_pairs", _nyquist_pairs(sizes))

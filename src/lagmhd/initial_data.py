@@ -164,15 +164,14 @@ def build_flow_state(grid: Grid, spec: InitialDataSpec) -> FlowState:
         return assemble(1.0)
     if spec.epsilon0 <= 0:
         raise ConfigError("epsilon0 must be positive")
-    ev = EnergyEvaluator(grid)
     state = assemble(1.0)
-    base = ev.initial_norm(state)
+    base = EnergyEvaluator.initial_norm(state)
     if base == 0.0:
         return state
     s = float(np.sqrt(spec.epsilon0 / base))
     for _ in range(8):
         state = assemble(s)
-        norm = ev.initial_norm(state)
+        norm = EnergyEvaluator.initial_norm(state)
         if abs(norm - spec.epsilon0) <= 1e-9 * spec.epsilon0:
             break
         s *= float(np.sqrt(spec.epsilon0 / norm))

@@ -97,10 +97,6 @@ def hs_inner_product(f: _Field, g: _Field, s: int) -> float:
     return weighted_inner(f.spec, g.spec, w, f.grid)
 
 
-def hs_norm_sq(f: _Field, s: int) -> float:
-    return weighted_norm_sq(f.spec, f.grid.hs_weight(s), f.grid)
-
-
 def l2_inner_quadrature(f: _Field, g: _Field) -> float:
     """Real-space trapezoid (= exact periodic) quadrature of f.g; test oracle."""
     f.check_same_grid(g)

@@ -20,7 +20,6 @@ from lagmhd.evolution import (
     compute_force,
     dispersion_eigenvalues,
     propagator_matrix,
-    step_lagrangian,
 )
 from lagmhd.initial_data import build_flow_state, default_spec, scaled_spec
 from lagmhd.spectral import dealias_spec, gradient_values, weighted_norm_sq
@@ -306,11 +305,6 @@ def test_determinant_drift_second_order():
         det = determinant_values(gradient_values(st.Y.spec, grid))
         drifts.append(np.abs(det - 1.0).max())
     assert 3.0 < drifts[0] / drifts[1] < 5.0
-
-
-def test_step_lagrangian_function_wrapper(grid3):
-    out = step_lagrangian(FlowState.zeros(grid3), 0.1)
-    assert out.t == pytest.approx(0.1)
 
 
 def test_nan_detection():

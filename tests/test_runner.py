@@ -5,6 +5,7 @@ import pytest
 
 from lagmhd.checkpoint import read_checkpoint, write_checkpoint
 from lagmhd.config import RunConfig
+from lagmhd.energy import EnergyEvaluator
 from lagmhd.errors import ConfigError
 from lagmhd.evolution import EulerianStepper, EulerState
 from lagmhd.geometry import FlowState
@@ -67,6 +68,20 @@ def test_runs_are_deterministic(tmp_path):
     with open(r2.csv_path, "rb") as fh:
         b2 = fh.read()
     assert b1 == b2
+
+
+def test_scaled_run_builds_one_energy_evaluator(tmp_path, monkeypatch):
+    built = []
+    init = EnergyEvaluator.__init__
+
+    def counted(self, grid):
+        built.append(grid.sizes)
+        init(self, grid)
+
+    monkeypatch.setattr(EnergyEvaluator, "__init__", counted)
+    report = run_simulation(small_config(tmp_path, t_end=0.25))
+    assert not report.aborted
+    assert built == [(16, 16, 16)]
 
 
 def test_checkpoint_restart_matches_uninterrupted(tmp_path):

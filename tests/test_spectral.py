@@ -254,6 +254,22 @@ def test_dealias_zeroes_top_third_and_is_idempotent(grid3, rng):
     assert np.array_equal(d1.spec, d2.spec)
 
 
+@pytest.mark.parametrize("sizes", [(16, 8, 32), (32, 16)], ids=["3D", "2D"])
+def test_dealias_mask_is_the_per_axis_two_thirds_rule(sizes):
+    grid = Grid(sizes, (2 * np.pi,) * len(sizes))
+    n = np.meshgrid(*(np.fft.fftfreq(m) * m for m in sizes), indexing="ij")
+    kept = np.all([np.abs(ni) < m / 3.0 for ni, m in zip(n, sizes)], axis=0)
+    assert grid.dealias_mask.dtype == float
+    assert np.array_equal(grid.dealias_mask, kept.astype(float))
+    masked = grid.masked_inv_k2
+    assert np.all(masked[~kept] == 0.0)
+    assert masked[(0,) * grid.dim] == 0.0
+    assert np.array_equal(masked[kept], grid.inv_k2[kept])
+    open_grid = Grid(sizes, grid.lengths, dealias=False)
+    assert np.all(open_grid.dealias_mask == 1.0)
+    assert np.array_equal(open_grid.masked_inv_k2, open_grid.inv_k2)
+
+
 # non-cubic sizes and unequal lengths, so that a transposed axis shows
 TRANSFORM_GRIDS = {
     "3D": Grid((16, 8, 32), (2 * np.pi, 3.0, 5.0), dealias=False),
