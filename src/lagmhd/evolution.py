@@ -226,9 +226,12 @@ def compute_force(
     as the sum of the graded pieces G_d, in one product; I is never added and
     removed, so small deformations do not cancel. The same D drives the
     pressure fixed point, and the viscous flux costs a single transform
-    whatever the dimension.
+    whatever the dimension. Every spectrum in between lives on the k_last >= 0
+    half (``grid.half``); f, the pressure force and grad_p are mirrored to
+    full spectra once each, on return.
     """
     grid = state.grid
+    half = grid.half
     grad_y = gradient_values(state.Y.spec, grid)
     b1, b2, a_vals = cofactor_values(grad_y)
     grad_yt = gradient_values(state.Yt.spec, grid)
@@ -237,19 +240,19 @@ def compute_force(
     defect = np.einsum("mi...,mj...->ij...", b, b)
     defect += b
     defect += np.swapaxes(b, 0, 1)
-    flux_spec = grid.fft(np.einsum("jm...,im...->ij...", defect, grad_yt))
-    visc_spec = dealias_spec(divergence_spec(np.swapaxes(flux_spec, 0, 1), grid), grid)
-    del flux_spec  # nine full spectra, not held through the pressure solve
+    flux_half = grid.rfft(np.einsum("jm...,im...->ij...", defect, grad_yt))
+    visc_half = dealias_spec(divergence_spec(np.swapaxes(flux_half, 0, 1), half), half)
+    del flux_half  # nine spectra, not held through the pressure solve
 
     d1y = grad_y[:, 0]
-    rhs_spec = _tensor_rhs_spec(grid, a_vals, d1y, state.Yt.values)
-    gp_spec, iters, residuals, contraction = solve_pressure_spec(
-        grid, a_vals, defect, rhs_spec, pressure_tol, pressure_max_iter
+    rhs_half = _tensor_rhs_spec(grid, a_vals, d1y, state.Yt.values)
+    gp_half, iters, residuals, contraction = solve_pressure_spec(
+        grid, defect, rhs_half, pressure_tol, pressure_max_iter
     )
-    gp_real = grid.ifft(gp_spec)
+    gp_real = grid.irfft(gp_half)
     a_gp = np.einsum("im...,m...->i...", a_vals, gp_real)
-    fp_spec = grid.fft(a_gp)
-    fp_spec *= -grid.dealias_mask
+    fp_half = grid.rfft(a_gp)
+    fp_half *= -half.dealias_mask
 
     f1 = f2 = None
     if split_quadratic:
@@ -267,10 +270,10 @@ def compute_force(
         f2 = VectorField.from_spec(grid, dealias_spec(grid.fft(f2_vals), grid))
 
     return NonlinearForce(
-        f=VectorField.from_spec(grid, fp_spec + visc_spec),
-        pressure_force=VectorField.from_spec(grid, fp_spec),
+        f=VectorField.from_spec(grid, grid.mirror(fp_half + visc_half)),
+        pressure_force=VectorField.from_spec(grid, grid.mirror(fp_half)),
         pressure=PressureSolution(
-            grad_p=VectorField.from_spec(grid, gp_spec),
+            grad_p=VectorField.from_spec(grid, grid.mirror(gp_half)),
             iterations=iters,
             residuals=residuals,
             contraction_estimate=contraction,

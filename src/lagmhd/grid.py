@@ -92,6 +92,7 @@ class Grid:
         object.__setattr__(self, "dealias_mask", mask)
         # inverse Laplacian restricted to the retained band
         object.__setattr__(self, "masked_inv_k2", mask * inv_k2)
+        object.__setattr__(self, "half", _half_tables(self))
         object.__setattr__(self, "_hs_weights", {})
         object.__setattr__(self, "_mirror_pairs", _mirror_pairs(sizes))
         object.__setattr__(self, "_nyquist_pairs", _nyquist_pairs(sizes))
@@ -106,19 +107,35 @@ class Grid:
     def spatial_axes(self):
         return tuple(range(-self.dim, 0))
 
-    def fft(self, values):
-        """Real samples -> normalized coefficients c_k with f(y) = sum c_k e^{ik.y}.
+    def rfft(self, values):
+        """Real samples -> the k_last >= 0 half of the normalized coefficients.
 
-        Returns the full spectrum. The k_last >= 0 half comes from a real-data
-        transform (scaled by 1/N, exact for power-of-two sizes) and the rest
-        from c(-k) = conj(c(k)).
+        A real-data transform scaled by 1/N, exact for power-of-two sizes.
         """
-        half = sfft.rfftn(values, axes=self.spatial_axes, norm="forward")
+        return sfft.rfftn(values, axes=self.spatial_axes, norm="forward")
+
+    def irfft(self, half):
+        """k_last >= 0 half -> real samples; the argument is left unchanged.
+
+        The half must be Hermitian on the Nyquist hyperplanes of the leading
+        axes, as every spectrum the 2/3 mask has zeroed there is.
+        """
+        return sfft.irfftn(half, s=self.sizes, axes=self.spatial_axes, norm="forward")
+
+    def mirror(self, half):
+        """Full spectrum from its k_last >= 0 half by c(-k) = conj(c(k))."""
         full = np.empty(half.shape[: -self.dim] + self.sizes, dtype=complex)
         full[..., : half.shape[-1]] = half
         for dst, src in self._mirror_pairs:
             np.conjugate(half[src], out=full[dst])
         return full
+
+    def fft(self, values):
+        """Real samples -> normalized coefficients c_k with f(y) = sum c_k e^{ik.y}.
+
+        Returns the full spectrum: the mirror of ``rfft``.
+        """
+        return self.mirror(self.rfft(values))
 
     def ifft(self, spec):
         """Normalized coefficients -> real samples, as a contiguous float64 array.
@@ -139,9 +156,7 @@ class Grid:
             part += spec[dst]
             part *= 0.5
             half[dst] = part
-        return sfft.irfftn(
-            half, s=self.sizes, axes=self.spatial_axes, norm="forward", overwrite_x=True
-        )
+        return self.irfft(half)
 
     # -- norms and weights --------------------------------------------------
 
@@ -168,6 +183,49 @@ class Grid:
 
     def same_as(self, other: "Grid") -> bool:
         return self.sizes == other.sizes and np.allclose(self.lengths, other.lengths)
+
+
+@dataclass(frozen=True, eq=False)
+class HalfGrid:
+    """The spectral tables of a Grid restricted to its k_last >= 0 half.
+
+    Every table is the first N/2+1 last-axis planes of the full one, so the
+    Nyquist plane keeps the stored wavenumber -N/2. ``k2`` carries the
+    Hermitian multiplicity: interior k_last planes count twice, the k_last = 0
+    and Nyquist planes once, so a norm weighted by it over the half equals
+    the |k|^2-weighted norm over the full spectrum.
+    """
+
+    dim: int
+    shape: tuple
+    spatial_axes: tuple
+    volume: float
+    k_axes: tuple
+    inv_k2: np.ndarray
+    masked_inv_k2: np.ndarray
+    dealias_mask: np.ndarray
+    k2: np.ndarray
+
+
+def _half_tables(grid: Grid) -> HalfGrid:
+    nh = grid.sizes[-1] // 2 + 1
+
+    def cut(table):
+        return np.ascontiguousarray(table[..., :nh])
+
+    multiplicity = np.full(nh, 2.0)
+    multiplicity[0] = multiplicity[-1] = 1.0
+    return HalfGrid(
+        dim=grid.dim,
+        shape=grid.sizes[:-1] + (nh,),
+        spatial_axes=grid.spatial_axes,
+        volume=grid.volume,
+        k_axes=tuple(cut(ka) for ka in grid.k_axes),
+        inv_k2=cut(grid.inv_k2),
+        masked_inv_k2=cut(grid.masked_inv_k2),
+        dealias_mask=cut(grid.dealias_mask),
+        k2=cut(grid.k2) * multiplicity,
+    )
 
 
 def _negated(n: int):

@@ -41,46 +41,51 @@ class PressureSolution:
 def _tensor_rhs_spec(grid: Grid, a_vals, v_vals, w_vals):
     """R[A^T div2((v x v - w x w) A)] with div2 acting on the second index.
 
-    The divergence-free rows of the cofactor matrix let the nested operator
+    Returns the k_last >= 0 half (``grid.half``) of the spectrum. The
+    divergence-free rows of the cofactor matrix let the nested operator
     collapse to this conservative form. The product (v x v - w x w) A takes
     two mat-vecs and two outer products: v_i (A^T v)_l - w_i (A^T w)_l.
     """
+    half = grid.half
     at_v = np.einsum("ml...,m...->l...", a_vals, v_vals)
     at_w = np.einsum("ml...,m...->l...", a_vals, w_vals)
     za = np.einsum("i...,l...->il...", v_vals, at_v)
     za -= np.einsum("i...,l...->il...", w_vals, at_w)
-    za_spec = grid.fft(za)
-    w_spec = dealias_spec(divergence_spec(np.swapaxes(za_spec, 0, 1), grid), grid)
-    w_real = grid.ifft(w_spec)
+    za_half = grid.rfft(za)
+    w_half = dealias_spec(divergence_spec(np.swapaxes(za_half, 0, 1), half), half)
+    w_real = grid.irfft(w_half)
     atw = np.einsum("jm...,j...->m...", a_vals, w_real)
-    atw_spec = dealias_spec(grid.fft(atw), grid)
-    return riesz_apply_spec(atw_spec, grid)
+    atw_half = dealias_spec(grid.rfft(atw), half)
+    return riesz_apply_spec(atw_half, half)
 
 
-def solve_pressure_spec(grid: Grid, a_vals, defect_vals, rhs_spec, tol, max_iter):
+def solve_pressure_spec(grid: Grid, defect_vals, rhs_half, tol, max_iter):
     """Picard iteration grad_p <- -R[defect . grad_p] + rhs from grad_p = rhs.
 
-    The iterate is the scalar potential q of grad_p = rhs - k q, with
-    q = (mask inv_k2) (k . fft(defect . grad_p)): R[v] = k inv_k2 (k . v), and
+    Works on k_last >= 0 halves (``grid.half``): rhs_half and the returned
+    grad_p. The iterate is the scalar potential q of grad_p = rhs - k q, with
+    q = (mask inv_k2) (k . rfft(defect . grad_p)): R[v] = k inv_k2 (k . v), and
     the 2/3 mask acts after the contraction, on one component. The residual
-    of a step is |grad_p_new - grad_p| = |k (q_new - q)|.
+    of a step is |grad_p_new - grad_p| = |k (q_new - q)|, summed over the
+    half with the Hermitian multiplicity carried by ``half.k2``.
     """
-    k = grid.k_axes
-    gp = rhs_spec.copy()
-    q_prev = np.zeros(grid.shape, dtype=complex)
+    half = grid.half
+    k = half.k_axes
+    gp = rhs_half.copy()
+    q_prev = np.zeros(half.shape, dtype=complex)
     residuals = []
     ratios = []
     bad_streak = 0
     for it in range(1, max_iter + 1):
-        gp_real = grid.ifft(gp)
+        gp_real = grid.irfft(gp)
         mgp = np.einsum("jm...,m...->j...", defect_vals, gp_real)
-        q = _k_contract(grid.fft(mgp), k)
-        q *= grid.masked_inv_k2
+        q = _k_contract(grid.rfft(mgp), k)
+        q *= half.masked_inv_k2
         for i in range(grid.dim):
             np.multiply(k[i], q, out=gp[i])
-        np.subtract(rhs_spec, gp, out=gp)
+        np.subtract(rhs_half, gp, out=gp)
         q_prev -= q  # minus the step of the potential
-        res = float(np.sqrt(weighted_norm_sq(q_prev, grid.k2, grid)))
+        res = float(np.sqrt(weighted_norm_sq(q_prev, half.k2, half)))
         q_prev = q
         residuals.append(res)
         if len(residuals) >= 2 and residuals[-2] > 0:

@@ -1,4 +1,10 @@
-"""Spectral derivative multipliers, Sobolev/anisotropic norms, and projectors."""
+"""Spectral derivative multipliers, Sobolev/anisotropic norms, and projectors.
+
+``_k_contract``, ``divergence_spec``, ``dealias_spec``, ``riesz_apply_spec``
+and ``weighted_norm_sq`` read only the grid's tables, so given ``grid.half``
+they act on k_last >= 0 half spectra (with ``half.k2`` as the doubled
+|k|^2 weight of a norm).
+"""
 
 from __future__ import annotations
 
@@ -42,13 +48,24 @@ def partial_derivative(field: _Field, alpha):
 def gradient_values(spec, grid: Grid):
     """Real-space gradient of a spectral vector: out[i, j] = d_j v^i.
 
-    All components and directions go through one inverse transform.
+    Only the k_last >= 0 half is multiplied, with the Nyquist index of a
+    leading axis zeroed in its own direction, as ``derivative_multiplier``
+    does (``Grid.ifft`` does the same by its Hermitian projection); all
+    components and directions go through one inverse transform.
     """
+    half = grid.half
     d = grid.dim
-    buf = np.empty((spec.shape[0], d) + grid.shape, dtype=complex)
+    nh = half.shape[-1]
+    buf = np.empty((spec.shape[0], d) + half.shape, dtype=complex)
+    spec = spec[..., :nh]
     for j in range(d):
-        np.multiply(spec, 1j * grid.k_axes[j], out=buf[:, j])
-    return grid.ifft(buf)
+        np.multiply(spec, 1j * half.k_axes[j], out=buf[:, j])
+        if j < d - 1:
+            # interior k_last only: on the k_last = 0 and Nyquist planes the
+            # inverse transform drops the non-Hermitian part itself
+            nyquist = (slice(None),) * (j + 1) + (grid.sizes[j] // 2, Ellipsis)
+            buf[:, j][nyquist + (slice(1, nh - 1),)] = 0.0
+    return grid.irfft(buf)
 
 
 def _k_contract(spec, symbols):

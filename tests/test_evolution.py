@@ -202,13 +202,13 @@ def test_force_takes_one_viscous_transform(monkeypatch, sizes):
     state = build_flow_state(grid, scaled_spec(default_spec(grid.dim, None), 0.05))
     state.Y.spec, state.Yt.spec, state.Yt.values  # cache both views first
     calls = []
-    fft = Grid.fft
+    rfft = Grid.rfft
 
     def counted(self, values):
         calls.append(values.shape)
-        return fft(self, values)
+        return rfft(self, values)
 
-    monkeypatch.setattr(Grid, "fft", counted)
+    monkeypatch.setattr(Grid, "rfft", counted)
     force = compute_force(state)
     # viscous flux + two for the pressure rhs + one per Picard iteration
     # + the pressure force
@@ -221,18 +221,54 @@ def test_force_takes_one_inverse_transform_per_gradient(monkeypatch, sizes):
     state = build_flow_state(grid, scaled_spec(default_spec(grid.dim, None), 0.05))
     state.Y.spec, state.Y.values, state.Yt.spec, state.Yt.values  # cache both views
     calls = []
-    ifft = Grid.ifft
+    irfft = Grid.irfft
 
-    def counted(self, spec):
-        calls.append(spec.shape)
-        return ifft(self, spec)
+    def counted(self, half):
+        calls.append(half.shape)
+        return irfft(self, half)
 
-    monkeypatch.setattr(Grid, "ifft", counted)
+    monkeypatch.setattr(Grid, "irfft", counted)
     force = compute_force(state)
     # grad Y and grad Yt + one in the pressure rhs + one per Picard iteration
     # + the pressure gradient
     assert len(calls) == 2 + 1 + force.pressure.iterations + 1
-    assert calls[:2] == [(grid.dim, grid.dim) + grid.shape] * 2
+    assert calls[:2] == [(grid.dim, grid.dim) + grid.half.shape] * 2
+
+
+@pytest.mark.parametrize(
+    "sizes, amp",
+    [((16, 16, 16), 1e-4), ((16, 16, 16), 0.05), ((32, 32), 1e-4), ((32, 32), 0.1)],
+    ids=["3D-slab", "3D-strong", "2D-slab", "2D-strong"],
+)
+def test_force_component_transform_count(monkeypatch, sizes, amp):
+    # every transform of the kernel goes through Grid.rfft or Grid.irfft;
+    # the state holds spectra only, as a stepped state does, so Yt's
+    # samples cost one inverse transform of its d components
+    grid = Grid(sizes, (2 * np.pi,) * len(sizes))
+    built = build_flow_state(grid, scaled_spec(default_spec(grid.dim, None), amp))
+    state = FlowState(
+        VectorField.from_spec(grid, built.Y.spec),
+        VectorField.from_spec(grid, built.Yt.spec),
+        0.0,
+    )
+    count = [0]
+    rfft, irfft = Grid.rfft, Grid.irfft
+
+    def counted_rfft(self, values):
+        count[0] += values.size // self.npoints
+        return rfft(self, values)
+
+    def counted_irfft(self, half):
+        count[0] += half.size // int(np.prod(self.half.shape))
+        return irfft(self, half)
+
+    monkeypatch.setattr(Grid, "rfft", counted_rfft)
+    monkeypatch.setattr(Grid, "irfft", counted_irfft)
+    iters = compute_force(state).pressure.iterations
+    # 3D: 9 + 9 gradients, 3 for Yt, 9 flux, 9 + 3 + 3 pressure rhs,
+    # 3 + 3 pressure force, and 3 + 3 per Picard iteration
+    expected = 51 + 6 * iters if grid.dim == 3 else 26 + 4 * iters
+    assert count[0] == expected
 
 
 # -- Lagrangian stepping ---------------------------------------------------------

@@ -8,6 +8,7 @@ from lagmhd.grid import Grid, multi_indices
 from lagmhd.spectral import (
     anisotropic_norm,
     dealias,
+    gradient_values,
     hs_inner_product,
     l2_inner_quadrature,
     leray_project,
@@ -15,6 +16,7 @@ from lagmhd.spectral import (
     riesz_apply_spec,
     riesz_projector,
     sobolev_interpolation_monitor,
+    weighted_norm_sq,
 )
 
 from conftest import mesh, random_band_limited
@@ -310,6 +312,72 @@ def test_ifft_takes_the_real_part_of_odd_multiplier_spectra(dim, rng):
         for s in (odd, riesz_apply_spec(odd, grid)):
             want = _complex_ifft(grid, s)
             assert np.abs(grid.ifft(s) - want).max() < 1e-14 * np.abs(want).max()
+
+
+# -- half spectra ----------------------------------------------------------------
+
+HALF_GRIDS = {
+    "3D": Grid((16, 8, 32), (2 * np.pi, 3.0, 5.0)),
+    "2D": Grid((32, 16), (64.0, 2 * np.pi)),
+    "3D-open": TRANSFORM_GRIDS["3D"],
+    "2D-open": TRANSFORM_GRIDS["2D"],
+    "3D-cube": Grid((16, 16, 16), (2 * np.pi,) * 3),
+}
+
+
+@pytest.mark.parametrize("name", HALF_GRIDS)
+def test_half_tables_are_the_first_last_axis_planes(name):
+    grid = HALF_GRIDS[name]
+    half = grid.half
+    nh = grid.sizes[-1] // 2 + 1
+    cut = (Ellipsis, slice(0, nh))
+    assert half.dim == grid.dim
+    assert half.shape == grid.shape[:-1] + (nh,)
+    assert half.spatial_axes == grid.spatial_axes and half.volume == grid.volume
+    for kh, kf in zip(half.k_axes, grid.k_axes):
+        assert np.array_equal(kh, kf[cut])
+    # the Nyquist plane keeps the stored wavenumber -N/2
+    assert half.k_axes[-1].ravel()[-1] == -np.pi * grid.sizes[-1] / grid.lengths[-1]
+    for table in ("inv_k2", "masked_inv_k2", "dealias_mask"):
+        assert np.array_equal(getattr(half, table), getattr(grid, table)[cut])
+    multiplicity = np.full(nh, 2.0)
+    multiplicity[[0, -1]] = 1.0
+    assert np.array_equal(half.k2, grid.k2[cut] * multiplicity)
+
+
+@pytest.mark.parametrize("name", HALF_GRIDS)
+def test_half_norm_with_doubled_k2_equals_the_full_norm(name, rng):
+    grid = HALF_GRIDS[name]
+    nh = grid.half.shape[-1]
+    full = grid.fft(rng.standard_normal((grid.dim,) + grid.shape))
+    for spec in [full] + [full * (1j * k) for k in grid.k_axes]:
+        want = weighted_norm_sq(spec, grid.k2, grid)
+        got = weighted_norm_sq(spec[..., :nh], grid.half.k2, grid.half)
+        assert want > 0.0
+        assert abs(got - want) <= 1e-14 * want
+
+
+@pytest.mark.parametrize("name", HALF_GRIDS)
+def test_rfft_irfft_round_trip_and_fft_is_the_mirror(name, rng):
+    grid = HALF_GRIDS[name]
+    vals = rng.standard_normal((grid.dim,) + grid.shape)
+    half = grid.rfft(vals)
+    assert half.shape == (grid.dim,) + grid.half.shape
+    assert np.array_equal(grid.fft(vals), grid.mirror(half))
+    kept = half.copy()
+    back = grid.irfft(half)
+    assert np.array_equal(half, kept)
+    assert np.abs(back - vals).max() < 1e-13 * np.abs(vals).max()
+
+
+@pytest.mark.parametrize("name", HALF_GRIDS)
+def test_gradient_values_equals_ifft_of_the_full_product(name, rng):
+    grid = HALF_GRIDS[name]
+    spec = grid.fft(rng.standard_normal((grid.dim,) + grid.shape))
+    buf = np.empty((grid.dim, grid.dim) + grid.shape, dtype=complex)
+    for j in range(grid.dim):
+        np.multiply(spec, 1j * grid.k_axes[j], out=buf[:, j])
+    assert np.array_equal(gradient_values(spec, grid), grid.ifft(buf))
 
 
 # -- gradient bound monitor ---------------------------------------------------
