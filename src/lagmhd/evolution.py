@@ -17,6 +17,7 @@ from typing import Optional
 
 import numpy as np
 
+from .errors import ConfigError
 from .fields import ScalarField, VectorField
 from .geometry import FlowState, cofactor_values, graded_metric_values
 from .grid import Grid
@@ -214,6 +215,14 @@ class NonlinearForce:
     f2: Optional[VectorField] = None  # G1 : hess Yt
 
 
+def _require_mask(grid: Grid):
+    if not grid.dealias:
+        raise ConfigError(
+            "dealias = off is not supported by the Lagrangian solver: its force "
+            "works on half spectra, which need the 2/3 mask"
+        )
+
+
 def compute_force(
     state: FlowState,
     pressure_tol: float = 1e-10,
@@ -229,8 +238,15 @@ def compute_force(
     whatever the dimension. Every spectrum in between lives on the k_last >= 0
     half (``grid.half``); f, the pressure force and grad_p are mirrored to
     full spectra once each, on return.
+
+    Precondition: the grid keeps the 2/3 mask (``dealias`` on). The mask
+    zeroes the Nyquist hyperplanes of the leading axes, where an odd
+    multiplier leaves a real field's spectrum non-Hermitian and a half
+    spectrum cannot hold what the full one does; an open mask raises
+    ConfigError.
     """
     grid = state.grid
+    _require_mask(grid)
     half = grid.half
     grad_y = gradient_values(state.Y.spec, grid)
     b1, b2, a_vals = cofactor_values(grad_y)
@@ -304,6 +320,7 @@ class LagrangianStepper:
         pressure_tol: float = 1e-10,
         pressure_max_iter: int = 50,
     ):
+        _require_mask(grid)
         self.grid = grid
         self.dt = dt
         self.pressure_tol = pressure_tol

@@ -96,6 +96,9 @@ class Grid:
         object.__setattr__(self, "_hs_weights", {})
         object.__setattr__(self, "_mirror_pairs", _mirror_pairs(sizes))
         object.__setattr__(self, "_nyquist_pairs", _nyquist_pairs(sizes))
+        object.__setattr__(
+            self, "_nyquist_ik", _nyquist_ik(k_axes, self._nyquist_pairs, sizes)
+        )
 
     # -- transforms --------------------------------------------------------
 
@@ -190,10 +193,11 @@ class HalfGrid:
     """The spectral tables of a Grid restricted to its k_last >= 0 half.
 
     Every table is the first N/2+1 last-axis planes of the full one, so the
-    Nyquist plane keeps the stored wavenumber -N/2. ``k2`` carries the
-    Hermitian multiplicity: interior k_last planes count twice, the k_last = 0
-    and Nyquist planes once, so a norm weighted by it over the half equals
-    the |k|^2-weighted norm over the full spectrum.
+    Nyquist plane keeps the stored wavenumber -N/2. ``norm_k2`` is a norm
+    weight, not the |k|^2 symbol: |k|^2 times the Hermitian multiplicity
+    (interior k_last planes twice, the k_last = 0 and Nyquist planes once),
+    so a norm weighted by it over the half equals the |k|^2-weighted norm
+    over the full spectrum.
     """
 
     dim: int
@@ -204,7 +208,7 @@ class HalfGrid:
     inv_k2: np.ndarray
     masked_inv_k2: np.ndarray
     dealias_mask: np.ndarray
-    k2: np.ndarray
+    norm_k2: np.ndarray
 
 
 def _half_tables(grid: Grid) -> HalfGrid:
@@ -224,7 +228,7 @@ def _half_tables(grid: Grid) -> HalfGrid:
         inv_k2=cut(grid.inv_k2),
         masked_inv_k2=cut(grid.masked_inv_k2),
         dealias_mask=cut(grid.dealias_mask),
-        k2=cut(grid.k2) * multiplicity,
+        norm_k2=cut(grid.k2) * multiplicity,
     )
 
 
@@ -266,6 +270,24 @@ def _nyquist_pairs(sizes):
             src = (Ellipsis,) + tuple(p[1] for p in lead) + (slice(n - 1, n // 2, -1),)
             pairs.append((dst, src))
     return tuple(pairs)
+
+
+def _nyquist_ik(k_axes, pairs, sizes):
+    """The points of ``_nyquist_pairs`` and i k at both ends of each pair.
+
+    Returns (dst, src, ik_dst, ik_src): dst and src are index tuples over
+    the spatial axes (a dst index is the same in the k_last >= 0 half), and
+    ik_dst, ik_src stack the multipliers of all directions on a leading axis.
+    Where the hyperplanes of two axes cross, a point is listed twice with the
+    same source, as ``Grid.ifft`` writes it twice.
+    """
+    index = np.arange(int(np.prod(sizes))).reshape(sizes)
+    ends = []
+    for end in (0, 1):
+        flat = np.concatenate([index[pair[end]].ravel() for pair in pairs])
+        ends.append((Ellipsis,) + np.unravel_index(flat, sizes))
+    ik = [np.broadcast_to(1j * ka, sizes) for ka in k_axes]
+    return tuple(ends) + tuple(np.stack([m[e] for m in ik]) for e in ends)
 
 
 def multi_indices(dim: int, s: int):

@@ -67,7 +67,7 @@ def solve_pressure_spec(grid: Grid, defect_vals, rhs_half, tol, max_iter):
     q = (mask inv_k2) (k . rfft(defect . grad_p)): R[v] = k inv_k2 (k . v), and
     the 2/3 mask acts after the contraction, on one component. The residual
     of a step is |grad_p_new - grad_p| = |k (q_new - q)|, summed over the
-    half with the Hermitian multiplicity carried by ``half.k2``.
+    half with the Hermitian multiplicity carried by ``half.norm_k2``.
     """
     half = grid.half
     k = half.k_axes
@@ -85,7 +85,7 @@ def solve_pressure_spec(grid: Grid, defect_vals, rhs_half, tol, max_iter):
             np.multiply(k[i], q, out=gp[i])
         np.subtract(rhs_half, gp, out=gp)
         q_prev -= q  # minus the step of the potential
-        res = float(np.sqrt(weighted_norm_sq(q_prev, half.k2, half)))
+        res = float(np.sqrt(weighted_norm_sq(q_prev, half.norm_k2, half)))
         q_prev = q
         residuals.append(res)
         if len(residuals) >= 2 and residuals[-2] > 0:

@@ -2,7 +2,7 @@
 
 ``_k_contract``, ``divergence_spec``, ``dealias_spec``, ``riesz_apply_spec``
 and ``weighted_norm_sq`` read only the grid's tables, so given ``grid.half``
-they act on k_last >= 0 half spectra (with ``half.k2`` as the doubled
+they act on k_last >= 0 half spectra (with ``half.norm_k2`` as the doubled
 |k|^2 weight of a norm).
 """
 
@@ -48,23 +48,23 @@ def partial_derivative(field: _Field, alpha):
 def gradient_values(spec, grid: Grid):
     """Real-space gradient of a spectral vector: out[i, j] = d_j v^i.
 
-    Only the k_last >= 0 half is multiplied, with the Nyquist index of a
-    leading axis zeroed in its own direction, as ``derivative_multiplier``
-    does (``Grid.ifft`` does the same by its Hermitian projection); all
-    components and directions go through one inverse transform.
+    Bit for bit ``grid.ifft`` of the full products i k_j spec, for any full
+    spectrum, Hermitian or not, with only the k_last >= 0 half multiplied. On
+    the Nyquist hyperplanes of the leading axes (interior k_last) it forms the
+    Hermitian part that ``Grid.ifft`` takes there, from the products at k and
+    at -k of the full input. All components and directions go through one
+    inverse transform.
     """
     half = grid.half
-    d = grid.dim
-    nh = half.shape[-1]
-    buf = np.empty((spec.shape[0], d) + half.shape, dtype=complex)
-    spec = spec[..., :nh]
-    for j in range(d):
-        np.multiply(spec, 1j * half.k_axes[j], out=buf[:, j])
-        if j < d - 1:
-            # interior k_last only: on the k_last = 0 and Nyquist planes the
-            # inverse transform drops the non-Hermitian part itself
-            nyquist = (slice(None),) * (j + 1) + (grid.sizes[j] // 2, Ellipsis)
-            buf[:, j][nyquist + (slice(1, nh - 1),)] = 0.0
+    buf = np.empty((spec.shape[0], grid.dim) + half.shape, dtype=complex)
+    spec_half = spec[..., : half.shape[-1]]
+    for j in range(grid.dim):
+        np.multiply(spec_half, 1j * half.k_axes[j], out=buf[:, j])
+    dst, src, ik_dst, ik_src = grid._nyquist_ik
+    part = np.conjugate(spec[src][:, None] * ik_src)
+    part += spec[dst][:, None] * ik_dst
+    part *= 0.5
+    buf[dst] = part
     return grid.irfft(buf)
 
 

@@ -196,79 +196,68 @@ def test_force_decomposition_consistency():
     assert np.abs(resid2).max() < 1e-10 * max(np.abs(v1).max(), 1e-300)
 
 
-@pytest.mark.parametrize("sizes", [(16, 16, 16), (32, 32)])
-def test_force_takes_one_viscous_transform(monkeypatch, sizes):
-    grid = Grid(sizes, (2 * np.pi,) * len(sizes))
-    state = build_flow_state(grid, scaled_spec(default_spec(grid.dim, None), 0.05))
-    state.Y.spec, state.Yt.spec, state.Yt.values  # cache both views first
-    calls = []
-    rfft = Grid.rfft
+def _force_transforms(monkeypatch, grid, amp):
+    """Shapes of every Grid.rfft input and Grid.irfft argument, in call order,
+    over one compute_force, and its Picard iteration count.
 
-    def counted(self, values):
-        calls.append(values.shape)
-        return rfft(self, values)
-
-    monkeypatch.setattr(Grid, "rfft", counted)
-    force = compute_force(state)
-    # viscous flux + two for the pressure rhs + one per Picard iteration
-    # + the pressure force
-    assert len(calls) == 1 + 2 + force.pressure.iterations + 1
-
-
-@pytest.mark.parametrize("sizes", [(16, 16, 16), (32, 32)], ids=["3D", "2D"])
-def test_force_takes_one_inverse_transform_per_gradient(monkeypatch, sizes):
-    grid = Grid(sizes, (2 * np.pi,) * len(sizes))
-    state = build_flow_state(grid, scaled_spec(default_spec(grid.dim, None), 0.05))
-    state.Y.spec, state.Y.values, state.Yt.spec, state.Yt.values  # cache both views
-    calls = []
-    irfft = Grid.irfft
-
-    def counted(self, half):
-        calls.append(half.shape)
-        return irfft(self, half)
-
-    monkeypatch.setattr(Grid, "irfft", counted)
-    force = compute_force(state)
-    # grad Y and grad Yt + one in the pressure rhs + one per Picard iteration
-    # + the pressure gradient
-    assert len(calls) == 2 + 1 + force.pressure.iterations + 1
-    assert calls[:2] == [(grid.dim, grid.dim) + grid.half.shape] * 2
-
-
-@pytest.mark.parametrize(
-    "sizes, amp",
-    [((16, 16, 16), 1e-4), ((16, 16, 16), 0.05), ((32, 32), 1e-4), ((32, 32), 0.1)],
-    ids=["3D-slab", "3D-strong", "2D-slab", "2D-strong"],
-)
-def test_force_component_transform_count(monkeypatch, sizes, amp):
-    # every transform of the kernel goes through Grid.rfft or Grid.irfft;
-    # the state holds spectra only, as a stepped state does, so Yt's
-    # samples cost one inverse transform of its d components
-    grid = Grid(sizes, (2 * np.pi,) * len(sizes))
+    The state holds spectra only, as a stepped state does, so Yt's samples
+    cost one inverse transform. Every transform of the kernel goes through
+    Grid.rfft or Grid.irfft.
+    """
     built = build_flow_state(grid, scaled_spec(default_spec(grid.dim, None), amp))
     state = FlowState(
         VectorField.from_spec(grid, built.Y.spec),
         VectorField.from_spec(grid, built.Yt.spec),
         0.0,
     )
-    count = [0]
+    calls = {"rfft": [], "irfft": []}
     rfft, irfft = Grid.rfft, Grid.irfft
 
     def counted_rfft(self, values):
-        count[0] += values.size // self.npoints
+        calls["rfft"].append(values.shape)
         return rfft(self, values)
 
     def counted_irfft(self, half):
-        count[0] += half.size // int(np.prod(self.half.shape))
+        calls["irfft"].append(half.shape)
         return irfft(self, half)
 
     monkeypatch.setattr(Grid, "rfft", counted_rfft)
     monkeypatch.setattr(Grid, "irfft", counted_irfft)
     iters = compute_force(state).pressure.iterations
-    # 3D: 9 + 9 gradients, 3 for Yt, 9 flux, 9 + 3 + 3 pressure rhs,
-    # 3 + 3 pressure force, and 3 + 3 per Picard iteration
-    expected = 51 + 6 * iters if grid.dim == 3 else 26 + 4 * iters
-    assert count[0] == expected
+    monkeypatch.undo()
+    return calls["rfft"], calls["irfft"], iters
+
+
+# one Picard iteration, as on slab3d, and several, as on strong3d
+FORCE_AMPS = (1e-4, 0.05)
+
+
+@pytest.mark.parametrize("sizes", [(16, 16, 16), (32, 32)])
+def test_force_takes_one_viscous_transform(monkeypatch, sizes):
+    grid = Grid(sizes, (2 * np.pi,) * len(sizes))
+    d = grid.dim
+    vec, mat = (d,) + grid.shape, (d, d) + grid.shape
+    for amp in FORCE_AMPS:
+        calls, _, iters = _force_transforms(monkeypatch, grid, amp)
+        # viscous flux, Z A and A^T w for the pressure rhs, D grad_p per
+        # Picard iteration, and A grad_p for the pressure force
+        assert calls == [mat, mat, vec] + [vec] * iters + [vec]
+
+
+@pytest.mark.parametrize("sizes", [(16, 16, 16), (32, 32)], ids=["3D", "2D"])
+def test_force_takes_one_inverse_transform_per_gradient(monkeypatch, sizes):
+    grid = Grid(sizes, (2 * np.pi,) * len(sizes))
+    d = grid.dim
+    vec, mat = (d,) + grid.half.shape, (d, d) + grid.half.shape
+    for amp in FORCE_AMPS:
+        forward, calls, iters = _force_transforms(monkeypatch, grid, amp)
+        # grad Y and grad Yt, the samples of Yt, w of the pressure rhs,
+        # grad_p per Picard iteration, and the final grad_p
+        assert calls == [mat, mat, vec, vec] + [vec] * iters + [vec]
+        # component transforms, forward and inverse: the parent's traced
+        # Grid.fft/Grid.ifft count per force (57 at one iteration in 3D)
+        components = sum(int(np.prod(s[:-d])) for s in forward + calls)
+        assert components == (51 + 6 * iters if d == 3 else 26 + 4 * iters)
 
 
 # -- Lagrangian stepping ---------------------------------------------------------

@@ -7,7 +7,7 @@ from lagmhd.checkpoint import read_checkpoint, write_checkpoint
 from lagmhd.config import RunConfig
 from lagmhd.energy import EnergyEvaluator
 from lagmhd.errors import ConfigError
-from lagmhd.evolution import EulerianStepper, EulerState
+from lagmhd.evolution import EulerianStepper, EulerState, compute_force
 from lagmhd.geometry import FlowState
 from lagmhd.grid import Grid
 from lagmhd.initial_data import VelocityMode
@@ -245,3 +245,19 @@ def test_compare_discrepancy_halves_with_dt(tmp_path):
         rep = compare_formulations(cfg)
         discrepancies.append(max(rep.max_u_discrepancy, rep.max_b_discrepancy))
     assert 3.0 < discrepancies[0] / discrepancies[1] < 5.0
+
+
+def test_lagrangian_paths_reject_an_open_mask(tmp_path):
+    # the half-spectrum force needs the 2/3 mask; the Eulerian solver runs
+    # without it
+    out = tmp_path / "out"
+    grid = Grid((8, 8, 8), (16.0, 2 * np.pi, 2 * np.pi), dealias=False)
+    with pytest.raises(ConfigError, match="dealias"):
+        compute_force(FlowState.zeros(grid))
+    for solver, run in (("lagrangian", run_simulation), ("both", compare_formulations)):
+        cfg = small_config(out, solver=solver, sizes=(8, 8, 8), dealias=False)
+        with pytest.raises(ConfigError, match="dealias"):
+            run(cfg)
+    assert not out.exists()
+    cfg = small_config(out, solver="eulerian", sizes=(8, 8, 8), dealias=False)
+    assert not run_simulation(cfg).aborted
