@@ -160,7 +160,12 @@ def propagator_matrix(k, dt: float):
 
 @dataclass
 class LinearPropagator:
-    """Per-mode exact propagation blocks for a fixed grid and time step."""
+    """Per-mode exact propagation blocks for a fixed grid and time step.
+
+    The roots, the ``degenerate`` flags and the stability check cover every
+    mode of the grid; the stepping blocks are stored on the band
+    (``grid.half``), and ``apply`` acts on bands.
+    """
 
     grid: Grid
     dt: float
@@ -178,18 +183,23 @@ class LinearPropagator:
         self.lam_minus = lm
         disc = a * a - 4.0 * b
         self.degenerate = np.abs(disc) <= DEGENERATE_REL_TOL * a * a
-        self.phi0, self.phi1, self.dphi1 = _phi_entries(a, b, dt, (lp, lm))
+
+        band = grid.half
+        a = band.k2
+        b = np.broadcast_to(band.k1sq, band.shape)
+        roots = tuple(r[..., : band.shape[-1]] for r in (lp, lm))
+        self.phi0, self.phi1, self.dphi1 = _phi_entries(a, b, dt, roots)
         self.dphi0 = -b * self.phi1
-        self.i0, self.k1 = _integral_entries(a, b, dt, (lp, lm))
+        self.i0, self.k1 = _integral_entries(a, b, dt, roots)
         # corrector weights: Y gains y_f0 f0 + k1 f1, Yt gains yt_f0 f0 + yt_f1 f1
         self.y_f0 = self.i0 - self.k1
         self.yt_f0 = self.phi1 - self.i0 / dt
         self.yt_f1 = self.i0 / dt
 
-    def apply(self, y_spec, yt_spec):
+    def apply(self, y_band, yt_band):
         return (
-            self.phi0 * y_spec + self.phi1 * yt_spec,
-            self.dphi0 * y_spec + self.dphi1 * yt_spec,
+            self.phi0 * y_band + self.phi1 * yt_band,
+            self.dphi0 * y_band + self.dphi1 * yt_band,
         )
 
 
@@ -219,8 +229,15 @@ def _require_mask(grid: Grid):
     if not grid.dealias:
         raise ConfigError(
             "dealias = off is not supported by the Lagrangian solver: its force "
-            "works on half spectra, which need the 2/3 mask"
+            "works on the 2/3-retained band, which needs the 2/3 mask"
         )
+
+
+def _bands(state: FlowState):
+    """The bands of Y and Yt with the 2/3 mask applied: what the state holds
+    outside the retained modes is dropped."""
+    half = state.grid.half
+    return dealias_spec(state.Y.band, half), dealias_spec(state.Yt.band, half)
 
 
 def compute_force(
@@ -235,22 +252,24 @@ def compute_force(
     as the sum of the graded pieces G_d, in one product; I is never added and
     removed, so small deformations do not cancel. The same D drives the
     pressure fixed point, and the viscous flux costs a single transform
-    whatever the dimension. Every spectrum in between lives on the k_last >= 0
-    half (``grid.half``); f, the pressure force and grad_p are mirrored to
-    full spectra once each, on return.
+    whatever the dimension. It reads the bands of Y and Yt (``grid.half``),
+    every spectrum in between lives on the band, and f, the pressure force
+    and grad_p are returned as band fields: nothing is mirrored.
 
     Precondition: the grid keeps the 2/3 mask (``dealias`` on). The mask
     zeroes the Nyquist hyperplanes of the leading axes, where an odd
-    multiplier leaves a real field's spectrum non-Hermitian and a half
-    spectrum cannot hold what the full one does; an open mask raises
-    ConfigError.
+    multiplier leaves a real field's spectrum non-Hermitian and a band
+    cannot hold what the full spectrum does; an open mask raises
+    ConfigError. What the state holds outside the 2/3-retained modes is
+    ignored.
     """
     grid = state.grid
     _require_mask(grid)
     half = grid.half
-    grad_y = gradient_values(state.Y.spec, grid)
+    y_band, yt_band = _bands(state)
+    grad_y = gradient_values(y_band, grid)
     b1, b2, a_vals = cofactor_values(grad_y)
-    grad_yt = gradient_values(state.Yt.spec, grid)
+    grad_yt = gradient_values(yt_band, grid)
 
     b = b1 + b2
     defect = np.einsum("mi...,mj...->ij...", b, b)
@@ -261,7 +280,7 @@ def compute_force(
     del flux_half  # nine spectra, not held through the pressure solve
 
     d1y = grad_y[:, 0]
-    rhs_half = _tensor_rhs_spec(grid, a_vals, d1y, state.Yt.values)
+    rhs_half = _tensor_rhs_spec(grid, a_vals, d1y, grid.irfft(yt_band))
     gp_half, iters, residuals, contraction = solve_pressure_spec(
         grid, defect, rhs_half, pressure_tol, pressure_max_iter
     )
@@ -286,10 +305,10 @@ def compute_force(
         f2 = VectorField.from_spec(grid, dealias_spec(grid.fft(f2_vals), grid))
 
     return NonlinearForce(
-        f=VectorField.from_spec(grid, grid.mirror(fp_half + visc_half)),
-        pressure_force=VectorField.from_spec(grid, grid.mirror(fp_half)),
+        f=VectorField.from_band(grid, fp_half + visc_half),
+        pressure_force=VectorField.from_band(grid, fp_half),
         pressure=PressureSolution(
-            grad_p=VectorField.from_spec(grid, grid.mirror(gp_half)),
+            grad_p=VectorField.from_band(grid, gp_half),
             iterations=iters,
             residuals=residuals,
             contraction_estimate=contraction,
@@ -335,38 +354,41 @@ class LagrangianStepper:
         )
 
     def step(self, state: FlowState, force: NonlinearForce = None) -> FlowState:
-        """Advance one dt; force, when given, is self.force(state)."""
+        """Advance one dt; force, when given, is self.force(state).
+
+        Works on bands: what the state holds outside the 2/3-retained modes
+        is dropped.
+        """
         grid, dt, prop = self.grid, self.dt, self.propagator
-        y0, yt0 = state.Y.spec, state.Yt.spec
-        py, pyt = prop.apply(y0, yt0)
+        py, pyt = prop.apply(*_bands(state))
 
         f0 = force if force is not None else self.force(state)
-        f0h = f0.f.spec
+        f0h = f0.f.band
         y_star = py + prop.i0 * f0h
         yt_star = pyt + prop.phi1 * f0h
         star = FlowState(
-            VectorField.from_spec(grid, y_star),
-            VectorField.from_spec(grid, yt_star),
+            VectorField.from_band(grid, y_star),
+            VectorField.from_band(grid, yt_star),
             state.t + dt,
         )
-        f1h = self.force(star).f.spec
+        f1h = self.force(star).f.band
 
         y_new = py + prop.y_f0 * f0h + prop.k1 * f1h
         yt_new = pyt + prop.yt_f0 * f0h + prop.yt_f1 * f1h
         if not (np.isfinite(np.abs(y_new).max()) and np.isfinite(np.abs(yt_new).max())):
             raise FloatingPointError("non-finite spectral coefficients after step")
         return FlowState(
-            VectorField.from_spec(grid, y_new),
-            VectorField.from_spec(grid, yt_new),
+            VectorField.from_band(grid, y_new),
+            VectorField.from_band(grid, yt_new),
             state.t + dt,
         )
 
     def step_linear(self, state: FlowState) -> FlowState:
         """Propagate with the forcing forced to zero (linear system)."""
-        y, yt = self.propagator.apply(state.Y.spec, state.Yt.spec)
+        y, yt = self.propagator.apply(*_bands(state))
         return FlowState(
-            VectorField.from_spec(self.grid, y),
-            VectorField.from_spec(self.grid, yt),
+            VectorField.from_band(self.grid, y),
+            VectorField.from_band(self.grid, yt),
             state.t + self.dt,
         )
 

@@ -1,9 +1,10 @@
 """Scalar, vector and matrix fields with lazily cached spectra.
 
-Fields are treated as immutable: operations return fresh instances, and the
-real samples and normalized Fourier coefficients are two views of the same
-data, computed on first access from whichever representation the field was
-built with.
+Fields are treated as immutable: operations return fresh instances. A field
+holds up to three views of the same data, each computed on first access from
+the one the field was built with: the real samples, the full normalized
+Fourier coefficients, and the band (``Grid.half``), the first K last-axis
+planes of the coefficients, which is all a 2/3-dealiased field carries.
 """
 
 from __future__ import annotations
@@ -17,11 +18,15 @@ from .grid import Grid
 class _Field:
     rank = 0
 
-    def __init__(self, grid: Grid, values=None, spec=None):
-        if values is None and spec is None:
+    def __init__(self, grid: Grid, values=None, spec=None, band=None):
+        if values is None and spec is None and band is None:
             raise ValueError("field needs real values or spectral coefficients")
-        expected = self._expected_shape(grid)
-        for name, arr in (("values", values), ("spec", spec)):
+        lead = (grid.dim,) * self.rank
+        for name, arr, expected in (
+            ("values", values, lead + grid.shape),
+            ("spec", spec, lead + grid.shape),
+            ("band", band, lead + grid.half.shape),
+        ):
             if arr is not None and arr.shape != expected:
                 raise ValueError(
                     f"{name} shape {arr.shape} does not match grid shape {expected}"
@@ -29,6 +34,10 @@ class _Field:
         self.grid = grid
         self._values = values
         self._spec = spec
+        self._band = band
+        # the full spectrum and the samples of a field built from its band
+        # come from the band: it carries everything the field has
+        self._from_band = band is not None and spec is None
 
     @classmethod
     def _expected_shape(cls, grid: Grid):
@@ -43,37 +52,45 @@ class _Field:
         return cls(grid, spec=np.asarray(spec, dtype=complex))
 
     @classmethod
+    def from_band(cls, grid: Grid, band):
+        """Field that is zero outside the band; ``band`` is its first K planes."""
+        return cls(grid, band=np.asarray(band, dtype=complex))
+
+    @classmethod
     def zeros(cls, grid: Grid):
         return cls(grid, values=np.zeros(cls._expected_shape(grid)))
 
     @property
     def values(self):
         if self._values is None:
-            self._values = self.grid.ifft(self._spec)
+            if self._from_band:
+                self._values = self.grid.irfft(self._band)
+            else:
+                self._values = self.grid.ifft(self._spec)
         return self._values
 
     @property
     def spec(self):
         if self._spec is None:
-            self._spec = self.grid.fft(self._values)
+            if self._from_band:
+                self._spec = self.grid.mirror(self._band)
+            else:
+                self._spec = self.grid.fft(self._values)
         return self._spec
+
+    @property
+    def band(self):
+        """The first K last-axis planes of the spectrum; what lies outside is dropped."""
+        if self._band is None:
+            if self._spec is not None:
+                self._band = self._spec[..., : self.grid.half.shape[-1]]
+            else:
+                self._band = self.grid.rfft(self._values)
+        return self._band
 
     def check_same_grid(self, other):
         if not self.grid.same_as(other.grid):
             raise GridMismatchError("fields live on different grids")
-
-    def conjugate_symmetry_error(self) -> float:
-        """Max deviation of c(-k) from conj(c(k)), relative to the largest coefficient."""
-        spec = self.spec
-        axes = self.grid.spatial_axes
-        flipped = spec
-        for ax in axes:
-            flipped = np.flip(flipped, axis=ax)
-            flipped = np.roll(flipped, 1, axis=ax)
-        scale = np.abs(spec).max()
-        if scale == 0.0:
-            return 0.0
-        return float(np.abs(flipped - np.conj(spec)).max() / scale)
 
 
 class ScalarField(_Field):
@@ -82,13 +99,6 @@ class ScalarField(_Field):
 
 class VectorField(_Field):
     rank = 1
-
-    def component(self, i: int) -> ScalarField:
-        return ScalarField(
-            self.grid,
-            values=None if self._values is None else self._values[i],
-            spec=None if self._spec is None else self._spec[i],
-        )
 
 
 class MatrixField(_Field):

@@ -24,7 +24,8 @@ class Grid:
     """Uniform periodic grid on a box of per-axis lengths L_i with N_i points.
 
     Wavevectors follow FFT ordering, k_i = (2*pi/L_i) * n_i with
-    n_i in {0, ..., N_i/2 - 1, -N_i/2, ..., -1}.
+    n_i in {0, ..., N_i/2 - 1, -N_i/2, ..., -1}. ``half`` holds the tables
+    of the band, the last-axis planes that ``rfft`` and ``irfft`` work on.
     """
 
     sizes: tuple
@@ -92,7 +93,7 @@ class Grid:
         object.__setattr__(self, "dealias_mask", mask)
         # inverse Laplacian restricted to the retained band
         object.__setattr__(self, "masked_inv_k2", mask * inv_k2)
-        object.__setattr__(self, "half", _half_tables(self))
+        object.__setattr__(self, "half", _band_tables(self))
         object.__setattr__(self, "_hs_weights", {})
         object.__setattr__(self, "_mirror_pairs", _mirror_pairs(sizes))
         object.__setattr__(self, "_nyquist_pairs", _nyquist_pairs(sizes))
@@ -111,34 +112,59 @@ class Grid:
         return tuple(range(-self.dim, 0))
 
     def rfft(self, values):
-        """Real samples -> the k_last >= 0 half of the normalized coefficients.
+        """Real samples -> the band (``half``) of the normalized coefficients.
 
-        A real-data transform scaled by 1/N, exact for power-of-two sizes.
+        The band is the first ``half.shape[-1]`` last-axis planes of the full
+        spectrum: K = ceil(N_last/3) under the 2/3 mask, all N_last/2 + 1
+        without it. A pruned real-data transform, scaled by 1/N (exact for
+        power-of-two sizes): rfft along the last axis keeping the band, then
+        fftn over the leading axes.
         """
-        return sfft.rfftn(values, axes=self.spatial_axes, norm="forward")
+        last = sfft.rfft(values, axis=-1, norm="forward")[..., : self.half.shape[-1]]
+        return sfft.fftn(last, axes=self.spatial_axes[:-1], norm="forward")
 
-    def irfft(self, half):
-        """k_last >= 0 half -> real samples; the argument is left unchanged.
+    def irfft(self, band):
+        """Band -> real samples; the argument is left unchanged.
 
-        The half must be Hermitian on the Nyquist hyperplanes of the leading
-        axes, as every spectrum the 2/3 mask has zeroed there is.
+        Takes any number of k_last >= 0 planes up to N_last/2 + 1 and treats
+        the missing ones as zero: ifftn over the leading axes, then irfft
+        along the last axis. Under the 2/3 mask every band is Hermitian on the
+        Nyquist hyperplanes of the leading axes, because it is zero there.
         """
-        return sfft.irfftn(half, s=self.sizes, axes=self.spatial_axes, norm="forward")
+        n, k = self.sizes[-1], band.shape[-1]
+        pad = np.zeros(band.shape[:-1] + (n // 2 + 1,), dtype=complex)
+        part = pad[..., :k]
+        part[...] = band
+        lead = sfft.ifftn(
+            part, axes=self.spatial_axes[:-1], norm="forward", overwrite_x=True
+        )
+        if not np.may_share_memory(lead, pad):  # overwrite_x is a hint only
+            part[...] = lead
+        return sfft.irfft(pad, n=n, axis=-1, norm="forward", overwrite_x=True)
 
-    def mirror(self, half):
-        """Full spectrum from its k_last >= 0 half by c(-k) = conj(c(k))."""
-        full = np.empty(half.shape[: -self.dim] + self.sizes, dtype=complex)
-        full[..., : half.shape[-1]] = half
+    def mirror(self, band):
+        """Full spectrum from k_last >= 0 planes by c(-k) = conj(c(k)).
+
+        Accepts the band or the whole N_last/2 + 1 half; the planes the
+        argument does not hold are zero.
+        """
+        n, k = self.sizes[-1], band.shape[-1]
+        m = min(k, n // 2) - 1  # mirrored planes: k_last = 1..m
+        full = np.empty(band.shape[: -self.dim] + self.sizes, dtype=complex)
+        full[..., :k] = band
+        full[..., k : n - m] = 0.0
         for dst, src in self._mirror_pairs:
-            np.conjugate(half[src], out=full[dst])
+            np.conjugate(
+                band[src + (slice(m, 0, -1),)], out=full[dst + (slice(n - m, n),)]
+            )
         return full
 
     def fft(self, values):
         """Real samples -> normalized coefficients c_k with f(y) = sum c_k e^{ik.y}.
 
-        Returns the full spectrum: the mirror of ``rfft``.
+        Returns the full spectrum: the mirror of the whole k_last >= 0 half.
         """
-        return self.mirror(self.rfft(values))
+        return self.mirror(sfft.rfftn(values, axes=self.spatial_axes, norm="forward"))
 
     def ifft(self, spec):
         """Normalized coefficients -> real samples, as a contiguous float64 array.
@@ -159,7 +185,11 @@ class Grid:
             part += spec[dst]
             part *= 0.5
             half[dst] = part
-        return self.irfft(half)
+        return self._irfftn(half)
+
+    def _irfftn(self, half):
+        """The whole k_last >= 0 half -> real samples; the argument is unchanged."""
+        return sfft.irfftn(half, s=self.sizes, axes=self.spatial_axes, norm="forward")
 
     # -- norms and weights --------------------------------------------------
 
@@ -190,14 +220,17 @@ class Grid:
 
 @dataclass(frozen=True, eq=False)
 class HalfGrid:
-    """The spectral tables of a Grid restricted to its k_last >= 0 half.
+    """The spectral tables of a Grid restricted to its band.
 
-    Every table is the first N/2+1 last-axis planes of the full one, so the
-    Nyquist plane keeps the stored wavenumber -N/2. ``norm_k2`` is a norm
-    weight, not the |k|^2 symbol: |k|^2 times the Hermitian multiplicity
-    (interior k_last planes twice, the k_last = 0 and Nyquist planes once),
-    so a norm weighted by it over the half equals the |k|^2-weighted norm
-    over the full spectrum.
+    The band is the first K last-axis planes (k_last = 0, ..., K - 1) of the
+    full spectrum: K = ceil(N_last/3) under the 2/3 mask, which keeps exactly
+    those planes, and all N_last/2 + 1 (the k_last >= 0 half, Nyquist plane
+    included) without it. Every table is the first K planes of the full one.
+    ``k2`` and ``k1sq`` are the |k|^2 and k1^2 symbols. ``norm_k2`` is a norm
+    weight: |k|^2 times the Hermitian multiplicity (the k_last = 0 plane and
+    a Nyquist plane once, every other plane twice), so a norm weighted by it
+    over the band equals the |k|^2-weighted norm over the full spectrum of a
+    field that is zero outside the band.
     """
 
     dim: int
@@ -205,26 +238,33 @@ class HalfGrid:
     spatial_axes: tuple
     volume: float
     k_axes: tuple
+    k2: np.ndarray
+    k1sq: np.ndarray
     inv_k2: np.ndarray
     masked_inv_k2: np.ndarray
     dealias_mask: np.ndarray
     norm_k2: np.ndarray
 
 
-def _half_tables(grid: Grid) -> HalfGrid:
-    nh = grid.sizes[-1] // 2 + 1
+def _band_tables(grid: Grid) -> HalfGrid:
+    n = grid.sizes[-1]
+    nb = int(np.ceil(n / 3.0)) if grid.dealias else n // 2 + 1
 
     def cut(table):
-        return np.ascontiguousarray(table[..., :nh])
+        return np.ascontiguousarray(table[..., :nb])
 
-    multiplicity = np.full(nh, 2.0)
-    multiplicity[0] = multiplicity[-1] = 1.0
+    multiplicity = np.full(nb, 2.0)
+    multiplicity[0] = 1.0
+    if nb == n // 2 + 1:
+        multiplicity[-1] = 1.0
     return HalfGrid(
         dim=grid.dim,
-        shape=grid.sizes[:-1] + (nh,),
+        shape=grid.sizes[:-1] + (nb,),
         spatial_axes=grid.spatial_axes,
         volume=grid.volume,
         k_axes=tuple(cut(ka) for ka in grid.k_axes),
+        k2=cut(grid.k2),
+        k1sq=cut(grid.k1sq),
         inv_k2=cut(grid.inv_k2),
         masked_inv_k2=cut(grid.masked_inv_k2),
         dealias_mask=cut(grid.dealias_mask),
@@ -238,16 +278,16 @@ def _negated(n: int):
 
 
 def _mirror_pairs(sizes):
-    """(dst, src) index pairs that fill k_last < 0 from c(-k) = conj(c(k)).
+    """(dst, src) leading-axis index pairs for c(-k) = conj(c(k)).
 
     One pair per choice of the zero or the nonzero block on each leading
-    axis: 2^(d-1) reversed-slice copies out of the k_last >= 0 half.
+    axis, so that ``Grid.mirror`` fills k_last < 0 with 2^(d-1) reversed-slice
+    copies; the last-axis slices depend on the planes it is given.
     """
-    n = sizes[-1]
     pairs = []
     for lead in itertools.product(*(_negated(m) for m in sizes[:-1])):
-        dst = (Ellipsis,) + tuple(p[0] for p in lead) + (slice(n // 2 + 1, n),)
-        src = (Ellipsis,) + tuple(p[1] for p in lead) + (slice(n // 2 - 1, 0, -1),)
+        dst = (Ellipsis,) + tuple(p[0] for p in lead)
+        src = (Ellipsis,) + tuple(p[1] for p in lead)
         pairs.append((dst, src))
     return tuple(pairs)
 

@@ -41,7 +41,7 @@ class PressureSolution:
 def _tensor_rhs_spec(grid: Grid, a_vals, v_vals, w_vals):
     """R[A^T div2((v x v - w x w) A)] with div2 acting on the second index.
 
-    Returns the k_last >= 0 half (``grid.half``) of the spectrum. The
+    Returns the band (``grid.half``) of the spectrum. The
     divergence-free rows of the cofactor matrix let the nested operator
     collapse to this conservative form. The product (v x v - w x w) A takes
     two mat-vecs and two outer products: v_i (A^T v)_l - w_i (A^T w)_l.
@@ -62,12 +62,12 @@ def _tensor_rhs_spec(grid: Grid, a_vals, v_vals, w_vals):
 def solve_pressure_spec(grid: Grid, defect_vals, rhs_half, tol, max_iter):
     """Picard iteration grad_p <- -R[defect . grad_p] + rhs from grad_p = rhs.
 
-    Works on k_last >= 0 halves (``grid.half``): rhs_half and the returned
-    grad_p. The iterate is the scalar potential q of grad_p = rhs - k q, with
+    Works on bands (``grid.half``): rhs_half and the returned grad_p. The
+    iterate is the scalar potential q of grad_p = rhs - k q, with
     q = (mask inv_k2) (k . rfft(defect . grad_p)): R[v] = k inv_k2 (k . v), and
     the 2/3 mask acts after the contraction, on one component. The residual
     of a step is |grad_p_new - grad_p| = |k (q_new - q)|, summed over the
-    half with the Hermitian multiplicity carried by ``half.norm_k2``.
+    band with the Hermitian multiplicity carried by ``half.norm_k2``.
     """
     half = grid.half
     k = half.k_axes

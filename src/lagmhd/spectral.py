@@ -2,8 +2,8 @@
 
 ``_k_contract``, ``divergence_spec``, ``dealias_spec``, ``riesz_apply_spec``
 and ``weighted_norm_sq`` read only the grid's tables, so given ``grid.half``
-they act on k_last >= 0 half spectra (with ``half.norm_k2`` as the doubled
-|k|^2 weight of a norm).
+they act on bands, the first K last-axis planes of a spectrum (with
+``half.norm_k2`` as the doubled |k|^2 weight of a norm).
 """
 
 from __future__ import annotations
@@ -48,24 +48,36 @@ def partial_derivative(field: _Field, alpha):
 def gradient_values(spec, grid: Grid):
     """Real-space gradient of a spectral vector: out[i, j] = d_j v^i.
 
-    Bit for bit ``grid.ifft`` of the full products i k_j spec, for any full
-    spectrum, Hermitian or not, with only the k_last >= 0 half multiplied. On
-    the Nyquist hyperplanes of the leading axes (interior k_last) it forms the
-    Hermitian part that ``Grid.ifft`` takes there, from the products at k and
-    at -k of the full input. All components and directions go through one
-    inverse transform.
+    ``spec`` is either a band (``grid.half``) or a full spectrum. A band of a
+    masked grid takes one multiply by i k_j and one pruned ``grid.irfft``;
+    under an open mask it is mirrored and taken as a full spectrum.
+
+    A full spectrum gives bit for bit ``grid.ifft`` of the full products
+    i k_j spec, Hermitian or not, with only the k_last >= 0 half multiplied.
+    On the Nyquist hyperplanes of the leading axes (interior k_last) it forms
+    the Hermitian part that ``Grid.ifft`` takes there, from the products at k
+    and at -k of the full input. All components and directions go through
+    one inverse transform.
     """
     half = grid.half
-    buf = np.empty((spec.shape[0], grid.dim) + half.shape, dtype=complex)
-    spec_half = spec[..., : half.shape[-1]]
+    if spec.shape[-1] != grid.sizes[-1]:
+        if grid.dealias:
+            buf = np.empty((spec.shape[0], grid.dim) + half.shape, dtype=complex)
+            for j in range(grid.dim):
+                np.multiply(spec, 1j * half.k_axes[j], out=buf[:, j])
+            return grid.irfft(buf)
+        spec = grid.mirror(spec)
+    nh = grid.sizes[-1] // 2 + 1
+    buf = np.empty((spec.shape[0], grid.dim) + grid.sizes[:-1] + (nh,), dtype=complex)
+    spec_half = spec[..., :nh]
     for j in range(grid.dim):
-        np.multiply(spec_half, 1j * half.k_axes[j], out=buf[:, j])
+        np.multiply(spec_half, 1j * grid.k_axes[j][..., :nh], out=buf[:, j])
     dst, src, ik_dst, ik_src = grid._nyquist_ik
     part = np.conjugate(spec[src][:, None] * ik_src)
     part += spec[dst][:, None] * ik_dst
     part *= 0.5
     buf[dst] = part
-    return grid.irfft(buf)
+    return grid._irfftn(buf)
 
 
 def _k_contract(spec, symbols):

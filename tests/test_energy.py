@@ -275,12 +275,12 @@ def test_record_sample_builds_one_table_and_no_reductions(monkeypatch):
 
 def _linear_ledger_samples(grid, ev, state0, cadence, nsamples):
     prop = LinearPropagator(grid, cadence)
-    yh, yth = state0.Y.spec.copy(), state0.Yt.spec.copy()
+    yh, yth = state0.Y.band.copy(), state0.Yt.band.copy()
     samples = []
     t = 0.0
     for _ in range(nsamples):
         st = FlowState(
-            VectorField.from_spec(grid, yh), VectorField.from_spec(grid, yth), t
+            VectorField.from_band(grid, yh), VectorField.from_band(grid, yth), t
         )
         samples.append(
             LedgerSample(

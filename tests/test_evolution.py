@@ -200,14 +200,14 @@ def _force_transforms(monkeypatch, grid, amp):
     """Shapes of every Grid.rfft input and Grid.irfft argument, in call order,
     over one compute_force, and its Picard iteration count.
 
-    The state holds spectra only, as a stepped state does, so Yt's samples
+    The state holds bands only, as a stepped state does, so Yt's samples
     cost one inverse transform. Every transform of the kernel goes through
     Grid.rfft or Grid.irfft.
     """
     built = build_flow_state(grid, scaled_spec(default_spec(grid.dim, None), amp))
     state = FlowState(
-        VectorField.from_spec(grid, built.Y.spec),
-        VectorField.from_spec(grid, built.Yt.spec),
+        VectorField.from_band(grid, built.Y.band),
+        VectorField.from_band(grid, built.Yt.band),
         0.0,
     )
     calls = {"rfft": [], "irfft": []}
@@ -260,6 +260,31 @@ def test_force_takes_one_inverse_transform_per_gradient(monkeypatch, sizes):
         assert components == (51 + 6 * iters if d == 3 else 26 + 4 * iters)
 
 
+@pytest.mark.parametrize("sizes", [(16, 16, 16), (32, 32)], ids=["3D", "2D"])
+def test_force_of_a_state_is_that_of_its_projection(sizes, rng):
+    # what a state holds outside the 2/3-retained modes (round-off in a state
+    # read from a checkpoint) does not reach the force
+    grid = Grid(sizes, (2 * np.pi,) * len(sizes))
+    built = build_flow_state(grid, scaled_spec(default_spec(grid.dim, None), 0.05))
+    shape = (grid.dim,) + grid.shape
+    outside = 1.0 - grid.dealias_mask
+    specs = [
+        field.spec + 1e-3 * outside * grid.fft(rng.standard_normal(shape))
+        for field in (built.Y, built.Yt)
+    ]
+    state = FlowState(*(VectorField.from_spec(grid, s) for s in specs), 0.0)
+    projected = FlowState(
+        *(VectorField.from_spec(grid, dealias_spec(s, grid)) for s in specs), 0.0
+    )
+    got, want = compute_force(state), compute_force(projected)
+    assert np.abs(specs[0] - projected.Y.spec).max() > 0.0
+    for name in ("f", "pressure_force"):
+        assert np.array_equal(getattr(got, name).band, getattr(want, name).band)
+    assert np.array_equal(got.pressure.grad_p.band, want.pressure.grad_p.band)
+    assert np.array_equal(got.grad_y, want.grad_y)
+    assert np.array_equal(got.grad_yt, want.grad_yt)
+
+
 # -- Lagrangian stepping ---------------------------------------------------------
 
 
@@ -274,10 +299,33 @@ def test_step_linear_matches_propagator(grid3, rng):
     for _ in range(10):
         cur = stepper.step_linear(cur)
     prop = LinearPropagator(grid3, 3.0)
-    y, yt = prop.apply(state.Y.spec, state.Yt.spec)
+    y, yt = prop.apply(state.Y.band, state.Yt.band)
     scale = max(np.abs(y).max(), np.abs(yt).max())
-    assert np.abs(cur.Y.spec - y).max() < 1e-12 * scale
-    assert np.abs(cur.Yt.spec - yt).max() < 1e-12 * scale
+    assert np.abs(cur.Y.band - y).max() < 1e-12 * scale
+    assert np.abs(cur.Yt.band - yt).max() < 1e-12 * scale
+
+
+@pytest.mark.parametrize("sizes", [(16, 16, 16), (32, 32)], ids=["3D", "2D"])
+def test_step_takes_no_full_spectrum_transform(monkeypatch, sizes):
+    # a step, its two forces included, works on bands: no mirror, and no
+    # full-spectrum transform
+    grid = Grid(sizes, (2 * np.pi,) * len(sizes))
+    state = build_flow_state(grid, scaled_spec(default_spec(grid.dim, None), 0.05))
+    stepper = LagrangianStepper(grid, 0.05)
+    calls = {"mirror": 0, "fft": 0, "ifft": 0}
+
+    def counted(name, method):
+        def wrapper(self, arg):
+            calls[name] += 1
+            return method(self, arg)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(Grid, name, counted(name, getattr(Grid, name)))
+    for _ in range(2):  # from the built state, then from a stepped one
+        state = stepper.step(state)
+    assert calls == {"mirror": 0, "fft": 0, "ifft": 0}
 
 
 def test_equilibrium_preserved_many_steps():

@@ -290,7 +290,10 @@ def test_real_field_roundtrip_and_conjugate_symmetry(dim, rng):
     back = grid.ifft(f.spec)
     rel = np.abs(back - f.values).max() / np.abs(f.values).max()
     assert rel < 1e-12
-    assert f.conjugate_symmetry_error() < 1e-12
+    # c(-k) = conj(c(k)), with -k taken index by index mod N
+    spec = f.spec
+    negated = spec[np.ix_(*[(-np.arange(n)) % n for n in grid.sizes])]
+    assert np.abs(negated - np.conj(spec)).max() < 1e-12 * np.abs(spec).max()
     assert back.dtype == np.float64 and back.flags.c_contiguous
     # the real-data transforms equal the complex ones on full-band data
     vals = rng.standard_normal((grid.dim,) + grid.shape)
@@ -314,45 +317,69 @@ def test_ifft_takes_the_real_part_of_odd_multiplier_spectra(dim, rng):
             assert np.abs(grid.ifft(s) - want).max() < 1e-14 * np.abs(want).max()
 
 
-# -- half spectra ----------------------------------------------------------------
+# -- the band -------------------------------------------------------------------
 
+L3, L2 = (2 * np.pi, 3.0, 5.0), (64.0, 2 * np.pi)
 HALF_GRIDS = {
-    "3D": Grid((16, 8, 32), (2 * np.pi, 3.0, 5.0)),
-    "2D": Grid((32, 16), (64.0, 2 * np.pi)),
+    "3D": Grid((16, 8, 32), L3),
+    "2D": Grid((32, 16), L2),
     "3D-open": TRANSFORM_GRIDS["3D"],
     "2D-open": TRANSFORM_GRIDS["2D"],
     "3D-cube": Grid((16, 16, 16), (2 * np.pi,) * 3),
 }
+# non-cubic grids with last axes of 4, 8 and 16, with and without the mask
+HALF_GRIDS.update(
+    {
+        f"{d}D-{n}{'' if mask else '-open'}": Grid(sizes, lengths, dealias=mask)
+        for n, lead in ((4, 16), (8, 4), (16, 8))
+        for mask in (True, False)
+        for d, sizes, lengths in ((3, (8, lead, n), L3), (2, (4 * lead, n), L2))
+    }
+)
+
+
+def _band_planes(grid):
+    n = grid.sizes[-1]
+    return -(-n // 3) if grid.dealias else n // 2 + 1
 
 
 @pytest.mark.parametrize("name", HALF_GRIDS)
 def test_half_tables_are_the_first_last_axis_planes(name):
     grid = HALF_GRIDS[name]
     half = grid.half
-    nh = grid.sizes[-1] // 2 + 1
-    cut = (Ellipsis, slice(0, nh))
+    nb, n = _band_planes(grid), grid.sizes[-1]
+    cut = (Ellipsis, slice(0, nb))
     assert half.dim == grid.dim
-    assert half.shape == grid.shape[:-1] + (nh,)
+    assert half.shape == grid.shape[:-1] + (nb,)
     assert half.spatial_axes == grid.spatial_axes and half.volume == grid.volume
     for kh, kf in zip(half.k_axes, grid.k_axes):
         assert np.array_equal(kh, kf[cut])
-    # the Nyquist plane keeps the stored wavenumber -N/2
-    assert half.k_axes[-1].ravel()[-1] == -np.pi * grid.sizes[-1] / grid.lengths[-1]
-    for table in ("inv_k2", "masked_inv_k2", "dealias_mask"):
+    for table in ("k2", "k1sq", "inv_k2", "masked_inv_k2", "dealias_mask"):
         assert np.array_equal(getattr(half, table), getattr(grid, table)[cut])
-    multiplicity = np.full(nh, 2.0)
-    multiplicity[[0, -1]] = 1.0
+    if grid.dealias:
+        # the mask keeps exactly the band's planes of the k_last >= 0 half
+        assert np.all(grid.dealias_mask[..., nb : n - nb + 1] == 0.0)
+        assert np.all(half.dealias_mask.max(axis=tuple(range(grid.dim - 1))) == 1.0)
+    else:
+        # the Nyquist plane keeps the stored wavenumber -N/2
+        assert half.k_axes[-1].ravel()[-1] == -np.pi * n / grid.lengths[-1]
+    multiplicity = np.full(nb, 2.0)
+    multiplicity[0] = 1.0
+    if nb == n // 2 + 1:
+        multiplicity[-1] = 1.0
     assert np.array_equal(half.norm_k2, grid.k2[cut] * multiplicity)
 
 
 @pytest.mark.parametrize("name", HALF_GRIDS)
 def test_half_norm_with_doubled_k2_equals_the_full_norm(name, rng):
     grid = HALF_GRIDS[name]
-    nh = grid.half.shape[-1]
+    nb = grid.half.shape[-1]
+    # band-limited: the masked spectrum of a random real field
     full = grid.fft(rng.standard_normal((grid.dim,) + grid.shape))
+    full *= grid.dealias_mask
     for spec in [full] + [full * (1j * k) for k in grid.k_axes]:
         want = weighted_norm_sq(spec, grid.k2, grid)
-        got = weighted_norm_sq(spec[..., :nh], grid.half.norm_k2, grid.half)
+        got = weighted_norm_sq(spec[..., :nb], grid.half.norm_k2, grid.half)
         assert want > 0.0
         assert abs(got - want) <= 1e-14 * want
 
@@ -360,14 +387,56 @@ def test_half_norm_with_doubled_k2_equals_the_full_norm(name, rng):
 @pytest.mark.parametrize("name", HALF_GRIDS)
 def test_rfft_irfft_round_trip_and_fft_is_the_mirror(name, rng):
     grid = HALF_GRIDS[name]
+    nb, axes = grid.half.shape[-1], grid.spatial_axes
     vals = rng.standard_normal((grid.dim,) + grid.shape)
-    half = grid.rfft(vals)
-    assert half.shape == (grid.dim,) + grid.half.shape
+    half = sfft.rfftn(vals, axes=axes, norm="forward")
+    band = grid.rfft(vals)
+    assert band.shape == (grid.dim,) + grid.half.shape
+    # the pruned transforms against the full ones
+    assert np.abs(band - half[..., :nb]).max() <= 1e-15 * np.abs(half).max()
+    padded = np.zeros_like(half)
+    padded[..., :nb] = band
+    want = sfft.irfftn(padded, s=grid.sizes, axes=axes, norm="forward")
+    kept = band.copy()
+    back = grid.irfft(band)
+    assert np.array_equal(band, kept)
+    assert back.dtype == np.float64 and back.flags.c_contiguous
+    assert np.abs(back - want).max() <= 1e-15 * np.abs(want).max()
+    # fft is the mirror of the whole half; the mirror of a band is zero
+    # on the planes the band does not hold
     assert np.array_equal(grid.fft(vals), grid.mirror(half))
-    kept = half.copy()
-    back = grid.irfft(half)
-    assert np.array_equal(half, kept)
-    assert np.abs(back - vals).max() < 1e-13 * np.abs(vals).max()
+    assert np.array_equal(grid.mirror(band), grid.mirror(padded))
+    # a band-limited field goes round the pruned pair
+    limited = band * grid.half.dealias_mask
+    again = grid.rfft(grid.irfft(limited))
+    assert np.abs(again - limited).max() <= 1e-14 * np.abs(limited).max()
+
+
+@pytest.mark.parametrize("name", ["3D", "2D", "3D-open", "2D-4"])
+def test_field_band_is_the_sliced_spectrum_or_rfft_of_values(name, rng):
+    grid = HALF_GRIDS[name]
+    vals = rng.standard_normal((grid.dim,) + grid.shape)
+    assert np.array_equal(VectorField.from_values(grid, vals).band, grid.rfft(vals))
+    spec = grid.fft(vals)
+    sliced = spec[..., : grid.half.shape[-1]]
+    assert np.array_equal(VectorField.from_spec(grid, spec).band, sliced)
+
+
+@pytest.mark.parametrize("name", ["3D", "2D", "3D-cube", "2D-4"])
+def test_field_from_band_mirrors_its_spectrum_and_samples(name, rng):
+    grid = HALF_GRIDS[name]
+    band = grid.rfft(rng.standard_normal((grid.dim,) + grid.shape))
+    band *= grid.half.dealias_mask
+    f = VectorField.from_band(grid, band)
+    assert np.array_equal(f.band, band)
+    assert np.array_equal(f.spec, grid.mirror(band))
+    assert np.array_equal(f.values, grid.ifft(f.spec))
+    # samples first, spectrum second: both still come from the band
+    g = VectorField.from_band(grid, band)
+    assert np.array_equal(g.values, f.values)
+    assert np.array_equal(g.spec, f.spec)
+    with pytest.raises(ValueError):
+        VectorField.from_band(grid, grid.fft(grid.irfft(band)))
 
 
 @pytest.mark.parametrize("name", HALF_GRIDS)
@@ -385,6 +454,22 @@ def test_gradient_values_equals_ifft_of_the_full_product(name, rng):
         kept = spec.copy()
         assert np.array_equal(gradient_values(spec, grid), grid.ifft(buf))
         assert np.array_equal(spec, kept)
+
+
+@pytest.mark.parametrize("name", HALF_GRIDS)
+def test_gradient_values_of_a_band_equals_the_full_spectrum_path(name, rng):
+    grid = HALF_GRIDS[name]
+    shape = (grid.dim,) + grid.shape
+    band = grid.rfft(rng.standard_normal(shape)) * grid.half.dealias_mask
+    full = grid.mirror(band)
+    buf = np.empty((grid.dim,) + shape, dtype=complex)
+    for j in range(grid.dim):
+        np.multiply(full, 1j * grid.k_axes[j], out=buf[:, j])
+    kept = band.copy()
+    got = gradient_values(band, grid)
+    assert np.array_equal(band, kept)
+    assert np.array_equal(got, gradient_values(full, grid))
+    assert np.array_equal(got, grid.ifft(buf))
 
 
 # -- gradient bound monitor ---------------------------------------------------
