@@ -37,7 +37,7 @@ class _Field:
         self._band = band
         # the full spectrum and the samples of a field built from its band
         # come from the band: it carries everything the field has
-        self._from_band = band is not None and spec is None
+        self._from_band = band is not None
 
     @classmethod
     def _expected_shape(cls, grid: Grid):
