@@ -8,6 +8,7 @@ sizes u32 per axis, lengths f64 per axis, time f64, solver tag u32
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -46,7 +47,7 @@ def write_checkpoint(path, state) -> None:
             fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
-def read_checkpoint(path, dealias: bool = True):
+def read_checkpoint(path):
     """Read a snapshot; returns a FlowState or EulerState on a fresh grid."""
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -69,14 +70,19 @@ def read_checkpoint(path, dealias: bool = True):
     off += 12
     if tag not in _TAG_NAMES:
         raise CheckpointFormatError(f"unknown solver tag {tag}")
-    grid = Grid(sizes, lengths, dealias=dealias)
-    npoints = grid.npoints
+    # the payload is checked before a grid is built, so a header that
+    # claims a huge grid allocates nothing
+    npoints = math.prod(sizes)
     nfields = 2 * dim if tag == 0 else 2 * dim + 1
     expected = off + nfields * npoints * 8
     if len(blob) != expected:
         raise CheckpointFormatError(
             f"payload length {len(blob) - off} bytes, expected {expected - off}"
         )
+    try:
+        grid = Grid(sizes, lengths)
+    except ValueError as exc:
+        raise CheckpointFormatError(f"bad grid in header: {exc}") from exc
     data = np.frombuffer(blob, dtype="<f8", offset=off).astype(float)
     shape = (dim,) + grid.shape
     if tag == 0:

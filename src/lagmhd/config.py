@@ -24,7 +24,6 @@ class RunConfig:
     epsilon0: float = 1e-4
     pressure_tol: float = 1e-10
     pressure_max_iter: int = 50
-    dealias: bool = True
     y0_modes_a: tuple = None  # None -> built-in profile
     y0_modes_c: tuple = None
     y1_modes: tuple = None
@@ -93,7 +92,6 @@ _FLOAT_KEYS = {
     "pressure_tol",
     "t_compare",
 }
-_BOOL_KEYS = {"dealias"}
 _STR_KEYS = {"solver", "checkpoint_in", "output_dir"}
 _TUPLE_FLOAT_KEYS = {"lengths", "fit_window"}
 _TUPLE_INT_KEYS = {"sizes"}
@@ -102,7 +100,6 @@ _MODE_KEYS = {"y0_modes_a", "y0_modes_c", "y1_modes"}
 KNOWN_KEYS = (
     _INT_KEYS
     | _FLOAT_KEYS
-    | _BOOL_KEYS
     | _STR_KEYS
     | _TUPLE_FLOAT_KEYS
     | _TUPLE_INT_KEYS
@@ -185,11 +182,6 @@ def parse_config(text: str) -> RunConfig:
                 kwargs[key] = int(value)
             elif key in _FLOAT_KEYS:
                 kwargs[key] = float(value)
-            elif key in _BOOL_KEYS:
-                low = value.lower()
-                if low not in ("on", "off", "true", "false", "1", "0"):
-                    raise ValueError(f"expected on/off, got '{value}'")
-                kwargs[key] = low in ("on", "true", "1")
             elif key in _STR_KEYS:
                 kwargs[key] = value
             elif key in _TUPLE_INT_KEYS:
@@ -225,7 +217,6 @@ def dump_config(config: RunConfig) -> str:
     out.append(f"epsilon0 = {config.epsilon0:.17g}")
     out.append(f"pressure_tol = {config.pressure_tol:.17g}")
     out.append(f"pressure_max_iter = {config.pressure_max_iter}")
-    out.append(f"dealias = {'on' if config.dealias else 'off'}")
     if config.y0_modes_a is not None:
         out.append(
             "y0_modes_a = "

@@ -361,32 +361,6 @@ def grad_u_linf_time_integral(times, sup_values):
     return out
 
 
-def quadratic_force_rate_monitors(ev: EnergyEvaluator, state: FlowState, f1, f2):
-    """Reported-only ratios of the quadratic force norms to sqrt(E D).
-
-    The expected temporal rates are (t+1)^(-7/12) for the H^2 norms and
-    (t+1)^(-1) for the d1 H^1 norms; the constants are not pinned down, so
-    these are monitors, never assertions. Returns nan entries at rest.
-    """
-    grid = ev.grid
-    table = ev.sample_table(state)
-    e = energy_report(ev, state, table).total
-    d = dissipation_report(ev, state, table).total
-    denom = np.sqrt(e * d)
-    w = state.t + 1.0
-    k1sq = np.broadcast_to(grid.k1sq, grid.shape)
-    out = {}
-    for name, field, weight, rate in (
-        ("f1_h2", f1, ev.w_h2, w ** (7.0 / 12.0)),
-        ("d1f1_h1", f1, k1sq * grid.hs_weight(1), w),
-        ("f2_h2", f2, ev.w_h2, w ** (7.0 / 12.0)),
-        ("d1f2_h1", f2, k1sq * grid.hs_weight(1), w),
-    ):
-        norm = np.sqrt(ev.nsq(field.spec, weight))
-        out[name] = float(norm * rate / denom) if denom > 0 else float("nan")
-    return out
-
-
 # -- fits and studies ----------------------------------------------------------
 
 

@@ -17,9 +17,9 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError
 from .fields import ScalarField, VectorField
-from .geometry import FlowState, cofactor_values, graded_metric_values
+# graded_metric_values is not called here; perfbench/layers.py times it by this name
+from .geometry import FlowState, cofactor_values, graded_metric_values  # noqa: F401
 from .grid import Grid
 from .pressure import PressureSolution, _tensor_rhs_spec, solve_pressure_spec
 from .spectral import (
@@ -211,8 +211,7 @@ class NonlinearForce:
     """Forcing f of the displacement equation with the pieces it was built from.
 
     f is the viscous flux div((A^T A - I) grad Yt) plus pressure_force = -A grad_p.
-    f1 and f2 split the degree-one viscous piece for the quadratic rate monitors
-    and are computed only under compute_force(..., split_quadratic=True).
+    f, pressure_force and grad_p are band fields (``grid.half``).
     """
 
     f: VectorField
@@ -221,16 +220,6 @@ class NonlinearForce:
     a_values: np.ndarray
     grad_y: np.ndarray
     grad_yt: np.ndarray
-    f1: Optional[VectorField] = None  # (div G1) . grad Yt
-    f2: Optional[VectorField] = None  # G1 : hess Yt
-
-
-def _require_mask(grid: Grid):
-    if not grid.dealias:
-        raise ConfigError(
-            "dealias = off is not supported by the Lagrangian solver: its force "
-            "works on the 2/3-retained band, which needs the 2/3 mask"
-        )
 
 
 def _bands(state: FlowState):
@@ -244,7 +233,6 @@ def compute_force(
     state: FlowState,
     pressure_tol: float = 1e-10,
     pressure_max_iter: int = 50,
-    split_quadratic: bool = False,
 ) -> NonlinearForce:
     """Assemble f = div(D grad Yt) - A grad_p with dealiased products, D = A^T A - I.
 
@@ -256,15 +244,12 @@ def compute_force(
     every spectrum in between lives on the band, and f, the pressure force
     and grad_p are returned as band fields: nothing is mirrored.
 
-    Precondition: the grid keeps the 2/3 mask (``dealias`` on). The mask
-    zeroes the Nyquist hyperplanes of the leading axes, where an odd
-    multiplier leaves a real field's spectrum non-Hermitian and a band
-    cannot hold what the full spectrum does; an open mask raises
-    ConfigError. What the state holds outside the 2/3-retained modes is
-    ignored.
+    The 2/3 mask zeroes the Nyquist hyperplanes of the leading axes, where
+    an odd multiplier leaves a real field's spectrum non-Hermitian and a
+    band could not hold what the full spectrum does. What the state holds
+    outside the 2/3-retained modes is ignored.
     """
     grid = state.grid
-    _require_mask(grid)
     half = grid.half
     y_band, yt_band = _bands(state)
     grad_y = gradient_values(y_band, grid)
@@ -289,21 +274,6 @@ def compute_force(
     fp_half = grid.rfft(a_gp)
     fp_half *= -half.dealias_mask
 
-    f1 = f2 = None
-    if split_quadratic:
-        g1 = graded_metric_values(b1, b2)[0]
-        div_g1_real = grid.ifft(divergence_spec(grid.fft(g1), grid))
-        f1_vals = np.einsum("m...,im...->i...", div_g1_real, grad_yt)
-        f1 = VectorField.from_spec(grid, dealias_spec(grid.fft(f1_vals), grid))
-        f2_vals = np.zeros((grid.dim,) + grid.shape)
-        for j in range(grid.dim):
-            for m in range(grid.dim):
-                hess_jm = grid.ifft(
-                    -grid.k_axes[j] * grid.k_axes[m] * state.Yt.spec
-                )
-                f2_vals += g1[j, m] * hess_jm
-        f2 = VectorField.from_spec(grid, dealias_spec(grid.fft(f2_vals), grid))
-
     return NonlinearForce(
         f=VectorField.from_band(grid, fp_half + visc_half),
         pressure_force=VectorField.from_band(grid, fp_half),
@@ -316,8 +286,6 @@ def compute_force(
         a_values=a_vals,
         grad_y=grad_y,
         grad_yt=grad_yt,
-        f1=f1,
-        f2=f2,
     )
 
 
@@ -339,7 +307,6 @@ class LagrangianStepper:
         pressure_tol: float = 1e-10,
         pressure_max_iter: int = 50,
     ):
-        _require_mask(grid)
         self.grid = grid
         self.dt = dt
         self.pressure_tol = pressure_tol
@@ -420,7 +387,7 @@ class EulerState:
 
 
 def _magnetic_filter(grid: Grid, exponent: int = 36):
-    """High-order exponential filter pinned to the dealias boundary.
+    """High-order exponential filter pinned to the 2/3-mask boundary.
 
     exp(-36 r^36) with r the per-axis-normalized mode fraction: ~1 up to
     two thirds of the retained band, machine-zero at the boundary. Stands in

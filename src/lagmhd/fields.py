@@ -104,11 +104,3 @@ class VectorField(_Field):
 class MatrixField(_Field):
     rank = 2
 
-
-def magnitude(field: _Field):
-    """Pointwise Euclidean magnitude over all component channels."""
-    v = field.values
-    if field.rank == 0:
-        return np.abs(v)
-    flat = v.reshape((-1,) + field.grid.shape)
-    return np.sqrt(np.sum(flat**2, axis=0))

@@ -1,4 +1,4 @@
-"""Flow-map algebra: cofactor matrices, volume constraint, coordinate changes.
+"""Flow-map algebra: cofactor matrices, volume constraint, initial map.
 
 Displacement convention: the map is X(t,y) = y + Y(t,y), and gradients are
 stored as grad[i, j] = d_j Y^i. The cofactor matrix A = (grad X)^{-T} equals
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConstructionFailedError, NotConvergedError
-from .fields import MatrixField, ScalarField, VectorField
+from .fields import MatrixField, VectorField
 from .grid import Grid
 from .spectral import divergence_norm, gradient_values
 
@@ -137,38 +137,7 @@ def inverse_transpose_values(mat):
     return cof / det
 
 
-# -- field-level operations ---------------------------------------------------
-
-
-def jacobian_determinant(Y: VectorField) -> ScalarField:
-    """Pointwise det(I + grad Y); callers track max |det - 1| as the drift."""
-    grad = gradient_values(Y.spec, Y.grid)
-    return ScalarField.from_values(Y.grid, determinant_values(grad))
-
-
-@dataclass
-class PushforwardSample:
-    """Lagrangian solution pushed to trajectory points for Eulerian comparison."""
-
-    positions: np.ndarray  # (d, grid shape): X(t,y) = y + Y
-    u: VectorField  # velocity along trajectories = Yt
-    b: VectorField  # magnetic field on trajectories = e1 + d1 Y
-
-
-def pushforward_fields(state: FlowState) -> PushforwardSample:
-    grid = state.grid
-    coords = np.stack(np.broadcast_arrays(*grid.coords))
-    positions = coords + state.Y.values
-    d1y = np.stack(
-        [grid.ifft(state.Y.spec[i] * (1j * grid.k_axes[0])) for i in range(grid.dim)]
-    )
-    b = d1y.copy()
-    b[0] += 1.0
-    return PushforwardSample(
-        positions=positions,
-        u=state.Yt,
-        b=VectorField.from_values(grid, b),
-    )
+# -- trajectory evaluation ----------------------------------------------------
 
 
 def make_trig_evaluator(field, chunk_entries: int = 1 << 22):
@@ -199,11 +168,6 @@ def make_trig_evaluator(field, chunk_entries: int = 1 << 22):
         return out
 
     return evaluate
-
-
-def evaluate_at_flow(field, points):
-    """Evaluate a field at arbitrary (wrapped) positions by direct mode summation."""
-    return make_trig_evaluator(field)(points)
 
 
 # -- initial map from a transversal magnetic field ---------------------------

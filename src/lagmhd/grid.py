@@ -30,7 +30,6 @@ class Grid:
 
     sizes: tuple
     lengths: tuple
-    dealias: bool = True  # False leaves the top-third mask fully open
 
     def __post_init__(self):
         sizes = tuple(int(n) for n in self.sizes)
@@ -45,8 +44,8 @@ class Grid:
             if not _is_power_of_two(n):
                 raise ValueError(f"grid size {n} is not a power of two")
         for l in lengths:
-            if not l > 0:
-                raise ValueError(f"box length {l} must be positive")
+            if not 0 < l < np.inf:
+                raise ValueError(f"box length {l} must be positive and finite")
 
         dim = len(sizes)
         spacings = tuple(l / n for n, l in zip(sizes, lengths))
@@ -68,11 +67,10 @@ class Grid:
         # modes alias only onto discarded ones; stored as 0.0/1.0 so that a
         # multiply applies it
         mask = np.ones(sizes)
-        if self.dealias:
-            for i, n in enumerate(sizes):
-                ncut = int(np.ceil(n / 3.0)) - 1
-                idx = np.abs(np.fft.fftfreq(n) * n) <= ncut
-                mask = mask * idx.reshape([-1 if j == i else 1 for j in range(dim)])
+        for i, n in enumerate(sizes):
+            ncut = int(np.ceil(n / 3.0)) - 1
+            idx = np.abs(np.fft.fftfreq(n) * n) <= ncut
+            mask = mask * idx.reshape([-1 if j == i else 1 for j in range(dim)])
         coords = tuple(
             (spacings[i] * np.arange(sizes[i])).reshape(
                 [-1 if j == i else 1 for j in range(dim)]
@@ -114,11 +112,11 @@ class Grid:
     def rfft(self, values):
         """Real samples -> the band (``half``) of the normalized coefficients.
 
-        The band is the first ``half.shape[-1]`` last-axis planes of the full
-        spectrum: K = ceil(N_last/3) under the 2/3 mask, all N_last/2 + 1
-        without it. A pruned real-data transform, scaled by 1/N (exact for
-        power-of-two sizes): rfft along the last axis keeping the band, then
-        fftn over the leading axes.
+        The band is the first K = ceil(N_last/3) last-axis planes of the full
+        spectrum, the k_last >= 0 planes the 2/3 mask keeps. A pruned
+        real-data transform, scaled by 1/N (exact for power-of-two sizes):
+        rfft along the last axis keeping the band, then fftn over the leading
+        axes. The mask is not applied on the leading axes.
         """
         last = sfft.rfft(values, axis=-1, norm="forward")[..., : self.half.shape[-1]]
         return sfft.fftn(last, axes=self.spatial_axes[:-1], norm="forward")
@@ -128,8 +126,9 @@ class Grid:
 
         Takes any number of k_last >= 0 planes up to N_last/2 + 1 and treats
         the missing ones as zero: ifftn over the leading axes, then irfft
-        along the last axis. Under the 2/3 mask every band is Hermitian on the
-        Nyquist hyperplanes of the leading axes, because it is zero there.
+        along the last axis. The result is exact for a band the 2/3 mask has
+        been applied to: it is zero, hence Hermitian, on the Nyquist
+        hyperplanes of the leading axes.
         """
         n, k = self.sizes[-1], band.shape[-1]
         pad = np.zeros(band.shape[:-1] + (n // 2 + 1,), dtype=complex)
@@ -222,15 +221,14 @@ class Grid:
 class HalfGrid:
     """The spectral tables of a Grid restricted to its band.
 
-    The band is the first K last-axis planes (k_last = 0, ..., K - 1) of the
-    full spectrum: K = ceil(N_last/3) under the 2/3 mask, which keeps exactly
-    those planes, and all N_last/2 + 1 (the k_last >= 0 half, Nyquist plane
-    included) without it. Every table is the first K planes of the full one.
-    ``k2`` and ``k1sq`` are the |k|^2 and k1^2 symbols. ``norm_k2`` is a norm
-    weight: |k|^2 times the Hermitian multiplicity (the k_last = 0 plane and
-    a Nyquist plane once, every other plane twice), so a norm weighted by it
-    over the band equals the |k|^2-weighted norm over the full spectrum of a
-    field that is zero outside the band.
+    The band is the first K = ceil(N_last/3) last-axis planes
+    (k_last = 0, ..., K - 1) of the full spectrum, exactly the k_last >= 0
+    planes the 2/3 mask keeps. Every table is the first K planes of the full
+    one. ``k2`` and ``k1sq`` are the |k|^2 and k1^2 symbols. ``norm_k2`` is a
+    norm weight: |k|^2 times the Hermitian multiplicity (the k_last = 0 plane
+    once, every other plane twice), so a norm weighted by it over the band
+    equals the |k|^2-weighted norm over the full spectrum of a field that is
+    zero outside the band.
     """
 
     dim: int
@@ -247,16 +245,13 @@ class HalfGrid:
 
 
 def _band_tables(grid: Grid) -> HalfGrid:
-    n = grid.sizes[-1]
-    nb = int(np.ceil(n / 3.0)) if grid.dealias else n // 2 + 1
+    nb = int(np.ceil(grid.sizes[-1] / 3.0))
 
     def cut(table):
         return np.ascontiguousarray(table[..., :nb])
 
     multiplicity = np.full(nb, 2.0)
     multiplicity[0] = 1.0
-    if nb == n // 2 + 1:
-        multiplicity[-1] = 1.0
     return HalfGrid(
         dim=grid.dim,
         shape=grid.sizes[:-1] + (nb,),

@@ -151,7 +151,7 @@ def build_flow_state(grid: Grid, spec: InitialDataSpec) -> FlowState:
 
     def assemble(scale: float) -> FlowState:
         y0_vals = _shear_displacement(grid, spec, scale)
-        # composition tails above the dealias ball are machine-small at these
+        # composition tails above the 2/3-mask ball are machine-small at these
         # amplitudes; masking keeps the evolved state band-limited
         y0 = VectorField.from_spec(grid, dealias_spec(grid.fft(y0_vals), grid))
         v = _solenoidal_velocity(grid, spec.velocity, scale)

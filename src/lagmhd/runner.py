@@ -247,7 +247,7 @@ def _initial_state(config: RunConfig, grid: Grid):
     """The start of the configured solver: its checkpoint, or the data."""
     kind = EulerState if config.solver == "eulerian" else FlowState
     if config.checkpoint_in:
-        state = read_checkpoint(config.checkpoint_in, dealias=config.dealias)
+        state = read_checkpoint(config.checkpoint_in)
         if not isinstance(state, kind):
             raise ConfigError(
                 f"checkpoint holds a {type(state).__name__}, not a {kind.__name__}"
@@ -392,7 +392,7 @@ def run_simulation(config: RunConfig) -> RunReport:
     """Step the configured solver to t_end, emitting diagnostics per cadence."""
     if config.solver == "both":
         raise ConfigError("solver=both runs through compare_formulations")
-    grid = Grid(config.sizes, config.lengths, dealias=config.dealias)
+    grid = Grid(config.sizes, config.lengths)
     if config.solver == "lagrangian":
         return _drive_flow_map(config, grid, lambda: _initial_state(config, grid))
     # primitive variables: only the velocity-gradient columns are live
@@ -440,7 +440,7 @@ def compare_formulations(config: RunConfig) -> CompareReport:
     if config.checkpoint_in:
         raise ConfigError("compare_formulations starts from the data, not a checkpoint")
     n_steps = _step_count(config.t_compare, config.dt, "t_compare")
-    grid = Grid(config.sizes, config.lengths, dealias=config.dealias)
+    grid = Grid(config.sizes, config.lengths)
     flow = build_flow_state(grid, config.initial_data_spec())
     euler = euler_from_flow(flow)
     lstep = LagrangianStepper(
@@ -481,7 +481,7 @@ def scaling_run(config: RunConfig, amplitude: float):
     energy.nonlinear_scaling_study. Writes nothing; a solver failure raises.
     """
     spec = scaled_spec(default_spec(config.dimension, epsilon0=None), amplitude)
-    grid = Grid(config.sizes, config.lengths, dealias=config.dealias)
+    grid = Grid(config.sizes, config.lengths)
     report = _drive_flow_map(
         config, grid, lambda: build_flow_state(grid, spec), write_outputs=False
     )

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from lagmhd.config import dump_config, parse_config
 from lagmhd.errors import CheckpointFormatError, ConfigError
 from lagmhd.evolution import EulerState
 from lagmhd.geometry import FlowState
+from lagmhd.grid import Grid
 
 from conftest import random_band_limited
 
@@ -25,7 +28,6 @@ def test_minimal_config_gets_defaults():
     assert cfg.solver == "lagrangian"
     assert cfg.epsilon0 == 1e-4
     assert cfg.cadence == pytest.approx(0.25)
-    assert cfg.dealias is True
 
 
 def test_negative_dt_rejected_with_key_name():
@@ -66,7 +68,7 @@ def test_dump_parse_round_trip():
         MINIMAL
         + "lengths = 64,6.283185307179586,6.283185307179586\n"
         + "cadence = 0.25\nsolver = both\nepsilon0 = 2e-4\npressure_tol = 1e-11\n"
-        + "pressure_max_iter = 40\ndealias = off\n"
+        + "pressure_max_iter = 40\n"
         + "y0_modes_a = 1,1,0.5,0.1; 2,-1,0.25,1.0\n"
         + "y0_modes_c = 1,1,0.2,0.3\n"
         + "y1_modes = 0,1,0,2,1.0,0.2; 1,1,0,2,0.3,2.1\n"
@@ -79,7 +81,7 @@ def test_dump_parse_round_trip():
     assert cfg2 == cfg
 
 
-@pytest.mark.parametrize("key", ["seed", "script_e_cap"])
+@pytest.mark.parametrize("key", ["seed", "script_e_cap", "dealias"])
 def test_removed_keys_are_unknown(key):
     with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
         parse_config(MINIMAL + f"{key} = 3\n")
@@ -163,4 +165,22 @@ def test_bad_magic_and_version(tmp_path, grid3):
     bad = tmp_path / "vers.ckpt"
     bad.write_bytes(bytes(blob))
     with pytest.raises(CheckpointFormatError, match="version"):
+        read_checkpoint(bad)
+
+
+@pytest.mark.parametrize(
+    "fmt, offset, value",
+    [("<I", 12, 6), ("<I", 12, 0), ("<d", 24, -1.0), ("<d", 24, np.inf)],
+    ids=["size-6", "size-0", "length-negative", "length-inf"],
+)
+def test_corrupt_header_raises_format_error(tmp_path, fmt, offset, value):
+    # a valid 8^3 snapshot whose first size or first length is patched:
+    # sizes start after magic, version and dimension, lengths after 3 sizes
+    good = tmp_path / "good.ckpt"
+    write_checkpoint(good, FlowState.zeros(Grid((8, 8, 8), (2 * np.pi,) * 3)))
+    blob = bytearray(good.read_bytes())
+    struct.pack_into(fmt, blob, offset, value)
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(bytes(blob))
+    with pytest.raises(CheckpointFormatError):
         read_checkpoint(bad)

@@ -343,25 +343,6 @@ def test_integrated_rhs_trapezoid():
     assert integrated_rhs(samples) == pytest.approx(6.0)
 
 
-def test_quadratic_force_rate_monitors_report_not_assert(ev3):
-    from lagmhd.energy import quadratic_force_rate_monitors
-    from lagmhd.evolution import compute_force
-    from lagmhd.grid import Grid
-    from lagmhd.initial_data import build_flow_state, default_spec, scaled_spec
-
-    grid = ev3.grid
-    state = build_flow_state(grid, scaled_spec(default_spec(3, None), 0.05))
-    ev = EnergyEvaluator(grid)
-    force = compute_force(state, split_quadratic=True)
-    monitors = quadratic_force_rate_monitors(ev, state, force.f1, force.f2)
-    assert set(monitors) == {"f1_h2", "d1f1_h1", "f2_h2", "d1f2_h1"}
-    assert all(np.isfinite(v) and v >= 0 for v in monitors.values())
-    zero = FlowState.zeros(grid)
-    zforce = compute_force(zero, split_quadratic=True)
-    zmon = quadratic_force_rate_monitors(ev, zero, zforce.f1, zforce.f2)
-    assert all(np.isnan(v) for v in zmon.values())
-
-
 # -- fits, integrals, studies ---------------------------------------------------
 
 

@@ -175,7 +175,7 @@ def _viscous_spec(metric, state):
 def test_force_decomposition_consistency():
     grid = Grid((16, 16, 16), (2 * np.pi,) * 3)
     state = build_flow_state(grid, scaled_spec(default_spec(3, None), 0.05))
-    force = compute_force(state, split_quadratic=True)
+    force = compute_force(state)
     # viscous part against A^T A - I formed directly from A
     grad_y = gradient_values(state.Y.spec, grid)
     b1, b2, a = cofactor_values(grad_y)
@@ -190,10 +190,6 @@ def test_force_decomposition_consistency():
     graded = graded_metric_values(b1, b2)
     graded_sum = _viscous_spec(sum(graded), state)
     assert np.abs(viscous - graded_sum).max() < 1e-14 * scale
-    # quadratic split: f1 + f2 equals the degree-1 viscous piece
-    v1 = _viscous_spec(graded[0], state)
-    resid2 = force.f1.spec + force.f2.spec - v1
-    assert np.abs(resid2).max() < 1e-10 * max(np.abs(v1).max(), 1e-300)
 
 
 def _force_transforms(monkeypatch, grid, amp):

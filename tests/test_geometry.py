@@ -1,17 +1,15 @@
 import numpy as np
 import pytest
 
-from lagmhd.errors import ConstructionFailedError
-from lagmhd.fields import VectorField
+from lagmhd.errors import ConstructionFailedError, GridMismatchError
+from lagmhd.fields import ScalarField, VectorField
 from lagmhd.geometry import (
     FlowState,
     cofactor_values,
     construct_initial_map,
     determinant_values,
-    evaluate_at_flow,
     graded_metric_values,
-    jacobian_determinant,
-    pushforward_fields,
+    make_trig_evaluator,
 )
 from lagmhd.grid import Grid
 from lagmhd.initial_data import (
@@ -151,16 +149,21 @@ def test_metric_defect_from_b_matches_graded_sum(amp):
 # -- determinant -------------------------------------------------------------
 
 
+def _det(y):
+    """det(I + grad Y) of a displacement field."""
+    return determinant_values(gradient_values(y.spec, y.grid))
+
+
 def test_determinant_at_rest_and_shears(grid3):
-    assert np.abs(jacobian_determinant(VectorField.zeros(grid3)).values - 1).max() == 0
+    assert np.abs(_det(VectorField.zeros(grid3)) - 1).max() == 0
     y1, y2, _ = mesh(grid3)
     vals = np.zeros((3,) + grid3.shape)
     vals[0] = 0.3 * np.sin(y2)  # nilpotent gradient
-    det = jacobian_determinant(VectorField.from_values(grid3, vals)).values
+    det = _det(VectorField.from_values(grid3, vals))
     assert np.abs(det - 1.0).max() < 1e-13
     vals = np.zeros((3,) + grid3.shape)
     vals[0] = 0.3 * np.sin(y1)  # deliberately non-volume-preserving probe
-    det = jacobian_determinant(VectorField.from_values(grid3, vals)).values
+    det = _det(VectorField.from_values(grid3, vals))
     assert np.abs(det - (1.0 + 0.3 * np.cos(y1))).max() < 1e-12
 
 
@@ -225,52 +228,32 @@ def test_graded_2d_has_two_pieces(grid2, rng):
     assert np.abs(metric_defect(y) - ata).max() < 1e-12
 
 
-# -- pushforward and trig evaluation ------------------------------------------
+# -- flow state and trig evaluation ------------------------------------------
 
 
-def test_pushforward_zero_state(grid3):
-    sample = pushforward_fields(FlowState.zeros(grid3))
-    assert np.abs(sample.u.values).max() == 0.0
-    b = sample.b.values
-    assert np.abs(b[0] - 1.0).max() < 1e-15 and np.abs(b[1:]).max() < 1e-15
-    coords = np.stack(np.broadcast_arrays(*grid3.coords))
-    assert np.abs(sample.positions - coords).max() == 0.0
+def test_flow_state_rejects_mismatched_grids(grid3):
+    other = Grid((16, 16, 16), (4 * np.pi, 2 * np.pi, 2 * np.pi))
+    with pytest.raises(GridMismatchError):
+        FlowState(VectorField.zeros(grid3), VectorField.zeros(other))
 
 
-def test_pushforward_b_is_divergence_compatible():
-    # div_x b = 0 restated through the cofactor rows: div_y(A^T (e1 + d1 Y)) = 0
-    grid = Grid((32, 32, 32), (2 * np.pi,) * 3)
-    state = build_flow_state(grid, scaled_spec(default_spec(3, None), 0.02))
-    sample = pushforward_fields(state)
-    _, _, a = cofactors(state.Y)
-    atb = np.einsum("ji...,j...->i...", a, sample.b.values)
-    spec = grid.fft(atb)
-    div = np.zeros(grid.shape, dtype=complex)
-    for j in range(3):
-        div += 1j * grid.k_axes[j] * spec[j]
-    # exact in the continuum; the grid residue is cubic product aliasing
-    assert np.abs(div).max() < 2e-9
-
-
-def test_evaluate_at_flow_single_mode(grid3):
+def test_trig_evaluator_single_mode(grid3):
     y1 = mesh(grid3)[0]
-    from lagmhd.fields import ScalarField
-
-    f = ScalarField.from_values(grid3, np.sin(y1))
-    val = evaluate_at_flow(f, np.array([[np.pi / 2, 0.0, 0.0]]))
+    evaluate = make_trig_evaluator(ScalarField.from_values(grid3, np.sin(y1)))
+    val = evaluate(np.array([[np.pi / 2, 0.0, 0.0]]))
     assert abs(val[0] - 1.0) < 1e-12
-    assert evaluate_at_flow(f, np.empty((0, 3))).shape == (0,)
+    assert evaluate(np.empty((0, 3))).shape == (0,)
 
 
-def test_evaluate_at_flow_reproduces_grid_samples(grid3, rng):
+def test_trig_evaluator_reproduces_grid_samples(grid3, rng):
     f = random_band_limited(grid3, rng, rank=0, kmax=4)
     coords = np.stack(np.broadcast_arrays(*grid3.coords))
     pts = np.moveaxis(coords, 0, -1).reshape(-1, 3)
-    vals = evaluate_at_flow(f, pts)
+    vals = make_trig_evaluator(f)(pts)
     assert np.abs(vals - f.values.ravel()).max() < 1e-12 * np.abs(f.values).max()
 
 
-def test_evaluate_at_flow_matches_refined_grid(grid3, rng):
+def test_trig_evaluator_matches_refined_grid(grid3, rng):
     f = random_band_limited(grid3, rng, rank=0, kmax=4)
     fine = Grid((32, 32, 32), grid3.lengths)
     nc = grid3.sizes[0]
@@ -282,7 +265,7 @@ def test_evaluate_at_flow_matches_refined_grid(grid3, rng):
     pts = rng.uniform(0, 2 * np.pi, size=(50, 3))
     idx = np.round(pts / fine.spacings[0]).astype(int) % fine.sizes[0]
     snapped = idx * fine.spacings[0]
-    direct = evaluate_at_flow(f, snapped)
+    direct = make_trig_evaluator(f)(snapped)
     oracle = refined_vals[idx[:, 0], idx[:, 1], idx[:, 2]]
     assert np.abs(direct - oracle).max() < 1e-10 * np.abs(f.values).max()
 
