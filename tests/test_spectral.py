@@ -233,13 +233,57 @@ HALF_GRIDS.update(
 )
 
 
+# an -open case takes data the 2/3 mask has not been applied to, or the whole
+# k_last >= 0 half in place of the band: what Grid.fft, ifft, irfft, mirror
+# and the full-spectrum path of gradient_values still take
+HALF_CASES = list(HALF_GRIDS) + [f"{k}-open" for k in HALF_GRIDS if k != "3D-cube"]
+
+
+def _case(name):
+    """(grid, open) of a HALF_CASES name."""
+    is_open = name.endswith("-open")
+    return HALF_GRIDS[name.removesuffix("-open")], is_open
+
+
 def _band_planes(grid):
     return -(-grid.sizes[-1] // 3)
 
 
-@pytest.mark.parametrize("name", HALF_GRIDS)
+def _whole_half_tables(grid):
+    n = grid.sizes[-1]
+    nh, sizes = n // 2 + 1, np.array(grid.sizes)
+    # the last plane of the whole half is the Nyquist plane, whose stored
+    # wavenumber -N/2 is its own negative
+    assert grid.k_axes[-1].ravel()[nh - 1] == -np.pi * n / grid.lengths[-1]
+    # the Nyquist points of the leading axes that Grid.ifft and gradient_values
+    # project: dst in the half at interior k_last, src its negated wavevector,
+    # and i k at both ends
+    dst, src, ik_dst, ik_src = grid._nyquist_ik
+    for end, ik in ((dst, ik_dst), (src, ik_src)):
+        for j, ka in enumerate(grid.k_axes):
+            assert np.array_equal(ik[j], np.broadcast_to(1j * ka, grid.sizes)[end])
+    d, s = np.stack(dst[1:]), np.stack(src[1:])
+    assert np.all((d + s) % sizes[:, None] == 0)
+    assert np.all((d[-1] >= 1) & (d[-1] < n // 2))
+    on_plane = d[:-1] == (sizes[:-1] // 2)[:, None]
+    assert np.all(on_plane.any(axis=0))
+    # each leading axis lists its whole hyperplane; crossings come twice
+    lead = sizes[:-1]
+    assert d.shape[1] == sum(np.prod(lead) // m for m in lead) * (n // 2 - 1)
+    union = np.zeros(grid.sizes, dtype=bool)
+    for i, m in enumerate(lead):
+        union[(slice(None),) * i + (m // 2, Ellipsis)] = True
+    union[..., [0] + list(range(n // 2, n))] = False
+    listed = np.unique(np.ravel_multi_index(tuple(d), grid.sizes))
+    assert np.array_equal(listed, np.flatnonzero(union))
+
+
+@pytest.mark.parametrize("name", HALF_CASES)
 def test_half_tables_are_the_first_last_axis_planes(name):
-    grid = HALF_GRIDS[name]
+    grid, is_open = _case(name)
+    if is_open:
+        _whole_half_tables(grid)
+        return
     half = grid.half
     nb, n = _band_planes(grid), grid.sizes[-1]
     cut = (Ellipsis, slice(0, nb))
@@ -260,23 +304,32 @@ def test_half_tables_are_the_first_last_axis_planes(name):
     assert np.array_equal(half.norm_k2, grid.k2[cut] * multiplicity)
 
 
-@pytest.mark.parametrize("name", HALF_GRIDS)
+@pytest.mark.parametrize("name", HALF_CASES)
 def test_half_norm_with_doubled_k2_equals_the_full_norm(name, rng):
-    grid = HALF_GRIDS[name]
-    nb = grid.half.shape[-1]
-    # band-limited: the masked spectrum of a random real field
+    grid, is_open = _case(name)
+    n = grid.sizes[-1]
     full = grid.fft(rng.standard_normal((grid.dim,) + grid.shape))
-    full *= grid.dealias_mask
+    if is_open:
+        # the whole half of the unmasked spectrum: k_last = 0 and the
+        # Nyquist plane N/2 count once, every other plane twice
+        nb, half = n // 2 + 1, grid
+        multiplicity = np.full(nb, 2.0)
+        multiplicity[[0, -1]] = 1.0
+        weight = grid.k2[..., :nb] * multiplicity
+    else:
+        # band-limited: the masked spectrum of a random real field
+        nb, half, weight = grid.half.shape[-1], grid.half, grid.half.norm_k2
+        full *= grid.dealias_mask
     for spec in [full] + [full * (1j * k) for k in grid.k_axes]:
         want = weighted_norm_sq(spec, grid.k2, grid)
-        got = weighted_norm_sq(spec[..., :nb], grid.half.norm_k2, grid.half)
+        got = weighted_norm_sq(spec[..., :nb], weight, half)
         assert want > 0.0
         assert abs(got - want) <= 1e-14 * want
 
 
-@pytest.mark.parametrize("name", HALF_GRIDS)
+@pytest.mark.parametrize("name", HALF_CASES)
 def test_rfft_irfft_round_trip_and_fft_is_the_mirror(name, rng):
-    grid = HALF_GRIDS[name]
+    grid, is_open = _case(name)
     nb, axes = grid.half.shape[-1], grid.spatial_axes
     vals = rng.standard_normal((grid.dim,) + grid.shape)
     half = sfft.rfftn(vals, axes=axes, norm="forward")
@@ -284,6 +337,17 @@ def test_rfft_irfft_round_trip_and_fft_is_the_mirror(name, rng):
     assert band.shape == (grid.dim,) + grid.half.shape
     # the pruned transforms against the full ones
     assert np.abs(band - half[..., :nb]).max() <= 1e-15 * np.abs(half).max()
+    if is_open:
+        # the whole half, Nyquist planes included, goes back to the samples
+        # and mirrors to the full spectrum
+        kept = half.copy()
+        back = grid.irfft(half)
+        assert np.array_equal(half, kept)
+        assert np.abs(back - vals).max() <= 1e-14 * np.abs(vals).max()
+        full = sfft.fftn(vals, axes=axes, norm="forward")
+        assert np.abs(grid.mirror(half) - full).max() <= 1e-15 * np.abs(full).max()
+        assert np.array_equal(grid.fft(vals), grid.mirror(half))
+        return
     padded = np.zeros_like(half)
     padded[..., :nb] = band
     want = sfft.irfftn(padded, s=grid.sizes, axes=axes, norm="forward")
@@ -329,15 +393,17 @@ def test_field_from_band_mirrors_its_spectrum_and_samples(name, rng):
         VectorField.from_band(grid, grid.fft(grid.irfft(band)))
 
 
-@pytest.mark.parametrize("name", HALF_GRIDS)
+@pytest.mark.parametrize("name", HALF_CASES)
 def test_gradient_values_equals_ifft_of_the_full_product(name, rng):
-    grid = HALF_GRIDS[name]
+    grid, is_open = _case(name)
     shape = (grid.dim,) + grid.shape
     real = grid.fft(rng.standard_normal(shape))
     # a spectrum that is not Hermitian on the Nyquist hyperplanes, as an
     # odd multiplier leaves one
     general = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    for spec in (real, general):
+    # unmasked spectra reach the Nyquist step; masked ones are zero there
+    mask = 1.0 if is_open else grid.dealias_mask
+    for spec in (real * mask, general * mask):
         buf = np.empty((grid.dim,) + shape, dtype=complex)
         for j in range(grid.dim):
             np.multiply(spec, 1j * grid.k_axes[j], out=buf[:, j])
@@ -346,11 +412,18 @@ def test_gradient_values_equals_ifft_of_the_full_product(name, rng):
         assert np.array_equal(spec, kept)
 
 
-@pytest.mark.parametrize("name", HALF_GRIDS)
+@pytest.mark.parametrize("name", HALF_CASES)
 def test_gradient_values_of_a_band_equals_the_full_spectrum_path(name, rng):
-    grid = HALF_GRIDS[name]
+    grid, is_open = _case(name)
     shape = (grid.dim,) + grid.shape
-    band = grid.rfft(rng.standard_normal(shape)) * grid.half.dealias_mask
+    band = grid.rfft(rng.standard_normal(shape))
+    if is_open:
+        # unmasked but for the Nyquist hyperplanes of the leading axes, the
+        # one part of the band that the pruned irfft cannot take exactly
+        for i, m in enumerate(grid.sizes[:-1]):
+            band[(slice(None),) * (i + 1) + (m // 2,)] = 0.0
+    else:
+        band *= grid.half.dealias_mask
     full = grid.mirror(band)
     buf = np.empty((grid.dim,) + shape, dtype=complex)
     for j in range(grid.dim):
