@@ -46,8 +46,8 @@ class RunConfig:
         self.lengths = tuple(float(x) for x in self.lengths)
         if len(self.lengths) != self.dimension:
             raise ConfigError("lengths must list one entry per dimension")
-        if any(x <= 0 for x in self.lengths):
-            raise ConfigError("lengths must be positive")
+        if not all(0 < x < np.inf for x in self.lengths):  # nan fails too
+            raise ConfigError("lengths must be positive and finite")
         if not self.dt > 0:
             raise ConfigError(f"dt must be positive, got {self.dt}")
         if not self.t_end >= self.dt:

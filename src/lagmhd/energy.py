@@ -21,7 +21,7 @@ import numpy as np
 
 from .geometry import FlowState
 from .grid import Grid
-from .spectral import weighted_inner, weighted_norm_sq
+from .spectral import weighted_norm_sq
 
 # rows of EnergyEvaluator.weights
 H2, D1_H2, LAP_H2, GRAD_H2, GRAD_D1_H2, GRAD_D1_H1, GRAD_D11_H1, LAP_D1_H1 = range(8)
@@ -35,20 +35,29 @@ def _real_pairs(spec):
     return spec.view(float).reshape(spec.shape[0], -1)
 
 
+def _band_hs_weight(grid: Grid, s: int):
+    """The H^s weight on the band, times the Hermitian multiplicity."""
+    half = grid.half
+    return grid.hs_weight(s)[..., : half.shape[-1]] * half.multiplicity
+
+
 class EnergyEvaluator:
     """Precomputed spectral weights for all energy components on one grid.
 
-    The eight weights of a sample are the rows of one (8, *grid.shape) array;
-    the named weight attributes are views of its rows.
+    The eight weights of a sample are the rows of one (8, *grid.half.shape)
+    array on the band, with the Hermitian multiplicity folded in, so a sum
+    over the band equals the sum over the full spectrum. The named weight
+    attributes are views of its rows.
     """
 
     def __init__(self, grid: Grid):
         self.grid = grid
-        w1 = grid.hs_weight(1)
-        w2 = grid.hs_weight(2)
-        k2 = grid.k2
-        k1sq = np.broadcast_to(grid.k1sq, grid.shape)
-        w = self.weights = np.empty((8,) + grid.shape)
+        half = grid.half
+        w1 = _band_hs_weight(grid, 1)
+        w2 = _band_hs_weight(grid, 2)
+        k2 = half.k2
+        k1sq = np.broadcast_to(half.k1sq, half.shape)
+        w = self.weights = np.empty((8,) + half.shape)
         w[H2] = w2
         w[D1_H2] = k1sq * w2
         w[LAP_H2] = k2 * k2 * w2
@@ -59,27 +68,21 @@ class EnergyEvaluator:
         w[LAP_D1_H1] = k2 * k2 * k1sq * w1
         (self.w_h2, self.w_d1_h2, self.w_lap_h2, self.w_grad_h2, self.w_grad_d1_h2,
          self.w_grad_d1_h1, self.w_grad_d11_h1, self.w_lap_d1_h1) = w
-        self.w_cross_h2 = self.w_grad_h2  # (f | lap g)_{H^2} carries -k2 inside
 
-    def nsq(self, spec, w) -> float:
-        return weighted_norm_sq(spec, w, self.grid)
-
-    def ip(self, a, b, w) -> float:
-        return weighted_inner(a, b, w, self.grid)
-
-    def sample_table(self, state: FlowState, f_spec=None):
+    def sample_table(self, state: FlowState, f_band=None):
         """volume * W @ S: the (8, 5) table every sample functional reads.
 
-        The columns of S are five per-mode spectra, each summed over
-        components: |Y|^2, |Yt|^2, Re Yt.conj(Y), Re f.conj(Yt) and
-        Re f.conj(Y); the last two are zero without f. The table does not
-        depend on t: the (t+1) powers are applied by the functionals.
+        The columns of S are five per-mode spectra over the band, each summed
+        over components: |Y|^2, |Yt|^2, Re Yt.conj(Y), Re f.conj(Yt) and
+        Re f.conj(Y); the last two are zero without f, the band of the
+        force. The table does not depend on t: the (t+1) powers are applied
+        by the functionals.
         """
-        n = self.grid.npoints
-        y, yt = _real_pairs(state.Y.spec), _real_pairs(state.Yt.spec)
+        n = self.weights[0].size
+        y, yt = _real_pairs(state.Y.band), _real_pairs(state.Yt.band)
         pairs = [(y, y), (yt, yt), (yt, y)]
-        if f_spec is not None:
-            f = _real_pairs(f_spec)
+        if f_band is not None:
+            f = _real_pairs(f_band)
             pairs += [(f, yt), (f, y)]
         spectra = np.zeros((5, n))
         acc, tmp = np.empty(2 * n), np.empty(2 * n)
@@ -94,17 +97,18 @@ class EnergyEvaluator:
     def initial_norm(state: FlowState) -> float:
         """Smallness functional of the data: |Yt|_{H^3}^2 + |d1 Y|_{H^3}^2 + |lap Y|_{H^2}^2.
 
-        Reads only the grid's cached H^s weights, so initial data can be
-        scaled with it before any evaluator is built.
+        Reads the bands of the state and only the grid's cached H^s weights,
+        so initial data can be scaled with it before any evaluator is built.
         """
         grid = state.grid
-        w_h3 = grid.hs_weight(3)
-        k1sq = np.broadcast_to(grid.k1sq, grid.shape)
-        yh, yth = state.Y.spec, state.Yt.spec
+        half = grid.half
+        w_h3 = _band_hs_weight(grid, 3)
+        k1sq = np.broadcast_to(half.k1sq, half.shape)
+        yh, yth = state.Y.band, state.Yt.band
         return (
-            weighted_norm_sq(yth, w_h3, grid)
-            + weighted_norm_sq(yh, k1sq * w_h3, grid)
-            + weighted_norm_sq(yh, grid.k2 * grid.k2 * grid.hs_weight(2), grid)
+            weighted_norm_sq(yth, w_h3, half)
+            + weighted_norm_sq(yh, k1sq * w_h3, half)
+            + weighted_norm_sq(yh, half.k2 * half.k2 * _band_hs_weight(grid, 2), half)
         )
 
 
@@ -265,11 +269,11 @@ def dissipation_inequality_terms(ev: EnergyEvaluator, state: FlowState, table=No
     return _terms(ev, state, table, DISSIPATION_COEFFS, INEQUALITY_TERMS)
 
 
-def forcing_pairings(ev: EnergyEvaluator, state: FlowState, f_spec, table=None) -> tuple:
-    """(rhs1, rhs2), the absolute forcing pairings above. A given table must
-    have been built with f_spec."""
+def forcing_pairings(ev: EnergyEvaluator, state: FlowState, f_band, table=None) -> tuple:
+    """(rhs1, rhs2), the absolute forcing pairings above, of the force band
+    f_band. A given table must have been built with f_band."""
     if table is None:
-        table = ev.sample_table(state, f_spec)
+        table = ev.sample_table(state, f_band)
     rhs1 = sum(_terms(ev, state, table, RHS1_COEFFS, RHS1_TERMS))
     rhs2 = sum(_terms(ev, state, table, RHS2_COEFFS, RHS2_TERMS))
     return abs(rhs1), abs(rhs2)

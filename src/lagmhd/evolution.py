@@ -408,55 +408,58 @@ class EulerianStepper:
     dealiased pseudo-spectral products under Leray projection; the magnetic
     field advances in the conservative curl(u x b) form so its divergence stays
     zero to round-off, with a spectral filter replacing the absent diffusion.
+    The state and every spectrum live on the band (``grid.half``): data that
+    starts inside the 2/3 mask stays there.
     """
 
     def __init__(self, grid: Grid, dt: float):
         self.grid = grid
         self.dt = dt
-        self.heat = np.exp(-grid.k2 * dt)
-        self.filter = _magnetic_filter(grid)
+        half = grid.half
+        nb = half.shape[-1]
+        self.heat = np.exp(-half.k2 * dt)
+        self.filter = np.ascontiguousarray(_magnetic_filter(grid)[..., :nb])
 
-    def _rhs(self, u_spec, b_spec):
+    def _rhs(self, u_band, b_band):
         grid = self.grid
-        u = grid.ifft(u_spec)
-        b = grid.ifft(b_spec)
-        grad_u = gradient_values(u_spec, grid)
-        grad_b = gradient_values(b_spec, grid)
+        half = grid.half
+        u = grid.irfft(u_band)
+        b = grid.irfft(b_band)
+        grad_u = gradient_values(u_band, grid)
+        grad_b = gradient_values(b_band, grid)
         conv = np.einsum("j...,ij...->i...", u, grad_u) - np.einsum(
             "j...,ij...->i...", b, grad_b
         )
-        n_spec = dealias_spec(grid.fft(conv), grid)
-        rhs_u = -(n_spec - riesz_apply_spec(n_spec, grid))
+        n_band = dealias_spec(grid.rfft(conv), half)
+        rhs_u = -(n_band - riesz_apply_spec(n_band, half))
+        k = half.k_axes
         if grid.dim == 2:
             w = u[0] * b[1] - u[1] * b[0]
-            w_spec = dealias_spec(grid.fft(w), grid)
-            h_spec = np.stack(
-                [1j * grid.k_axes[1] * w_spec, -1j * grid.k_axes[0] * w_spec]
-            )
+            w_band = dealias_spec(grid.rfft(w), half)
+            h_band = np.stack([1j * k[1] * w_band, -1j * k[0] * w_band])
         else:
             w = np.cross(u, b, axis=0)
-            w_spec = dealias_spec(grid.fft(w), grid)
-            k = grid.k_axes
-            h_spec = np.stack(
+            w_band = dealias_spec(grid.rfft(w), half)
+            h_band = np.stack(
                 [
-                    1j * (k[1] * w_spec[2] - k[2] * w_spec[1]),
-                    1j * (k[2] * w_spec[0] - k[0] * w_spec[2]),
-                    1j * (k[0] * w_spec[1] - k[1] * w_spec[0]),
+                    1j * (k[1] * w_band[2] - k[2] * w_band[1]),
+                    1j * (k[2] * w_band[0] - k[0] * w_band[2]),
+                    1j * (k[0] * w_band[1] - k[1] * w_band[0]),
                 ]
             )
-        return rhs_u, h_spec, n_spec
+        return rhs_u, h_band, n_band
 
     def pressure_of(self, state: EulerState) -> ScalarField:
         """Zero-mean pressure recovered from the instantaneous Leray constraint."""
-        grid = self.grid
-        _, _, n_spec = self._rhs(state.u.spec, state.b.spec)
-        p_spec = divergence_spec(n_spec, grid)
-        p_spec *= grid.inv_k2
-        return ScalarField.from_spec(grid, p_spec)
+        half = self.grid.half
+        _, _, n_band = self._rhs(state.u.band, state.b.band)
+        p_band = divergence_spec(n_band, half)
+        p_band *= half.inv_k2
+        return ScalarField.from_band(self.grid, p_band)
 
     def step(self, state: EulerState) -> EulerState:
         grid, dt = self.grid, self.dt
-        u0, b0 = state.u.spec, state.b.spec
+        u0, b0 = state.u.band, state.b.band
         ru0, h0, _ = self._rhs(u0, b0)
         u_star = self.heat * (u0 + dt * ru0)
         b_star = b0 + dt * h0
@@ -466,7 +469,7 @@ class EulerianStepper:
         if not np.isfinite(np.abs(u_new).max()):
             raise FloatingPointError("non-finite Eulerian state after step")
         return EulerState(
-            VectorField.from_spec(grid, u_new),
-            VectorField.from_spec(grid, b_new),
+            VectorField.from_band(grid, u_new),
+            VectorField.from_band(grid, b_new),
             state.t + dt,
         )

@@ -2,9 +2,10 @@
 
 Fields are treated as immutable: operations return fresh instances. A field
 holds up to three views of the same data, each computed on first access from
-the one the field was built with: the real samples, the full normalized
-Fourier coefficients, and the band (``Grid.half``), the first K last-axis
-planes of the coefficients, which is all a 2/3-dealiased field carries.
+the one the field was built with: the real samples, the band (``Grid.half``),
+the first K last-axis planes of the normalized Fourier coefficients, which
+is all a 2/3-dealiased field carries and what every run path works with,
+and the full spectrum.
 """
 
 from __future__ import annotations

@@ -141,18 +141,22 @@ def inverse_transpose_values(mat):
 
 
 def make_trig_evaluator(field, chunk_entries: int = 1 << 22):
-    """Exact trigonometric-sum evaluator of a band-limited field at points.
+    """Exact trigonometric-sum evaluator of a band-limited real field at points.
 
-    Direct summation over all modes: O(npoints * nmodes), intended for the
-    small grids used in cross-validation and trajectory work.
+    Sums Re m(k) c(k) e^{ik.y} over the modes of the field's band
+    (``grid.half``), with m the Hermitian multiplicity: for a real field that
+    is zero outside the band, that is the sum over every mode of its full
+    spectrum. Direct summation: O(npoints * nmodes), intended for the small
+    grids used in cross-validation and trajectory work.
     """
     grid = field.grid
-    spec = field.spec
-    comp_shape = spec.shape[: -grid.dim]
+    half = grid.half
+    band = field.band * half.multiplicity
+    comp_shape = band.shape[: -grid.dim]
     kmat = np.stack(
-        [np.broadcast_to(grid.k_axes[i], grid.shape).ravel() for i in range(grid.dim)]
+        [np.broadcast_to(ka, half.shape).ravel() for ka in half.k_axes]
     )  # (d, nmodes)
-    flat = spec.reshape(comp_shape + (-1,))
+    flat = band.reshape(comp_shape + (-1,))
 
     def evaluate(points):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -256,6 +260,8 @@ def construct_initial_map(
     volume preserving. Periodic closure across the box requires the transverse
     drift and traversal-time integrals of b0 - e1 to vanish along trajectories
     (the admissibility of b0 - e1); the returned residuals measure any defect.
+    b0 is evaluated, and the displacement differentiated, on the band
+    (``grid.half``): what either holds outside it is dropped.
     """
     grid = b0.grid
     div = divergence_norm(b0)
@@ -302,7 +308,7 @@ def construct_initial_map(
             "constructed map strays too far from identity for a periodic chart"
         )
     displacement = VectorField.from_values(grid, y0)
-    grad = gradient_values(displacement.spec, grid)
+    grad = gradient_values(displacement.band, grid)
     ident = _identity(grid.dim, grid.shape)
     a0_vals = inverse_transpose_values(ident + grad)
     det = determinant_values(grad)

@@ -94,10 +94,6 @@ class Grid:
         object.__setattr__(self, "half", _band_tables(self))
         object.__setattr__(self, "_hs_weights", {})
         object.__setattr__(self, "_mirror_pairs", _mirror_pairs(sizes))
-        object.__setattr__(self, "_nyquist_pairs", _nyquist_pairs(sizes))
-        object.__setattr__(
-            self, "_nyquist_ik", _nyquist_ik(k_axes, self._nyquist_pairs, sizes)
-        )
 
     # -- transforms --------------------------------------------------------
 
@@ -166,28 +162,11 @@ class Grid:
         return self.mirror(sfft.rfftn(values, axes=self.spatial_axes, norm="forward"))
 
     def ifft(self, spec):
-        """Normalized coefficients -> real samples, as a contiguous float64 array.
+        """Spectrum of a real field -> real samples, as a contiguous float64 array.
 
-        Equals the real part of the full inverse transform, that is, the inverse
-        of the Hermitian part (s(k) + conj(s(-k)))/2. Only the k_last >= 0 half
-        is read, so the input must be Hermitian off the Nyquist hyperplanes of
-        the leading axes, as every product of a real field's spectrum with an
-        even or odd multiplier is. On those hyperplanes (interior k_last only)
-        the Hermitian part is taken explicitly: an odd multiplier leaves them
-        non-Hermitian, because the stored wavenumber -N/2 is its own negative.
+        One irfftn of the k_last >= 0 half; the k_last < 0 planes are not read.
         """
-        half = spec[..., : self.sizes[-1] // 2 + 1].astype(complex)
-        # read spec, not half: the hyperplanes of two axes cross, and each
-        # write must see the unprojected s(-k)
-        for dst, src in self._nyquist_pairs:
-            part = np.conjugate(spec[src])
-            part += spec[dst]
-            part *= 0.5
-            half[dst] = part
-        return self._irfftn(half)
-
-    def _irfftn(self, half):
-        """The whole k_last >= 0 half -> real samples; the argument is unchanged."""
+        half = spec[..., : self.sizes[-1] // 2 + 1]
         return sfft.irfftn(half, s=self.sizes, axes=self.spatial_axes, norm="forward")
 
     # -- norms and weights --------------------------------------------------
@@ -223,12 +202,14 @@ class HalfGrid:
 
     The band is the first K = ceil(N_last/3) last-axis planes
     (k_last = 0, ..., K - 1) of the full spectrum, exactly the k_last >= 0
-    planes the 2/3 mask keeps. Every table is the first K planes of the full
-    one. ``k2`` and ``k1sq`` are the |k|^2 and k1^2 symbols. ``norm_k2`` is a
-    norm weight: |k|^2 times the Hermitian multiplicity (the k_last = 0 plane
-    once, every other plane twice), so a norm weighted by it over the band
-    equals the |k|^2-weighted norm over the full spectrum of a field that is
-    zero outside the band.
+    planes the 2/3 mask keeps; it is the one spectral representation of a
+    real field the solver works with. Every table is the first K planes of
+    the full one. ``k2`` and ``k1sq`` are the |k|^2 and k1^2 symbols.
+    ``multiplicity`` is the Hermitian multiplicity of each plane (the
+    k_last = 0 plane once, every other plane twice, for its k_last < 0
+    partner), so a sum over the band weighted by it equals the sum over the
+    full spectrum of a real field that is zero outside the band.
+    ``norm_k2`` is |k|^2 times that multiplicity.
     """
 
     dim: int
@@ -241,6 +222,7 @@ class HalfGrid:
     inv_k2: np.ndarray
     masked_inv_k2: np.ndarray
     dealias_mask: np.ndarray
+    multiplicity: np.ndarray
     norm_k2: np.ndarray
 
 
@@ -263,6 +245,7 @@ def _band_tables(grid: Grid) -> HalfGrid:
         inv_k2=cut(grid.inv_k2),
         masked_inv_k2=cut(grid.masked_inv_k2),
         dealias_mask=cut(grid.dealias_mask),
+        multiplicity=multiplicity,
         norm_k2=cut(grid.k2) * multiplicity,
     )
 
@@ -285,44 +268,6 @@ def _mirror_pairs(sizes):
         src = (Ellipsis,) + tuple(p[1] for p in lead)
         pairs.append((dst, src))
     return tuple(pairs)
-
-
-def _nyquist_pairs(sizes):
-    """(dst, src) index pairs of each leading axis's Nyquist hyperplane.
-
-    dst covers the hyperplane at interior k_last > 0; src is its negated
-    wavevector, at k_last < 0 in the full spectrum.
-    """
-    n = sizes[-1]
-    pairs = []
-    for i, m in enumerate(sizes[:-1]):
-        nyq = (slice(m // 2, m // 2 + 1),) * 2
-        others = [
-            (nyq,) if j == i else _negated(mj) for j, mj in enumerate(sizes[:-1])
-        ]
-        for lead in itertools.product(*others):
-            dst = (Ellipsis,) + tuple(p[0] for p in lead) + (slice(1, n // 2),)
-            src = (Ellipsis,) + tuple(p[1] for p in lead) + (slice(n - 1, n // 2, -1),)
-            pairs.append((dst, src))
-    return tuple(pairs)
-
-
-def _nyquist_ik(k_axes, pairs, sizes):
-    """The points of ``_nyquist_pairs`` and i k at both ends of each pair.
-
-    Returns (dst, src, ik_dst, ik_src): dst and src are index tuples over
-    the spatial axes (a dst index is the same in the k_last >= 0 half), and
-    ik_dst, ik_src stack the multipliers of all directions on a leading axis.
-    Where the hyperplanes of two axes cross, a point is listed twice with the
-    same source, as ``Grid.ifft`` writes it twice.
-    """
-    index = np.arange(int(np.prod(sizes))).reshape(sizes)
-    ends = []
-    for end in (0, 1):
-        flat = np.concatenate([index[pair[end]].ravel() for pair in pairs])
-        ends.append((Ellipsis,) + np.unravel_index(flat, sizes))
-    ik = [np.broadcast_to(1j * ka, sizes) for ka in k_axes]
-    return tuple(ends) + tuple(np.stack([m[e] for m in ik]) for e in ends)
 
 
 def multi_indices(dim: int, s: int):

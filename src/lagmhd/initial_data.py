@@ -141,23 +141,26 @@ def _solenoidal_velocity(grid: Grid, modes, scale: float):
         for i, n_i in enumerate(m.n):
             phase += n_i * (2.0 * np.pi / grid.lengths[i]) * coords[i]
         v[m.axis] += scale * m.amp * np.cos(phase + m.phase)
-    spec = grid.fft(v)
-    spec = dealias_spec(spec - riesz_apply_spec(spec, grid), grid)
-    return grid.ifft(spec)
+    half = grid.half
+    band = grid.rfft(v)
+    band = dealias_spec(band - riesz_apply_spec(band, half), half)
+    return grid.irfft(band)
 
 
 def build_flow_state(grid: Grid, spec: InitialDataSpec) -> FlowState:
     """Assemble (Y0, Y1), rescaled so the smallness functional hits epsilon0."""
 
+    half = grid.half
+
     def assemble(scale: float) -> FlowState:
         y0_vals = _shear_displacement(grid, spec, scale)
         # composition tails above the 2/3-mask ball are machine-small at these
         # amplitudes; masking keeps the evolved state band-limited
-        y0 = VectorField.from_spec(grid, dealias_spec(grid.fft(y0_vals), grid))
+        y0 = VectorField.from_band(grid, dealias_spec(grid.rfft(y0_vals), half))
         v = _solenoidal_velocity(grid, spec.velocity, scale)
-        grad = gradient_values(y0.spec, grid)
+        grad = gradient_values(y0.band, grid)
         y1_vals = v + np.einsum("im...,m...->i...", grad, v)
-        y1 = VectorField.from_spec(grid, dealias_spec(grid.fft(y1_vals), grid))
+        y1 = VectorField.from_band(grid, dealias_spec(grid.rfft(y1_vals), half))
         return FlowState(y0, y1, 0.0)
 
     if spec.epsilon0 is None:
@@ -201,17 +204,18 @@ def euler_from_flow(state: FlowState) -> EulerState:
         if np.abs(delta).max() < 1e-13:
             break
     y1_eval = make_trig_evaluator(state.Yt)
-    d1y = VectorField.from_spec(grid, state.Y.spec * (1j * grid.k_axes[0]))
+    half = grid.half
+    d1y = VectorField.from_band(grid, state.Y.band * (1j * half.k_axes[0]))
     d1y_eval = make_trig_evaluator(d1y)
     u_vals = y1_eval(y).reshape((grid.dim,) + grid.shape)
     b_vals = d1y_eval(y).reshape((grid.dim,) + grid.shape)
     b_vals[0] += 1.0
-    u_spec = grid.fft(u_vals)
-    u_spec = dealias_spec(u_spec - riesz_apply_spec(u_spec, grid), grid)
-    b_spec = dealias_spec(grid.fft(b_vals), grid)
+    u_band = grid.rfft(u_vals)
+    u_band = dealias_spec(u_band - riesz_apply_spec(u_band, half), half)
+    b_band = dealias_spec(grid.rfft(b_vals), half)
     return EulerState(
-        VectorField.from_spec(grid, u_spec),
-        VectorField.from_spec(grid, b_spec),
+        VectorField.from_band(grid, u_band),
+        VectorField.from_band(grid, b_band),
         state.t,
     )
 

@@ -139,12 +139,12 @@ def _grad_u_sup(grad_u) -> float:
 
 
 def _record_sample(ev: EnergyEvaluator, state: FlowState, force: NonlinearForce):
-    table = ev.sample_table(state, force.f.spec)
+    table = ev.sample_table(state, force.f.band)
     e = energy_report(ev, state, table)
     d = dissipation_report(ev, state, table)
     ce = corrected_energy(ev, state, table)
     diss_terms = dissipation_inequality_terms(ev, state, table)
-    rhs1, rhs2 = forcing_pairings(ev, state, force.f.spec, table)
+    rhs1, rhs2 = forcing_pairings(ev, state, force.f.band, table)
     det = determinant_values(force.grad_y)
     # (grad_x u) composed with the flow equals (grad_y Yt) A^T
     grad_u = np.einsum("im...,jm...->ij...", force.grad_yt, force.a_values)
@@ -370,7 +370,7 @@ def _drive_flow_map(config: RunConfig, grid: Grid, initial, write_outputs=True):
 
     def checked_initial():
         state = initial()
-        det0 = determinant_values(gradient_values(state.Y.spec, grid))
+        det0 = determinant_values(gradient_values(state.Y.band, grid))
         det0_err = float(np.abs(det0 - 1.0).max())
         if det0_err > 1e-8:
             raise InitialDataError(
@@ -399,7 +399,7 @@ def run_simulation(config: RunConfig) -> RunReport:
     stepper = EulerianStepper(grid, config.dt)
 
     def record(state, _):
-        gu = gradient_values(state.u.spec, grid)
+        gu = gradient_values(state.u.band, grid)
         return RunSample(t=state.t, grad_u_sup=_grad_u_sup(gu))
 
     def finish(state):
@@ -460,7 +460,7 @@ def compare_formulations(config: RunConfig) -> CompareReport:
     u_at_x = u_eval(x_pts)
     b_at_x = b_eval(x_pts)
     yt_samples = flow.Yt.values[(slice(None),) + sel].reshape(grid.dim, -1)
-    grad_y = gradient_values(flow.Y.spec, grid)
+    grad_y = gradient_values(flow.Y.band, grid)
     b_lagr = grad_y[:, 0][(slice(None),) + sel].reshape(grid.dim, -1)
     b_lagr = b_lagr.copy()
     b_lagr[0] += 1.0

@@ -1,9 +1,13 @@
 """Spectral derivatives, divergence, the 2/3 mask, norms and projectors.
 
-``_k_contract``, ``divergence_spec``, ``dealias_spec``, ``riesz_apply_spec``
-and ``weighted_norm_sq`` read only the grid's tables, so given ``grid.half``
-they act on bands, the first K last-axis planes of a spectrum (with
-``half.norm_k2`` as the doubled |k|^2 weight of a norm).
+Run paths work on bands (``Grid.half``), the first K last-axis planes of
+the spectrum of a real field. ``_k_contract``, ``divergence_spec``,
+``dealias_spec``, ``riesz_apply_spec`` and ``weighted_norm_sq`` read only
+the tables of the grid they are given, so given ``grid.half`` they act on
+bands (a norm over a band carries ``half.multiplicity``, or ``half.norm_k2``
+for the |k|^2 weight), and given the Grid on full spectra, as
+``leray_project`` and ``divergence_norm`` use them. ``gradient_values``
+takes a band.
 """
 
 from __future__ import annotations
@@ -17,36 +21,17 @@ from .grid import Grid
 # -- derivatives --------------------------------------------------------------
 
 
-def gradient_values(spec, grid: Grid):
-    """Real-space gradient of a spectral vector: out[i, j] = d_j v^i.
+def gradient_values(band, grid: Grid):
+    """Real-space gradient of a vector band: out[i, j] = d_j v^i.
 
-    ``spec`` is either a band (``grid.half``) or a full spectrum. A band takes
-    one multiply by i k_j and one pruned ``grid.irfft``.
-
-    A full spectrum gives bit for bit ``grid.ifft`` of the full products
-    i k_j spec, Hermitian or not, with only the k_last >= 0 half multiplied.
-    On the Nyquist hyperplanes of the leading axes (interior k_last) it forms
-    the Hermitian part that ``Grid.ifft`` takes there, from the products at k
-    and at -k of the full input. All components and directions go through
-    one inverse transform.
+    ``band`` is a band (``grid.half``); all components and directions take
+    one multiply by i k_j and go through one pruned ``grid.irfft``.
     """
     half = grid.half
-    if spec.shape[-1] != grid.sizes[-1]:
-        buf = np.empty((spec.shape[0], grid.dim) + half.shape, dtype=complex)
-        for j in range(grid.dim):
-            np.multiply(spec, 1j * half.k_axes[j], out=buf[:, j])
-        return grid.irfft(buf)
-    nh = grid.sizes[-1] // 2 + 1
-    buf = np.empty((spec.shape[0], grid.dim) + grid.sizes[:-1] + (nh,), dtype=complex)
-    spec_half = spec[..., :nh]
+    buf = np.empty((band.shape[0], grid.dim) + half.shape, dtype=complex)
     for j in range(grid.dim):
-        np.multiply(spec_half, 1j * grid.k_axes[j][..., :nh], out=buf[:, j])
-    dst, src, ik_dst, ik_src = grid._nyquist_ik
-    part = np.conjugate(spec[src][:, None] * ik_src)
-    part += spec[dst][:, None] * ik_dst
-    part *= 0.5
-    buf[dst] = part
-    return grid._irfftn(buf)
+        np.multiply(band, 1j * half.k_axes[j], out=buf[:, j])
+    return grid.irfft(buf)
 
 
 def _k_contract(spec, symbols):

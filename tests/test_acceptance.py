@@ -208,7 +208,7 @@ def test_criterion_6_constraint_convergence():
         stepper = LagrangianStepper(grid, dt)
         for _ in range(round(1.0 / dt)):
             st = stepper.step(st)
-        det = determinant_values(gradient_values(st.Y.spec, grid))
+        det = determinant_values(gradient_values(st.Y.band, grid))
         drifts.append(float(np.abs(det - 1.0).max()))
     r1, r2 = drifts[0] / drifts[1], drifts[1] / drifts[2]
     ok = 3.0 <= r1 <= 5.0 and 3.0 <= r2 <= 5.0

@@ -24,6 +24,7 @@ from lagmhd.evolution import LinearPropagator
 from lagmhd.fields import VectorField
 from lagmhd.geometry import FlowState
 from lagmhd.grid import Grid
+from lagmhd.spectral import weighted_inner, weighted_norm_sq
 
 from conftest import mesh, random_band_limited
 
@@ -39,6 +40,22 @@ def random_state(grid, rng, t=0.0, scale=1.0):
         random_band_limited(grid, rng, rank=1, kmax=4, scale=scale),
         t,
     )
+
+
+def full_weights(grid):
+    """The eight weights over the full spectrum, from the grid's own tables:
+    the oracle of the band table, which carries the Hermitian multiplicity."""
+    w1, w2, k2, k1sq = grid.hs_weight(1), grid.hs_weight(2), grid.k2, grid.k1sq
+    return {
+        "w_h2": w2,
+        "w_d1_h2": k1sq * w2,
+        "w_lap_h2": k2 * k2 * w2,
+        "w_grad_h2": k2 * w2,
+        "w_grad_d1_h2": k2 * k1sq * w2,
+        "w_grad_d1_h1": k2 * k1sq * w1,
+        "w_grad_d11_h1": k2 * k1sq * k1sq * w1,
+        "w_lap_d1_h1": k2 * k2 * k1sq * w1,
+    }
 
 
 # -- coefficients exactly as displayed -----------------------------------------
@@ -101,13 +118,18 @@ def test_corrected_energy_coefficient_audit_without_velocity(ev3, rng):
     ce = corrected_energy(ev3, state)
     yh = y.spec
     w = t + 1.0
+    full = full_weights(grid)
+
+    def nsq(name):
+        return weighted_norm_sq(yh, full[name], grid)
+
     expect = (
-        0.5 * ev3.nsq(yh, ev3.w_d1_h2)
-        + 0.125 * ev3.nsq(yh, ev3.w_lap_h2)
-        + 0.125 * w * ev3.nsq(yh, ev3.w_grad_d1_h2)
-        + (1 / 32) * w * ev3.nsq(yh, ev3.w_lap_d1_h1)
-        - (1 / 32) * ev3.nsq(yh, ev3.w_grad_d1_h1)
-        + (1 / 64) * w * w * ev3.nsq(yh, ev3.w_grad_d11_h1)
+        0.5 * nsq("w_d1_h2")
+        + 0.125 * nsq("w_lap_h2")
+        + 0.125 * w * nsq("w_grad_d1_h2")
+        + (1 / 32) * w * nsq("w_lap_d1_h1")
+        - (1 / 32) * nsq("w_grad_d1_h1")
+        + (1 / 64) * w * w * nsq("w_grad_d11_h1")
     )
     assert ce.total == pytest.approx(expect, rel=1e-13)
     assert ce.terms[0] == 0.0 and ce.terms[3] == 0.0 and ce.terms[7] == 0.0
@@ -136,65 +158,73 @@ def test_corrected_energy_bounded_by_initial_norm(ev3, rng):
 # -- one weight table per sample ----------------------------------------------
 
 
-def _literal_functionals(ev, state, f_spec):
-    """Every sample functional written out term by term with ev.nsq and ev.ip."""
-    grid = ev.grid
+def _literal_functionals(state, f_spec):
+    """Every sample functional written out term by term on full spectra."""
+    grid = state.grid
     yh, yth = state.Y.spec, state.Yt.spec
     w = state.t + 1.0
-    nsq, ip = ev.nsq, ev.ip
     c, b, q = CORRECTED_COEFFS, LOWER_BOUND_COEFFS, DISSIPATION_COEFFS
     k2, k1sq = grid.k2, grid.k1sq
     test1 = yth + 0.25 * k2 * yh + 0.25 * w * k2 * yth
     test2 = (w / 16.0) * k2 * k1sq * yh + (w * w / 32.0) * k2 * k1sq * yth
+    full = full_weights(grid)
+
+    def nsq(spec, name):
+        return weighted_norm_sq(spec, full[name], grid)
+
+    def ip(a, b, weight):
+        return weighted_inner(a, b, weight, grid)
+
     return {
         "energy": (
-            nsq(yth, ev.w_h2),
-            nsq(yh, ev.w_d1_h2),
-            nsq(yh, ev.w_lap_h2),
-            w * nsq(yth, ev.w_grad_h2),
-            w * nsq(yh, ev.w_grad_d1_h2),
-            w * w * nsq(yth, ev.w_grad_d1_h1),
-            w * w * nsq(yh, ev.w_grad_d11_h1),
+            nsq(yth, "w_h2"),
+            nsq(yh, "w_d1_h2"),
+            nsq(yh, "w_lap_h2"),
+            w * nsq(yth, "w_grad_h2"),
+            w * nsq(yh, "w_grad_d1_h2"),
+            w * w * nsq(yth, "w_grad_d1_h1"),
+            w * w * nsq(yh, "w_grad_d11_h1"),
         ),
         "dissipation": (
-            nsq(yth, ev.w_grad_h2),
-            nsq(yh, ev.w_grad_d1_h2),
-            w * nsq(yh, ev.w_grad_d11_h1),
-            w * nsq(yth, ev.w_lap_h2),
-            w * w * nsq(yth, ev.w_lap_d1_h1),
+            nsq(yth, "w_grad_h2"),
+            nsq(yh, "w_grad_d1_h2"),
+            w * nsq(yh, "w_grad_d11_h1"),
+            w * nsq(yth, "w_lap_h2"),
+            w * w * nsq(yth, "w_lap_d1_h1"),
         ),
         "corrected": (
-            c[0] * nsq(yth, ev.w_h2),
-            c[1] * nsq(yh, ev.w_d1_h2),
-            c[2] * nsq(yh, ev.w_lap_h2),
-            c[3] * -ip(yth, yh, ev.w_cross_h2),
-            c[4] * w * nsq(yth, ev.w_grad_h2),
-            c[5] * w * nsq(yh, ev.w_grad_d1_h2),
-            c[6] * w * nsq(yh, ev.w_lap_d1_h1),
-            c[7] * w * -ip(yh, yth, ev.w_grad_d1_h1),
-            c[8] * nsq(yh, ev.w_grad_d1_h1),
-            c[9] * w * w * nsq(yth, ev.w_grad_d1_h1),
-            c[10] * w * w * nsq(yh, ev.w_grad_d11_h1),
+            c[0] * nsq(yth, "w_h2"),
+            c[1] * nsq(yh, "w_d1_h2"),
+            c[2] * nsq(yh, "w_lap_h2"),
+            # (Yt | lap Y)_{H^2}: the Laplacian is -k2 inside the H^2 weight
+            c[3] * -ip(yth, yh, full["w_grad_h2"]),
+            c[4] * w * nsq(yth, "w_grad_h2"),
+            c[5] * w * nsq(yh, "w_grad_d1_h2"),
+            c[6] * w * nsq(yh, "w_lap_d1_h1"),
+            c[7] * w * -ip(yh, yth, full["w_grad_d1_h1"]),
+            c[8] * nsq(yh, "w_grad_d1_h1"),
+            c[9] * w * w * nsq(yth, "w_grad_d1_h1"),
+            c[10] * w * w * nsq(yh, "w_grad_d11_h1"),
         ),
         "lower_bound": (
-            b[0] * nsq(yth, ev.w_h2)
-            + b[1] * nsq(yh, ev.w_d1_h2)
-            + b[2] * nsq(yh, ev.w_lap_h2)
-            + b[3] * w * nsq(yth, ev.w_grad_h2)
-            + b[4] * w * nsq(yh, ev.w_grad_d1_h2)
-            + b[5] * w * nsq(yh, ev.w_lap_d1_h1)
-            + b[6] * w * w * nsq(yth, ev.w_grad_d1_h1)
-            + b[7] * w * w * nsq(yh, ev.w_grad_d11_h1),
+            b[0] * nsq(yth, "w_h2")
+            + b[1] * nsq(yh, "w_d1_h2")
+            + b[2] * nsq(yh, "w_lap_h2")
+            + b[3] * w * nsq(yth, "w_grad_h2")
+            + b[4] * w * nsq(yh, "w_grad_d1_h2")
+            + b[5] * w * nsq(yh, "w_lap_d1_h1")
+            + b[6] * w * w * nsq(yth, "w_grad_d1_h1")
+            + b[7] * w * w * nsq(yh, "w_grad_d11_h1"),
         ),
         "dissipation_terms": (
-            q[0] * nsq(yth, ev.w_grad_h2),
-            q[1] * nsq(yh, ev.w_grad_d1_h2),
-            q[2] * w * nsq(yth, ev.w_lap_h2),
-            q[3] * w * nsq(yh, ev.w_grad_d11_h1),
-            q[4] * w * w * nsq(yth, ev.w_lap_d1_h1),
+            q[0] * nsq(yth, "w_grad_h2"),
+            q[1] * nsq(yh, "w_grad_d1_h2"),
+            q[2] * w * nsq(yth, "w_lap_h2"),
+            q[3] * w * nsq(yh, "w_grad_d11_h1"),
+            q[4] * w * w * nsq(yth, "w_lap_d1_h1"),
         ),
         "rhs": (
-            abs(ip(f_spec, test1, ev.w_h2)),
+            abs(ip(f_spec, test1, full["w_h2"])),
             abs(ip(f_spec, test2, grid.hs_weight(1))),
         ),
     }
@@ -209,34 +239,39 @@ def _literal_functionals(ev, state, f_spec):
 def test_table_functionals_match_literal_formulas(grid, t, rng):
     ev = EnergyEvaluator(grid)
     state = random_state(grid, rng, t=t)
-    f_spec = random_band_limited(grid, rng, rank=1, kmax=4).spec
-    table = ev.sample_table(state, f_spec)
+    f = random_band_limited(grid, rng, rank=1, kmax=4)
+    table = ev.sample_table(state, f.band)
     got = {
         "energy": energy_report(ev, state, table).astuple(),
         "dissipation": dissipation_report(ev, state, table).astuple(),
         "corrected": corrected_energy(ev, state, table).terms,
         "lower_bound": (lower_bound_value(ev, state, table),),
         "dissipation_terms": dissipation_inequality_terms(ev, state, table),
-        "rhs": forcing_pairings(ev, state, f_spec, table),
+        "rhs": forcing_pairings(ev, state, f.band, table),
     }
-    for name, expect in _literal_functionals(ev, state, f_spec).items():
+    for name, expect in _literal_functionals(state, f.spec).items():
         scale = abs(sum(expect))
         assert scale > 0.0, name
         err = max(abs(a - e) for a, e in zip(got[name], expect, strict=True))
         assert err <= 1e-14 * scale, (name, err / scale)
     # without a table each function builds its own, with the same result
     assert energy_report(ev, state).astuple() == got["energy"]
-    assert forcing_pairings(ev, state, f_spec) == got["rhs"]
+    assert forcing_pairings(ev, state, f.band) == got["rhs"]
 
 
 def test_weights_are_rows_of_one_table(ev3):
     names = ("w_h2", "w_d1_h2", "w_lap_h2", "w_grad_h2", "w_grad_d1_h2",
              "w_grad_d1_h1", "w_grad_d11_h1", "w_lap_d1_h1")
-    assert ev3.weights.shape == (len(names),) + ev3.grid.shape
+    half = ev3.grid.half
+    nb = half.shape[-1]
+    assert ev3.weights.shape == (len(names),) + half.shape
+    full = full_weights(ev3.grid)
     for row, name in enumerate(names):
         weight = getattr(ev3, name)
         assert weight.base is ev3.weights and np.shares_memory(weight, ev3.weights[row])
-    assert ev3.w_cross_h2 is ev3.w_grad_h2
+        # the band's planes of the full weight, k_last = 0 once, others twice
+        assert np.array_equal(weight[..., 0], full[name][..., 0])
+        assert np.array_equal(weight[..., 1:], 2.0 * full[name][..., 1:nb])
 
 
 def test_record_sample_builds_one_table_and_no_reductions(monkeypatch):
@@ -262,9 +297,12 @@ def test_record_sample_builds_one_table_and_no_reductions(monkeypatch):
     monkeypatch.setattr(
         EnergyEvaluator, "sample_table", counted("table", EnergyEvaluator.sample_table)
     )
-    for module in (energy, spectral):
-        for name in ("weighted_norm_sq", "weighted_inner"):
-            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    for module, name in (
+        (energy, "weighted_norm_sq"),
+        (spectral, "weighted_norm_sq"),
+        (spectral, "weighted_inner"),
+    ):
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     sample = _record_sample(ev, state, force)
     assert calls == {"table": 1}
     assert sample.energy_total > 0.0 and sample.rhs1 > 0.0
@@ -333,7 +371,7 @@ def test_ledger_requires_uniform_cadence_and_samples(ev3, rng):
 
 def test_forcing_pairings_zero_force(ev3, rng):
     state = random_state(ev3.grid, rng)
-    rhs1, rhs2 = forcing_pairings(ev3, state, np.zeros_like(state.Y.spec))
+    rhs1, rhs2 = forcing_pairings(ev3, state, np.zeros_like(state.Y.band))
     assert rhs1 == 0.0 and rhs2 == 0.0
 
 

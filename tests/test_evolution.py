@@ -1,6 +1,10 @@
+import os
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
+
+from lagmhd.config import RunConfig
 
 from lagmhd.fields import VectorField
 from lagmhd.geometry import (
@@ -22,6 +26,7 @@ from lagmhd.evolution import (
     propagator_matrix,
 )
 from lagmhd.initial_data import build_flow_state, default_spec, scaled_spec
+from lagmhd.runner import compare_formulations, run_simulation
 from lagmhd.spectral import dealias_spec, gradient_values, weighted_norm_sq
 
 from conftest import random_band_limited
@@ -163,7 +168,7 @@ def test_force_quadratic_scaling():
 def _viscous_spec(metric, state):
     """div(metric grad Yt), dealiased, for any metric field."""
     grid = state.grid
-    grad_yt = gradient_values(state.Yt.spec, grid)
+    grad_yt = gradient_values(state.Yt.band, grid)
     flux = np.einsum("jm...,im...->ij...", metric, grad_yt)
     flux_spec = dealias_spec(grid.fft(flux), grid)
     out = np.zeros((grid.dim,) + grid.shape, dtype=complex)
@@ -177,7 +182,7 @@ def test_force_decomposition_consistency():
     state = build_flow_state(grid, scaled_spec(default_spec(3, None), 0.05))
     force = compute_force(state)
     # viscous part against A^T A - I formed directly from A
-    grad_y = gradient_values(state.Y.spec, grid)
+    grad_y = gradient_values(state.Y.band, grid)
     b1, b2, a = cofactor_values(grad_y)
     ata = np.einsum("ji...,jm...->im...", a, a)
     for i in range(3):
@@ -301,13 +306,52 @@ def test_step_linear_matches_propagator(grid3, rng):
     assert np.abs(cur.Yt.band - yt).max() < 1e-12 * scale
 
 
-@pytest.mark.parametrize("sizes", [(16, 16, 16), (32, 32)], ids=["3D", "2D"])
-def test_step_takes_no_full_spectrum_transform(monkeypatch, sizes):
-    # a step, its two forces included, works on bands: no mirror, and no
-    # full-spectrum transform
+def _two_steps(sizes, _):
+    """Two Lagrangian steps from built data, then from a stepped state."""
     grid = Grid(sizes, (2 * np.pi,) * len(sizes))
     state = build_flow_state(grid, scaled_spec(default_spec(grid.dim, None), 0.05))
     stepper = LagrangianStepper(grid, 0.05)
+    for _ in range(2):
+        state = stepper.step(state)
+
+
+def _whole_call(solver, tmp_path):
+    """A whole call from the built-in 3D data: a run with its samples and
+    checkpoint, or a compare of the two formulations."""
+    cfg = RunConfig(
+        dimension=3,
+        sizes=(16, 16, 16),
+        lengths=(16.0, 2 * np.pi, 2 * np.pi),
+        dt=0.05,
+        t_end=0.1,
+        cadence=0.05,
+        t_compare=0.1,
+        solver=solver,
+        output_dir=str(tmp_path),
+    )
+    if solver == "both":
+        assert compare_formulations(cfg).max_u_discrepancy < 1e-6
+    else:
+        report = run_simulation(cfg)
+        assert not report.aborted and len(report.samples) == 3
+        assert os.path.getsize(report.checkpoint_path) > 0
+
+
+@pytest.mark.parametrize(
+    "call, arg",
+    [
+        (_two_steps, (16, 16, 16)),
+        (_two_steps, (32, 32)),
+        (_whole_call, "lagrangian"),
+        (_whole_call, "eulerian"),
+        (_whole_call, "both"),
+    ],
+    ids=["3D", "2D", "lagrangian-run", "eulerian-run", "compare"],
+)
+def test_step_takes_no_full_spectrum_transform(monkeypatch, tmp_path, call, arg):
+    # a step, its two forces included, works on bands, and so does every run
+    # path from its initial data to its outputs: no mirror, and no
+    # full-spectrum transform
     calls = {"mirror": 0, "fft": 0, "ifft": 0}
 
     def counted(name, method):
@@ -319,8 +363,7 @@ def test_step_takes_no_full_spectrum_transform(monkeypatch, sizes):
 
     for name in calls:
         monkeypatch.setattr(Grid, name, counted(name, getattr(Grid, name)))
-    for _ in range(2):  # from the built state, then from a stepped one
-        state = stepper.step(state)
+    call(arg, tmp_path)
     assert calls == {"mirror": 0, "fft": 0, "ifft": 0}
 
 
@@ -363,7 +406,7 @@ def test_determinant_drift_second_order():
     # is pure integrator error; the 3D version runs in the acceptance suite
     grid = Grid((64, 64), (4 * np.pi, 2 * np.pi))
     state0 = build_flow_state(grid, scaled_spec(default_spec(2, None), 0.05))
-    det0 = determinant_values(gradient_values(state0.Y.spec, grid))
+    det0 = determinant_values(gradient_values(state0.Y.band, grid))
     assert np.abs(det0 - 1.0).max() < 1e-12
     drifts = []
     for dt in (0.1, 0.05):
@@ -371,7 +414,7 @@ def test_determinant_drift_second_order():
         stepper = LagrangianStepper(grid, dt)
         for _ in range(round(1.0 / dt)):
             st = stepper.step(st)
-        det = determinant_values(gradient_values(st.Y.spec, grid))
+        det = determinant_values(gradient_values(st.Y.band, grid))
         drifts.append(np.abs(det - 1.0).max())
     assert 3.0 < drifts[0] / drifts[1] < 5.0
 

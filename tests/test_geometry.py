@@ -34,7 +34,7 @@ def shear_state(grid, eps=0.1):
 
 def cofactors(y):
     """(B1, B2, A) of a displacement field."""
-    return cofactor_values(gradient_values(y.spec, y.grid))
+    return cofactor_values(gradient_values(y.band, y.grid))
 
 
 def metric_graded(y):
@@ -63,7 +63,7 @@ def test_cofactor_identity_at_rest(grid3):
 def test_cofactor_single_shear_closed_form(grid3):
     y = shear_state(grid3, eps=0.1)
     _, b2, a = cofactors(y)
-    grad = gradient_values(y.spec, grid3)
+    grad = gradient_values(y.band, grid3)
     assert np.abs(b2).max() < 1e-14
     # A = I - (grad Y)^T for a divergence-free shear
     expect = -np.swapaxes(grad, 0, 1).copy()
@@ -95,7 +95,7 @@ def test_cofactor_quadratic_entry_sign(grid3):
 def test_cofactor_matches_brute_force_adjugate(grid3, rng):
     y = random_band_limited(grid3, rng, rank=1, kmax=2, scale=0.2)
     _, _, a = cofactors(y)
-    grad = gradient_values(y.spec, grid3)
+    grad = gradient_values(y.band, grid3)
     m = np.moveaxis(grad, (0, 1), (-2, -1)).copy()
     for i in range(3):
         m[..., i, i] += 1.0
@@ -110,7 +110,7 @@ def test_cofactor_inverse_when_volume_preserving(grid3):
     grid = Grid((32, 32, 32), (2 * np.pi,) * 3)
     state = build_flow_state(grid, scaled_spec(default_spec(3, None), 0.05))
     _, _, a = cofactors(state.Y)
-    grad = gradient_values(state.Y.spec, grid)
+    grad = gradient_values(state.Y.band, grid)
     m = grad.copy()
     for i in range(3):
         m[i, i] += 1.0
@@ -137,7 +137,7 @@ def test_b_decomposition_sums_to_a(grid3, rng):
 def test_metric_defect_from_b_matches_graded_sum(amp):
     grid = Grid((16, 16, 16), (2 * np.pi,) * 3)
     state = build_flow_state(grid, scaled_spec(default_spec(3, None), amp))
-    b1, b2, _ = cofactor_values(gradient_values(state.Y.spec, grid))
+    b1, b2, _ = cofactor_values(gradient_values(state.Y.band, grid))
     b = b1 + b2
     from_b = b + np.swapaxes(b, 0, 1) + np.einsum("mi...,mj...->ij...", b, b)
     graded = sum(graded_metric_values(b1, b2))
@@ -151,7 +151,7 @@ def test_metric_defect_from_b_matches_graded_sum(amp):
 
 def _det(y):
     """det(I + grad Y) of a displacement field."""
-    return determinant_values(gradient_values(y.spec, y.grid))
+    return determinant_values(gradient_values(y.band, y.grid))
 
 
 def test_determinant_at_rest_and_shears(grid3):
@@ -169,7 +169,7 @@ def test_determinant_at_rest_and_shears(grid3):
 
 def test_determinant_brute_force_oracle(grid3, rng):
     y = random_band_limited(grid3, rng, rank=1, kmax=2, scale=0.3)
-    grad = gradient_values(y.spec, grid3)
+    grad = gradient_values(y.band, grid3)
     m = np.moveaxis(grad, (0, 1), (-2, -1)).copy()
     for i in range(3):
         m[..., i, i] += 1.0
@@ -319,7 +319,7 @@ def test_initial_map_roundtrip_small_perturbation(grid3):
     assert result.residual_e1 <= 1e-6
     assert result.residual_det <= 1e-6
     # Liouville: det(grad X0) constant along y1 (div b0 = 0)
-    grad = gradient_values(result.displacement.spec, grid3)
+    grad = gradient_values(result.displacement.band, grid3)
     det = determinant_values(grad)
     along = det.max(axis=0) - det.min(axis=0)
     assert np.abs(along).max() < 5e-7

@@ -31,7 +31,7 @@ def small_state(grid, amp):
 def pressure_operands(state):
     """(A^T A - I, half rhs spectrum) assembled as compute_force assembles them."""
     grid = state.grid
-    grad_y = gradient_values(state.Y.spec, grid)
+    grad_y = gradient_values(state.Y.band, grid)
     b1, b2, a = cofactor_values(grad_y)
     defect = sum(graded_metric_values(b1, b2))
     rhs = _tensor_rhs_spec(grid, a, grad_y[:, 0], state.Yt.values)
@@ -52,9 +52,9 @@ def mask_first_force(state, iterations):
     residual.
     """
     grid = state.grid
-    grad_y = gradient_values(state.Y.spec, grid)
+    grad_y = gradient_values(state.Y.band, grid)
     b1, b2, a = cofactor_values(grad_y)
-    grad_yt = gradient_values(state.Yt.spec, grid)
+    grad_yt = gradient_values(state.Yt.band, grid)
     b = b1 + b2
     defect = np.einsum("mi...,mj...->ij...", b, b)
     defect += b
@@ -160,7 +160,7 @@ def test_rhs_single_mode_against_direct_convolution(grid3):
 def test_rhs_swap_antisymmetry(grid3, rng):
     state = small_state(Grid((16, 16, 16), (2 * np.pi,) * 3), 0.05)
     grid = state.grid
-    grad_y = gradient_values(state.Y.spec, grid)
+    grad_y = gradient_values(state.Y.band, grid)
     _, _, a_vals = cofactor_values(grad_y)
     d1y = grad_y[:, 0]
     a = _tensor_rhs_spec(grid, a_vals, d1y, state.Yt.values)
@@ -172,7 +172,7 @@ def test_rhs_matches_outer_product_form():
     # Z A with Z = v x v - w x w formed as a matrix, against the mat-vec form
     state = small_state(Grid((16, 16, 16), (2 * np.pi,) * 3), 0.05)
     grid = state.grid
-    grad_y = gradient_values(state.Y.spec, grid)
+    grad_y = gradient_values(state.Y.band, grid)
     _, _, a_vals = cofactor_values(grad_y)
     v, w = grad_y[:, 0], state.Yt.values
     z = np.einsum("i...,j...->ij...", v, v) - np.einsum("i...,j...->ij...", w, w)

@@ -180,11 +180,14 @@ def test_solver_paths_reject_the_same_bad_configs(tmp_path, solver):
         dict(t_end=0.6),  # 12 steps, not a multiple of the 5-step cadence
         dict(checkpoint_in=wrong_type),
         dict(checkpoint_in=wrong_grid),
+        dict(lengths=(np.inf, 2 * np.pi, 2 * np.pi)),  # rejected by RunConfig
+        dict(lengths=(16.0, np.nan, 2 * np.pi)),
     ]
     for kw in bad:
-        cfg = small_config(tmp_path / "out", solver=solver, sizes=sizes, **kw)
         with pytest.raises(ConfigError):
-            run_simulation(cfg)
+            run_simulation(
+                small_config(tmp_path / "out", solver=solver, sizes=sizes, **kw)
+            )
 
 
 def test_eulerian_abort_leaves_checkpoint_and_report(tmp_path, monkeypatch):
