@@ -139,37 +139,52 @@ def inverse_transpose_values(mat):
 
 # -- trajectory evaluation ----------------------------------------------------
 
+# Entry budget of the largest intermediate of one evaluator chunk, the
+# complex partial sums after the leading axis: components x (band modes / N_1)
+# x points.
+_TRIG_CHUNK_ENTRIES = 1 << 20
 
-def make_trig_evaluator(field, chunk_entries: int = 1 << 22):
+
+def make_trig_evaluator(field):
     """Exact trigonometric-sum evaluator of a band-limited real field at points.
 
     Sums Re m(k) c(k) e^{ik.y} over the modes of the field's band
     (``grid.half``), with m the Hermitian multiplicity: for a real field that
     is zero outside the band, that is the sum over every mode of its full
-    spectrum. Direct summation: O(npoints * nmodes), intended for the small
-    grids used in cross-validation and trajectory work.
+    spectrum. The sum is factorized by axis, e^{ik.y} = prod_j e^{ik_j y_j}
+    (sum factorization): m points take m * sum_j N_j exponentials, one table
+    per axis, and one matmul over the leading axis (ncomp * nmodes * m complex
+    multiply-adds); each remaining axis is then contracted by a weighted sum
+    per point, on ever fewer modes. ``evaluate`` takes points of shape (m, d)
+    and returns shape ``comp_shape + (m,)``.
     """
     grid = field.grid
     half = grid.half
+    dim = grid.dim
     band = field.band * half.multiplicity
-    comp_shape = band.shape[: -grid.dim]
-    kmat = np.stack(
-        [np.broadcast_to(ka, half.shape).ravel() for ka in half.k_axes]
-    )  # (d, nmodes)
-    flat = band.reshape(comp_shape + (-1,))
+    comp_shape = band.shape[: -dim]
+    ncomp = int(np.prod(comp_shape))
+    k1d = [ka.ravel() for ka in half.k_axes]
+    # (N_1, ncomp * N_2 * ... * K): the leading axis first, for one matmul
+    lead = np.moveaxis(band.reshape((ncomp,) + half.shape), 1, 0).reshape(half.shape[0], -1)
 
     def evaluate(points):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
+        if pts.ndim != 2 or pts.shape[1] != dim:
+            raise ValueError(f"expected points of shape (m, {dim}), got {pts.shape}")
         m = pts.shape[0]
-        if m == 0:
-            return np.empty(comp_shape + (0,))
-        out = np.empty(comp_shape + (m,))
-        chunk = max(1, chunk_entries // kmat.shape[1])
+        out = np.empty((ncomp, m))
+        chunk = max(1, _TRIG_CHUNK_ENTRIES // lead.shape[1])
         for lo in range(0, m, chunk):
-            hi = min(m, lo + chunk)
-            phases = np.exp(1j * (pts[lo:hi] @ kmat))  # (chunk, nmodes)
-            out[..., lo:hi] = (flat @ phases.T).real
-        return out
+            p = pts[lo:lo + chunk]
+            c = p.shape[0]
+            acc = np.exp(1j * np.multiply.outer(p[:, 0], k1d[0])) @ lead
+            for j in range(1, dim):
+                phase = np.exp(1j * np.multiply.outer(p[:, j], k1d[j]))
+                # per point: (1, N_j) @ (N_j, rest of the band), every component
+                acc = phase[:, None, None, :] @ acc.reshape(c, ncomp, half.shape[j], -1)
+            out[:, lo:lo + chunk] = acc.reshape(c, ncomp).real.T
+        return out.reshape(comp_shape + (m,))
 
     return evaluate
 
@@ -188,12 +203,13 @@ class InitialMap:
     residual_det: float
 
 
-def _plane_reparametrization(b0, grid: Grid, tol: float, max_iter: int):
+def _plane_reparametrization(b0_eval, grid: Grid, tol: float, max_iter: int):
     """Transverse map eta = id' + grad' phi with det(grad' eta) * b0^1(0, eta) = 1.
 
     Solved by a Picard iteration on the plane Poisson problem; the right-hand
     side is mean-corrected, which is consistent exactly when b0 admits a
-    periodic straightening.
+    periodic straightening. ``b0_eval`` evaluates b0 at points
+    (``make_trig_evaluator``).
     """
     dim = grid.dim
     tsizes = grid.sizes[1:]
@@ -212,7 +228,6 @@ def _plane_reparametrization(b0, grid: Grid, tol: float, max_iter: int):
     coords = np.meshgrid(
         *[np.arange(n) * (l / n) for n, l in zip(tsizes, tlengths)], indexing="ij"
     )
-    b0_eval = make_trig_evaluator(b0)
 
     phi_hat = np.zeros(tsizes, dtype=complex)
     residual = np.inf
@@ -273,13 +288,13 @@ def construct_initial_map(
             f"transversality violated: min b0^1 = {b0.values[0].min():.3g} < 1/2"
         )
 
-    eta, plane_res = _plane_reparametrization(b0, grid, tol / 4.0, max_iter)
+    b0_eval = make_trig_evaluator(b0)
+    eta, plane_res = _plane_reparametrization(b0_eval, grid, tol / 4.0, max_iter)
 
     h1 = grid.spacings[0]
     if substeps is None:
         substeps = max(2, int(np.ceil(2.0 * h1 / min(grid.spacings))))
     hs = h1 / substeps
-    b0_eval = make_trig_evaluator(b0)
 
     def rhs(pts):
         return b0_eval(pts).T  # (M, d)

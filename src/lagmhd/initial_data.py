@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .energy import EnergyEvaluator
-from .errors import ConfigError
+from .errors import ConfigError, NotConvergedError
 from .evolution import EulerState
 from .fields import VectorField
 from .geometry import FlowState, make_trig_evaluator
@@ -186,7 +186,8 @@ def euler_from_flow(state: FlowState) -> EulerState:
 
     Inverts x = y + Y0(y) pointwise by Picard iteration (small displacement),
     then samples u0 = Y1(y(x)) and b0 = e1 + d1Y0(y(x)). Sampling tails are
-    cleaned up with one Leray projection of u0.
+    cleaned up with one Leray projection of u0. Raises NotConvergedError if
+    the inversion has not reached |delta| < 1e-13 in 60 iterations.
     """
     grid = state.grid
     coords = np.stack(np.broadcast_arrays(*grid.coords))
@@ -201,8 +202,14 @@ def euler_from_flow(state: FlowState) -> EulerState:
     for _ in range(60):
         delta = x_pts - y0_eval(y).T - y
         y += delta
-        if np.abs(delta).max() < 1e-13:
+        residual = float(np.abs(delta).max())
+        if residual < 1e-13:
             break
+    else:
+        raise NotConvergedError(
+            f"inverse map x = y + Y0(y) stalled at |delta| = {residual:.3e} (tol 1e-13)",
+            residual=residual,
+        )
     y1_eval = make_trig_evaluator(state.Yt)
     half = grid.half
     d1y = VectorField.from_band(grid, state.Y.band * (1j * half.k_axes[0]))

@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 from lagmhd.config import RunConfig
+from lagmhd.errors import NotConvergedError
 
 from lagmhd.fields import VectorField
 from lagmhd.geometry import (
@@ -486,6 +487,18 @@ def test_euler_magnetic_field_stays_solenoidal():
     for j in range(3):
         div += 1j * grid.k_axes[j] * state.b.spec[j]
     assert np.abs(div).max() < 1e-13
+
+
+def test_euler_from_flow_raises_when_the_inverse_map_stalls():
+    # |Y0| ~ 7 on a box of width 2 pi: the Picard inversion of x = y + Y0(y)
+    # does not contract, and must not hand back an unconverged map
+    grid = Grid((16, 16, 16), (16.0, 2 * np.pi, 2 * np.pi))
+    flow = build_flow_state(grid, scaled_spec(default_spec(3, None), 3.0))
+    from lagmhd.initial_data import euler_from_flow
+
+    with pytest.raises(NotConvergedError) as info:
+        euler_from_flow(flow)
+    assert info.value.residual > 1.0
 
 
 def test_euler_2d_curl_form(grid2, rng):

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from lagmhd import geometry
 from lagmhd.errors import ConstructionFailedError, GridMismatchError
-from lagmhd.fields import ScalarField, VectorField
+from lagmhd.fields import MatrixField, ScalarField, VectorField
 from lagmhd.geometry import (
     FlowState,
     cofactor_values,
@@ -258,16 +259,58 @@ def test_trig_evaluator_matches_refined_grid(grid3, rng):
     fine = Grid((32, 32, 32), grid3.lengths)
     nc = grid3.sizes[0]
     src = (np.fft.fftfreq(nc) * nc).astype(int)
-    fi = [src % fine.sizes[d] for d in range(3)]
-    spec_f = np.zeros(fine.shape, dtype=complex)
-    spec_f[np.ix_(fi[0], fi[1], fi[2])] = f.spec
-    refined_vals = fine.ifft(spec_f)
+    fi = [src % fine.sizes[d] for d in range(2)]
+    nb = grid3.half.shape[-1]
+    band_f = np.zeros(fine.half.shape, dtype=complex)
+    band_f[np.ix_(fi[0], fi[1], np.arange(nb))] = f.band
+    refined_vals = fine.irfft(band_f)
     pts = rng.uniform(0, 2 * np.pi, size=(50, 3))
     idx = np.round(pts / fine.spacings[0]).astype(int) % fine.sizes[0]
     snapped = idx * fine.spacings[0]
     direct = make_trig_evaluator(f)(snapped)
     oracle = refined_vals[idx[:, 0], idx[:, 1], idx[:, 2]]
     assert np.abs(direct - oracle).max() < 1e-10 * np.abs(f.values).max()
+
+
+def _direct_trig_sum(field, pts):
+    """Oracle: Re sum_k m(k) c(k) e^{ik.y}, one complex exponential per point and mode."""
+    half = field.grid.half
+    band = field.band * half.multiplicity
+    comp_shape = band.shape[: -field.grid.dim]
+    kmat = np.stack([np.broadcast_to(ka, half.shape).ravel() for ka in half.k_axes])
+    return (band.reshape(comp_shape + (-1,)) @ np.exp(1j * (pts @ kmat)).T).real
+
+
+# axes that differ in size and length, so that a swapped axis shows
+_UNEVEN_GRIDS = {
+    2: Grid((16, 8), (4.0, 2 * np.pi)),
+    3: Grid((16, 8, 8), (16.0, 2 * np.pi, 3.0)),
+}
+
+
+@pytest.mark.parametrize("chunk_points", [None, 1, 3])
+@pytest.mark.parametrize("rank", [0, 1, 2])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_trig_evaluator_matches_direct_sum(monkeypatch, rng, dim, rank, chunk_points):
+    grid = _UNEVEN_GRIDS[dim]
+    comp_shape = (dim,) * rank
+    cls = (ScalarField, VectorField, MatrixField)[rank]
+    f = cls.from_values(grid, rng.standard_normal(comp_shape + grid.shape))
+    if chunk_points is not None:
+        # chunks of chunk_points points; 10 points cross a chunk boundary
+        per_point = int(np.prod(comp_shape)) * int(np.prod(grid.half.shape[1:]))
+        monkeypatch.setattr(geometry, "_TRIG_CHUNK_ENTRIES", chunk_points * per_point)
+    lengths = np.array(grid.lengths)
+    pts = rng.uniform(-1.5, 2.5, size=(10, dim)) * lengths
+    evaluate = make_trig_evaluator(f)
+    vals = evaluate(pts)
+    expected = _direct_trig_sum(f, pts)
+    assert vals.shape == comp_shape + (10,)
+    assert np.abs(vals - expected).max() <= 1e-13 * np.abs(expected).max()
+    assert evaluate(np.empty((0, dim))).shape == comp_shape + (0,)
+    for bad in (dim - 1, dim + 1):
+        with pytest.raises(ValueError):
+            evaluate(np.zeros((4, bad)))
 
 
 # -- initial map construction ---------------------------------------------------
