@@ -233,6 +233,7 @@ def compute_force(
     state: FlowState,
     pressure_tol: float = 1e-10,
     pressure_max_iter: int = 50,
+    q0=None,
 ) -> NonlinearForce:
     """Assemble f = div(D grad Yt) - A grad_p with dealiased products, D = A^T A - I.
 
@@ -248,6 +249,10 @@ def compute_force(
     an odd multiplier leaves a real field's spectrum non-Hermitian and a
     band could not hold what the full spectrum does. What the state holds
     outside the 2/3-retained modes is ignored.
+
+    q0, a pressure potential band, is where the Picard solve starts
+    (``solve_pressure_spec``); without it the solve starts cold, and the
+    force depends on the state alone.
     """
     grid = state.grid
     half = grid.half
@@ -266,8 +271,8 @@ def compute_force(
 
     d1y = grad_y[:, 0]
     rhs_half = _tensor_rhs_spec(grid, a_vals, d1y, grid.irfft(yt_band))
-    gp_half, iters, residuals, contraction = solve_pressure_spec(
-        grid, defect, rhs_half, pressure_tol, pressure_max_iter
+    gp_half, iters, residuals, contraction, potential = solve_pressure_spec(
+        grid, defect, rhs_half, pressure_tol, pressure_max_iter, q0=q0
     )
     gp_real = grid.irfft(gp_half)
     a_gp = np.einsum("im...,m...->i...", a_vals, gp_real)
@@ -282,6 +287,7 @@ def compute_force(
             iterations=iters,
             residuals=residuals,
             contraction_estimate=contraction,
+            potential=potential,
         ),
         a_values=a_vals,
         grad_y=grad_y,
@@ -298,6 +304,19 @@ class LagrangianStepper:
     The linear part is advanced by the exact per-mode blocks; the forcing is
     interpolated linearly across the step (Duhamel weights I0, K1), which is
     second order in dt and preserves the equilibrium exactly.
+
+    Each pressure solve starts from the potential of the nearest solve in
+    time. The first force at t_{n+1} starts from step n's predictor solve,
+    which is at the same time; the two states differ by the corrector, O(dt^2)
+    in Yt. The predictor solve starts from 2 q_{n+1} - q_n, the linear
+    extrapolation of the first-stage potentials (q_{n+1} alone on a first
+    step). A solve starts cold when the one it would start from took a single
+    iteration: one iteration cannot get cheaper, and under the absolute
+    stopping rule its result depends on where it started.
+
+    The stepper carries its last potentials from call to call, so one stepper
+    serves one run: a run on a stepper that another run used may start its
+    solves elsewhere, and its output then differs by up to the tolerance.
     """
 
     def __init__(
@@ -312,13 +331,33 @@ class LagrangianStepper:
         self.pressure_tol = pressure_tol
         self.pressure_max_iter = pressure_max_iter
         self.propagator = LinearPropagator(grid, dt)
+        # (t, potential) of the last predictor and first-stage solves; the
+        # predictor's is None when that solve took a single iteration
+        self._star = (None, None)
+        self._first = (None, None)
 
-    def force(self, state: FlowState) -> NonlinearForce:
+    def _force(self, state: FlowState, q0) -> NonlinearForce:
         return compute_force(
             state,
             pressure_tol=self.pressure_tol,
             pressure_max_iter=self.pressure_max_iter,
+            q0=q0,
         )
+
+    def force(self, state: FlowState) -> NonlinearForce:
+        """The first-stage force at state.t, started from the last predictor
+        solve when that one was at the same time."""
+        t_star, q_star = self._star
+        return self._force(state, q_star if t_star == state.t else None)
+
+    def _predictor_start(self, state: FlowState, pressure: PressureSolution):
+        """Starting potential of the predictor solve from the first stage's."""
+        if pressure.iterations <= 1:
+            return None
+        t_first, q_first = self._first
+        if t_first is not None and t_first + self.dt == state.t:
+            return 2.0 * pressure.potential - q_first
+        return pressure.potential
 
     def step(self, state: FlowState, force: NonlinearForce = None) -> FlowState:
         """Advance one dt; force, when given, is self.force(state).
@@ -338,7 +377,11 @@ class LagrangianStepper:
             VectorField.from_band(grid, yt_star),
             state.t + dt,
         )
-        f1h = self.force(star).f.band
+        f1 = self._force(star, self._predictor_start(state, f0.pressure))
+        f1h = f1.f.band
+        self._first = (state.t, f0.pressure.potential)
+        p1 = f1.pressure
+        self._star = (star.t, p1.potential if p1.iterations > 1 else None)
 
         y_new = py + prop.y_f0 * f0h + prop.k1 * f1h
         yt_new = pyt + prop.yt_f0 * f0h + prop.yt_f1 * f1h

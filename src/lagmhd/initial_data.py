@@ -181,13 +181,44 @@ def build_flow_state(grid: Grid, spec: InitialDataSpec) -> FlowState:
     return state
 
 
+INVERSE_MAP_TOL = 1e-13  # |delta| at which the inverse map is converged
+INVERSE_MAP_MAX_ITER = 1000  # safety cap; a non-contracting map stalls first
+
+
+def _invert_flow_map(y0_eval, x_pts):
+    """The points y with x = y + Y0(y), by Picard iteration y <- x - Y0(y).
+
+    y0_eval evaluates Y0 at (m, dim) points (``make_trig_evaluator``). Stops
+    when the step |delta| falls below INVERSE_MAP_TOL, and raises
+    NotConvergedError when |delta| fails to shrink for 3 consecutive
+    iterations, the rule of the pressure solve, or at INVERSE_MAP_MAX_ITER.
+    """
+    y = x_pts.copy()
+    residual = np.inf
+    stalls = 0
+    for _ in range(INVERSE_MAP_MAX_ITER):
+        delta = x_pts - y0_eval(y).T - y
+        y += delta
+        previous, residual = residual, float(np.abs(delta).max())
+        if residual < INVERSE_MAP_TOL:
+            return y
+        stalls = stalls + 1 if residual >= previous else 0
+        if stalls >= 3:
+            break
+    raise NotConvergedError(
+        f"inverse map x = y + Y0(y) stalled at |delta| = {residual:.3e} "
+        f"(tol {INVERSE_MAP_TOL:.0e})",
+        residual=residual,
+    )
+
+
 def euler_from_flow(state: FlowState) -> EulerState:
     """Pushforward initial data to the Eulerian grid.
 
-    Inverts x = y + Y0(y) pointwise by Picard iteration (small displacement),
-    then samples u0 = Y1(y(x)) and b0 = e1 + d1Y0(y(x)). Sampling tails are
-    cleaned up with one Leray projection of u0. Raises NotConvergedError if
-    the inversion has not reached |delta| < 1e-13 in 60 iterations.
+    Inverts x = y + Y0(y) pointwise (``_invert_flow_map``), then samples
+    u0 = Y1(y(x)) and b0 = e1 + d1Y0(y(x)). Sampling tails are cleaned up
+    with one Leray projection of u0. Raises NotConvergedError if the
+    inversion stalls before |delta| < 1e-13.
     """
     grid = state.grid
     coords = np.stack(np.broadcast_arrays(*grid.coords))
@@ -197,19 +228,7 @@ def euler_from_flow(state: FlowState) -> EulerState:
         b[0] = 1.0
         return EulerState(state.Yt, VectorField.from_values(grid, b), state.t)
 
-    y0_eval = make_trig_evaluator(state.Y)
-    y = x_pts.copy()
-    for _ in range(60):
-        delta = x_pts - y0_eval(y).T - y
-        y += delta
-        residual = float(np.abs(delta).max())
-        if residual < 1e-13:
-            break
-    else:
-        raise NotConvergedError(
-            f"inverse map x = y + Y0(y) stalled at |delta| = {residual:.3e} (tol 1e-13)",
-            residual=residual,
-        )
+    y = _invert_flow_map(make_trig_evaluator(state.Y), x_pts)
     y1_eval = make_trig_evaluator(state.Yt)
     half = grid.half
     d1y = VectorField.from_band(grid, state.Y.band * (1j * half.k_axes[0]))

@@ -10,6 +10,10 @@ the one-term truncation converges geometrically; the measured ratio is part of
 the solution object because it doubles as a smallness monitor. R maps into
 gradients, so every iterate is rhs - k q for one scalar potential q, and the
 iteration runs on q: one masked contraction and one residual per step.
+
+A solve starts from a given potential q0 when there is one, and returns the
+potential it converged to, so a time stepper can start the next solve from
+the nearest one in time; the stopping rule does not depend on the start.
 """
 
 from __future__ import annotations
@@ -32,10 +36,18 @@ from .spectral import (
 
 @dataclass
 class PressureSolution:
+    """grad_p = rhs - k q on the band, with the band of its potential q.
+
+    ``potential`` is what ``solve_pressure_spec`` takes as ``q0`` to start a
+    later solve there; ``iterations``, ``residuals`` and
+    ``contraction_estimate`` describe the Picard iteration that produced it.
+    """
+
     grad_p: VectorField
     iterations: int
     residuals: list
     contraction_estimate: float
+    potential: np.ndarray
 
 
 def _tensor_rhs_spec(grid: Grid, a_vals, v_vals, w_vals):
@@ -59,20 +71,31 @@ def _tensor_rhs_spec(grid: Grid, a_vals, v_vals, w_vals):
     return riesz_apply_spec(atw_half, half)
 
 
-def solve_pressure_spec(grid: Grid, defect_vals, rhs_half, tol, max_iter):
-    """Picard iteration grad_p <- -R[defect . grad_p] + rhs from grad_p = rhs.
+def solve_pressure_spec(grid: Grid, defect_vals, rhs_half, tol, max_iter, q0=None):
+    """Picard iteration grad_p <- -R[defect . grad_p] + rhs from grad_p = rhs - k q0.
 
-    Works on bands (``grid.half``): rhs_half and the returned grad_p. The
-    iterate is the scalar potential q of grad_p = rhs - k q, with
-    q = (mask inv_k2) (k . rfft(defect . grad_p)): R[v] = k inv_k2 (k . v), and
-    the 2/3 mask acts after the contraction, on one component. The residual
-    of a step is |grad_p_new - grad_p| = |k (q_new - q)|, summed over the
-    band with the Hermitian multiplicity carried by ``half.norm_k2``.
+    Works on bands (``grid.half``): rhs_half, q0 and the returned grad_p and
+    potential. The iterate is the scalar potential q of grad_p = rhs - k q,
+    with q = (mask inv_k2) (k . rfft(defect . grad_p)): R[v] = k inv_k2 (k . v),
+    and the 2/3 mask acts after the contraction, on one component. The
+    residual of a step is |grad_p_new - grad_p| = |k (q_new - q)|, summed over
+    the band with the Hermitian multiplicity carried by ``half.norm_k2``.
+
+    q0 is a starting potential, typically the ``potential`` of a solve nearby
+    in time; None starts cold from q = 0, grad_p = rhs. The first residual is
+    measured from q0, so a start at the fixed point stops after one step. The
+    stopping rule is absolute, so where one step meets it the result depends
+    on q0. Returns (grad_p, iterations, residuals, contraction, potential).
     """
     half = grid.half
     k = half.k_axes
     gp = rhs_half.copy()
-    q_prev = np.zeros(half.shape, dtype=complex)
+    if q0 is None:
+        q_prev = np.zeros(half.shape, dtype=complex)
+    else:
+        q_prev = np.array(q0, dtype=complex)
+        for i in range(grid.dim):
+            gp[i] -= k[i] * q_prev
     residuals = []
     ratios = []
     bad_streak = 0
@@ -100,7 +123,7 @@ def solve_pressure_spec(grid: Grid, defect_vals, rhs_half, tol, max_iter):
                 )
         if res <= tol:
             contraction = float(np.exp(np.mean(np.log(ratios)))) if ratios else 0.0
-            return gp, it, residuals, contraction
+            return gp, it, residuals, contraction, q
     raise NotConvergedError(
         f"pressure fixed point not converged after {max_iter} iterations "
         f"(last residual {residuals[-1]:.3e})",

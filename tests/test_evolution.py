@@ -368,6 +368,48 @@ def test_step_takes_no_full_spectrum_transform(monkeypatch, tmp_path, call, arg)
     assert calls == {"mirror": 0, "fft": 0, "ifft": 0}
 
 
+def _drive_steps(monkeypatch, spec, cold):
+    """Six steps as a run takes them (the first force, then the step) on the
+    criterion-6 box, with the stepper's pressure starts or, with cold, every
+    solve from q0 = None; returns the final bands and the Picard total."""
+    from lagmhd import evolution
+
+    grid = Grid((16, 16, 16), (16.0, 2 * np.pi, 2 * np.pi))
+    state = build_flow_state(grid, spec)
+    iterations = []
+    compute = evolution.compute_force
+
+    def counted(state, *args, q0=None, **kwargs):
+        force = compute(state, *args, q0=None if cold else q0, **kwargs)
+        iterations.append(force.pressure.iterations)
+        return force
+
+    monkeypatch.setattr(evolution, "compute_force", counted)
+    stepper = LagrangianStepper(grid, 0.05)
+    for _ in range(6):
+        state = stepper.step(state, stepper.force(state))
+    return state.Y.band, state.Yt.band, sum(iterations)
+
+
+def test_warm_started_pressure_matches_cold_with_fewer_iterations(monkeypatch):
+    spec = scaled_spec(default_spec(3, None), 0.05)
+    y, yt, warm_iters = _drive_steps(monkeypatch, spec, cold=False)
+    y_cold, yt_cold, cold_iters = _drive_steps(monkeypatch, spec, cold=True)
+    assert np.abs(y - y_cold).max() <= 1e-10 * np.abs(y_cold).max()
+    assert np.abs(yt - yt_cold).max() <= 1e-10 * np.abs(yt_cold).max()
+    assert warm_iters < cold_iters
+
+
+def test_one_iteration_solves_start_cold(monkeypatch):
+    # under the absolute stopping rule a one-iteration result depends on its
+    # start, so such data must give the cold run's bits
+    spec = default_spec(3, 1e-4)
+    y, yt, warm_iters = _drive_steps(monkeypatch, spec, cold=False)
+    y_cold, yt_cold, cold_iters = _drive_steps(monkeypatch, spec, cold=True)
+    assert warm_iters == cold_iters == 12
+    assert np.array_equal(y, y_cold) and np.array_equal(yt, yt_cold)
+
+
 def test_equilibrium_preserved_many_steps():
     grid = Grid((8, 8, 8), (2 * np.pi,) * 3)
     stepper = LagrangianStepper(grid, 0.05)
@@ -499,6 +541,26 @@ def test_euler_from_flow_raises_when_the_inverse_map_stalls():
     with pytest.raises(NotConvergedError) as info:
         euler_from_flow(flow)
     assert info.value.residual > 1.0
+
+
+def test_euler_from_flow_inverts_a_slowly_contracting_map(monkeypatch):
+    # raw amplitude 1 on the criterion-6 box: the inversion contracts by
+    # ~0.63 per iteration and needs more than 60 of them
+    from lagmhd import initial_data
+
+    grid = Grid((16, 16, 16), (16.0, 2 * np.pi, 2 * np.pi))
+    flow = build_flow_state(grid, scaled_spec(default_spec(3, None), 1.0))
+    inverted = []
+    invert = initial_data._invert_flow_map
+
+    def recorded(y0_eval, x_pts):
+        y = invert(y0_eval, x_pts)
+        inverted.append(np.abs(x_pts - y - y0_eval(y).T).max())
+        return y
+
+    monkeypatch.setattr(initial_data, "_invert_flow_map", recorded)
+    initial_data.euler_from_flow(flow)
+    assert len(inverted) == 1 and inverted[0] < 1e-13
 
 
 def test_euler_2d_curl_form(grid2, rng):

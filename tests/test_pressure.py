@@ -227,9 +227,40 @@ def test_linearity_in_rhs():
     grid = Grid((16, 16, 16), (2 * np.pi,) * 3)
     state = small_state(grid, 0.05)
     metric_defect, rhs = pressure_operands(state)
-    gp1, _, _, _ = solve_pressure_spec(grid, metric_defect, rhs, 1e-13, 60)
-    gp2, _, _, _ = solve_pressure_spec(grid, metric_defect, 2.0 * rhs, 1e-13, 60)
+    gp1 = solve_pressure_spec(grid, metric_defect, rhs, 1e-13, 60)[0]
+    gp2 = solve_pressure_spec(grid, metric_defect, 2.0 * rhs, 1e-13, 60)[0]
     assert np.abs(gp2 - 2.0 * gp1).max() < 1e-10 * max(np.abs(gp1).max(), 1e-300)
+
+
+# -- starting potential ------------------------------------------------------------
+
+
+def test_start_at_the_converged_potential_stops_in_one_iteration():
+    grid = Grid((16, 16, 16), (2 * np.pi,) * 3)
+    metric_defect, rhs = pressure_operands(small_state(grid, 0.05))
+    gp, iters, _, _, q = solve_pressure_spec(grid, metric_defect, rhs, 1e-10, 50)
+    assert iters > 1
+    warm, warm_iters, _, _, _ = solve_pressure_spec(
+        grid, metric_defect, rhs, 1e-10, 50, q0=q
+    )
+    assert warm_iters == 1
+    # one more step of a contraction whose steps were already below the
+    # absolute tolerance: the results differ by a fraction of it
+    assert np.abs(warm - gp).max() <= 1e-12
+
+
+def test_cold_start_is_the_zero_potential_and_returns_the_potential_of_grad_p():
+    # compute_force(state) passes q0 = None; the mask-first oracle above
+    # holds that solve bit for bit
+    grid = Grid((16, 16, 16), (2 * np.pi,) * 3)
+    metric_defect, rhs = pressure_operands(small_state(grid, 0.05))
+    cold = solve_pressure_spec(grid, metric_defect, rhs, 1e-10, 50, q0=None)
+    zero = solve_pressure_spec(
+        grid, metric_defect, rhs, 1e-10, 50, q0=np.zeros(grid.half.shape, complex)
+    )
+    assert np.array_equal(cold[0], zero[0]) and cold[1:4] == zero[1:4]
+    gp, q = cold[0], cold[4]
+    assert np.array_equal(gp, rhs - np.stack([k * q for k in grid.half.k_axes]))
 
 
 def test_quadratic_smallness_scaling():
