@@ -20,7 +20,7 @@ import numpy as np
 from .fields import ScalarField, VectorField
 # graded_metric_values is not called here; perfbench/layers.py times it by this name
 from .geometry import FlowState, cofactor_values, graded_metric_values  # noqa: F401
-from .grid import Grid
+from .grid import ForceWorkspace, Grid
 from .pressure import PressureSolution, _tensor_rhs_spec, solve_pressure_spec
 from .spectral import (
     dealias_spec,
@@ -211,7 +211,10 @@ class NonlinearForce:
     """Forcing f of the displacement equation with the pieces it was built from.
 
     f is the viscous flux div((A^T A - I) grad Yt) plus pressure_force = -A grad_p.
-    f, pressure_force and grad_p are band fields (``grid.half``).
+    f, pressure_force and grad_p are band fields (``grid.half``) of their
+    own. a_values, grad_y and grad_yt are arrays of the ``ForceWorkspace``
+    the force was computed in: a force of a ``LagrangianStepper`` holds them
+    until that stepper computes its next force, which overwrites them.
     """
 
     f: VectorField
@@ -222,11 +225,16 @@ class NonlinearForce:
     grad_yt: np.ndarray
 
 
-def _bands(state: FlowState):
+def _bands(state: FlowState, work=None):
     """The bands of Y and Yt with the 2/3 mask applied: what the state holds
-    outside the retained modes is dropped."""
+    outside the retained modes is dropped. With a ``ForceWorkspace`` they go
+    into its ``y_band`` and ``yt_band``."""
     half = state.grid.half
-    return dealias_spec(state.Y.band, half), dealias_spec(state.Yt.band, half)
+    y_out, yt_out = (None, None) if work is None else (work.y_band, work.yt_band)
+    return (
+        dealias_spec(state.Y.band, half, out=y_out),
+        dealias_spec(state.Yt.band, half, out=yt_out),
+    )
 
 
 def compute_force(
@@ -234,6 +242,7 @@ def compute_force(
     pressure_tol: float = 1e-10,
     pressure_max_iter: int = 50,
     q0=None,
+    work=None,
 ) -> NonlinearForce:
     """Assemble f = div(D grad Yt) - A grad_p with dealiased products, D = A^T A - I.
 
@@ -253,30 +262,42 @@ def compute_force(
     q0, a pressure potential band, is where the Picard solve starts
     (``solve_pressure_spec``); without it the solve starts cold, and the
     force depends on the state alone.
+
+    Every intermediate goes into ``work``, a ``ForceWorkspace`` of the grid;
+    without one the force builds a fresh one and is pure. The returned
+    ``grad_y``, ``grad_yt`` and ``a_values`` are the workspace's arrays.
     """
     grid = state.grid
     half = grid.half
-    y_band, yt_band = _bands(state)
-    grad_y = gradient_values(y_band, grid)
-    b1, b2, a_vals = cofactor_values(grad_y)
-    grad_yt = gradient_values(yt_band, grid)
+    if work is None:
+        work = ForceWorkspace(grid)
+    y_band, yt_band = _bands(state, work)
+    grad_y = gradient_values(y_band, grid, out=work.grad_y, work=work)
+    b1, b2, a_vals = cofactor_values(grad_y, out=(work.b, work.flux, work.a))
+    grad_yt = gradient_values(yt_band, grid, out=work.grad_yt, work=work)
 
-    b = b1 + b2
-    defect = np.einsum("mi...,mj...->ij...", b, b)
+    b = np.add(b1, b2, out=b1)
+    defect = np.einsum("mi...,mj...->ij...", b, b, out=work.defect)
     defect += b
     defect += np.swapaxes(b, 0, 1)
-    flux_half = grid.rfft(np.einsum("jm...,im...->ij...", defect, grad_yt))
-    visc_half = dealias_spec(divergence_spec(np.swapaxes(flux_half, 0, 1), half), half)
-    del flux_half  # nine spectra, not held through the pressure solve
+    flux = np.einsum("jm...,im...->ij...", defect, grad_yt, out=work.flux)
+    flux_half = grid.rfft(flux, out=work.mat_band, pad=work.pad)
+    visc_half = divergence_spec(
+        np.swapaxes(flux_half, 0, 1), half, out=work.vec_band[0]
+    )
+    visc_half = dealias_spec(visc_half, half, out=visc_half)
 
     d1y = grad_y[:, 0]
-    rhs_half = _tensor_rhs_spec(grid, a_vals, d1y, grid.irfft(yt_band))
-    gp_half, iters, residuals, contraction, potential = solve_pressure_spec(
-        grid, defect, rhs_half, pressure_tol, pressure_max_iter, q0=q0
+    yt_vals = grid.irfft(yt_band, out=work.vec[0], pad=work.pad[0])
+    rhs_half = _tensor_rhs_spec(
+        grid, a_vals, d1y, yt_vals, out=work.vec_band[1], work=work
     )
-    gp_real = grid.irfft(gp_half)
-    a_gp = np.einsum("im...,m...->i...", a_vals, gp_real)
-    fp_half = grid.rfft(a_gp)
+    gp_half, iters, residuals, contraction, potential = solve_pressure_spec(
+        grid, defect, rhs_half, pressure_tol, pressure_max_iter, q0=q0, work=work
+    )
+    gp_real = grid.irfft(gp_half, out=work.vec[0], pad=work.pad[0])
+    a_gp = np.einsum("im...,m...->i...", a_vals, gp_real, out=work.vec[1])
+    fp_half = grid.rfft(a_gp, pad=work.pad[0])
     fp_half *= -half.dealias_mask
 
     return NonlinearForce(
@@ -317,6 +338,12 @@ class LagrangianStepper:
     The stepper carries its last potentials from call to call, so one stepper
     serves one run: a run on a stepper that another run used may start its
     solves elsewhere, and its output then differs by up to the tolerance.
+
+    Every force of the stepper is computed in one ``ForceWorkspace``, built
+    from the grid at the first force, so a warm step allocates no array of
+    grid size. A force's a_values, grad_y and grad_yt are that workspace's
+    arrays: they hold until the stepper's next force, the predictor force of
+    the next ``step`` included, so read them before stepping.
     """
 
     def __init__(
@@ -331,17 +358,24 @@ class LagrangianStepper:
         self.pressure_tol = pressure_tol
         self.pressure_max_iter = pressure_max_iter
         self.propagator = LinearPropagator(grid, dt)
+        # built at the first force: the set-up of a run (initial data,
+        # tables) then reuses the memory the last run freed before the
+        # workspace takes its share, and does not fault in fresh pages
+        self._work = None
         # (t, potential) of the last predictor and first-stage solves; the
         # predictor's is None when that solve took a single iteration
         self._star = (None, None)
         self._first = (None, None)
 
     def _force(self, state: FlowState, q0) -> NonlinearForce:
+        if self._work is None:
+            self._work = ForceWorkspace(self.grid)
         return compute_force(
             state,
             pressure_tol=self.pressure_tol,
             pressure_max_iter=self.pressure_max_iter,
             q0=q0,
+            work=self._work,
         )
 
     def force(self, state: FlowState) -> NonlinearForce:

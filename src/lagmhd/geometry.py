@@ -57,34 +57,55 @@ def _identity(dim, shape):
     return out
 
 
-def quadratic_cofactor_values(grad):
-    """Quadratic adjugate part: entry (i,j) is the (i,j) cofactor of grad Y."""
+# the (i, j) cofactor of a 3x3 matrix g as g[p] g[q] - g[r] g[s]
+_COFACTOR_TERMS = (
+    ((0, 0), ((1, 1), (2, 2)), ((2, 1), (1, 2))),
+    ((0, 1), ((2, 0), (1, 2)), ((1, 0), (2, 2))),
+    ((0, 2), ((1, 0), (2, 1)), ((2, 0), (1, 1))),
+    ((1, 0), ((2, 1), (0, 2)), ((0, 1), (2, 2))),
+    ((1, 1), ((0, 0), (2, 2)), ((2, 0), (0, 2))),
+    ((1, 2), ((2, 0), (0, 1)), ((2, 1), (0, 0))),
+    ((2, 0), ((0, 1), (1, 2)), ((1, 1), (0, 2))),
+    ((2, 1), ((1, 0), (0, 2)), ((0, 0), (1, 2))),
+    ((2, 2), ((0, 0), (1, 1)), ((1, 0), (0, 1))),
+)
+
+
+def quadratic_cofactor_values(grad, out=None, tmp=None):
+    """Quadratic adjugate part: entry (i,j) is the (i,j) cofactor of grad Y.
+
+    out (grad's shape) receives the result and tmp (one entry's shape) is
+    scratch; each is allocated when not given.
+    """
     g = grad
     dim = g.shape[0]
+    if out is None:
+        out = np.empty_like(g)
     if dim == 2:
-        return np.zeros_like(g)
-    out = np.empty_like(g)
-    out[0, 0] = g[1, 1] * g[2, 2] - g[2, 1] * g[1, 2]
-    out[0, 1] = g[2, 0] * g[1, 2] - g[1, 0] * g[2, 2]
-    out[0, 2] = g[1, 0] * g[2, 1] - g[2, 0] * g[1, 1]
-    out[1, 0] = g[2, 1] * g[0, 2] - g[0, 1] * g[2, 2]
-    out[1, 1] = g[0, 0] * g[2, 2] - g[2, 0] * g[0, 2]
-    out[1, 2] = g[2, 0] * g[0, 1] - g[2, 1] * g[0, 0]
-    out[2, 0] = g[0, 1] * g[1, 2] - g[1, 1] * g[0, 2]
-    out[2, 1] = g[1, 0] * g[0, 2] - g[0, 0] * g[1, 2]
-    out[2, 2] = g[0, 0] * g[1, 1] - g[1, 0] * g[0, 1]
+        out[...] = 0.0
+        return out
+    if tmp is None:
+        tmp = np.empty_like(g[0, 0])
+    for (i, j), (p, q), (r, s) in _COFACTOR_TERMS:
+        # out[i, j] = g[p] * g[q] - g[r] * g[s]
+        np.multiply(g[p], g[q], out=out[i, j])
+        out[i, j] -= np.multiply(g[r], g[s], out=tmp)
     return out
 
 
-def cofactor_values(grad):
-    """Return (B1, B2, A) raw arrays from grad Y values; A = (I + B1) + B2."""
+def cofactor_values(grad, out=None):
+    """Return (B1, B2, A) raw arrays from grad Y values; A = (I + B1) + B2.
+
+    out, three arrays of grad's shape, receives (B1, B2, A) when given.
+    """
     dim = grad.shape[0]
-    div = np.trace(grad, axis1=0, axis2=1)
-    b1 = -_transpose(grad).copy()
+    b1, b2, a = out if out is not None else (np.empty_like(grad) for _ in range(3))
+    div = np.trace(grad, axis1=0, axis2=1, out=a[0, 0])  # a is written last
+    np.negative(_transpose(grad), out=b1)
     for i in range(dim):
         b1[i, i] += div
-    b2 = quadratic_cofactor_values(grad)
-    a = b1.copy()
+    quadratic_cofactor_values(grad, out=b2, tmp=a[0, 0])
+    np.copyto(a, b1)
     for i in range(dim):
         a[i, i] += 1.0
     a += b2

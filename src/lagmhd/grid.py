@@ -105,19 +105,29 @@ class Grid:
     def spatial_axes(self):
         return tuple(range(-self.dim, 0))
 
-    def rfft(self, values):
+    def rfft(self, values, out=None, pad=None):
         """Real samples -> the band (``half``) of the normalized coefficients.
 
         The band is the first K = ceil(N_last/3) last-axis planes of the full
         spectrum, the k_last >= 0 planes the 2/3 mask keeps. A pruned
         real-data transform, scaled by 1/N (exact for power-of-two sizes):
-        rfft along the last axis keeping the band, then fftn over the leading
-        axes. The mask is not applied on the leading axes.
-        """
-        last = sfft.rfft(values, axis=-1, norm="forward")[..., : self.half.shape[-1]]
-        return sfft.fftn(last, axes=self.spatial_axes[:-1], norm="forward")
+        rfft along the last axis into ``pad``, its first K planes into
+        ``out``, then an in-place fftn over the leading axes. The mask is not
+        applied on the leading axes.
 
-    def irfft(self, band):
+        out (the band) and pad (N_last/2 + 1 last-axis planes, complex) are
+        written when given and allocated when not; the result is ``out``.
+        """
+        lead, nb = values.shape[:-1], self.half.shape[-1]
+        if pad is None:
+            pad = np.empty(lead + (self.sizes[-1] // 2 + 1,), dtype=complex)
+        if out is None:
+            out = np.empty(lead + (nb,), dtype=complex)
+        np.fft.rfft(values, axis=-1, norm="forward", out=pad)
+        out[...] = pad[..., :nb]
+        return self._in_place(sfft.fftn, out)
+
+    def irfft(self, band, out=None, pad=None):
         """Band -> real samples; the argument is left unchanged.
 
         Takes any number of k_last >= 0 planes up to N_last/2 + 1 and treats
@@ -125,17 +135,26 @@ class Grid:
         along the last axis. The result is exact for a band the 2/3 mask has
         been applied to: it is zero, hence Hermitian, on the Nyquist
         hyperplanes of the leading axes.
+
+        out (real samples) and pad (N_last/2 + 1 last-axis planes, complex;
+        its contents are overwritten) are written when given and allocated
+        when not; the result is ``out``.
         """
         n, k = self.sizes[-1], band.shape[-1]
-        pad = np.zeros(band.shape[:-1] + (n // 2 + 1,), dtype=complex)
+        if pad is None:
+            pad = np.empty(band.shape[:-1] + (n // 2 + 1,), dtype=complex)
+        pad[..., k:] = 0.0
         part = pad[..., :k]
         part[...] = band
-        lead = sfft.ifftn(
-            part, axes=self.spatial_axes[:-1], norm="forward", overwrite_x=True
-        )
-        if not np.may_share_memory(lead, pad):  # overwrite_x is a hint only
-            part[...] = lead
-        return sfft.irfft(pad, n=n, axis=-1, norm="forward", overwrite_x=True)
+        self._in_place(sfft.ifftn, part)
+        return np.fft.irfft(pad, n=n, axis=-1, norm="forward", out=out)
+
+    def _in_place(self, c2c, arr):
+        """c2c over the leading spatial axes of arr, written back into arr."""
+        res = c2c(arr, axes=self.spatial_axes[:-1], norm="forward", overwrite_x=True)
+        if not np.may_share_memory(res, arr):  # overwrite_x is a hint only
+            arr[...] = res
+        return arr
 
     def mirror(self, band):
         """Full spectrum from k_last >= 0 planes by c(-k) = conj(c(k)).
@@ -193,6 +212,8 @@ class Grid:
         return cache[s]
 
     def same_as(self, other: "Grid") -> bool:
+        if self is other:
+            return True
         return self.sizes == other.sizes and np.allclose(self.lengths, other.lengths)
 
 
@@ -248,6 +269,55 @@ def _band_tables(grid: Grid) -> HalfGrid:
         multiplicity=multiplicity,
         norm_k2=cut(grid.k2) * multiplicity,
     )
+
+
+class ForceWorkspace:
+    """The arrays one force evaluation writes its intermediates into.
+
+    ``LagrangianStepper`` builds one from its grid and hands it to every
+    force it computes, so a warm step allocates no array of grid size;
+    ``compute_force`` without one builds a fresh one. Its arrays are
+    overwritten by the next force on the same workspace. With d = grid.dim,
+    real samples (float64, grid shape):
+
+    - ``grad_y``, ``grad_yt``, ``a``: (d, d), grad Y, grad Yt and the
+      cofactor A, which the force returns;
+    - ``b``: (d, d), B1, then B = B1 + B2, then w x (A^T w) of the
+      pressure right-hand side;
+    - ``defect``: (d, d), D = A^T A - I, which the pressure solve reads;
+    - ``flux``: (d, d), B2, then D grad Yt, then Z A of the pressure
+      right-hand side;
+    - ``vec``: (3, d), the samples of Yt and the vectors of the pressure
+      right-hand side, then the Picard iterate and its product with D.
+
+    Bands (complex, ``grid.half``):
+
+    - ``y_band``, ``yt_band``: (d,), the masked bands of Y and Yt;
+    - ``mat_band``: (d, d), the gradient spectra, then the flux and Z A
+      spectra;
+    - ``vec_band``: (3, d), the viscous force, the pressure right-hand
+      side, and the spectra in between.
+
+    ``pad`` is (d, d) arrays of N_last/2 + 1 last-axis planes, the plane
+    buffer of ``Grid.rfft`` and ``Grid.irfft``; a vector uses ``pad[0]``.
+    """
+
+    def __init__(self, grid: Grid):
+        d, half = grid.dim, grid.half
+        mat = (d, d) + grid.shape
+        self.grad_y = np.empty(mat)
+        self.grad_yt = np.empty(mat)
+        self.a = np.empty(mat)
+        self.b = np.empty(mat)
+        self.defect = np.empty(mat)
+        self.flux = np.empty(mat)
+        self.vec = np.empty((3, d) + grid.shape)
+        self.y_band = np.empty((d,) + half.shape, dtype=complex)
+        self.yt_band = np.empty((d,) + half.shape, dtype=complex)
+        self.mat_band = np.empty((d, d) + half.shape, dtype=complex)
+        self.vec_band = np.empty((3, d) + half.shape, dtype=complex)
+        planes = grid.shape[:-1] + (grid.shape[-1] // 2 + 1,)
+        self.pad = np.empty((d, d) + planes, dtype=complex)
 
 
 def _negated(n: int):

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import NotConvergedError, PressureDivergenceError
 from .fields import VectorField
-from .grid import Grid
+from .grid import ForceWorkspace, Grid
 from .spectral import (
     _k_contract,
     dealias_spec,
@@ -50,28 +50,39 @@ class PressureSolution:
     potential: np.ndarray
 
 
-def _tensor_rhs_spec(grid: Grid, a_vals, v_vals, w_vals):
+def _tensor_rhs_spec(grid: Grid, a_vals, v_vals, w_vals, out=None, work=None):
     """R[A^T div2((v x v - w x w) A)] with div2 acting on the second index.
 
     Returns the band (``grid.half``) of the spectrum. The
     divergence-free rows of the cofactor matrix let the nested operator
     collapse to this conservative form. The product (v x v - w x w) A takes
     two mat-vecs and two outer products: v_i (A^T v)_l - w_i (A^T w)_l.
+
+    out receives the band when given. ``work`` is the ``ForceWorkspace`` of
+    the grid (a fresh one when None); the call overwrites its ``flux``,
+    ``b``, ``vec[1:]``, ``mat_band``, ``vec_band[2]`` and ``pad``, so v and
+    w must not live there.
     """
     half = grid.half
-    at_v = np.einsum("ml...,m...->l...", a_vals, v_vals)
-    at_w = np.einsum("ml...,m...->l...", a_vals, w_vals)
-    za = np.einsum("i...,l...->il...", v_vals, at_v)
-    za -= np.einsum("i...,l...->il...", w_vals, at_w)
-    za_half = grid.rfft(za)
-    w_half = dealias_spec(divergence_spec(np.swapaxes(za_half, 0, 1), half), half)
-    w_real = grid.irfft(w_half)
-    atw = np.einsum("jm...,j...->m...", a_vals, w_real)
-    atw_half = dealias_spec(grid.rfft(atw), half)
-    return riesz_apply_spec(atw_half, half)
+    if work is None:
+        work = ForceWorkspace(grid)
+    vec, band, pad = work.vec, work.vec_band[2], work.pad
+    at_v = np.einsum("ml...,m...->l...", a_vals, v_vals, out=vec[1])
+    at_w = np.einsum("ml...,m...->l...", a_vals, w_vals, out=vec[2])
+    za = np.einsum("i...,l...->il...", v_vals, at_v, out=work.flux)
+    za -= np.einsum("i...,l...->il...", w_vals, at_w, out=work.b)
+    za_half = grid.rfft(za, out=work.mat_band, pad=pad)
+    w_half = divergence_spec(np.swapaxes(za_half, 0, 1), half, out=band)
+    w_half = dealias_spec(w_half, half, out=w_half)
+    w_real = grid.irfft(w_half, out=vec[1], pad=pad[0])
+    atw = np.einsum("jm...,j...->m...", a_vals, w_real, out=vec[2])
+    atw_half = dealias_spec(grid.rfft(atw, out=band, pad=pad[0]), half, out=band)
+    return riesz_apply_spec(atw_half, half, out=out)
 
 
-def solve_pressure_spec(grid: Grid, defect_vals, rhs_half, tol, max_iter, q0=None):
+def solve_pressure_spec(
+    grid: Grid, defect_vals, rhs_half, tol, max_iter, q0=None, work=None
+):
     """Picard iteration grad_p <- -R[defect . grad_p] + rhs from grad_p = rhs - k q0.
 
     Works on bands (``grid.half``): rhs_half, q0 and the returned grad_p and
@@ -85,9 +96,15 @@ def solve_pressure_spec(grid: Grid, defect_vals, rhs_half, tol, max_iter, q0=Non
     in time; None starts cold from q = 0, grad_p = rhs. The first residual is
     measured from q0, so a start at the fixed point stops after one step. The
     stopping rule is absolute, so where one step meets it the result depends
-    on q0. Returns (grad_p, iterations, residuals, contraction, potential).
+    on q0. Returns (grad_p, iterations, residuals, contraction, potential),
+    fresh arrays. ``work`` is the ``ForceWorkspace`` of the grid (a fresh
+    one when None); the iteration overwrites its ``vec[:2]``,
+    ``vec_band[2]`` and ``pad``.
     """
     half = grid.half
+    if work is None:
+        work = ForceWorkspace(grid)
+    gp_real, mgp, pad = work.vec[0], work.vec[1], work.pad[0]
     k = half.k_axes
     gp = rhs_half.copy()
     if q0 is None:
@@ -100,9 +117,9 @@ def solve_pressure_spec(grid: Grid, defect_vals, rhs_half, tol, max_iter, q0=Non
     ratios = []
     bad_streak = 0
     for it in range(1, max_iter + 1):
-        gp_real = grid.irfft(gp)
-        mgp = np.einsum("jm...,m...->j...", defect_vals, gp_real)
-        q = _k_contract(grid.rfft(mgp), k)
+        grid.irfft(gp, out=gp_real, pad=pad)
+        np.einsum("jm...,m...->j...", defect_vals, gp_real, out=mgp)
+        q = _k_contract(grid.rfft(mgp, out=work.vec_band[2], pad=pad), k)
         q *= half.masked_inv_k2
         for i in range(grid.dim):
             np.multiply(k[i], q, out=gp[i])

@@ -21,35 +21,40 @@ from .grid import Grid
 # -- derivatives --------------------------------------------------------------
 
 
-def gradient_values(band, grid: Grid):
+def gradient_values(band, grid: Grid, out=None, work=None):
     """Real-space gradient of a vector band: out[i, j] = d_j v^i.
 
     ``band`` is a band (``grid.half``); all components and directions take
-    one multiply by i k_j and go through one pruned ``grid.irfft``.
+    one multiply by i k_j and go through one pruned ``grid.irfft``. With a
+    ``ForceWorkspace`` (``work``), the products go into its ``mat_band``
+    and the transform uses its ``pad``; ``out`` receives the gradient.
     """
     half = grid.half
-    buf = np.empty((band.shape[0], grid.dim) + half.shape, dtype=complex)
+    if work is None:
+        buf, pad = np.empty((band.shape[0], grid.dim) + half.shape, dtype=complex), None
+    else:
+        buf, pad = work.mat_band, work.pad
     for j in range(grid.dim):
         np.multiply(band, 1j * half.k_axes[j], out=buf[:, j])
-    return grid.irfft(buf)
+    return grid.irfft(buf, out=out, pad=pad)
 
 
-def _k_contract(spec, symbols):
+def _k_contract(spec, symbols, out=None):
     """sum_j symbols[j] * spec[j] over the leading axis, with one temporary."""
-    out = np.multiply(symbols[0], spec[0])
+    out = np.multiply(symbols[0], spec[0], out=out)
     tmp = np.empty_like(out)
     for j in range(1, len(symbols)):
         out += np.multiply(symbols[j], spec[j], out=tmp)
     return out
 
 
-def divergence_spec(spec, grid: Grid):
+def divergence_spec(spec, grid: Grid, out=None):
     """Spectral divergence over the leading component axis."""
-    return _k_contract(spec, [1j * k for k in grid.k_axes])
+    return _k_contract(spec, [1j * k for k in grid.k_axes], out=out)
 
 
-def dealias_spec(spec, grid: Grid):
-    return spec * grid.dealias_mask
+def dealias_spec(spec, grid: Grid, out=None):
+    return np.multiply(spec, grid.dealias_mask, out=out)
 
 
 # -- inner products and norms -------------------------------------------------
@@ -69,13 +74,14 @@ def weighted_norm_sq(spec, weight, grid: Grid) -> float:
 # -- Riesz / Leray projectors ---------------------------------------------
 
 
-def riesz_apply_spec(spec, grid: Grid):
+def riesz_apply_spec(spec, grid: Grid, out=None):
     """Riesz projector k (k . c) / |k|^2 on spectral coefficients, 0 on the
     mean mode: identity on gradients, zero on divergence-free fields."""
     k = grid.k_axes
     kv = _k_contract(spec, k)
     kv *= grid.inv_k2
-    out = np.empty((grid.dim,) + grid.shape, dtype=complex)
+    if out is None:
+        out = np.empty((grid.dim,) + grid.shape, dtype=complex)
     for i in range(grid.dim):
         np.multiply(k[i], kv, out=out[i])
     return out

@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from lagmhd.geometry import (
     determinant_values,
     graded_metric_values,
 )
-from lagmhd.grid import Grid
+from lagmhd.grid import ForceWorkspace, Grid
 from lagmhd.evolution import (
     EulerianStepper,
     EulerState,
@@ -215,13 +216,13 @@ def _force_transforms(monkeypatch, grid, amp):
     calls = {"rfft": [], "irfft": []}
     rfft, irfft = Grid.rfft, Grid.irfft
 
-    def counted_rfft(self, values):
+    def counted_rfft(self, values, *args, **kwargs):
         calls["rfft"].append(values.shape)
-        return rfft(self, values)
+        return rfft(self, values, *args, **kwargs)
 
-    def counted_irfft(self, half):
+    def counted_irfft(self, half, *args, **kwargs):
         calls["irfft"].append(half.shape)
-        return irfft(self, half)
+        return irfft(self, half, *args, **kwargs)
 
     monkeypatch.setattr(Grid, "rfft", counted_rfft)
     monkeypatch.setattr(Grid, "irfft", counted_irfft)
@@ -285,6 +286,78 @@ def test_force_of_a_state_is_that_of_its_projection(sizes, rng):
     assert np.array_equal(got.pressure.grad_p.band, want.pressure.grad_p.band)
     assert np.array_equal(got.grad_y, want.grad_y)
     assert np.array_equal(got.grad_yt, want.grad_yt)
+
+
+def _poisoned_workspace(grid):
+    """A workspace whose arrays all hold NaN, so that a force that reads
+    anything it did not write in the same call shows it in its result."""
+    work = ForceWorkspace(grid)
+    for arr in vars(work).values():
+        arr.fill(np.nan)
+    return work
+
+
+def _force_arrays(force):
+    return {
+        "f": force.f.band,
+        "pressure_force": force.pressure_force.band,
+        "grad_p": force.pressure.grad_p.band,
+        "potential": force.pressure.potential,
+        "grad_y": force.grad_y,
+        "grad_yt": force.grad_yt,
+        "a_values": force.a_values,
+    }
+
+
+@pytest.mark.parametrize("sizes", [(16, 16, 16), (32, 32)], ids=["3D", "2D"])
+def test_a_reused_workspace_gives_the_fresh_force_bit_for_bit(sizes):
+    # one workspace through states that need one Picard iteration and
+    # several, each with the previous potential as its start: every force
+    # equals the one computed in a fresh workspace, so nothing a force reads
+    # is left from the last one (the transform planes beyond the band included)
+    grid = Grid(sizes, (2 * np.pi,) * len(sizes))
+    work = _poisoned_workspace(grid)
+    iterations, q0 = [], None
+    for amp in FORCE_AMPS + FORCE_AMPS[::-1] + (0.02,):
+        spec = scaled_spec(default_spec(grid.dim, None), amp)
+        state = build_flow_state(grid, spec)
+        got = compute_force(state, q0=q0, work=work)
+        want = compute_force(state, q0=q0)
+        assert got.pressure.iterations == want.pressure.iterations
+        assert got.pressure.residuals == want.pressure.residuals
+        assert got.pressure.contraction_estimate == want.pressure.contraction_estimate
+        for name, arr in _force_arrays(got).items():
+            assert np.array_equal(arr, _force_arrays(want)[name]), name
+        # f, the pressure force, grad_p and the potential are the caller's;
+        # the gradients and the cofactor are the workspace's
+        for name in ("f", "pressure_force", "grad_p", "potential"):
+            arr = _force_arrays(got)[name]
+            assert not any(np.may_share_memory(arr, w) for w in vars(work).values())
+        assert got.grad_y is work.grad_y and got.grad_yt is work.grad_yt
+        assert got.a_values is work.a
+        iterations.append(got.pressure.iterations)
+        q0 = got.pressure.potential
+    assert min(iterations) == 1 and max(iterations) > 1
+
+
+def test_a_warm_step_allocates_no_grid_sized_array():
+    # the criterion-6 data at 32^3, as the strong3d benchmark runs it: a warm
+    # step, with its first force given as a run gives it, holds at most 14
+    # bands of a state at once (56 when every force allocated its own
+    # intermediates); one d x d array of samples is 4.4 bands
+    grid = Grid((32, 32, 32), (16.0, 2 * np.pi, 2 * np.pi))
+    state = build_flow_state(grid, scaled_spec(default_spec(3, None), 0.05))
+    stepper = LagrangianStepper(grid, 0.05)
+    for _ in range(2):
+        state = stepper.step(state, stepper.force(state))
+    force = stepper.force(state)
+    tracemalloc.start()
+    try:
+        stepper.step(state, force)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 14 * state.Y.band.nbytes
 
 
 # -- Lagrangian stepping ---------------------------------------------------------

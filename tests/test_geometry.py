@@ -236,6 +236,10 @@ def test_flow_state_rejects_mismatched_grids(grid3):
     other = Grid((16, 16, 16), (4 * np.pi, 2 * np.pi, 2 * np.pi))
     with pytest.raises(GridMismatchError):
         FlowState(VectorField.zeros(grid3), VectorField.zeros(other))
+    # a grid is the same as itself, and as another of equal sizes and lengths
+    same = Grid(grid3.sizes, grid3.lengths)
+    assert grid3.same_as(grid3) and grid3.same_as(same)
+    FlowState(VectorField.zeros(grid3), VectorField.zeros(same))
 
 
 def test_trig_evaluator_single_mode(grid3):

@@ -333,6 +333,31 @@ def test_rfft_irfft_round_trip_and_fft_is_the_mirror(name, rng):
     assert np.abs(again - limited).max() <= 1e-14 * np.abs(limited).max()
 
 
+@pytest.mark.parametrize("name", HALF_CASES)
+def test_rfft_irfft_into_given_arrays_equal_the_allocating_forms(name, rng):
+    grid, is_open = _case(name)
+    n = grid.sizes[-1]
+    vals = rng.standard_normal((grid.dim,) + grid.shape)
+    band = grid.rfft(vals)
+    pad = np.full((grid.dim,) + grid.shape[:-1] + (n // 2 + 1,), np.nan, dtype=complex)
+    out = np.full_like(band, np.nan)
+    assert grid.rfft(vals, out=out, pad=pad) is out
+    assert np.array_equal(out, band)
+    # the whole k_last >= 0 half, or a band the mask has been applied to
+    arg = sfft.rfftn(vals, axes=grid.spatial_axes, norm="forward") if is_open else (
+        band * grid.half.dealias_mask
+    )
+    kept = arg.copy()
+    want = grid.irfft(arg)
+    assert np.array_equal(arg, kept)
+    # a pad that rfft left full of planes beyond the band, and one of NaN
+    for stale in (pad, np.full_like(pad, np.nan)):
+        out = np.full_like(want, np.nan)
+        assert grid.irfft(arg, out=out, pad=stale) is out
+        assert np.array_equal(out, want)
+        assert np.array_equal(arg, kept)
+
+
 @pytest.mark.parametrize("name", ["3D", "2D", "2D-4"])
 def test_field_band_is_the_sliced_spectrum_or_rfft_of_values(name, rng):
     grid = HALF_GRIDS[name]
