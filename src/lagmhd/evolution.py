@@ -162,21 +162,21 @@ def propagator_matrix(k, dt: float):
 class LinearPropagator:
     """Per-mode exact propagation blocks for a fixed grid and time step.
 
-    The roots, the ``degenerate`` flags and the stability check cover every
-    mode of the grid; the stepping blocks are stored on the band
-    (``grid.half``), and ``apply`` acts on bands.
+    Everything lives on the band (``grid.half``): the roots ``lam_plus`` and
+    ``lam_minus``, the ``degenerate`` flags, the stability check and the
+    stepping blocks; ``apply`` acts on bands.
     """
 
     grid: Grid
     dt: float
 
     def __post_init__(self):
-        grid, dt = self.grid, self.dt
+        band, dt = self.grid.half, self.dt
         if dt <= 0:
             raise ValueError("dt must be positive")
-        a = grid.k2
-        b = np.broadcast_to(grid.k1sq, grid.shape)
-        lp, lm = characteristic_roots(a, b)
+        a = band.k2
+        b = np.broadcast_to(band.k1sq, band.shape)
+        lp, lm = roots = characteristic_roots(a, b)
         if lp.real.max() > 1e-13 or lm.real.max() > 1e-13:
             raise AssertionError("unstable characteristic root on the lattice")
         self.lam_plus = lp
@@ -184,10 +184,6 @@ class LinearPropagator:
         disc = a * a - 4.0 * b
         self.degenerate = np.abs(disc) <= DEGENERATE_REL_TOL * a * a
 
-        band = grid.half
-        a = band.k2
-        b = np.broadcast_to(band.k1sq, band.shape)
-        roots = tuple(r[..., : band.shape[-1]] for r in (lp, lm))
         self.phi0, self.phi1, self.dphi1 = _phi_entries(a, b, dt, roots)
         self.dphi0 = -b * self.phi1
         self.i0, self.k1 = _integral_entries(a, b, dt, roots)

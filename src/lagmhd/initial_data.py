@@ -81,83 +81,80 @@ def default_spec(dim: int, epsilon0: float = 1e-4) -> InitialDataSpec:
     return InitialDataSpec(shear_a, shear_c, velocity, epsilon0)
 
 
-def _shear_profile(grid: Grid, modes, coords, axes):
-    """Sum of cosine modes over the given coordinate axes."""
-    out = np.zeros(grid.shape)
+def _phase(grid: Grid, n, coords, axes):
+    """sum_i n_i (2 pi / L_axes[i]) coords[i], in the broadcast shape of coords."""
+    phase = 0.0
+    for n_i, c, ax in zip(n, coords, axes):
+        phase = phase + n_i * (2.0 * np.pi / grid.lengths[ax]) * c
+    return phase
+
+
+def _shear_profile(grid: Grid, modes, axes):
+    """Sum of cosine modes over the given coordinate axes, on their plane: the
+    profile has length 1 on every other axis and broadcasts over it."""
+    out = np.zeros([n if i in axes else 1 for i, n in enumerate(grid.shape)])
+    coords = [grid.coords[ax] for ax in axes]
     for m in modes:
         if len(m.n) != len(axes):
-            raise ConfigError(
-                f"shear mode {m.n} must index the {len(axes)} profile axes"
-            )
-        phase = np.zeros(grid.shape)
-        for n_i, ax in zip(m.n, axes):
-            kappa = 2.0 * np.pi / grid.lengths[ax]
-            phase = phase + n_i * kappa * coords[ax]
-        out = out + m.amp * np.cos(phase + m.phase)
+            raise ConfigError(f"shear mode {m.n} must index {len(axes)} profile axes")
+        out = out + m.amp * np.cos(_phase(grid, m.n, coords, axes) + m.phase)
     return out
 
 
-def _shear_displacement(grid: Grid, spec: InitialDataSpec, scale: float):
-    """Y0 from the two-shear composition; volume preserving by construction."""
-    coords = [np.broadcast_to(c, grid.shape) for c in grid.coords]
-    if grid.dim == 3:
-        a = scale * _shear_profile(grid, spec.shear_a, coords, axes=(0, 2))
-        y0 = np.zeros((3,) + grid.shape)
-        y0[1] = a
-        if spec.shear_c:
-            c_modes = spec.shear_c
-            shifted = coords[1] + a
-            c_val = np.zeros(grid.shape)
-            for m in c_modes:
-                k2 = 2.0 * np.pi / grid.lengths[1]
-                k3 = 2.0 * np.pi / grid.lengths[2]
-                c_val += scale * m.amp * np.cos(
-                    m.n[0] * k2 * shifted + m.n[1] * k3 * coords[2] + m.phase
-                )
-            y0[0] = c_val
-    else:
-        a = scale * _shear_profile(grid, spec.shear_a, coords, axes=(0,))
-        y0 = np.zeros((2,) + grid.shape)
-        y0[1] = a
-        if spec.shear_c:
-            shifted = coords[1] + a
-            c_val = np.zeros(grid.shape)
-            for m in spec.shear_c:
-                k2 = 2.0 * np.pi / grid.lengths[1]
-                c_val += scale * m.amp * np.cos(m.n[0] * k2 * shifted + m.phase)
-            y0[0] = c_val
+def _shear_displacement(grid: Grid, a_profile, c_modes, scale: float):
+    """Y0 from the two-shear composition, a(y1[, y3]) from the unscaled
+    a_profile, then c(y2 + a[, y3]); volume preserving by construction."""
+    a = scale * a_profile
+    y0 = np.zeros((grid.dim,) + grid.shape)
+    y0[1] = a
+    if c_modes:
+        coords = (grid.coords[1] + a,) + grid.coords[2:]
+        axes = tuple(range(1, grid.dim))
+        c_val = np.zeros(grid.shape)
+        for m in c_modes:
+            c_val += scale * m.amp * np.cos(_phase(grid, m.n, coords, axes) + m.phase)
+        y0[0] = c_val
     return y0
 
 
-def _solenoidal_velocity(grid: Grid, modes, scale: float):
-    v = np.zeros((grid.dim,) + grid.shape)
-    coords = [np.broadcast_to(c, grid.shape) for c in grid.coords]
+def _velocity_cosines(grid: Grid, modes):
+    """(axis, amp, cos(phase + m.phase)) of each velocity mode; the cosines do
+    not depend on the scale, so a build evaluates them once."""
+    out = []
     for m in modes:
         if len(m.n) != grid.dim:
             raise ConfigError(f"velocity mode {m.n} must have {grid.dim} indices")
         if not 0 <= m.axis < grid.dim:
             raise ConfigError(f"velocity mode axis {m.axis} out of range")
-        phase = np.zeros(grid.shape)
-        for i, n_i in enumerate(m.n):
-            phase += n_i * (2.0 * np.pi / grid.lengths[i]) * coords[i]
-        v[m.axis] += scale * m.amp * np.cos(phase + m.phase)
-    half = grid.half
+        phase = _phase(grid, m.n, grid.coords, range(grid.dim))
+        out.append((m.axis, m.amp, np.cos(phase + m.phase)))
+    return out
+
+
+def _solenoidal_velocity(grid: Grid, cosines, scale: float):
+    v = np.zeros((grid.dim,) + grid.shape)
+    for axis, amp, cos in cosines:
+        v[axis] += scale * amp * cos
     band = grid.rfft(v)
-    band = dealias_spec(band - riesz_apply_spec(band, half), half)
+    band = dealias_spec(band - riesz_apply_spec(band, grid.half), grid.half)
     return grid.irfft(band)
 
 
 def build_flow_state(grid: Grid, spec: InitialDataSpec) -> FlowState:
-    """Assemble (Y0, Y1), rescaled so the smallness functional hits epsilon0."""
-
+    """Assemble (Y0, Y1), rescaled so the smallness functional hits epsilon0;
+    what does not depend on the scale is evaluated once per build."""
+    if spec.epsilon0 is not None and spec.epsilon0 <= 0:
+        raise ConfigError("epsilon0 must be positive")
     half = grid.half
+    a_profile = _shear_profile(grid, spec.shear_a, axes=(0, 2)[: grid.dim - 1])
+    cosines = _velocity_cosines(grid, spec.velocity)
 
     def assemble(scale: float) -> FlowState:
-        y0_vals = _shear_displacement(grid, spec, scale)
+        y0_vals = _shear_displacement(grid, a_profile, spec.shear_c, scale)
         # composition tails above the 2/3-mask ball are machine-small at these
         # amplitudes; masking keeps the evolved state band-limited
         y0 = VectorField.from_band(grid, dealias_spec(grid.rfft(y0_vals), half))
-        v = _solenoidal_velocity(grid, spec.velocity, scale)
+        v = _solenoidal_velocity(grid, cosines, scale)
         grad = gradient_values(y0.band, grid)
         y1_vals = v + np.einsum("im...,m...->i...", grad, v)
         y1 = VectorField.from_band(grid, dealias_spec(grid.rfft(y1_vals), half))
@@ -165,8 +162,6 @@ def build_flow_state(grid: Grid, spec: InitialDataSpec) -> FlowState:
 
     if spec.epsilon0 is None:
         return assemble(1.0)
-    if spec.epsilon0 <= 0:
-        raise ConfigError("epsilon0 must be positive")
     state = assemble(1.0)
     base = EnergyEvaluator.initial_norm(state)
     if base == 0.0:

@@ -243,8 +243,25 @@ def read_diagnostics(path):
     return {name: data[:, i] for i, name in enumerate(header)}
 
 
+DATA_DET_TOL = 1e-8  # largest |det(I + grad Y0) - 1| accepted from data
+
+
+def _checked_data(grid: Grid, spec) -> FlowState:
+    """The flow state built from spec, held to det(I + grad Y0) = 1 within
+    DATA_DET_TOL. Every path that starts from data goes through here; a
+    checkpoint does not, since a run's integrator drift may exceed it."""
+    state = build_flow_state(grid, spec)
+    det0 = determinant_values(gradient_values(state.Y.band, grid))
+    det0_err = float(np.abs(det0 - 1.0).max())
+    if det0_err > DATA_DET_TOL:
+        raise InitialDataError(
+            f"initial displacement violates det(I + grad Y0) = 1 by {det0_err:.3e}"
+        )
+    return state
+
+
 def _initial_state(config: RunConfig, grid: Grid):
-    """The start of the configured solver: its checkpoint, or the data."""
+    """The start of the configured solver: its checkpoint, or the checked data."""
     kind = EulerState if config.solver == "eulerian" else FlowState
     if config.checkpoint_in:
         state = read_checkpoint(config.checkpoint_in)
@@ -255,7 +272,7 @@ def _initial_state(config: RunConfig, grid: Grid):
         if not state.grid.same_as(grid):
             raise ConfigError("checkpoint grid does not match the configured grid")
         return state
-    state = build_flow_state(grid, config.initial_data_spec())
+    state = _checked_data(grid, config.initial_data_spec())
     return euler_from_flow(state) if kind is EulerState else state
 
 
@@ -368,19 +385,9 @@ def _drive_flow_map(config: RunConfig, grid: Grid, initial, write_outputs=True):
         grid, config.dt, config.pressure_tol, config.pressure_max_iter
     )
 
-    def checked_initial():
-        state = initial()
-        det0 = determinant_values(gradient_values(state.Y.band, grid))
-        det0_err = float(np.abs(det0 - 1.0).max())
-        if det0_err > 1e-8:
-            raise InitialDataError(
-                f"initial displacement violates det(I + grad Y0) = 1 by {det0_err:.3e}"
-            )
-        return state
-
     return _drive(
         config,
-        checked_initial,
+        initial,
         stepper.force,
         stepper.step,
         lambda state, force: _record_sample(ev, state, force),
@@ -441,7 +448,7 @@ def compare_formulations(config: RunConfig) -> CompareReport:
         raise ConfigError("compare_formulations starts from the data, not a checkpoint")
     n_steps = _step_count(config.t_compare, config.dt, "t_compare")
     grid = Grid(config.sizes, config.lengths)
-    flow = build_flow_state(grid, config.initial_data_spec())
+    flow = _checked_data(grid, config.initial_data_spec())
     euler = euler_from_flow(flow)
     lstep = LagrangianStepper(
         grid, config.dt, config.pressure_tol, config.pressure_max_iter
@@ -483,6 +490,6 @@ def scaling_run(config: RunConfig, amplitude: float):
     spec = scaled_spec(default_spec(config.dimension, epsilon0=None), amplitude)
     grid = Grid(config.sizes, config.lengths)
     report = _drive_flow_map(
-        config, grid, lambda: build_flow_state(grid, spec), write_outputs=False
+        config, grid, lambda: _checked_data(grid, spec), write_outputs=False
     )
     return report.script_e_final, report.rhs_integral

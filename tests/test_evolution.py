@@ -17,12 +17,14 @@ from lagmhd.geometry import (
 )
 from lagmhd.grid import ForceWorkspace, Grid
 from lagmhd.evolution import (
+    DEGENERATE_REL_TOL,
     EulerianStepper,
     EulerState,
     LagrangianStepper,
     LinearPropagator,
     _integral_entries,
     _phi_entries,
+    characteristic_roots,
     compute_force,
     dispersion_eigenvalues,
     propagator_matrix,
@@ -120,7 +122,42 @@ def test_propagator_lattice_stability(grid3):
     prop = LinearPropagator(grid3, 0.2)
     assert prop.lam_plus.real.max() <= 1e-13
     assert prop.lam_minus.real.max() <= 1e-13
-    assert prop.degenerate[2, 0, 0]  # the |k|^4 = 4 k1^2 lattice point
+    # the |k|^4 = 4 k1^2 lattice point; the roots and flags are band arrays,
+    # and k_last = 0 is in the band
+    assert prop.degenerate[2, 0, 0]
+
+
+@pytest.mark.parametrize("sizes", [(16, 8, 32), (32, 64)], ids=["3D", "2D"])
+def test_band_propagator_is_cut_from_the_full_grid_roots(sizes):
+    # the roots and blocks are computed on the band alone; the elementwise
+    # formulas make them the band planes of the full-grid ones bit for bit
+    grid = Grid(sizes, (64.0,) + (2 * np.pi,) * (len(sizes) - 1))
+    dt = 0.05
+    prop = LinearPropagator(grid, dt)
+    nb = grid.half.shape[-1]
+    a, b = grid.k2, np.broadcast_to(grid.k1sq, grid.shape)
+    roots = tuple(r[..., :nb] for r in characteristic_roots(a, b))
+    a, b = a[..., :nb], b[..., :nb]
+    phi0, phi1, dphi1 = _phi_entries(a, b, dt, roots)
+    i0, k1 = _integral_entries(a, b, dt, roots)
+    want = {
+        "lam_plus": roots[0],
+        "lam_minus": roots[1],
+        "phi0": phi0,
+        "phi1": phi1,
+        "dphi0": -b * phi1,
+        "dphi1": dphi1,
+        "i0": i0,
+        "k1": k1,
+        "y_f0": i0 - k1,
+        "yt_f0": phi1 - i0 / dt,
+        "yt_f1": i0 / dt,
+    }
+    for name, block in want.items():
+        assert np.array_equal(getattr(prop, name), block), name
+    disc = grid.k2 * grid.k2 - 4.0 * grid.k1sq
+    full_degenerate = np.abs(disc) <= DEGENERATE_REL_TOL * grid.k2 * grid.k2
+    assert np.array_equal(prop.degenerate, full_degenerate[..., :nb])
 
 
 def test_integral_entries_quadrature_oracle():

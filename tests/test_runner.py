@@ -6,11 +6,11 @@ import pytest
 from lagmhd.checkpoint import read_checkpoint, write_checkpoint
 from lagmhd.config import RunConfig
 from lagmhd.energy import EnergyEvaluator
-from lagmhd.errors import ConfigError
+from lagmhd.errors import ConfigError, InitialDataError
 from lagmhd.evolution import EulerianStepper, EulerState
 from lagmhd.geometry import FlowState
 from lagmhd.grid import Grid
-from lagmhd.initial_data import VelocityMode
+from lagmhd.initial_data import VelocityMode, build_flow_state, euler_from_flow
 from lagmhd.runner import (
     CSV_COLUMNS,
     compare_formulations,
@@ -147,6 +147,35 @@ def test_initial_det_precondition_enforced(tmp_path):
     )
     with pytest.raises(InitialDataError):
         run_simulation(cfg)
+
+
+def strong_config(tmp_path, **kw):
+    # the criterion-6 data at 16^3: the grid truncates the composed shears,
+    # so det(I + grad Y0) misses 1 by 4.891e-6
+    return small_config(tmp_path, epsilon0=36.4, t_end=0.1, cadence=0.05, **kw)
+
+
+@pytest.mark.parametrize("solver", ["lagrangian", "eulerian"])
+def test_data_check_holds_data_not_a_checkpoint(tmp_path, solver):
+    # data with a det defect above 1e-8 is refused on either solver, but the
+    # same state resumes from a checkpoint, as a run that drifted must
+    cfg = strong_config(tmp_path / "data", solver=solver)
+    with pytest.raises(InitialDataError, match="4.891e-06"):
+        run_simulation(cfg)
+    grid = Grid(cfg.sizes, cfg.lengths)
+    state = build_flow_state(grid, cfg.initial_data_spec())
+    if solver == "eulerian":
+        state = euler_from_flow(state)
+    ckpt = str(tmp_path / "drifted.ckpt")
+    write_checkpoint(ckpt, state)
+    report = run_simulation(strong_config(tmp_path / "resumed", solver=solver,
+                                          checkpoint_in=ckpt))
+    assert not report.aborted and report.t_final == pytest.approx(0.1)
+
+
+def test_compare_checks_the_data(tmp_path):
+    with pytest.raises(InitialDataError, match="4.891e-06"):
+        compare_formulations(strong_config(tmp_path, solver="both", t_compare=0.25))
 
 
 def test_solver_both_is_rejected_by_run(tmp_path):
