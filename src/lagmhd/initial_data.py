@@ -101,40 +101,28 @@ def _shear_profile(grid: Grid, modes, axes):
     return out
 
 
-def _shear_displacement(grid: Grid, a_profile, c_modes, scale: float):
-    """Y0 from the two-shear composition, a(y1[, y3]) from the unscaled
-    a_profile, then c(y2 + a[, y3]); volume preserving by construction."""
-    a = scale * a_profile
-    y0 = np.zeros((grid.dim,) + grid.shape)
-    y0[1] = a
-    if c_modes:
-        coords = (grid.coords[1] + a,) + grid.coords[2:]
-        axes = tuple(range(1, grid.dim))
-        c_val = np.zeros(grid.shape)
-        for m in c_modes:
-            c_val += scale * m.amp * np.cos(_phase(grid, m.n, coords, axes) + m.phase)
-        y0[0] = c_val
-    return y0
+def _c_shear(grid: Grid, a, c_modes, scale: float):
+    """The y1 displacement c(y2 + a[, y3]) of the two-shear composition, as one
+    component; with the y2 displacement a it preserves volume exactly."""
+    coords = (grid.coords[1] + a,) + grid.coords[2:]
+    axes = tuple(range(1, grid.dim))
+    c_val = np.zeros((1,) + grid.shape)
+    for m in c_modes:
+        c_val[0] += scale * m.amp * np.cos(_phase(grid, m.n, coords, axes) + m.phase)
+    return c_val
 
 
-def _velocity_cosines(grid: Grid, modes):
-    """(axis, amp, cos(phase + m.phase)) of each velocity mode; the cosines do
-    not depend on the scale, so a build evaluates them once."""
-    out = []
+def _solenoidal_velocity(grid: Grid, modes):
+    """The Leray-projected velocity modes at unit scale; the projection is
+    linear, so a build projects once and scales the result."""
+    v = np.zeros((grid.dim,) + grid.shape)
     for m in modes:
         if len(m.n) != grid.dim:
             raise ConfigError(f"velocity mode {m.n} must have {grid.dim} indices")
         if not 0 <= m.axis < grid.dim:
             raise ConfigError(f"velocity mode axis {m.axis} out of range")
         phase = _phase(grid, m.n, grid.coords, range(grid.dim))
-        out.append((m.axis, m.amp, np.cos(phase + m.phase)))
-    return out
-
-
-def _solenoidal_velocity(grid: Grid, cosines, scale: float):
-    v = np.zeros((grid.dim,) + grid.shape)
-    for axis, amp, cos in cosines:
-        v[axis] += scale * amp * cos
+        v[m.axis] += m.amp * np.cos(phase + m.phase)
     band = grid.rfft(v)
     band = dealias_spec(band - riesz_apply_spec(band, grid.half), grid.half)
     return grid.irfft(band)
@@ -145,20 +133,29 @@ def build_flow_state(grid: Grid, spec: InitialDataSpec) -> FlowState:
     what does not depend on the scale is evaluated once per build."""
     if spec.epsilon0 is not None and spec.epsilon0 <= 0:
         raise ConfigError("epsilon0 must be positive")
-    half = grid.half
-    a_profile = _shear_profile(grid, spec.shear_a, axes=(0, 2)[: grid.dim - 1])
-    cosines = _velocity_cosines(grid, spec.velocity)
+    half, d = grid.half, grid.dim
+    # Y0 = (c, scale * a[, 0]); the a-shear and the projected velocity are
+    # linear in the scale, so their transforms are taken once per build
+    a_profile = _shear_profile(grid, spec.shear_a, axes=(0, 2)[: d - 1])
+    a_band = grid.rfft(np.broadcast_to(a_profile, (1,) + grid.shape))
+    a_band = dealias_spec(a_band, half, out=a_band)
+    grad_a = gradient_values(a_band, grid)
+    v_unit = _solenoidal_velocity(grid, spec.velocity)
 
     def assemble(scale: float) -> FlowState:
-        y0_vals = _shear_displacement(grid, a_profile, spec.shear_c, scale)
         # composition tails above the 2/3-mask ball are machine-small at these
         # amplitudes; masking keeps the evolved state band-limited
-        y0 = VectorField.from_band(grid, dealias_spec(grid.rfft(y0_vals), half))
-        v = _solenoidal_velocity(grid, cosines, scale)
-        grad = gradient_values(y0.band, grid)
+        c_vals = _c_shear(grid, scale * a_profile, spec.shear_c, scale)
+        y0_band = np.zeros((d,) + half.shape, dtype=complex)
+        dealias_spec(grid.rfft(c_vals), half, out=y0_band[:1])
+        np.multiply(scale, a_band, out=y0_band[1:2])
+        grad = np.zeros((d, d) + grid.shape)
+        gradient_values(y0_band[:1], grid, out=grad[:1])
+        np.multiply(scale, grad_a, out=grad[1:2])
+        v = scale * v_unit
         y1_vals = v + np.einsum("im...,m...->i...", grad, v)
         y1 = VectorField.from_band(grid, dealias_spec(grid.rfft(y1_vals), half))
-        return FlowState(y0, y1, 0.0)
+        return FlowState(VectorField.from_band(grid, y0_band), y1, 0.0)
 
     if spec.epsilon0 is None:
         return assemble(1.0)

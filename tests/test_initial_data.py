@@ -31,9 +31,10 @@ def test_shear_profile_on_its_plane_is_the_full_grid_sum(sizes, axes):
 
 
 def test_build_flow_state_transform_count(monkeypatch):
-    # the data is assembled once per scale; each assembly transforms Y0 (3),
-    # the velocity forward and back for its projection (3 + 3), the 9
-    # components of grad Y0 and Y1 (3)
+    # Y0 = (c, s a, 0) at scale s: the a-shear and the projected velocity are
+    # linear in the scale, so a build transforms them once (a: 1 forward, its
+    # gradient 3 inverse; the velocity 3 + 3); each assembly transforms c (1)
+    # and its gradient (3), and Y1 (3)
     grid = Grid((16, 16, 16), (64.0, 2 * np.pi, 2 * np.pi))
     components = {"rfft": 0, "irfft": 0}
     assemblies = []
@@ -56,4 +57,4 @@ def test_build_flow_state_transform_count(monkeypatch):
     build_flow_state(grid, default_spec(3, 1e-4))
     n = len(assemblies)
     assert n == 4  # the scale at 1, then three rescaled assemblies
-    assert components == {"rfft": 9 * n, "irfft": 12 * n}
+    assert components == {"rfft": 4 + 4 * n, "irfft": 6 + 3 * n}
