@@ -124,18 +124,28 @@ def admissibility_integral(f, traj: Trajectory) -> np.ndarray:
     """
     fn, _ = as_field_function(f)
     vals = fn(traj.positions)  # (ntimes, d)
-    outside = np.abs(traj.positions[:, 0]) > traj.slab_halfwidth
+    return _slab_integral(vals, traj.positions, traj.times, traj.slab_halfwidth)[0]
+
+
+def _slab_integral(vals, positions, times, slab_halfwidth):
+    """Simpson integral over the times (axis 0) of the integrand samples
+    ``vals`` taken at ``positions``, and sup |vals|.
+
+    Raises ValueError unless the integrand vanishes, relative to its sup,
+    wherever a position lies outside the slab |x1| <= slab_halfwidth.
+    """
+    outside = np.abs(positions[..., 0]) > slab_halfwidth
     fmax = float(np.abs(vals).max())
     if fmax > 0.0 and outside.any():
         fmax_out = float(np.abs(vals[outside]).max())
         if fmax_out > 1e-12 * fmax:
-            x1 = traj.positions[outside, 0]
+            x1 = positions[outside][:, 0]
             raise ValueError(
                 "integrand not supported in the slab: |f| reaches "
                 f"{fmax_out:.3e} at x1 in [{x1.min():.3g}, {x1.max():.3g}]"
             )
-    dt = traj.times[1] - traj.times[0]
-    return np.asarray(simpson(vals, dx=dt, axis=0))
+    dt = times[1] - times[0]
+    return np.asarray(simpson(vals, dx=dt, axis=0)), fmax
 
 
 @dataclass
@@ -207,16 +217,7 @@ def check_admissible(
     )
     npts, m, _ = positions.shape
     vals = f_fn(positions.reshape(npts * m, dim)).reshape(npts, m, dim)
-    outside = np.abs(positions[:, :, 0]) > slab_halfwidth
-    fmax = float(np.abs(vals).max())
-    if fmax > 0.0 and outside.any():
-        fmax_out = float(np.abs(vals[outside]).max())
-        if fmax_out > 1e-12 * fmax:
-            raise ValueError(
-                f"integrand not supported in the slab: |f| = {fmax_out:.3e} outside"
-            )
-    dt = times[1] - times[0]
-    integrals = np.asarray(simpson(vals, dx=dt, axis=0))  # (M, d)
+    integrals, fmax = _slab_integral(vals, positions, times, slab_halfwidth)  # (M, d)
     max_abs = float(np.abs(integrals).max()) if integrals.size else 0.0
     tolerance = tol * fmax * 2.0 * slab_halfwidth
     return AdmissibilityReport(

@@ -204,6 +204,13 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(str(exc)) from exc
 
 
+def _dump_mode(mode) -> str:
+    """n, then the axis of a VelocityMode, then amp and phase, comma-separated."""
+    n = ",".join(str(i) for i in mode.n)
+    axis = f",{mode.axis}" if isinstance(mode, VelocityMode) else ""
+    return f"{n}{axis},{mode.amp:.17g},{mode.phase:.17g}"
+
+
 def dump_config(config: RunConfig) -> str:
     """Serialize a config so that parse_config(dump_config(c)) round-trips."""
     out = []
@@ -217,31 +224,10 @@ def dump_config(config: RunConfig) -> str:
     out.append(f"epsilon0 = {config.epsilon0:.17g}")
     out.append(f"pressure_tol = {config.pressure_tol:.17g}")
     out.append(f"pressure_max_iter = {config.pressure_max_iter}")
-    if config.y0_modes_a is not None:
-        out.append(
-            "y0_modes_a = "
-            + "; ".join(
-                ",".join(str(i) for i in m.n) + f",{m.amp:.17g},{m.phase:.17g}"
-                for m in config.y0_modes_a
-            )
-        )
-    if config.y0_modes_c is not None:
-        out.append(
-            "y0_modes_c = "
-            + "; ".join(
-                ",".join(str(i) for i in m.n) + f",{m.amp:.17g},{m.phase:.17g}"
-                for m in config.y0_modes_c
-            )
-        )
-    if config.y1_modes is not None:
-        out.append(
-            "y1_modes = "
-            + "; ".join(
-                ",".join(str(i) for i in m.n)
-                + f",{m.axis},{m.amp:.17g},{m.phase:.17g}"
-                for m in config.y1_modes
-            )
-        )
+    for key in ("y0_modes_a", "y0_modes_c", "y1_modes"):
+        modes = getattr(config, key)
+        if modes is not None:
+            out.append(f"{key} = " + "; ".join(_dump_mode(m) for m in modes))
     if config.checkpoint_in:
         out.append(f"checkpoint_in = {config.checkpoint_in}")
     out.append(f"output_dir = {config.output_dir}")

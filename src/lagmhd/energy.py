@@ -35,16 +35,10 @@ def _real_pairs(spec):
     return spec.view(float).reshape(spec.shape[0], -1)
 
 
-def _band_hs_weight(grid: Grid, s: int):
-    """The H^s weight on the band, times the Hermitian multiplicity."""
-    half = grid.half
-    return grid.hs_weight(s)[..., : half.shape[-1]] * half.multiplicity
-
-
 class EnergyEvaluator:
     """Precomputed spectral weights for all energy components on one grid.
 
-    The eight weights of a sample are the rows of one (8, *grid.half.shape)
+    The eight weights of a sample are the rows of one (8, *grid.band_shape)
     array on the band, with the Hermitian multiplicity folded in, so a sum
     over the band equals the sum over the full spectrum. The named weight
     attributes are views of its rows.
@@ -52,12 +46,11 @@ class EnergyEvaluator:
 
     def __init__(self, grid: Grid):
         self.grid = grid
-        half = grid.half
-        w1 = _band_hs_weight(grid, 1)
-        w2 = _band_hs_weight(grid, 2)
-        k2 = half.k2
-        k1sq = np.broadcast_to(half.k1sq, half.shape)
-        w = self.weights = np.empty((8,) + half.shape)
+        w1 = grid.hs_weight(1) * grid.multiplicity
+        w2 = grid.hs_weight(2) * grid.multiplicity
+        k2 = grid.k2
+        k1sq = np.broadcast_to(grid.k1sq, grid.band_shape)
+        w = self.weights = np.empty((8,) + grid.band_shape)
         w[H2] = w2
         w[D1_H2] = k1sq * w2
         w[LAP_H2] = k2 * k2 * w2
@@ -101,14 +94,14 @@ class EnergyEvaluator:
         so initial data can be scaled with it before any evaluator is built.
         """
         grid = state.grid
-        half = grid.half
-        w_h3 = _band_hs_weight(grid, 3)
-        k1sq = np.broadcast_to(half.k1sq, half.shape)
+        w_h3 = grid.hs_weight(3) * grid.multiplicity
+        w_h2 = grid.hs_weight(2) * grid.multiplicity
+        k1sq = np.broadcast_to(grid.k1sq, grid.band_shape)
         yh, yth = state.Y.band, state.Yt.band
         return (
-            weighted_norm_sq(yth, w_h3, half)
-            + weighted_norm_sq(yh, k1sq * w_h3, half)
-            + weighted_norm_sq(yh, half.k2 * half.k2 * _band_hs_weight(grid, 2), half)
+            weighted_norm_sq(yth, w_h3, grid)
+            + weighted_norm_sq(yh, k1sq * w_h3, grid)
+            + weighted_norm_sq(yh, grid.k2 * grid.k2 * w_h2, grid)
         )
 
 

@@ -162,27 +162,22 @@ def propagator_matrix(k, dt: float):
 class LinearPropagator:
     """Per-mode exact propagation blocks for a fixed grid and time step.
 
-    Everything lives on the band (``grid.half``): the roots ``lam_plus`` and
-    ``lam_minus``, the ``degenerate`` flags, the stability check and the
-    stepping blocks; ``apply`` acts on bands.
+    Everything lives on the band: the stability check of the characteristic
+    roots and the stepping blocks; ``apply`` acts on bands.
     """
 
     grid: Grid
     dt: float
 
     def __post_init__(self):
-        band, dt = self.grid.half, self.dt
+        grid, dt = self.grid, self.dt
         if dt <= 0:
             raise ValueError("dt must be positive")
-        a = band.k2
-        b = np.broadcast_to(band.k1sq, band.shape)
+        a = grid.k2
+        b = np.broadcast_to(grid.k1sq, grid.band_shape)
         lp, lm = roots = characteristic_roots(a, b)
         if lp.real.max() > 1e-13 or lm.real.max() > 1e-13:
             raise AssertionError("unstable characteristic root on the lattice")
-        self.lam_plus = lp
-        self.lam_minus = lm
-        disc = a * a - 4.0 * b
-        self.degenerate = np.abs(disc) <= DEGENERATE_REL_TOL * a * a
 
         self.phi0, self.phi1, self.dphi1 = _phi_entries(a, b, dt, roots)
         self.dphi0 = -b * self.phi1
@@ -207,10 +202,10 @@ class NonlinearForce:
     """Forcing f of the displacement equation with the pieces it was built from.
 
     f is the viscous flux div((A^T A - I) grad Yt) plus pressure_force = -A grad_p.
-    f, pressure_force and grad_p are band fields (``grid.half``) of their
-    own. a_values, grad_y and grad_yt are arrays of the ``ForceWorkspace``
-    the force was computed in: a force of a ``LagrangianStepper`` holds them
-    until that stepper computes its next force, which overwrites them.
+    f, pressure_force and grad_p are band fields of their own. a_values,
+    grad_y and grad_yt are arrays of the ``ForceWorkspace`` the force was
+    computed in: a force of a ``LagrangianStepper`` holds them until that
+    stepper computes its next force, which overwrites them.
     """
 
     f: VectorField
@@ -225,11 +220,11 @@ def _bands(state: FlowState, work=None):
     """The bands of Y and Yt with the 2/3 mask applied: what the state holds
     outside the retained modes is dropped. With a ``ForceWorkspace`` they go
     into its ``y_band`` and ``yt_band``."""
-    half = state.grid.half
+    grid = state.grid
     y_out, yt_out = (None, None) if work is None else (work.y_band, work.yt_band)
     return (
-        dealias_spec(state.Y.band, half, out=y_out),
-        dealias_spec(state.Yt.band, half, out=yt_out),
+        dealias_spec(state.Y.band, grid, out=y_out),
+        dealias_spec(state.Yt.band, grid, out=yt_out),
     )
 
 
@@ -246,9 +241,9 @@ def compute_force(
     as the sum of the graded pieces G_d, in one product; I is never added and
     removed, so small deformations do not cancel. The same D drives the
     pressure fixed point, and the viscous flux costs a single transform
-    whatever the dimension. It reads the bands of Y and Yt (``grid.half``),
-    every spectrum in between lives on the band, and f, the pressure force
-    and grad_p are returned as band fields: nothing is mirrored.
+    whatever the dimension. It reads the bands of Y and Yt, every spectrum
+    in between lives on the band, and f, the pressure force and grad_p are
+    returned as band fields.
 
     The 2/3 mask zeroes the Nyquist hyperplanes of the leading axes, where
     an odd multiplier leaves a real field's spectrum non-Hermitian and a
@@ -264,7 +259,6 @@ def compute_force(
     ``grad_y``, ``grad_yt`` and ``a_values`` are the workspace's arrays.
     """
     grid = state.grid
-    half = grid.half
     if work is None:
         work = ForceWorkspace(grid)
     y_band, yt_band = _bands(state, work)
@@ -277,30 +271,30 @@ def compute_force(
     defect += b
     defect += np.swapaxes(b, 0, 1)
     flux = np.einsum("jm...,im...->ij...", defect, grad_yt, out=work.flux)
-    flux_half = grid.rfft(flux, out=work.mat_band, pad=work.pad)
-    visc_half = divergence_spec(
-        np.swapaxes(flux_half, 0, 1), half, out=work.vec_band[0]
+    flux_band = grid.rfft(flux, out=work.mat_band, pad=work.pad)
+    visc_band = divergence_spec(
+        np.swapaxes(flux_band, 0, 1), grid, out=work.vec_band[0]
     )
-    visc_half = dealias_spec(visc_half, half, out=visc_half)
+    visc_band = dealias_spec(visc_band, grid, out=visc_band)
 
     d1y = grad_y[:, 0]
     yt_vals = grid.irfft(yt_band, out=work.vec[0], pad=work.pad[0])
-    rhs_half = _tensor_rhs_spec(
+    rhs_band = _tensor_rhs_spec(
         grid, a_vals, d1y, yt_vals, out=work.vec_band[1], work=work
     )
-    gp_half, iters, residuals, contraction, potential = solve_pressure_spec(
-        grid, defect, rhs_half, pressure_tol, pressure_max_iter, q0=q0, work=work
+    gp_band, iters, residuals, contraction, potential = solve_pressure_spec(
+        grid, defect, rhs_band, pressure_tol, pressure_max_iter, q0=q0, work=work
     )
-    gp_real = grid.irfft(gp_half, out=work.vec[0], pad=work.pad[0])
+    gp_real = grid.irfft(gp_band, out=work.vec[0], pad=work.pad[0])
     a_gp = np.einsum("im...,m...->i...", a_vals, gp_real, out=work.vec[1])
-    fp_half = grid.rfft(a_gp, pad=work.pad[0])
-    fp_half *= -half.dealias_mask
+    fp_band = grid.rfft(a_gp, pad=work.pad[0])
+    fp_band *= -grid.dealias_mask
 
     return NonlinearForce(
-        f=VectorField.from_band(grid, fp_half + visc_half),
-        pressure_force=VectorField.from_band(grid, fp_half),
+        f=VectorField.from_band(grid, fp_band + visc_band),
+        pressure_force=VectorField.from_band(grid, fp_band),
         pressure=PressureSolution(
-            grad_p=VectorField.from_band(grid, gp_half),
+            grad_p=VectorField.from_band(grid, gp_band),
             iterations=iters,
             residuals=residuals,
             contraction_estimate=contraction,
@@ -464,12 +458,12 @@ def _magnetic_filter(grid: Grid, exponent: int = 36):
 
     exp(-36 r^36) with r the per-axis-normalized mode fraction: ~1 up to
     two thirds of the retained band, machine-zero at the boundary. Stands in
-    for the missing resistivity of the induction equation.
+    for the missing resistivity of the induction equation. Built on the band.
     """
-    r = np.zeros(grid.shape)
+    r = np.zeros(grid.band_shape)
     for i, n in enumerate(grid.sizes):
         ncut = int(np.ceil(n / 3.0)) - 1
-        frac = np.abs(np.fft.fftfreq(n) * n) / max(ncut, 1)
+        frac = np.abs(np.fft.fftfreq(n) * n)[: grid.band_shape[i]] / max(ncut, 1)
         r = np.maximum(r, frac.reshape([-1 if j == i else 1 for j in range(grid.dim)]))
     return np.exp(-36.0 * np.minimum(r, 1.0) ** exponent)
 
@@ -481,21 +475,18 @@ class EulerianStepper:
     dealiased pseudo-spectral products under Leray projection; the magnetic
     field advances in the conservative curl(u x b) form so its divergence stays
     zero to round-off, with a spectral filter replacing the absent diffusion.
-    The state and every spectrum live on the band (``grid.half``): data that
-    starts inside the 2/3 mask stays there.
+    The state and every spectrum live on the band: data that starts inside
+    the 2/3 mask stays there.
     """
 
     def __init__(self, grid: Grid, dt: float):
         self.grid = grid
         self.dt = dt
-        half = grid.half
-        nb = half.shape[-1]
-        self.heat = np.exp(-half.k2 * dt)
-        self.filter = np.ascontiguousarray(_magnetic_filter(grid)[..., :nb])
+        self.heat = np.exp(-grid.k2 * dt)
+        self.filter = _magnetic_filter(grid)
 
     def _rhs(self, u_band, b_band):
         grid = self.grid
-        half = grid.half
         u = grid.irfft(u_band)
         b = grid.irfft(b_band)
         grad_u = gradient_values(u_band, grid)
@@ -503,16 +494,16 @@ class EulerianStepper:
         conv = np.einsum("j...,ij...->i...", u, grad_u) - np.einsum(
             "j...,ij...->i...", b, grad_b
         )
-        n_band = dealias_spec(grid.rfft(conv), half)
-        rhs_u = -(n_band - riesz_apply_spec(n_band, half))
-        k = half.k_axes
+        n_band = dealias_spec(grid.rfft(conv), grid)
+        rhs_u = -(n_band - riesz_apply_spec(n_band, grid))
+        k = grid.k_axes
         if grid.dim == 2:
             w = u[0] * b[1] - u[1] * b[0]
-            w_band = dealias_spec(grid.rfft(w), half)
+            w_band = dealias_spec(grid.rfft(w), grid)
             h_band = np.stack([1j * k[1] * w_band, -1j * k[0] * w_band])
         else:
             w = np.cross(u, b, axis=0)
-            w_band = dealias_spec(grid.rfft(w), half)
+            w_band = dealias_spec(grid.rfft(w), grid)
             h_band = np.stack(
                 [
                     1j * (k[1] * w_band[2] - k[2] * w_band[1]),
@@ -524,10 +515,10 @@ class EulerianStepper:
 
     def pressure_of(self, state: EulerState) -> ScalarField:
         """Zero-mean pressure recovered from the instantaneous Leray constraint."""
-        half = self.grid.half
+        grid = self.grid
         _, _, n_band = self._rhs(state.u.band, state.b.band)
-        p_band = divergence_spec(n_band, half)
-        p_band *= half.inv_k2
+        p_band = divergence_spec(n_band, grid)
+        p_band *= grid.inv_k2
         return ScalarField.from_band(self.grid, p_band)
 
     def step(self, state: EulerState) -> EulerState:

@@ -1,11 +1,12 @@
 """Scalar, vector and matrix fields with lazily cached spectra.
 
 Fields are treated as immutable: operations return fresh instances. A field
-holds up to three views of the same data, each computed on first access from
-the one the field was built with: the real samples, the band (``Grid.half``),
-the first K last-axis planes of the normalized Fourier coefficients, which
-is all a 2/3-dealiased field carries and what every run path works with,
-and the full spectrum.
+holds two views of the same data, each computed on first access from the one
+the field was built with: the real samples and the band, the first K
+last-axis planes of the normalized Fourier coefficients (see ``grid``),
+which is all a 2/3-dealiased field carries and what every run path works
+with. ``spec`` and ``from_spec``, the full spectrum, are kept for perfbench
+only.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ class _Field:
         for name, arr, expected in (
             ("values", values, lead + grid.shape),
             ("spec", spec, lead + grid.shape),
-            ("band", band, lead + grid.half.shape),
+            ("band", band, lead + grid.band_shape),
         ):
             if arr is not None and arr.shape != expected:
                 raise ValueError(
@@ -36,9 +37,6 @@ class _Field:
         self._values = values
         self._spec = spec
         self._band = band
-        # the full spectrum and the samples of a field built from its band
-        # come from the band: it carries everything the field has
-        self._from_band = band is not None
 
     @classmethod
     def _expected_shape(cls, grid: Grid):
@@ -50,6 +48,8 @@ class _Field:
 
     @classmethod
     def from_spec(cls, grid: Grid, spec):
+        """Field of a full spectrum; no run path builds one. It stays only
+        because perfbench's tests use it, and leaves with ROADMAP item 3."""
         return cls(grid, spec=np.asarray(spec, dtype=complex))
 
     @classmethod
@@ -64,7 +64,7 @@ class _Field:
     @property
     def values(self):
         if self._values is None:
-            if self._from_band:
+            if self._spec is None:
                 self._values = self.grid.irfft(self._band)
             else:
                 self._values = self.grid.ifft(self._spec)
@@ -72,11 +72,11 @@ class _Field:
 
     @property
     def spec(self):
+        """The full spectrum, ``Grid.fft`` of the samples unless the field was
+        built from one. No run path reads it: it stays only because
+        perfbench's tests use it, and leaves with ROADMAP item 3."""
         if self._spec is None:
-            if self._from_band:
-                self._spec = self.grid.mirror(self._band)
-            else:
-                self._spec = self.grid.fft(self._values)
+            self._spec = self.grid.fft(self.values)
         return self._spec
 
     @property
@@ -84,7 +84,7 @@ class _Field:
         """The first K last-axis planes of the spectrum; what lies outside is dropped."""
         if self._band is None:
             if self._spec is not None:
-                self._band = self._spec[..., : self.grid.half.shape[-1]]
+                self._band = self._spec[..., : self.grid.band_shape[-1]]
             else:
                 self._band = self.grid.rfft(self._values)
         return self._band

@@ -169,8 +169,8 @@ _TRIG_CHUNK_ENTRIES = 1 << 20
 def make_trig_evaluator(field):
     """Exact trigonometric-sum evaluator of a band-limited real field at points.
 
-    Sums Re m(k) c(k) e^{ik.y} over the modes of the field's band
-    (``grid.half``), with m the Hermitian multiplicity: for a real field that
+    Sums Re m(k) c(k) e^{ik.y} over the modes of the field's band, with m
+    the Hermitian multiplicity: for a real field that
     is zero outside the band, that is the sum over every mode of its full
     spectrum. The sum is factorized by axis, e^{ik.y} = prod_j e^{ik_j y_j}
     (sum factorization): m points take m * sum_j N_j exponentials, one table
@@ -180,14 +180,14 @@ def make_trig_evaluator(field):
     and returns shape ``comp_shape + (m,)``.
     """
     grid = field.grid
-    half = grid.half
     dim = grid.dim
-    band = field.band * half.multiplicity
+    band = field.band * grid.multiplicity
     comp_shape = band.shape[: -dim]
     ncomp = int(np.prod(comp_shape))
-    k1d = [ka.ravel() for ka in half.k_axes]
+    k1d = [ka.ravel() for ka in grid.k_axes]
     # (N_1, ncomp * N_2 * ... * K): the leading axis first, for one matmul
-    lead = np.moveaxis(band.reshape((ncomp,) + half.shape), 1, 0).reshape(half.shape[0], -1)
+    shape = grid.band_shape
+    lead = np.moveaxis(band.reshape((ncomp,) + shape), 1, 0).reshape(shape[0], -1)
 
     def evaluate(points):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -203,7 +203,7 @@ def make_trig_evaluator(field):
             for j in range(1, dim):
                 phase = np.exp(1j * np.multiply.outer(p[:, j], k1d[j]))
                 # per point: (1, N_j) @ (N_j, rest of the band), every component
-                acc = phase[:, None, None, :] @ acc.reshape(c, ncomp, half.shape[j], -1)
+                acc = phase[:, None, None, :] @ acc.reshape(c, ncomp, shape[j], -1)
             out[:, lo:lo + chunk] = acc.reshape(c, ncomp).real.T
         return out.reshape(comp_shape + (m,))
 
@@ -296,8 +296,8 @@ def construct_initial_map(
     volume preserving. Periodic closure across the box requires the transverse
     drift and traversal-time integrals of b0 - e1 to vanish along trajectories
     (the admissibility of b0 - e1); the returned residuals measure any defect.
-    b0 is evaluated, and the displacement differentiated, on the band
-    (``grid.half``): what either holds outside it is dropped.
+    b0 is checked and evaluated, and the displacement differentiated, on the
+    band: what either holds outside it is dropped.
     """
     grid = b0.grid
     div = divergence_norm(b0)

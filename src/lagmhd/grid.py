@@ -4,6 +4,13 @@ Axis 0 of the spatial shape is the distinguished y1 direction: the background
 magnetic field points along it, and all anisotropic weights single out k1.
 Component axes of vector/matrix data always come first, so spatial axes are
 the last ``dim`` axes and spectral transforms act on those.
+
+A real field has one spectral representation, its band: the first
+K = ceil(N_last/3) last-axis planes (k_last = 0, ..., K - 1) of its
+normalized Fourier coefficients, exactly the k_last >= 0 planes the 2/3 mask
+keeps; the k_last < 0 planes are their complex conjugates. A ``Grid`` keeps
+its spectral tables on the band only, and ``rfft``/``irfft`` go between
+samples and bands.
 """
 
 from __future__ import annotations
@@ -24,8 +31,14 @@ class Grid:
     """Uniform periodic grid on a box of per-axis lengths L_i with N_i points.
 
     Wavevectors follow FFT ordering, k_i = (2*pi/L_i) * n_i with
-    n_i in {0, ..., N_i/2 - 1, -N_i/2, ..., -1}. ``half`` holds the tables
-    of the band, the last-axis planes that ``rfft`` and ``irfft`` work on.
+    n_i in {0, ..., N_i/2 - 1, -N_i/2, ..., -1} on the leading axes and
+    n_last in {0, ..., K - 1} on the last: every spectral table is a table
+    on the band, of shape ``band_shape``. ``k2`` and ``k1sq`` are the |k|^2
+    and k1^2 symbols. ``multiplicity`` is the Hermitian multiplicity of each
+    plane (the k_last = 0 plane once, every other plane twice, for its
+    k_last < 0 partner), so a sum over the band weighted by it equals the
+    sum over the full spectrum of a real field that is zero outside the
+    band. ``norm_k2`` is |k|^2 times that multiplicity.
     """
 
     sizes: tuple
@@ -49,28 +62,34 @@ class Grid:
 
         dim = len(sizes)
         spacings = tuple(l / n for n, l in zip(sizes, lengths))
-        k1d = tuple(
-            2.0 * np.pi * np.fft.fftfreq(n, d=h) for n, h in zip(sizes, spacings)
-        )
-        # broadcastable views: k_axes[i] has shape (1,..,N_i,..,1)
+        nb = int(np.ceil(sizes[-1] / 3.0))
+        band_shape = sizes[:-1] + (nb,)
+
+        def along(i, table):
+            """Per-axis table as a view along axis i, the last axis on the band."""
+            if i == dim - 1:
+                table = table[:nb]
+            return table.reshape([-1 if j == i else 1 for j in range(dim)])
+
         k_axes = tuple(
-            k1d[i].reshape([-1 if j == i else 1 for j in range(dim)])
-            for i in range(dim)
+            along(i, 2.0 * np.pi * np.fft.fftfreq(n, d=h))
+            for i, (n, h) in enumerate(zip(sizes, spacings))
         )
-        k2 = np.zeros(sizes)
+        k2 = np.zeros(band_shape)
         for ka in k_axes:
             k2 = k2 + ka**2
         # inverse Laplacian symbol, 0 on the mean mode
-        inv_k2 = np.zeros(sizes)
+        inv_k2 = np.zeros(band_shape)
         np.divide(1.0, k2, out=inv_k2, where=k2 > 0)
         # 2/3 rule: keep |n_i| < N_i/3 per axis so that products of retained
         # modes alias only onto discarded ones; stored as 0.0/1.0 so that a
         # multiply applies it
-        mask = np.ones(sizes)
+        mask = np.ones(band_shape)
         for i, n in enumerate(sizes):
             ncut = int(np.ceil(n / 3.0)) - 1
-            idx = np.abs(np.fft.fftfreq(n) * n) <= ncut
-            mask = mask * idx.reshape([-1 if j == i else 1 for j in range(dim)])
+            mask = mask * along(i, np.abs(np.fft.fftfreq(n) * n) <= ncut)
+        multiplicity = np.full(nb, 2.0)
+        multiplicity[0] = 1.0
         coords = tuple(
             (spacings[i] * np.arange(sizes[i])).reshape(
                 [-1 if j == i else 1 for j in range(dim)]
@@ -82,7 +101,7 @@ class Grid:
         object.__setattr__(self, "spacings", spacings)
         object.__setattr__(self, "volume", float(np.prod(lengths)))
         object.__setattr__(self, "npoints", int(np.prod(sizes)))
-        object.__setattr__(self, "k1d", k1d)
+        object.__setattr__(self, "band_shape", band_shape)
         object.__setattr__(self, "k_axes", k_axes)
         object.__setattr__(self, "k2", k2)
         object.__setattr__(self, "inv_k2", inv_k2)
@@ -91,9 +110,9 @@ class Grid:
         object.__setattr__(self, "dealias_mask", mask)
         # inverse Laplacian restricted to the retained band
         object.__setattr__(self, "masked_inv_k2", mask * inv_k2)
-        object.__setattr__(self, "half", _band_tables(self))
+        object.__setattr__(self, "multiplicity", multiplicity)
+        object.__setattr__(self, "norm_k2", k2 * multiplicity)
         object.__setattr__(self, "_hs_weights", {})
-        object.__setattr__(self, "_mirror_pairs", _mirror_pairs(sizes))
 
     # -- transforms --------------------------------------------------------
 
@@ -106,7 +125,7 @@ class Grid:
         return tuple(range(-self.dim, 0))
 
     def rfft(self, values, out=None, pad=None):
-        """Real samples -> the band (``half``) of the normalized coefficients.
+        """Real samples -> the band of the normalized coefficients.
 
         The band is the first K = ceil(N_last/3) last-axis planes of the full
         spectrum, the k_last >= 0 planes the 2/3 mask keeps. A pruned
@@ -118,7 +137,7 @@ class Grid:
         out (the band) and pad (N_last/2 + 1 last-axis planes, complex) are
         written when given and allocated when not; the result is ``out``.
         """
-        lead, nb = values.shape[:-1], self.half.shape[-1]
+        lead, nb = values.shape[:-1], self.band_shape[-1]
         if pad is None:
             pad = np.empty(lead + (self.sizes[-1] // 2 + 1,), dtype=complex)
         if out is None:
@@ -156,34 +175,19 @@ class Grid:
             arr[...] = res
         return arr
 
-    def mirror(self, band):
-        """Full spectrum from k_last >= 0 planes by c(-k) = conj(c(k)).
-
-        Accepts the band or the whole N_last/2 + 1 half; the planes the
-        argument does not hold are zero.
-        """
-        n, k = self.sizes[-1], band.shape[-1]
-        m = min(k, n // 2) - 1  # mirrored planes: k_last = 1..m
-        full = np.empty(band.shape[: -self.dim] + self.sizes, dtype=complex)
-        full[..., :k] = band
-        full[..., k : n - m] = 0.0
-        for dst, src in self._mirror_pairs:
-            np.conjugate(
-                band[src + (slice(m, 0, -1),)], out=full[dst + (slice(n - m, n),)]
-            )
-        return full
-
     def fft(self, values):
-        """Real samples -> normalized coefficients c_k with f(y) = sum c_k e^{ik.y}.
+        """Real samples -> full spectrum c_k with f(y) = sum c_k e^{ik.y}.
 
-        Returns the full spectrum: the mirror of the whole k_last >= 0 half.
+        No run path calls it or ``ifft``: both stay only because perfbench's
+        tests and layers use them, and leave with ROADMAP item 3.
         """
-        return self.mirror(sfft.rfftn(values, axes=self.spatial_axes, norm="forward"))
+        return sfft.fftn(values, axes=self.spatial_axes, norm="forward")
 
     def ifft(self, spec):
         """Spectrum of a real field -> real samples, as a contiguous float64 array.
 
-        One irfftn of the k_last >= 0 half; the k_last < 0 planes are not read.
+        One irfftn of the k_last >= 0 half; the k_last < 0 planes are not
+        read. Kept for perfbench only, as ``fft`` is.
         """
         half = spec[..., : self.sizes[-1] // 2 + 1]
         return sfft.irfftn(half, s=self.sizes, axes=self.spatial_axes, norm="forward")
@@ -201,9 +205,9 @@ class Grid:
             raise ValueError(f"Sobolev order s={s} outside supported range 0..4")
         cache = self._hs_weights
         if s not in cache:
-            w = np.zeros(self.sizes)
+            w = np.zeros(self.band_shape)
             for alpha in multi_indices(self.dim, s):
-                term = np.ones(self.sizes)
+                term = np.ones(self.band_shape)
                 for ka, a in zip(self.k_axes, alpha):
                     if a:
                         term = term * ka ** (2 * a)
@@ -215,60 +219,6 @@ class Grid:
         if self is other:
             return True
         return self.sizes == other.sizes and np.allclose(self.lengths, other.lengths)
-
-
-@dataclass(frozen=True, eq=False)
-class HalfGrid:
-    """The spectral tables of a Grid restricted to its band.
-
-    The band is the first K = ceil(N_last/3) last-axis planes
-    (k_last = 0, ..., K - 1) of the full spectrum, exactly the k_last >= 0
-    planes the 2/3 mask keeps; it is the one spectral representation of a
-    real field the solver works with. Every table is the first K planes of
-    the full one. ``k2`` and ``k1sq`` are the |k|^2 and k1^2 symbols.
-    ``multiplicity`` is the Hermitian multiplicity of each plane (the
-    k_last = 0 plane once, every other plane twice, for its k_last < 0
-    partner), so a sum over the band weighted by it equals the sum over the
-    full spectrum of a real field that is zero outside the band.
-    ``norm_k2`` is |k|^2 times that multiplicity.
-    """
-
-    dim: int
-    shape: tuple
-    spatial_axes: tuple
-    volume: float
-    k_axes: tuple
-    k2: np.ndarray
-    k1sq: np.ndarray
-    inv_k2: np.ndarray
-    masked_inv_k2: np.ndarray
-    dealias_mask: np.ndarray
-    multiplicity: np.ndarray
-    norm_k2: np.ndarray
-
-
-def _band_tables(grid: Grid) -> HalfGrid:
-    nb = int(np.ceil(grid.sizes[-1] / 3.0))
-
-    def cut(table):
-        return np.ascontiguousarray(table[..., :nb])
-
-    multiplicity = np.full(nb, 2.0)
-    multiplicity[0] = 1.0
-    return HalfGrid(
-        dim=grid.dim,
-        shape=grid.sizes[:-1] + (nb,),
-        spatial_axes=grid.spatial_axes,
-        volume=grid.volume,
-        k_axes=tuple(cut(ka) for ka in grid.k_axes),
-        k2=cut(grid.k2),
-        k1sq=cut(grid.k1sq),
-        inv_k2=cut(grid.inv_k2),
-        masked_inv_k2=cut(grid.masked_inv_k2),
-        dealias_mask=cut(grid.dealias_mask),
-        multiplicity=multiplicity,
-        norm_k2=cut(grid.k2) * multiplicity,
-    )
 
 
 class ForceWorkspace:
@@ -290,7 +240,7 @@ class ForceWorkspace:
     - ``vec``: (3, d), the samples of Yt and the vectors of the pressure
       right-hand side, then the Picard iterate and its product with D.
 
-    Bands (complex, ``grid.half``):
+    Bands (complex, ``grid.band_shape``):
 
     - ``y_band``, ``yt_band``: (d,), the masked bands of Y and Yt;
     - ``mat_band``: (d, d), the gradient spectra, then the flux and Z A
@@ -303,7 +253,7 @@ class ForceWorkspace:
     """
 
     def __init__(self, grid: Grid):
-        d, half = grid.dim, grid.half
+        d, band = grid.dim, grid.band_shape
         mat = (d, d) + grid.shape
         self.grad_y = np.empty(mat)
         self.grad_yt = np.empty(mat)
@@ -312,32 +262,12 @@ class ForceWorkspace:
         self.defect = np.empty(mat)
         self.flux = np.empty(mat)
         self.vec = np.empty((3, d) + grid.shape)
-        self.y_band = np.empty((d,) + half.shape, dtype=complex)
-        self.yt_band = np.empty((d,) + half.shape, dtype=complex)
-        self.mat_band = np.empty((d, d) + half.shape, dtype=complex)
-        self.vec_band = np.empty((3, d) + half.shape, dtype=complex)
+        self.y_band = np.empty((d,) + band, dtype=complex)
+        self.yt_band = np.empty((d,) + band, dtype=complex)
+        self.mat_band = np.empty((d, d) + band, dtype=complex)
+        self.vec_band = np.empty((3, d) + band, dtype=complex)
         planes = grid.shape[:-1] + (grid.shape[-1] // 2 + 1,)
         self.pad = np.empty((d, d) + planes, dtype=complex)
-
-
-def _negated(n: int):
-    """(dst, src) slice pairs of one leading axis with src index = -dst mod n."""
-    return ((slice(0, 1), slice(0, 1)), (slice(1, n), slice(n - 1, 0, -1)))
-
-
-def _mirror_pairs(sizes):
-    """(dst, src) leading-axis index pairs for c(-k) = conj(c(k)).
-
-    One pair per choice of the zero or the nonzero block on each leading
-    axis, so that ``Grid.mirror`` fills k_last < 0 with 2^(d-1) reversed-slice
-    copies; the last-axis slices depend on the planes it is given.
-    """
-    pairs = []
-    for lead in itertools.product(*(_negated(m) for m in sizes[:-1])):
-        dst = (Ellipsis,) + tuple(p[0] for p in lead)
-        src = (Ellipsis,) + tuple(p[1] for p in lead)
-        pairs.append((dst, src))
-    return tuple(pairs)
 
 
 def multi_indices(dim: int, s: int):

@@ -124,7 +124,7 @@ def _solenoidal_velocity(grid: Grid, modes):
         phase = _phase(grid, m.n, grid.coords, range(grid.dim))
         v[m.axis] += m.amp * np.cos(phase + m.phase)
     band = grid.rfft(v)
-    band = dealias_spec(band - riesz_apply_spec(band, grid.half), grid.half)
+    band = dealias_spec(band - riesz_apply_spec(band, grid), grid)
     return grid.irfft(band)
 
 
@@ -133,12 +133,12 @@ def build_flow_state(grid: Grid, spec: InitialDataSpec) -> FlowState:
     what does not depend on the scale is evaluated once per build."""
     if spec.epsilon0 is not None and spec.epsilon0 <= 0:
         raise ConfigError("epsilon0 must be positive")
-    half, d = grid.half, grid.dim
+    d = grid.dim
     # Y0 = (c, scale * a[, 0]); the a-shear and the projected velocity are
     # linear in the scale, so their transforms are taken once per build
     a_profile = _shear_profile(grid, spec.shear_a, axes=(0, 2)[: d - 1])
     a_band = grid.rfft(np.broadcast_to(a_profile, (1,) + grid.shape))
-    a_band = dealias_spec(a_band, half, out=a_band)
+    a_band = dealias_spec(a_band, grid, out=a_band)
     grad_a = gradient_values(a_band, grid)
     v_unit = _solenoidal_velocity(grid, spec.velocity)
 
@@ -146,15 +146,15 @@ def build_flow_state(grid: Grid, spec: InitialDataSpec) -> FlowState:
         # composition tails above the 2/3-mask ball are machine-small at these
         # amplitudes; masking keeps the evolved state band-limited
         c_vals = _c_shear(grid, scale * a_profile, spec.shear_c, scale)
-        y0_band = np.zeros((d,) + half.shape, dtype=complex)
-        dealias_spec(grid.rfft(c_vals), half, out=y0_band[:1])
+        y0_band = np.zeros((d,) + grid.band_shape, dtype=complex)
+        dealias_spec(grid.rfft(c_vals), grid, out=y0_band[:1])
         np.multiply(scale, a_band, out=y0_band[1:2])
         grad = np.zeros((d, d) + grid.shape)
         gradient_values(y0_band[:1], grid, out=grad[:1])
         np.multiply(scale, grad_a, out=grad[1:2])
         v = scale * v_unit
         y1_vals = v + np.einsum("im...,m...->i...", grad, v)
-        y1 = VectorField.from_band(grid, dealias_spec(grid.rfft(y1_vals), half))
+        y1 = VectorField.from_band(grid, dealias_spec(grid.rfft(y1_vals), grid))
         return FlowState(VectorField.from_band(grid, y0_band), y1, 0.0)
 
     if spec.epsilon0 is None:
@@ -222,15 +222,14 @@ def euler_from_flow(state: FlowState) -> EulerState:
 
     y = _invert_flow_map(make_trig_evaluator(state.Y), x_pts)
     y1_eval = make_trig_evaluator(state.Yt)
-    half = grid.half
-    d1y = VectorField.from_band(grid, state.Y.band * (1j * half.k_axes[0]))
+    d1y = VectorField.from_band(grid, state.Y.band * (1j * grid.k_axes[0]))
     d1y_eval = make_trig_evaluator(d1y)
     u_vals = y1_eval(y).reshape((grid.dim,) + grid.shape)
     b_vals = d1y_eval(y).reshape((grid.dim,) + grid.shape)
     b_vals[0] += 1.0
     u_band = grid.rfft(u_vals)
-    u_band = dealias_spec(u_band - riesz_apply_spec(u_band, half), half)
-    b_band = dealias_spec(grid.rfft(b_vals), half)
+    u_band = dealias_spec(u_band - riesz_apply_spec(u_band, grid), grid)
+    b_band = dealias_spec(grid.rfft(b_vals), grid)
     return EulerState(
         VectorField.from_band(grid, u_band),
         VectorField.from_band(grid, b_band),

@@ -53,8 +53,7 @@ class PressureSolution:
 def _tensor_rhs_spec(grid: Grid, a_vals, v_vals, w_vals, out=None, work=None):
     """R[A^T div2((v x v - w x w) A)] with div2 acting on the second index.
 
-    Returns the band (``grid.half``) of the spectrum. The
-    divergence-free rows of the cofactor matrix let the nested operator
+    Returns the band of the spectrum. The divergence-free rows of the cofactor matrix let the nested operator
     collapse to this conservative form. The product (v x v - w x w) A takes
     two mat-vecs and two outer products: v_i (A^T v)_l - w_i (A^T w)_l.
 
@@ -63,7 +62,6 @@ def _tensor_rhs_spec(grid: Grid, a_vals, v_vals, w_vals, out=None, work=None):
     ``b``, ``vec[1:]``, ``mat_band``, ``vec_band[2]`` and ``pad``, so v and
     w must not live there.
     """
-    half = grid.half
     if work is None:
         work = ForceWorkspace(grid)
     vec, band, pad = work.vec, work.vec_band[2], work.pad
@@ -71,26 +69,26 @@ def _tensor_rhs_spec(grid: Grid, a_vals, v_vals, w_vals, out=None, work=None):
     at_w = np.einsum("ml...,m...->l...", a_vals, w_vals, out=vec[2])
     za = np.einsum("i...,l...->il...", v_vals, at_v, out=work.flux)
     za -= np.einsum("i...,l...->il...", w_vals, at_w, out=work.b)
-    za_half = grid.rfft(za, out=work.mat_band, pad=pad)
-    w_half = divergence_spec(np.swapaxes(za_half, 0, 1), half, out=band)
-    w_half = dealias_spec(w_half, half, out=w_half)
-    w_real = grid.irfft(w_half, out=vec[1], pad=pad[0])
+    za_band = grid.rfft(za, out=work.mat_band, pad=pad)
+    w_band = divergence_spec(np.swapaxes(za_band, 0, 1), grid, out=band)
+    w_band = dealias_spec(w_band, grid, out=w_band)
+    w_real = grid.irfft(w_band, out=vec[1], pad=pad[0])
     atw = np.einsum("jm...,j...->m...", a_vals, w_real, out=vec[2])
-    atw_half = dealias_spec(grid.rfft(atw, out=band, pad=pad[0]), half, out=band)
-    return riesz_apply_spec(atw_half, half, out=out)
+    atw_band = dealias_spec(grid.rfft(atw, out=band, pad=pad[0]), grid, out=band)
+    return riesz_apply_spec(atw_band, grid, out=out)
 
 
 def solve_pressure_spec(
-    grid: Grid, defect_vals, rhs_half, tol, max_iter, q0=None, work=None
+    grid: Grid, defect_vals, rhs_band, tol, max_iter, q0=None, work=None
 ):
     """Picard iteration grad_p <- -R[defect . grad_p] + rhs from grad_p = rhs - k q0.
 
-    Works on bands (``grid.half``): rhs_half, q0 and the returned grad_p and
-    potential. The iterate is the scalar potential q of grad_p = rhs - k q,
+    Works on bands: rhs_band, q0 and the returned grad_p and potential.
+    The iterate is the scalar potential q of grad_p = rhs - k q,
     with q = (mask inv_k2) (k . rfft(defect . grad_p)): R[v] = k inv_k2 (k . v),
     and the 2/3 mask acts after the contraction, on one component. The
     residual of a step is |grad_p_new - grad_p| = |k (q_new - q)|, summed over
-    the band with the Hermitian multiplicity carried by ``half.norm_k2``.
+    the band with the Hermitian multiplicity carried by ``grid.norm_k2``.
 
     q0 is a starting potential, typically the ``potential`` of a solve nearby
     in time; None starts cold from q = 0, grad_p = rhs. The first residual is
@@ -101,14 +99,13 @@ def solve_pressure_spec(
     one when None); the iteration overwrites its ``vec[:2]``,
     ``vec_band[2]`` and ``pad``.
     """
-    half = grid.half
     if work is None:
         work = ForceWorkspace(grid)
     gp_real, mgp, pad = work.vec[0], work.vec[1], work.pad[0]
-    k = half.k_axes
-    gp = rhs_half.copy()
+    k = grid.k_axes
+    gp = rhs_band.copy()
     if q0 is None:
-        q_prev = np.zeros(half.shape, dtype=complex)
+        q_prev = np.zeros(grid.band_shape, dtype=complex)
     else:
         q_prev = np.array(q0, dtype=complex)
         for i in range(grid.dim):
@@ -120,12 +117,12 @@ def solve_pressure_spec(
         grid.irfft(gp, out=gp_real, pad=pad)
         np.einsum("jm...,m...->j...", defect_vals, gp_real, out=mgp)
         q = _k_contract(grid.rfft(mgp, out=work.vec_band[2], pad=pad), k)
-        q *= half.masked_inv_k2
+        q *= grid.masked_inv_k2
         for i in range(grid.dim):
             np.multiply(k[i], q, out=gp[i])
-        np.subtract(rhs_half, gp, out=gp)
+        np.subtract(rhs_band, gp, out=gp)
         q_prev -= q  # minus the step of the potential
-        res = float(np.sqrt(weighted_norm_sq(q_prev, half.norm_k2, half)))
+        res = float(np.sqrt(weighted_norm_sq(q_prev, grid.norm_k2, grid)))
         q_prev = q
         residuals.append(res)
         if len(residuals) >= 2 and residuals[-2] > 0:

@@ -1,13 +1,9 @@
 """Spectral derivatives, divergence, the 2/3 mask, norms and projectors.
 
-Run paths work on bands (``Grid.half``), the first K last-axis planes of
-the spectrum of a real field. ``_k_contract``, ``divergence_spec``,
-``dealias_spec``, ``riesz_apply_spec`` and ``weighted_norm_sq`` read only
-the tables of the grid they are given, so given ``grid.half`` they act on
-bands (a norm over a band carries ``half.multiplicity``, or ``half.norm_k2``
-for the |k|^2 weight), and given the Grid on full spectra, as
-``leray_project`` and ``divergence_norm`` use them. ``gradient_values``
-takes a band.
+Every helper takes the ``Grid`` and works on bands, the first K last-axis
+planes of the spectrum of a real field (see ``grid``). A norm over a band
+carries ``grid.multiplicity``, or ``grid.norm_k2`` for the |k|^2 weight, so
+that it equals the norm over the full spectrum.
 """
 
 from __future__ import annotations
@@ -24,18 +20,17 @@ from .grid import Grid
 def gradient_values(band, grid: Grid, out=None, work=None):
     """Real-space gradient of a vector band: out[i, j] = d_j v^i.
 
-    ``band`` is a band (``grid.half``); all components and directions take
-    one multiply by i k_j and go through one pruned ``grid.irfft``. With a
-    ``ForceWorkspace`` (``work``), the products go into its ``mat_band``
-    and the transform uses its ``pad``; ``out`` receives the gradient.
+    All components and directions take one multiply by i k_j and go through
+    one pruned ``grid.irfft``. With a ``ForceWorkspace`` (``work``), the
+    products go into its ``mat_band`` and the transform uses its ``pad``;
+    ``out`` receives the gradient.
     """
-    half = grid.half
     if work is None:
-        buf, pad = np.empty((band.shape[0], grid.dim) + half.shape, dtype=complex), None
+        buf, pad = np.empty((band.shape[0], grid.dim) + grid.band_shape, dtype=complex), None
     else:
         buf, pad = work.mat_band, work.pad
     for j in range(grid.dim):
-        np.multiply(band, 1j * half.k_axes[j], out=buf[:, j])
+        np.multiply(band, 1j * grid.k_axes[j], out=buf[:, j])
     return grid.irfft(buf, out=out, pad=pad)
 
 
@@ -81,20 +76,20 @@ def riesz_apply_spec(spec, grid: Grid, out=None):
     kv = _k_contract(spec, k)
     kv *= grid.inv_k2
     if out is None:
-        out = np.empty((grid.dim,) + grid.shape, dtype=complex)
+        out = np.empty((grid.dim,) + grid.band_shape, dtype=complex)
     for i in range(grid.dim):
         np.multiply(k[i], kv, out=out[i])
     return out
 
 
 def leray_project(v: VectorField) -> VectorField:
-    """Project onto divergence-free fields: v - riesz_apply_spec(v)."""
-    return VectorField.from_spec(v.grid, v.spec - riesz_apply_spec(v.spec, v.grid))
+    """Project the band of v onto divergence-free fields: v - riesz_apply_spec(v)."""
+    return VectorField.from_band(v.grid, v.band - riesz_apply_spec(v.band, v.grid))
 
 
 def divergence_norm(v: VectorField) -> float:
-    """L2 norm of the spectral divergence; 0 for solenoidal fields."""
-    return float(
-        np.sqrt(weighted_norm_sq(divergence_spec(v.spec, v.grid), 1.0, v.grid))
-    )
+    """L2 norm of the spectral divergence of the band of v; 0 for solenoidal fields."""
+    grid = v.grid
+    div = divergence_spec(v.band, grid)
+    return float(np.sqrt(weighted_norm_sq(div, grid.multiplicity, grid)))
 

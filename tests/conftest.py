@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from lagmhd.fields import ScalarField, VectorField
-from lagmhd.grid import Grid
+from lagmhd.grid import Grid, multi_indices
 from lagmhd.spectral import dealias_spec
 
 
@@ -27,6 +27,74 @@ def mesh(grid):
     )
 
 
+class FullSpectrum:
+    """Reference spectral tables over the first ``planes`` last-axis planes of
+    the full FFT-ordered spectrum of a grid (all N_last of them by default;
+    N_last/2 + 1 is the whole k_last >= 0 half), built from np.fft.fftfreq.
+
+    The Grid keeps the same tables on its band, the first K planes, and the
+    same element-by-element arithmetic makes them the first K planes of
+    these. It has the attributes the spectral helpers read of a Grid (dim,
+    band_shape, spatial_axes, volume, k_axes, inv_k2, dealias_mask), so
+    given it in place of the Grid they act on these planes.
+    """
+
+    def __init__(self, grid, planes=None):
+        dim, n = grid.dim, grid.sizes[-1]
+        planes = n if planes is None else planes
+        self.dim, self.spatial_axes, self.volume = dim, grid.spatial_axes, grid.volume
+        self.shape = self.band_shape = grid.sizes[:-1] + (planes,)
+
+        def along(i, table):
+            if i == dim - 1:
+                table = table[:planes]
+            return table.reshape([-1 if j == i else 1 for j in range(dim)])
+
+        self.k_axes = tuple(
+            along(i, 2.0 * np.pi * np.fft.fftfreq(m, d=h))
+            for i, (m, h) in enumerate(zip(grid.sizes, grid.spacings))
+        )
+        self.k2 = np.zeros(self.shape)
+        for ka in self.k_axes:
+            self.k2 = self.k2 + ka**2
+        self.k1sq = self.k_axes[0] ** 2
+        self.inv_k2 = np.zeros(self.shape)
+        np.divide(1.0, self.k2, out=self.inv_k2, where=self.k2 > 0)
+        self.dealias_mask = np.ones(self.shape)
+        for i, m in enumerate(grid.sizes):
+            kept = np.abs(np.fft.fftfreq(m) * m) <= int(np.ceil(m / 3.0)) - 1
+            self.dealias_mask = self.dealias_mask * along(i, kept)
+        self.masked_inv_k2 = self.dealias_mask * self.inv_k2
+
+    def hs_weight(self, s):
+        """The literal multi-index H^s weight on these planes."""
+        w = np.zeros(self.shape)
+        for alpha in multi_indices(self.dim, s):
+            term = np.ones(self.shape)
+            for ka, a in zip(self.k_axes, alpha):
+                if a:
+                    term = term * ka ** (2 * a)
+            w += term
+        return w
+
+
+def mirror(grid, band):
+    """Full spectrum from k_last >= 0 planes by c(-k) = conj(c(k)).
+
+    Takes the band or the whole N_last/2 + 1 half; the planes the argument
+    does not hold are zero.
+    """
+    n, k = grid.sizes[-1], band.shape[-1]
+    m = min(k, n // 2) - 1  # mirrored planes: k_last = 1..m
+    full = np.zeros(band.shape[:-1] + (n,), dtype=complex)
+    full[..., :k] = band
+    part = np.conj(band[..., m:0:-1])
+    for ax in grid.spatial_axes[:-1]:  # leading index i -> -i mod N
+        part = np.roll(np.flip(part, axis=ax), 1, axis=ax)
+    full[..., n - m :] = part
+    return full
+
+
 def random_band_limited(grid, rng, rank=1, kmax=3, scale=1.0):
     """Random real field with spectrum confined to |n_i| <= kmax."""
     shape = (grid.dim,) * rank + grid.shape
@@ -37,7 +105,7 @@ def random_band_limited(grid, rng, rank=1, kmax=3, scale=1.0):
         keep = np.abs(np.fft.fftfreq(n) * n) <= kmax
         mask &= keep.reshape([-1 if j == i else 1 for j in range(grid.dim)])
     spec = spec * mask
-    spec = dealias_spec(spec, grid)
+    spec = dealias_spec(spec, FullSpectrum(grid))
     vals = grid.ifft(spec)
     vals *= scale / max(np.abs(vals).max(), 1e-300)
     cls = {0: ScalarField, 1: VectorField}

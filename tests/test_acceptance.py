@@ -260,7 +260,7 @@ def test_criterion_8_pressure_solver():
     state = build_flow_state(grid, default_spec(3, 1e-4))
     sol = compute_force(state).pressure
     leray = np.sqrt(
-        weighted_norm_sq(leray_project(sol.grad_p).spec, 1.0, grid)
+        weighted_norm_sq(leray_project(sol.grad_p).band, grid.multiplicity, grid)
     )
     contractions = []
     for amp in (0.08, 0.04):

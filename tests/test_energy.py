@@ -26,7 +26,7 @@ from lagmhd.geometry import FlowState
 from lagmhd.grid import Grid
 from lagmhd.spectral import weighted_inner, weighted_norm_sq
 
-from conftest import mesh, random_band_limited
+from conftest import FullSpectrum, mesh, random_band_limited
 
 
 @pytest.fixture(scope="module")
@@ -43,9 +43,10 @@ def random_state(grid, rng, t=0.0, scale=1.0):
 
 
 def full_weights(grid):
-    """The eight weights over the full spectrum, from the grid's own tables:
+    """The eight weights over the full spectrum, from the full-spectrum tables:
     the oracle of the band table, which carries the Hermitian multiplicity."""
-    w1, w2, k2, k1sq = grid.hs_weight(1), grid.hs_weight(2), grid.k2, grid.k1sq
+    full = FullSpectrum(grid)
+    w1, w2, k2, k1sq = full.hs_weight(1), full.hs_weight(2), full.k2, full.k1sq
     return {
         "w_h2": w2,
         "w_d1_h2": k1sq * w2,
@@ -164,7 +165,8 @@ def _literal_functionals(state, f_spec):
     yh, yth = state.Y.spec, state.Yt.spec
     w = state.t + 1.0
     c, b, q = CORRECTED_COEFFS, LOWER_BOUND_COEFFS, DISSIPATION_COEFFS
-    k2, k1sq = grid.k2, grid.k1sq
+    tables = FullSpectrum(grid)
+    k2, k1sq = tables.k2, tables.k1sq
     test1 = yth + 0.25 * k2 * yh + 0.25 * w * k2 * yth
     test2 = (w / 16.0) * k2 * k1sq * yh + (w * w / 32.0) * k2 * k1sq * yth
     full = full_weights(grid)
@@ -225,7 +227,7 @@ def _literal_functionals(state, f_spec):
         ),
         "rhs": (
             abs(ip(f_spec, test1, full["w_h2"])),
-            abs(ip(f_spec, test2, grid.hs_weight(1))),
+            abs(ip(f_spec, test2, tables.hs_weight(1))),
         ),
     }
 
@@ -262,9 +264,8 @@ def test_table_functionals_match_literal_formulas(grid, t, rng):
 def test_weights_are_rows_of_one_table(ev3):
     names = ("w_h2", "w_d1_h2", "w_lap_h2", "w_grad_h2", "w_grad_d1_h2",
              "w_grad_d1_h1", "w_grad_d11_h1", "w_lap_d1_h1")
-    half = ev3.grid.half
-    nb = half.shape[-1]
-    assert ev3.weights.shape == (len(names),) + half.shape
+    nb = ev3.grid.band_shape[-1]
+    assert ev3.weights.shape == (len(names),) + ev3.grid.band_shape
     full = full_weights(ev3.grid)
     for row, name in enumerate(names):
         weight = getattr(ev3, name)

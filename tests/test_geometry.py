@@ -264,8 +264,8 @@ def test_trig_evaluator_matches_refined_grid(grid3, rng):
     nc = grid3.sizes[0]
     src = (np.fft.fftfreq(nc) * nc).astype(int)
     fi = [src % fine.sizes[d] for d in range(2)]
-    nb = grid3.half.shape[-1]
-    band_f = np.zeros(fine.half.shape, dtype=complex)
+    nb = grid3.band_shape[-1]
+    band_f = np.zeros(fine.band_shape, dtype=complex)
     band_f[np.ix_(fi[0], fi[1], np.arange(nb))] = f.band
     refined_vals = fine.irfft(band_f)
     pts = rng.uniform(0, 2 * np.pi, size=(50, 3))
@@ -278,10 +278,10 @@ def test_trig_evaluator_matches_refined_grid(grid3, rng):
 
 def _direct_trig_sum(field, pts):
     """Oracle: Re sum_k m(k) c(k) e^{ik.y}, one complex exponential per point and mode."""
-    half = field.grid.half
-    band = field.band * half.multiplicity
-    comp_shape = band.shape[: -field.grid.dim]
-    kmat = np.stack([np.broadcast_to(ka, half.shape).ravel() for ka in half.k_axes])
+    grid = field.grid
+    band = field.band * grid.multiplicity
+    comp_shape = band.shape[: -grid.dim]
+    kmat = np.stack([np.broadcast_to(ka, grid.band_shape).ravel() for ka in grid.k_axes])
     return (band.reshape(comp_shape + (-1,)) @ np.exp(1j * (pts @ kmat)).T).real
 
 
@@ -302,7 +302,7 @@ def test_trig_evaluator_matches_direct_sum(monkeypatch, rng, dim, rank, chunk_po
     f = cls.from_values(grid, rng.standard_normal(comp_shape + grid.shape))
     if chunk_points is not None:
         # chunks of chunk_points points; 10 points cross a chunk boundary
-        per_point = int(np.prod(comp_shape)) * int(np.prod(grid.half.shape[1:]))
+        per_point = int(np.prod(comp_shape)) * int(np.prod(grid.band_shape[1:]))
         monkeypatch.setattr(geometry, "_TRIG_CHUNK_ENTRIES", chunk_points * per_point)
     lengths = np.array(grid.lengths)
     pts = rng.uniform(-1.5, 2.5, size=(10, dim)) * lengths
@@ -348,16 +348,15 @@ def _roundtrip_b0(grid, amp):
     euler = euler_from_flow(
         FlowState(state.Y, VectorField.zeros(grid), 0.0)
     )
-    b_spec = euler.b.spec.copy()
     e1_idx = (0,) + (0,) * grid.dim
     # keep the mean drift exactly e1 and the perturbation exactly solenoidal
-    pert = b_spec.copy()
+    pert = euler.b.band.copy()
     pert[e1_idx] -= 1.0
     pert = dealias_spec(
-        leray_project(VectorField.from_spec(grid, pert)).spec, grid
+        leray_project(VectorField.from_band(grid, pert)).band, grid
     )
     pert[e1_idx] += 1.0
-    return VectorField.from_spec(grid, pert), state
+    return VectorField.from_band(grid, pert), state
 
 
 def test_initial_map_roundtrip_small_perturbation(grid3):

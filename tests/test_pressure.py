@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.fft as sfft
 
 from lagmhd.errors import NotConvergedError, PressureDivergenceError
 from lagmhd.fields import VectorField
@@ -17,11 +18,31 @@ from lagmhd.spectral import (
     weighted_norm_sq,
 )
 
-from conftest import mesh
+from conftest import FullSpectrum, mesh
 
 
 def l2(spec, grid):
-    return float(np.sqrt(weighted_norm_sq(spec, 1.0, grid)))
+    """L2 norm of a real field from k_last >= 0 planes of its spectrum."""
+    return float(np.sqrt(weighted_norm_sq(spec, grid.multiplicity, grid)))
+
+
+def half_spectrum(grid):
+    """(tables, rfftn, irfftn) of the whole k_last >= 0 half of the spectrum,
+    the N_last/2 + 1 planes that determine a real field: full-spectrum
+    arithmetic on the planes the kernel's transforms work on."""
+    n, axes = grid.sizes[-1], grid.spatial_axes
+    half = FullSpectrum(grid, n // 2 + 1)
+    # k_last = 0 and the Nyquist plane count once, every other plane twice
+    half.multiplicity = np.full(n // 2 + 1, 2.0)
+    half.multiplicity[[0, -1]] = 1.0
+
+    def fft(values):
+        return sfft.rfftn(values, axes=axes, norm="forward")
+
+    def ifft(spec):
+        return sfft.irfftn(spec, s=grid.sizes, axes=axes, norm="forward")
+
+    return half, fft, ifft
 
 
 def small_state(grid, amp):
@@ -29,7 +50,7 @@ def small_state(grid, amp):
 
 
 def pressure_operands(state):
-    """(A^T A - I, half rhs spectrum) assembled as compute_force assembles them."""
+    """(A^T A - I, rhs band) assembled as compute_force assembles them."""
     grid = state.grid
     grad_y = gradient_values(state.Y.band, grid)
     b1, b2, a = cofactor_values(grad_y)
@@ -45,13 +66,15 @@ def solve_pressure(state, tol=1e-10, max_iter=50):
 def mask_first_force(state, iterations):
     """(f, -A grad_p, grad_p, residuals) with every 2/3 mask on the full product.
 
-    The mask goes on the 9-component flux and Z A spectra before their
-    divergence and on D grad_p before the Riesz projector, the pressure
-    force is negated after its mask, and Picard runs on the 3-vector grad_p
-    for the given number of iterations, with |grad_p_new - grad_p| as its
-    residual.
+    The spectra are the whole k_last >= 0 halves, through scipy's rfftn and
+    irfftn. The mask goes on the 9-component flux and Z A spectra before
+    their divergence and on D grad_p before the Riesz projector, the
+    pressure force is negated after its mask, and Picard runs on the
+    3-vector grad_p for the given number of iterations, with
+    |grad_p_new - grad_p| as its residual.
     """
     grid = state.grid
+    half, fft, ifft = half_spectrum(grid)
     grad_y = gradient_values(state.Y.band, grid)
     b1, b2, a = cofactor_values(grad_y)
     grad_yt = gradient_values(state.Yt.band, grid)
@@ -60,26 +83,26 @@ def mask_first_force(state, iterations):
     defect += b
     defect += np.swapaxes(b, 0, 1)
     flux = np.einsum("jm...,im...->ij...", defect, grad_yt)
-    flux_spec = dealias_spec(grid.fft(flux), grid)
-    visc = divergence_spec(np.swapaxes(flux_spec, 0, 1), grid)
+    flux_spec = dealias_spec(fft(flux), half)
+    visc = divergence_spec(np.swapaxes(flux_spec, 0, 1), half)
 
     v, w = grad_y[:, 0], state.Yt.values
     za = np.einsum("i...,l...->il...", v, np.einsum("ml...,m...->l...", a, v))
     za -= np.einsum("i...,l...->il...", w, np.einsum("ml...,m...->l...", a, w))
-    za_spec = dealias_spec(grid.fft(za), grid)
-    w_real = grid.ifft(divergence_spec(np.swapaxes(za_spec, 0, 1), grid))
+    za_spec = dealias_spec(fft(za), half)
+    w_real = ifft(divergence_spec(np.swapaxes(za_spec, 0, 1), half))
     atw = np.einsum("jm...,j...->m...", a, w_real)
-    rhs = riesz_apply_spec(dealias_spec(grid.fft(atw), grid), grid)
+    rhs = riesz_apply_spec(dealias_spec(fft(atw), half), half)
 
     gp = rhs.copy()
     residuals = []
     for _ in range(iterations):
-        mgp = np.einsum("jm...,m...->j...", defect, grid.ifft(gp))
-        gp_new = rhs - riesz_apply_spec(dealias_spec(grid.fft(mgp), grid), grid)
-        residuals.append(l2(gp_new - gp, grid))
+        mgp = np.einsum("jm...,m...->j...", defect, ifft(gp))
+        gp_new = rhs - riesz_apply_spec(dealias_spec(fft(mgp), half), half)
+        residuals.append(l2(gp_new - gp, half))
         gp = gp_new
-    a_gp = np.einsum("im...,m...->i...", a, grid.ifft(gp))
-    fp = -dealias_spec(grid.fft(a_gp), grid)
+    a_gp = np.einsum("im...,m...->i...", a, ifft(gp))
+    fp = -dealias_spec(fft(a_gp), half)
     return fp + visc, fp, gp, residuals
 
 
@@ -97,9 +120,10 @@ def test_force_matches_mask_first_assembly(case):
     force = compute_force(state)
     assert force.pressure.iterations >= 5
     f, fp, gp, _ = mask_first_force(state, force.pressure.iterations)
-    assert np.array_equal(force.f.spec, f)
-    assert np.array_equal(force.pressure_force.spec, fp)
-    assert np.array_equal(force.pressure.grad_p.spec, gp)
+    nb = state.grid.band_shape[-1]
+    for got, want in ((force.f, f), (force.pressure_force, fp), (force.pressure.grad_p, gp)):
+        assert np.array_equal(got.band, want[..., :nb])
+        assert np.all(want[..., nb:] == 0.0)
 
 
 @pytest.mark.parametrize("case", FORCE_CASES)
@@ -175,14 +199,16 @@ def test_rhs_matches_outer_product_form():
     grad_y = gradient_values(state.Y.band, grid)
     _, _, a_vals = cofactor_values(grad_y)
     v, w = grad_y[:, 0], state.Yt.values
+    half, fft, ifft = half_spectrum(grid)
     z = np.einsum("i...,j...->ij...", v, v) - np.einsum("i...,j...->ij...", w, w)
-    za_spec = dealias_spec(grid.fft(np.einsum("im...,ml...->il...", z, a_vals)), grid)
-    div_za = np.zeros((3,) + grid.shape, dtype=complex)
+    za_spec = dealias_spec(fft(np.einsum("im...,ml...->il...", z, a_vals)), half)
+    div_za = np.zeros((3,) + half.shape, dtype=complex)
     for l in range(3):
-        div_za += 1j * grid.k_axes[l] * za_spec[:, l]
-    atw = np.einsum("jm...,j...->m...", a_vals, grid.ifft(div_za))
-    ref = riesz_apply_spec(dealias_spec(grid.fft(atw), grid), grid)
-    got = grid.mirror(_tensor_rhs_spec(grid, a_vals, v, w))
+        div_za += 1j * half.k_axes[l] * za_spec[:, l]
+    atw = np.einsum("jm...,j...->m...", a_vals, ifft(div_za))
+    ref = riesz_apply_spec(dealias_spec(fft(atw), half), half)
+    got = np.zeros_like(ref)
+    got[..., : grid.band_shape[-1]] = _tensor_rhs_spec(grid, a_vals, v, w)
     scale = np.abs(ref).max()
     assert scale > 0.0
     assert np.abs(got - ref).max() < 1e-14 * scale
@@ -214,12 +240,11 @@ def test_solution_is_gradient_and_solves_fixed_point():
     tol = 1e-11
     sol = solve_pressure(state, tol=tol)
     lp = leray_project(sol.grad_p)
-    assert l2(lp.spec, grid) < 1e-10
+    assert l2(lp.band, grid) < 1e-10
     metric_defect, rhs = pressure_operands(state)
-    rhs = grid.mirror(rhs)
-    gp = sol.grad_p.spec
-    mgp = np.einsum("jm...,m...->j...", metric_defect, grid.ifft(gp))
-    defect = gp + riesz_apply_spec(dealias_spec(grid.fft(mgp), grid), grid) - rhs
+    gp = sol.grad_p.band
+    mgp = np.einsum("jm...,m...->j...", metric_defect, grid.irfft(gp))
+    defect = gp + riesz_apply_spec(dealias_spec(grid.rfft(mgp), grid), grid) - rhs
     assert l2(defect, grid) <= 2.0 * tol
 
 
@@ -256,11 +281,11 @@ def test_cold_start_is_the_zero_potential_and_returns_the_potential_of_grad_p():
     metric_defect, rhs = pressure_operands(small_state(grid, 0.05))
     cold = solve_pressure_spec(grid, metric_defect, rhs, 1e-10, 50, q0=None)
     zero = solve_pressure_spec(
-        grid, metric_defect, rhs, 1e-10, 50, q0=np.zeros(grid.half.shape, complex)
+        grid, metric_defect, rhs, 1e-10, 50, q0=np.zeros(grid.band_shape, complex)
     )
     assert np.array_equal(cold[0], zero[0]) and cold[1:4] == zero[1:4]
     gp, q = cold[0], cold[4]
-    assert np.array_equal(gp, rhs - np.stack([k * q for k in grid.half.k_axes]))
+    assert np.array_equal(gp, rhs - np.stack([k * q for k in grid.k_axes]))
 
 
 def test_quadratic_smallness_scaling():
@@ -269,8 +294,8 @@ def test_quadratic_smallness_scaling():
     for amp in (0.08, 0.04, 0.02):
         state = small_state(grid, amp)
         sol = solve_pressure(state, tol=1e-14)
-        w = grid.hs_weight(2)
-        norms.append(np.sqrt(weighted_norm_sq(sol.grad_p.spec, w, grid)))
+        w = grid.hs_weight(2) * grid.multiplicity
+        norms.append(np.sqrt(weighted_norm_sq(sol.grad_p.band, w, grid)))
     r1 = norms[0] / norms[1]
     r2 = norms[1] / norms[2]
     assert 3.0 < r1 < 5.2 and 3.2 < r2 < 4.8

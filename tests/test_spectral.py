@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 import scipy.fft as sfft
 
+from lagmhd.energy import EnergyEvaluator
 from lagmhd.fields import ScalarField, VectorField
+from lagmhd.geometry import FlowState
 from lagmhd.grid import Grid, multi_indices
 from lagmhd.spectral import (
     dealias_spec,
@@ -13,7 +15,7 @@ from lagmhd.spectral import (
     weighted_norm_sq,
 )
 
-from conftest import mesh, random_band_limited
+from conftest import FullSpectrum, mesh, mirror, random_band_limited
 
 
 # -- derivatives ---------------------------------------------------------------
@@ -61,8 +63,10 @@ def test_mixed_derivative_analytic_and_fd_oracle():
 
 
 def _hs_inner(f, g, s):
-    """(f|g)_{H^s} = sum_{|alpha|<=s} integral d^alpha f . d^alpha g, via Parseval."""
-    return weighted_inner(f.spec, g.spec, f.grid.hs_weight(s), f.grid)
+    """(f|g)_{H^s} = sum_{|alpha|<=s} integral d^alpha f . d^alpha g, via Parseval
+    over the band, with its Hermitian multiplicity."""
+    grid = f.grid
+    return weighted_inner(f.band, g.band, grid.hs_weight(s) * grid.multiplicity, grid)
 
 
 def test_hs_inner_product_single_mode_analytic(grid3):
@@ -81,7 +85,7 @@ def test_hs_inner_product_zero_field(grid3):
 def test_h0_matches_quadrature_oracle(grid3, rng):
     f = random_band_limited(grid3, rng, rank=0)
     g = random_band_limited(grid3, rng, rank=0)
-    spectral = weighted_inner(f.spec, g.spec, 1.0, grid3)
+    spectral = weighted_inner(f.band, g.band, grid3.multiplicity, grid3)
     # the trapezoid rule, exact for periodic band-limited data
     quad = np.prod(grid3.spacings) * np.sum(f.values * g.values)
     assert spectral == pytest.approx(quad, rel=1e-10)
@@ -107,39 +111,39 @@ def test_hs_weight_is_literal_multi_index_sum():
 
 def test_riesz_identity_on_gradients(grid3, rng):
     phi = random_band_limited(grid3, rng, rank=0)
-    grad = np.stack([1j * k * phi.spec for k in grid3.k_axes])
+    grad = np.stack([1j * k * phi.band for k in grid3.k_axes])
     out = riesz_apply_spec(grad, grid3)
     assert np.abs(out - grad).max() < 1e-12 * np.abs(grad).max()
 
 
 def test_riesz_annihilates_divergence_free(grid3, rng):
     v = leray_project(random_band_limited(grid3, rng, rank=1))
-    out = riesz_apply_spec(v.spec, grid3)
-    assert np.abs(out).max() < 1e-12 * np.abs(v.spec).max()
+    out = riesz_apply_spec(v.band, grid3)
+    assert np.abs(out).max() < 1e-12 * np.abs(v.band).max()
 
 
 def test_riesz_plus_leray_is_identity(grid3, rng):
     v = random_band_limited(grid3, rng, rank=1)
-    recon = riesz_apply_spec(v.spec, grid3) + leray_project(v).spec
-    assert np.abs(recon - v.spec).max() < 1e-12 * np.abs(v.spec).max()
+    recon = riesz_apply_spec(v.band, grid3) + leray_project(v).band
+    assert np.abs(recon - v.band).max() < 1e-12 * np.abs(v.band).max()
 
 
 def test_leray_output_divergence_free_and_idempotent(grid3, rng):
     v = random_band_limited(grid3, rng, rank=1)
     p = leray_project(v)
-    div = np.zeros(grid3.shape, dtype=complex)
+    div = np.zeros(grid3.band_shape, dtype=complex)
     for j in range(3):
-        div += 1j * grid3.k_axes[j] * p.spec[j]
-    assert np.abs(div).max() < 1e-12 * np.abs(v.spec).max()
+        div += 1j * grid3.k_axes[j] * p.band[j]
+    assert np.abs(div).max() < 1e-12 * np.abs(v.band).max()
     again = leray_project(p)
-    assert np.abs(again.spec - p.spec).max() < 1e-13 * max(np.abs(p.spec).max(), 1e-300)
+    assert np.abs(again.band - p.band).max() < 1e-13 * max(np.abs(p.band).max(), 1e-300)
 
 
 def test_riesz_l2_bounded(grid3, rng):
     v = random_band_limited(grid3, rng, rank=1)
-    out = riesz_apply_spec(v.spec, grid3)
-    assert weighted_norm_sq(out, 1.0, grid3) <= weighted_norm_sq(
-        v.spec, 1.0, grid3
+    out = riesz_apply_spec(v.band, grid3)
+    assert weighted_norm_sq(out, grid3.multiplicity, grid3) <= weighted_norm_sq(
+        v.band, grid3.multiplicity, grid3
     ) * (1 + 1e-12)
 
 
@@ -147,7 +151,7 @@ def test_riesz_l2_bounded(grid3, rng):
 
 
 def test_dealias_zeroes_top_third_and_is_idempotent(grid3, rng):
-    d1 = dealias_spec(grid3.fft(rng.standard_normal(grid3.shape)), grid3)
+    d1 = dealias_spec(grid3.rfft(rng.standard_normal(grid3.shape)), grid3)
     n = grid3.sizes[0]
     ncut = int(np.ceil(n / 3.0)) - 1
     freqs = np.abs(np.fft.fftfreq(n) * n)
@@ -162,6 +166,7 @@ def test_dealias_mask_is_the_per_axis_two_thirds_rule(sizes):
     grid = Grid(sizes, (2 * np.pi,) * len(sizes))
     n = np.meshgrid(*(np.fft.fftfreq(m) * m for m in sizes), indexing="ij")
     kept = np.all([np.abs(ni) < m / 3.0 for ni, m in zip(n, sizes)], axis=0)
+    kept = kept[..., : grid.band_shape[-1]]
     assert grid.dealias_mask.dtype == float
     assert np.array_equal(grid.dealias_mask, kept.astype(float))
     masked = grid.masked_inv_k2
@@ -221,8 +226,8 @@ HALF_GRIDS.update(
 
 
 # an -open case takes data the 2/3 mask has not been applied to, or the whole
-# k_last >= 0 half in place of the band: what Grid.fft, ifft, irfft and
-# mirror still take, and a band the mask has not cut on the leading axes
+# k_last >= 0 half in place of the band: what Grid.irfft and the full-spectrum
+# oracle still take, and a band the mask has not cut on the leading axes
 HALF_CASES = list(HALF_GRIDS) + [f"{k}-open" for k in HALF_GRIDS if k != "3D-cube"]
 
 
@@ -241,54 +246,86 @@ def _whole_half_tables(grid):
     nh = n // 2 + 1
     # the last plane of the whole half is the Nyquist plane, whose stored
     # wavenumber -N/2 is its own negative
-    assert grid.k_axes[-1].ravel()[nh - 1] == -np.pi * n / grid.lengths[-1]
+    k_last = FullSpectrum(grid).k_axes[-1].ravel()
+    assert k_last[nh - 1] == -np.pi * n / grid.lengths[-1]
 
 
 @pytest.mark.parametrize("name", HALF_CASES)
 def test_half_tables_are_the_first_last_axis_planes(name):
+    # the Grid's tables are those of the full spectrum cut to the band, bit
+    # for bit
     grid, is_open = _case(name)
     if is_open:
         _whole_half_tables(grid)
         return
-    half = grid.half
+    full = FullSpectrum(grid)
     nb, n = _band_planes(grid), grid.sizes[-1]
     cut = (Ellipsis, slice(0, nb))
-    assert half.dim == grid.dim
-    assert half.shape == grid.shape[:-1] + (nb,)
-    assert half.spatial_axes == grid.spatial_axes and half.volume == grid.volume
-    for kh, kf in zip(half.k_axes, grid.k_axes):
+    assert grid.band_shape == grid.shape[:-1] + (nb,)
+    for kh, kf in zip(grid.k_axes, full.k_axes):
         assert np.array_equal(kh, kf[cut])
     for table in ("k2", "k1sq", "inv_k2", "masked_inv_k2", "dealias_mask"):
-        assert np.array_equal(getattr(half, table), getattr(grid, table)[cut])
+        assert np.array_equal(getattr(grid, table), getattr(full, table)[cut])
+    for s in range(5):
+        assert np.array_equal(grid.hs_weight(s), full.hs_weight(s)[cut])
     # the mask keeps exactly the band's planes of the k_last >= 0 half, which
     # never reach the Nyquist plane
     assert nb < n // 2 + 1
-    assert np.all(grid.dealias_mask[..., nb : n - nb + 1] == 0.0)
-    assert np.all(half.dealias_mask.max(axis=tuple(range(grid.dim - 1))) == 1.0)
+    assert np.all(full.dealias_mask[..., nb : n - nb + 1] == 0.0)
+    assert np.all(grid.dealias_mask.max(axis=tuple(range(grid.dim - 1))) == 1.0)
     multiplicity = np.full(nb, 2.0)
     multiplicity[0] = 1.0
-    assert np.array_equal(half.multiplicity, multiplicity)
-    assert np.array_equal(half.norm_k2, grid.k2[cut] * multiplicity)
+    assert np.array_equal(grid.multiplicity, multiplicity)
+    assert np.array_equal(grid.norm_k2, full.k2[cut] * multiplicity)
+
+
+def _arrays(obj):
+    """Every ndarray in obj, or in the tuples, lists and dicts it holds."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, (tuple, list)):
+        for item in obj:
+            yield from _arrays(item)
+    elif isinstance(obj, dict):
+        for item in obj.values():
+            yield from _arrays(item)
+
+
+@pytest.mark.parametrize("sizes", [(16, 8, 32), (32, 16)], ids=["3D", "2D"])
+def test_grid_holds_no_table_larger_than_the_band(sizes, rng):
+    # once the energy evaluator and the smallness functional have filled the
+    # H^s weight cache, every table a Grid holds fits in the band
+    grid = Grid(sizes, (2 * np.pi,) * len(sizes))
+    EnergyEvaluator(grid)
+    state = FlowState(
+        random_band_limited(grid, rng, rank=1), random_band_limited(grid, rng, rank=1)
+    )
+    assert EnergyEvaluator.initial_norm(state) > 0.0
+    assert sorted(grid._hs_weights) == [1, 2, 3]
+    arrays = list(_arrays(vars(grid)))
+    assert len(arrays) >= 2 * grid.dim + 10
+    band_size = int(np.prod(grid.band_shape))
+    assert max(a.size for a in arrays) == band_size
 
 
 @pytest.mark.parametrize("name", HALF_CASES)
 def test_half_norm_with_doubled_k2_equals_the_full_norm(name, rng):
     grid, is_open = _case(name)
-    n = grid.sizes[-1]
+    n, tables = grid.sizes[-1], FullSpectrum(grid)
     full = grid.fft(rng.standard_normal((grid.dim,) + grid.shape))
     if is_open:
         # the whole half of the unmasked spectrum: k_last = 0 and the
         # Nyquist plane N/2 count once, every other plane twice
-        nb, half = n // 2 + 1, grid
+        nb, half = n // 2 + 1, tables
         multiplicity = np.full(nb, 2.0)
         multiplicity[[0, -1]] = 1.0
-        weight = grid.k2[..., :nb] * multiplicity
+        weight = tables.k2[..., :nb] * multiplicity
     else:
         # band-limited: the masked spectrum of a random real field
-        nb, half, weight = grid.half.shape[-1], grid.half, grid.half.norm_k2
-        full *= grid.dealias_mask
-    for spec in [full] + [full * (1j * k) for k in grid.k_axes]:
-        want = weighted_norm_sq(spec, grid.k2, grid)
+        nb, half, weight = grid.band_shape[-1], grid, grid.norm_k2
+        full *= tables.dealias_mask
+    for spec in [full] + [full * (1j * k) for k in tables.k_axes]:
+        want = weighted_norm_sq(spec, tables.k2, tables)
         got = weighted_norm_sq(spec[..., :nb], weight, half)
         assert want > 0.0
         assert abs(got - want) <= 1e-14 * want
@@ -297,23 +334,23 @@ def test_half_norm_with_doubled_k2_equals_the_full_norm(name, rng):
 @pytest.mark.parametrize("name", HALF_CASES)
 def test_rfft_irfft_round_trip_and_fft_is_the_mirror(name, rng):
     grid, is_open = _case(name)
-    nb, axes = grid.half.shape[-1], grid.spatial_axes
+    nb, axes = grid.band_shape[-1], grid.spatial_axes
     vals = rng.standard_normal((grid.dim,) + grid.shape)
     half = sfft.rfftn(vals, axes=axes, norm="forward")
     band = grid.rfft(vals)
-    assert band.shape == (grid.dim,) + grid.half.shape
+    assert band.shape == (grid.dim,) + grid.band_shape
     # the pruned transforms against the full ones
     assert np.abs(band - half[..., :nb]).max() <= 1e-15 * np.abs(half).max()
     if is_open:
         # the whole half, Nyquist planes included, goes back to the samples
-        # and mirrors to the full spectrum
+        # and mirrors to the full spectrum, which fft is
         kept = half.copy()
         back = grid.irfft(half)
         assert np.array_equal(half, kept)
         assert np.abs(back - vals).max() <= 1e-14 * np.abs(vals).max()
         full = sfft.fftn(vals, axes=axes, norm="forward")
-        assert np.abs(grid.mirror(half) - full).max() <= 1e-15 * np.abs(full).max()
-        assert np.array_equal(grid.fft(vals), grid.mirror(half))
+        assert np.abs(mirror(grid, half) - full).max() <= 1e-15 * np.abs(full).max()
+        assert np.array_equal(grid.fft(vals), full)
         return
     padded = np.zeros_like(half)
     padded[..., :nb] = band
@@ -323,12 +360,10 @@ def test_rfft_irfft_round_trip_and_fft_is_the_mirror(name, rng):
     assert np.array_equal(band, kept)
     assert back.dtype == np.float64 and back.flags.c_contiguous
     assert np.abs(back - want).max() <= 1e-15 * np.abs(want).max()
-    # fft is the mirror of the whole half; the mirror of a band is zero
-    # on the planes the band does not hold
-    assert np.array_equal(grid.fft(vals), grid.mirror(half))
-    assert np.array_equal(grid.mirror(band), grid.mirror(padded))
+    # the mirror of a band is zero on the planes the band does not hold
+    assert np.array_equal(mirror(grid, band), mirror(grid, padded))
     # a band-limited field goes round the pruned pair
-    limited = band * grid.half.dealias_mask
+    limited = band * grid.dealias_mask
     again = grid.rfft(grid.irfft(limited))
     assert np.abs(again - limited).max() <= 1e-14 * np.abs(limited).max()
 
@@ -345,7 +380,7 @@ def test_rfft_irfft_into_given_arrays_equal_the_allocating_forms(name, rng):
     assert np.array_equal(out, band)
     # the whole k_last >= 0 half, or a band the mask has been applied to
     arg = sfft.rfftn(vals, axes=grid.spatial_axes, norm="forward") if is_open else (
-        band * grid.half.dealias_mask
+        band * grid.dealias_mask
     )
     kept = arg.copy()
     want = grid.irfft(arg)
@@ -364,7 +399,7 @@ def test_field_band_is_the_sliced_spectrum_or_rfft_of_values(name, rng):
     vals = rng.standard_normal((grid.dim,) + grid.shape)
     assert np.array_equal(VectorField.from_values(grid, vals).band, grid.rfft(vals))
     spec = grid.fft(vals)
-    sliced = spec[..., : grid.half.shape[-1]]
+    sliced = spec[..., : grid.band_shape[-1]]
     assert np.array_equal(VectorField.from_spec(grid, spec).band, sliced)
 
 
@@ -372,11 +407,11 @@ def test_field_band_is_the_sliced_spectrum_or_rfft_of_values(name, rng):
 def test_field_from_band_mirrors_its_spectrum_and_samples(name, rng):
     grid = HALF_GRIDS[name]
     band = grid.rfft(rng.standard_normal((grid.dim,) + grid.shape))
-    band *= grid.half.dealias_mask
+    band *= grid.dealias_mask
     f = VectorField.from_band(grid, band)
     assert np.array_equal(f.band, band)
-    assert np.array_equal(f.spec, grid.mirror(band))
-    assert np.array_equal(f.values, grid.ifft(f.spec))
+    assert np.array_equal(f.spec, grid.fft(grid.irfft(band)))
+    assert np.array_equal(f.values, grid.irfft(band))
     # samples first, spectrum second: both still come from the band
     g = VectorField.from_band(grid, band)
     assert np.array_equal(g.values, f.values)
@@ -388,7 +423,7 @@ def test_field_from_band_mirrors_its_spectrum_and_samples(name, rng):
 @pytest.mark.parametrize("name", HALF_CASES)
 def test_gradient_values_equals_ifft_of_the_full_product(name, rng):
     grid, is_open = _case(name)
-    shape = (grid.dim,) + grid.half.shape
+    shape = (grid.dim,) + grid.band_shape
     real = grid.rfft(rng.standard_normal((grid.dim,) + grid.shape))
     # a band that is no real field's: k_last = 0 is not Hermitian in itself
     general = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -399,11 +434,11 @@ def test_gradient_values_equals_ifft_of_the_full_product(name, rng):
             for i, m in enumerate(grid.sizes[:-1]):
                 band[(slice(None),) * (i + 1) + (m // 2,)] = 0.0
         else:
-            band *= grid.half.dealias_mask
-        full = grid.mirror(band)
+            band *= grid.dealias_mask
+        full = mirror(grid, band)
         buf = np.empty((grid.dim,) + full.shape, dtype=complex)
-        for j in range(grid.dim):
-            np.multiply(full, 1j * grid.k_axes[j], out=buf[:, j])
+        for j, k in enumerate(FullSpectrum(grid).k_axes):
+            np.multiply(full, 1j * k, out=buf[:, j])
         want = _complex_ifft(grid, buf)
         kept = band.copy()
         got = gradient_values(band, grid)
@@ -413,7 +448,8 @@ def test_gradient_values_equals_ifft_of_the_full_product(name, rng):
 
 def test_wavevector_lattice_contents():
     g = Grid((8, 16), (2 * np.pi, 4 * np.pi))
-    assert sorted(np.round(g.k1d[0]).astype(int)) == list(range(-4, 4))
-    # spacing 2*pi/L = 0.5 on the second axis
-    assert sorted(np.round(g.k1d[1] / 0.5).astype(int)) == list(range(-8, 8))
+    assert sorted(np.round(g.k_axes[0].ravel()).astype(int)) == list(range(-4, 4))
+    # spacing 2*pi/L = 0.5 on the second, last axis, whose band holds
+    # n = 0, ..., ceil(16/3) - 1
+    assert list(np.round(g.k_axes[1].ravel() / 0.5).astype(int)) == list(range(6))
     assert all(h > 0 for h in g.spacings)
