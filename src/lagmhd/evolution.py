@@ -448,9 +448,11 @@ class EulerState:
 
     @classmethod
     def equilibrium(cls, grid: Grid, t: float = 0.0) -> "EulerState":
-        b = np.zeros((grid.dim,) + grid.shape)
-        b[0] = 1.0
-        return cls(VectorField.zeros(grid), VectorField.from_values(grid, b), t)
+        """u = 0 and b = e1, built as a band (1 on the mean mode of b^1), so
+        it is exact whatever the transforms round."""
+        b = np.zeros((grid.dim,) + grid.band_shape, dtype=complex)
+        b[(0,) * (grid.dim + 1)] = 1.0
+        return cls(VectorField.zeros(grid), VectorField.from_band(grid, b), t)
 
 
 def _magnetic_filter(grid: Grid, exponent: int = 36):

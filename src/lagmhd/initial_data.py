@@ -209,16 +209,16 @@ def euler_from_flow(state: FlowState) -> EulerState:
 
     Inverts x = y + Y0(y) pointwise (``_invert_flow_map``), then samples
     u0 = Y1(y(x)) and b0 = e1 + d1Y0(y(x)). Sampling tails are cleaned up
-    with one Leray projection of u0. Raises NotConvergedError if the
-    inversion stalls before |delta| < 1e-13.
+    with one Leray projection of u0. b0 is built as a band: only d1Y0 is
+    transformed, and e1 is set on the mean mode of b0^1, exactly as in
+    ``EulerState.equilibrium``. Raises NotConvergedError if the inversion
+    stalls before |delta| < 1e-13.
     """
     grid = state.grid
     coords = np.stack(np.broadcast_arrays(*grid.coords))
     x_pts = np.moveaxis(coords, 0, -1).reshape(-1, grid.dim)
     if np.abs(state.Y.values).max() == 0.0:
-        b = np.zeros((grid.dim,) + grid.shape)
-        b[0] = 1.0
-        return EulerState(state.Yt, VectorField.from_values(grid, b), state.t)
+        return EulerState(state.Yt, EulerState.equilibrium(grid).b, state.t)
 
     y = _invert_flow_map(make_trig_evaluator(state.Y), x_pts)
     y1_eval = make_trig_evaluator(state.Yt)
@@ -226,10 +226,10 @@ def euler_from_flow(state: FlowState) -> EulerState:
     d1y_eval = make_trig_evaluator(d1y)
     u_vals = y1_eval(y).reshape((grid.dim,) + grid.shape)
     b_vals = d1y_eval(y).reshape((grid.dim,) + grid.shape)
-    b_vals[0] += 1.0
     u_band = grid.rfft(u_vals)
     u_band = dealias_spec(u_band - riesz_apply_spec(u_band, grid), grid)
     b_band = dealias_spec(grid.rfft(b_vals), grid)
+    b_band[(0,) * (grid.dim + 1)] += 1.0
     return EulerState(
         VectorField.from_band(grid, u_band),
         VectorField.from_band(grid, b_band),

@@ -1,4 +1,4 @@
-"""Spectral derivatives, divergence, the 2/3 mask, norms and projectors.
+"""Spectral derivatives, divergence, the 2/3 mask, norms and the Riesz projector.
 
 Every helper takes the ``Grid`` and works on bands, the first K last-axis
 planes of the spectrum of a real field (see ``grid``). A norm over a band
@@ -52,13 +52,7 @@ def dealias_spec(spec, grid: Grid, out=None):
     return np.multiply(spec, grid.dealias_mask, out=out)
 
 
-# -- inner products and norms -------------------------------------------------
-
-
-def weighted_inner(spec_a, spec_b, weight, grid: Grid) -> float:
-    """V * Re sum_k w(k) c_a(k) conj(c_b(k)), summed over component channels."""
-    acc = np.sum(weight * (spec_a * np.conj(spec_b)).real, axis=grid.spatial_axes)
-    return float(grid.volume * np.sum(acc))
+# -- norms --------------------------------------------------------------------
 
 
 def weighted_norm_sq(spec, weight, grid: Grid) -> float:
@@ -66,7 +60,7 @@ def weighted_norm_sq(spec, weight, grid: Grid) -> float:
     return float(grid.volume * np.sum(acc))
 
 
-# -- Riesz / Leray projectors ---------------------------------------------
+# -- Riesz projector ----------------------------------------------------------
 
 
 def riesz_apply_spec(spec, grid: Grid, out=None):
@@ -80,11 +74,6 @@ def riesz_apply_spec(spec, grid: Grid, out=None):
     for i in range(grid.dim):
         np.multiply(k[i], kv, out=out[i])
     return out
-
-
-def leray_project(v: VectorField) -> VectorField:
-    """Project the band of v onto divergence-free fields: v - riesz_apply_spec(v)."""
-    return VectorField.from_band(v.grid, v.band - riesz_apply_spec(v.band, v.grid))
 
 
 def divergence_norm(v: VectorField) -> float:

@@ -3,7 +3,7 @@ import pytest
 
 from lagmhd.fields import ScalarField, VectorField
 from lagmhd.grid import Grid, multi_indices
-from lagmhd.spectral import dealias_spec
+from lagmhd.spectral import dealias_spec, riesz_apply_spec
 
 
 @pytest.fixture(scope="session")
@@ -76,6 +76,17 @@ class FullSpectrum:
                     term = term * ka ** (2 * a)
             w += term
         return w
+
+
+def weighted_inner(spec_a, spec_b, weight, grid):
+    """V * Re sum_k w(k) c_a(k) conj(c_b(k)), summed over component channels."""
+    acc = np.sum(weight * (spec_a * np.conj(spec_b)).real, axis=grid.spatial_axes)
+    return float(grid.volume * np.sum(acc))
+
+
+def leray_project(v):
+    """Project the band of v onto divergence-free fields: v - riesz_apply_spec(v)."""
+    return VectorField.from_band(v.grid, v.band - riesz_apply_spec(v.band, v.grid))
 
 
 def mirror(grid, band):

@@ -29,9 +29,9 @@ from lagmhd.initial_data import (
 )
 from lagmhd.oracle import linear_decay_oracle
 from lagmhd.runner import compare_formulations, run_simulation, scaling_run
-from lagmhd.spectral import gradient_values, leray_project, weighted_norm_sq
+from lagmhd.spectral import gradient_values, weighted_norm_sq
 
-from conftest import random_band_limited
+from conftest import leray_project, random_band_limited
 from test_admissibility import SEEDS, K, curl_field, uniform_b0
 
 

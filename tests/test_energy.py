@@ -24,9 +24,9 @@ from lagmhd.evolution import LinearPropagator
 from lagmhd.fields import VectorField
 from lagmhd.geometry import FlowState
 from lagmhd.grid import Grid
-from lagmhd.spectral import weighted_inner, weighted_norm_sq
+from lagmhd.spectral import weighted_norm_sq
 
-from conftest import FullSpectrum, mesh, random_band_limited
+from conftest import FullSpectrum, mesh, random_band_limited, weighted_inner
 
 
 @pytest.fixture(scope="module")
@@ -301,7 +301,6 @@ def test_record_sample_builds_one_table_and_no_reductions(monkeypatch):
     for module, name in (
         (energy, "weighted_norm_sq"),
         (spectral, "weighted_norm_sq"),
-        (spectral, "weighted_inner"),
     ):
         monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     sample = _record_sample(ev, state, force)

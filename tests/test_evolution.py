@@ -33,7 +33,7 @@ from lagmhd.initial_data import build_flow_state, default_spec, scaled_spec
 from lagmhd.runner import compare_formulations, run_simulation
 from lagmhd.spectral import dealias_spec, gradient_values, weighted_norm_sq
 
-from conftest import FullSpectrum, random_band_limited
+from conftest import FullSpectrum, leray_project, random_band_limited
 
 
 # -- dispersion roots ---------------------------------------------------------
@@ -597,6 +597,22 @@ def test_euler_equilibrium_fixed_point():
     assert np.abs(b[0] - 1.0).max() < 1e-14 and np.abs(b[1:]).max() < 1e-14
 
 
+@pytest.mark.parametrize("sizes", [(8, 8, 8), (16, 32), (8, 128)], ids=["3D", "2D", "2D-128"])
+def test_euler_equilibrium_keeps_its_band_exactly(sizes):
+    # b = e1 is 1 on the mean mode of b^1 and 0 on every other coefficient;
+    # ten steps keep that band bit for bit on either last-axis transform
+    grid = Grid(sizes, (2 * np.pi,) * len(sizes))
+    want = np.zeros((grid.dim,) + grid.band_shape, dtype=complex)
+    want[(0,) * (grid.dim + 1)] = 1.0
+    state = EulerState.equilibrium(grid)
+    assert np.array_equal(state.b.band, want)
+    stepper = EulerianStepper(grid, 0.1)
+    for _ in range(10):
+        state = stepper.step(state)
+    assert np.array_equal(state.b.band, want)
+    assert np.array_equal(state.u.band, np.zeros_like(want))
+
+
 def test_euler_energy_identity():
     # d/dt (|u|^2 + |b|^2)/2 = -|grad u|^2: cross terms cancel exactly
     grid = Grid((16, 16, 16), (2 * np.pi,) * 3)
@@ -674,8 +690,6 @@ def test_euler_from_flow_inverts_a_slowly_contracting_map(monkeypatch):
 
 def test_euler_2d_curl_form(grid2, rng):
     u = random_band_limited(grid2, rng, rank=1, kmax=3, scale=0.01)
-    from lagmhd.spectral import leray_project
-
     u = leray_project(u)
     b = np.zeros((2,) + grid2.shape)
     b[0] = 1.0

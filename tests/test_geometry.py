@@ -20,9 +20,9 @@ from lagmhd.initial_data import (
     default_spec,
     scaled_spec,
 )
-from lagmhd.spectral import dealias_spec, gradient_values, leray_project
+from lagmhd.spectral import dealias_spec, gradient_values
 
-from conftest import mesh, random_band_limited
+from conftest import leray_project, mesh, random_band_limited
 
 
 def shear_state(grid, eps=0.1):

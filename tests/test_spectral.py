@@ -5,17 +5,23 @@ import scipy.fft as sfft
 from lagmhd.energy import EnergyEvaluator
 from lagmhd.fields import ScalarField, VectorField
 from lagmhd.geometry import FlowState
+import lagmhd.grid as grid_module
 from lagmhd.grid import Grid, multi_indices
 from lagmhd.spectral import (
     dealias_spec,
     gradient_values,
-    leray_project,
     riesz_apply_spec,
-    weighted_inner,
     weighted_norm_sq,
 )
 
-from conftest import FullSpectrum, mesh, mirror, random_band_limited
+from conftest import (
+    FullSpectrum,
+    leray_project,
+    mesh,
+    mirror,
+    random_band_limited,
+    weighted_inner,
+)
 
 
 # -- derivatives ---------------------------------------------------------------
@@ -223,6 +229,9 @@ HALF_GRIDS.update(
         for d, sizes, lengths in ((3, (8, lead, n), L3), (2, (4 * lead, n), L2))
     }
 )
+# the largest last axis whose last-axis stage is a matmul, and one past it,
+# which keeps numpy's r2c/c2r
+HALF_GRIDS.update({"3D-64": Grid((4, 4, 64), L3), "2D-128": Grid((8, 128), L2)})
 
 
 # an -open case takes data the 2/3 mask has not been applied to, or the whole
@@ -391,6 +400,34 @@ def test_rfft_irfft_into_given_arrays_equal_the_allocating_forms(name, rng):
         assert grid.irfft(arg, out=out, pad=stale) is out
         assert np.array_equal(out, want)
         assert np.array_equal(arg, kept)
+
+
+def test_grids_of_one_last_size_share_one_dft_table(monkeypatch, rng):
+    seen = []
+    tables = grid_module._dft_tables
+
+    def recorded(n):
+        seen.append(tables(n))
+        return seen[-1]
+
+    monkeypatch.setattr(grid_module, "_dft_tables", recorded)
+    for grid in (HALF_GRIDS["3D"], HALF_GRIDS["2D-8"], Grid((8, 32), L2)):
+        grid.irfft(grid.rfft(rng.standard_normal(grid.shape)) * grid.dealias_mask)
+    # one (fwd, inv) pair per N_last, built once and shared
+    assert len(seen) == 6
+    assert seen[0] is seen[1] is seen[4] is seen[5] and seen[2] is seen[3]
+    assert seen[0] is not seen[2]
+    fwd, inv = seen[0]
+    assert fwd.shape == (32, 2 * 11) and inv.shape == (2 * 17, 32)
+    assert not fwd.flags.writeable and not inv.flags.writeable
+    # the imaginary parts of k_last = 0 and N/2 are not read, as irfft's are not
+    assert np.all(inv[1] == 0.0) and np.all(inv[-1] == 0.0)
+    assert np.all(inv[0] == 1.0) and np.all(np.abs(inv[-2]) == 1.0)
+    # past MATMUL_MAX_LAST the transforms build no table
+    assert HALF_GRIDS["3D-64"].sizes[-1] == grid_module.MATMUL_MAX_LAST
+    grid = HALF_GRIDS["2D-128"]
+    grid.irfft(grid.rfft(rng.standard_normal(grid.shape)))
+    assert len(seen) == 6
 
 
 @pytest.mark.parametrize("name", ["3D", "2D", "2D-4"])
