@@ -308,6 +308,20 @@ def compute_force(
 
 # -- Lagrangian stepper ------------------------------------------------------
 
+# weights of the pressure starts by the history held (see LagrangianStepper):
+# the predictor's on (q0_n, q0_{n-1}, ...), the first stage's on
+# (q*_{n+1}, q0_n, q*_n, q0_{n-1}, q*_{n-1})
+_PREDICTOR_WEIGHTS = ((1.0,), (2.0, -1.0), (3.0, -3.0, 1.0), (4.0, -6.0, 4.0, -1.0))
+_FIRST_STAGE_WEIGHTS = ((1.0,), (1.0, 1.0, -1.0), (1.0, 2.0, -2.0, -1.0, 1.0))
+
+
+def _combine(weights, potentials):
+    """sum_i weights[i] * potentials[i], a fresh band."""
+    start = weights[0] * potentials[0]
+    for w, q in zip(weights[1:], potentials[1:]):
+        start += w * q
+    return start
+
 
 class LagrangianStepper:
     """Exponential predictor-corrector for the displacement system.
@@ -316,18 +330,30 @@ class LagrangianStepper:
     interpolated linearly across the step (Duhamel weights I0, K1), which is
     second order in dt and preserves the equilibrium exactly.
 
-    Each pressure solve starts from the potential of the nearest solve in
-    time. The first force at t_{n+1} starts from step n's predictor solve,
-    which is at the same time; the two states differ by the corrector, O(dt^2)
-    in Yt. The predictor solve starts from 2 q_{n+1} - q_n, the linear
-    extrapolation of the first-stage potentials (q_{n+1} alone on a first
-    step). A solve starts cold when the one it would start from took a single
-    iteration: one iteration cannot get cheaper, and under the absolute
-    stopping rule its result depends on where it started.
+    Each pressure solve starts from an extrapolation of the stepper's recent
+    potentials (Fischer, CMAME 163, 1998): q0_m of the first-stage solve and
+    q*_m of the predictor solve at t_m. The predictor solve at t_{n+1}
+    starts from 4 q0_n - 6 q0_{n-1} + 4 q0_{n-2} - q0_{n-3}, or the
+    quadratic, linear or constant extrapolation when fewer first-stage
+    potentials are held. The first-stage solve at t_{n+1} starts from
+    q*_{n+1}, at the same time, plus the extrapolated corrector offset
+    2 d_n - d_{n-1}, d_m = q0_m - q*_m; with less history, plus d_n or
+    nothing. So the stepper holds 7 potential bands, the last four
+    first-stage and the last three predictor solves, each with the time of
+    its solve. Solves are paired by those stored times, never by t - dt: a
+    state continues the history when its time is that of the last
+    predictor solve, and otherwise starts it afresh from a cold solve.
 
-    The stepper carries its last potentials from call to call, so one stepper
-    serves one run: a run on a stepper that another run used may start its
-    solves elsewhere, and its output then differs by up to the tolerance.
+    Reset rule: a solve that started cold and took a single iteration
+    clears the history, so the next one starts cold too. One iteration
+    cannot get cheaper, and under the absolute stopping rule its result
+    depends on its start, so on one-iteration data every solve starts cold.
+    A warm solve that takes one iteration keeps the history.
+
+    One stepper serves one run: a run on a stepper that another run used
+    may start its solves elsewhere, and a fresh stepper on a mid-run state
+    starts cold; either output differs from the uninterrupted run by up to
+    the tolerance.
 
     Every force of the stepper is computed in one ``ForceWorkspace``, built
     from the grid at the first force, so a warm step allocates no array of
@@ -352,10 +378,10 @@ class LagrangianStepper:
         # tables) then reuses the memory the last run freed before the
         # workspace takes its share, and does not fault in fresh pages
         self._work = None
-        # (t, potential) of the last predictor and first-stage solves; the
-        # predictor's is None when that solve took a single iteration
-        self._star = (None, None)
-        self._first = (None, None)
+        # (t, potential) of the last first-stage and predictor solves,
+        # newest first
+        self._first = []
+        self._star = []
 
     def _force(self, state: FlowState, q0) -> NonlinearForce:
         if self._work is None:
@@ -368,20 +394,35 @@ class LagrangianStepper:
             work=self._work,
         )
 
-    def force(self, state: FlowState) -> NonlinearForce:
-        """The first-stage force at state.t, started from the last predictor
-        solve when that one was at the same time."""
-        t_star, q_star = self._star
-        return self._force(state, q_star if t_star == state.t else None)
+    def _continues(self, t) -> bool:
+        """Whether a state at t continues the history: its time is the
+        stored time of the last predictor solve."""
+        return bool(self._star) and self._star[0][0] == t
 
-    def _predictor_start(self, state: FlowState, pressure: PressureSolution):
-        """Starting potential of the predictor solve from the first stage's."""
-        if pressure.iterations <= 1:
-            return None
-        t_first, q_first = self._first
-        if t_first is not None and t_first + self.dt == state.t:
-            return 2.0 * pressure.potential - q_first
-        return pressure.potential
+    def force(self, state: FlowState) -> NonlinearForce:
+        """The first-stage force at state.t, started from the predictor
+        solve at that time plus the extrapolated corrector offset."""
+        if not self._continues(state.t):
+            return self._force(state, None)
+        potentials = [self._star[0][1]]
+        for (t_first, q_first), (t_star, q_star) in zip(self._first, self._star[1:]):
+            if t_first != t_star:
+                break
+            potentials += [q_first, q_star]
+        weights = _FIRST_STAGE_WEIGHTS[len(potentials) // 2]
+        return self._force(state, _combine(weights, potentials))
+
+    def _keep(self, history, size, t, pressure, cold):
+        """Put a solve's potential at the head of history. A cold solve
+        starts the history afresh, and leaves it empty when it took a
+        single iteration (the reset rule)."""
+        if cold:
+            self._first.clear()
+            self._star.clear()
+            if pressure.iterations <= 1:
+                return
+        history.insert(0, (t, pressure.potential))
+        del history[size:]
 
     def step(self, state: FlowState, force: NonlinearForce = None) -> FlowState:
         """Advance one dt; force, when given, is self.force(state).
@@ -401,11 +442,16 @@ class LagrangianStepper:
             VectorField.from_band(grid, yt_star),
             state.t + dt,
         )
-        f1 = self._force(star, self._predictor_start(state, f0.pressure))
+        # f0 started cold unless state continues the history
+        cold = not self._continues(state.t)
+        self._keep(self._first, len(_PREDICTOR_WEIGHTS), state.t, f0.pressure, cold)
+        first = [q for _, q in self._first]
+        start = _combine(_PREDICTOR_WEIGHTS[len(first) - 1], first) if first else None
+        f1 = self._force(star, start)
         f1h = f1.f.band
-        self._first = (state.t, f0.pressure.potential)
-        p1 = f1.pressure
-        self._star = (star.t, p1.potential if p1.iterations > 1 else None)
+        self._keep(
+            self._star, len(_FIRST_STAGE_WEIGHTS), star.t, f1.pressure, start is None
+        )
 
         y_new = py + prop.y_f0 * f0h + prop.k1 * f1h
         yt_new = pyt + prop.yt_f0 * f0h + prop.yt_f1 * f1h

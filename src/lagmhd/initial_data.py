@@ -131,6 +131,12 @@ def _solenoidal_velocity(grid: Grid, modes):
 def build_flow_state(grid: Grid, spec: InitialDataSpec) -> FlowState:
     """Assemble (Y0, Y1), rescaled so the smallness functional hits epsilon0;
     what does not depend on the scale is evaluated once per build."""
+    return _build_with_gradient(grid, spec)[0]
+
+
+def _build_with_gradient(grid: Grid, spec: InitialDataSpec):
+    """``build_flow_state`` and the samples of grad Y0 its last assembly
+    formed, (d, d) + grid.shape, for the data check to read."""
     if spec.epsilon0 is not None and spec.epsilon0 <= 0:
         raise ConfigError("epsilon0 must be positive")
     d = grid.dim
@@ -155,22 +161,22 @@ def build_flow_state(grid: Grid, spec: InitialDataSpec) -> FlowState:
         v = scale * v_unit
         y1_vals = v + np.einsum("im...,m...->i...", grad, v)
         y1 = VectorField.from_band(grid, dealias_spec(grid.rfft(y1_vals), grid))
-        return FlowState(VectorField.from_band(grid, y0_band), y1, 0.0)
+        return FlowState(VectorField.from_band(grid, y0_band), y1, 0.0), grad
 
+    built = assemble(1.0)
     if spec.epsilon0 is None:
-        return assemble(1.0)
-    state = assemble(1.0)
-    base = EnergyEvaluator.initial_norm(state)
+        return built
+    base = EnergyEvaluator.initial_norm(built[0])
     if base == 0.0:
-        return state
+        return built
     s = float(np.sqrt(spec.epsilon0 / base))
     for _ in range(8):
-        state = assemble(s)
-        norm = EnergyEvaluator.initial_norm(state)
+        built = assemble(s)
+        norm = EnergyEvaluator.initial_norm(built[0])
         if abs(norm - spec.epsilon0) <= 1e-9 * spec.epsilon0:
             break
         s *= float(np.sqrt(spec.epsilon0 / norm))
-    return state
+    return built
 
 
 INVERSE_MAP_TOL = 1e-13  # |delta| at which the inverse map is converged

@@ -477,10 +477,11 @@ def test_step_takes_no_full_spectrum_transform(monkeypatch, tmp_path, call, arg)
     assert calls == {"fft": 0, "ifft": 0}
 
 
-def _drive_steps(monkeypatch, spec, cold):
-    """Six steps as a run takes them (the first force, then the step) on the
+def _drive_steps(monkeypatch, spec, cold, steps=6, pressure_tol=1e-10, solves=None):
+    """Steps as a run takes them (the first force, then the step) on the
     criterion-6 box, with the stepper's pressure starts or, with cold, every
-    solve from q0 = None; returns the final bands and the Picard total."""
+    solve from q0 = None; returns the final bands and the Picard total.
+    solves, when given, receives (t, q0, PressureSolution) of every solve."""
     from lagmhd import evolution
 
     grid = Grid((16, 16, 16), (16.0, 2 * np.pi, 2 * np.pi))
@@ -491,12 +492,15 @@ def _drive_steps(monkeypatch, spec, cold):
     def counted(state, *args, q0=None, **kwargs):
         force = compute(state, *args, q0=None if cold else q0, **kwargs)
         iterations.append(force.pressure.iterations)
+        if solves is not None:
+            solves.append((state.t, q0, force.pressure))
         return force
 
     monkeypatch.setattr(evolution, "compute_force", counted)
-    stepper = LagrangianStepper(grid, 0.05)
-    for _ in range(6):
+    stepper = LagrangianStepper(grid, 0.05, pressure_tol=pressure_tol)
+    for _ in range(steps):
         state = stepper.step(state, stepper.force(state))
+    monkeypatch.undo()
     return state.Y.band, state.Yt.band, sum(iterations)
 
 
@@ -506,7 +510,10 @@ def test_warm_started_pressure_matches_cold_with_fewer_iterations(monkeypatch):
     y_cold, yt_cold, cold_iters = _drive_steps(monkeypatch, spec, cold=True)
     assert np.abs(y - y_cold).max() <= 1e-10 * np.abs(y_cold).max()
     assert np.abs(yt - yt_cold).max() <= 1e-10 * np.abs(yt_cold).max()
-    assert warm_iters < cold_iters
+    # 8 + 9 per step cold; 71 from the nearest solve in time (the first
+    # stage from the predictor alone, the predictor from a linear
+    # extrapolation); 61 from the extrapolated starts
+    assert warm_iters <= 61 < cold_iters
 
 
 def test_one_iteration_solves_start_cold(monkeypatch):
@@ -517,6 +524,61 @@ def test_one_iteration_solves_start_cold(monkeypatch):
     y_cold, yt_cold, cold_iters = _drive_steps(monkeypatch, spec, cold=True)
     assert warm_iters == cold_iters == 12
     assert np.array_equal(y, y_cold) and np.array_equal(yt, yt_cold)
+
+
+def test_a_warm_one_iteration_solve_keeps_the_history(monkeypatch):
+    # at a loose tolerance the warm solves of the criterion-6 data stop
+    # after one iteration; only a cold one-iteration solve clears the
+    # history, so every solve after the first still starts warm
+    solves = []
+    spec = scaled_spec(default_spec(3, None), 0.05)
+    _drive_steps(monkeypatch, spec, cold=False, pressure_tol=1e-6, solves=solves)
+    starts = [q0 is not None for _, q0, _ in solves]
+    single = [warm and p.iterations == 1 for warm, (_, _, p) in zip(starts, solves)]
+    assert not starts[0] and all(starts[1:])
+    assert any(single[:-1])
+
+
+def test_the_extrapolated_starts_pair_solves_by_stored_time(monkeypatch):
+    # dt = 0.05 is not a binary fraction: t_3 - dt is not t_2, so a start
+    # that looked its solves up by t - dt would never find them. Solve 2m
+    # is the first stage at t_m, 2m + 1 the predictor at t_{m+1}; from the
+    # fourth step on both starts use their full history
+    solves = []
+    spec = scaled_spec(default_spec(3, None), 0.05)
+    _drive_steps(monkeypatch, spec, cold=False, solves=solves)
+    times = [t for t, _, _ in solves[::2]]
+    assert times[3] - 0.05 != times[2]
+    first = [p.potential for _, _, p in solves[::2]]
+    star = [None] + [p.potential for _, _, p in solves[1::2]]
+    for m in range(3, 6):
+        t, q0, _ = solves[2 * m]
+        offset = 2.0 * (first[m - 1] - star[m - 1]) - (first[m - 2] - star[m - 2])
+        want = star[m] + offset
+        assert np.abs(q0 - want).max() <= 1e-14 * np.abs(want).max()
+        t, q0, _ = solves[2 * m + 1]
+        cubic = 4.0 * first[m] - 6.0 * first[m - 1] + 4.0 * first[m - 2] - first[m - 3]
+        assert np.abs(q0 - cubic).max() <= 1e-14 * np.abs(cubic).max()
+
+
+def test_a_fresh_stepper_on_a_mid_run_state_agrees_with_the_run():
+    # a fresh stepper starts cold and rebuilds its history; the run it
+    # continues differs from the uninterrupted one by the tolerance only
+    grid = Grid((16, 16, 16), (16.0, 2 * np.pi, 2 * np.pi))
+    state = build_flow_state(grid, scaled_spec(default_spec(3, None), 0.05))
+
+    def advance(stepper, state, steps):
+        for _ in range(steps):
+            state = stepper.step(state, stepper.force(state))
+        return state
+
+    stepper = LagrangianStepper(grid, 0.05)
+    mid = advance(stepper, state, 5)
+    whole = advance(stepper, mid, 5)
+    resumed = advance(LagrangianStepper(grid, 0.05), mid, 5)
+    assert resumed.t == whole.t
+    for got, want in ((resumed.Y, whole.Y), (resumed.Yt, whole.Yt)):
+        assert np.abs(got.band - want.band).max() <= 1e-10 * np.abs(want.band).max()
 
 
 def test_equilibrium_preserved_many_steps():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from lagmhd import runner
 from lagmhd.energy import EnergyEvaluator
 from lagmhd.grid import Grid
 from lagmhd.initial_data import _shear_profile, build_flow_state, default_spec
@@ -34,7 +35,8 @@ def test_build_flow_state_transform_count(monkeypatch):
     # Y0 = (c, s a, 0) at scale s: the a-shear and the projected velocity are
     # linear in the scale, so a build transforms them once (a: 1 forward, its
     # gradient 3 inverse; the velocity 3 + 3); each assembly transforms c (1)
-    # and its gradient (3), and Y1 (3)
+    # and its gradient (3), and Y1 (3). The data check reads the gradient of
+    # Y0 that the last assembly formed, so a checked build takes no more
     grid = Grid((16, 16, 16), (64.0, 2 * np.pi, 2 * np.pi))
     components = {"rfft": 0, "irfft": 0}
     assemblies = []
@@ -58,3 +60,6 @@ def test_build_flow_state_transform_count(monkeypatch):
     n = len(assemblies)
     assert n == 4  # the scale at 1, then three rescaled assemblies
     assert components == {"rfft": 4 + 4 * n, "irfft": 6 + 3 * n}
+    runner._checked_data(grid, default_spec(3, 1e-4))
+    assert len(assemblies) == 2 * n
+    assert components == {"rfft": 2 * (4 + 4 * n), "irfft": 2 * (6 + 3 * n)}
