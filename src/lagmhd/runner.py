@@ -460,6 +460,9 @@ def compare_formulations(config: RunConfig) -> CompareReport:
     for _ in range(n_steps):
         flow = lstep.step(flow)
         euler = estep.step(euler)
+    # the steppers' workspaces are dead now: free them for the pushforward
+    # evaluation, whose chunks set the peak memory of a compare
+    del lstep, estep
 
     stride = tuple(max(1, n // 8) for n in grid.sizes)
     sel = tuple(slice(None, None, st) for st in stride)

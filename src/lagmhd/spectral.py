@@ -34,10 +34,12 @@ def gradient_values(band, grid: Grid, out=None, work=None):
     return grid.irfft(buf, out=out, pad=pad)
 
 
-def _k_contract(spec, symbols, out=None):
-    """sum_j symbols[j] * spec[j] over the leading axis, with one temporary."""
+def _k_contract(spec, symbols, out=None, tmp=None):
+    """sum_j symbols[j] * spec[j] over the leading axis, with one temporary
+    (``tmp`` when given)."""
     out = np.multiply(symbols[0], spec[0], out=out)
-    tmp = np.empty_like(out)
+    if tmp is None:
+        tmp = np.empty_like(out)
     for j in range(1, len(symbols)):
         out += np.multiply(symbols[j], spec[j], out=tmp)
     return out
@@ -65,12 +67,17 @@ def weighted_norm_sq(spec, weight, grid: Grid) -> float:
 
 def riesz_apply_spec(spec, grid: Grid, out=None):
     """Riesz projector k (k . c) / |k|^2 on spectral coefficients, 0 on the
-    mean mode: identity on gradients, zero on divergence-free fields."""
+    mean mode: identity on gradients, zero on divergence-free fields.
+
+    A given ``out``, which must not share memory with spec, also holds the
+    intermediates, so the call then allocates no band.
+    """
     k = grid.k_axes
-    kv = _k_contract(spec, k)
-    kv *= grid.inv_k2
     if out is None:
         out = np.empty((grid.dim,) + grid.band_shape, dtype=complex)
+    # k . c lives in the last row of out until that row is written last
+    kv = _k_contract(spec, k, out=out[-1], tmp=out[0])
+    kv *= grid.inv_k2
     for i in range(grid.dim):
         np.multiply(k[i], kv, out=out[i])
     return out
