@@ -1,10 +1,14 @@
-"""Trajectory integrals of a transversal magnetic field over the seed plane.
+"""Integrals of a field along the trajectories of a transversal b0 from the seed plane.
 
 A field f is admissible for b0 on the plane {x1 = 0} when the integral of f
 along every b0-trajectory seeded there vanishes. The integral over all of
 time is truncated at slab exit: outside the support slab [-K, K] the
 integrand is zero by hypothesis, and b0 = e1 carries trajectories straight
 out, so both branches terminate in finite time whenever b0^1 >= 1/2.
+
+``check_admissible`` is the one entry point: it integrates the trajectories
+of all seeds as one batch (RK4 from ``geometry``, both branches) and takes
+the integrals by Simpson's rule over the time axis.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from scipy.integrate import simpson
 
 from .errors import NonTransversalError
 from .fields import VectorField
-from .geometry import make_trig_evaluator
+from .geometry import _rk4_batch, make_trig_evaluator
 
 
 def as_field_function(b0):
@@ -34,37 +38,13 @@ def as_field_function(b0):
     raise TypeError("expected a VectorField or a callable field")
 
 
-@dataclass
-class Trajectory:
-    """One b0-trajectory through a seed on the plane, sampled uniformly in time."""
-
-    seed: np.ndarray
-    times: np.ndarray  # ascending, uniform, containing 0
-    positions: np.ndarray  # (ntimes, d)
-    slab_halfwidth: float
-    margin: float
-    exited_forward: bool
-    exited_backward: bool
-
-
-def _rk4_batch(fn, z, dt, nsteps, record):
-    """Fixed-step RK4 on a batch of positions; records every state."""
-    out = np.empty((nsteps + 1,) + z.shape) if record else None
-    if record:
-        out[0] = z
-    for i in range(nsteps):
-        k1 = fn(z)
-        k2 = fn(z + 0.5 * dt * k1)
-        k3 = fn(z + 0.5 * dt * k2)
-        k4 = fn(z + dt * k3)
-        z = z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if record:
-            out[i + 1] = z
-    return z, out
-
-
 def _integrate_batch(fn, seeds, dt_ode, slab_halfwidth, margin):
-    """Forward and backward branches for a batch of seeds, concatenated in time."""
+    """Forward and backward branches for a batch of seeds, concatenated in time.
+
+    Returns the uniform times, ascending and containing 0, and the positions,
+    shape (times, seeds, d). Raises NonTransversalError unless every branch
+    has left the slab.
+    """
     reach = slab_halfwidth + margin
     # speed along x1 is at least 1/2 inside the slab and 1 outside
     nsteps = int(np.ceil(2.0 * reach / dt_ode)) + 2
@@ -87,44 +67,7 @@ def _integrate_batch(fn, seeds, dt_ode, slab_halfwidth, margin):
         [-dt_ode * np.arange(nsteps, 0, -1), dt_ode * np.arange(nsteps + 1)]
     )
     positions = np.concatenate([bwd[:0:-1], fwd], axis=0)  # (2*nsteps+1, M, d)
-    return times, positions, exited_f, exited_b
-
-
-def integrate_trajectory(
-    b0,
-    y,
-    dt_ode: float,
-    slab_halfwidth: float,
-    margin: float = None,
-) -> Trajectory:
-    """Integrate dX/dt = b0(X) from X(0) = y until both branches leave the slab."""
-    fn, _ = as_field_function(b0)
-    y = np.asarray(y, dtype=float)
-    if margin is None:
-        margin = 4.0 * dt_ode
-    times, positions, ef, eb = _integrate_batch(
-        fn, y[None, :], dt_ode, slab_halfwidth, margin
-    )
-    return Trajectory(
-        seed=y,
-        times=times,
-        positions=positions[:, 0, :],
-        slab_halfwidth=slab_halfwidth,
-        margin=margin,
-        exited_forward=bool(ef[0]),
-        exited_backward=bool(eb[0]),
-    )
-
-
-def admissibility_integral(f, traj: Trajectory) -> np.ndarray:
-    """Componentwise integral of f along the trajectory, truncated at slab exit.
-
-    Requires f compactly supported in x1 within the slab; the truncation is
-    then exact rather than an approximation of the integral over all time.
-    """
-    fn, _ = as_field_function(f)
-    vals = fn(traj.positions)  # (ntimes, d)
-    return _slab_integral(vals, traj.positions, traj.times, traj.slab_halfwidth)[0]
+    return times, positions
 
 
 def _slab_integral(vals, positions, times, slab_halfwidth):
@@ -212,7 +155,7 @@ def check_admissible(
 
     plane_seeds = np.zeros((seeds.shape[0], dim))
     plane_seeds[:, 1:] = seeds
-    times, positions, _, _ = _integrate_batch(
+    times, positions = _integrate_batch(
         fn, plane_seeds, dt_ode, slab_halfwidth, margin
     )
     npts, m, _ = positions.shape

@@ -62,45 +62,30 @@ def _cmd_oracle(args) -> int:
 
 
 def _analytic_b0(case: str, amp: float, halfwidth: float):
-    """e1 plus a curl field with compactly supported stream profile chi(x1)."""
-
-    def bump(x):
-        s = np.zeros_like(x)
-        inside = np.abs(x) < halfwidth
-        xi = x[inside] / halfwidth
-        s[inside] = np.exp(-1.0 / (1.0 - xi * xi))
-        return s
-
-    if case == "uniform":
-        chi = lambda x: np.zeros_like(x)  # noqa: E731
-    elif case == "zero-mean":
-        chi = lambda x: amp * (x / halfwidth) * bump(x)  # noqa: E731
-    elif case == "nonzero-mean":
-        chi = lambda x: amp * bump(x)  # noqa: E731
-    else:
+    """e1 plus curl(0, 0, psi), psi = chi(x1) sin(x2), with a compactly
+    supported profile chi built from the bump exp(-1 / (1 - (x1/halfwidth)^2))."""
+    if case not in ("uniform", "zero-mean", "nonzero-mean"):
         raise ValueError(f"unknown case '{case}'")
 
     def b0(pts):
         pts = np.atleast_2d(pts)
-        out = np.zeros_like(pts)
-        out[:, 0] = 1.0 + chi(pts[:, 0]) * np.cos(pts[:, 1])  # d2 psi
-        # -d1 psi term, via centered difference of chi would lose accuracy;
-        # use the analytic derivative of the bump profile
         x = pts[:, 0]
         inside = np.abs(x) < halfwidth
-        xi = np.zeros_like(x)
-        xi[inside] = x[inside] / halfwidth
-        core = np.zeros_like(x)
-        core[inside] = np.exp(-1.0 / (1.0 - xi[inside] ** 2))
-        dcore = np.zeros_like(x)
-        dcore[inside] = core[inside] * (-2.0 * xi[inside] / (1.0 - xi[inside] ** 2) ** 2) / halfwidth
+        xi = x[inside] / halfwidth
+        core, dcore = np.zeros_like(x), np.zeros_like(x)
+        core[inside] = np.exp(-1.0 / (1.0 - xi * xi))
+        # the analytic derivative: a centered difference of chi would lose accuracy
+        dcore[inside] = core[inside] * (-2.0 * xi / (1.0 - xi * xi) ** 2) / halfwidth
         if case == "zero-mean":
+            chi = amp * (x / halfwidth) * core
             dchi = amp * (core / halfwidth + (x / halfwidth) * dcore)
         elif case == "nonzero-mean":
-            dchi = amp * dcore
+            chi, dchi = amp * core, amp * dcore
         else:
-            dchi = np.zeros_like(x)
-        out[:, 1] = -dchi * np.sin(pts[:, 1])
+            chi = dchi = np.zeros_like(x)
+        out = np.zeros_like(pts)
+        out[:, 0] = 1.0 + chi * np.cos(pts[:, 1])  # d2 psi
+        out[:, 1] = -dchi * np.sin(pts[:, 1])  # -d1 psi
         return out
 
     return b0

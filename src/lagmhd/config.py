@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -83,69 +83,57 @@ class RunConfig:
 
 _REQUIRED = ("dimension", "sizes", "dt", "t_end")
 
-_INT_KEYS = {"dimension", "pressure_max_iter"}
-_FLOAT_KEYS = {
-    "dt",
-    "t_end",
-    "cadence",
-    "epsilon0",
-    "pressure_tol",
-    "t_compare",
+
+def _tuple_of(kind):
+    """Parser of a comma-separated tuple of kind."""
+    return lambda text: tuple(kind(b) for b in text.split(",") if b.strip())
+
+
+# Every key, in RunConfig field order: the parser of its text, or the mode
+# type of a mode list.
+KEYS = {
+    "dimension": int,
+    "sizes": _tuple_of(int),
+    "lengths": _tuple_of(float),
+    "dt": float,
+    "t_end": float,
+    "cadence": float,
+    "solver": str,
+    "epsilon0": float,
+    "pressure_tol": float,
+    "pressure_max_iter": int,
+    "y0_modes_a": ShearMode,
+    "y0_modes_c": ShearMode,
+    "y1_modes": VelocityMode,
+    "checkpoint_in": str,
+    "output_dir": str,
+    "t_compare": float,
+    "fit_window": _tuple_of(float),
 }
-_STR_KEYS = {"solver", "checkpoint_in", "output_dir"}
-_TUPLE_FLOAT_KEYS = {"lengths", "fit_window"}
-_TUPLE_INT_KEYS = {"sizes"}
-_MODE_KEYS = {"y0_modes_a", "y0_modes_c", "y1_modes"}
-
-KNOWN_KEYS = (
-    _INT_KEYS
-    | _FLOAT_KEYS
-    | _STR_KEYS
-    | _TUPLE_FLOAT_KEYS
-    | _TUPLE_INT_KEYS
-    | _MODE_KEYS
-)
+_MODES = (ShearMode, VelocityMode)
 
 
-def _parse_shear_modes(value: str, line: int, dim: int):
+def _parse_modes(mode, value: str, line: int, dim: int):
+    """';'-separated modes: the indices n (d - 1 for a shear mode, d for a
+    velocity mode), a velocity mode's axis, then amp and phase."""
+    has_axis = mode is VelocityMode
+    nn = dim - 1 + has_axis
+    what = "velocity" if has_axis else "shear"
     modes = []
     for part in value.split(";"):
         part = part.strip()
         if not part:
             continue
         bits = [b.strip() for b in part.split(",")]
-        nn = dim - 1  # profile indices per shear mode
-        if len(bits) != nn + 2:
-            raise ConfigError(
-                f"shear mode '{part}' needs {nn} indices, amp, phase", line
-            )
+        if len(bits) != nn + has_axis + 2:
+            needs = f"{nn} indices{', axis' * has_axis}, amp, phase"
+            raise ConfigError(f"{what} mode '{part}' needs {needs}", line)
         try:
-            n = tuple(int(b) for b in bits[:nn])
-            amp, phase = float(bits[nn]), float(bits[nn + 1])
+            ints = tuple(int(b) for b in bits[: nn + has_axis])
+            amp, phase = float(bits[-2]), float(bits[-1])
         except ValueError as exc:
-            raise ConfigError(f"malformed shear mode '{part}': {exc}", line) from exc
-        modes.append(ShearMode(n, amp, phase))
-    return tuple(modes)
-
-
-def _parse_velocity_modes(value: str, line: int, dim: int):
-    modes = []
-    for part in value.split(";"):
-        part = part.strip()
-        if not part:
-            continue
-        bits = [b.strip() for b in part.split(",")]
-        if len(bits) != dim + 3:
-            raise ConfigError(
-                f"velocity mode '{part}' needs {dim} indices, axis, amp, phase", line
-            )
-        try:
-            n = tuple(int(b) for b in bits[:dim])
-            axis = int(bits[dim])
-            amp, phase = float(bits[dim + 1]), float(bits[dim + 2])
-        except ValueError as exc:
-            raise ConfigError(f"malformed velocity mode '{part}': {exc}", line) from exc
-        modes.append(VelocityMode(n, axis, amp, phase))
+            raise ConfigError(f"malformed {what} mode '{part}': {exc}", line) from exc
+        modes.append(mode(ints[:nn], *ints[nn:], amp, phase))
     return tuple(modes)
 
 
@@ -160,7 +148,7 @@ def parse_config(text: str) -> RunConfig:
         if "=" not in stripped:
             raise ConfigError(f"expected key=value, got '{stripped}'", lineno)
         key, value = (s.strip() for s in stripped.split("=", 1))
-        if key not in KNOWN_KEYS:
+        if key not in KEYS:
             raise ConfigError(f"unknown key '{key}'", lineno)
         if key in raw:
             raise ConfigError(f"duplicate key '{key}'", lineno)
@@ -177,21 +165,12 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError("dimension must be an integer", raw_lines["dimension"]) from exc
     for key, value in raw.items():
         line = raw_lines[key]
+        parse = KEYS[key]
         try:
-            if key in _INT_KEYS:
-                kwargs[key] = int(value)
-            elif key in _FLOAT_KEYS:
-                kwargs[key] = float(value)
-            elif key in _STR_KEYS:
-                kwargs[key] = value
-            elif key in _TUPLE_INT_KEYS:
-                kwargs[key] = tuple(int(b) for b in value.split(",") if b.strip())
-            elif key in _TUPLE_FLOAT_KEYS:
-                kwargs[key] = tuple(float(b) for b in value.split(",") if b.strip())
-            elif key == "y1_modes":
-                kwargs[key] = _parse_velocity_modes(value, line, dim)
-            elif key in _MODE_KEYS:
-                kwargs[key] = _parse_shear_modes(value, line, dim)
+            if parse in _MODES:
+                kwargs[key] = _parse_modes(parse, value, line, dim)
+            else:
+                kwargs[key] = parse(value)
         except ConfigError:
             raise
         except ValueError as exc:
@@ -204,35 +183,27 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(str(exc)) from exc
 
 
-def _dump_mode(mode) -> str:
-    """n, then the axis of a VelocityMode, then amp and phase, comma-separated."""
-    n = ",".join(str(i) for i in mode.n)
-    axis = f",{mode.axis}" if isinstance(mode, VelocityMode) else ""
-    return f"{n}{axis},{mode.amp:.17g},{mode.phase:.17g}"
+def _format(value) -> str:
+    """.17g for a float, comma-joined entries for a tuple."""
+    if isinstance(value, tuple):
+        return ",".join(_format(x) for x in value)
+    return f"{value:.17g}" if isinstance(value, float) else str(value)
 
 
 def dump_config(config: RunConfig) -> str:
-    """Serialize a config so that parse_config(dump_config(c)) round-trips."""
+    """Serialize a config so that parse_config(dump_config(c)) round-trips.
+
+    A mode is n, then a velocity mode's axis, then amp and phase; modes are
+    joined by "; ". Keys left None and an empty checkpoint_in are omitted.
+    """
     out = []
-    out.append(f"dimension = {config.dimension}")
-    out.append("sizes = " + ",".join(str(n) for n in config.sizes))
-    out.append("lengths = " + ",".join(f"{x:.17g}" for x in config.lengths))
-    out.append(f"dt = {config.dt:.17g}")
-    out.append(f"t_end = {config.t_end:.17g}")
-    out.append(f"cadence = {config.cadence:.17g}")
-    out.append(f"solver = {config.solver}")
-    out.append(f"epsilon0 = {config.epsilon0:.17g}")
-    out.append(f"pressure_tol = {config.pressure_tol:.17g}")
-    out.append(f"pressure_max_iter = {config.pressure_max_iter}")
-    for key in ("y0_modes_a", "y0_modes_c", "y1_modes"):
-        modes = getattr(config, key)
-        if modes is not None:
-            out.append(f"{key} = " + "; ".join(_dump_mode(m) for m in modes))
-    if config.checkpoint_in:
-        out.append(f"checkpoint_in = {config.checkpoint_in}")
-    out.append(f"output_dir = {config.output_dir}")
-    out.append(f"t_compare = {config.t_compare:.17g}")
-    out.append(
-        "fit_window = " + ",".join(f"{x:.17g}" for x in config.fit_window)
-    )
+    for key, parse in KEYS.items():
+        value = getattr(config, key)
+        if value is None or (key == "checkpoint_in" and not value):
+            continue
+        if parse in _MODES:
+            text = "; ".join(_format(m.n + astuple(m)[1:]) for m in value)
+        else:
+            text = _format(value)
+        out.append(f"{key} = {text}")
     return "\n".join(out) + "\n"

@@ -9,8 +9,11 @@ against five per-mode spectra, and every term is a fixed coefficient times a
 power of (t+1) times one entry of that table.
 
 The ledger re-checks the differential inequality along computed trajectories
-from stored samples: the time derivative comes from centered differences,
-never from re-derived algebra, so it audits the run rather than the arithmetic.
+from per-sample sequences of the stored values (times, corrected energy,
+dissipative terms, forcing pairings): the time derivative comes from centered
+differences, never from re-derived algebra, so it audits the run rather than
+the arithmetic. One running trapezoid integrates the sampled series in time:
+the dissipation of script_E and the sup-norm of the velocity gradient.
 """
 
 from __future__ import annotations
@@ -276,23 +279,6 @@ def forcing_pairings(ev: EnergyEvaluator, state: FlowState, f_band, table=None) 
 
 
 @dataclass
-class LedgerSample:
-    """One stored time slice of everything the inequality audit needs."""
-
-    t: float
-    corrected: float
-    dissipation_terms: tuple
-    rhs1: float
-    rhs2: float
-    energy_total: float
-    dissipation_total: float
-
-    @property
-    def rhs_total(self) -> float:
-        return self.rhs1 + self.rhs2
-
-
-@dataclass
 class LedgerRecord:
     """Inequality check at one interior sample: lhs <= rhs within the band."""
 
@@ -304,51 +290,45 @@ class LedgerRecord:
     slack: float
 
 
-def ledger_check(samples, band_factor: float = 10.0):
+def ledger_check(times, corrected, dissipation, rhs, band_factor: float = 10.0):
     """Centered-difference audit of the dissipation inequality.
 
+    The arguments are per-sample sequences: the sample times, the corrected
+    energy, the five dissipative terms and the forcing pairings rhs1 + rhs2.
     The tolerance band is band_factor * cadence^2 * (global scale of the
     corrected energy), matching the O(cadence^2) truncation of the derivative.
     """
-    if len(samples) < 3:
+    if len(times) < 3:
         raise ValueError("ledger needs at least 3 uniformly spaced samples")
-    times = np.array([s.t for s in samples])
+    times = np.asarray(times, dtype=float)
     steps = np.diff(times)
     if np.abs(steps - steps[0]).max() > 1e-9 * max(steps[0], 1e-300):
         raise ValueError("ledger samples are not uniformly spaced")
     dt = steps[0]
-    corrected = np.array([s.corrected for s in samples])
+    corrected = np.asarray(corrected, dtype=float)
     scale = np.abs(corrected).max()
     band = band_factor * dt * dt * scale
     records = []
-    for i in range(1, len(samples) - 1):
+    for i in range(1, len(times) - 1):
         d_corr = (corrected[i + 1] - corrected[i - 1]) / (2.0 * dt)
-        lhs = d_corr + sum(samples[i].dissipation_terms)
-        rhs = samples[i].rhs_total
+        lhs = d_corr + sum(dissipation[i])
         records.append(
             LedgerRecord(
-                t=samples[i].t,
+                t=times[i],
                 lhs=lhs,
-                rhs=rhs,
+                rhs=rhs[i],
                 band=band,
-                passed=bool(lhs <= rhs + band),
-                slack=rhs + band - lhs,
+                passed=bool(lhs <= rhs[i] + band),
+                slack=rhs[i] + band - lhs,
             )
         )
     return records
 
 
-def integrated_rhs(samples) -> float:
-    """Trapezoid time integral of the forcing pairings (global-bound budget)."""
-    times = np.array([s.t for s in samples])
-    vals = np.array([s.rhs_total for s in samples])
-    return float(np.trapezoid(vals, times))
-
-
-def grad_u_linf_time_integral(times, sup_values):
-    """Running trapezoid integral of a sampled sup-norm series."""
+def running_trapezoid(times, values):
+    """Trapezoid integral of a sampled series from times[0] to each sample."""
     times = np.asarray(times, dtype=float)
-    vals = np.asarray(sup_values, dtype=float)
+    vals = np.asarray(values, dtype=float)
     if times.shape != vals.shape:
         raise ValueError("times and values must align")
     out = np.zeros_like(vals)
@@ -404,9 +384,10 @@ class ScalingStudy:
 def nonlinear_scaling_study(amplitudes, run_fn) -> ScalingStudy:
     """Fit the exponent of the time-integrated forcing pairings against script-E.
 
-    run_fn(amplitude) must return (script_e, integrated_rhs) from a completed
-    run; aborted runs surface as a RuntimeError naming the amplitude. Zero
-    amplitudes are excluded from the fit (they contribute nothing).
+    run_fn(amplitude) must return (script_e, time integral of rhs1 + rhs2)
+    from a completed run; aborted runs surface as a RuntimeError naming the
+    amplitude. Zero amplitudes are excluded from the fit (they contribute
+    nothing).
     """
     amps = [float(a) for a in amplitudes if a != 0.0]
     if len(amps) < 3:

@@ -22,7 +22,7 @@ class NotConvergedError(RuntimeError):
 
 
 class NonTransversalError(RuntimeError):
-    """Trajectory failed to traverse the support slab (field not transversal)."""
+    """A b0-trajectory failed to traverse the support slab (field not transversal)."""
 
 
 class ConstructionFailedError(RuntimeError):

@@ -54,15 +54,6 @@ def characteristic_roots(a, b):
     return lam_plus, lam_minus
 
 
-def dispersion_eigenvalues(k):
-    """Characteristic roots for one wavevector k (any dimension)."""
-    k = np.asarray(k, dtype=float)
-    a = float(np.sum(k * k))
-    b = float(k[0] ** 2)
-    lp, lm = characteristic_roots(a, b)
-    return complex(lp), complex(lm)
-
-
 def _phi_entries(a, b, t, roots=None):
     """Fundamental-solution entries (phi0, phi1, dphi1) of y'' + a y' + b y = 0.
 

@@ -210,6 +210,26 @@ def make_trig_evaluator(field):
     return evaluate
 
 
+def _rk4_batch(fn, z, dt, nsteps, record):
+    """nsteps of fixed-step RK4 for dz/dt = fn(z) on a batch of positions.
+
+    Returns the last state and, with record, all nsteps + 1 states, the
+    first included, stacked along a new leading axis (None without record).
+    """
+    out = np.empty((nsteps + 1,) + z.shape) if record else None
+    if record:
+        out[0] = z
+    for i in range(nsteps):
+        k1 = fn(z)
+        k2 = fn(z + 0.5 * dt * k1)
+        k3 = fn(z + 0.5 * dt * k2)
+        k4 = fn(z + dt * k3)
+        z = z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if record:
+            out[i + 1] = z
+    return z, out
+
+
 # -- initial map from a transversal magnetic field ---------------------------
 
 
@@ -327,14 +347,8 @@ def construct_initial_map(
         z[:, i + 1] = eta[i].ravel()
     x0 = np.empty((grid.dim,) + grid.shape)
     x0[:, 0] = z.T.reshape((grid.dim,) + tuple(tshape))
-    n1 = grid.sizes[0]
-    for j in range(1, n1):
-        for _ in range(substeps):
-            k1 = rhs(z)
-            k2 = rhs(z + 0.5 * hs * k1)
-            k3 = rhs(z + 0.5 * hs * k2)
-            k4 = rhs(z + hs * k3)
-            z = z + (hs / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    for j in range(1, grid.sizes[0]):
+        z, _ = _rk4_batch(rhs, z, hs, substeps, record=False)
         x0[:, j] = z.T.reshape((grid.dim,) + tuple(tshape))
 
     coords = np.stack(np.broadcast_arrays(*grid.coords))

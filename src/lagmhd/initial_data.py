@@ -215,8 +215,9 @@ def euler_from_flow(state: FlowState) -> EulerState:
 
     Inverts x = y + Y0(y) pointwise (``_invert_flow_map``), then samples
     u0 = Y1(y(x)) and b0 = e1 + d1Y0(y(x)). Sampling tails are cleaned up
-    with one Leray projection of u0. b0 is built as a band: only d1Y0 is
-    transformed, and e1 is set on the mean mode of b0^1, exactly as in
+    with one Leray projection each of u0 and d1Y0, so both start divergence
+    free to round-off. b0 is built as a band: only d1Y0 is transformed, and
+    e1 is set on the mean mode of b0^1, exactly as in
     ``EulerState.equilibrium``. Raises NotConvergedError if the inversion
     stalls before |delta| < 1e-13.
     """
@@ -232,9 +233,10 @@ def euler_from_flow(state: FlowState) -> EulerState:
     d1y_eval = make_trig_evaluator(d1y)
     u_vals = y1_eval(y).reshape((grid.dim,) + grid.shape)
     b_vals = d1y_eval(y).reshape((grid.dim,) + grid.shape)
-    u_band = grid.rfft(u_vals)
-    u_band = dealias_spec(u_band - riesz_apply_spec(u_band, grid), grid)
-    b_band = dealias_spec(grid.rfft(b_vals), grid)
+    u_band, b_band = (
+        dealias_spec(s - riesz_apply_spec(s, grid), grid)
+        for s in (grid.rfft(u_vals), grid.rfft(b_vals))
+    )
     b_band[(0,) * (grid.dim + 1)] += 1.0
     return EulerState(
         VectorField.from_band(grid, u_band),

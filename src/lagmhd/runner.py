@@ -11,16 +11,14 @@ from .checkpoint import read_checkpoint, write_checkpoint
 from .config import RunConfig
 from .energy import (
     EnergyEvaluator,
-    LedgerSample,
     corrected_energy,
     dissipation_inequality_terms,
     dissipation_report,
     energy_report,
     fit_decay_rate,
     forcing_pairings,
-    grad_u_linf_time_integral,
-    integrated_rhs,
     ledger_check,
+    running_trapezoid,
 )
 from .errors import ConfigError, InitialDataError
 from .evolution import (
@@ -174,12 +172,8 @@ def _postprocess(samples):
     e_tot = np.array([s.energy_total for s in samples])
     d_tot = np.array([s.dissipation_total for s in samples])
     times = np.array([s.t for s in samples])
-    e_sup = np.maximum.accumulate(e_tot)
-    d_int = np.zeros_like(d_tot)
-    if len(samples) > 1:
-        d_int[1:] = np.cumsum(0.5 * (d_tot[1:] + d_tot[:-1]) * np.diff(times))
-    script_e = e_sup + d_int
-    gul1 = grad_u_linf_time_integral(times, [s.grad_u_sup for s in samples])
+    script_e = np.maximum.accumulate(e_tot) + running_trapezoid(times, d_tot)
+    gul1 = running_trapezoid(times, [s.grad_u_sup for s in samples])
     for s, se, g in zip(samples, script_e, gul1):
         s.script_e = float(se)
         s.grad_u_l1t = float(g)
@@ -187,24 +181,15 @@ def _postprocess(samples):
         return [], NAN
     if len(samples) < 3:
         return [], 0.0
-    ledger_samples = [
-        LedgerSample(
-            t=s.t,
-            corrected=s.corrected,
-            dissipation_terms=s.diss_terms,
-            rhs1=s.rhs1,
-            rhs2=s.rhs2,
-            energy_total=s.energy_total,
-            dissipation_total=s.dissipation_total,
-        )
-        for s in samples
-    ]
-    records = ledger_check(ledger_samples)
+    rhs = [s.rhs1 + s.rhs2 for s in samples]
+    records = ledger_check(
+        times, [s.corrected for s in samples], [s.diss_terms for s in samples], rhs
+    )
     for s, r in zip(samples[1:-1], records):
         s.ledger_lhs = r.lhs
         s.ledger_rhs = r.rhs
         s.ledger_pass = float(r.passed)
-    return records, integrated_rhs(ledger_samples)
+    return records, float(np.trapezoid(rhs, times))
 
 
 def write_diagnostics(path, samples) -> None:

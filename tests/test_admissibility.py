@@ -2,11 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from lagmhd.admissibility import (
-    admissibility_integral,
-    check_admissible,
-    integrate_trajectory,
-)
+from lagmhd.admissibility import _integrate_batch, check_admissible
 from lagmhd.errors import NonTransversalError
 
 K = np.pi
@@ -73,21 +69,23 @@ SEEDS = np.stack(
 
 
 def test_uniform_field_gives_straight_lines():
-    traj = integrate_trajectory(uniform_b0, np.array([0.0, 1.0, 2.0]), 0.05, K)
-    expect = np.zeros_like(traj.positions)
-    expect[:, 0] = traj.times
+    seed = np.array([0.0, 1.0, 2.0])
+    times, positions = _integrate_batch(uniform_b0, [seed], 0.05, K, 0.2)
+    traj = positions[:, 0]
+    expect = np.zeros_like(traj)
+    expect[:, 0] = times
     expect[:, 1] = 1.0
     expect[:, 2] = 2.0
-    assert np.abs(traj.positions - expect).max() < 1e-13
-    assert traj.exited_forward and traj.exited_backward
-    i0 = np.argmin(np.abs(traj.times))
-    assert np.abs(traj.positions[i0] - traj.seed).max() == 0.0
+    assert np.abs(traj - expect).max() < 1e-13
+    assert traj[0, 0] < -K and traj[-1, 0] > K  # both branches left the slab
+    i0 = np.argmin(np.abs(times))
+    assert np.abs(traj[i0] - seed).max() == 0.0
 
 
 def test_trajectory_step_continuity():
     b0 = curl_field(0.2, zero_mean=True)
-    traj = integrate_trajectory(b0, np.array([0.0, 0.7, 0.1]), 0.02, K)
-    steps = np.abs(np.diff(traj.positions, axis=0)).max(axis=1)
+    _, positions = _integrate_batch(b0, [[0.0, 0.7, 0.1]], 0.02, K, 0.08)
+    steps = np.abs(np.diff(positions[:, 0], axis=0)).max(axis=1)
     bmax = 1.3  # |b0| bound for this amplitude
     assert steps.max() <= 2.0 * bmax * 0.02
 
@@ -98,10 +96,10 @@ def test_trajectory_self_convergence_fourth_order():
     t_common = 4.0  # past slab exit for every step size below
     ends = []
     for dt in (0.1, 0.05, 0.025):
-        traj = integrate_trajectory(b0, seed, dt, K, margin=0.8)
-        idx = int(np.argmin(np.abs(traj.times - t_common)))
-        assert abs(traj.times[idx] - t_common) < 1e-12
-        ends.append(traj.positions[idx])
+        times, positions = _integrate_batch(b0, [seed], dt, K, 0.8)
+        idx = int(np.argmin(np.abs(times - t_common)))
+        assert abs(times[idx] - t_common) < 1e-12
+        ends.append(positions[idx, 0])
     e1 = np.abs(ends[0] - ends[2]).max()
     e2 = np.abs(ends[1] - ends[2]).max()
     # Richardson against the finest level: at least 16x per halving (the flat
@@ -113,9 +111,9 @@ def test_trajectory_self_convergence_fourth_order():
 def test_time_reversal_returns_to_seed():
     b0 = curl_field(0.1, zero_mean=False)
     seed = np.array([0.0, 1.3, 2.2])
-    traj = integrate_trajectory(b0, seed, 0.01, K)
-    end = traj.positions[-1]
-    nsteps = int(round(traj.times[-1] / 0.01))
+    times, positions = _integrate_batch(b0, [seed], 0.01, K, 0.04)
+    end = positions[-1, 0]
+    nsteps = int(round(times[-1] / 0.01))
 
     def back(pts):
         return -b0(pts)
@@ -139,19 +137,18 @@ def test_trapped_trajectory_raises():
         return out
 
     with pytest.raises(NonTransversalError):
-        integrate_trajectory(stalled, np.array([0.0, 0.0, 0.0]), 0.05, K)
+        _integrate_batch(stalled, [[0.0, 0.0, 0.0]], 0.05, K, 0.2)
 
 
 # -- integrals ------------------------------------------------------------------
 
 
 def test_integral_zero_field():
-    traj = integrate_trajectory(uniform_b0, np.array([0.0, 0.5, 0.5]), 0.05, K)
-
     def zero(pts):
         return np.zeros_like(np.atleast_2d(pts))
 
-    assert np.abs(admissibility_integral(zero, traj)).max() == 0.0
+    report = check_admissible(uniform_b0, K, 1e-6, [[0.5, 0.5]], 0.05, test_field=zero)
+    assert np.abs(report.integrals).max() == 0.0
 
 
 def test_integral_reduces_to_line_quadrature_for_uniform_b0():
@@ -169,8 +166,8 @@ def test_integral_reduces_to_line_quadrature_for_uniform_b0():
         return out
 
     seed = np.array([0.0, 0.8, 1.9])
-    traj = integrate_trajectory(uniform_b0, seed, 0.01, K)
-    got = admissibility_integral(f, traj)
+    got = check_admissible(uniform_b0, K, 1e-6, [seed[1:]], 0.01, test_field=f)
+    got = got.integrals[0]
     line = quad(g, -K, K, epsabs=1e-13)[0]
     assert abs(got[1] - line * h(seed[1], seed[2])) < 1e-10
     assert abs(got[0]) < 1e-14
@@ -184,19 +181,18 @@ def test_integral_reduces_to_line_quadrature_for_uniform_b0():
         out[:, 1] = g_pos(pts[:, 0]) * h(pts[:, 1], pts[:, 2])
         return out
 
-    got_pos = admissibility_integral(f_pos, traj)
+    got_pos = check_admissible(uniform_b0, K, 1e-6, [seed[1:]], 0.01, test_field=f_pos)
+    got_pos = got_pos.integrals[0]
     line_pos = quad(g_pos, -K, K, epsabs=1e-13)[0]
     assert got_pos[1] == pytest.approx(line_pos * h(seed[1], seed[2]), rel=1e-9)
 
 
 def test_integral_rejects_unsupported_field():
-    traj = integrate_trajectory(uniform_b0, np.array([0.0, 0.0, 0.0]), 0.05, K)
-
     def everywhere(pts):
         return np.ones_like(np.atleast_2d(pts))
 
     with pytest.raises(ValueError, match="not supported"):
-        admissibility_integral(everywhere, traj)
+        check_admissible(uniform_b0, K, 1e-6, [[0.0, 0.0]], 0.05, test_field=everywhere)
 
 
 # -- verdicts -------------------------------------------------------------------

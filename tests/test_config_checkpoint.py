@@ -1,14 +1,16 @@
 import struct
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from lagmhd.checkpoint import read_checkpoint, write_checkpoint
-from lagmhd.config import dump_config, parse_config
+from lagmhd.config import KEYS, RunConfig, dump_config, parse_config
 from lagmhd.errors import CheckpointFormatError, ConfigError
 from lagmhd.evolution import EulerState
 from lagmhd.geometry import FlowState
 from lagmhd.grid import Grid
+from lagmhd.initial_data import VelocityMode, default_spec, scaled_spec
 
 from conftest import random_band_limited
 
@@ -79,6 +81,53 @@ def test_dump_parse_round_trip():
     cfg2 = parse_config(dumped)
     assert dump_config(cfg2) == dumped
     assert cfg2 == cfg
+
+
+def test_config_table_lists_every_field_in_order():
+    # a RunConfig field without a parser in the table fails here
+    assert list(KEYS) == [f.name for f in fields(RunConfig)]
+
+
+def _modes(spec):
+    return dict(y0_modes_a=spec.shear_a, y0_modes_c=spec.shear_c, y1_modes=spec.velocity)
+
+
+TWO_PI = 2 * np.pi
+WORKLOAD_CONFIGS = {
+    "slab3d": RunConfig(
+        dimension=3, sizes=(32, 32, 32), lengths=(64.0, TWO_PI, TWO_PI), dt=0.05,
+        cadence=0.25, **_modes(default_spec(3, 1e-4)), output_dir="out",
+    ),
+    "strong3d": RunConfig(
+        dimension=3, sizes=(32, 32, 32), lengths=(16.0, TWO_PI, TWO_PI), dt=0.05,
+        cadence=0.25, epsilon0=36.4,
+        **_modes(scaled_spec(default_spec(3, None), 0.05)), output_dir="out",
+    ),
+    "plane2d": RunConfig(
+        dimension=2, sizes=(128, 128), lengths=(64.0, TWO_PI), dt=0.05, t_end=5.0,
+        cadence=0.05, **_modes(default_spec(2, 1e-4)), output_dir="out",
+    ),
+    "compare16": RunConfig(
+        dimension=3, sizes=(16, 16, 16), dt=0.025, cadence=0.025, solver="both",
+        y0_modes_a=(), y0_modes_c=(),
+        y1_modes=(
+            VelocityMode((1, 1, 0), axis=2, amp=1.0, phase=0.3),
+            VelocityMode((0, 1, 1), axis=0, amp=0.7, phase=1.1),
+        ),
+        output_dir="out",
+    ),
+}
+
+
+@pytest.mark.parametrize("checkpoint_in", ["", "first/state_final.ckpt"])
+@pytest.mark.parametrize("name", list(WORKLOAD_CONFIGS))
+def test_workload_configs_round_trip(name, checkpoint_in):
+    cfg = replace(WORKLOAD_CONFIGS[name], checkpoint_in=checkpoint_in)
+    text = dump_config(cfg)
+    back = parse_config(text)
+    assert dump_config(back) == text
+    assert back == cfg  # empty mode lists come back as (), not as None
+    assert ("checkpoint_in" in text) == bool(checkpoint_in)
 
 
 @pytest.mark.parametrize("key", ["seed", "script_e_cap", "dealias"])

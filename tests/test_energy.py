@@ -6,7 +6,6 @@ from lagmhd.energy import (
     DISSIPATION_COEFFS,
     LOWER_BOUND_COEFFS,
     EnergyEvaluator,
-    LedgerSample,
     check_lower_bound,
     corrected_energy,
     dissipation_inequality_terms,
@@ -14,16 +13,17 @@ from lagmhd.energy import (
     energy_report,
     fit_decay_rate,
     forcing_pairings,
-    grad_u_linf_time_integral,
-    integrated_rhs,
     ledger_check,
     lower_bound_value,
     nonlinear_scaling_study,
+    running_trapezoid,
 )
+from lagmhd.config import RunConfig
 from lagmhd.evolution import LinearPropagator
 from lagmhd.fields import VectorField
 from lagmhd.geometry import FlowState
 from lagmhd.grid import Grid
+from lagmhd.runner import run_simulation
 from lagmhd.spectral import weighted_norm_sq
 
 from conftest import FullSpectrum, mesh, random_band_limited, weighted_inner
@@ -311,37 +311,29 @@ def test_record_sample_builds_one_table_and_no_reductions(monkeypatch):
 # -- ledger ------------------------------------------------------------------
 
 
-def _linear_ledger_samples(grid, ev, state0, cadence, nsamples):
+def _linear_ledger(grid, ev, state0, cadence, nsamples):
+    """ledger_check's per-sample sequences along a forcing-free linear run."""
     prop = LinearPropagator(grid, cadence)
     yh, yth = state0.Y.band.copy(), state0.Yt.band.copy()
-    samples = []
+    times, corrected, dissipation = [], [], []
     t = 0.0
     for _ in range(nsamples):
         st = FlowState(
             VectorField.from_band(grid, yh), VectorField.from_band(grid, yth), t
         )
-        samples.append(
-            LedgerSample(
-                t=t,
-                corrected=corrected_energy(ev, st).total,
-                dissipation_terms=dissipation_inequality_terms(ev, st),
-                rhs1=0.0,
-                rhs2=0.0,
-                energy_total=energy_report(ev, st).total,
-                dissipation_total=dissipation_report(ev, st).total,
-            )
-        )
+        times.append(t)
+        corrected.append(corrected_energy(ev, st).total)
+        dissipation.append(dissipation_inequality_terms(ev, st))
         yh, yth = prop.apply(yh, yth)
         t += cadence
-    return samples
+    return times, corrected, dissipation, [0.0] * nsamples
 
 
 def test_ledger_linear_run_all_pass(ev3, rng):
     grid = ev3.grid
     state0 = random_state(grid, rng, scale=0.01, t=0.0)
     for cadence in (0.2, 0.1):
-        samples = _linear_ledger_samples(grid, ev3, state0, cadence, 41)
-        records = ledger_check(samples)
+        records = ledger_check(*_linear_ledger(grid, ev3, state0, cadence, 41))
         assert all(r.passed for r in records)
         # the forcing-free inequality is strict: lhs stays below the band
         assert max(r.lhs for r in records) <= records[0].band
@@ -352,21 +344,20 @@ def test_ledger_band_shrinks_with_cadence(ev3, rng):
     state0 = random_state(grid, rng, scale=0.01, t=0.0)
     bands = []
     for cadence in (0.2, 0.1):
-        samples = _linear_ledger_samples(grid, ev3, state0, cadence, 41)
-        bands.append(ledger_check(samples)[0].band)
+        sequences = _linear_ledger(grid, ev3, state0, cadence, 41)
+        bands.append(ledger_check(*sequences)[0].band)
     assert bands[0] / bands[1] == pytest.approx(4.0, rel=0.15)
 
 
-def test_ledger_requires_uniform_cadence_and_samples(ev3, rng):
-    grid = ev3.grid
-    state = random_state(grid, rng)
-    mk = lambda t: LedgerSample(  # noqa: E731
-        t, 1.0, (0.0,) * 5, 0.0, 0.0, 1.0, 1.0
-    )
+def test_ledger_requires_uniform_cadence_and_samples():
+    def check(times):
+        n = len(times)
+        return ledger_check(times, [1.0] * n, [(0.0,) * 5] * n, [0.0] * n)
+
     with pytest.raises(ValueError):
-        ledger_check([mk(0.0), mk(0.1)])
+        check([0.0, 0.1])
     with pytest.raises(ValueError):
-        ledger_check([mk(0.0), mk(0.1), mk(0.3)])
+        check([0.0, 0.1, 0.3])
 
 
 def test_forcing_pairings_zero_force(ev3, rng):
@@ -375,10 +366,17 @@ def test_forcing_pairings_zero_force(ev3, rng):
     assert rhs1 == 0.0 and rhs2 == 0.0
 
 
-def test_integrated_rhs_trapezoid():
-    mk = lambda t, r: LedgerSample(t, 0.0, (0.0,) * 5, r, 0.0, 0.0, 0.0)  # noqa: E731
-    samples = [mk(0.0, 1.0), mk(1.0, 3.0), mk(2.0, 5.0)]
-    assert integrated_rhs(samples) == pytest.approx(6.0)
+def test_integrated_rhs_trapezoid(tmp_path):
+    # a run's forcing budget is the trapezoid of its samples' rhs1 + rhs2
+    cfg = RunConfig(
+        dimension=2, sizes=(16, 16), dt=0.05, t_end=0.2, cadence=0.05,
+        output_dir=str(tmp_path),
+    )
+    report = run_simulation(cfg)
+    times = [s.t for s in report.samples]
+    rhs = [s.rhs1 + s.rhs2 for s in report.samples]
+    assert len(times) == 5 and report.rhs_integral > 0.0
+    assert report.rhs_integral == np.trapezoid(rhs, times)
 
 
 # -- fits, integrals, studies ---------------------------------------------------
@@ -404,9 +402,9 @@ def test_fit_decay_rate_validation():
 
 def test_grad_u_integral_zero_and_closed_form():
     t = np.linspace(0.0, 5.0, 2001)
-    assert grad_u_linf_time_integral(t, np.zeros_like(t)).max() == 0.0
+    assert running_trapezoid(t, np.zeros_like(t)).max() == 0.0
     vals = np.exp(-t)
-    integral = grad_u_linf_time_integral(t, vals)
+    integral = running_trapezoid(t, vals)
     expect = 1.0 - np.exp(-t)
     assert np.abs(integral - expect).max() < 1e-6  # trapezoid, O(dt^2)
 
@@ -445,7 +443,7 @@ def test_grad_u_integral_damped_oscillator_closed_form():
     errs = []
     for cadence in (0.05, 0.025):
         t = np.arange(0.0, 10.0 + cadence / 2, cadence)
-        integral = grad_u_linf_time_integral(t, amplitude(t))
+        integral = running_trapezoid(t, amplitude(t))
         errs.append(abs(integral[-1] - ref))
     assert errs[0] < 1e-3 and errs[1] < errs[0]
     # kinks at the zero crossings keep it second order on average
