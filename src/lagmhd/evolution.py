@@ -28,9 +28,13 @@ from .spectral import (
     divergence_spec,
     gradient_values,
     riesz_apply_spec,
+    weighted_norm_sq,
 )
 
 DEGENERATE_REL_TOL = 1e-12  # |disc| <= tol * |k|^4 switches to the double-root limit
+# an in-run Picard solve stops at max(pressure_tol, PICARD_REL_TOL * |grad p|),
+# |grad p| from the stepper's previous solve
+PICARD_REL_TOL = 3e-8
 
 
 # -- characteristic roots ----------------------------------------------------
@@ -348,16 +352,24 @@ class LagrangianStepper:
     state continues the history when its time is that of the last
     predictor solve, and otherwise starts it afresh from a cold solve.
 
+    Stopping rule: a solve stops at the residual max(pressure_tol,
+    PICARD_REL_TOL |grad p|), with |grad p| the L2 norm of the grad_p of the
+    stepper's previous solve, the norm the residual |k dq| is measured in.
+    So the accuracy of the solve is relative to the pressure it solves for,
+    and pressure_tol is the floor that binds on weak data. A state that does
+    not continue the history has no previous solve: its force stops at
+    pressure_tol alone.
+
     Reset rule: a solve that started cold and took a single iteration
     clears the history, so the next one starts cold too. One iteration
-    cannot get cheaper, and under the absolute stopping rule its result
-    depends on its start, so on one-iteration data every solve starts cold.
-    A warm solve that takes one iteration keeps the history.
+    cannot get cheaper, and where a single step meets the stopping rule its
+    result depends on its start, so on one-iteration data every solve starts
+    cold. A warm solve that takes one iteration keeps the history.
 
     One stepper serves one run: a run on a stepper that another run used
     may start its solves elsewhere, and a fresh stepper on a mid-run state
-    starts cold; either output differs from the uninterrupted run by up to
-    the tolerance.
+    starts cold with the floor alone; either output differs from the
+    uninterrupted run by up to the tolerance.
 
     Every force of the stepper is computed in one ``ForceWorkspace``, built
     from the grid at the first force, so a warm step allocates no array of
@@ -386,17 +398,25 @@ class LagrangianStepper:
         # newest first
         self._first = []
         self._star = []
+        # |grad p| of the last solve, None when the next force starts afresh
+        self._grad_p_norm = None
 
     def _force(self, state: FlowState, q0) -> NonlinearForce:
         if self._work is None:
             self._work = ForceWorkspace(self.grid)
-        return compute_force(
+        tol = self.pressure_tol
+        if self._grad_p_norm is not None:
+            tol = max(tol, PICARD_REL_TOL * self._grad_p_norm)
+        force = compute_force(
             state,
-            pressure_tol=self.pressure_tol,
+            pressure_tol=tol,
             pressure_max_iter=self.pressure_max_iter,
             q0=q0,
             work=self._work,
         )
+        grid, gp = self.grid, force.pressure.grad_p.band
+        self._grad_p_norm = np.sqrt(weighted_norm_sq(gp, grid.multiplicity, grid))
+        return force
 
     def _continues(self, t) -> bool:
         """Whether a state at t continues the history: its time is the
@@ -407,6 +427,7 @@ class LagrangianStepper:
         """The first-stage force at state.t, started from the predictor
         solve at that time plus the extrapolated corrector offset."""
         if not self._continues(state.t):
+            self._grad_p_norm = None
             return self._force(state, None)
         potentials = [self._star[0][1]]
         for (t_first, q_first), (t_star, q_star) in zip(self._first, self._star[1:]):

@@ -151,6 +151,8 @@ class Grid:
         object.__setattr__(self, "k1sq", k_axes[0] ** 2)
         object.__setattr__(self, "coords", coords)
         object.__setattr__(self, "dealias_mask", mask)
+        # the mask as complex bands take it: numpy would cast it on every call
+        object.__setattr__(self, "dealias_mask_complex", mask.astype(complex))
         # inverse Laplacian restricted to the retained band
         object.__setattr__(self, "masked_inv_k2", mask * inv_k2)
         object.__setattr__(self, "multiplicity", multiplicity)

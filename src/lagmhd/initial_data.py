@@ -216,9 +216,11 @@ def euler_from_flow(state: FlowState) -> EulerState:
     Inverts x = y + Y0(y) pointwise (``_invert_flow_map``), then samples
     u0 = Y1(y(x)) and b0 = e1 + d1Y0(y(x)). Sampling tails are cleaned up
     with one Leray projection each of u0 and d1Y0, so both start divergence
-    free to round-off. b0 is built as a band: only d1Y0 is transformed, and
-    e1 is set on the mean mode of b0^1, exactly as in
-    ``EulerState.equilibrium``. Raises NotConvergedError if the inversion
+    free to round-off. b0 is built as a band: only d1Y0 is transformed. The
+    mean modes, which no projection touches, are those of the exact
+    pushforward: det(I + grad Y0) = 1 gives mean(u0) = mean(Y1), and d1Y0
+    has no mean, so mean(b0) = e1, set on the mean mode of b0^1 exactly as
+    in ``EulerState.equilibrium``. Raises NotConvergedError if the inversion
     stalls before |delta| < 1e-13.
     """
     grid = state.grid
@@ -237,7 +239,10 @@ def euler_from_flow(state: FlowState) -> EulerState:
         dealias_spec(s - riesz_apply_spec(s, grid), grid)
         for s in (grid.rfft(u_vals), grid.rfft(b_vals))
     )
-    b_band[(0,) * (grid.dim + 1)] += 1.0
+    mean = (slice(None),) + (0,) * grid.dim
+    u_band[mean] = state.Yt.band[mean]
+    b_band[mean] = 0.0
+    b_band[(0,) * (grid.dim + 1)] = 1.0
     return EulerState(
         VectorField.from_band(grid, u_band),
         VectorField.from_band(grid, b_band),

@@ -51,7 +51,9 @@ def divergence_spec(spec, grid: Grid, out=None):
 
 
 def dealias_spec(spec, grid: Grid, out=None):
-    return np.multiply(spec, grid.dealias_mask, out=out)
+    """spec times the 2/3 mask, a complex band times its complex copy."""
+    mask = grid.dealias_mask_complex if np.iscomplexobj(spec) else grid.dealias_mask
+    return np.multiply(spec, mask, out=out)
 
 
 # -- norms --------------------------------------------------------------------

@@ -35,8 +35,9 @@ class FullSpectrum:
     The Grid keeps the same tables on its band, the first K planes, and the
     same element-by-element arithmetic makes them the first K planes of
     these. It has the attributes the spectral helpers read of a Grid (dim,
-    band_shape, spatial_axes, volume, k_axes, inv_k2, dealias_mask), so
-    given it in place of the Grid they act on these planes.
+    band_shape, spatial_axes, volume, k_axes, inv_k2, dealias_mask and
+    dealias_mask_complex), so given it in place of the Grid they act on
+    these planes.
     """
 
     def __init__(self, grid, planes=None):
@@ -64,6 +65,7 @@ class FullSpectrum:
         for i, m in enumerate(grid.sizes):
             kept = np.abs(np.fft.fftfreq(m) * m) <= int(np.ceil(m / 3.0)) - 1
             self.dealias_mask = self.dealias_mask * along(i, kept)
+        self.dealias_mask_complex = self.dealias_mask.astype(complex)
         self.masked_inv_k2 = self.dealias_mask * self.inv_k2
 
     def hs_weight(self, s):

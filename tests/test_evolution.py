@@ -491,7 +491,8 @@ def _drive_steps(monkeypatch, spec, cold, steps=6, pressure_tol=1e-10, solves=No
     """Steps as a run takes them (the first force, then the step) on the
     criterion-6 box, with the stepper's pressure starts or, with cold, every
     solve from q0 = None; returns the final bands and the Picard total.
-    solves, when given, receives (t, q0, PressureSolution) of every solve."""
+    solves, when given, receives (t, q0, PressureSolution) of every solve.
+    Undoes every patch of monkeypatch when it returns."""
     from lagmhd import evolution
 
     grid = Grid((16, 16, 16), (16.0, 2 * np.pi, 2 * np.pi))
@@ -522,8 +523,9 @@ def test_warm_started_pressure_matches_cold_with_fewer_iterations(monkeypatch):
     assert np.abs(yt - yt_cold).max() <= 1e-10 * np.abs(yt_cold).max()
     # 8 + 9 per step cold; 71 from the nearest solve in time (the first
     # stage from the predictor alone, the predictor from a linear
-    # extrapolation); 61 from the extrapolated starts
-    assert warm_iters <= 61 < cold_iters
+    # extrapolation); 61 from the extrapolated starts, 48 with the stopping
+    # rule relative to |grad p|
+    assert warm_iters <= 48 < cold_iters
 
 
 def test_one_iteration_solves_start_cold(monkeypatch):
@@ -534,6 +536,62 @@ def test_one_iteration_solves_start_cold(monkeypatch):
     y_cold, yt_cold, cold_iters = _drive_steps(monkeypatch, spec, cold=True)
     assert warm_iters == cold_iters == 12
     assert np.array_equal(y, y_cold) and np.array_equal(yt, yt_cold)
+
+
+def test_the_relative_rule_keeps_the_bits_of_one_iteration_data(monkeypatch):
+    # |grad p| is 4e-7 here, so PICARD_REL_TOL |grad p| stays far under
+    # pressure_tol and the floor decides every solve
+    from lagmhd import evolution
+
+    spec = default_spec(3, 1e-4)
+    y, yt, iters = _drive_steps(monkeypatch, spec, cold=False)
+    monkeypatch.setattr(evolution, "PICARD_REL_TOL", 0.0)
+    y_abs, yt_abs, abs_iters = _drive_steps(monkeypatch, spec, cold=False)
+    assert iters == abs_iters == 12
+    assert np.array_equal(y, y_abs) and np.array_equal(yt, yt_abs)
+
+
+def test_in_run_solves_stop_relative_to_the_previous_pressure(monkeypatch):
+    # the first solve of the stepper has no previous pressure and stops at
+    # pressure_tol; every later one at max(pressure_tol, PICARD_REL_TOL
+    # |grad p|) with |grad p| of the solve before it, which binds on the
+    # criterion-6 data
+    from lagmhd import evolution
+
+    tols = []
+    compute = evolution.compute_force
+
+    def recorded(state, *args, pressure_tol, **kwargs):
+        tols.append(pressure_tol)
+        return compute(state, *args, pressure_tol=pressure_tol, **kwargs)
+
+    monkeypatch.setattr(evolution, "compute_force", recorded)
+    solves = []
+    spec = scaled_spec(default_spec(3, None), 0.05)
+    _drive_steps(monkeypatch, spec, cold=False, solves=solves)
+    pressures = [p for _, _, p in solves]
+    grid = pressures[0].grad_p.grid
+    want = [1e-10]
+    for p in pressures[:-1]:
+        norm = np.sqrt(weighted_norm_sq(p.grad_p.band, grid.multiplicity, grid))
+        want.append(max(1e-10, evolution.PICARD_REL_TOL * norm))
+    assert tols[0] == 1e-10 and tols == pytest.approx(want, rel=1e-12, abs=0.0)
+    assert min(want[1:]) > 1e-10
+    for tol, p in zip(tols, pressures):
+        assert p.residuals[-1] <= tol < min(p.residuals[:-1], default=np.inf)
+
+
+def test_the_relative_rule_moves_the_run_by_less_than_the_start(monkeypatch):
+    # the bound the warm and cold starts are held to
+    from lagmhd import evolution
+
+    spec = scaled_spec(default_spec(3, None), 0.05)
+    y, yt, iters = _drive_steps(monkeypatch, spec, cold=False)
+    monkeypatch.setattr(evolution, "PICARD_REL_TOL", 0.0)
+    y_abs, yt_abs, abs_iters = _drive_steps(monkeypatch, spec, cold=False)
+    assert np.abs(y - y_abs).max() <= 1e-10 * np.abs(y_abs).max()
+    assert np.abs(yt - yt_abs).max() <= 1e-10 * np.abs(yt_abs).max()
+    assert iters < abs_iters
 
 
 def test_a_warm_one_iteration_solve_keeps_the_history(monkeypatch):
@@ -739,6 +797,19 @@ def test_euler_from_flow_starts_both_fields_solenoidal(amp):
     state = euler_from_flow(flow)
     for field in (state.u, state.b):
         assert np.abs(divergence_spec(field.band, grid)).max() < 1e-17
+
+
+def test_euler_from_flow_keeps_the_exact_means():
+    # no projection touches the mean modes, so sampling leaves its error
+    # there (-5.9e-13 on u0, 5.0e-12 on b0^1 - 1 here); the exact pushforward
+    # has mean(u0) = mean(Y1), as det(I + grad Y0) = 1, and mean(b0) = e1
+    grid = Grid((16, 16, 16), (2 * np.pi,) * 3)
+    flow = build_flow_state(grid, scaled_spec(default_spec(3, None), 0.05))
+    from lagmhd.initial_data import euler_from_flow
+
+    state = euler_from_flow(flow)
+    assert np.array_equal(state.u.band[:, 0, 0, 0], flow.Yt.band[:, 0, 0, 0])
+    assert np.array_equal(state.b.band[:, 0, 0, 0], [1.0, 0.0, 0.0])
 
 
 def test_euler_from_flow_raises_when_the_inverse_map_stalls():

@@ -167,6 +167,20 @@ def test_dealias_zeroes_top_third_and_is_idempotent(grid3, rng):
     assert np.array_equal(d1, d2)
 
 
+def test_dealias_with_the_complex_mask_keeps_the_float_masks_bits(grid3, rng):
+    # the complex mask is the cast numpy makes of the float one, so every
+    # product keeps its bits, signed zeros included
+    band = grid3.rfft(rng.standard_normal((3,) + grid3.shape))
+    band[0, ..., 0].imag = -0.0
+    band[1] = -band[1]
+    want = np.multiply(band, grid3.dealias_mask)
+    got = dealias_spec(band, grid3)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    values = rng.standard_normal(grid3.band_shape)
+    got = dealias_spec(values, grid3)
+    assert got.dtype == float and np.array_equal(got, values * grid3.dealias_mask)
+
+
 @pytest.mark.parametrize("sizes", [(16, 8, 32), (32, 16)], ids=["3D", "2D"])
 def test_dealias_mask_is_the_per_axis_two_thirds_rule(sizes):
     grid = Grid(sizes, (2 * np.pi,) * len(sizes))
@@ -175,6 +189,7 @@ def test_dealias_mask_is_the_per_axis_two_thirds_rule(sizes):
     kept = kept[..., : grid.band_shape[-1]]
     assert grid.dealias_mask.dtype == float
     assert np.array_equal(grid.dealias_mask, kept.astype(float))
+    assert np.array_equal(grid.dealias_mask_complex, kept.astype(complex))
     masked = grid.masked_inv_k2
     assert np.all(masked[~kept] == 0.0)
     assert masked[(0,) * grid.dim] == 0.0
