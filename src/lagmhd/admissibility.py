@@ -99,7 +99,6 @@ class AdmissibilityReport:
     support_halfwidth: float
     tolerance: float
     admissible: bool
-    note: str = ""
 
     def to_csv(self) -> str:
         d = self.integrals.shape[1]
@@ -131,8 +130,7 @@ def check_admissible(
     The tolerance is dimensional: tol scaled by sup|f| * (slab width). Pass
     test_field to audit a different integrand along the same trajectories.
     The integrand for b0 itself is interpreted through the same slab
-    truncation as b0 - e1 (the drift part integrates trivially), which the
-    report records as a note.
+    truncation as b0 - e1 (the drift part integrates trivially).
     """
     fn, dim_hint = as_field_function(b0)
     seeds = np.atleast_2d(np.asarray(seed_grid, dtype=float))
@@ -170,5 +168,4 @@ def check_admissible(
         support_halfwidth=slab_halfwidth,
         tolerance=tolerance,
         admissible=bool(max_abs <= tolerance),
-        note="integral truncated at slab exit (compact-support hypothesis)",
     )

@@ -3,7 +3,10 @@
 Layout (little endian): magic b"MHDL", version u32, dimension u32,
 sizes u32 per axis, lengths f64 per axis, time f64, solver tag u32
 (0 = lagrangian, 1 = eulerian), then raw f64 field data in axis-major
-(C) order: Y then Yt for the Lagrangian form, u, b, p for the Eulerian one.
+(C) order: Y then Yt for the Lagrangian form, u then b for the Eulerian
+one. An Eulerian file ends in one more scalar block, where earlier
+versions of the program stored a diagnostic pressure: it is written as
+zeros and never read, so those files load too.
 """
 
 from __future__ import annotations
@@ -15,24 +18,19 @@ import numpy as np
 
 from .errors import CheckpointFormatError
 from .evolution import EulerState
-from .fields import ScalarField, VectorField
+from .fields import VectorField
 from .geometry import FlowState
 from .grid import Grid
 
 MAGIC = b"MHDL"
 VERSION = 1
-_TAGS = {"lagrangian": 0, "eulerian": 1}
-_TAG_NAMES = {v: k for k, v in _TAGS.items()}
 
 
 def write_checkpoint(path, state) -> None:
     if isinstance(state, FlowState):
-        tag = _TAGS["lagrangian"]
-        arrays = [state.Y.values, state.Yt.values]
+        tag, arrays = 0, [state.Y.values, state.Yt.values]
     elif isinstance(state, EulerState):
-        tag = _TAGS["eulerian"]
-        p = state.p.values if state.p is not None else np.zeros(state.grid.shape)
-        arrays = [state.u.values, state.b.values, p]
+        tag, arrays = 1, [state.u.values, state.b.values, np.zeros(state.grid.shape)]
     else:
         raise TypeError("checkpoint expects a FlowState or EulerState")
     grid = state.grid
@@ -68,13 +66,14 @@ def read_checkpoint(path):
     off += dim * 8
     t, tag = struct.unpack_from("<dI", blob, off)
     off += 12
-    if tag not in _TAG_NAMES:
+    if tag not in (0, 1):
         raise CheckpointFormatError(f"unknown solver tag {tag}")
+    if not math.isfinite(t):
+        raise CheckpointFormatError(f"non-finite time {t} in header")
     # the payload is checked before a grid is built, so a header that
     # claims a huge grid allocates nothing
     npoints = math.prod(sizes)
-    nfields = 2 * dim if tag == 0 else 2 * dim + 1
-    expected = off + nfields * npoints * 8
+    expected = off + (2 * dim + tag) * npoints * 8
     if len(blob) != expected:
         raise CheckpointFormatError(
             f"payload length {len(blob) - off} bytes, expected {expected - off}"
@@ -83,20 +82,9 @@ def read_checkpoint(path):
         grid = Grid(sizes, lengths)
     except ValueError as exc:
         raise CheckpointFormatError(f"bad grid in header: {exc}") from exc
-    data = np.frombuffer(blob, dtype="<f8", offset=off).astype(float)
-    shape = (dim,) + grid.shape
-    if tag == 0:
-        y = data[: dim * npoints].reshape(shape)
-        yt = data[dim * npoints :].reshape(shape)
-        return FlowState(
-            VectorField.from_values(grid, y), VectorField.from_values(grid, yt), t
-        )
-    u = data[: dim * npoints].reshape(shape)
-    b = data[dim * npoints : 2 * dim * npoints].reshape(shape)
-    p = data[2 * dim * npoints :].reshape(grid.shape)
-    return EulerState(
-        VectorField.from_values(grid, u),
-        VectorField.from_values(grid, b),
-        t,
-        p=ScalarField.from_values(grid, p),
+    # (Y, Yt) or (u, b); an Eulerian file's last block is not read
+    data = np.frombuffer(blob, dtype="<f8", count=2 * dim * npoints, offset=off)
+    pair = data.astype(float).reshape((2, dim) + grid.shape)
+    return (FlowState, EulerState)[tag](
+        *(VectorField.from_values(grid, v) for v in pair), t
     )

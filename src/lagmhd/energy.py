@@ -287,7 +287,6 @@ class LedgerRecord:
     rhs: float
     band: float
     passed: bool
-    slack: float
 
 
 def ledger_check(times, corrected, dissipation, rhs, band_factor: float = 10.0):
@@ -319,7 +318,6 @@ def ledger_check(times, corrected, dissipation, rhs, band_factor: float = 10.0):
                 rhs=rhs[i],
                 band=band,
                 passed=bool(lhs <= rhs[i] + band),
-                slack=rhs[i] + band - lhs,
             )
         )
     return records

@@ -14,11 +14,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .fields import ScalarField, VectorField
+from .fields import VectorField
 # graded_metric_values is not called here; perfbench/layers.py times it by this name
 from .geometry import FlowState, cofactor_values, graded_metric_values  # noqa: F401
 from .grid import ForceWorkspace, Grid
@@ -503,12 +502,11 @@ class LagrangianStepper:
 
 @dataclass
 class EulerState:
-    """Primitive variables on the grid; p is zero-mean and diagnostic."""
+    """Primitive variables on the grid."""
 
     u: VectorField
     b: VectorField
     t: float = 0.0
-    p: Optional[ScalarField] = None
 
     def __post_init__(self):
         self.u.check_same_grid(self.b)
@@ -518,15 +516,15 @@ class EulerState:
         return self.u.grid
 
     @classmethod
-    def equilibrium(cls, grid: Grid, t: float = 0.0) -> "EulerState":
+    def equilibrium(cls, grid: Grid) -> "EulerState":
         """u = 0 and b = e1, built as a band (1 on the mean mode of b^1), so
         it is exact whatever the transforms round."""
         b = np.zeros((grid.dim,) + grid.band_shape, dtype=complex)
         b[(0,) * (grid.dim + 1)] = 1.0
-        return cls(VectorField.zeros(grid), VectorField.from_band(grid, b), t)
+        return cls(VectorField.zeros(grid), VectorField.from_band(grid, b))
 
 
-def _magnetic_filter(grid: Grid, exponent: int = 36):
+def _magnetic_filter(grid: Grid):
     """High-order exponential filter pinned to the 2/3-mask boundary.
 
     exp(-36 r^36) with r the per-axis-normalized mode fraction: ~1 up to
@@ -538,7 +536,7 @@ def _magnetic_filter(grid: Grid, exponent: int = 36):
         ncut = int(np.ceil(n / 3.0)) - 1
         frac = np.abs(np.fft.fftfreq(n) * n)[: grid.band_shape[i]] / max(ncut, 1)
         r = np.maximum(r, frac.reshape([-1 if j == i else 1 for j in range(grid.dim)]))
-    return np.exp(-36.0 * np.minimum(r, 1.0) ** exponent)
+    return np.exp(-36.0 * np.minimum(r, 1.0) ** 36)
 
 
 class EulerianStepper:
@@ -592,21 +590,24 @@ class EulerianStepper:
         self._band_tmp = np.empty(band, dtype=complex)
         planes = grid.shape[:-1] + (grid.shape[-1] // 2 + 1,)
         self._pad = np.empty((max(2 * d, nprod),) + planes, dtype=complex)
-        # (rhs_u, h, n) of the two stages of a step, and its predictor state
+        # (rhs_u, h) of the two stages of a step, the nonlinearity n they
+        # share, and the predictor state
         self._stages = tuple(
-            tuple(np.empty((d,) + band, dtype=complex) for _ in range(3))
+            tuple(np.empty((d,) + band, dtype=complex) for _ in range(2))
             for _ in range(2)
         )
+        self._n = np.empty((d,) + band, dtype=complex)
         self._u_star = np.empty((d,) + band, dtype=complex)
         self._b_star = np.empty((d,) + band, dtype=complex)
 
     def _rhs(self, u_band, b_band, out=None):
-        """(rhs_u, h, n): the projected momentum right-hand side, the
-        induction term curl(u x b) and the unprojected nonlinearity n, all
-        masked bands. They are written into ``out``, three (d,) bands, by
-        default the first stage's buffers, which the next call overwrites."""
+        """(rhs_u, h): the projected momentum right-hand side and the
+        induction term curl(u x b), masked bands. They are written into
+        ``out``, two (d,) bands, by default the first stage's buffers, which
+        the next call overwrites."""
         grid, d, ik, tmp = self.grid, self.grid.dim, self._ik, self._band_tmp
-        rhs_u, h, n = self._stages[0] if out is None else out
+        rhs_u, h = self._stages[0] if out is None else out
+        n = self._n
         ub_band = self._ub_band
         ub_band[:d] = u_band
         ub_band[d:] = b_band
@@ -656,28 +657,20 @@ class EulerianStepper:
                 p, q = (c + 1) % 3, (c + 2) % 3
                 np.multiply(ik[p], w_band[q], out=h[c])
                 h[c] -= np.multiply(ik[q], w_band[p], out=tmp)
-        return rhs_u, h, n
-
-    def pressure_of(self, state: EulerState) -> ScalarField:
-        """Zero-mean pressure recovered from the instantaneous Leray constraint."""
-        grid = self.grid
-        _, _, n_band = self._rhs(state.u.band, state.b.band)
-        p_band = divergence_spec(n_band, grid)
-        p_band *= grid.inv_k2
-        return ScalarField.from_band(self.grid, p_band)
+        return rhs_u, h
 
     def step(self, state: EulerState) -> EulerState:
         """Advance one dt. Raises FloatingPointError, and returns no state,
         when u or b has a non-finite coefficient after the step."""
         grid, dt, heat = self.grid, self.dt, self.heat
         u0, b0 = state.u.band, state.b.band
-        ru0, h0, _ = self._rhs(u0, b0, self._stages[0])
+        ru0, h0 = self._rhs(u0, b0, self._stages[0])
         u_star = np.multiply(ru0, dt, out=self._u_star)
         u_star += u0
         u_star *= heat
         b_star = np.multiply(h0, dt, out=self._b_star)
         b_star += b0
-        ru1, h1, _ = self._rhs(u_star, b_star, self._stages[1])
+        ru1, h1 = self._rhs(u_star, b_star, self._stages[1])
         ru0 *= heat
         ru0 += ru1
         ru0 *= 0.5 * dt

@@ -271,12 +271,12 @@ def _step_count(span: float, dt: float, name: str) -> int:
     return n_steps
 
 
-def _drive(config, initial, force, step, record, write_outputs=True, finish=None):
+def _drive(config, initial, force, step, record, write_outputs=True):
     """Step initial() to t_end: f = force(state), a sample record(state, f)
     every cadence, state = step(state, f); a last sample at t_end. initial()
     runs here so that this frame holds the only reference to the state.
-    With outputs, finish(state) completes the state for its checkpoint and a
-    solver failure ends the run as an abort; without, the failure raises.
+    With outputs, a solver failure ends the run as an abort; without, the
+    failure raises.
     """
     state = initial()
     t0 = state.t
@@ -312,14 +312,15 @@ def _drive(config, initial, force, step, record, write_outputs=True, finish=None
 
     csv_path = ""
     if write_outputs:
-        if finish is not None:
-            finish(state)
         write_checkpoint(ckpt_path, state)
         csv_path = os.path.join(out_dir, "diagnostics.csv")
         write_diagnostics(csv_path, samples)
+        report_path = os.path.join(out_dir, "abort_report.txt")
         if aborted:
-            with open(os.path.join(out_dir, "abort_report.txt"), "w") as fh:
+            with open(report_path, "w") as fh:
                 fh.write(f"aborted at t = {state.t:.12g}\nreason: {abort_reason}\n")
+        elif os.path.exists(report_path):  # an earlier run's, stale now
+            os.remove(report_path)
 
     fits = {}
     times = np.array([s.t for s in samples])
@@ -397,16 +398,12 @@ def run_simulation(config: RunConfig) -> RunReport:
         gu = gradient_values(state.u.band, grid)
         return RunSample(t=state.t, grad_u_sup=_grad_u_sup(gu))
 
-    def finish(state):
-        state.p = stepper.pressure_of(state)
-
     return _drive(
         config,
         lambda: _initial_state(config, grid),
         lambda state: None,
         lambda state, _: stepper.step(state),
         record,
-        finish=finish,
     )
 
 

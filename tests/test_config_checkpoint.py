@@ -165,15 +165,38 @@ def test_flow_checkpoint_round_trip(tmp_path, grid3, rng):
 def test_euler_checkpoint_round_trip(tmp_path, grid2, rng):
     u = random_band_limited(grid2, rng, rank=1)
     b = random_band_limited(grid2, rng, rank=1)
-    p = random_band_limited(grid2, rng, rank=0)
-    state = EulerState(u, b, 0.5, p=p)
+    state = EulerState(u, b, 0.5)
     path = tmp_path / "euler.ckpt"
     write_checkpoint(path, state)
     back = read_checkpoint(path)
     assert isinstance(back, EulerState)
+    assert back.t == state.t
     assert np.array_equal(back.u.values, state.u.values)
     assert np.array_equal(back.b.values, state.b.values)
-    assert np.array_equal(back.p.values, p.values)
+    # the scalar block after u and b is written as zeros
+    tail = path.read_bytes()[-u.values[0].nbytes :]
+    assert tail == bytes(len(tail))
+
+
+def test_euler_checkpoint_with_a_stored_pressure_loads(tmp_path, grid2, rng):
+    # files of earlier versions hold a diagnostic pressure in the last
+    # block; it is skipped, and u and b load bit for bit
+    state = EulerState(
+        random_band_limited(grid2, rng, rank=1),
+        random_band_limited(grid2, rng, rank=1),
+        0.75,
+    )
+    path = tmp_path / "euler.ckpt"
+    write_checkpoint(path, state)
+    blob = bytearray(path.read_bytes())
+    p = random_band_limited(grid2, rng, rank=0).values
+    blob[-p.nbytes :] = np.ascontiguousarray(p, dtype="<f8").tobytes()
+    path.write_bytes(bytes(blob))
+    back = read_checkpoint(path)
+    assert isinstance(back, EulerState)
+    assert back.t == state.t
+    assert np.array_equal(back.u.values, state.u.values)
+    assert np.array_equal(back.b.values, state.b.values)
 
 
 def test_checkpoint_bytes_are_deterministic(tmp_path, grid3, rng):
@@ -219,12 +242,20 @@ def test_bad_magic_and_version(tmp_path, grid3):
 
 @pytest.mark.parametrize(
     "fmt, offset, value",
-    [("<I", 12, 6), ("<I", 12, 0), ("<d", 24, -1.0), ("<d", 24, np.inf)],
-    ids=["size-6", "size-0", "length-negative", "length-inf"],
+    [
+        ("<I", 12, 6),
+        ("<I", 12, 0),
+        ("<d", 24, -1.0),
+        ("<d", 24, np.inf),
+        ("<d", 48, np.nan),
+        ("<d", 48, np.inf),
+    ],
+    ids=["size-6", "size-0", "length-negative", "length-inf", "time-nan", "time-inf"],
 )
 def test_corrupt_header_raises_format_error(tmp_path, fmt, offset, value):
-    # a valid 8^3 snapshot whose first size or first length is patched:
-    # sizes start after magic, version and dimension, lengths after 3 sizes
+    # a valid 8^3 snapshot whose first size, first length or time is patched:
+    # sizes start after magic, version and dimension, lengths after 3 sizes,
+    # the time after 3 lengths
     good = tmp_path / "good.ckpt"
     write_checkpoint(good, FlowState.zeros(Grid((8, 8, 8), (2 * np.pi,) * 3)))
     blob = bytearray(good.read_bytes())

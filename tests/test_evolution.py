@@ -845,8 +845,8 @@ def test_euler_from_flow_inverts_a_slowly_contracting_map(monkeypatch):
 
 
 def _advective_rhs(grid, u_band, b_band):
-    """(rhs_u, h, n) of the Eulerian stepper with n = u.grad u - b.grad b in
-    advective form: the oracle of its stress form."""
+    """(rhs_u, h) of the Eulerian stepper with the nonlinearity
+    u.grad u - b.grad b in advective form: the oracle of its stress form."""
     u = grid.irfft(u_band)
     b = grid.irfft(b_band)
     grad_u = gradient_values(u_band, grid)
@@ -869,7 +869,7 @@ def _advective_rhs(grid, u_band, b_band):
                 1j * (k[0] * w_band[1] - k[1] * w_band[0]),
             ]
         )
-    return rhs_u, h_band, n_band
+    return rhs_u, h_band
 
 
 def _solenoidal_pair(grid, rng):
@@ -891,7 +891,7 @@ def test_euler_stress_form_matches_the_advective_form(sizes, rng):
         u_band, b_band = _solenoidal_pair(grid, rng)
         got = stepper._rhs(u_band, b_band)
         want = _advective_rhs(grid, u_band, b_band)
-        for name, g, w in zip(("rhs_u", "h", "n"), got, want):
+        for name, g, w in zip(("rhs_u", "h"), got, want, strict=True):
             assert np.abs(g - w).max() <= 1e-13 * np.abs(w).max(), name
 
 
@@ -955,11 +955,11 @@ def test_euler_run_aborts_on_a_non_finite_magnetic_field(
     calls = []
 
     def poisoned(self, *args):
-        rhs_u, h, n = rhs(self, *args)
+        rhs_u, h = rhs(self, *args)
         calls.append(None)
         if len(calls) == 2 * bad_step:
             h[(0,) + (1,) * grid.dim] = np.nan
-        return rhs_u, h, n
+        return rhs_u, h
 
     monkeypatch.setattr(EulerianStepper, "_rhs", poisoned)
     cfg = RunConfig(

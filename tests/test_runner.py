@@ -84,23 +84,19 @@ def test_scaled_run_builds_one_energy_evaluator(tmp_path, monkeypatch):
     assert built == [(16, 16, 16)]
 
 
-def test_checkpoint_restart_matches_uninterrupted(tmp_path):
-    full = run_simulation(small_config(tmp_path / "full", t_end=1.0))
-    first = run_simulation(small_config(tmp_path / "first", t_end=0.5))
-    resumed = run_simulation(
-        small_config(
-            tmp_path / "second",
-            t_end=1.0,
-            checkpoint_in=first.checkpoint_path,
-        )
-    )
-    yf = full.final_state.Y.values
-    yr = resumed.final_state.Y.values
-    scale = max(np.abs(yf).max(), 1e-300)
-    assert np.abs(yf - yr).max() < 1e-12 * scale
-    ytf = full.final_state.Yt.values
-    ytr = resumed.final_state.Yt.values
-    assert np.abs(ytf - ytr).max() < 1e-12 * max(np.abs(ytf).max(), 1e-300)
+@pytest.mark.parametrize("solver", ["lagrangian", "eulerian"])
+def test_checkpoint_restart_matches_uninterrupted(tmp_path, solver):
+    def run(name, **kw):
+        return run_simulation(small_config(tmp_path / name, solver=solver, **kw))
+
+    full = run("full", t_end=1.0)
+    first = run("first", t_end=0.5)
+    resumed = run("second", t_end=1.0, checkpoint_in=first.checkpoint_path)
+    for name in ("Y", "Yt") if solver == "lagrangian" else ("u", "b"):
+        want = getattr(full.final_state, name).values
+        got = getattr(resumed.final_state, name).values
+        scale = max(np.abs(want).max(), 1e-300)
+        assert np.abs(want - got).max() < 1e-12 * scale, name
 
 
 def test_large_data_exercises_pressure_abort(tmp_path):
@@ -238,6 +234,21 @@ def test_eulerian_abort_leaves_checkpoint_and_report(tmp_path, monkeypatch):
     assert os.path.exists(report.checkpoint_path)
     assert os.path.exists(os.path.join(cfg.output_dir, "abort_report.txt"))
     assert read_checkpoint(report.checkpoint_path).t == pytest.approx(0.1)
+
+
+def test_successful_run_removes_a_stale_abort_report(tmp_path):
+    # an earlier run's report would claim an abort; its checkpoints stay,
+    # since one of them may be this run's checkpoint_in
+    cfg = small_config(tmp_path, solver="eulerian", sizes=(8, 8, 8), t_end=0.5)
+    report_path = os.path.join(cfg.output_dir, "abort_report.txt")
+    stale_ckpt = os.path.join(cfg.output_dir, "state_abort.ckpt")
+    with open(report_path, "w") as fh:
+        fh.write("aborted at t = 0.1\nreason: FloatingPointError: earlier run\n")
+    write_checkpoint(stale_ckpt, EulerState.equilibrium(Grid(cfg.sizes, cfg.lengths)))
+    report = run_simulation(cfg)
+    assert not report.aborted
+    assert not os.path.exists(report_path)
+    assert os.path.exists(stale_ckpt) and os.path.exists(report.checkpoint_path)
 
 
 def test_compare_rejects_a_checkpoint(tmp_path):
