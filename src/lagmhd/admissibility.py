@@ -96,7 +96,6 @@ class AdmissibilityReport:
     seeds: np.ndarray  # (M, d-1) transverse coordinates
     integrals: np.ndarray  # (M, d)
     max_abs_integral: float
-    support_halfwidth: float
     tolerance: float
     admissible: bool
 
@@ -165,7 +164,6 @@ def check_admissible(
         seeds=seeds,
         integrals=integrals,
         max_abs_integral=max_abs,
-        support_halfwidth=slab_halfwidth,
         tolerance=tolerance,
         admissible=bool(max_abs <= tolerance),
     )

@@ -42,12 +42,12 @@ def _cmd_compare(args) -> int:
 def _cmd_oracle(args) -> int:
     t_grid = np.geomspace(args.t_min, args.t_max, args.points)
     profile = PowerLawProfile(k_min=args.k_min, k_max=args.k_max)
-    result = linear_decay_oracle(t_grid, norms=tuple(args.norms), profile=profile)
+    norms = linear_decay_oracle(t_grid, norms=tuple(args.norms), profile=profile)
     header = "t," + ",".join(args.norms)
     lines = [header]
     for i, t in enumerate(t_grid):
         lines.append(
-            f"{t:.17g}," + ",".join(f"{result.norms[n][i]:.17g}" for n in args.norms)
+            f"{t:.17g}," + ",".join(f"{norms[n][i]:.17g}" for n in args.norms)
         )
     text = "\n".join(lines) + "\n"
     if args.out:
@@ -56,7 +56,7 @@ def _cmd_oracle(args) -> int:
     else:
         sys.stdout.write(text)
     for name in args.norms:
-        fit = fit_decay_rate(t_grid, result.norms[name], (args.t_min, args.t_max), name)
+        fit = fit_decay_rate(t_grid, norms[name], (args.t_min, args.t_max))
         print(f"# {name}: slope {fit.slope:.4f}, r2 {fit.r_squared:.6f}")
     return 0
 
@@ -113,9 +113,7 @@ def _cmd_fit(args) -> int:
         print(f"column '{args.column}' not in {sorted(data)}", file=sys.stderr)
         return 1
     try:
-        fit = fit_decay_rate(
-            data["t"], data[args.column], tuple(args.window), args.column
-        )
+        fit = fit_decay_rate(data["t"], data[args.column], tuple(args.window))
     except ValueError as exc:
         print(f"fit failed: {exc}", file=sys.stderr)
         return 1
@@ -143,9 +141,9 @@ def main(argv=None) -> int:
     compare_p.set_defaults(func=_cmd_compare)
 
     oracle_p = sub.add_parser("oracle", help="whole-space linear decay quadrature")
-    oracle_p.add_argument("--t-min", type=float, default=1e2)
-    oracle_p.add_argument("--t-max", type=float, default=1e4)
-    oracle_p.add_argument("--points", type=int, default=17)
+    oracle_p.add_argument("--t-min", type=float, default=1e2, help="> 0")
+    oracle_p.add_argument("--t-max", type=float, default=1e4, help="> --t-min")
+    oracle_p.add_argument("--points", type=int, default=17, help=">= 10")
     oracle_p.add_argument("--k-min", type=float, default=1e-3)
     oracle_p.add_argument("--k-max", type=float, default=2.0)
     oracle_p.add_argument(
@@ -163,7 +161,7 @@ def main(argv=None) -> int:
     adm_p.add_argument("--amplitude", type=float, default=1e-7)
     adm_p.add_argument("--halfwidth", type=float, default=np.pi)
     adm_p.add_argument("--tol", type=float, default=1e-6)
-    adm_p.add_argument("--seeds", type=int, default=5, help="seeds per transverse axis")
+    adm_p.add_argument("--seeds", type=int, default=5, help="seeds per transverse axis, >= 1")
     adm_p.set_defaults(func=_cmd_admissible)
 
     fit_p = sub.add_parser("fit", help="log-log decay fit on a diagnostics CSV column")
@@ -173,6 +171,18 @@ def main(argv=None) -> int:
     fit_p.set_defaults(func=_cmd_fit)
 
     args = parser.parse_args(argv)
+    if args.command == "oracle":
+        if args.points < 10:
+            oracle_p.error("--points must be >= 10, the samples a decay fit needs")
+        if not 0 < args.t_min < args.t_max < np.inf:
+            oracle_p.error("the times must satisfy 0 < --t-min < --t-max < inf")
+        if not 0 < args.k_min < args.k_max:
+            oracle_p.error("the wavenumbers must satisfy 0 < --k-min < --k-max")
+    elif args.command == "admissible":
+        if args.seeds < 1:
+            adm_p.error("--seeds must be >= 1")
+        if not 0 < args.halfwidth < np.inf:
+            adm_p.error("--halfwidth must be positive and finite")
     return args.func(args)
 
 

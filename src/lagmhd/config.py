@@ -30,7 +30,6 @@ class RunConfig:
     checkpoint_in: str = ""
     output_dir: str = "."
     t_compare: float = 1.0
-    fit_window: tuple = (5.0, 50.0)
 
     def __post_init__(self):
         if self.dimension not in (2, 3):
@@ -65,8 +64,6 @@ class RunConfig:
             raise ConfigError("epsilon0 must be positive")
         if not self.pressure_tol > 0 or self.pressure_max_iter < 1:
             raise ConfigError("pressure_tol must be > 0 and pressure_max_iter >= 1")
-        if len(self.fit_window) != 2 or not self.fit_window[1] > self.fit_window[0]:
-            raise ConfigError("fit_window must be an increasing pair")
 
     def initial_data_spec(self) -> InitialDataSpec:
         base = default_spec(self.dimension, self.epsilon0)
@@ -108,7 +105,6 @@ KEYS = {
     "checkpoint_in": str,
     "output_dir": str,
     "t_compare": float,
-    "fit_window": _tuple_of(float),
 }
 _MODES = (ShearMode, VelocityMode)
 

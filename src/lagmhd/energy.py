@@ -341,14 +341,13 @@ def running_trapezoid(times, values):
 
 @dataclass
 class DecayFit:
-    quantity: str
     window: tuple
     slope: float
     intercept: float
     r_squared: float
 
 
-def fit_decay_rate(times, values, window, quantity: str = "") -> DecayFit:
+def fit_decay_rate(times, values, window) -> DecayFit:
     """Least-squares slope of log(value) against log(t+1) inside the window."""
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -367,7 +366,7 @@ def fit_decay_rate(times, values, window, quantity: str = "") -> DecayFit:
     resid = y - (slope * x + intercept)
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - float(np.sum(resid**2)) / ss_tot
-    return DecayFit(quantity, (float(lo), float(hi)), float(slope), float(intercept), r2)
+    return DecayFit((float(lo), float(hi)), float(slope), float(intercept), r2)
 
 
 @dataclass

@@ -50,13 +50,6 @@ def _matmul(a, b):
     return np.einsum("im...,mj...->ij...", a, b)
 
 
-def _identity(dim, shape):
-    out = np.zeros((dim, dim) + shape)
-    for i in range(dim):
-        out[i, i] = 1.0
-    return out
-
-
 # the (i, j) cofactor of a 3x3 matrix g as g[p] g[q] - g[r] g[s]
 _COFACTOR_TERMS = (
     ((0, 0), ((1, 1), (2, 2)), ((2, 1), (1, 2))),
@@ -71,28 +64,6 @@ _COFACTOR_TERMS = (
 )
 
 
-def quadratic_cofactor_values(grad, out=None, tmp=None):
-    """Quadratic adjugate part: entry (i,j) is the (i,j) cofactor of grad Y.
-
-    out (grad's shape) receives the result and tmp (one entry's shape) is
-    scratch; each is allocated when not given.
-    """
-    g = grad
-    dim = g.shape[0]
-    if out is None:
-        out = np.empty_like(g)
-    if dim == 2:
-        out[...] = 0.0
-        return out
-    if tmp is None:
-        tmp = np.empty_like(g[0, 0])
-    for (i, j), (p, q), (r, s) in _COFACTOR_TERMS:
-        # out[i, j] = g[p] * g[q] - g[r] * g[s]
-        np.multiply(g[p], g[q], out=out[i, j])
-        out[i, j] -= np.multiply(g[r], g[s], out=tmp)
-    return out
-
-
 def cofactor_values(grad, out=None):
     """Return (B1, B2, A) raw arrays from grad Y values; A = (I + B1) + B2.
 
@@ -104,7 +75,12 @@ def cofactor_values(grad, out=None):
     np.negative(_transpose(grad), out=b1)
     for i in range(dim):
         b1[i, i] += div
-    quadratic_cofactor_values(grad, out=b2, tmp=a[0, 0])
+    if dim == 2:
+        b2[...] = 0.0
+    else:  # b2[i, j] is the (i, j) cofactor of grad; a[0, 0] is scratch
+        for (i, j), (p, q), (r, s) in _COFACTOR_TERMS:
+            np.multiply(grad[p], grad[q], out=b2[i, j])
+            b2[i, j] -= np.multiply(grad[r], grad[s], out=a[0, 0])
     np.copyto(a, b1)
     for i in range(dim):
         a[i, i] += 1.0
@@ -137,25 +113,6 @@ def determinant_values(grad):
         - m01 * (m10 * m22 - m12 * m20)
         + m02 * (m10 * m21 - m11 * m20)
     )
-
-
-def inverse_transpose_values(mat):
-    """Pointwise (M)^{-T} for 2x2 or 3x3 matrix values."""
-    dim = mat.shape[0]
-    if dim == 2:
-        det = mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0]
-        out = np.empty_like(mat)
-        out[0, 0] = mat[1, 1] / det
-        out[0, 1] = -mat[1, 0] / det
-        out[1, 0] = -mat[0, 1] / det
-        out[1, 1] = mat[0, 0] / det
-        return out
-    # cofactor matrix over det; the (i,j) entry of M^{-T} is cof_ij(M)/det
-    cof = quadratic_cofactor_values(mat)  # valid for any 3x3 values
-    det = (
-        mat[0, 0] * cof[0, 0] + mat[0, 1] * cof[0, 1] + mat[0, 2] * cof[0, 2]
-    )
-    return cof / det
 
 
 # -- trajectory evaluation ----------------------------------------------------
@@ -237,7 +194,6 @@ def _rk4_batch(fn, z, dt, nsteps, record):
 class InitialMap:
     """Volume-preserving map straightening b0: A0^T b0(X0) = e1, det grad X0 = 1."""
 
-    x0: np.ndarray  # map values (d, grid shape)
     displacement: VectorField  # X0 - y (periodic)
     a0: MatrixField  # (grad X0)^{-T}, pointwise
     residual_e1: float
@@ -359,9 +315,8 @@ def construct_initial_map(
         )
     displacement = VectorField.from_values(grid, y0)
     grad = gradient_values(displacement.band, grid)
-    ident = _identity(grid.dim, grid.shape)
-    a0_vals = inverse_transpose_values(ident + grad)
     det = determinant_values(grad)
+    a0_vals = cofactor_values(grad)[2] / det  # cof(I + grad Y) / det
     residual_det = float(np.abs(det - 1.0).max())
 
     pts = np.moveaxis(x0, 0, -1).reshape(-1, grid.dim)
@@ -371,7 +326,6 @@ def construct_initial_map(
     residual_e1 = float(np.abs(at_b).max())
 
     result = InitialMap(
-        x0=x0,
         displacement=displacement,
         a0=MatrixField.from_values(grid, a0_vals),
         residual_e1=residual_e1,

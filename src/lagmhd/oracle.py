@@ -98,21 +98,14 @@ NORM_WEIGHTS = {
 }
 
 
-@dataclass
-class OracleResult:
-    t_grid: np.ndarray
-    norms: dict  # name -> array of norm(t)
-    profile: object
-
-
 def linear_decay_oracle(
     t_grid,
     norms=("grad_yt_h2", "grad_d1yt_h1"),
     profile: PowerLawProfile = None,
     n_radial: int = 360,
     max_angular: int = 8000,
-) -> OracleResult:
-    """Evaluate whole-space linear-solution norms on t_grid by quadrature."""
+) -> dict:
+    """Whole-space linear-solution norms on t_grid by quadrature, {name: array}."""
     profile = profile if profile is not None else PowerLawProfile()
     unknown = [n for n in norms if n not in NORM_WEIGHTS]
     if unknown:
@@ -158,4 +151,4 @@ def linear_decay_oracle(
                     region=(profile.k_min, r_hi),
                 )
             out[name][it] = np.sqrt(val)
-    return OracleResult(t_grid=t_grid, norms=out, profile=profile)
+    return out

@@ -35,6 +35,7 @@ from .initial_data import build_flow_state  # noqa: F401
 from .spectral import gradient_values
 
 NAN = float("nan")
+FIT_WINDOW = (5.0, 50.0)  # t-range of a run's decay fits, clipped to its end
 
 CSV_COLUMNS = (
     "t",
@@ -82,8 +83,6 @@ class RunSample:
     det_drift: float = NAN
     pressure_iters: int = 0
     contraction: float = NAN
-    norm_grad_yt_h2: float = NAN
-    norm_grad_d1yt_h1: float = NAN
     script_e: float = NAN
     grad_u_l1t: float = NAN
     ledger_lhs: float = NAN
@@ -162,8 +161,6 @@ def _record_sample(ev: EnergyEvaluator, state: FlowState, force: NonlinearForce)
         grad_u_sup=_grad_u_sup(grad_u),
         pressure_iters=force.pressure.iterations,
         contraction=force.pressure.contraction_estimate,
-        norm_grad_yt_h2=float(np.sqrt(d.grad_yt_h2)),
-        norm_grad_d1yt_h1=float(np.sqrt(e.w2_grad_d1yt_h1) / (state.t + 1.0)),
     )
 
 
@@ -324,14 +321,14 @@ def _drive(config, initial, force, step, record, write_outputs=True):
 
     fits = {}
     times = np.array([s.t for s in samples])
-    lo, hi = config.fit_window
+    lo, hi = FIT_WINDOW
     hi = min(hi, float(times[-1]) if len(times) else hi)
-    for name, values in (
-        ("grad_yt_h2", [s.norm_grad_yt_h2 for s in samples]),
-        ("grad_d1yt_h1", [s.norm_grad_d1yt_h1 for s in samples]),
+    for name, values in (  # sqrt D_grad_yt_h2; sqrt E_w2_grad_d1yt_h1 over t+1
+        ("grad_yt_h2", np.sqrt([s.dissipation[0] for s in samples])),
+        ("grad_d1yt_h1", np.sqrt([s.energy[5] for s in samples]) / (times + 1.0)),
     ):
         try:
-            fits[name] = fit_decay_rate(times, values, (lo, hi), quantity=name)
+            fits[name] = fit_decay_rate(times, values, (lo, hi))
         except ValueError:
             fits[name] = None
 

@@ -84,3 +84,28 @@ def test_cli_compare_offers_no_output(tmp_path):
     cfg_path.write_text(CONFIG + "solver = both\n")
     with pytest.raises(SystemExit):
         main(["compare", "--config", str(cfg_path), "--output", str(tmp_path / "out")])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["oracle", "--points", "5"],
+        ["oracle", "--t-min", "0"],
+        ["oracle", "--t-min", "200", "--t-max", "100"],
+        ["oracle", "--t-max", "inf"],
+        ["oracle", "--k-min", "0"],
+        ["admissible", "--seeds", "0"],
+        ["admissible", "--halfwidth", "0"],
+    ],
+    ids=[
+        "points-5", "t-min-0", "t-min-above-t-max", "t-max-inf", "k-min-0", "seeds-0",
+        "halfwidth-0",
+    ],
+)
+def test_cli_rejects_out_of_range_arguments(argv, tmp_path, capsys):
+    out_csv = tmp_path / "oracle.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + (["--out", str(out_csv)] if argv[0] == "oracle" else []))
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out_csv.exists()  # rejected before any work

@@ -74,7 +74,7 @@ def test_dump_parse_round_trip():
         + "y0_modes_a = 1,1,0.5,0.1; 2,-1,0.25,1.0\n"
         + "y0_modes_c = 1,1,0.2,0.3\n"
         + "y1_modes = 0,1,0,2,1.0,0.2; 1,1,0,2,0.3,2.1\n"
-        + "t_compare = 0.5\nfit_window = 5,50\n"
+        + "t_compare = 0.5\n"
     )
     cfg = parse_config(text)
     dumped = dump_config(cfg)
@@ -130,7 +130,7 @@ def test_workload_configs_round_trip(name, checkpoint_in):
     assert ("checkpoint_in" in text) == bool(checkpoint_in)
 
 
-@pytest.mark.parametrize("key", ["seed", "script_e_cap", "dealias"])
+@pytest.mark.parametrize("key", ["seed", "script_e_cap", "dealias", "fit_window"])
 def test_removed_keys_are_unknown(key):
     with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
         parse_config(MINIMAL + f"{key} = 3\n")

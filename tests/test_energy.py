@@ -385,7 +385,7 @@ def test_integrated_rhs_trapezoid(tmp_path):
 def test_fit_decay_rate_synthetic_power_law():
     t = np.linspace(0.0, 100.0, 400)
     v = (t + 1.0) ** -0.5
-    fit = fit_decay_rate(t, v, (2.0, 90.0), "synthetic")
+    fit = fit_decay_rate(t, v, (2.0, 90.0))
     assert fit.slope == pytest.approx(-0.5, abs=1e-6)
     assert fit.r_squared > 1.0 - 1e-12
 

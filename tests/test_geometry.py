@@ -371,6 +371,17 @@ def test_initial_map_roundtrip_small_perturbation(grid3):
     assert np.abs(along).max() < 5e-7
 
 
+def test_initial_map_a0_is_the_inverse_transpose_of_its_gradient(grid3):
+    b0, _ = _roundtrip_b0(grid3, amp=1e-2)
+    result = construct_initial_map(b0, tol=1e-6)
+    grad = gradient_values(result.displacement.band, grid3)
+    # (I + grad Y0) per point, matrix axes last for np.linalg
+    m = np.moveaxis(grad, (0, 1), (-2, -1)) + np.eye(3)
+    assert np.abs(m - np.eye(3)).max() > 1e-2  # well away from the identity
+    expected = np.moveaxis(np.linalg.inv(m), (-1, -2), (0, 1))  # the transpose
+    assert np.abs(result.a0.values - expected).max() <= 1e-13
+
+
 def test_initial_map_rejects_nontransversal_field(grid3):
     y1 = mesh(grid3)[0]
     b = np.zeros((3,) + grid3.shape)

@@ -26,10 +26,10 @@ def test_transverse_only_data_heat_decay_and_frozen_map():
     res = linear_decay_oracle(
         t_grid, norms=("yt_h2", "lap_y_h2"), profile=profile, n_radial=200
     )
-    yt = res.norms["yt_h2"]
+    yt = res["yt_h2"]
     # rate at least 2 * k_min^2 / 2 per unit time in the squared norm
     assert yt[2] / yt[1] < np.exp(-0.25 * 10.0 * 0.9)
-    lap = res.norms["lap_y_h2"]
+    lap = res["lap_y_h2"]
     assert lap[3] == pytest.approx(lap[2], rel=1e-3)  # frozen
     assert lap[3] > 0
 
@@ -37,8 +37,8 @@ def test_transverse_only_data_heat_decay_and_frozen_map():
 def test_power_law_slopes_short_window():
     t_grid = np.geomspace(100.0, 1000.0, 11)
     res = linear_decay_oracle(t_grid)
-    fit1 = fit_decay_rate(t_grid, res.norms["grad_yt_h2"], (90.0, 1100.0))
-    fit2 = fit_decay_rate(t_grid, res.norms["grad_d1yt_h1"], (90.0, 1100.0))
+    fit1 = fit_decay_rate(t_grid, res["grad_yt_h2"], (90.0, 1100.0))
+    fit2 = fit_decay_rate(t_grid, res["grad_d1yt_h1"], (90.0, 1100.0))
     assert fit1.slope == pytest.approx(-0.5, abs=0.08)
     assert fit2.slope == pytest.approx(-1.0, abs=0.08)
 
