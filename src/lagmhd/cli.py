@@ -7,10 +7,18 @@ import sys
 
 import numpy as np
 
+from . import errors
 from .config import parse_config
 from .energy import fit_decay_rate
 from .oracle import PowerLawProfile, linear_decay_oracle
 from .runner import compare_formulations, read_diagnostics, run_simulation
+
+
+# the library errors a command ends on: one line on stderr, exit code 1
+_ERRORS = (OSError, errors.ConfigError, errors.CheckpointFormatError,
+           errors.InitialDataError, errors.NonTransversalError,
+           errors.ConstructionFailedError, errors.NotConvergedError,
+           errors.OracleQuadratureError)
 
 
 def _load_config(args):
@@ -183,7 +191,11 @@ def main(argv=None) -> int:
             adm_p.error("--seeds must be >= 1")
         if not 0 < args.halfwidth < np.inf:
             adm_p.error("--halfwidth must be positive and finite")
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _ERRORS as exc:
+        print(f"lagmhd: error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

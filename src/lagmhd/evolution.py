@@ -24,7 +24,7 @@ from .grid import ForceWorkspace, Grid
 from .pressure import PressureSolution, _tensor_rhs_spec, solve_pressure_spec
 from .spectral import (
     dealias_spec,
-    divergence_spec,
+    divergence_band,
     gradient_values,
     riesz_apply_spec,
     weighted_norm_sq,
@@ -208,15 +208,14 @@ class LinearPropagator:
 class NonlinearForce:
     """Forcing f of the displacement equation with the pieces it was built from.
 
-    f is the viscous flux div((A^T A - I) grad Yt) plus pressure_force = -A grad_p.
-    f, pressure_force and grad_p are band fields of their own. a_values,
+    f = div((A^T A - I) grad Yt) - A grad_p, the viscous flux less the
+    pressure force, is a band field of its own, and so is grad_p. a_values,
     grad_y and grad_yt are arrays of the ``ForceWorkspace`` the force was
     computed in: a force of a ``LagrangianStepper`` holds them until that
     stepper computes its next force, which overwrites them.
     """
 
     f: VectorField
-    pressure_force: VectorField  # -A grad_p
     pressure: PressureSolution
     a_values: np.ndarray
     grad_y: np.ndarray
@@ -247,10 +246,11 @@ def compute_force(
     D is formed from B = A - I = B1 + B2 as B + B^T + B^T B, the same algebra
     as the sum of the graded pieces G_d, in one product; I is never added and
     removed, so small deformations do not cancel. The same D drives the
-    pressure fixed point, and the viscous flux costs a single transform
-    whatever the dimension. It reads the bands of Y and Yt, every spectrum
-    in between lives on the band, and f, the pressure force and grad_p are
-    returned as band fields.
+    pressure fixed point. It reads the bands of Y and Yt, every spectrum in
+    between lives on the band, and f and grad_p are returned as band fields.
+    grad Yt comes with the samples of Yt from one ``gradient_values``; the
+    viscous flux is formed after the pressure solve, so that f = mask
+    (div(D grad Yt) - A grad_p) is one ``divergence_band``.
 
     The 2/3 mask zeroes the Nyquist hyperplanes of the leading axes, where
     an odd multiplier leaves a real field's spectrum non-Hermitian and a
@@ -271,35 +271,27 @@ def compute_force(
     y_band, yt_band = _bands(state, work)
     grad_y = gradient_values(y_band, grid, out=work.grad_y, work=work)
     b1, b2, a_vals = cofactor_values(grad_y, out=(work.b, work.flux, work.a))
-    grad_yt = gradient_values(yt_band, grid, out=work.grad_yt, work=work)
+    yt_vals = work.vec[0]
+    grad_yt = gradient_values(yt_band, grid, out=work.grad_yt, work=work, values=yt_vals)
 
     b = np.add(b1, b2, out=b1)
     defect = np.einsum("mi...,mj...->ij...", b, b, out=work.defect)
     defect += b
     defect += np.swapaxes(b, 0, 1)
-    flux = np.einsum("jm...,im...->ij...", defect, grad_yt, out=work.flux)
-    flux_band = grid.rfft(flux, out=work.mat_band, pad=work.pad)
-    visc_band = divergence_spec(
-        np.swapaxes(flux_band, 0, 1), grid, out=work.vec_band[0]
-    )
-    visc_band = dealias_spec(visc_band, grid, out=visc_band)
 
-    d1y = grad_y[:, 0]
-    yt_vals = grid.irfft(yt_band, out=work.vec[0], pad=work.pad[0])
     rhs_band = _tensor_rhs_spec(
-        grid, a_vals, d1y, yt_vals, out=work.vec_band[1], work=work
+        grid, a_vals, grad_y[:, 0], yt_vals, out=work.vec_band[0], work=work
     )
     gp_band, iters, residuals, contraction, potential = solve_pressure_spec(
         grid, defect, rhs_band, pressure_tol, pressure_max_iter, q0=q0, work=work
     )
     gp_real = grid.irfft(gp_band, out=work.vec[0], pad=work.pad[0])
     a_gp = np.einsum("im...,m...->i...", a_vals, gp_real, out=work.vec[1])
-    fp_band = grid.rfft(a_gp, pad=work.pad[0])
-    fp_band *= -grid.dealias_mask
+    flux = np.einsum("jm...,im...->ij...", defect, grad_yt, out=work.flux)
+    f_band = divergence_band(flux, grid, work=work, minus=a_gp)
 
     return NonlinearForce(
-        f=VectorField.from_band(grid, fp_band + visc_band),
-        pressure_force=VectorField.from_band(grid, fp_band),
+        f=VectorField.from_band(grid, dealias_spec(f_band, grid, out=f_band)),
         pressure=PressureSolution(
             grad_p=VectorField.from_band(grid, gp_band),
             iterations=iters,
@@ -588,8 +580,7 @@ class EulerianStepper:
         self._prod = np.empty((nprod,) + grid.shape)
         self._prod_band = np.empty((nprod,) + band, dtype=complex)
         self._band_tmp = np.empty(band, dtype=complex)
-        planes = grid.shape[:-1] + (grid.shape[-1] // 2 + 1,)
-        self._pad = np.empty((max(2 * d, nprod),) + planes, dtype=complex)
+        self._pad = np.empty((max(2 * d, nprod),) + grid.pad_shape, dtype=complex)
         # (rhs_u, h) of the two stages of a step, the nonlinearity n they
         # share, and the predictor state
         self._stages = tuple(

@@ -10,10 +10,10 @@ K = ceil(N_last/3) last-axis planes (k_last = 0, ..., K - 1) of its
 normalized Fourier coefficients, exactly the k_last >= 0 planes the 2/3 mask
 keeps; the k_last < 0 planes are their complex conjugates. A ``Grid`` keeps
 its spectral tables on the band only, and ``rfft``/``irfft`` go between
-samples and bands: the leading axes by scipy's in-place c2c, the last axis,
-for N_last <= MATMUL_MAX_LAST, by one matmul against a real DFT table pruned
-to the planes it needs (``_dft_tables``, shared by every grid of that
-N_last), and past that by numpy's r2c/c2r.
+samples and bands in two stages: the leading axes by scipy's in-place c2c
+(``lead_pass``), the last axis (``last_forward``, ``last_inverse``) by a
+matmul against a pruned real DFT table for N_last <= MATMUL_MAX_LAST and
+by numpy's r2c/c2r past that.
 """
 
 from __future__ import annotations
@@ -133,6 +133,9 @@ class Grid:
             mask = mask * along(i, np.abs(np.fft.fftfreq(n) * n) <= ncut)
         multiplicity = np.full(nb, 2.0)
         multiplicity[0] = 1.0
+        # a plane buffer's last axis: the band, all the matmul stage reads,
+        # or the N_last/2 + 1 planes of numpy's c2r
+        pad_last = nb if sizes[-1] <= MATMUL_MAX_LAST else sizes[-1] // 2 + 1
         coords = tuple(
             (spacings[i] * np.arange(sizes[i])).reshape(
                 [-1 if j == i else 1 for j in range(dim)]
@@ -145,6 +148,7 @@ class Grid:
         object.__setattr__(self, "volume", float(np.prod(lengths)))
         object.__setattr__(self, "npoints", int(np.prod(sizes)))
         object.__setattr__(self, "band_shape", band_shape)
+        object.__setattr__(self, "pad_shape", sizes[:-1] + (pad_last,))
         object.__setattr__(self, "k_axes", k_axes)
         object.__setattr__(self, "k2", k2)
         object.__setattr__(self, "inv_k2", inv_k2)
@@ -170,21 +174,48 @@ class Grid:
         return tuple(range(-self.dim, 0))
 
     def rfft(self, values, out=None, pad=None):
-        """Real samples -> the band of the normalized coefficients.
+        """Real samples -> the band, the first K = ceil(N_last/3) last-axis
+        planes of the normalized coefficients, which the 2/3 mask keeps:
+        ``last_forward`` into ``out``, then one ``lead_pass``; the mask is
+        not applied. out and pad (N_last/2 + 1 last-axis planes, complex)
+        are allocated when not given; the result is ``out``."""
+        out = self.last_forward(values, out=out, pad=pad)
+        return self.lead_pass(out, self.spatial_axes[:-1])
 
-        The band is the first K = ceil(N_last/3) last-axis planes of the full
-        spectrum, the k_last >= 0 planes the 2/3 mask keeps. A pruned
-        real-data transform, scaled by 1/N (exact for power-of-two sizes):
-        the last axis goes straight into ``out``, then an in-place fftn runs
-        over the leading axes. The mask is not applied on the leading axes.
-        For N_last <= MATMUL_MAX_LAST the last axis is one matmul against the
-        cached table ``_dft_tables(N_last)[0]`` and ``pad`` is not touched;
-        past it, numpy's rfft writes all N_last/2 + 1 planes into ``pad`` and
-        the first K are copied into ``out``.
+    def irfft(self, band, out=None, pad=None):
+        """Band -> real samples, the argument left unchanged: any k <= N_last/2
+        + 1 planes k_last >= 0, the missing ones zero, go into the first k
+        planes of ``pad`` (overwritten) for one inverse ``lead_pass`` and
+        ``last_inverse``. Exact for a band the 2/3 mask has been applied to:
+        it is zero, hence Hermitian, on the Nyquist hyperplanes of the
+        leading axes. out and pad (``pad_shape``, or k planes if more) are
+        allocated when not given."""
+        k = band.shape[-1]
+        if pad is None:
+            pad = np.empty(band.shape[:-1] + (max(k, self.pad_shape[-1]),), dtype=complex)
+        part = pad[..., :k]
+        part[...] = band
+        self.lead_pass(part, self.spatial_axes[:-1], inverse=True)
+        return self.last_inverse(pad, k, out=out)
 
-        out (the band) and pad (N_last/2 + 1 last-axis planes, complex) are
-        written when given and allocated when needed; the result is ``out``.
-        """
+    def lead_pass(self, arr, axes, inverse=False):
+        """scipy's c2c over the given leading spatial axes of arr (negative
+        indices), written back into arr; the forward one scaled by 1/N per
+        axis, exactly for power-of-two sizes. A symbol i k_j commutes with
+        the passes along the other axes, so ``spectral.gradient_values`` and
+        ``spectral.divergence_band`` apply it between them."""
+        c2c = sfft.ifftn if inverse else sfft.fftn
+        res = c2c(arr, axes=axes, norm="forward", overwrite_x=True)
+        if not np.may_share_memory(res, arr):  # overwrite_x is a hint only
+            arr[...] = res
+        return arr
+
+    def last_forward(self, values, out=None, pad=None):
+        """Real samples -> their first K last-axis planes, scaled by 1/N_last:
+        for N_last <= MATMUL_MAX_LAST one matmul against the cached table
+        ``_dft_tables(N_last)[0]``, past it numpy's rfft into all N_last/2 + 1
+        planes of ``pad`` and a copy of the first K into ``out``; both are
+        allocated when needed."""
         lead, n, nb = values.shape[:-1], self.sizes[-1], self.band_shape[-1]
         if out is None:
             out = np.empty(lead + (nb,), dtype=complex)
@@ -195,60 +226,30 @@ class Grid:
                 pad = np.empty(lead + (n // 2 + 1,), dtype=complex)
             np.fft.rfft(values, axis=-1, norm="forward", out=pad)
             out[...] = pad[..., :nb]
-        return self._in_place(sfft.fftn, out)
+        return out
 
-    def irfft(self, band, out=None, pad=None):
-        """Band -> real samples; the argument is left unchanged.
-
-        Takes any number k of k_last >= 0 planes up to N_last/2 + 1 and
-        treats the missing ones as zero: the band is copied into the first k
-        planes of ``pad``, ifftn runs there in place over the leading axes,
-        then the last axis goes to the samples. For N_last <= MATMUL_MAX_LAST
-        that is one matmul of those k planes, viewed as float, against the
-        first 2k rows of the cached table ``_dft_tables(N_last)[1]``, and the
-        planes of ``pad`` past k are not read or written; past it, they are
-        zeroed and numpy's irfft takes all of ``pad``. The result is exact
-        for a band the 2/3 mask has been applied to: it is zero, hence
-        Hermitian, on the Nyquist hyperplanes of the leading axes.
-
-        out (real samples) and pad (N_last/2 + 1 last-axis planes, complex;
-        its contents are overwritten) are written when given and allocated
-        when not; the result is ``out``.
-        """
-        n, k = self.sizes[-1], band.shape[-1]
-        if pad is None:
-            pad = np.empty(band.shape[:-1] + (n // 2 + 1,), dtype=complex)
-        part = pad[..., :k]
-        part[...] = band
-        self._in_place(sfft.ifftn, part)
-        if n <= MATMUL_MAX_LAST:
-            if out is None:
-                out = np.empty(band.shape[:-1] + (n,))
-            return np.matmul(part.view(float), _dft_tables(n)[1][: 2 * k], out=out)
-        pad[..., k:] = 0.0
-        return np.fft.irfft(pad, n=n, axis=-1, norm="forward", out=out)
-
-    def _in_place(self, c2c, arr):
-        """c2c over the leading spatial axes of arr, written back into arr."""
-        res = c2c(arr, axes=self.spatial_axes[:-1], norm="forward", overwrite_x=True)
-        if not np.may_share_memory(res, arr):  # overwrite_x is a hint only
-            arr[...] = res
-        return arr
+    def last_inverse(self, pad, k, out=None):
+        """The first k last-axis planes of ``pad`` -> real samples, the planes
+        past k taken as zero: for N_last <= MATMUL_MAX_LAST one matmul of the
+        k planes, viewed as float, against the first 2k rows of
+        ``_dft_tables(N_last)[1]``; past it numpy's irfft of all N_last/2 + 1
+        planes of ``pad``, those past k zeroed first."""
+        n = self.sizes[-1]
+        if n > MATMUL_MAX_LAST:
+            pad[..., k:] = 0.0
+            return np.fft.irfft(pad, n=n, axis=-1, norm="forward", out=out)
+        if out is None:
+            out = np.empty(pad.shape[:-1] + (n,))
+        return np.matmul(pad[..., :k].view(float), _dft_tables(n)[1][: 2 * k], out=out)
 
     def fft(self, values):
-        """Real samples -> full spectrum c_k with f(y) = sum c_k e^{ik.y}.
-
-        No run path calls it or ``ifft``: both stay only because perfbench's
-        tests and layers use them, and leave with ROADMAP item 3.
-        """
+        """Real samples -> full spectrum c_k with f(y) = sum c_k e^{ik.y}. No run
+        path calls it or ``ifft``: perfbench does (ROADMAP item 3)."""
         return sfft.fftn(values, axes=self.spatial_axes, norm="forward")
 
     def ifft(self, spec):
-        """Spectrum of a real field -> real samples, as a contiguous float64 array.
-
-        One irfftn of the k_last >= 0 half; the k_last < 0 planes are not
-        read. Kept for perfbench only, as ``fft`` is.
-        """
+        """Spectrum of a real field -> real samples: one irfftn of the k_last
+        >= 0 half, the k_last < 0 planes not read. Kept for perfbench."""
         half = spec[..., : self.sizes[-1] // 2 + 1]
         return sfft.irfftn(half, s=self.sizes, axes=self.spatial_axes, norm="forward")
 
@@ -295,22 +296,24 @@ class ForceWorkspace:
     - ``b``: (d, d), B1, then B = B1 + B2, then w x (A^T w) of the
       pressure right-hand side;
     - ``defect``: (d, d), D = A^T A - I, which the pressure solve reads;
-    - ``flux``: (d, d), B2, then D grad Yt, then Z A of the pressure
-      right-hand side;
-    - ``vec``: (3, d), the samples of Yt and the vectors of the pressure
-      right-hand side, then the Picard iterate and its product with D.
+    - ``flux``: (d, d), B2, then Z A of the pressure right-hand side, then
+      the viscous flux D grad Yt;
+    - ``vec``: (3, d), the samples of Yt, which come with grad Yt, and the
+      vectors of the pressure right-hand side, then the Picard iterate and
+      its product with D, then grad_p and A grad_p.
 
     Bands (complex, ``grid.band_shape``):
 
     - ``y_band``, ``yt_band``: (d,), the masked bands of Y and Yt;
-    - ``mat_band``: (d, d), the gradient spectra, then the flux and Z A
-      spectra;
-    - ``vec_band``: (3, d), the viscous force, the pressure right-hand
-      side, and the spectra in between.
+    - ``mat_band``: (d, d), the stages of each ``divergence_band``: of Z A,
+      then of the viscous flux less A grad_p;
+    - ``vec_band``: (2, d), the pressure right-hand side, and the spectra
+      of its assembly and of the Picard iteration.
 
-    ``pad`` is (d, d) arrays of N_last/2 + 1 last-axis planes, the plane
-    buffer of ``Grid.irfft``, and of ``Grid.rfft`` for N_last past
-    ``MATMUL_MAX_LAST``; a vector uses ``pad[0]``.
+    ``pad`` is (d, d) arrays of ``grid.pad_shape``: the slots of
+    ``gradient_values``, the plane buffer of ``Grid.irfft``, and of
+    ``Grid.rfft`` for N_last past ``MATMUL_MAX_LAST``; a vector uses
+    ``pad[0]``.
     """
 
     def __init__(self, grid: Grid):
@@ -326,9 +329,8 @@ class ForceWorkspace:
         self.y_band = np.empty((d,) + band, dtype=complex)
         self.yt_band = np.empty((d,) + band, dtype=complex)
         self.mat_band = np.empty((d, d) + band, dtype=complex)
-        self.vec_band = np.empty((3, d) + band, dtype=complex)
-        planes = grid.shape[:-1] + (grid.shape[-1] // 2 + 1,)
-        self.pad = np.empty((d, d) + planes, dtype=complex)
+        self.vec_band = np.empty((2, d) + band, dtype=complex)
+        self.pad = np.empty((d, d) + grid.pad_shape, dtype=complex)
 
 
 def multi_indices(dim: int, s: int):

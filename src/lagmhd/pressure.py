@@ -28,7 +28,7 @@ from .grid import ForceWorkspace, Grid
 from .spectral import (
     _k_contract,
     dealias_spec,
-    divergence_spec,
+    divergence_band,
     riesz_apply_spec,
     weighted_norm_sq,
 )
@@ -55,22 +55,22 @@ def _tensor_rhs_spec(grid: Grid, a_vals, v_vals, w_vals, out=None, work=None):
 
     Returns the band of the spectrum. The divergence-free rows of the cofactor matrix let the nested operator
     collapse to this conservative form. The product (v x v - w x w) A takes
-    two mat-vecs and two outer products: v_i (A^T v)_l - w_i (A^T w)_l.
+    two mat-vecs and two outer products: v_i (A^T v)_l - w_i (A^T w)_l, and
+    its divergence is one ``divergence_band``.
 
     out receives the band when given. ``work`` is the ``ForceWorkspace`` of
     the grid (a fresh one when None); the call overwrites its ``flux``,
-    ``b``, ``vec[1:]``, ``mat_band``, ``vec_band[2]`` and ``pad``, so v and
+    ``b``, ``vec[1:]``, ``mat_band``, ``vec_band[1]`` and ``pad``, so v and
     w must not live there.
     """
     if work is None:
         work = ForceWorkspace(grid)
-    vec, band, pad = work.vec, work.vec_band[2], work.pad
+    vec, band, pad = work.vec, work.vec_band[1], work.pad
     at_v = np.einsum("ml...,m...->l...", a_vals, v_vals, out=vec[1])
     at_w = np.einsum("ml...,m...->l...", a_vals, w_vals, out=vec[2])
     za = np.einsum("i...,l...->il...", v_vals, at_v, out=work.flux)
     za -= np.einsum("i...,l...->il...", w_vals, at_w, out=work.b)
-    za_band = grid.rfft(za, out=work.mat_band, pad=pad)
-    w_band = divergence_spec(np.swapaxes(za_band, 0, 1), grid, out=band)
+    w_band = divergence_band(za, grid, out=band, work=work)
     w_band = dealias_spec(w_band, grid, out=w_band)
     w_real = grid.irfft(w_band, out=vec[1], pad=pad[0])
     atw = np.einsum("jm...,j...->m...", a_vals, w_real, out=vec[2])
@@ -97,7 +97,7 @@ def solve_pressure_spec(
     on q0. Returns (grad_p, iterations, residuals, contraction, potential),
     fresh arrays. ``work`` is the ``ForceWorkspace`` of the grid (a fresh
     one when None); the iteration overwrites its ``vec[:2]``,
-    ``vec_band[2]`` and ``pad``.
+    ``vec_band[1]`` and ``pad``.
     """
     if work is None:
         work = ForceWorkspace(grid)
@@ -116,7 +116,7 @@ def solve_pressure_spec(
     for it in range(1, max_iter + 1):
         grid.irfft(gp, out=gp_real, pad=pad)
         np.einsum("jm...,m...->j...", defect_vals, gp_real, out=mgp)
-        q = _k_contract(grid.rfft(mgp, out=work.vec_band[2], pad=pad), k)
+        q = _k_contract(grid.rfft(mgp, out=work.vec_band[1], pad=pad), k)
         q *= grid.masked_inv_k2
         for i in range(grid.dim):
             np.multiply(k[i], q, out=gp[i])

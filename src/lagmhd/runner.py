@@ -446,13 +446,14 @@ def compare_formulations(config: RunConfig) -> CompareReport:
     stride = tuple(max(1, n // 8) for n in grid.sizes)
     sel = tuple(slice(None, None, st) for st in stride)
     coords = np.stack(np.broadcast_arrays(*grid.coords))
-    x_pts = (coords + flow.Y.values)[(slice(None),) + sel].reshape(grid.dim, -1).T
+    y_vals = np.empty_like(coords)
+    grad_y = gradient_values(flow.Y.band, grid, values=y_vals)
+    x_pts = (coords + y_vals)[(slice(None),) + sel].reshape(grid.dim, -1).T
     u_eval = make_trig_evaluator(euler.u)
     b_eval = make_trig_evaluator(euler.b)
     u_at_x = u_eval(x_pts)
     b_at_x = b_eval(x_pts)
     yt_samples = flow.Yt.values[(slice(None),) + sel].reshape(grid.dim, -1)
-    grad_y = gradient_values(flow.Y.band, grid)
     b_lagr = grad_y[:, 0][(slice(None),) + sel].reshape(grid.dim, -1)
     b_lagr = b_lagr.copy()
     b_lagr[0] += 1.0

@@ -17,21 +17,55 @@ from .grid import Grid
 # -- derivatives --------------------------------------------------------------
 
 
-def gradient_values(band, grid: Grid, out=None, work=None):
-    """Real-space gradient of a vector band: out[i, j] = d_j v^i.
+def gradient_values(band, grid: Grid, out=None, work=None, values=None):
+    """Real-space gradient of a vector band: out[i, j] = d_j v^i; ``values``,
+    when given, receives the samples of v, bit for bit ``grid.irfft(band)``.
 
-    All components and directions take one multiply by i k_j and go through
-    one pruned ``grid.irfft``. With a ``ForceWorkspace`` (``work``), the
-    products go into its ``mat_band`` and the transform uses its ``pad``;
-    ``out`` receives the gradient.
+    Slot j < d - 1 of each component is i k_j times slot d - 1 (v^i), formed
+    just before the pass along axis j, which runs on the slots formed by
+    then: 15 component passes for a 3D vector, not 18. Slot d - 1 times
+    i k_last is d_last v^i. ``work``'s ``pad`` holds the slots when given.
     """
+    d, nb = grid.dim, grid.band_shape[-1]
+    ik = [1j * k for k in grid.k_axes]
     if work is None:
-        buf, pad = np.empty((band.shape[0], grid.dim) + grid.band_shape, dtype=complex), None
+        pad = np.empty((band.shape[0], d) + grid.pad_shape, dtype=complex)
     else:
-        buf, pad = work.mat_band, work.pad
-    for j in range(grid.dim):
-        np.multiply(band, 1j * grid.k_axes[j], out=buf[:, j])
-    return grid.irfft(buf, out=out, pad=pad)
+        pad = work.pad[: band.shape[0]]
+    slots = pad[..., :nb]
+    slots[:, -1] = band
+    for a in range(d - 1):
+        np.multiply(slots[:, -1], ik[a], out=slots[:, a])
+        grid.lead_pass(slots if a == d - 2 else slots[:, ::2], (a - d,), inverse=True)
+    if values is not None:
+        grid.last_inverse(pad[:, -1], nb, out=values)
+    slots[:, -1] *= ik[-1]
+    return grid.last_inverse(pad, nb, out=out)
+
+
+def divergence_band(mat, grid: Grid, out=None, work=None, minus=None):
+    """Band of sum_j d_j mat[i, j] - minus[i] from real samples, unmasked.
+
+    The mirror image of ``gradient_values``: column d - 1 times i k_last,
+    less ``minus``, is a running sum; leading axis j, in rfft's order, takes
+    one pass over columns j, ..., d - 1, then column j times i k_j joins the
+    sum: 15 component passes in 3D, not 24. ``work``'s ``mat_band`` and
+    ``pad`` hold the stages when given.
+    """
+    d = grid.dim
+    ik = [1j * k for k in grid.k_axes]
+    slots, pad = (None, None) if work is None else (work.mat_band, work.pad)
+    slots = grid.last_forward(mat, out=slots, pad=pad)
+    acc = slots[:, -1]
+    acc *= ik[-1]
+    if minus is not None:
+        out = grid.last_forward(minus, out=out, pad=None if pad is None else pad[0])
+        acc -= out
+    for a in range(d - 1):
+        grid.lead_pass(slots[:, a:], (a - d,))
+        slots[:, a] *= ik[a]
+        acc = np.add(acc, slots[:, a], out=out if a == d - 2 else acc)
+    return acc
 
 
 def _k_contract(spec, symbols, out=None, tmp=None):
@@ -60,8 +94,8 @@ def dealias_spec(spec, grid: Grid, out=None):
 
 
 def weighted_norm_sq(spec, weight, grid: Grid) -> float:
-    acc = np.sum(weight * (spec.real**2 + spec.imag**2), axis=grid.spatial_axes)
-    return float(grid.volume * np.sum(acc))
+    """volume * sum of weight |spec|^2: one weighted copy of spec, one vdot."""
+    return grid.volume * float(np.vdot(spec, np.multiply(spec, weight)).real)
 
 
 # -- Riesz projector ----------------------------------------------------------

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from lagmhd.fields import ScalarField, VectorField
-from lagmhd.grid import Grid, multi_indices
+from lagmhd.grid import ForceWorkspace, Grid, multi_indices
 from lagmhd.spectral import dealias_spec, riesz_apply_spec
 
 
@@ -84,6 +84,15 @@ def weighted_inner(spec_a, spec_b, weight, grid):
     """V * Re sum_k w(k) c_a(k) conj(c_b(k)), summed over component channels."""
     acc = np.sum(weight * (spec_a * np.conj(spec_b)).real, axis=grid.spatial_axes)
     return float(grid.volume * np.sum(acc))
+
+
+def poisoned_workspace(grid):
+    """A workspace whose arrays all hold NaN, so that a kernel that reads
+    anything it did not write in the same call shows it in its result."""
+    work = ForceWorkspace(grid)
+    for arr in vars(work).values():
+        arr.fill(np.nan)
+    return work
 
 
 def leray_project(v):

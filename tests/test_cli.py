@@ -109,3 +109,29 @@ def test_cli_rejects_out_of_range_arguments(argv, tmp_path, capsys):
     assert exc.value.code == 2
     assert "error:" in capsys.readouterr().err
     assert not out_csv.exists()  # rejected before any work
+
+
+@pytest.mark.parametrize(
+    "case, error",
+    [
+        ("missing-config", "FileNotFoundError"),
+        ("unknown-key", "ConfigError"),
+        ("bad-checkpoint", "CheckpointFormatError"),
+        ("non-transversal", "NonTransversalError"),
+    ],
+)
+def test_cli_library_errors_end_as_one_line(case, error, tmp_path, capsys):
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(CONFIG + ("bogus = 1\n" if case == "unknown-key" else ""))
+    ckpt = tmp_path / "state.ckpt"
+    ckpt.write_bytes(b"not a snapshot")
+    argv = {
+        "missing-config": ["run", "--config", str(tmp_path / "missing.cfg")],
+        "unknown-key": ["run", "--config", str(cfg_path)],
+        "bad-checkpoint": ["run", "--config", str(cfg_path), "--resume", str(ckpt)],
+        "non-transversal": ["admissible", "--amplitude", "10", "--seeds", "2"],
+    }[case]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"lagmhd: error: {error}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err

@@ -15,7 +15,7 @@ from lagmhd.geometry import (
     determinant_values,
     graded_metric_values,
 )
-from lagmhd.grid import ForceWorkspace, Grid
+from lagmhd.grid import Grid
 from lagmhd.evolution import (
     DEGENERATE_REL_TOL,
     EulerianStepper,
@@ -38,7 +38,7 @@ from lagmhd.spectral import (
     weighted_norm_sq,
 )
 
-from conftest import FullSpectrum, leray_project, random_band_limited
+from conftest import FullSpectrum, leray_project, poisoned_workspace, random_band_limited
 
 
 # -- dispersion roots ---------------------------------------------------------
@@ -187,10 +187,17 @@ def test_integral_entries_quadrature_oracle():
 # -- force assembly ------------------------------------------------------------
 
 
+def _pressure_force(force):
+    """The band of -A grad_p, formed on its own: -mask rfft(A irfft(grad_p))."""
+    grid = force.f.grid
+    a_gp = np.einsum("im...,m...->i...", force.a_values, force.pressure.grad_p.values)
+    return -dealias_spec(grid.rfft(a_gp), grid)
+
+
 def test_force_zero_at_equilibrium(grid3):
     force = compute_force(FlowState.zeros(grid3))
     assert np.abs(force.f.values).max() == 0.0
-    assert np.abs(force.f.values - force.pressure_force.values).max() == 0.0
+    assert np.abs(_pressure_force(force)).max() == 0.0
 
 
 def test_force_viscous_vanishes_without_velocity():
@@ -198,9 +205,9 @@ def test_force_viscous_vanishes_without_velocity():
     state = build_flow_state(grid, scaled_spec(default_spec(3, None), 0.05))
     state = FlowState(state.Y, VectorField.zeros(grid), 0.0)
     force = compute_force(state)
-    resid = force.f.band - force.pressure_force.band
-    assert np.abs(resid).max() == 0.0
-    assert np.abs(force.pressure_force.values).max() > 0.0
+    pressure_force = _pressure_force(force)
+    assert np.abs(force.f.band - pressure_force).max() == 0.0
+    assert np.abs(pressure_force).max() > 0.0
 
 
 def test_force_quadratic_scaling():
@@ -237,7 +244,7 @@ def test_force_decomposition_consistency():
         ata[i, i] -= 1.0
     full = _viscous_spec(ata, state)
     scale = max(np.abs(full).max(), 1e-300)
-    viscous = force.f.band - force.pressure_force.band
+    viscous = force.f.band - _pressure_force(force)
     assert np.abs(viscous - full).max() < 1e-10 * scale
     # f = viscous flux of the graded sum + pressure force
     graded = graded_metric_values(b1, b2)
@@ -246,12 +253,14 @@ def test_force_decomposition_consistency():
 
 
 def _force_transforms(monkeypatch, grid, amp):
-    """Shapes of every Grid.rfft input and Grid.irfft argument, in call order,
-    over one compute_force, and its Picard iteration count.
+    """The stages of every transform over one compute_force, and its Picard
+    iteration count: the shapes of the samples each last-axis stage takes
+    (``Grid.last_forward``) or gives (``Grid.last_inverse``), in call order,
+    and the number of single-axis component passes of ``Grid.lead_pass``.
 
     The state holds bands only, as a stepped state does, so Yt's samples
-    cost one inverse transform. Every transform of the kernel goes through
-    Grid.rfft or Grid.irfft.
+    cost a last-axis stage. Every transform of the kernel goes through
+    these three stages.
     """
     built = build_flow_state(grid, scaled_spec(default_spec(grid.dim, None), amp))
     state = FlowState(
@@ -259,22 +268,28 @@ def _force_transforms(monkeypatch, grid, amp):
         VectorField.from_band(grid, built.Yt.band),
         0.0,
     )
-    calls = {"rfft": [], "irfft": []}
-    rfft, irfft = Grid.rfft, Grid.irfft
+    d = grid.dim
+    calls = {"forward": [], "inverse": [], "passes": 0}
+    stages = Grid.lead_pass, Grid.last_forward, Grid.last_inverse
 
-    def counted_rfft(self, values, *args, **kwargs):
-        calls["rfft"].append(values.shape)
-        return rfft(self, values, *args, **kwargs)
+    def counted_pass(self, arr, axes, *args, **kwargs):
+        calls["passes"] += arr.size // int(np.prod(arr.shape[-d:])) * len(axes)
+        return stages[0](self, arr, axes, *args, **kwargs)
 
-    def counted_irfft(self, half, *args, **kwargs):
-        calls["irfft"].append(half.shape)
-        return irfft(self, half, *args, **kwargs)
+    def counted_forward(self, values, *args, **kwargs):
+        calls["forward"].append(values.shape)
+        return stages[1](self, values, *args, **kwargs)
 
-    monkeypatch.setattr(Grid, "rfft", counted_rfft)
-    monkeypatch.setattr(Grid, "irfft", counted_irfft)
+    def counted_inverse(self, pad, k, *args, **kwargs):
+        calls["inverse"].append(pad.shape[:-1] + grid.shape[-1:])
+        return stages[2](self, pad, k, *args, **kwargs)
+
+    monkeypatch.setattr(Grid, "lead_pass", counted_pass)
+    monkeypatch.setattr(Grid, "last_forward", counted_forward)
+    monkeypatch.setattr(Grid, "last_inverse", counted_inverse)
     iters = compute_force(state).pressure.iterations
     monkeypatch.undo()
-    return calls["rfft"], calls["irfft"], iters
+    return calls, iters
 
 
 # one Picard iteration, as on slab3d, and several, as on strong3d
@@ -287,26 +302,33 @@ def test_force_takes_one_viscous_transform(monkeypatch, sizes):
     d = grid.dim
     vec, mat = (d,) + grid.shape, (d, d) + grid.shape
     for amp in FORCE_AMPS:
-        calls, _, iters = _force_transforms(monkeypatch, grid, amp)
-        # viscous flux, Z A and A^T w for the pressure rhs, D grad_p per
-        # Picard iteration, and A grad_p for the pressure force
-        assert calls == [mat, mat, vec] + [vec] * iters + [vec]
+        calls, iters = _force_transforms(monkeypatch, grid, amp)
+        # Z A and A^T w for the pressure rhs, D grad_p per Picard iteration,
+        # then the viscous flux and A grad_p of one divergence_band
+        assert calls["forward"] == [mat, vec] + [vec] * iters + [mat, vec]
 
 
 @pytest.mark.parametrize("sizes", [(16, 16, 16), (32, 32)], ids=["3D", "2D"])
 def test_force_takes_one_inverse_transform_per_gradient(monkeypatch, sizes):
     grid = Grid(sizes, (2 * np.pi,) * len(sizes))
     d = grid.dim
-    vec, mat = (d,) + grid.band_shape, (d, d) + grid.band_shape
+    vec, mat = (d,) + grid.shape, (d, d) + grid.shape
     for amp in FORCE_AMPS:
-        forward, calls, iters = _force_transforms(monkeypatch, grid, amp)
-        # grad Y and grad Yt, the samples of Yt, w of the pressure rhs,
-        # grad_p per Picard iteration, and the final grad_p
-        assert calls == [mat, mat, vec, vec] + [vec] * iters + [vec]
-        # component transforms, forward and inverse: the parent's traced
+        calls, iters = _force_transforms(monkeypatch, grid, amp)
+        # grad Y, then the samples of Yt and grad Yt of one gradient_values,
+        # w of the pressure rhs, grad_p per Picard iteration, and the final
+        # grad_p
+        assert calls["inverse"] == [mat, vec, mat, vec] + [vec] * iters + [vec]
+        # last-axis components, forward and inverse: the parent's traced
         # Grid.fft/Grid.ifft count per force (57 at one iteration in 3D)
-        components = sum(int(np.prod(s[:-d])) for s in forward + calls)
+        components = sum(
+            int(np.prod(s[:-d])) for s in calls["forward"] + calls["inverse"]
+        )
         assert components == (51 + 6 * iters if d == 3 else 26 + 4 * iters)
+        # single-axis leading passes of a component: the gradients and the
+        # divergences share theirs, where one transform per component took
+        # 102 + 12 iters in 3D and 26 + 4 iters in 2D
+        assert calls["passes"] == (78 + 12 * iters if d == 3 else 22 + 4 * iters)
 
 
 @pytest.mark.parametrize("sizes", [(16, 16, 16), (32, 32)], ids=["3D", "2D"])
@@ -327,26 +349,15 @@ def test_force_of_a_state_is_that_of_its_projection(sizes, rng):
     )
     got, want = compute_force(state), compute_force(projected)
     assert np.abs(bands[0] - projected.Y.band).max() > 0.0
-    for name in ("f", "pressure_force"):
-        assert np.array_equal(getattr(got, name).band, getattr(want, name).band)
+    assert np.array_equal(got.f.band, want.f.band)
     assert np.array_equal(got.pressure.grad_p.band, want.pressure.grad_p.band)
     assert np.array_equal(got.grad_y, want.grad_y)
     assert np.array_equal(got.grad_yt, want.grad_yt)
 
 
-def _poisoned_workspace(grid):
-    """A workspace whose arrays all hold NaN, so that a force that reads
-    anything it did not write in the same call shows it in its result."""
-    work = ForceWorkspace(grid)
-    for arr in vars(work).values():
-        arr.fill(np.nan)
-    return work
-
-
 def _force_arrays(force):
     return {
         "f": force.f.band,
-        "pressure_force": force.pressure_force.band,
         "grad_p": force.pressure.grad_p.band,
         "potential": force.pressure.potential,
         "grad_y": force.grad_y,
@@ -362,7 +373,7 @@ def test_a_reused_workspace_gives_the_fresh_force_bit_for_bit(sizes):
     # equals the one computed in a fresh workspace, so nothing a force reads
     # is left from the last one (the transform planes beyond the band included)
     grid = Grid(sizes, (2 * np.pi,) * len(sizes))
-    work = _poisoned_workspace(grid)
+    work = poisoned_workspace(grid)
     iterations, q0 = [], None
     for amp in FORCE_AMPS + FORCE_AMPS[::-1] + (0.02,):
         spec = scaled_spec(default_spec(grid.dim, None), amp)
@@ -374,9 +385,9 @@ def test_a_reused_workspace_gives_the_fresh_force_bit_for_bit(sizes):
         assert got.pressure.contraction_estimate == want.pressure.contraction_estimate
         for name, arr in _force_arrays(got).items():
             assert np.array_equal(arr, _force_arrays(want)[name]), name
-        # f, the pressure force, grad_p and the potential are the caller's;
-        # the gradients and the cofactor are the workspace's
-        for name in ("f", "pressure_force", "grad_p", "potential"):
+        # f, grad_p and the potential are the caller's; the gradients and
+        # the cofactor are the workspace's
+        for name in ("f", "grad_p", "potential"):
             arr = _force_arrays(got)[name]
             assert not any(np.may_share_memory(arr, w) for w in vars(work).values())
         assert got.grad_y is work.grad_y and got.grad_yt is work.grad_yt

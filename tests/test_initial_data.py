@@ -36,11 +36,13 @@ def test_build_flow_state_transform_count(monkeypatch):
     # linear in the scale, so a build transforms them once (a: 1 forward, its
     # gradient 3 inverse; the velocity 3 + 3); each assembly transforms c (1)
     # and its gradient (3), and Y1 (3). The data check reads the gradient of
-    # Y0 that the last assembly formed, so a checked build takes no more
+    # Y0 that the last assembly formed, so a checked build takes no more.
+    # Counted in last-axis stages, which every transform and gradient takes
     grid = Grid((16, 16, 16), (64.0, 2 * np.pi, 2 * np.pi))
-    components = {"rfft": 0, "irfft": 0}
+    components = {"forward": 0, "inverse": 0}
     assemblies = []
-    rfft, irfft, norm = Grid.rfft, Grid.irfft, EnergyEvaluator.initial_norm
+    forward, inverse = Grid.last_forward, Grid.last_inverse
+    norm = EnergyEvaluator.initial_norm
 
     def counted(name, method):
         def wrapper(self, array, *args, **kwargs):
@@ -53,13 +55,13 @@ def test_build_flow_state_transform_count(monkeypatch):
         assemblies.append(state)
         return norm(state)
 
-    monkeypatch.setattr(Grid, "rfft", counted("rfft", rfft))
-    monkeypatch.setattr(Grid, "irfft", counted("irfft", irfft))
+    monkeypatch.setattr(Grid, "last_forward", counted("forward", forward))
+    monkeypatch.setattr(Grid, "last_inverse", counted("inverse", inverse))
     monkeypatch.setattr(EnergyEvaluator, "initial_norm", staticmethod(counted_norm))
     build_flow_state(grid, default_spec(3, 1e-4))
     n = len(assemblies)
     assert n == 4  # the scale at 1, then three rescaled assemblies
-    assert components == {"rfft": 4 + 4 * n, "irfft": 6 + 3 * n}
+    assert components == {"forward": 4 + 4 * n, "inverse": 6 + 3 * n}
     runner._checked_data(grid, default_spec(3, 1e-4))
     assert len(assemblies) == 2 * n
-    assert components == {"rfft": 2 * (4 + 4 * n), "irfft": 2 * (6 + 3 * n)}
+    assert components == {"forward": 2 * (4 + 4 * n), "inverse": 2 * (6 + 3 * n)}

@@ -11,7 +11,6 @@ from lagmhd.initial_data import build_flow_state, default_spec, scaled_spec
 from lagmhd.pressure import _tensor_rhs_spec, solve_pressure_spec
 from lagmhd.spectral import (
     dealias_spec,
-    divergence_spec,
     gradient_values,
     riesz_apply_spec,
     weighted_norm_sq,
@@ -73,16 +72,41 @@ def solve_pressure(state, tol=1e-10, max_iter=50):
     return compute_force(state, tol, max_iter).pressure
 
 
-def mask_first_force(state, iterations):
-    """(f, -A grad_p, grad_p, residuals) with every 2/3 mask on the full product.
+def staged_divergence(mat, grid, minus=None):
+    """Masked band of sum_j d_j mat[i, j] - minus[i], each column on fresh
+    arrays through the Grid's stages, in ``divergence_band``'s order of
+    operations: the last-axis stage, the column d - 1 times i k_last (less
+    minus) as the running sum, then per leading axis j one pass of the
+    columns not yet summed and of the sum, and column j times i k_j added.
+    The 2/3 mask, a 0/1 multiplier, goes on the sum and on the last column
+    after their last pass, before they are added."""
+    d, ik = grid.dim, [1j * k for k in grid.k_axes]
+    out = []
+    for i in range(len(mat)):
+        cols = [grid.last_forward(mat[i, j]) for j in range(d)]
+        acc = cols[-1] * ik[-1]
+        if minus is not None:
+            acc -= grid.last_forward(minus[i])
+        for a in range(d - 1):
+            for c in cols[a:-1] + [acc]:
+                grid.lead_pass(c, (a - d,))
+            if a == d - 2:
+                acc = dealias_spec(acc, grid)
+                cols[a] = dealias_spec(cols[a], grid)
+            acc += cols[a] * ik[a]
+        out.append(acc)
+    return np.stack(out)
 
-    The spectra are bands, through ``grid.rfft`` and ``grid.irfft`` (which
-    ``test_spectral.py`` pins to scipy's rfftn and irfftn), and the mask is
-    applied explicitly: on the 9-component flux and Z A spectra before
-    their divergence and on D grad_p before the Riesz projector; the
-    pressure force is negated after its mask, and Picard runs on the
-    3-vector grad_p for the given number of iterations, with
-    |grad_p_new - grad_p| as its residual.
+
+def mask_first_force(state, iterations):
+    """(f, grad_p, residuals) with every 2/3 mask on the full product.
+
+    The divergences are ``staged_divergence``; the other spectra are bands,
+    through ``grid.rfft`` and ``grid.irfft`` (which ``test_spectral.py``
+    pins to scipy's rfftn and irfftn), and the mask is applied explicitly
+    on D grad_p before the Riesz projector; Picard runs on the 3-vector
+    grad_p for the given number of iterations, with |grad_p_new - grad_p|
+    as its residual.
     """
     grid = state.grid
     tables, fft, ifft = band_spectrum(grid)
@@ -93,15 +117,11 @@ def mask_first_force(state, iterations):
     defect = np.einsum("mi...,mj...->ij...", b, b)
     defect += b
     defect += np.swapaxes(b, 0, 1)
-    flux = np.einsum("jm...,im...->ij...", defect, grad_yt)
-    flux_spec = dealias_spec(fft(flux), tables)
-    visc = divergence_spec(np.swapaxes(flux_spec, 0, 1), tables)
 
     v, w = grad_y[:, 0], state.Yt.values
     za = np.einsum("i...,l...->il...", v, np.einsum("ml...,m...->l...", a, v))
     za -= np.einsum("i...,l...->il...", w, np.einsum("ml...,m...->l...", a, w))
-    za_spec = dealias_spec(fft(za), tables)
-    w_real = ifft(divergence_spec(np.swapaxes(za_spec, 0, 1), tables))
+    w_real = ifft(staged_divergence(za, grid))
     atw = np.einsum("jm...,j...->m...", a, w_real)
     rhs = riesz_apply_spec(dealias_spec(fft(atw), tables), tables)
 
@@ -112,9 +132,9 @@ def mask_first_force(state, iterations):
         gp_new = rhs - riesz_apply_spec(dealias_spec(fft(mgp), tables), tables)
         residuals.append(l2(gp_new - gp, tables))
         gp = gp_new
+    flux = np.einsum("jm...,im...->ij...", defect, grad_yt)
     a_gp = np.einsum("im...,m...->i...", a, ifft(gp))
-    fp = -dealias_spec(fft(a_gp), tables)
-    return fp + visc, fp, gp, residuals
+    return staged_divergence(flux, grid, minus=a_gp), gp, residuals
 
 
 FORCE_CASES = {
@@ -130,8 +150,8 @@ def test_force_matches_mask_first_assembly(case):
     state = small_state(Grid(sizes, (2 * np.pi,) * len(sizes)), amp)
     force = compute_force(state)
     assert force.pressure.iterations >= 5
-    f, fp, gp, _ = mask_first_force(state, force.pressure.iterations)
-    for got, want in ((force.f, f), (force.pressure_force, fp), (force.pressure.grad_p, gp)):
+    f, gp, _ = mask_first_force(state, force.pressure.iterations)
+    for got, want in ((force.f, f), (force.pressure.grad_p, gp)):
         assert np.array_equal(got.band, want)
 
 
@@ -140,7 +160,7 @@ def test_residual_is_the_step_of_grad_p(case):
     sizes, amp = FORCE_CASES[case]
     state = small_state(Grid(sizes, (2 * np.pi,) * len(sizes)), amp)
     sol = solve_pressure(state, tol=1e-12, max_iter=80)
-    _, _, _, ref = mask_first_force(state, sol.iterations)
+    _, _, ref = mask_first_force(state, sol.iterations)
     got = np.array(sol.residuals)
     ref = np.array(ref)
     # the 3-vector difference cancels to an absolute error of about

@@ -9,6 +9,7 @@ import lagmhd.grid as grid_module
 from lagmhd.grid import Grid, multi_indices
 from lagmhd.spectral import (
     dealias_spec,
+    divergence_band,
     gradient_values,
     riesz_apply_spec,
     weighted_norm_sq,
@@ -19,6 +20,7 @@ from conftest import (
     leray_project,
     mesh,
     mirror,
+    poisoned_workspace,
     random_band_limited,
     weighted_inner,
 )
@@ -496,6 +498,66 @@ def test_gradient_values_equals_ifft_of_the_full_product(name, rng):
         got = gradient_values(band, grid)
         assert np.array_equal(band, kept)
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+# the two last-axis branches of the shared-pass kernels in 2D and 3D: a
+# matmul for N_last <= 64, numpy's r2c/c2r for N_last = 128
+KERNEL_GRIDS = {
+    "3D": HALF_GRIDS["3D"],
+    "2D": HALF_GRIDS["2D"],
+    "3D-64": HALF_GRIDS["3D-64"],
+    "3D-128": Grid((4, 8, 128), L3),
+    "2D-128": HALF_GRIDS["2D-128"],
+}
+
+
+@pytest.mark.parametrize("name", KERNEL_GRIDS)
+def test_gradient_values_and_its_samples_against_fftn(name, rng):
+    grid = KERNEL_GRIDS[name]
+    d = grid.dim
+    band = grid.rfft(rng.standard_normal((d,) + grid.shape)) * grid.dealias_mask
+    full = mirror(grid, band)
+    want = np.stack(
+        [np.fft.ifftn(1j * k * full, axes=grid.spatial_axes, norm="forward").real
+         for k in FullSpectrum(grid).k_axes],
+        axis=1,
+    )
+    kept = band.copy()
+    values = np.full((d,) + grid.shape, np.nan)
+    got = gradient_values(band, grid, values=values)
+    assert np.array_equal(band, kept)
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+    # the samples ride along bit for bit, and do not move the gradient
+    assert np.array_equal(values, grid.irfft(band))
+    assert np.array_equal(gradient_values(band, grid), got)
+    # in a workspace whose arrays hold NaN, into its own arrays
+    work = poisoned_workspace(grid)
+    out = gradient_values(band, grid, out=work.grad_y, work=work, values=work.vec[0])
+    assert out is work.grad_y
+    assert np.array_equal(out, got) and np.array_equal(work.vec[0], values)
+
+
+@pytest.mark.parametrize("name", KERNEL_GRIDS)
+def test_divergence_band_against_fftn(name, rng):
+    grid = KERNEL_GRIDS[name]
+    d, nb = grid.dim, grid.band_shape[-1]
+    mat = rng.standard_normal((d, d) + grid.shape)
+    vec = rng.standard_normal((d,) + grid.shape)
+    spec = np.fft.fftn(mat, axes=grid.spatial_axes, norm="forward")
+    div = sum(1j * k * spec[:, j] for j, k in enumerate(FullSpectrum(grid).k_axes))
+    minus = np.fft.fftn(vec, axes=grid.spatial_axes, norm="forward")
+    for arg, full in ((None, div), (vec, div - minus)):
+        want = full[..., :nb]
+        got = divergence_band(mat, grid, minus=arg)
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+        work = poisoned_workspace(grid)
+        out = np.full_like(got, np.nan)
+        assert divergence_band(mat, grid, out=out, work=work, minus=arg) is out
+        assert np.array_equal(out, got)
+    # a zero matrix leaves -rfft(minus) bit for bit: the passes run in
+    # rfft's axis order
+    zero = divergence_band(np.zeros_like(mat), grid, minus=vec)
+    assert np.array_equal(zero, -grid.rfft(vec))
 
 
 def test_wavevector_lattice_contents():
