@@ -3,7 +3,7 @@ straight-field equilibrium, in Eulerian and Lagrangian flow-map form, with a
 temporal-weighted energy ledger that audits the decay structure at runtime."""
 
 from .grid import Grid
-from .fields import MatrixField, ScalarField, VectorField
+from .fields import VectorField
 from .geometry import FlowState, construct_initial_map
 from .evolution import EulerState, LagrangianStepper, EulerianStepper
 from .energy import EnergyEvaluator
@@ -12,9 +12,7 @@ from .runner import RunReport, compare_formulations, run_simulation
 
 __all__ = [
     "Grid",
-    "ScalarField",
     "VectorField",
-    "MatrixField",
     "FlowState",
     "EulerState",
     "construct_initial_map",

@@ -27,7 +27,7 @@ from .geometry import _rk4_batch, make_trig_evaluator
 def as_field_function(b0):
     """Normalize a VectorField or callable to pts(M,d) -> values(M,d)."""
     if isinstance(b0, VectorField):
-        ev = make_trig_evaluator(b0)
+        ev = make_trig_evaluator(b0.band, b0.grid)
 
         def fn(pts):
             return ev(pts).T

@@ -1,12 +1,16 @@
-"""Binary field snapshots for exact restart.
+"""Binary field snapshots for restart.
 
 Layout (little endian): magic b"MHDL", version u32, dimension u32,
 sizes u32 per axis, lengths f64 per axis, time f64, solver tag u32
 (0 = lagrangian, 1 = eulerian), then raw f64 field data in axis-major
 (C) order: Y then Yt for the Lagrangian form, u then b for the Eulerian
-one. An Eulerian file ends in one more scalar block, where earlier
-versions of the program stored a diagnostic pressure: it is written as
-zeros and never read, so those files load too.
+one. The data are the real samples of the state's bands, ``Grid.irfft``
+of each, and reading them back takes their ``Grid.rfft``: that moves a
+band by round-off, up to about 2e-16 relative, so a restart continues the
+state to round-off, not bit for bit (ROADMAP item 2). An Eulerian file
+ends in one more scalar block, where earlier versions of the program
+stored a diagnostic pressure: it is written as zeros and never read, so
+those files load too.
 """
 
 from __future__ import annotations
@@ -18,7 +22,6 @@ import numpy as np
 
 from .errors import CheckpointFormatError
 from .evolution import EulerState
-from .fields import VectorField
 from .geometry import FlowState
 from .grid import Grid
 
@@ -28,12 +31,15 @@ VERSION = 1
 
 def write_checkpoint(path, state) -> None:
     if isinstance(state, FlowState):
-        tag, arrays = 0, [state.Y.values, state.Yt.values]
+        tag, bands = 0, [state.Y, state.Yt]
     elif isinstance(state, EulerState):
-        tag, arrays = 1, [state.u.values, state.b.values, np.zeros(state.grid.shape)]
+        tag, bands = 1, [state.u, state.b]
     else:
         raise TypeError("checkpoint expects a FlowState or EulerState")
     grid = state.grid
+    arrays = [grid.irfft(band) for band in bands]
+    if tag == 1:
+        arrays.append(np.zeros(grid.shape))
     dim = grid.dim
     header = MAGIC + struct.pack("<II", VERSION, dim)
     header += struct.pack(f"<{dim}I", *grid.sizes)
@@ -85,6 +91,4 @@ def read_checkpoint(path):
     # (Y, Yt) or (u, b); an Eulerian file's last block is not read
     data = np.frombuffer(blob, dtype="<f8", count=2 * dim * npoints, offset=off)
     pair = data.astype(float).reshape((2, dim) + grid.shape)
-    return (FlowState, EulerState)[tag](
-        *(VectorField.from_values(grid, v) for v in pair), t
-    )
+    return (FlowState, EulerState)[tag](grid, *(grid.rfft(v) for v in pair), t)

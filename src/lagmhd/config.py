@@ -47,6 +47,10 @@ class RunConfig:
             raise ConfigError("lengths must list one entry per dimension")
         if not all(0 < x < np.inf for x in self.lengths):  # nan fails too
             raise ConfigError("lengths must be positive and finite")
+        for key in ("dt", "t_end", "cadence", "epsilon0", "t_compare"):
+            value = getattr(self, key)
+            if value is not None and not np.isfinite(value):
+                raise ConfigError(f"{key} must be finite, got {value}")
         if not self.dt > 0:
             raise ConfigError(f"dt must be positive, got {self.dt}")
         if not self.t_end >= self.dt:

@@ -75,7 +75,7 @@ class EnergyEvaluator:
         by the functionals.
         """
         n = self.weights[0].size
-        y, yt = _real_pairs(state.Y.band), _real_pairs(state.Yt.band)
+        y, yt = _real_pairs(state.Y), _real_pairs(state.Yt)
         pairs = [(y, y), (yt, yt), (yt, y)]
         if f_band is not None:
             f = _real_pairs(f_band)
@@ -100,7 +100,7 @@ class EnergyEvaluator:
         w_h3 = grid.hs_weight(3) * grid.multiplicity
         w_h2 = grid.hs_weight(2) * grid.multiplicity
         k1sq = np.broadcast_to(grid.k1sq, grid.band_shape)
-        yh, yth = state.Y.band, state.Yt.band
+        yh, yth = state.Y, state.Yt
         return (
             weighted_norm_sq(yth, w_h3, grid)
             + weighted_norm_sq(yh, k1sq * w_h3, grid)

@@ -1,10 +1,6 @@
 """Shared exception types."""
 
 
-class GridMismatchError(ValueError):
-    """Operands live on different grids."""
-
-
 class PressureDivergenceError(RuntimeError):
     """Pressure fixed point expands instead of contracting (deformation too large)."""
 

@@ -18,8 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import VectorField
+from .geometry import FlowState, check_bands, cofactor_values
 # graded_metric_values is not called here; perfbench/layers.py times it by this name
-from .geometry import FlowState, cofactor_values, graded_metric_values  # noqa: F401
+from .geometry import graded_metric_values  # noqa: F401
 from .grid import ForceWorkspace, Grid
 from .pressure import PressureSolution, _tensor_rhs_spec, solve_pressure_spec
 from .spectral import (
@@ -209,7 +210,11 @@ class NonlinearForce:
     """Forcing f of the displacement equation with the pieces it was built from.
 
     f = div((A^T A - I) grad Yt) - A grad_p, the viscous flux less the
-    pressure force, is a band field of its own, and so is grad_p. a_values,
+    pressure force, is a band field of its own, and grad_p is a band. f is a
+    ``VectorField`` only because perfbench's scaled-force gate
+    (``_scaled_force`` in ``perfbench/tests/test_perfbench.py``) rebuilds it
+    with ``VectorField.from_spec(force.f.grid, force.f.spec * ...)``; it
+    becomes a band with ROADMAP item 3's benchmark change. a_values,
     grad_y and grad_yt are arrays of the ``ForceWorkspace`` the force was
     computed in: a force of a ``LagrangianStepper`` holds them until that
     stepper computes its next force, which overwrites them.
@@ -229,8 +234,8 @@ def _bands(state: FlowState, work=None):
     grid = state.grid
     y_out, yt_out = (None, None) if work is None else (work.y_band, work.yt_band)
     return (
-        dealias_spec(state.Y.band, grid, out=y_out),
-        dealias_spec(state.Yt.band, grid, out=yt_out),
+        dealias_spec(state.Y, grid, out=y_out),
+        dealias_spec(state.Yt, grid, out=yt_out),
     )
 
 
@@ -247,7 +252,7 @@ def compute_force(
     as the sum of the graded pieces G_d, in one product; I is never added and
     removed, so small deformations do not cancel. The same D drives the
     pressure fixed point. It reads the bands of Y and Yt, every spectrum in
-    between lives on the band, and f and grad_p are returned as band fields.
+    between lives on the band, and f and grad_p are returned on the band.
     grad Yt comes with the samples of Yt from one ``gradient_values``; the
     viscous flux is formed after the pressure solve, so that f = mask
     (div(D grad Yt) - A grad_p) is one ``divergence_band``.
@@ -293,7 +298,7 @@ def compute_force(
     return NonlinearForce(
         f=VectorField.from_band(grid, dealias_spec(f_band, grid, out=f_band)),
         pressure=PressureSolution(
-            grad_p=VectorField.from_band(grid, gp_band),
+            grad_p=gp_band,
             iterations=iters,
             residuals=residuals,
             contraction_estimate=contraction,
@@ -405,7 +410,7 @@ class LagrangianStepper:
             q0=q0,
             work=self._work,
         )
-        grid, gp = self.grid, force.pressure.grad_p.band
+        grid, gp = self.grid, force.pressure.grad_p
         self._grad_p_norm = np.sqrt(weighted_norm_sq(gp, grid.multiplicity, grid))
         return force
 
@@ -453,11 +458,7 @@ class LagrangianStepper:
         f0h = f0.f.band
         y_star = py + prop.i0 * f0h
         yt_star = pyt + prop.phi1 * f0h
-        star = FlowState(
-            VectorField.from_band(grid, y_star),
-            VectorField.from_band(grid, yt_star),
-            state.t + dt,
-        )
+        star = FlowState(grid, y_star, yt_star, state.t + dt)
         # f0 started cold unless state continues the history
         cold = not self._continues(state.t)
         self._keep(self._first, len(_PREDICTOR_WEIGHTS), state.t, f0.pressure, cold)
@@ -473,20 +474,12 @@ class LagrangianStepper:
         yt_new = pyt + prop.yt_f0 * f0h + prop.yt_f1 * f1h
         if not (np.isfinite(np.abs(y_new).max()) and np.isfinite(np.abs(yt_new).max())):
             raise FloatingPointError("non-finite spectral coefficients after step")
-        return FlowState(
-            VectorField.from_band(grid, y_new),
-            VectorField.from_band(grid, yt_new),
-            state.t + dt,
-        )
+        return FlowState(grid, y_new, yt_new, state.t + dt)
 
     def step_linear(self, state: FlowState) -> FlowState:
         """Propagate with the forcing forced to zero (linear system)."""
         y, yt = self.propagator.apply(*_bands(state))
-        return FlowState(
-            VectorField.from_band(self.grid, y),
-            VectorField.from_band(self.grid, yt),
-            state.t + self.dt,
-        )
+        return FlowState(self.grid, y, yt, state.t + self.dt)
 
 
 # -- Eulerian reference solver -------------------------------------------------
@@ -494,26 +487,26 @@ class LagrangianStepper:
 
 @dataclass
 class EulerState:
-    """Primitive variables on the grid."""
+    """Primitive variables at time t: the bands of the velocity u and the
+    magnetic field b, complex (d, *grid.band_shape) arrays, immutable by the
+    rule of ``FlowState``."""
 
-    u: VectorField
-    b: VectorField
+    grid: Grid
+    u: np.ndarray
+    b: np.ndarray
     t: float = 0.0
 
     def __post_init__(self):
-        self.u.check_same_grid(self.b)
-
-    @property
-    def grid(self) -> Grid:
-        return self.u.grid
+        check_bands(self, ("u", "b"))
 
     @classmethod
     def equilibrium(cls, grid: Grid) -> "EulerState":
-        """u = 0 and b = e1, built as a band (1 on the mean mode of b^1), so
+        """u = 0 and b = e1, built as bands (1 on the mean mode of b^1), so
         it is exact whatever the transforms round."""
+        u = np.zeros((grid.dim,) + grid.band_shape, dtype=complex)
         b = np.zeros((grid.dim,) + grid.band_shape, dtype=complex)
         b[(0,) * (grid.dim + 1)] = 1.0
-        return cls(VectorField.zeros(grid), VectorField.from_band(grid, b))
+        return cls(grid, u, b)
 
 
 def _magnetic_filter(grid: Grid):
@@ -654,7 +647,7 @@ class EulerianStepper:
         """Advance one dt. Raises FloatingPointError, and returns no state,
         when u or b has a non-finite coefficient after the step."""
         grid, dt, heat = self.grid, self.dt, self.heat
-        u0, b0 = state.u.band, state.b.band
+        u0, b0 = state.u, state.b
         ru0, h0 = self._rhs(u0, b0, self._stages[0])
         u_star = np.multiply(ru0, dt, out=self._u_star)
         u_star += u0
@@ -673,8 +666,4 @@ class EulerianStepper:
         b_new *= self.filter
         if not (np.isfinite(u_new).all() and np.isfinite(b_new).all()):
             raise FloatingPointError("non-finite Eulerian state after step")
-        return EulerState(
-            VectorField.from_band(grid, u_new),
-            VectorField.from_band(grid, b_new),
-            state.t + dt,
-        )
+        return EulerState(grid, u_new, b_new, state.t + dt)

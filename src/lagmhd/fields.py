@@ -1,34 +1,44 @@
-"""Scalar, vector and matrix fields with lazily cached spectra.
+"""A vector field with lazily cached representations.
 
-Fields are treated as immutable: operations return fresh instances. A field
-holds two views of the same data, each computed on first access from the one
-the field was built with: the real samples and the band, the first K
-last-axis planes of the normalized Fourier coefficients (see ``grid``),
-which is all a 2/3-dealiased field carries and what every run path works
-with. ``spec`` and ``from_spec``, the full spectrum, are kept for perfbench
-only.
+No state holds one: ``FlowState`` and ``EulerState`` hold bands, the first K
+last-axis planes of the normalized Fourier coefficients (see ``grid``). A
+``VectorField`` is left in two roles. It is the user-supplied b0 of
+``construct_initial_map`` and ``check_admissible``, given as samples or as a
+band. And it is ``NonlinearForce.f``, because perfbench's scaled-force gate
+(``_scaled_force`` in ``perfbench/tests/test_perfbench.py``) rebuilds that
+force with ``from_spec`` from its ``spec``; it becomes a band with ROADMAP
+item 3's benchmark change.
+
+The field is treated as immutable. It holds two views of the same data, each
+computed on first access from the one the field was built with: the real
+samples and the band. ``spec`` and ``from_spec``, the full spectrum, are kept
+for ``_scaled_force`` only, and ``Grid.fft`` and ``Grid.ifft`` for it and for
+``test_rfft_matches_the_full_transform`` and
+``test_gate_passes_transforms_through_rfft``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import GridMismatchError
 from .grid import Grid
 
 
-class _Field:
-    rank = 0
+class VectorField:
+    """A (d, *grid.shape) real field, built from its samples, its band or
+    its full spectrum. Its two roles are b0 and ``NonlinearForce.f``; of
+    the full spectrum, ``from_spec`` and ``spec`` are read only by
+    perfbench's ``_scaled_force``."""
 
     def __init__(self, grid: Grid, values=None, spec=None, band=None):
         if values is None and spec is None and band is None:
             raise ValueError("field needs real values or spectral coefficients")
-        lead = (grid.dim,) * self.rank
-        for name, arr, expected in (
-            ("values", values, lead + grid.shape),
-            ("spec", spec, lead + grid.shape),
-            ("band", band, lead + grid.band_shape),
+        for name, arr, shape in (
+            ("values", values, grid.shape),
+            ("spec", spec, grid.shape),
+            ("band", band, grid.band_shape),
         ):
+            expected = (grid.dim,) + shape
             if arr is not None and arr.shape != expected:
                 raise ValueError(
                     f"{name} shape {arr.shape} does not match grid shape {expected}"
@@ -39,27 +49,19 @@ class _Field:
         self._band = band
 
     @classmethod
-    def _expected_shape(cls, grid: Grid):
-        return (grid.dim,) * cls.rank + grid.shape
-
-    @classmethod
     def from_values(cls, grid: Grid, values):
         return cls(grid, values=np.asarray(values, dtype=float))
 
     @classmethod
     def from_spec(cls, grid: Grid, spec):
         """Field of a full spectrum; no run path builds one. It stays only
-        because perfbench's tests use it, and leaves with ROADMAP item 3."""
+        for perfbench's ``_scaled_force``, and leaves with ROADMAP item 3."""
         return cls(grid, spec=np.asarray(spec, dtype=complex))
 
     @classmethod
     def from_band(cls, grid: Grid, band):
         """Field that is zero outside the band; ``band`` is its first K planes."""
         return cls(grid, band=np.asarray(band, dtype=complex))
-
-    @classmethod
-    def zeros(cls, grid: Grid):
-        return cls(grid, values=np.zeros(cls._expected_shape(grid)))
 
     @property
     def values(self):
@@ -73,8 +75,8 @@ class _Field:
     @property
     def spec(self):
         """The full spectrum, ``Grid.fft`` of the samples unless the field was
-        built from one. No run path reads it: it stays only because
-        perfbench's tests use it, and leaves with ROADMAP item 3."""
+        built from one. No run path reads it: it stays only for perfbench's
+        ``_scaled_force``, and leaves with ROADMAP item 3."""
         if self._spec is None:
             self._spec = self.grid.fft(self.values)
         return self._spec
@@ -88,20 +90,3 @@ class _Field:
             else:
                 self._band = self.grid.rfft(self._values)
         return self._band
-
-    def check_same_grid(self, other):
-        if not self.grid.same_as(other.grid):
-            raise GridMismatchError("fields live on different grids")
-
-
-class ScalarField(_Field):
-    rank = 0
-
-
-class VectorField(_Field):
-    rank = 1
-
-
-class MatrixField(_Field):
-    rank = 2
-

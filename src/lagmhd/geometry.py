@@ -14,29 +14,47 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConstructionFailedError, NotConvergedError
-from .fields import MatrixField, VectorField
+from .fields import VectorField
 from .grid import Grid
 from .spectral import divergence_norm, gradient_values
 
 
+def check_bands(state, names):
+    """Cast each named field of a state to a complex array and check it has
+    the shape of a vector band of the state's grid, (d, *grid.band_shape);
+    raises ValueError naming the first field that does not."""
+    grid = state.grid
+    shape = (grid.dim,) + grid.band_shape
+    for name in names:
+        band = np.asarray(getattr(state, name), dtype=complex)
+        if band.shape != shape:
+            raise ValueError(f"{name} has shape {band.shape}, not the band's {shape}")
+        setattr(state, name, band)
+
+
 @dataclass
 class FlowState:
-    """Lagrangian unknowns: displacement Y and trajectory velocity Yt at time t."""
+    """Lagrangian unknowns at time t: the bands of the displacement Y and the
+    trajectory velocity Yt, complex (d, *grid.band_shape) arrays.
 
-    Y: VectorField
-    Yt: VectorField
+    A state is treated as immutable, a rule no type enforces: no step, force
+    or sample writes into the arrays of a state it is given, and a state may
+    share its arrays with another (``euler_from_flow`` hands a zero-
+    displacement flow's Yt to the Eulerian u). Write into a copy.
+    """
+
+    grid: Grid
+    Y: np.ndarray
+    Yt: np.ndarray
     t: float = 0.0
 
     def __post_init__(self):
-        self.Y.check_same_grid(self.Yt)
-
-    @property
-    def grid(self) -> Grid:
-        return self.Y.grid
+        check_bands(self, ("Y", "Yt"))
 
     @classmethod
     def zeros(cls, grid: Grid, t: float = 0.0) -> "FlowState":
-        return cls(VectorField.zeros(grid), VectorField.zeros(grid), t)
+        y = np.zeros((grid.dim,) + grid.band_shape, dtype=complex)
+        return cls(grid, y, np.zeros_like(y), t)
 
 
 # -- raw-array kernels -------------------------------------------------------
@@ -123,10 +141,11 @@ def determinant_values(grad):
 _TRIG_CHUNK_ENTRIES = 1 << 20
 
 
-def make_trig_evaluator(field):
+def make_trig_evaluator(band, grid: Grid):
     """Exact trigonometric-sum evaluator of a band-limited real field at points.
 
-    Sums Re m(k) c(k) e^{ik.y} over the modes of the field's band, with m
+    Sums Re m(k) c(k) e^{ik.y} over the modes of the band, a complex
+    (*comp_shape, *grid.band_shape) array, with m
     the Hermitian multiplicity: for a real field that
     is zero outside the band, that is the sum over every mode of its full
     spectrum. The sum is factorized by axis, e^{ik.y} = prod_j e^{ik_j y_j}
@@ -136,9 +155,8 @@ def make_trig_evaluator(field):
     per point, on ever fewer modes. ``evaluate`` takes points of shape (m, d)
     and returns shape ``comp_shape + (m,)``.
     """
-    grid = field.grid
     dim = grid.dim
-    band = field.band * grid.multiplicity
+    band = band * grid.multiplicity
     comp_shape = band.shape[: -dim]
     ncomp = int(np.prod(comp_shape))
     k1d = [ka.ravel() for ka in grid.k_axes]
@@ -194,8 +212,8 @@ def _rk4_batch(fn, z, dt, nsteps, record):
 class InitialMap:
     """Volume-preserving map straightening b0: A0^T b0(X0) = e1, det grad X0 = 1."""
 
-    displacement: VectorField  # X0 - y (periodic)
-    a0: MatrixField  # (grad X0)^{-T}, pointwise
+    displacement: np.ndarray  # the band of X0 - y (periodic)
+    a0: np.ndarray  # (grad X0)^{-T}, samples of shape (d, d, *grid.shape)
     residual_e1: float
     residual_det: float
 
@@ -276,7 +294,7 @@ def construct_initial_map(
     band: what either holds outside it is dropped.
     """
     grid = b0.grid
-    div = divergence_norm(b0)
+    div = divergence_norm(b0.band, grid)
     scale = 1.0 + float(np.abs(b0.values).max())
     if div > 1e-10 * scale:
         raise ConstructionFailedError(f"b0 is not divergence free: |div b0| = {div:.3e}")
@@ -285,7 +303,7 @@ def construct_initial_map(
             f"transversality violated: min b0^1 = {b0.values[0].min():.3g} < 1/2"
         )
 
-    b0_eval = make_trig_evaluator(b0)
+    b0_eval = make_trig_evaluator(b0.band, grid)
     eta, plane_res = _plane_reparametrization(b0_eval, grid, tol / 4.0, max_iter)
 
     h1 = grid.spacings[0]
@@ -313,8 +331,8 @@ def construct_initial_map(
         raise ConstructionFailedError(
             "constructed map strays too far from identity for a periodic chart"
         )
-    displacement = VectorField.from_values(grid, y0)
-    grad = gradient_values(displacement.band, grid)
+    displacement = grid.rfft(y0)
+    grad = gradient_values(displacement, grid)
     det = determinant_values(grad)
     a0_vals = cofactor_values(grad)[2] / det  # cof(I + grad Y) / det
     residual_det = float(np.abs(det - 1.0).max())
@@ -327,7 +345,7 @@ def construct_initial_map(
 
     result = InitialMap(
         displacement=displacement,
-        a0=MatrixField.from_values(grid, a0_vals),
+        a0=a0_vals,
         residual_e1=residual_e1,
         residual_det=residual_det,
     )

@@ -17,7 +17,6 @@ import numpy as np
 from .energy import EnergyEvaluator
 from .errors import ConfigError, NotConvergedError
 from .evolution import EulerState
-from .fields import VectorField
 from .geometry import FlowState, make_trig_evaluator
 from .grid import Grid
 from .spectral import dealias_spec, gradient_values, riesz_apply_spec
@@ -160,8 +159,8 @@ def _build_with_gradient(grid: Grid, spec: InitialDataSpec):
         np.multiply(scale, grad_a, out=grad[1:2])
         v = scale * v_unit
         y1_vals = v + np.einsum("im...,m...->i...", grad, v)
-        y1 = VectorField.from_band(grid, dealias_spec(grid.rfft(y1_vals), grid))
-        return FlowState(VectorField.from_band(grid, y0_band), y1, 0.0), grad
+        y1_band = dealias_spec(grid.rfft(y1_vals), grid)
+        return FlowState(grid, y0_band, y1_band, 0.0), grad
 
     built = assemble(1.0)
     if spec.epsilon0 is None:
@@ -220,19 +219,19 @@ def euler_from_flow(state: FlowState) -> EulerState:
     mean modes, which no projection touches, are those of the exact
     pushforward: det(I + grad Y0) = 1 gives mean(u0) = mean(Y1), and d1Y0
     has no mean, so mean(b0) = e1, set on the mean mode of b0^1 exactly as
-    in ``EulerState.equilibrium``. Raises NotConvergedError if the inversion
-    stalls before |delta| < 1e-13.
+    in ``EulerState.equilibrium``. A zero displacement band maps to u0 = Y1:
+    the returned u is the flow's Yt array itself. Raises NotConvergedError
+    if the inversion stalls before |delta| < 1e-13.
     """
     grid = state.grid
     coords = np.stack(np.broadcast_arrays(*grid.coords))
     x_pts = np.moveaxis(coords, 0, -1).reshape(-1, grid.dim)
-    if np.abs(state.Y.values).max() == 0.0:
-        return EulerState(state.Yt, EulerState.equilibrium(grid).b, state.t)
+    if not state.Y.any():
+        return EulerState(grid, state.Yt, EulerState.equilibrium(grid).b, state.t)
 
-    y = _invert_flow_map(make_trig_evaluator(state.Y), x_pts)
-    y1_eval = make_trig_evaluator(state.Yt)
-    d1y = VectorField.from_band(grid, state.Y.band * (1j * grid.k_axes[0]))
-    d1y_eval = make_trig_evaluator(d1y)
+    y = _invert_flow_map(make_trig_evaluator(state.Y, grid), x_pts)
+    y1_eval = make_trig_evaluator(state.Yt, grid)
+    d1y_eval = make_trig_evaluator(state.Y * (1j * grid.k_axes[0]), grid)
     u_vals = y1_eval(y).reshape((grid.dim,) + grid.shape)
     b_vals = d1y_eval(y).reshape((grid.dim,) + grid.shape)
     u_band, b_band = (
@@ -240,14 +239,10 @@ def euler_from_flow(state: FlowState) -> EulerState:
         for s in (grid.rfft(u_vals), grid.rfft(b_vals))
     )
     mean = (slice(None),) + (0,) * grid.dim
-    u_band[mean] = state.Yt.band[mean]
+    u_band[mean] = state.Yt[mean]
     b_band[mean] = 0.0
     b_band[(0,) * (grid.dim + 1)] = 1.0
-    return EulerState(
-        VectorField.from_band(grid, u_band),
-        VectorField.from_band(grid, b_band),
-        state.t,
-    )
+    return EulerState(grid, u_band, b_band, state.t)
 
 
 def scaled_spec(spec: InitialDataSpec, factor: float) -> InitialDataSpec:

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotConvergedError, PressureDivergenceError
-from .fields import VectorField
 from .grid import ForceWorkspace, Grid
 from .spectral import (
     _k_contract,
@@ -43,7 +42,7 @@ class PressureSolution:
     ``contraction_estimate`` describe the Picard iteration that produced it.
     """
 
-    grad_p: VectorField
+    grad_p: np.ndarray
     iterations: int
     residuals: list
     contraction_estimate: float

@@ -392,7 +392,7 @@ def run_simulation(config: RunConfig) -> RunReport:
     stepper = EulerianStepper(grid, config.dt)
 
     def record(state, _):
-        gu = gradient_values(state.u.band, grid)
+        gu = gradient_values(state.u, grid)
         return RunSample(t=state.t, grad_u_sup=_grad_u_sup(gu))
 
     return _drive(
@@ -447,13 +447,13 @@ def compare_formulations(config: RunConfig) -> CompareReport:
     sel = tuple(slice(None, None, st) for st in stride)
     coords = np.stack(np.broadcast_arrays(*grid.coords))
     y_vals = np.empty_like(coords)
-    grad_y = gradient_values(flow.Y.band, grid, values=y_vals)
+    grad_y = gradient_values(flow.Y, grid, values=y_vals)
     x_pts = (coords + y_vals)[(slice(None),) + sel].reshape(grid.dim, -1).T
-    u_eval = make_trig_evaluator(euler.u)
-    b_eval = make_trig_evaluator(euler.b)
+    u_eval = make_trig_evaluator(euler.u, grid)
+    b_eval = make_trig_evaluator(euler.b, grid)
     u_at_x = u_eval(x_pts)
     b_at_x = b_eval(x_pts)
-    yt_samples = flow.Yt.values[(slice(None),) + sel].reshape(grid.dim, -1)
+    yt_samples = grid.irfft(flow.Yt)[(slice(None),) + sel].reshape(grid.dim, -1)
     b_lagr = grad_y[:, 0][(slice(None),) + sel].reshape(grid.dim, -1)
     b_lagr = b_lagr.copy()
     b_lagr[0] += 1.0

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fields import VectorField
 from .grid import Grid
 
 
@@ -119,9 +118,8 @@ def riesz_apply_spec(spec, grid: Grid, out=None):
     return out
 
 
-def divergence_norm(v: VectorField) -> float:
-    """L2 norm of the spectral divergence of the band of v; 0 for solenoidal fields."""
-    grid = v.grid
-    div = divergence_spec(v.band, grid)
+def divergence_norm(band, grid: Grid) -> float:
+    """L2 norm of the spectral divergence of a vector band; 0 for solenoidal fields."""
+    div = divergence_spec(band, grid)
     return float(np.sqrt(weighted_norm_sq(div, grid.multiplicity, grid)))
 

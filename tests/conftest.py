@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lagmhd.fields import ScalarField, VectorField
+from lagmhd.fields import VectorField
 from lagmhd.grid import ForceWorkspace, Grid, multi_indices
 from lagmhd.spectral import dealias_spec, riesz_apply_spec
 
@@ -117,8 +117,14 @@ def mirror(grid, band):
     return full
 
 
+def zero_band(grid):
+    """The band of a zero vector field: complex zeros of (d, *grid.band_shape)."""
+    return np.zeros((grid.dim,) + grid.band_shape, dtype=complex)
+
+
 def random_band_limited(grid, rng, rank=1, kmax=3, scale=1.0):
-    """Random real field with spectrum confined to |n_i| <= kmax."""
+    """Random real field with spectrum confined to |n_i| <= kmax: a
+    ``VectorField`` for rank 1, the real samples for rank 0 and 2."""
     shape = (grid.dim,) * rank + grid.shape
     vals = rng.standard_normal(shape)
     spec = grid.fft(vals)
@@ -130,9 +136,4 @@ def random_band_limited(grid, rng, rank=1, kmax=3, scale=1.0):
     spec = dealias_spec(spec, FullSpectrum(grid))
     vals = grid.ifft(spec)
     vals *= scale / max(np.abs(vals).max(), 1e-300)
-    cls = {0: ScalarField, 1: VectorField}
-    if rank in cls:
-        return cls[rank].from_values(grid, vals)
-    from lagmhd.fields import MatrixField
-
-    return MatrixField.from_values(grid, vals)
+    return VectorField.from_values(grid, vals) if rank == 1 else vals

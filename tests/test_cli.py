@@ -135,3 +135,31 @@ def test_cli_library_errors_end_as_one_line(case, error, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"lagmhd: error: {error}: ")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "command, key, value",
+    [
+        ("run", "t_end", "inf"),
+        ("run", "cadence", "nan"),
+        ("run", "cadence", "inf"),
+        ("run", "epsilon0", "inf"),
+        ("compare", "t_compare", "nan"),
+        ("compare", "t_compare", "inf"),
+    ],
+)
+def test_cli_non_finite_config_values_end_as_one_line(
+    command, key, value, tmp_path, capsys
+):
+    text = CONFIG + ("solver = both\n" if command == "compare" else "")
+    lines = [ln for ln in text.splitlines() if not ln.startswith(f"{key} =")]
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text("\n".join(lines + [f"{key} = {value}"]) + "\n")
+    argv = [command, "--config", str(cfg_path)]
+    if command == "run":
+        argv += ["--output", str(tmp_path / "out")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"lagmhd: error: ConfigError: {key} must be finite")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not (tmp_path / "out").exists()  # rejected before any work

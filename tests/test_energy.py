@@ -26,7 +26,14 @@ from lagmhd.grid import Grid
 from lagmhd.runner import run_simulation
 from lagmhd.spectral import weighted_norm_sq
 
-from conftest import FullSpectrum, mesh, random_band_limited, weighted_inner
+from conftest import (
+    FullSpectrum,
+    mesh,
+    mirror,
+    random_band_limited,
+    weighted_inner,
+    zero_band,
+)
 
 
 @pytest.fixture(scope="module")
@@ -36,8 +43,9 @@ def ev3():
 
 def random_state(grid, rng, t=0.0, scale=1.0):
     return FlowState(
-        random_band_limited(grid, rng, rank=1, kmax=4, scale=scale),
-        random_band_limited(grid, rng, rank=1, kmax=4, scale=scale),
+        grid,
+        random_band_limited(grid, rng, rank=1, kmax=4, scale=scale).band,
+        random_band_limited(grid, rng, rank=1, kmax=4, scale=scale).band,
         t,
     )
 
@@ -84,7 +92,7 @@ def test_weights_are_one_at_time_zero(ev3, rng):
     grid = ev3.grid
     state0 = random_state(grid, rng, t=0.0)
     e0 = energy_report(ev3, state0)
-    state3 = FlowState(state0.Y, state0.Yt, 3.0)
+    state3 = FlowState(grid, state0.Y, state0.Yt, 3.0)
     e3 = energy_report(ev3, state3)
     # the (t+1) and (t+1)^2 weighted components scale literally
     assert e3.w_grad_yt_h2 == pytest.approx(4.0 * e0.w_grad_yt_h2, rel=1e-13)
@@ -103,7 +111,7 @@ def test_single_mode_energy_component_analytic(ev3):
     vals = np.zeros((3,) + grid.shape)
     vals[1] = eps * np.sin(y1)
     state = FlowState(
-        VectorField.from_values(grid, vals), VectorField.zeros(grid), 0.0
+        grid, VectorField.from_values(grid, vals).band, zero_band(grid), 0.0
     )
     e = energy_report(ev3, state)
     expect = eps**2 * 3.0 * (2 * np.pi) ** 3 / 2.0
@@ -115,7 +123,7 @@ def test_corrected_energy_coefficient_audit_without_velocity(ev3, rng):
     grid = ev3.grid
     y = random_band_limited(grid, rng, rank=1, kmax=3)
     t = 1.7
-    state = FlowState(y, VectorField.zeros(grid), t)
+    state = FlowState(grid, y.band, zero_band(grid), t)
     ce = corrected_energy(ev3, state)
     yh = y.spec
     w = t + 1.0
@@ -162,7 +170,7 @@ def test_corrected_energy_bounded_by_initial_norm(ev3, rng):
 def _literal_functionals(state, f_spec):
     """Every sample functional written out term by term on full spectra."""
     grid = state.grid
-    yh, yth = state.Y.spec, state.Yt.spec
+    yh, yth = mirror(grid, state.Y), mirror(grid, state.Yt)
     w = state.t + 1.0
     c, b, q = CORRECTED_COEFFS, LOWER_BOUND_COEFFS, DISSIPATION_COEFFS
     tables = FullSpectrum(grid)
@@ -314,13 +322,11 @@ def test_record_sample_builds_one_table_and_no_reductions(monkeypatch):
 def _linear_ledger(grid, ev, state0, cadence, nsamples):
     """ledger_check's per-sample sequences along a forcing-free linear run."""
     prop = LinearPropagator(grid, cadence)
-    yh, yth = state0.Y.band.copy(), state0.Yt.band.copy()
+    yh, yth = state0.Y.copy(), state0.Yt.copy()
     times, corrected, dissipation = [], [], []
     t = 0.0
     for _ in range(nsamples):
-        st = FlowState(
-            VectorField.from_band(grid, yh), VectorField.from_band(grid, yth), t
-        )
+        st = FlowState(grid, yh, yth, t)
         times.append(t)
         corrected.append(corrected_energy(ev, st).total)
         dissipation.append(dissipation_inequality_terms(ev, st))
@@ -362,7 +368,7 @@ def test_ledger_requires_uniform_cadence_and_samples():
 
 def test_forcing_pairings_zero_force(ev3, rng):
     state = random_state(ev3.grid, rng)
-    rhs1, rhs2 = forcing_pairings(ev3, state, np.zeros_like(state.Y.band))
+    rhs1, rhs2 = forcing_pairings(ev3, state, np.zeros_like(state.Y))
     assert rhs1 == 0.0 and rhs2 == 0.0
 
 
