@@ -10,7 +10,7 @@ import numpy as np
 from . import errors
 from .config import parse_config
 from .energy import fit_decay_rate
-from .oracle import PowerLawProfile, linear_decay_oracle
+from .oracle import NORM_WEIGHTS, PowerLawProfile, linear_decay_oracle
 from .runner import compare_formulations, read_diagnostics, run_simulation
 
 
@@ -155,7 +155,9 @@ def main(argv=None) -> int:
     oracle_p.add_argument("--k-min", type=float, default=1e-3)
     oracle_p.add_argument("--k-max", type=float, default=2.0)
     oracle_p.add_argument(
-        "--norms", nargs="+", default=["grad_yt_h2", "grad_d1yt_h1"]
+        "--norms", nargs="+", choices=sorted(NORM_WEIGHTS), metavar="NORM",
+        default=["grad_yt_h2", "grad_d1yt_h1"],
+        help=f"any of {', '.join(sorted(NORM_WEIGHTS))}",
     )
     oracle_p.add_argument("--out", default="", help="CSV output path (default stdout)")
     oracle_p.set_defaults(func=_cmd_oracle)

@@ -18,7 +18,7 @@ the dissipation of script_E and the sup-norm of the velocity gradient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,8 +43,7 @@ class EnergyEvaluator:
 
     The eight weights of a sample are the rows of one (8, *grid.band_shape)
     array on the band, with the Hermitian multiplicity folded in, so a sum
-    over the band equals the sum over the full spectrum. The named weight
-    attributes are views of its rows.
+    over the band equals the sum over the full spectrum.
     """
 
     def __init__(self, grid: Grid):
@@ -62,8 +61,6 @@ class EnergyEvaluator:
         w[GRAD_D1_H1] = k2 * k1sq * w1
         w[GRAD_D11_H1] = k2 * k1sq * k1sq * w1
         w[LAP_D1_H1] = k2 * k2 * k1sq * w1
-        (self.w_h2, self.w_d1_h2, self.w_lap_h2, self.w_grad_h2, self.w_grad_d1_h2,
-         self.w_grad_d1_h1, self.w_grad_d11_h1, self.w_lap_d1_h1) = w
 
     def sample_table(self, state: FlowState, f_band=None):
         """volume * W @ S: the (8, 5) table every sample functional reads.
@@ -121,45 +118,9 @@ def _terms(ev, state, table, coeffs, terms):
     return tuple(c * powers[p] * rows[r][s] for c, (r, s, p) in zip(coeffs, terms))
 
 
-class _Components:
-    """The components are the fields after t; their total is their sum."""
-
-    def astuple(self):
-        return tuple(getattr(self, f.name) for f in fields(self)[1:])
-
-    @property
-    def total(self) -> float:
-        return sum(self.astuple())
-
-
-@dataclass
-class EnergyReport(_Components):
-    """Seven weighted energy components; weights are (t+1) and (t+1)^2 literally."""
-
-    t: float
-    yt_h2: float
-    d1y_h2: float
-    lap_y_h2: float
-    w_grad_yt_h2: float
-    w_grad_d1y_h2: float
-    w2_grad_d1yt_h1: float
-    w2_grad_d11y_h1: float
-
-
-@dataclass
-class DissipationReport(_Components):
-    """Five dissipation components with their temporal weights."""
-
-    t: float
-    grad_yt_h2: float
-    grad_d1y_h2: float
-    w_grad_d11y_h1: float
-    w_lap_yt_h2: float
-    w2_lap_d1yt_h1: float
-
-
 # Every term below is (weight row, spectrum column, power of t+1), in the
-# order of the components or coefficients it goes with.
+# order of the components or coefficients it goes with. The energy and
+# dissipation components are the E_ and D_ columns of runner.CSV_COLUMNS.
 ENERGY_TERMS = (
     (H2, TT, 0), (D1_H2, YY, 0), (LAP_H2, YY, 0), (GRAD_H2, TT, 1),
     (GRAD_D1_H2, YY, 1), (GRAD_D1_H1, TT, 2), (GRAD_D11_H1, YY, 2),
@@ -206,34 +167,19 @@ _CORRECTED_ON_TABLE = tuple(  # the -k2 of the two cross terms
 )
 
 
-def energy_report(ev: EnergyEvaluator, state: FlowState, table=None) -> EnergyReport:
-    return EnergyReport(state.t, *_terms(ev, state, table, _ONES, ENERGY_TERMS))
+def energy_report(ev: EnergyEvaluator, state: FlowState, table=None) -> tuple:
+    """The seven weighted energy components; weights are (t+1) and (t+1)^2."""
+    return _terms(ev, state, table, _ONES, ENERGY_TERMS)
 
 
-def dissipation_report(
-    ev: EnergyEvaluator, state: FlowState, table=None
-) -> DissipationReport:
-    terms = _terms(ev, state, table, _ONES, DISSIPATION_TERMS)
-    return DissipationReport(state.t, *terms)
+def dissipation_report(ev: EnergyEvaluator, state: FlowState, table=None) -> tuple:
+    """The five dissipation components with their temporal weights."""
+    return _terms(ev, state, table, _ONES, DISSIPATION_TERMS)
 
 
-@dataclass
-class CorrectedEnergy:
-    """Cross-term energy functional: eleven signed terms, coefficients fixed."""
-
-    t: float
-    terms: tuple  # signed, in display order
-
-    @property
-    def total(self) -> float:
-        return float(sum(self.terms))
-
-
-def corrected_energy(
-    ev: EnergyEvaluator, state: FlowState, table=None
-) -> CorrectedEnergy:
-    terms = _terms(ev, state, table, _CORRECTED_ON_TABLE, CORRECTED_TERMS)
-    return CorrectedEnergy(state.t, terms)
+def corrected_energy(ev: EnergyEvaluator, state: FlowState, table=None) -> tuple:
+    """The eleven signed terms of the cross-term energy tilde_E."""
+    return _terms(ev, state, table, _CORRECTED_ON_TABLE, CORRECTED_TERMS)
 
 
 def lower_bound_value(ev: EnergyEvaluator, state: FlowState, table=None) -> float:
@@ -241,23 +187,17 @@ def lower_bound_value(ev: EnergyEvaluator, state: FlowState, table=None) -> floa
     return sum(_terms(ev, state, table, LOWER_BOUND_COEFFS, LOWER_BOUND_TERMS))
 
 
-@dataclass
-class LowerBoundCheck:
-    passed: bool
-    margin: float
-    corrected: float
-    bound: float
+LOWER_BOUND_TOL = 1e-12  # a margin at or above -LOWER_BOUND_TOL passes
 
 
-def check_lower_bound(
-    ev: EnergyEvaluator, state: FlowState, rel_tol: float = 1e-12
-) -> LowerBoundCheck:
-    table = ev.sample_table(state)
-    ce = corrected_energy(ev, state, table).total
+def lower_bound_margin(ev: EnergyEvaluator, state: FlowState, table=None) -> float:
+    """Coercivity margin of tilde_E, relative to the larger of the two sides:
+    (tilde_E - lower bound) / max(|tilde_E|, |lower bound|, 1e-300)."""
+    if table is None:
+        table = ev.sample_table(state)
+    ce = sum(corrected_energy(ev, state, table))
     lb = lower_bound_value(ev, state, table)
-    margin = ce - lb
-    scale = max(abs(ce), abs(lb), 1e-300)
-    return LowerBoundCheck(margin >= -rel_tol * scale, margin, ce, lb)
+    return (ce - lb) / max(abs(ce), abs(lb), 1e-300)
 
 
 def dissipation_inequality_terms(ev: EnergyEvaluator, state: FlowState, table=None):
@@ -278,24 +218,18 @@ def forcing_pairings(ev: EnergyEvaluator, state: FlowState, f_band, table=None) 
 # -- trajectory ledger ---------------------------------------------------------
 
 
-@dataclass
-class LedgerRecord:
-    """Inequality check at one interior sample: lhs <= rhs within the band."""
-
-    t: float
-    lhs: float
-    rhs: float
-    band: float
-    passed: bool
+LEDGER_BAND_FACTOR = 10.0
 
 
-def ledger_check(times, corrected, dissipation, rhs, band_factor: float = 10.0):
+def ledger_check(times, corrected, dissipation, rhs):
     """Centered-difference audit of the dissipation inequality.
 
     The arguments are per-sample sequences: the sample times, the corrected
     energy, the five dissipative terms and the forcing pairings rhs1 + rhs2.
-    The tolerance band is band_factor * cadence^2 * (global scale of the
-    corrected energy), matching the O(cadence^2) truncation of the derivative.
+    Returns the interior samples' lhs and pass flags (lhs <= rhs + band) as
+    arrays, and the band: LEDGER_BAND_FACTOR * cadence^2 * (global scale of
+    the corrected energy), matching the O(cadence^2) truncation of the
+    derivative.
     """
     if len(times) < 3:
         raise ValueError("ledger needs at least 3 uniformly spaced samples")
@@ -305,22 +239,10 @@ def ledger_check(times, corrected, dissipation, rhs, band_factor: float = 10.0):
         raise ValueError("ledger samples are not uniformly spaced")
     dt = steps[0]
     corrected = np.asarray(corrected, dtype=float)
-    scale = np.abs(corrected).max()
-    band = band_factor * dt * dt * scale
-    records = []
-    for i in range(1, len(times) - 1):
-        d_corr = (corrected[i + 1] - corrected[i - 1]) / (2.0 * dt)
-        lhs = d_corr + sum(dissipation[i])
-        records.append(
-            LedgerRecord(
-                t=times[i],
-                lhs=lhs,
-                rhs=rhs[i],
-                band=band,
-                passed=bool(lhs <= rhs[i] + band),
-            )
-        )
-    return records
+    band = LEDGER_BAND_FACTOR * dt * dt * np.abs(corrected).max()
+    d_corr = (corrected[2:] - corrected[:-2]) / (2.0 * dt)
+    lhs = d_corr + np.array([sum(d) for d in dissipation[1:-1]])
+    return lhs, lhs <= np.asarray(rhs[1:-1], dtype=float) + band, float(band)
 
 
 def running_trapezoid(times, values):

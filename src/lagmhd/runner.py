@@ -18,6 +18,7 @@ from .energy import (
     fit_decay_rate,
     forcing_pairings,
     ledger_check,
+    lower_bound_margin,
     running_trapezoid,
 )
 from .errors import ConfigError, InitialDataError
@@ -81,6 +82,7 @@ class RunSample:
     rhs1: float = NAN
     rhs2: float = NAN
     det_drift: float = NAN
+    lower_bound_margin: float = NAN  # reported, not written to the CSV
     pressure_iters: int = 0
     contraction: float = NAN
     script_e: float = NAN
@@ -106,6 +108,7 @@ class RunReport:
     grad_u_l1t: float
     grad_u_tail_ratio: float
     pressure_iters_max: int
+    lower_bound_margin_min: float = NAN
     rhs_integral: float = NAN
     samples: list = field(default_factory=list, repr=False)
     csv_path: str = ""
@@ -120,6 +123,7 @@ class RunReport:
             f"script_E 0 -> end: {self.script_e0:.6e} -> {self.script_e_final:.6e}"
             f" (ratio {self.script_e_ratio:.3f})",
             f"det drift max    : {self.det_drift_max:.3e}",
+            f"coercivity margin: >= {self.lower_bound_margin_min:.3e}",
             f"ledger pass rate : {self.ledger_pass_rate:.4f} over {self.ledger_checked}",
             f"grad_u L1(t)     : {self.grad_u_l1t:.6e} (tail ratio {self.grad_u_tail_ratio:.4f})",
             f"pressure iters   : <= {self.pressure_iters_max}",
@@ -149,15 +153,16 @@ def _record_sample(ev: EnergyEvaluator, state: FlowState, force: NonlinearForce)
     grad_u = np.einsum("im...,jm...->ij...", force.grad_yt, force.a_values)
     return RunSample(
         t=state.t,
-        energy=e.astuple(),
-        energy_total=e.total,
-        dissipation=d.astuple(),
-        dissipation_total=d.total,
-        corrected=ce.total,
+        energy=e,
+        energy_total=sum(e),
+        dissipation=d,
+        dissipation_total=sum(d),
+        corrected=sum(ce),
         diss_terms=diss_terms,
         rhs1=rhs1,
         rhs2=rhs2,
         det_drift=float(np.abs(det - 1.0).max()),
+        lower_bound_margin=lower_bound_margin(ev, state, table),
         grad_u_sup=_grad_u_sup(grad_u),
         pressure_iters=force.pressure.iterations,
         contraction=force.pressure.contraction_estimate,
@@ -165,7 +170,8 @@ def _record_sample(ev: EnergyEvaluator, state: FlowState, force: NonlinearForce)
 
 
 def _postprocess(samples):
-    """Fill running script-E, the grad-u integral, and the ledger columns."""
+    """Fill running script-E, the grad-u integral, and the ledger columns.
+    Returns the ledger's pass flags and the time integral of rhs1 + rhs2."""
     e_tot = np.array([s.energy_total for s in samples])
     d_tot = np.array([s.dissipation_total for s in samples])
     times = np.array([s.t for s in samples])
@@ -175,18 +181,19 @@ def _postprocess(samples):
         s.script_e = float(se)
         s.grad_u_l1t = float(g)
     if samples and np.isnan(e_tot).all():  # no energies measured, no ledger
-        return [], NAN
+        return (), NAN
     if len(samples) < 3:
-        return [], 0.0
+        return (), 0.0
     rhs = [s.rhs1 + s.rhs2 for s in samples]
-    records = ledger_check(
+    lhs, passed, _ = ledger_check(
         times, [s.corrected for s in samples], [s.diss_terms for s in samples], rhs
     )
-    for s, r in zip(samples[1:-1], records):
-        s.ledger_lhs = r.lhs
-        s.ledger_rhs = r.rhs
-        s.ledger_pass = float(r.passed)
-    return records, float(np.trapezoid(rhs, times))
+    interior = zip(samples[1:-1], lhs.tolist(), rhs[1:-1], passed.tolist())
+    for s, lhs_i, rhs_i, ok in interior:
+        s.ledger_lhs = lhs_i
+        s.ledger_rhs = rhs_i
+        s.ledger_pass = float(ok)
+    return passed, float(np.trapezoid(rhs, times))
 
 
 def write_diagnostics(path, samples) -> None:
@@ -305,7 +312,7 @@ def _drive(config, initial, force, step, record, write_outputs=True):
         abort_reason = f"{type(exc).__name__}: {exc}"
         ckpt_path = os.path.join(out_dir, "state_abort.ckpt")
 
-    records, rhs_integral = _postprocess(samples)
+    ledger_passed, rhs_integral = _postprocess(samples)
 
     csv_path = ""
     if write_outputs:
@@ -341,7 +348,6 @@ def _drive(config, initial, force, step, record, write_outputs=True):
         idx = int(np.searchsorted(times, t_tail))
         idx = min(max(idx, 0), len(samples) - 1)
         tail_ratio = (gul1 - samples[idx].grad_u_l1t) / gul1
-    passed = sum(1 for r in records if r.passed)
     return RunReport(
         config=config,
         aborted=aborted,
@@ -351,12 +357,13 @@ def _drive(config, initial, force, step, record, write_outputs=True):
         script_e_final=script_e_final,
         script_e_ratio=script_e_final / script_e0 if script_e0 > 0 else NAN,
         det_drift_max=max((s.det_drift for s in samples), default=NAN),
-        ledger_pass_rate=passed / len(records) if records else NAN,
-        ledger_checked=len(records),
+        ledger_pass_rate=float(np.mean(ledger_passed)) if len(ledger_passed) else NAN,
+        ledger_checked=len(ledger_passed),
         decay_fits=fits,
         grad_u_l1t=gul1,
         grad_u_tail_ratio=tail_ratio,
         pressure_iters_max=max((s.pressure_iters for s in samples), default=0),
+        lower_bound_margin_min=min((s.lower_bound_margin for s in samples), default=NAN),
         rhs_integral=rhs_integral,
         samples=samples,
         csv_path=csv_path,

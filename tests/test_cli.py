@@ -96,10 +96,11 @@ def test_cli_compare_offers_no_output(tmp_path):
         ["oracle", "--k-min", "0"],
         ["admissible", "--seeds", "0"],
         ["admissible", "--halfwidth", "0"],
+        ["oracle", "--norms", "bogus"],
     ],
     ids=[
         "points-5", "t-min-0", "t-min-above-t-max", "t-max-inf", "k-min-0", "seeds-0",
-        "halfwidth-0",
+        "halfwidth-0", "norms-bogus",
     ],
 )
 def test_cli_rejects_out_of_range_arguments(argv, tmp_path, capsys):
@@ -144,6 +145,7 @@ def test_cli_library_errors_end_as_one_line(case, error, tmp_path, capsys):
         ("run", "cadence", "nan"),
         ("run", "cadence", "inf"),
         ("run", "epsilon0", "inf"),
+        ("run", "pressure_tol", "inf"),
         ("compare", "t_compare", "nan"),
         ("compare", "t_compare", "inf"),
     ],

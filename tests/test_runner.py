@@ -5,7 +5,7 @@ import pytest
 
 from lagmhd.checkpoint import read_checkpoint, write_checkpoint
 from lagmhd.config import RunConfig
-from lagmhd.energy import EnergyEvaluator
+from lagmhd.energy import EnergyEvaluator, lower_bound_margin
 from lagmhd.errors import ConfigError, InitialDataError
 from lagmhd.evolution import EulerianStepper, EulerState
 from lagmhd.geometry import FlowState
@@ -56,6 +56,21 @@ def test_csv_shape_and_header(tmp_path):
     data = read_diagnostics(report.csv_path)
     assert np.all(np.diff(data["script_E"]) >= -1e-15)  # nondecreasing
     assert np.all(np.diff(data["t"]) == pytest.approx(cfg.cadence))
+
+
+def test_every_sample_carries_its_coercivity_margin(tmp_path):
+    report = run_simulation(small_config(tmp_path / "lagrangian", t_end=0.5))
+    # read from the sample's own table, it is the margin of the final state
+    # evaluated cold, bit for bit
+    final = report.final_state
+    assert report.samples[-1].lower_bound_margin == lower_bound_margin(
+        EnergyEvaluator(final.grid), final
+    )
+    margins = [s.lower_bound_margin for s in report.samples]
+    assert report.lower_bound_margin_min == min(margins) >= 0.0
+    assert "coercivity margin" in report.summary()
+    euler = small_config(tmp_path / "eulerian", solver="eulerian", t_end=0.5)
+    assert np.isnan(run_simulation(euler).lower_bound_margin_min)
 
 
 def test_runs_are_deterministic(tmp_path):
