@@ -190,12 +190,15 @@ def lower_bound_value(ev: EnergyEvaluator, state: FlowState, table=None) -> floa
 LOWER_BOUND_TOL = 1e-12  # a margin at or above -LOWER_BOUND_TOL passes
 
 
-def lower_bound_margin(ev: EnergyEvaluator, state: FlowState, table=None) -> float:
+def lower_bound_margin(
+    ev: EnergyEvaluator, state: FlowState, table=None, corrected=None
+) -> float:
     """Coercivity margin of tilde_E, relative to the larger of the two sides:
-    (tilde_E - lower bound) / max(|tilde_E|, |lower bound|, 1e-300)."""
+    (tilde_E - lower bound) / max(|tilde_E|, |lower bound|, 1e-300). A given
+    corrected must be sum(corrected_energy(ev, state, table))."""
     if table is None:
         table = ev.sample_table(state)
-    ce = sum(corrected_energy(ev, state, table))
+    ce = sum(corrected_energy(ev, state, table)) if corrected is None else corrected
     lb = lower_bound_value(ev, state, table)
     return (ce - lb) / max(abs(ce), abs(lb), 1e-300)
 

@@ -313,10 +313,26 @@ def compute_force(
 # -- Lagrangian stepper ------------------------------------------------------
 
 # weights of the pressure starts by the history held (see LagrangianStepper):
-# the predictor's on (q0_n, q0_{n-1}, ...), the first stage's on
-# (q*_{n+1}, q0_n, q*_n, q0_{n-1}, q*_{n-1})
-_PREDICTOR_WEIGHTS = ((1.0,), (2.0, -1.0), (3.0, -3.0, 1.0), (4.0, -6.0, 4.0, -1.0))
-_FIRST_STAGE_WEIGHTS = ((1.0,), (1.0, 1.0, -1.0), (1.0, 2.0, -2.0, -1.0, 1.0))
+# _EXTRAPOLATION[m - 1] extrapolates m potentials at consecutive times,
+# newest first, one step on; _FIRST_STAGE_WEIGHTS[k], with k offsets held,
+# act on (q*_{n+1}, q0_n, q*_n, q0_{n-1}, q*_{n-1}, q0_{n-2}, q*_{n-2})
+_EXTRAPOLATION = (
+    (1.0,),
+    (2.0, -1.0),
+    (3.0, -3.0, 1.0),
+    (4.0, -6.0, 4.0, -1.0),
+    (5.0, -10.0, 10.0, -5.0, 1.0),
+    (6.0, -15.0, 20.0, -15.0, 6.0, -1.0),
+)
+_FIRST_STAGE_WEIGHTS = (
+    (1.0,),
+    (1.0, 1.0, -1.0),
+    (1.0, 2.0, -2.0, -1.0, 1.0),
+    (1.0, 3.0, -3.0, -3.0, 3.0, 1.0, -1.0),
+)
+_FIRST_HELD = 4  # first-stage potentials: the cubic predictor start of a young history
+_STAR_HELD = len(_EXTRAPOLATION)  # predictor potentials
+_STAR_MIN = 4  # predictor potentials the predictor start needs of its own
 
 
 def _combine(weights, potentials):
@@ -336,17 +352,24 @@ class LagrangianStepper:
 
     Each pressure solve starts from an extrapolation of the stepper's recent
     potentials (Fischer, CMAME 163, 1998): q0_m of the first-stage solve and
-    q*_m of the predictor solve at t_m. The predictor solve at t_{n+1}
-    starts from 4 q0_n - 6 q0_{n-1} + 4 q0_{n-2} - q0_{n-3}, or the
-    quadratic, linear or constant extrapolation when fewer first-stage
-    potentials are held. The first-stage solve at t_{n+1} starts from
-    q*_{n+1}, at the same time, plus the extrapolated corrector offset
-    2 d_n - d_{n-1}, d_m = q0_m - q*_m; with less history, plus d_n or
-    nothing. So the stepper holds 7 potential bands, the last four
-    first-stage and the last three predictor solves, each with the time of
-    its solve. Solves are paired by those stored times, never by t - dt: a
-    state continues the history when its time is that of the last
-    predictor solve, and otherwise starts it afresh from a cold solve.
+    q*_m of the predictor solve at t_m. The predictor state lies off the
+    trajectory by the predictor's O(dt^2) local error, so the first-stage
+    potentials extrapolate poorly to it; its own do well. Once at least
+    four predictor potentials are held, the predictor solve at t_{n+1}
+    starts from the polynomial extrapolation of the last m <= 6 of them,
+    6 q*_n - 15 q*_{n-1} + 20 q*_{n-2} - 15 q*_{n-3} + 6 q*_{n-4} - q*_{n-5}
+    for m = 6; with fewer, from 4 q0_n - 6 q0_{n-1} + 4 q0_{n-2} - q0_{n-3},
+    or the quadratic, linear or constant extrapolation when fewer
+    first-stage potentials are held. The first-stage solve at t_{n+1}
+    starts from q*_{n+1}, at the same time, plus the extrapolated corrector
+    offset 3 d_n - 3 d_{n-1} + d_{n-2}, d_m = q0_m - q*_m; with less
+    history, plus 2 d_n - d_{n-1}, d_n or nothing. So the stepper holds 10
+    potential bands, the last four first-stage and the last six predictor
+    solves, each with the time of its solve, and a fresh history takes six
+    steps to fill. Solves are paired by those stored times, never by t - dt:
+    a state continues the history when its time is that of the last
+    predictor solve, and otherwise starts it afresh from a cold solve, so
+    the predictor potentials held are those of consecutive steps.
 
     Stopping rule: a solve stops at the residual max(pressure_tol,
     PICARD_REL_TOL |grad p|), with |grad p| the L2 norm of the grad_p of the
@@ -426,7 +449,8 @@ class LagrangianStepper:
             self._grad_p_norm = None
             return self._force(state, None)
         potentials = [self._star[0][1]]
-        for (t_first, q_first), (t_star, q_star) in zip(self._first, self._star[1:]):
+        pairs = zip(self._first[: len(_FIRST_STAGE_WEIGHTS) - 1], self._star[1:])
+        for (t_first, q_first), (t_star, q_star) in pairs:
             if t_first != t_star:
                 break
             potentials += [q_first, q_star]
@@ -461,14 +485,13 @@ class LagrangianStepper:
         star = FlowState(grid, y_star, yt_star, state.t + dt)
         # f0 started cold unless state continues the history
         cold = not self._continues(state.t)
-        self._keep(self._first, len(_PREDICTOR_WEIGHTS), state.t, f0.pressure, cold)
-        first = [q for _, q in self._first]
-        start = _combine(_PREDICTOR_WEIGHTS[len(first) - 1], first) if first else None
+        self._keep(self._first, _FIRST_HELD, state.t, f0.pressure, cold)
+        history = self._star if len(self._star) >= _STAR_MIN else self._first
+        held = [q for _, q in history]
+        start = _combine(_EXTRAPOLATION[len(held) - 1], held) if held else None
         f1 = self._force(star, start)
         f1h = f1.f.band
-        self._keep(
-            self._star, len(_FIRST_STAGE_WEIGHTS), star.t, f1.pressure, start is None
-        )
+        self._keep(self._star, _STAR_HELD, star.t, f1.pressure, start is None)
 
         y_new = py + prop.y_f0 * f0h + prop.k1 * f1h
         yt_new = pyt + prop.yt_f0 * f0h + prop.yt_f1 * f1h

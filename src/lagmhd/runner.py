@@ -141,6 +141,19 @@ def _grad_u_sup(grad_u) -> float:
     return float(np.sqrt(np.sum(grad_u**2, axis=(0, 1))).max())
 
 
+def _flow_grad_u_sup(grad_yt, a_values) -> float:
+    """``_grad_u_sup`` of (grad_x u) composed with the flow, (grad_y Yt) A^T,
+    formed one row at a time. The squares are added in (i, j) order, the
+    order of the sum over axes (0, 1), so the result has the same bits."""
+    row = np.empty_like(grad_yt[0])
+    total = np.zeros_like(row[0])
+    for grad_yt_i in grad_yt:
+        np.einsum("m...,jm...->j...", grad_yt_i, a_values, out=row)
+        for row_j in np.square(row, out=row):
+            total += row_j
+    return float(np.sqrt(total.max()))
+
+
 def _record_sample(ev: EnergyEvaluator, state: FlowState, force: NonlinearForce):
     table = ev.sample_table(state, force.f.band)
     e = energy_report(ev, state, table)
@@ -149,21 +162,20 @@ def _record_sample(ev: EnergyEvaluator, state: FlowState, force: NonlinearForce)
     diss_terms = dissipation_inequality_terms(ev, state, table)
     rhs1, rhs2 = forcing_pairings(ev, state, force.f.band, table)
     det = determinant_values(force.grad_y)
-    # (grad_x u) composed with the flow equals (grad_y Yt) A^T
-    grad_u = np.einsum("im...,jm...->ij...", force.grad_yt, force.a_values)
+    corrected = sum(ce)
     return RunSample(
         t=state.t,
         energy=e,
         energy_total=sum(e),
         dissipation=d,
         dissipation_total=sum(d),
-        corrected=sum(ce),
+        corrected=corrected,
         diss_terms=diss_terms,
         rhs1=rhs1,
         rhs2=rhs2,
         det_drift=float(np.abs(det - 1.0).max()),
-        lower_bound_margin=lower_bound_margin(ev, state, table),
-        grad_u_sup=_grad_u_sup(grad_u),
+        lower_bound_margin=lower_bound_margin(ev, state, table, corrected),
+        grad_u_sup=_flow_grad_u_sup(force.grad_yt, force.a_values),
         pressure_iters=force.pressure.iterations,
         contraction=force.pressure.contraction_estimate,
     )
@@ -344,10 +356,12 @@ def _drive(config, initial, force, step, record, write_outputs=True):
     gul1 = samples[-1].grad_u_l1t if samples else NAN
     tail_ratio = NAN
     if len(samples) >= 2 and gul1 > 0:
+        # the share of the integral after the first sample of the last 20%;
+        # none when only the last sample lies there
         t_tail = t0 + 0.8 * (times[-1] - t0)
         idx = int(np.searchsorted(times, t_tail))
-        idx = min(max(idx, 0), len(samples) - 1)
-        tail_ratio = (gul1 - samples[idx].grad_u_l1t) / gul1
+        if idx < len(samples) - 1:
+            tail_ratio = (gul1 - samples[idx].grad_u_l1t) / gul1
     return RunReport(
         config=config,
         aborted=aborted,

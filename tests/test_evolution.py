@@ -1,3 +1,4 @@
+import math
 import os
 import tracemalloc
 
@@ -620,26 +621,53 @@ def test_a_warm_one_iteration_solve_keeps_the_history(monkeypatch):
     assert any(single[:-1])
 
 
+def _extrapolated(values):
+    """The polynomial through values at consecutive times, newest first,
+    one step on: sum_j (-1)^j C(m, j + 1) values[j]."""
+    m = len(values)
+    return sum((-1) ** j * math.comb(m, j + 1) * v for j, v in enumerate(values))
+
+
 def test_the_extrapolated_starts_pair_solves_by_stored_time(monkeypatch):
     # dt = 0.05 is not a binary fraction: t_3 - dt is not t_2, so a start
     # that looked its solves up by t - dt would never find them. Solve 2m
-    # is the first stage at t_m, 2m + 1 the predictor at t_{m+1}; from the
-    # fourth step on both starts use their full history
+    # is the first stage at t_m, 2m + 1 the predictor at t_{m+1}. The first
+    # stage starts from q*_m plus the extrapolation of up to three offsets
+    # d_j = q0_j - q*_j; the predictor from the extrapolation of up to six
+    # q*_j once four are held, else of up to four q0_j. Eight steps reach
+    # every case: the last predictor extrapolates six
     solves = []
     spec = scaled_spec(default_spec(3, None), 0.05)
-    _drive_steps(monkeypatch, spec, cold=False, solves=solves)
+    _drive_steps(monkeypatch, spec, cold=False, steps=8, solves=solves)
     times = [t for t, _, _ in solves[::2]]
     assert times[3] - 0.05 != times[2]
     first = [p.potential for _, _, p in solves[::2]]
     star = [None] + [p.potential for _, _, p in solves[1::2]]
-    for m in range(3, 6):
+    for m in range(1, 8):
         t, q0, _ = solves[2 * m]
-        offset = 2.0 * (first[m - 1] - star[m - 1]) - (first[m - 2] - star[m - 2])
-        want = star[m] + offset
+        offsets = [first[j] - star[j] for j in range(m - 1, max(m - 4, 0), -1)]
+        want = star[m] + _extrapolated(offsets) if offsets else star[m]
         assert np.abs(q0 - want).max() <= 1e-14 * np.abs(want).max()
         t, q0, _ = solves[2 * m + 1]
-        cubic = 4.0 * first[m] - 6.0 * first[m - 1] + 4.0 * first[m - 2] - first[m - 3]
-        assert np.abs(q0 - cubic).max() <= 1e-14 * np.abs(cubic).max()
+        held = star[m:0:-1][:6] if m >= 4 else first[m::-1][:4]
+        want = _extrapolated(held)
+        assert np.abs(q0 - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def test_warm_steps_of_the_criterion_6_data_stay_within_their_picard_budget(
+    monkeypatch,
+):
+    # once the predictor extrapolates its own potentials a step takes 3 or
+    # 4 Picard iterations; 252 over 40 steps when the predictor extrapolated
+    # the first-stage potentials and the offset linearly, 158 now
+    solves = []
+    spec = scaled_spec(default_spec(3, None), 0.05)
+    _drive_steps(monkeypatch, spec, cold=False, steps=40, solves=solves)
+    iterations = [p.iterations for _, _, p in solves]
+    per_step = [a + b for a, b in zip(iterations[::2], iterations[1::2])]
+    assert len(per_step) == 40
+    assert max(per_step[12:]) <= 4
+    assert sum(per_step) <= 170
 
 
 def test_a_fresh_stepper_on_a_mid_run_state_agrees_with_the_run():

@@ -13,6 +13,8 @@ from lagmhd.grid import Grid
 from lagmhd.initial_data import VelocityMode, build_flow_state, euler_from_flow
 from lagmhd.runner import (
     CSV_COLUMNS,
+    _flow_grad_u_sup,
+    _grad_u_sup,
     compare_formulations,
     read_diagnostics,
     run_simulation,
@@ -71,6 +73,28 @@ def test_every_sample_carries_its_coercivity_margin(tmp_path):
     assert "coercivity margin" in report.summary()
     euler = small_config(tmp_path / "eulerian", solver="eulerian", t_end=0.5)
     assert np.isnan(run_simulation(euler).lower_bound_margin_min)
+
+
+def test_the_tail_ratio_needs_a_sample_before_the_end_of_the_tail(tmp_path):
+    # at cadence 0.25 to t_end = 0.5 the last 20% (t >= 0.4) holds only the
+    # last sample: no tail integral is measured, and the ratio is nan, not 0
+    coarse = run_simulation(small_config(tmp_path / "coarse", t_end=0.5))
+    assert coarse.grad_u_l1t > 0.0
+    assert np.isnan(coarse.grad_u_tail_ratio)
+    assert "tail ratio nan" in coarse.summary()
+    fine = run_simulation(small_config(tmp_path / "fine", t_end=0.5, cadence=0.05))
+    assert 0.0 < fine.grad_u_tail_ratio < 1.0
+
+
+@pytest.mark.parametrize("shape", [(16, 12, 10), (24, 20)], ids=["3D", "2D"])
+def test_the_row_wise_velocity_gradient_sup_keeps_the_bits(shape):
+    # the sample forms |grad u| one row of (grad_y Yt) A^T at a time; it
+    # must give the bits of the whole product summed over both axes
+    d = len(shape)
+    rng = np.random.default_rng(7)
+    grad_yt, a = rng.standard_normal((2, d, d) + shape)
+    whole = np.einsum("im...,jm...->ij...", grad_yt, a)
+    assert _flow_grad_u_sup(grad_yt, a) == _grad_u_sup(whole)
 
 
 def test_runs_are_deterministic(tmp_path):
