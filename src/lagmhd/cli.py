@@ -195,6 +195,9 @@ def main(argv=None) -> int:
             adm_p.error("--halfwidth must be positive and finite")
     try:
         return args.func(args)
+    except errors.RunAbortedError as exc:  # a compare's step failed: exit as an abort
+        print(f"lagmhd: error: {exc}", file=sys.stderr)
+        return 2
     except _ERRORS as exc:
         print(f"lagmhd: error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

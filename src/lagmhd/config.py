@@ -9,7 +9,15 @@ import numpy as np
 from .errors import ConfigError
 from .initial_data import InitialDataSpec, ShearMode, VelocityMode, default_spec
 
-SOLVERS = ("lagrangian", "eulerian", "both")
+# The keys each solver does not read. A run resumed from checkpoint_in does
+# not read the data keys either.
+UNREAD = {
+    "lagrangian": (),
+    "eulerian": ("pressure_tol", "pressure_max_iter"),
+    "both": ("cadence", "checkpoint_in", "output_dir"),
+}
+SOLVERS = tuple(UNREAD)
+_DATA = ("epsilon0", "y0_modes_a", "y0_modes_c", "y1_modes")
 
 
 @dataclass
@@ -29,7 +37,7 @@ class RunConfig:
     y1_modes: tuple = None
     checkpoint_in: str = ""
     output_dir: str = "."
-    t_compare: float = 1.0
+    t_compare: float = None  # not a key; a given value must equal t_end
 
     def __post_init__(self):
         if self.dimension not in (2, 3):
@@ -47,7 +55,7 @@ class RunConfig:
             raise ConfigError("lengths must list one entry per dimension")
         if not all(0 < x < np.inf for x in self.lengths):  # nan fails too
             raise ConfigError("lengths must be positive and finite")
-        for key in ("dt", "t_end", "cadence", "epsilon0", "t_compare", "pressure_tol"):
+        for key in ("dt", "t_end", "cadence", "epsilon0", "pressure_tol"):
             value = getattr(self, key)
             if value is not None and not np.isfinite(value):
                 raise ConfigError(f"{key} must be finite, got {value}")
@@ -68,6 +76,8 @@ class RunConfig:
             raise ConfigError("epsilon0 must be positive")
         if not self.pressure_tol > 0 or self.pressure_max_iter < 1:
             raise ConfigError("pressure_tol must be > 0 and pressure_max_iter >= 1")
+        if self.t_compare is not None and self.t_compare != self.t_end:
+            raise ConfigError("t_compare must equal t_end: the compare steps to t_end")
 
     def initial_data_spec(self) -> InitialDataSpec:
         base = default_spec(self.dimension, self.epsilon0)
@@ -108,9 +118,16 @@ KEYS = {
     "y1_modes": VelocityMode,
     "checkpoint_in": str,
     "output_dir": str,
-    "t_compare": float,
 }
 _MODES = (ShearMode, VelocityMode)
+
+
+def read_keys(config: RunConfig) -> tuple:
+    """The keys that config's run reads, in KEYS order."""
+    unread = UNREAD[config.solver]
+    if config.checkpoint_in and "checkpoint_in" not in unread:
+        unread += _DATA
+    return tuple(k for k in KEYS if k not in unread)
 
 
 def _parse_modes(mode, value: str, line: int, dim: int):
@@ -175,12 +192,13 @@ def parse_config(text: str) -> RunConfig:
             raise
         except ValueError as exc:
             raise ConfigError(f"malformed value for '{key}': {exc}", line) from exc
-    try:
-        return RunConfig(**kwargs)
-    except ConfigError:
-        raise
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
+    config = RunConfig(**kwargs)
+    reads = read_keys(config)
+    for key in raw:
+        if key not in reads:
+            who = "a resumed run" if key in _DATA else f"solver {config.solver}"
+            raise ConfigError(f"{who} does not read '{key}'", raw_lines[key])
+    return config
 
 
 def _format(value) -> str:
@@ -191,14 +209,15 @@ def _format(value) -> str:
 
 
 def dump_config(config: RunConfig) -> str:
-    """Serialize a config so that parse_config(dump_config(c)) round-trips.
+    """The keys config's run reads (read_keys) as text: parse_config gives c
+    back when the keys it does not read keep their defaults.
 
     A mode is n, then a velocity mode's axis, then amp and phase; modes are
     joined by "; ". Keys left None and an empty checkpoint_in are omitted.
     """
     out = []
-    for key, parse in KEYS.items():
-        value = getattr(config, key)
+    for key in read_keys(config):
+        value, parse = getattr(config, key), KEYS[key]
         if value is None or (key == "checkpoint_in" and not value):
             continue
         if parse in _MODES:

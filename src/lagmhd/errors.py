@@ -17,6 +17,10 @@ class NotConvergedError(RuntimeError):
         self.residual = residual
 
 
+class RunAbortedError(RuntimeError):
+    """A step failed in a run that writes no outputs; names the failure."""
+
+
 class NonTransversalError(RuntimeError):
     """A b0-trajectory failed to traverse the support slab (field not transversal)."""
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,7 +22,7 @@ from .energy import (
     lower_bound_margin,
     running_trapezoid,
 )
-from .errors import ConfigError, InitialDataError
+from .errors import ConfigError, InitialDataError, RunAbortedError
 from .evolution import (
     EulerianStepper,
     EulerState,
@@ -264,10 +265,22 @@ def _checked_data(grid: Grid, spec) -> FlowState:
     return state
 
 
+class _Pair(NamedTuple):
+    """The compare's state: one flow in both formulations, at time t."""
+
+    flow: FlowState
+    euler: EulerState
+    t = property(lambda self: self.flow.t)
+
+
 def _initial_state(config: RunConfig, grid: Grid):
-    """The start of the configured solver: its checkpoint, or the checked data."""
-    kind = EulerState if config.solver == "eulerian" else FlowState
+    """The start of the configured solver: its checkpoint, or the checked
+    data. The compare's pair starts from the data."""
+    solver = config.solver
     if config.checkpoint_in:
+        if solver == "both":
+            raise ConfigError("compare_formulations starts from the data, not a checkpoint")
+        kind = EulerState if solver == "eulerian" else FlowState
         state = read_checkpoint(config.checkpoint_in)
         if not isinstance(state, kind):
             raise ConfigError(
@@ -276,28 +289,28 @@ def _initial_state(config: RunConfig, grid: Grid):
         if not state.grid.same_as(grid):
             raise ConfigError("checkpoint grid does not match the configured grid")
         return state
-    state = _checked_data(grid, config.initial_data_spec())
-    return euler_from_flow(state) if kind is EulerState else state
+    flow = _checked_data(grid, config.initial_data_spec())
+    if solver == "lagrangian":
+        return flow
+    euler = euler_from_flow(flow)
+    return euler if solver == "eulerian" else _Pair(flow, euler)
 
 
-def _step_count(span: float, dt: float, name: str) -> int:
-    n_steps = round(span / dt)
-    if n_steps < 1 or abs(n_steps * dt - span) > 1e-9 * max(1.0, span):
-        raise ConfigError(f"{name} must be a positive multiple of dt")
-    return n_steps
-
-
-def _drive(config, initial, force, step, record, write_outputs=True):
+def _drive(config, initial, force, step, record=None, write_outputs=True):
     """Step initial() to t_end: f = force(state), a sample record(state, f)
-    every cadence, state = step(state, f); a last sample at t_end. initial()
-    runs here so that this frame holds the only reference to the state.
-    With outputs, a solver failure ends the run as an abort; without, the
-    failure raises.
+    every cadence, state = step(state, f); a last sample at t_end. Without
+    record nothing is sampled and the cadence is not read. initial() runs
+    here so that this frame holds the only reference to the state. With
+    outputs, a solver failure ends the run as an abort; without, it raises
+    RunAbortedError.
     """
     state = initial()
     t0 = state.t
-    n_steps = _step_count(config.t_end - t0, config.dt, "t_end - t0")
-    sample_every = round(config.cadence / config.dt)
+    span = config.t_end - t0
+    n_steps = round(span / config.dt)
+    if n_steps < 1 or abs(n_steps * config.dt - span) > 1e-9 * max(1.0, span):
+        raise ConfigError("t_end - t0 must be a positive multiple of dt")
+    sample_every = round(config.cadence / config.dt) if record else n_steps
     if n_steps % sample_every != 0:
         raise ConfigError("t_end - t0 must be a multiple of the sample cadence")
 
@@ -312,16 +325,16 @@ def _drive(config, initial, force, step, record, write_outputs=True):
     try:
         for i in range(n_steps):
             f = force(state)
-            if i % sample_every == 0:
+            if record and i % sample_every == 0:
                 samples.append(record(state, f))
             state = step(state, f)
-        f = force(state)
-        samples.append(record(state, f))
+        if record:
+            samples.append(record(state, force(state)))
     except (RuntimeError, FloatingPointError) as exc:
-        if not write_outputs:
-            raise
-        aborted = True
         abort_reason = f"{type(exc).__name__}: {exc}"
+        if not write_outputs:
+            raise RunAbortedError(abort_reason) from exc
+        aborted = True
         ckpt_path = os.path.join(out_dir, "state_abort.ckpt")
 
     ledger_passed, rhs_integral = _postprocess(samples)
@@ -386,19 +399,28 @@ def _drive(config, initial, force, step, record, write_outputs=True):
     )
 
 
-def _drive_flow_map(config: RunConfig, grid: Grid, initial, write_outputs=True):
-    ev = EnergyEvaluator(grid)
-    stepper = LagrangianStepper(
+def _solver(config: RunConfig, grid: Grid):
+    """The force, step and record of the configured solver, for _drive. The
+    compare (solver both) steps its pair and records nothing."""
+    if config.solver == "eulerian":  # only the velocity-gradient columns are live
+        stepper = EulerianStepper(grid, config.dt)
+
+        def record(state, _):
+            gu = gradient_values(state.u, grid)
+            return RunSample(t=state.t, grad_u_sup=_grad_u_sup(gu))
+
+        return (lambda state: None), (lambda state, _: stepper.step(state)), record
+    ev = EnergyEvaluator(grid) if config.solver == "lagrangian" else None
+    lstep = LagrangianStepper(
         grid, config.dt, config.pressure_tol, config.pressure_max_iter
     )
-
-    return _drive(
-        config,
-        initial,
-        stepper.force,
-        stepper.step,
-        lambda state, force: _record_sample(ev, state, force),
-        write_outputs,
+    if ev is not None:
+        return lstep.force, lstep.step, lambda state, f: _record_sample(ev, state, f)
+    estep = EulerianStepper(grid, config.dt)
+    return (
+        lambda pair: lstep.force(pair.flow),
+        lambda pair, f: _Pair(lstep.step(pair.flow, f), estep.step(pair.euler)),
+        None,
     )
 
 
@@ -407,27 +429,12 @@ def run_simulation(config: RunConfig) -> RunReport:
     if config.solver == "both":
         raise ConfigError("solver=both runs through compare_formulations")
     grid = Grid(config.sizes, config.lengths)
-    if config.solver == "lagrangian":
-        return _drive_flow_map(config, grid, lambda: _initial_state(config, grid))
-    # primitive variables: only the velocity-gradient columns are live
-    stepper = EulerianStepper(grid, config.dt)
-
-    def record(state, _):
-        gu = gradient_values(state.u, grid)
-        return RunSample(t=state.t, grad_u_sup=_grad_u_sup(gu))
-
-    return _drive(
-        config,
-        lambda: _initial_state(config, grid),
-        lambda state: None,
-        lambda state, _: stepper.step(state),
-        record,
-    )
+    return _drive(config, lambda: _initial_state(config, grid), *_solver(config, grid))
 
 
 @dataclass
 class CompareReport:
-    t_compare: float
+    t_end: float
     dt: float
     max_u_discrepancy: float
     max_b_discrepancy: float
@@ -435,7 +442,7 @@ class CompareReport:
 
     def summary(self) -> str:
         return (
-            f"T_c={self.t_compare:g} dt={self.dt:g}: "
+            f"t_end={self.t_end:g} dt={self.dt:g}: "
             f"max|u(X) - Yt| = {self.max_u_discrepancy:.6e}, "
             f"max|b(X) - (e1 + d1Y)| = {self.max_b_discrepancy:.6e}, "
             f"det drift {self.det_drift:.3e}"
@@ -443,26 +450,20 @@ class CompareReport:
 
 
 def compare_formulations(config: RunConfig) -> CompareReport:
-    """Advance the flow-map and primitive solvers from identical data and
-    measure the pushforward discrepancy at t_compare."""
+    """Advance the flow-map and primitive solvers from identical data to
+    t_end, and measure the pushforward discrepancy there. Writes nothing; a
+    solver failure raises RunAbortedError."""
     if config.solver != "both":
         raise ConfigError("compare_formulations requires solver = both")
-    if config.checkpoint_in:
-        raise ConfigError("compare_formulations starts from the data, not a checkpoint")
-    n_steps = _step_count(config.t_compare, config.dt, "t_compare")
     grid = Grid(config.sizes, config.lengths)
-    flow = _checked_data(grid, config.initial_data_spec())
-    euler = euler_from_flow(flow)
-    lstep = LagrangianStepper(
-        grid, config.dt, config.pressure_tol, config.pressure_max_iter
-    )
-    estep = EulerianStepper(grid, config.dt)
-    for _ in range(n_steps):
-        flow = lstep.step(flow)
-        euler = estep.step(euler)
-    # the steppers' workspaces are dead now: free them for the pushforward
-    # evaluation, whose chunks set the peak memory of a compare
-    del lstep, estep
+    # the pair is built before the steppers, and the steppers are _drive's
+    # arguments, freed before the pushforward evaluation: the inverse map's
+    # and the pushforward's evaluator chunks then set a compare's peak
+    # memory. _drive pops the pair, so that its frame holds the only reference.
+    start = [_initial_state(config, grid)]
+    flow, euler = _drive(
+        config, start.pop, *_solver(config, grid), write_outputs=False
+    ).final_state
 
     stride = tuple(max(1, n // 8) for n in grid.sizes)
     sel = tuple(slice(None, None, st) for st in stride)
@@ -480,7 +481,7 @@ def compare_formulations(config: RunConfig) -> CompareReport:
     b_lagr[0] += 1.0
     det = determinant_values(grad_y)
     return CompareReport(
-        t_compare=config.t_compare,
+        t_end=config.t_end,
         dt=config.dt,
         max_u_discrepancy=float(np.abs(u_at_x - yt_samples).max()),
         max_b_discrepancy=float(np.abs(b_at_x - b_lagr).max()),
@@ -492,11 +493,13 @@ def scaling_run(config: RunConfig, amplitude: float):
     """One run of the nonlinear-bound scaling study at a raw data amplitude.
 
     Returns (script_e_final, integrated forcing pairings); used with
-    energy.nonlinear_scaling_study. Writes nothing; a solver failure raises.
+    energy.nonlinear_scaling_study. Writes nothing; a solver failure raises
+    RunAbortedError.
     """
     spec = scaled_spec(default_spec(config.dimension, epsilon0=None), amplitude)
     grid = Grid(config.sizes, config.lengths)
-    report = _drive_flow_map(
-        config, grid, lambda: _checked_data(grid, spec), write_outputs=False
+    report = _drive(
+        config, lambda: _checked_data(grid, spec), *_solver(config, grid),
+        write_outputs=False,
     )
     return report.script_e_final, report.rhs_integral

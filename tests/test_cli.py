@@ -33,12 +33,38 @@ def test_cli_run_and_fit(tmp_path, capsys):
 
 def test_cli_compare(tmp_path, capsys):
     cfg_path = tmp_path / "cmp.cfg"
-    cfg_path.write_text(
-        CONFIG.replace("t_end = 0.5", "t_end = 0.5\nsolver = both\nt_compare = 0.5")
-    )
+    cfg_path.write_text(CONFIG.replace("cadence = 0.25", "solver = both"))
     rc = main(["compare", "--config", str(cfg_path)])
     assert rc == 0
     assert "max|u(X) - Yt|" in capsys.readouterr().out
+
+
+def test_cli_compare_whose_step_fails_exits_as_an_abort(tmp_path, capsys):
+    # far outside the smallness regime the data pass their checks and the
+    # flow map inverts, but the first steps' pressure iterations expand
+    cfg_path = tmp_path / "cmp.cfg"
+    cfg_path.write_text(
+        "dimension = 3\nsizes = 8,8,8\ndt = 0.025\nt_end = 1\nsolver = both\n"
+        "epsilon0 = 1e4\ny0_modes_a =\ny0_modes_c =\n"
+        "y1_modes = 1,1,0,2,1,0.3; 0,1,1,0,0.7,1.1\n"
+    )
+    assert main(["compare", "--config", str(cfg_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("lagmhd: error: PressureDivergenceError: ")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+def test_cli_compare_that_fails_before_its_first_step_exits_1(tmp_path, capsys):
+    # the criterion-6 data at 16^3 miss det(I + grad Y0) = 1 by 4.9e-6
+    cfg_path = tmp_path / "cmp.cfg"
+    cfg_path.write_text(
+        CONFIG.replace("cadence = 0.25", "solver = both").replace("1e-4", "36.4")
+    )
+    assert main(["compare", "--config", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("lagmhd: error: InitialDataError: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_cli_oracle(tmp_path, capsys):
@@ -146,8 +172,8 @@ def test_cli_library_errors_end_as_one_line(case, error, tmp_path, capsys):
         ("run", "cadence", "inf"),
         ("run", "epsilon0", "inf"),
         ("run", "pressure_tol", "inf"),
-        ("compare", "t_compare", "nan"),
-        ("compare", "t_compare", "inf"),
+        ("compare", "t_end", "nan"),
+        ("compare", "t_end", "inf"),
     ],
 )
 def test_cli_non_finite_config_values_end_as_one_line(

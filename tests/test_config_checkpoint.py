@@ -5,7 +5,15 @@ import numpy as np
 import pytest
 
 from lagmhd.checkpoint import read_checkpoint, write_checkpoint
-from lagmhd.config import KEYS, RunConfig, dump_config, parse_config
+from lagmhd.config import (
+    KEYS,
+    SOLVERS,
+    UNREAD,
+    RunConfig,
+    dump_config,
+    parse_config,
+    read_keys,
+)
 from lagmhd.errors import CheckpointFormatError, ConfigError
 from lagmhd.evolution import EulerState
 from lagmhd.geometry import FlowState
@@ -69,12 +77,11 @@ def test_dump_parse_round_trip():
     text = (
         MINIMAL
         + "lengths = 64,6.283185307179586,6.283185307179586\n"
-        + "cadence = 0.25\nsolver = both\nepsilon0 = 2e-4\npressure_tol = 1e-11\n"
+        + "cadence = 0.25\nsolver = lagrangian\nepsilon0 = 2e-4\npressure_tol = 1e-11\n"
         + "pressure_max_iter = 40\n"
         + "y0_modes_a = 1,1,0.5,0.1; 2,-1,0.25,1.0\n"
         + "y0_modes_c = 1,1,0.2,0.3\n"
         + "y1_modes = 0,1,0,2,1.0,0.2; 1,1,0,2,0.3,2.1\n"
-        + "t_compare = 0.5\n"
     )
     cfg = parse_config(text)
     dumped = dump_config(cfg)
@@ -84,8 +91,73 @@ def test_dump_parse_round_trip():
 
 
 def test_config_table_lists_every_field_in_order():
-    # a RunConfig field without a parser in the table fails here
-    assert list(KEYS) == [f.name for f in fields(RunConfig)]
+    # a RunConfig field without a parser in the table fails here; t_compare
+    # is a field but no key
+    assert list(KEYS) == [f.name for f in fields(RunConfig) if f.name != "t_compare"]
+
+
+def test_t_compare_must_equal_t_end():
+    assert RunConfig(dimension=3, sizes=(8, 8, 8), t_end=0.5, t_compare=0.5).t_compare == 0.5
+    with pytest.raises(ConfigError, match="t_compare"):
+        RunConfig(dimension=3, sizes=(8, 8, 8), t_end=0.5, t_compare=1.0)
+
+
+def _unread_at_defaults(cfg):
+    """cfg with every field that its run does not read at its default."""
+    reads = read_keys(cfg)
+    return replace(
+        cfg, **{f.name: f.default for f in fields(RunConfig) if f.name not in reads}
+    )
+
+
+# every key set away from its default
+FULL = RunConfig(
+    dimension=3, sizes=(16, 16, 32), lengths=(64.0, 2 * np.pi, 2 * np.pi), dt=0.05,
+    t_end=0.5, cadence=0.1, epsilon0=2e-4, pressure_tol=1e-11, pressure_max_iter=40,
+    y0_modes_a=default_spec(3, 1e-4).shear_a, y0_modes_c=(),
+    y1_modes=(VelocityMode((0, 1, 0), axis=2, amp=1.0, phase=0.2),),
+    checkpoint_in="first/state_final.ckpt", output_dir="out",
+)
+# each key's line in a dump of FULL
+FULL_LINES = {
+    line.split(" = ", 1)[0]: line
+    for cfg in (FULL, replace(FULL, checkpoint_in=""))
+    for line in dump_config(cfg).splitlines()
+}
+
+
+@pytest.mark.parametrize("resumed", [False, True], ids=["data", "resumed"])
+@pytest.mark.parametrize("solver", SOLVERS)
+def test_a_full_config_of_each_solver_round_trips(solver, resumed):
+    cfg = replace(FULL, solver=solver, checkpoint_in=FULL.checkpoint_in * resumed)
+    cfg = _unread_at_defaults(cfg)
+    text = dump_config(cfg)
+    keys = [k for k in read_keys(cfg) if k != "checkpoint_in" or resumed]
+    assert [line.split(" = ")[0] for line in text.splitlines()] == keys
+    assert parse_config(text) == cfg
+
+
+NOT_READ = [(solver, False, key) for solver in SOLVERS for key in UNREAD[solver]]
+NOT_READ += [
+    (solver, True, key) for solver in ("lagrangian", "eulerian")
+    for key in KEYS
+    if key not in read_keys(replace(FULL, solver=solver)) + UNREAD[solver]
+]
+
+
+@pytest.mark.parametrize(
+    "solver, resumed, key", NOT_READ,
+    ids=[f"{s}{'-resumed' * r}-{k}" for s, r, k in NOT_READ],
+)
+def test_a_key_the_solver_does_not_read_is_an_error(solver, resumed, key):
+    cfg = _unread_at_defaults(
+        replace(FULL, solver=solver, checkpoint_in=FULL.checkpoint_in * resumed)
+    )
+    text = dump_config(cfg)
+    parse_config(text)
+    who = "a resumed run" if resumed else f"solver {solver}"
+    with pytest.raises(ConfigError, match=f"{who} does not read '{key}'"):
+        parse_config(text + FULL_LINES[key] + "\n")
 
 
 def _modes(spec):
@@ -122,15 +194,16 @@ WORKLOAD_CONFIGS = {
 @pytest.mark.parametrize("checkpoint_in", ["", "first/state_final.ckpt"])
 @pytest.mark.parametrize("name", list(WORKLOAD_CONFIGS))
 def test_workload_configs_round_trip(name, checkpoint_in):
+    # the dump holds the keys the run reads; the others come back as defaults
     cfg = replace(WORKLOAD_CONFIGS[name], checkpoint_in=checkpoint_in)
     text = dump_config(cfg)
     back = parse_config(text)
     assert dump_config(back) == text
-    assert back == cfg  # empty mode lists come back as (), not as None
-    assert ("checkpoint_in" in text) == bool(checkpoint_in)
+    assert back == _unread_at_defaults(cfg)  # empty mode lists come back as (), not as None
+    assert ("checkpoint_in" in text) == bool(back.checkpoint_in)
 
 
-@pytest.mark.parametrize("key", ["seed", "script_e_cap", "dealias", "fit_window"])
+@pytest.mark.parametrize("key", ["seed", "script_e_cap", "dealias", "fit_window", "t_compare"])
 def test_removed_keys_are_unknown(key):
     with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
         parse_config(MINIMAL + f"{key} = 3\n")

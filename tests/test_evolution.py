@@ -459,7 +459,6 @@ def _whole_call(solver, tmp_path):
         dt=0.05,
         t_end=0.1,
         cadence=0.05,
-        t_compare=0.1,
         solver=solver,
         output_dir=str(tmp_path),
     )

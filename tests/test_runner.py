@@ -211,7 +211,7 @@ def test_data_check_holds_data_not_a_checkpoint(tmp_path, solver):
 
 def test_compare_checks_the_data(tmp_path):
     with pytest.raises(InitialDataError, match="4.891e-06"):
-        compare_formulations(strong_config(tmp_path, solver="both", t_compare=0.25))
+        compare_formulations(strong_config(tmp_path, solver="both"))
 
 
 def test_solver_both_is_rejected_by_run(tmp_path):
