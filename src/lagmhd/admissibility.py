@@ -20,22 +20,7 @@ import numpy as np
 from scipy.integrate import simpson
 
 from .errors import NonTransversalError
-from .fields import VectorField
-from .geometry import _rk4_batch, make_trig_evaluator
-
-
-def as_field_function(b0):
-    """Normalize a VectorField or callable to pts(M,d) -> values(M,d)."""
-    if isinstance(b0, VectorField):
-        ev = make_trig_evaluator(b0.band, b0.grid)
-
-        def fn(pts):
-            return ev(pts).T
-
-        return fn, b0.grid.dim
-    if callable(b0):
-        return b0, None
-    raise TypeError("expected a VectorField or a callable field")
+from .geometry import _rk4_batch
 
 
 def _integrate_batch(fn, seeds, dt_ode, slab_halfwidth, margin):
@@ -49,12 +34,12 @@ def _integrate_batch(fn, seeds, dt_ode, slab_halfwidth, margin):
     # speed along x1 is at least 1/2 inside the slab and 1 outside
     nsteps = int(np.ceil(2.0 * reach / dt_ode)) + 2
     seeds = np.atleast_2d(np.asarray(seeds, dtype=float))
-    _, fwd = _rk4_batch(fn, seeds, dt_ode, nsteps, record=True)
+    fwd = _rk4_batch(fn, seeds, dt_ode, nsteps)
 
     def back_fn(z):
         return -fn(z)
 
-    _, bwd = _rk4_batch(back_fn, seeds, dt_ode, nsteps, record=True)
+    bwd = _rk4_batch(back_fn, seeds, dt_ode, nsteps)
     exited_f = np.abs(fwd[-1, :, 0]) > reach - margin * 0.5
     exited_b = np.abs(bwd[-1, :, 0]) > reach - margin * 0.5
     if not (exited_f.all() and exited_b.all()):
@@ -126,35 +111,29 @@ def check_admissible(
 ) -> AdmissibilityReport:
     """Run the plane-seeded admissibility integrals for f = b0 - e1.
 
-    The tolerance is dimensional: tol scaled by sup|f| * (slab width). Pass
+    b0 and test_field are callables, points (M, d) -> values (M, d). The
+    tolerance is dimensional: tol scaled by sup|f| * (slab width). Pass
     test_field to audit a different integrand along the same trajectories.
     The integrand for b0 itself is interpreted through the same slab
     truncation as b0 - e1 (the drift part integrates trivially).
     """
-    fn, dim_hint = as_field_function(b0)
     seeds = np.atleast_2d(np.asarray(seed_grid, dtype=float))
     dim = seeds.shape[1] + 1
-    if dim_hint is not None and dim_hint != dim:
-        raise ValueError(f"seed grid dimension {dim} != field dimension {dim_hint}")
     if dt_ode is None:
         dt_ode = slab_halfwidth / 128.0
     margin = 4.0 * dt_ode
 
-    if test_field is None:
+    f_fn = test_field
+    if f_fn is None:
         e1 = np.zeros(dim)
         e1[0] = 1.0
 
         def f_fn(pts):
-            return fn(pts) - e1
-
-    else:
-        f_fn, _ = as_field_function(test_field)
+            return b0(pts) - e1
 
     plane_seeds = np.zeros((seeds.shape[0], dim))
     plane_seeds[:, 1:] = seeds
-    times, positions = _integrate_batch(
-        fn, plane_seeds, dt_ode, slab_halfwidth, margin
-    )
+    times, positions = _integrate_batch(b0, plane_seeds, dt_ode, slab_halfwidth, margin)
     npts, m, _ = positions.shape
     vals = f_fn(positions.reshape(npts * m, dim)).reshape(npts, m, dim)
     integrals, fmax = _slab_integral(vals, positions, times, slab_halfwidth)  # (M, d)

@@ -210,11 +210,13 @@ class NonlinearForce:
     """Forcing f of the displacement equation with the pieces it was built from.
 
     f = div((A^T A - I) grad Yt) - A grad_p, the viscous flux less the
-    pressure force, is a band field of its own, and grad_p is a band. f is a
-    ``VectorField`` only because perfbench's scaled-force gate
-    (``_scaled_force`` in ``perfbench/tests/test_perfbench.py``) rebuilds it
-    with ``VectorField.from_spec(force.f.grid, force.f.spec * ...)``; it
-    becomes a band with ROADMAP item 3's benchmark change. a_values,
+    pressure force, is a band field of its own; ``pressure`` is the
+    ``PressureSolution`` of the solve, passed through as returned, so
+    grad_p is a band. f is the last ``VectorField`` of the package, kept
+    only because perfbench's scaled-force gate (``_scaled_force`` in
+    ``perfbench/tests/test_perfbench.py``) rebuilds it with
+    ``VectorField.from_spec(force.f.grid, force.f.spec * ...)``; it becomes
+    a band with ROADMAP item 3's benchmark change. a_values,
     grad_y and grad_yt are arrays of the ``ForceWorkspace`` the force was
     computed in: a force of a ``LagrangianStepper`` holds them until that
     stepper computes its next force, which overwrites them.
@@ -287,23 +289,17 @@ def compute_force(
     rhs_band = _tensor_rhs_spec(
         grid, a_vals, grad_y[:, 0], yt_vals, out=work.vec_band[0], work=work
     )
-    gp_band, iters, residuals, contraction, potential = solve_pressure_spec(
+    pressure = solve_pressure_spec(
         grid, defect, rhs_band, pressure_tol, pressure_max_iter, q0=q0, work=work
     )
-    gp_real = grid.irfft(gp_band, out=work.vec[0], pad=work.pad[0])
+    gp_real = grid.irfft(pressure.grad_p, out=work.vec[0], pad=work.pad[0])
     a_gp = np.einsum("im...,m...->i...", a_vals, gp_real, out=work.vec[1])
     flux = np.einsum("jm...,im...->ij...", defect, grad_yt, out=work.flux)
     f_band = divergence_band(flux, grid, work=work, minus=a_gp)
 
     return NonlinearForce(
         f=VectorField.from_band(grid, dealias_spec(f_band, grid, out=f_band)),
-        pressure=PressureSolution(
-            grad_p=gp_band,
-            iterations=iters,
-            residuals=residuals,
-            contraction_estimate=contraction,
-            potential=potential,
-        ),
+        pressure=pressure,
         a_values=a_vals,
         grad_y=grad_y,
         grad_yt=grad_yt,

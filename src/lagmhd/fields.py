@@ -1,13 +1,13 @@
-"""A vector field with lazily cached representations.
+"""The force field of ``NonlinearForce``, with lazily cached representations.
 
 No state holds one: ``FlowState`` and ``EulerState`` hold bands, the first K
-last-axis planes of the normalized Fourier coefficients (see ``grid``). A
-``VectorField`` is left in two roles. It is the user-supplied b0 of
-``construct_initial_map`` and ``check_admissible``, given as samples or as a
-band. And it is ``NonlinearForce.f``, because perfbench's scaled-force gate
+last-axis planes of the normalized Fourier coefficients (see ``grid``), and
+b0 is given to ``construct_initial_map`` as samples and to
+``check_admissible`` as a callable. A ``VectorField`` is left in one role:
+``NonlinearForce.f``, because perfbench's scaled-force gate
 (``_scaled_force`` in ``perfbench/tests/test_perfbench.py``) rebuilds that
 force with ``from_spec`` from its ``spec``; it becomes a band with ROADMAP
-item 3's benchmark change.
+item 3's benchmark change. ``from_values`` builds the tests' random fields.
 
 The field is treated as immutable. It holds two views of the same data, each
 computed on first access from the one the field was built with: the real
@@ -26,9 +26,9 @@ from .grid import Grid
 
 class VectorField:
     """A (d, *grid.shape) real field, built from its samples, its band or
-    its full spectrum. Its two roles are b0 and ``NonlinearForce.f``; of
-    the full spectrum, ``from_spec`` and ``spec`` are read only by
-    perfbench's ``_scaled_force``."""
+    its full spectrum. Its one role is ``NonlinearForce.f``; of the full
+    spectrum, ``from_spec`` and ``spec`` are read only by perfbench's
+    ``_scaled_force``."""
 
     def __init__(self, grid: Grid, values=None, spec=None, band=None):
         if values is None and spec is None and band is None:

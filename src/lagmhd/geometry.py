@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConstructionFailedError, NotConvergedError
-from .fields import VectorField
 from .grid import Grid
 from .spectral import divergence_norm, gradient_values
 
@@ -119,8 +118,10 @@ def graded_metric_values(b1, b2):
 
 
 def determinant_values(grad):
-    """Pointwise det(I + grad Y)."""
+    """Pointwise det(I + grad Y), for d = 1, 2 or 3."""
     g = grad
+    if g.shape[0] == 1:
+        return 1.0 + g[0, 0]
     if g.shape[0] == 2:
         return (1.0 + g[0, 0]) * (1.0 + g[1, 1]) - g[0, 1] * g[1, 0]
     m00, m01, m02 = 1.0 + g[0, 0], g[0, 1], g[0, 2]
@@ -185,24 +186,19 @@ def make_trig_evaluator(band, grid: Grid):
     return evaluate
 
 
-def _rk4_batch(fn, z, dt, nsteps, record):
-    """nsteps of fixed-step RK4 for dz/dt = fn(z) on a batch of positions.
-
-    Returns the last state and, with record, all nsteps + 1 states, the
-    first included, stacked along a new leading axis (None without record).
-    """
-    out = np.empty((nsteps + 1,) + z.shape) if record else None
-    if record:
-        out[0] = z
+def _rk4_batch(fn, z, dt, nsteps):
+    """nsteps of fixed-step RK4 for dz/dt = fn(z) on a batch of positions z:
+    all nsteps + 1 states, the first included, stacked on a new leading axis."""
+    out = np.empty((nsteps + 1,) + z.shape)
+    out[0] = z
     for i in range(nsteps):
         k1 = fn(z)
         k2 = fn(z + 0.5 * dt * k1)
         k3 = fn(z + 0.5 * dt * k2)
         k4 = fn(z + dt * k3)
         z = z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if record:
-            out[i + 1] = z
-    return z, out
+        out[i + 1] = z
+    return out
 
 
 # -- initial map from a transversal magnetic field ---------------------------
@@ -251,17 +247,12 @@ def _plane_reparametrization(b0_eval, grid: Grid, tol: float, max_iter: int):
             np.fft.ifftn(1j * kax[i] * phi_hat).real for i in range(tdim)
         ]
         eta = [coords[i] + grad_phi[i] for i in range(tdim)]
-        # det(I + hessian(phi)) on the plane
         hess = np.empty((tdim, tdim) + tuple(tsizes))
         for i in range(tdim):
             for j in range(tdim):
                 hess[i, j] = np.fft.ifftn(-kax[i] * kax[j] * phi_hat).real
-        if tdim == 1:
-            det_eta = 1.0 + hess[0, 0]
-            lap_phi = hess[0, 0]
-        else:
-            det_eta = (1.0 + hess[0, 0]) * (1.0 + hess[1, 1]) - hess[0, 1] * hess[1, 0]
-            lap_phi = hess[0, 0] + hess[1, 1]
+        det_eta = determinant_values(hess)  # det(I + hessian(phi)) on the plane
+        lap_phi = np.trace(hess)
         pts = np.stack([np.zeros_like(eta[0])] + eta, axis=-1).reshape(-1, dim)
         b01 = b0_eval(pts)[0].reshape(tsizes)
         if b01.min() < 0.5:
@@ -281,34 +272,34 @@ def _plane_reparametrization(b0_eval, grid: Grid, tol: float, max_iter: int):
 
 
 def construct_initial_map(
-    b0: VectorField, tol: float = 1e-8, max_iter: int = 60, substeps: int = None
+    grid: Grid, b0, tol: float = 1e-8, max_iter: int = 60
 ) -> InitialMap:
-    """Build X0 by flowing the plane {x1 = 0} along b0.
+    """Build X0 by flowing the plane {x1 = 0} along b0, given by its samples,
+    a real (d, *grid.shape) array.
 
     X0(y1, y') integrates dZ/ds = b0(Z) from (0, eta(y')) for a parameter
     stretch s = y1, with eta the plane reparametrization that makes the map
     volume preserving. Periodic closure across the box requires the transverse
     drift and traversal-time integrals of b0 - e1 to vanish along trajectories
     (the admissibility of b0 - e1); the returned residuals measure any defect.
-    b0 is checked and evaluated, and the displacement differentiated, on the
-    band: what either holds outside it is dropped.
+    b0's divergence is checked, b0 evaluated and the displacement differentiated
+    on the band: what either holds outside it is dropped.
     """
-    grid = b0.grid
-    div = divergence_norm(b0.band, grid)
-    scale = 1.0 + float(np.abs(b0.values).max())
+    band = grid.rfft(b0)
+    div = divergence_norm(band, grid)
+    scale = 1.0 + float(np.abs(b0).max())
     if div > 1e-10 * scale:
         raise ConstructionFailedError(f"b0 is not divergence free: |div b0| = {div:.3e}")
-    if b0.values[0].min() < 0.5:
+    if b0[0].min() < 0.5:
         raise ConstructionFailedError(
-            f"transversality violated: min b0^1 = {b0.values[0].min():.3g} < 1/2"
+            f"transversality violated: min b0^1 = {b0[0].min():.3g} < 1/2"
         )
 
-    b0_eval = make_trig_evaluator(b0.band, grid)
+    b0_eval = make_trig_evaluator(band, grid)
     eta, plane_res = _plane_reparametrization(b0_eval, grid, tol / 4.0, max_iter)
 
     h1 = grid.spacings[0]
-    if substeps is None:
-        substeps = max(2, int(np.ceil(2.0 * h1 / min(grid.spacings))))
+    substeps = max(2, int(np.ceil(2.0 * h1 / min(grid.spacings))))
     hs = h1 / substeps
 
     def rhs(pts):
@@ -322,7 +313,7 @@ def construct_initial_map(
     x0 = np.empty((grid.dim,) + grid.shape)
     x0[:, 0] = z.T.reshape((grid.dim,) + tuple(tshape))
     for j in range(1, grid.sizes[0]):
-        z, _ = _rk4_batch(rhs, z, hs, substeps, record=False)
+        z = _rk4_batch(rhs, z, hs, substeps)[-1]
         x0[:, j] = z.T.reshape((grid.dim,) + tuple(tshape))
 
     coords = np.stack(np.broadcast_arrays(*grid.coords))

@@ -245,7 +245,7 @@ class Grid:
     def fft(self, values):
         """Real samples -> full spectrum c_k with f(y) = sum c_k e^{ik.y}. No run
         path calls it or ``ifft``: perfbench's ``_scaled_force`` (through
-        ``VectorField.spec``), ``test_rfft_matches_the_full_transform`` and
+        the force's ``spec``), ``test_rfft_matches_the_full_transform`` and
         ``test_gate_passes_transforms_through_rfft`` do (ROADMAP item 3)."""
         return sfft.fftn(values, axes=self.spatial_axes, norm="forward")
 

@@ -88,27 +88,18 @@ def _phase(grid: Grid, n, coords, axes):
     return phase
 
 
-def _shear_profile(grid: Grid, modes, axes):
-    """Sum of cosine modes over the given coordinate axes, on their plane: the
-    profile has length 1 on every other axis and broadcasts over it."""
-    out = np.zeros([n if i in axes else 1 for i, n in enumerate(grid.shape)])
-    coords = [grid.coords[ax] for ax in axes]
+def _shear_profile(grid: Grid, modes, axes, coords=None, scale=1.0):
+    """scale times the sum of cosine modes over the given axes, at coords (one
+    broadcastable array per axis). By default, the grid coordinates of the
+    axes: the profile is on their plane and broadcasts over every other axis."""
+    if coords is None:
+        coords = [grid.coords[ax] for ax in axes]
+    out = np.zeros(np.broadcast_shapes(*(np.shape(c) for c in coords)))
     for m in modes:
         if len(m.n) != len(axes):
             raise ConfigError(f"shear mode {m.n} must index {len(axes)} profile axes")
-        out = out + m.amp * np.cos(_phase(grid, m.n, coords, axes) + m.phase)
+        out += scale * m.amp * np.cos(_phase(grid, m.n, coords, axes) + m.phase)
     return out
-
-
-def _c_shear(grid: Grid, a, c_modes, scale: float):
-    """The y1 displacement c(y2 + a[, y3]) of the two-shear composition, as one
-    component; with the y2 displacement a it preserves volume exactly."""
-    coords = (grid.coords[1] + a,) + grid.coords[2:]
-    axes = tuple(range(1, grid.dim))
-    c_val = np.zeros((1,) + grid.shape)
-    for m in c_modes:
-        c_val[0] += scale * m.amp * np.cos(_phase(grid, m.n, coords, axes) + m.phase)
-    return c_val
 
 
 def _solenoidal_velocity(grid: Grid, modes):
@@ -150,9 +141,11 @@ def _build_with_gradient(grid: Grid, spec: InitialDataSpec):
     def assemble(scale: float) -> FlowState:
         # composition tails above the 2/3-mask ball are machine-small at these
         # amplitudes; masking keeps the evolved state band-limited
-        c_vals = _c_shear(grid, scale * a_profile, spec.shear_c, scale)
+        # the y1 displacement c(y2 + a[, y3]), volume preserving with a
+        c_coords = (grid.coords[1] + scale * a_profile,) + grid.coords[2:]
+        c_vals = _shear_profile(grid, spec.shear_c, range(1, d), c_coords, scale)
         y0_band = np.zeros((d,) + grid.band_shape, dtype=complex)
-        dealias_spec(grid.rfft(c_vals), grid, out=y0_band[:1])
+        dealias_spec(grid.rfft(c_vals[None]), grid, out=y0_band[:1])
         np.multiply(scale, a_band, out=y0_band[1:2])
         grad = np.zeros((d, d) + grid.shape)
         gradient_values(y0_band[:1], grid, out=grad[:1])

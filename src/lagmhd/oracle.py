@@ -98,12 +98,14 @@ NORM_WEIGHTS = {
 }
 
 
+MAX_ANGULAR = 8000  # cap on the Gauss-Legendre nodes in the direction cosine
+
+
 def linear_decay_oracle(
     t_grid,
     norms=("grad_yt_h2", "grad_d1yt_h1"),
     profile: PowerLawProfile = None,
     n_radial: int = 360,
-    max_angular: int = 8000,
 ) -> dict:
     """Whole-space linear-solution norms on t_grid by quadrature, {name: array}."""
     profile = profile if profile is not None else PowerLawProfile()
@@ -126,7 +128,7 @@ def linear_decay_oracle(
         log_lo, log_hi = np.log(profile.k_min), np.log(r_hi)
         r = np.exp(0.5 * (xr_ref + 1.0) * (log_hi - log_lo) + log_lo)
         w_log = wr_ref * 0.5 * (log_hi - log_lo)
-        n_u = min(int(200 + 1.5 * r_hi * t), max_angular)
+        n_u = min(int(200 + 1.5 * r_hi * t), MAX_ANGULAR)
         xu, wu = np.polynomial.legendre.leggauss(n_u)
 
         rr = r[:, None]

@@ -18,7 +18,7 @@ the nearest one in time; the stopping rule does not depend on the start.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,13 +33,13 @@ from .spectral import (
 )
 
 
-@dataclass
-class PressureSolution:
+class PressureSolution(NamedTuple):
     """grad_p = rhs - k q on the band, with the band of its potential q.
 
     ``potential`` is what ``solve_pressure_spec`` takes as ``q0`` to start a
     later solve there; ``iterations``, ``residuals`` and
     ``contraction_estimate`` describe the Picard iteration that produced it.
+    A tuple in this order: ``[1]`` is the iteration count.
     """
 
     grad_p: np.ndarray
@@ -93,10 +93,9 @@ def solve_pressure_spec(
     in time; None starts cold from q = 0, grad_p = rhs. The first residual is
     measured from q0, so a start at the fixed point stops after one step. The
     stopping rule is absolute, so where one step meets it the result depends
-    on q0. Returns (grad_p, iterations, residuals, contraction, potential),
-    fresh arrays. ``work`` is the ``ForceWorkspace`` of the grid (a fresh
-    one when None); the iteration overwrites its ``vec[:2]``,
-    ``vec_band[1]`` and ``pad``.
+    on q0. Returns the ``PressureSolution``, with fresh arrays. ``work`` is
+    the ``ForceWorkspace`` of the grid (a fresh one when None); the
+    iteration overwrites its ``vec[:2]``, ``vec_band[1]`` and ``pad``.
     """
     if work is None:
         work = ForceWorkspace(grid)
@@ -136,7 +135,7 @@ def solve_pressure_spec(
                 )
         if res <= tol:
             contraction = float(np.exp(np.mean(np.log(ratios)))) if ratios else 0.0
-            return gp, it, residuals, contraction, q
+            return PressureSolution(gp, it, residuals, contraction, q)
     raise NotConvergedError(
         f"pressure fixed point not converged after {max_iter} iterations "
         f"(last residual {residuals[-1]:.3e})",

@@ -137,22 +137,16 @@ class RunReport:
         return "\n".join(lines)
 
 
-def _grad_u_sup(grad_u) -> float:
-    """Largest pointwise Frobenius norm of a (d, d, ...) velocity gradient."""
-    return float(np.sqrt(np.sum(grad_u**2, axis=(0, 1))).max())
-
-
-def _flow_grad_u_sup(grad_yt, a_values) -> float:
-    """``_grad_u_sup`` of (grad_x u) composed with the flow, (grad_y Yt) A^T,
-    formed one row at a time. The squares are added in (i, j) order, the
-    order of the sum over axes (0, 1), so the result has the same bits."""
-    row = np.empty_like(grad_yt[0])
-    total = np.zeros_like(row[0])
-    for grad_yt_i in grad_yt:
-        np.einsum("m...,jm...->j...", grad_yt_i, a_values, out=row)
+def _grad_u_sup(rows) -> float:
+    """Largest pointwise Frobenius norm of a velocity gradient, given by its
+    rows, (d, ...) arrays squared in place. The squares are added in (i, j)
+    order, as np.sum over axes (0, 1) adds them, and sqrt is monotone and
+    correctly rounded: the bits of sqrt(sum(g**2, axis=(0, 1))).max()."""
+    total = 0.0  # the first add makes it an array, the rest add in place
+    for row in rows:
         for row_j in np.square(row, out=row):
             total += row_j
-    return float(np.sqrt(total.max()))
+    return float(np.sqrt(np.max(total)))
 
 
 def _record_sample(ev: EnergyEvaluator, state: FlowState, force: NonlinearForce):
@@ -164,6 +158,7 @@ def _record_sample(ev: EnergyEvaluator, state: FlowState, force: NonlinearForce)
     rhs1, rhs2 = forcing_pairings(ev, state, force.f.band, table)
     det = determinant_values(force.grad_y)
     corrected = sum(ce)
+    row = np.empty_like(force.grad_yt[0])
     return RunSample(
         t=state.t,
         energy=e,
@@ -176,7 +171,10 @@ def _record_sample(ev: EnergyEvaluator, state: FlowState, force: NonlinearForce)
         rhs2=rhs2,
         det_drift=float(np.abs(det - 1.0).max()),
         lower_bound_margin=lower_bound_margin(ev, state, table, corrected),
-        grad_u_sup=_flow_grad_u_sup(force.grad_yt, force.a_values),
+        grad_u_sup=_grad_u_sup(  # the rows of (grad_y Yt) A^T through one buffer
+            np.einsum("m...,jm...->j...", g, force.a_values, out=row)
+            for g in force.grad_yt
+        ),
         pressure_iters=force.pressure.iterations,
         contraction=force.pressure.contraction_estimate,
     )
@@ -302,7 +300,8 @@ def _drive(config, initial, force, step, record=None, write_outputs=True):
     record nothing is sampled and the cadence is not read. initial() runs
     here so that this frame holds the only reference to the state. With
     outputs, a solver failure ends the run as an abort; without, it raises
-    RunAbortedError.
+    RunAbortedError. A finished run removes an earlier run's abort report
+    and checkpoint, unless that checkpoint is its checkpoint_in.
     """
     state = initial()
     t0 = state.t
@@ -348,8 +347,11 @@ def _drive(config, initial, force, step, record=None, write_outputs=True):
         if aborted:
             with open(report_path, "w") as fh:
                 fh.write(f"aborted at t = {state.t:.12g}\nreason: {abort_reason}\n")
-        elif os.path.exists(report_path):  # an earlier run's, stale now
-            os.remove(report_path)
+        else:  # an earlier run's abort outputs are stale now, bar this run's input
+            kept = config.checkpoint_in and os.path.realpath(config.checkpoint_in)
+            for path in (report_path, os.path.join(out_dir, "state_abort.ckpt")):
+                if os.path.exists(path) and os.path.realpath(path) != kept:
+                    os.remove(path)
 
     fits = {}
     times = np.array([s.t for s in samples])

@@ -291,7 +291,7 @@ def test_criterion_9_admissibility():
     grid = Grid((16, 16, 16), (2 * np.pi,) * 3)
     b = np.zeros((3,) + grid.shape)
     b[0] = 1.0
-    imap = construct_initial_map(VectorField.from_values(grid, b), tol=1e-10)
+    imap = construct_initial_map(grid, b, tol=1e-10)
     identity_ok = (
         imap.residual_e1 <= 1e-12
         and imap.residual_det <= 1e-12

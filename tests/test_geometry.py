@@ -328,7 +328,7 @@ def test_trig_evaluator_matches_direct_sum(monkeypatch, rng, dim, rank, chunk_po
 def test_initial_map_identity_for_uniform_field(grid3):
     b = np.zeros((3,) + grid3.shape)
     b[0] = 1.0
-    result = construct_initial_map(VectorField.from_values(grid3, b), tol=1e-10)
+    result = construct_initial_map(grid3, b, tol=1e-10)
     assert result.residual_e1 < 1e-12
     assert result.residual_det < 1e-12
     assert np.abs(grid3.irfft(result.displacement)).max() < 1e-12
@@ -340,9 +340,10 @@ def test_initial_map_identity_for_uniform_field(grid3):
 
 def _roundtrip_b0(grid, amp):
     """b0 sampled from an exactly volume-preserving map: b0(X0(y)) = d1 X0(y)."""
+    n1, n2, nc = ((1, 1), (2, -1), (1, 1)) if grid.dim == 3 else ((1,), (2,), (1,))
     spec = InitialDataSpec(
-        shear_a=(ShearMode((1, 1), amp=amp, phase=0.3), ShearMode((2, -1), amp=0.5 * amp, phase=1.0)),
-        shear_c=(ShearMode((1, 1), amp=0.4 * amp, phase=0.9),),
+        shear_a=(ShearMode(n1, amp=amp, phase=0.3), ShearMode(n2, amp=0.5 * amp, phase=1.0)),
+        shear_c=(ShearMode(nc, amp=0.4 * amp, phase=0.9),),
         velocity=(),
         epsilon0=None,
     )
@@ -361,12 +362,12 @@ def _roundtrip_b0(grid, amp):
         leray_project(VectorField.from_band(grid, pert)).band, grid
     )
     pert[e1_idx] += 1.0
-    return VectorField.from_band(grid, pert), state
+    return grid.irfft(pert), state
 
 
 def test_initial_map_roundtrip_small_perturbation(grid3):
     b0, state = _roundtrip_b0(grid3, amp=1e-3)
-    result = construct_initial_map(b0, tol=1e-6)
+    result = construct_initial_map(grid3, b0, tol=1e-6)
     assert result.residual_e1 <= 1e-6
     assert result.residual_det <= 1e-6
     # Liouville: det(grad X0) constant along y1 (div b0 = 0)
@@ -376,9 +377,23 @@ def test_initial_map_roundtrip_small_perturbation(grid3):
     assert np.abs(along).max() < 5e-7
 
 
+def test_initial_map_in_two_dimensions():
+    # the seed plane is a line: the reparametrization solves on one axis
+    grid = Grid((16, 16), (2 * np.pi, 2 * np.pi))
+    b = np.zeros((2,) + grid.shape)
+    b[0] = 1.0
+    result = construct_initial_map(grid, b, tol=1e-10)
+    assert result.residual_e1 <= 1e-12
+    assert result.residual_det <= 1e-12
+    b0, _ = _roundtrip_b0(grid, amp=1e-3)
+    result = construct_initial_map(grid, b0, tol=1e-6)
+    assert result.residual_e1 <= 1e-6
+    assert result.residual_det <= 1e-6
+
+
 def test_initial_map_a0_is_the_inverse_transpose_of_its_gradient(grid3):
     b0, _ = _roundtrip_b0(grid3, amp=1e-2)
-    result = construct_initial_map(b0, tol=1e-6)
+    result = construct_initial_map(grid3, b0, tol=1e-6)
     grad = gradient_values(result.displacement, grid3)
     # (I + grad Y0) per point, matrix axes last for np.linalg
     m = np.moveaxis(grad, (0, 1), (-2, -1)) + np.eye(3)
@@ -392,7 +407,7 @@ def test_initial_map_rejects_nontransversal_field(grid3):
     b = np.zeros((3,) + grid3.shape)
     b[0] = 0.6 + 0.61 * np.cos(y1)  # dips below 1/2 (and touches ~0)
     with pytest.raises(ConstructionFailedError):
-        construct_initial_map(VectorField.from_values(grid3, b), tol=1e-8)
+        construct_initial_map(grid3, b, tol=1e-8)
 
 
 def test_initial_map_rejects_compressible_field(grid3):
@@ -400,7 +415,7 @@ def test_initial_map_rejects_compressible_field(grid3):
     b = np.zeros((3,) + grid3.shape)
     b[0] = 1.0 + 0.1 * np.sin(y1)
     with pytest.raises(ConstructionFailedError):
-        construct_initial_map(VectorField.from_values(grid3, b), tol=1e-8)
+        construct_initial_map(grid3, b, tol=1e-8)
 
 
 def test_initial_map_iteration_cap_reports_residual(grid3):
@@ -408,5 +423,5 @@ def test_initial_map_iteration_cap_reports_residual(grid3):
 
     b0, _ = _roundtrip_b0(grid3, amp=1e-3)
     with pytest.raises(NotConvergedError) as err:
-        construct_initial_map(b0, tol=1e-13, max_iter=1)
+        construct_initial_map(grid3, b0, tol=1e-13, max_iter=1)
     assert err.value.residual is not None and err.value.residual > 0

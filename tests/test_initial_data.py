@@ -2,9 +2,17 @@ import numpy as np
 import pytest
 
 from lagmhd import runner
+from lagmhd.config import RunConfig
 from lagmhd.energy import EnergyEvaluator
+from lagmhd.errors import ConfigError
 from lagmhd.grid import Grid
-from lagmhd.initial_data import _shear_profile, build_flow_state, default_spec
+from lagmhd.initial_data import (
+    InitialDataSpec,
+    ShearMode,
+    _shear_profile,
+    build_flow_state,
+    default_spec,
+)
 
 
 def _full_grid_profile(grid, modes, axes):
@@ -29,6 +37,22 @@ def test_shear_profile_on_its_plane_is_the_full_grid_sum(sizes, axes):
     assert plane.shape == tuple(n if i in axes else 1 for i, n in enumerate(sizes))
     full = np.broadcast_to(plane, grid.shape)
     assert np.array_equal(full, _full_grid_profile(grid, modes, axes))
+
+
+@pytest.mark.parametrize(
+    "sizes, n", [((8, 8, 8), (1,)), ((8, 8, 8), (1, 1, 1)), ((16, 16), (1, 1))],
+    ids=["3D-short", "3D-long", "2D-long"],
+)
+def test_a_shear_c_mode_with_the_wrong_index_count_is_a_config_error(sizes, n, tmp_path):
+    # c(y2[, y3]) indexes d - 1 axes, as a(y1[, y3]) does
+    grid = Grid(sizes, (2 * np.pi,) * len(sizes))
+    mode = ShearMode(n, amp=0.01)
+    with pytest.raises(ConfigError, match="shear mode"):
+        build_flow_state(grid, InitialDataSpec(shear_c=(mode,)))
+    cfg = RunConfig(dimension=len(sizes), sizes=sizes, lengths=grid.lengths,
+                    dt=0.05, t_end=0.1, y0_modes_c=(mode,), output_dir=str(tmp_path))
+    with pytest.raises(ConfigError, match="shear mode"):
+        runner.run_simulation(cfg)
 
 
 def test_build_flow_state_transform_count(monkeypatch):

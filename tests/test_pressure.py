@@ -8,7 +8,7 @@ from lagmhd.evolution import compute_force
 from lagmhd.geometry import FlowState, cofactor_values, graded_metric_values
 from lagmhd.grid import Grid
 from lagmhd.initial_data import build_flow_state, default_spec, scaled_spec
-from lagmhd.pressure import _tensor_rhs_spec, solve_pressure_spec
+from lagmhd.pressure import PressureSolution, _tensor_rhs_spec, solve_pressure_spec
 from lagmhd.spectral import (
     dealias_spec,
     gradient_values,
@@ -284,6 +284,19 @@ def test_linearity_in_rhs():
     gp1 = solve_pressure_spec(grid, metric_defect, rhs, 1e-13, 60)[0]
     gp2 = solve_pressure_spec(grid, metric_defect, 2.0 * rhs, 1e-13, 60)[0]
     assert np.abs(gp2 - 2.0 * gp1).max() < 1e-10 * max(np.abs(gp1).max(), 1e-300)
+
+
+def test_the_solve_returns_its_pressure_solution_with_the_count_at_index_1():
+    # perfbench's Picard span reads the iteration count as result[1], and a
+    # five-way unpacking reads the fields in their order
+    grid = Grid((16, 16, 16), (2 * np.pi,) * 3)
+    metric_defect, rhs = pressure_operands(small_state(grid, 0.05))
+    sol = solve_pressure_spec(grid, metric_defect, rhs, 1e-10, 50)
+    assert isinstance(sol, PressureSolution)
+    assert sol[1] == sol.iterations > 1
+    gp, iters, residuals, contraction, q = sol
+    assert gp is sol.grad_p and q is sol.potential
+    assert (iters, residuals, contraction) == sol[1:4]
 
 
 # -- starting potential ------------------------------------------------------------

@@ -1,4 +1,5 @@
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from lagmhd.grid import Grid
 from lagmhd.initial_data import VelocityMode, build_flow_state, euler_from_flow
 from lagmhd.runner import (
     CSV_COLUMNS,
-    _flow_grad_u_sup,
     _grad_u_sup,
     compare_formulations,
     read_diagnostics,
@@ -88,13 +88,18 @@ def test_the_tail_ratio_needs_a_sample_before_the_end_of_the_tail(tmp_path):
 
 @pytest.mark.parametrize("shape", [(16, 12, 10), (24, 20)], ids=["3D", "2D"])
 def test_the_row_wise_velocity_gradient_sup_keeps_the_bits(shape):
-    # the sample forms |grad u| one row of (grad_y Yt) A^T at a time; it
-    # must give the bits of the whole product summed over both axes
+    # the Eulerian sample passes |grad u| its gradient array, the Lagrangian
+    # one the rows of (grad_y Yt) A^T one at a time through one buffer; both
+    # must give the bits of the whole-array formula
     d = len(shape)
     rng = np.random.default_rng(7)
     grad_yt, a = rng.standard_normal((2, d, d) + shape)
     whole = np.einsum("im...,jm...->ij...", grad_yt, a)
-    assert _flow_grad_u_sup(grad_yt, a) == _grad_u_sup(whole)
+    want = float(np.sqrt(np.sum(whole**2, axis=(0, 1))).max())
+    assert _grad_u_sup(whole.copy()) == want
+    row = np.empty_like(grad_yt[0])
+    rows = (np.einsum("m...,jm...->j...", g, a, out=row) for g in grad_yt)
+    assert _grad_u_sup(rows) == want
 
 
 def test_runs_are_deterministic(tmp_path):
@@ -277,8 +282,8 @@ def test_eulerian_abort_leaves_checkpoint_and_report(tmp_path, monkeypatch):
 
 
 def test_successful_run_removes_a_stale_abort_report(tmp_path):
-    # an earlier run's report would claim an abort; its checkpoints stay,
-    # since one of them may be this run's checkpoint_in
+    # an earlier run's report would claim an abort, and its abort checkpoint
+    # would stand beside this run's final one as if it were current
     cfg = small_config(tmp_path, solver="eulerian", sizes=(8, 8, 8), t_end=0.5)
     report_path = os.path.join(cfg.output_dir, "abort_report.txt")
     stale_ckpt = os.path.join(cfg.output_dir, "state_abort.ckpt")
@@ -288,7 +293,36 @@ def test_successful_run_removes_a_stale_abort_report(tmp_path):
     report = run_simulation(cfg)
     assert not report.aborted
     assert not os.path.exists(report_path)
-    assert os.path.exists(stale_ckpt) and os.path.exists(report.checkpoint_path)
+    assert not os.path.exists(stale_ckpt) and os.path.exists(report.checkpoint_path)
+
+
+def test_a_finished_run_removes_an_earlier_runs_abort_checkpoint(tmp_path):
+    # a Lagrangian run far outside the smallness regime aborts; a small-data
+    # run of the same config into the same output_dir then finishes
+    cfg = small_config(
+        tmp_path, sizes=(8, 8, 8), lengths=(2 * np.pi,) * 3, t_end=0.5,
+        y0_modes_a=(), y0_modes_c=(), epsilon0=1e4,
+    )
+    assert run_simulation(cfg).aborted
+    report = run_simulation(replace(cfg, epsilon0=1e-4))
+    assert not report.aborted
+    assert sorted(os.listdir(tmp_path)) == ["diagnostics.csv", "state_final.ckpt"]
+
+
+def test_a_finished_run_keeps_the_abort_checkpoint_it_resumed_from(tmp_path):
+    # resumed from the abort checkpoint of its own output_dir: that file is
+    # this run's input, and it stays; the stale report goes
+    ckpt = str(tmp_path / "state_abort.ckpt")
+    cfg = small_config(tmp_path, solver="eulerian", sizes=(8, 8, 8), t_end=0.5,
+                       checkpoint_in=ckpt)
+    report_path = str(tmp_path / "abort_report.txt")
+    with open(report_path, "w") as fh:
+        fh.write("aborted at t = 0\nreason: FloatingPointError: earlier run\n")
+    write_checkpoint(ckpt, EulerState.equilibrium(Grid(cfg.sizes, cfg.lengths)))
+    report = run_simulation(cfg)
+    assert not report.aborted
+    assert not os.path.exists(report_path)
+    assert os.path.exists(ckpt) and os.path.exists(report.checkpoint_path)
 
 
 def test_compare_rejects_a_checkpoint(tmp_path):
