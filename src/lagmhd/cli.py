@@ -116,11 +116,11 @@ def _cmd_admissible(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    data = read_diagnostics(args.csv)
-    if args.column not in data:
-        print(f"column '{args.column}' not in {sorted(data)}", file=sys.stderr)
-        return 1
     try:
+        data = read_diagnostics(args.csv)
+        if args.column not in data:
+            print(f"column '{args.column}' not in {sorted(data)}", file=sys.stderr)
+            return 1
         fit = fit_decay_rate(data["t"], data[args.column], tuple(args.window))
     except ValueError as exc:
         print(f"fit failed: {exc}", file=sys.stderr)
@@ -193,6 +193,10 @@ def main(argv=None) -> int:
             adm_p.error("--seeds must be >= 1")
         if not 0 < args.halfwidth < np.inf:
             adm_p.error("--halfwidth must be positive and finite")
+        if not 0 < args.tol < np.inf:
+            adm_p.error("--tol must be positive and finite")
+        if not np.isfinite(args.amplitude):
+            adm_p.error("--amplitude must be finite")
     try:
         return args.func(args)
     except errors.RunAbortedError as exc:  # a compare's step failed: exit as an abort

@@ -13,7 +13,7 @@ from .initial_data import InitialDataSpec, ShearMode, VelocityMode, default_spec
 # not read the data keys either.
 UNREAD = {
     "lagrangian": (),
-    "eulerian": ("pressure_tol", "pressure_max_iter"),
+    "eulerian": (),
     "both": ("cadence", "checkpoint_in", "output_dir"),
 }
 SOLVERS = tuple(UNREAD)
@@ -30,8 +30,6 @@ class RunConfig:
     cadence: float = None  # sample interval; default snaps 0.25 to a dt multiple
     solver: str = "lagrangian"
     epsilon0: float = 1e-4
-    pressure_tol: float = 1e-10
-    pressure_max_iter: int = 50
     y0_modes_a: tuple = None  # None -> built-in profile
     y0_modes_c: tuple = None
     y1_modes: tuple = None
@@ -55,7 +53,7 @@ class RunConfig:
             raise ConfigError("lengths must list one entry per dimension")
         if not all(0 < x < np.inf for x in self.lengths):  # nan fails too
             raise ConfigError("lengths must be positive and finite")
-        for key in ("dt", "t_end", "cadence", "epsilon0", "pressure_tol"):
+        for key in ("dt", "t_end", "cadence", "epsilon0"):
             value = getattr(self, key)
             if value is not None and not np.isfinite(value):
                 raise ConfigError(f"{key} must be finite, got {value}")
@@ -74,8 +72,6 @@ class RunConfig:
             raise ConfigError(f"solver must be one of {SOLVERS}")
         if not self.epsilon0 > 0:
             raise ConfigError("epsilon0 must be positive")
-        if not self.pressure_tol > 0 or self.pressure_max_iter < 1:
-            raise ConfigError("pressure_tol must be > 0 and pressure_max_iter >= 1")
         if self.t_compare is not None and self.t_compare != self.t_end:
             raise ConfigError("t_compare must equal t_end: the compare steps to t_end")
 
@@ -111,8 +107,6 @@ KEYS = {
     "cadence": float,
     "solver": str,
     "epsilon0": float,
-    "pressure_tol": float,
-    "pressure_max_iter": int,
     "y0_modes_a": ShearMode,
     "y0_modes_c": ShearMode,
     "y1_modes": VelocityMode,

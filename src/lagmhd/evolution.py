@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -22,7 +23,8 @@ from .geometry import FlowState, check_bands, cofactor_values
 # graded_metric_values is not called here; perfbench/layers.py times it by this name
 from .geometry import graded_metric_values  # noqa: F401
 from .grid import ForceWorkspace, Grid
-from .pressure import PressureSolution, _tensor_rhs_spec, solve_pressure_spec
+from .pressure import PICARD_ABS_TOL, PICARD_REL_TOL, PressureSolution
+from .pressure import _tensor_rhs_spec, solve_pressure_spec
 from .spectral import (
     dealias_spec,
     divergence_band,
@@ -32,9 +34,6 @@ from .spectral import (
 )
 
 DEGENERATE_REL_TOL = 1e-12  # |disc| <= tol * |k|^4 switches to the double-root limit
-# an in-run Picard solve stops at max(pressure_tol, PICARD_REL_TOL * |grad p|),
-# |grad p| from the stepper's previous solve
-PICARD_REL_TOL = 3e-8
 
 
 # -- characteristic roots ----------------------------------------------------
@@ -93,38 +92,33 @@ def _phi_entries(a, b, t, roots=None):
     return phi0.real, phi1.real, dphi1.real
 
 
-def _exprel1(z):
-    small = np.abs(z) <= 1e-4
+def _exprel(z, cut, c, closed):
+    """c[0] + z/c[1] + z^2/c[2] + z^3/c[3] where |z| <= cut, and elsewhere
+    closed(z, z_safe), with z_safe = z there and 1 where the series holds."""
+    small = np.abs(z) <= cut
     zs = np.where(small, z, 0.0)
-    series = 1.0 + zs / 2.0 + zs * zs / 6.0 + zs**3 / 24.0
+    series = c[0] + zs / c[1] + zs * zs / c[2] + zs**3 / c[3]
     z_safe = np.where(small, 1.0, z)
-    return np.where(small, series, (np.exp(z) - 1.0) / z_safe)
+    return np.where(small, series, closed(z, z_safe))
 
 
-def _exprel1_prime(z):
-    small = np.abs(z) <= 1e-2
-    zs = np.where(small, z, 0.0)
-    series = 0.5 + zs / 3.0 + zs * zs / 8.0 + zs**3 / 30.0
-    z_safe = np.where(small, 1.0, z)
-    return np.where(small, series, (np.exp(z) * (z - 1.0) + 1.0) / z_safe**2)
-
-
-def _exprel2(z):
-    small = np.abs(z) <= 1e-4
-    zs = np.where(small, z, 0.0)
-    series = 0.5 + zs / 6.0 + zs * zs / 24.0 + zs**3 / 120.0
-    z_safe = np.where(small, 1.0, z)
-    return np.where(small, series, (np.exp(z) - 1.0 - z) / z_safe**2)
-
-
-def _exprel2_prime(z):
-    small = np.abs(z) <= 1e-2
-    zs = np.where(small, z, 0.0)
-    series = 1.0 / 6.0 + zs / 12.0 + zs * zs / 40.0 + zs**3 / 180.0
-    z_safe = np.where(small, 1.0, z)
-    return np.where(
-        small, series, (np.exp(z) * (z - 2.0) + z + 2.0) / z_safe**3
-    )
+# (e^z - 1)/z and (e^z - 1 - z)/z^2, and their derivatives in z
+_exprel1 = partial(
+    _exprel, cut=1e-4, c=(1.0, 2.0, 6.0, 24.0),
+    closed=lambda z, s: (np.exp(z) - 1.0) / s,
+)
+_exprel1_prime = partial(
+    _exprel, cut=1e-2, c=(0.5, 3.0, 8.0, 30.0),
+    closed=lambda z, s: (np.exp(z) * (z - 1.0) + 1.0) / s**2,
+)
+_exprel2 = partial(
+    _exprel, cut=1e-4, c=(0.5, 6.0, 24.0, 120.0),
+    closed=lambda z, s: (np.exp(z) - 1.0 - z) / s**2,
+)
+_exprel2_prime = partial(
+    _exprel, cut=1e-2, c=(1.0 / 6.0, 12.0, 40.0, 180.0),
+    closed=lambda z, s: (np.exp(z) * (z - 2.0) + z + 2.0) / s**3,
+)
 
 
 def _integral_entries(a, b, dt, roots=None):
@@ -242,11 +236,7 @@ def _bands(state: FlowState, work=None):
 
 
 def compute_force(
-    state: FlowState,
-    pressure_tol: float = 1e-10,
-    pressure_max_iter: int = 50,
-    q0=None,
-    work=None,
+    state: FlowState, pressure_tol: float = PICARD_ABS_TOL, q0=None, work=None
 ) -> NonlinearForce:
     """Assemble f = div(D grad Yt) - A grad_p with dealiased products, D = A^T A - I.
 
@@ -266,7 +256,9 @@ def compute_force(
 
     q0, a pressure potential band, is where the Picard solve starts
     (``solve_pressure_spec``); without it the solve starts cold, and the
-    force depends on the state alone.
+    force depends on the state alone. The solve stops at the residual
+    pressure_tol, by default the floor ``PICARD_ABS_TOL``; a stepper passes
+    its per-solve value.
 
     Every intermediate goes into ``work``, a ``ForceWorkspace`` of the grid;
     without one the force builds a fresh one and is pure. The returned
@@ -290,7 +282,7 @@ def compute_force(
         grid, a_vals, grad_y[:, 0], yt_vals, out=work.vec_band[0], work=work
     )
     pressure = solve_pressure_spec(
-        grid, defect, rhs_band, pressure_tol, pressure_max_iter, q0=q0, work=work
+        grid, defect, rhs_band, pressure_tol, q0=q0, work=work
     )
     gp_real = grid.irfft(pressure.grad_p, out=work.vec[0], pad=work.pad[0])
     a_gp = np.einsum("im...,m...->i...", a_vals, gp_real, out=work.vec[1])
@@ -367,13 +359,13 @@ class LagrangianStepper:
     predictor solve, and otherwise starts it afresh from a cold solve, so
     the predictor potentials held are those of consecutive steps.
 
-    Stopping rule: a solve stops at the residual max(pressure_tol,
+    Stopping rule: a solve stops at the residual max(PICARD_ABS_TOL,
     PICARD_REL_TOL |grad p|), with |grad p| the L2 norm of the grad_p of the
-    stepper's previous solve, the norm the residual |k dq| is measured in.
-    So the accuracy of the solve is relative to the pressure it solves for,
-    and pressure_tol is the floor that binds on weak data. A state that does
-    not continue the history has no previous solve: its force stops at
-    pressure_tol alone.
+    stepper's previous solve, the norm the residual |k dq| is measured in;
+    both are constants of ``pressure.py``. So the accuracy of the solve is
+    relative to the pressure it solves for, and the floor binds on weak
+    data. A state that does not continue the history has no previous solve:
+    its force stops at the floor alone.
 
     Reset rule: a solve that started cold and took a single iteration
     clears the history, so the next one starts cold too. One iteration
@@ -393,17 +385,9 @@ class LagrangianStepper:
     the next ``step`` included, so read them before stepping.
     """
 
-    def __init__(
-        self,
-        grid: Grid,
-        dt: float,
-        pressure_tol: float = 1e-10,
-        pressure_max_iter: int = 50,
-    ):
+    def __init__(self, grid: Grid, dt: float):
         self.grid = grid
         self.dt = dt
-        self.pressure_tol = pressure_tol
-        self.pressure_max_iter = pressure_max_iter
         self.propagator = LinearPropagator(grid, dt)
         # built at the first force: the set-up of a run (initial data,
         # tables) then reuses the memory the last run freed before the
@@ -419,16 +403,10 @@ class LagrangianStepper:
     def _force(self, state: FlowState, q0) -> NonlinearForce:
         if self._work is None:
             self._work = ForceWorkspace(self.grid)
-        tol = self.pressure_tol
+        tol = PICARD_ABS_TOL
         if self._grad_p_norm is not None:
             tol = max(tol, PICARD_REL_TOL * self._grad_p_norm)
-        force = compute_force(
-            state,
-            pressure_tol=tol,
-            pressure_max_iter=self.pressure_max_iter,
-            q0=q0,
-            work=self._work,
-        )
+        force = compute_force(state, pressure_tol=tol, q0=q0, work=self._work)
         grid, gp = self.grid, force.pressure.grad_p
         self._grad_p_norm = np.sqrt(weighted_norm_sq(gp, grid.multiplicity, grid))
         return force

@@ -234,12 +234,14 @@ def write_diagnostics(path, samples) -> None:
 
 
 def read_diagnostics(path):
-    """Read a diagnostics CSV back as {column: array}."""
+    """Read a diagnostics CSV back as {column: array}; a row that is not one
+    number per column is a ValueError."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
-        data = np.array(
-            [[float(x) for x in line.strip().split(",")] for line in fh if line.strip()]
-        )
+        rows = [line.strip().split(",") for line in fh if line.strip()]
+    if any(len(row) != len(header) for row in rows):
+        raise ValueError(f"a row does not hold the {len(header)} columns of the header")
+    data = np.array([[float(x) for x in row] for row in rows])
     if data.size == 0:
         data = np.empty((0, len(header)))
     return {name: data[:, i] for i, name in enumerate(header)}
@@ -413,9 +415,7 @@ def _solver(config: RunConfig, grid: Grid):
 
         return (lambda state: None), (lambda state, _: stepper.step(state)), record
     ev = EnergyEvaluator(grid) if config.solver == "lagrangian" else None
-    lstep = LagrangianStepper(
-        grid, config.dt, config.pressure_tol, config.pressure_max_iter
-    )
+    lstep = LagrangianStepper(grid, config.dt)
     if ev is not None:
         return lstep.force, lstep.step, lambda state, f: _record_sample(ev, state, f)
     estep = EulerianStepper(grid, config.dt)

@@ -31,6 +31,23 @@ def test_cli_run_and_fit(tmp_path, capsys):
     assert "fit failed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "rows, error",
+    [
+        ("0,1\n1,abc\n", "could not convert string to float: 'abc'"),
+        ("0,1\n1\n", "a row does not hold the 2 columns of the header"),
+        ("0\n1\n", "a row does not hold the 2 columns of the header"),
+    ],
+    ids=["non-numeric", "short-row", "short-rows"],
+)
+def test_cli_fit_on_a_malformed_csv_ends_as_one_line(rows, error, tmp_path, capsys):
+    csv = tmp_path / "diagnostics.csv"
+    csv.write_text("t,E_total\n" + rows)
+    assert main(["fit", "--csv", str(csv), "--column", "E_total"]) == 1
+    err = capsys.readouterr().err
+    assert err == f"fit failed: {error}\n"
+
+
 def test_cli_compare(tmp_path, capsys):
     cfg_path = tmp_path / "cmp.cfg"
     cfg_path.write_text(CONFIG.replace("cadence = 0.25", "solver = both"))
@@ -122,11 +139,15 @@ def test_cli_compare_offers_no_output(tmp_path):
         ["oracle", "--k-min", "0"],
         ["admissible", "--seeds", "0"],
         ["admissible", "--halfwidth", "0"],
+        ["admissible", "--tol", "nan"],
+        ["admissible", "--tol", "0"],
+        ["admissible", "--tol", "-1e-6"],
+        ["admissible", "--amplitude", "inf"],
         ["oracle", "--norms", "bogus"],
     ],
     ids=[
         "points-5", "t-min-0", "t-min-above-t-max", "t-max-inf", "k-min-0", "seeds-0",
-        "halfwidth-0", "norms-bogus",
+        "halfwidth-0", "tol-nan", "tol-0", "tol-negative", "amplitude-inf", "norms-bogus",
     ],
 )
 def test_cli_rejects_out_of_range_arguments(argv, tmp_path, capsys):
@@ -171,7 +192,6 @@ def test_cli_library_errors_end_as_one_line(case, error, tmp_path, capsys):
         ("run", "cadence", "nan"),
         ("run", "cadence", "inf"),
         ("run", "epsilon0", "inf"),
-        ("run", "pressure_tol", "inf"),
         ("compare", "t_end", "nan"),
         ("compare", "t_end", "inf"),
     ],

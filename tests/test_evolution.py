@@ -500,7 +500,7 @@ def test_step_takes_no_full_spectrum_transform(monkeypatch, tmp_path, call, arg)
     assert calls == {"fft": 0, "ifft": 0}
 
 
-def _drive_steps(monkeypatch, spec, cold, steps=6, pressure_tol=1e-10, solves=None):
+def _drive_steps(monkeypatch, spec, cold, steps=6, solves=None):
     """Steps as a run takes them (the first force, then the step) on the
     criterion-6 box, with the stepper's pressure starts or, with cold, every
     solve from q0 = None; returns the final bands and the Picard total.
@@ -521,7 +521,7 @@ def _drive_steps(monkeypatch, spec, cold, steps=6, pressure_tol=1e-10, solves=No
         return force
 
     monkeypatch.setattr(evolution, "compute_force", counted)
-    stepper = LagrangianStepper(grid, 0.05, pressure_tol=pressure_tol)
+    stepper = LagrangianStepper(grid, 0.05)
     for _ in range(steps):
         state = stepper.step(state, stepper.force(state))
     monkeypatch.undo()
@@ -553,7 +553,7 @@ def test_one_iteration_solves_start_cold(monkeypatch):
 
 def test_the_relative_rule_keeps_the_bits_of_one_iteration_data(monkeypatch):
     # |grad p| is 4e-7 here, so PICARD_REL_TOL |grad p| stays far under
-    # pressure_tol and the floor decides every solve
+    # the floor PICARD_ABS_TOL, which decides every solve
     from lagmhd import evolution
 
     spec = default_spec(3, 1e-4)
@@ -566,9 +566,9 @@ def test_the_relative_rule_keeps_the_bits_of_one_iteration_data(monkeypatch):
 
 def test_in_run_solves_stop_relative_to_the_previous_pressure(monkeypatch):
     # the first solve of the stepper has no previous pressure and stops at
-    # pressure_tol; every later one at max(pressure_tol, PICARD_REL_TOL
-    # |grad p|) with |grad p| of the solve before it, which binds on the
-    # criterion-6 data
+    # the floor PICARD_ABS_TOL; every later one at max(PICARD_ABS_TOL,
+    # PICARD_REL_TOL |grad p|) with |grad p| of the solve before it, which
+    # binds on the criterion-6 data
     from lagmhd import evolution
 
     tols = []
@@ -608,12 +608,15 @@ def test_the_relative_rule_moves_the_run_by_less_than_the_start(monkeypatch):
 
 
 def test_a_warm_one_iteration_solve_keeps_the_history(monkeypatch):
-    # at a loose tolerance the warm solves of the criterion-6 data stop
-    # after one iteration; only a cold one-iteration solve clears the
-    # history, so every solve after the first still starts warm
+    # at a loose floor the warm solves of the criterion-6 data stop after
+    # one iteration; only a cold one-iteration solve clears the history, so
+    # every solve after the first still starts warm
+    from lagmhd import evolution
+
     solves = []
     spec = scaled_spec(default_spec(3, None), 0.05)
-    _drive_steps(monkeypatch, spec, cold=False, pressure_tol=1e-6, solves=solves)
+    monkeypatch.setattr(evolution, "PICARD_ABS_TOL", 1e-6)
+    _drive_steps(monkeypatch, spec, cold=False, solves=solves)
     starts = [q0 is not None for _, q0, _ in solves]
     single = [warm and p.iterations == 1 for warm, (_, _, p) in zip(starts, solves)]
     assert not starts[0] and all(starts[1:])

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.fft as sfft
 
+from lagmhd import pressure
 from lagmhd.errors import NotConvergedError, PressureDivergenceError
 from lagmhd.fields import VectorField
 from lagmhd.evolution import compute_force
@@ -68,8 +69,8 @@ def pressure_operands(state):
     return defect, rhs
 
 
-def solve_pressure(state, tol=1e-10, max_iter=50):
-    return compute_force(state, tol, max_iter).pressure
+def solve_pressure(state, tol=1e-10):
+    return compute_force(state, tol).pressure
 
 
 def staged_divergence(mat, grid, minus=None):
@@ -159,7 +160,7 @@ def test_force_matches_mask_first_assembly(case):
 def test_residual_is_the_step_of_grad_p(case):
     sizes, amp = FORCE_CASES[case]
     state = small_state(Grid(sizes, (2 * np.pi,) * len(sizes)), amp)
-    sol = solve_pressure(state, tol=1e-12, max_iter=80)
+    sol = solve_pressure(state, tol=1e-12)
     _, _, ref = mask_first_force(state, sol.iterations)
     got = np.array(sol.residuals)
     ref = np.array(ref)
@@ -281,8 +282,8 @@ def test_linearity_in_rhs():
     grid = Grid((16, 16, 16), (2 * np.pi,) * 3)
     state = small_state(grid, 0.05)
     metric_defect, rhs = pressure_operands(state)
-    gp1 = solve_pressure_spec(grid, metric_defect, rhs, 1e-13, 60)[0]
-    gp2 = solve_pressure_spec(grid, metric_defect, 2.0 * rhs, 1e-13, 60)[0]
+    gp1 = solve_pressure_spec(grid, metric_defect, rhs, 1e-13)[0]
+    gp2 = solve_pressure_spec(grid, metric_defect, 2.0 * rhs, 1e-13)[0]
     assert np.abs(gp2 - 2.0 * gp1).max() < 1e-10 * max(np.abs(gp1).max(), 1e-300)
 
 
@@ -291,7 +292,7 @@ def test_the_solve_returns_its_pressure_solution_with_the_count_at_index_1():
     # five-way unpacking reads the fields in their order
     grid = Grid((16, 16, 16), (2 * np.pi,) * 3)
     metric_defect, rhs = pressure_operands(small_state(grid, 0.05))
-    sol = solve_pressure_spec(grid, metric_defect, rhs, 1e-10, 50)
+    sol = solve_pressure_spec(grid, metric_defect, rhs, 1e-10)
     assert isinstance(sol, PressureSolution)
     assert sol[1] == sol.iterations > 1
     gp, iters, residuals, contraction, q = sol
@@ -305,11 +306,9 @@ def test_the_solve_returns_its_pressure_solution_with_the_count_at_index_1():
 def test_start_at_the_converged_potential_stops_in_one_iteration():
     grid = Grid((16, 16, 16), (2 * np.pi,) * 3)
     metric_defect, rhs = pressure_operands(small_state(grid, 0.05))
-    gp, iters, _, _, q = solve_pressure_spec(grid, metric_defect, rhs, 1e-10, 50)
+    gp, iters, _, _, q = solve_pressure_spec(grid, metric_defect, rhs, 1e-10)
     assert iters > 1
-    warm, warm_iters, _, _, _ = solve_pressure_spec(
-        grid, metric_defect, rhs, 1e-10, 50, q0=q
-    )
+    warm, warm_iters, _, _, _ = solve_pressure_spec(grid, metric_defect, rhs, 1e-10, q0=q)
     assert warm_iters == 1
     # one more step of a contraction whose steps were already below the
     # absolute tolerance: the results differ by a fraction of it
@@ -321,9 +320,9 @@ def test_cold_start_is_the_zero_potential_and_returns_the_potential_of_grad_p():
     # holds that solve bit for bit
     grid = Grid((16, 16, 16), (2 * np.pi,) * 3)
     metric_defect, rhs = pressure_operands(small_state(grid, 0.05))
-    cold = solve_pressure_spec(grid, metric_defect, rhs, 1e-10, 50, q0=None)
+    cold = solve_pressure_spec(grid, metric_defect, rhs, 1e-10, q0=None)
     zero = solve_pressure_spec(
-        grid, metric_defect, rhs, 1e-10, 50, q0=np.zeros(grid.band_shape, complex)
+        grid, metric_defect, rhs, 1e-10, q0=np.zeros(grid.band_shape, complex)
     )
     assert np.array_equal(cold[0], zero[0]) and cold[1:4] == zero[1:4]
     gp, q = cold[0], cold[4]
@@ -345,18 +344,20 @@ def test_quadratic_smallness_scaling():
     assert r2 == pytest.approx(4.0, rel=0.15)
 
 
-def test_divergence_detected_for_large_deformation():
+def test_divergence_detected_for_large_deformation(monkeypatch):
+    monkeypatch.setattr(pressure, "PICARD_MAX_ITER", 30)
     grid = Grid((16, 16, 16), (2 * np.pi,) * 3)
     state = small_state(grid, 3.0)
     with pytest.raises(PressureDivergenceError):
-        solve_pressure(state, max_iter=30)
+        solve_pressure(state)
 
 
-def test_iteration_cap_raises():
+def test_iteration_cap_raises(monkeypatch):
+    monkeypatch.setattr(pressure, "PICARD_MAX_ITER", 2)
     grid = Grid((16, 16, 16), (2 * np.pi,) * 3)
     state = small_state(grid, 0.3)
-    with pytest.raises(NotConvergedError):
-        solve_pressure(state, tol=1e-14, max_iter=2)
+    with pytest.raises(NotConvergedError, match="after 2 iterations"):
+        solve_pressure(state, tol=1e-14)
 
 
 def test_residuals_decrease_in_contraction_regime():
