@@ -119,11 +119,10 @@ def _cmd_fit(args) -> int:
     try:
         data = read_diagnostics(args.csv)
         if args.column not in data:
-            print(f"column '{args.column}' not in {sorted(data)}", file=sys.stderr)
-            return 1
+            raise ValueError(f"column '{args.column}' not in {sorted(data)}")
         fit = fit_decay_rate(data["t"], data[args.column], tuple(args.window))
     except ValueError as exc:
-        print(f"fit failed: {exc}", file=sys.stderr)
+        print(f"lagmhd: error: fit failed: {exc}", file=sys.stderr)
         return 1
     print(
         f"{args.column}: slope {fit.slope:.6f}, intercept {fit.intercept:.6f}, "

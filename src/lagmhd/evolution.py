@@ -189,11 +189,13 @@ class LinearPropagator:
         self.yt_f0 = self.phi1 - self.i0 / dt
         self.yt_f1 = self.i0 / dt
 
-    def apply(self, y_band, yt_band):
-        return (
-            self.phi0 * y_band + self.phi1 * yt_band,
-            self.dphi0 * y_band + self.dphi1 * yt_band,
-        )
+    def apply(self, y_band, yt_band, tmp=None):
+        """Fresh (phi0 y + phi1 yt, dphi0 y + dphi1 yt); ``tmp`` takes phi1 yt."""
+        y = self.phi0 * y_band
+        y += np.multiply(self.phi1, yt_band, out=tmp)
+        yt = self.dphi0 * y_band
+        yt += np.multiply(self.dphi1, yt_band, out=tmp)
+        return y, yt
 
 
 # -- nonlinear force ---------------------------------------------------------
@@ -223,36 +225,24 @@ class NonlinearForce:
     grad_yt: np.ndarray
 
 
-def _bands(state: FlowState, work=None):
-    """The bands of Y and Yt with the 2/3 mask applied: what the state holds
-    outside the retained modes is dropped. With a ``ForceWorkspace`` they go
-    into its ``y_band`` and ``yt_band``."""
-    grid = state.grid
-    y_out, yt_out = (None, None) if work is None else (work.y_band, work.yt_band)
-    return (
-        dealias_spec(state.Y, grid, out=y_out),
-        dealias_spec(state.Yt, grid, out=yt_out),
-    )
-
-
 def compute_force(
     state: FlowState, pressure_tol: float = PICARD_ABS_TOL, q0=None, work=None
 ) -> NonlinearForce:
     """Assemble f = div(D grad Yt) - A grad_p with dealiased products, D = A^T A - I.
 
-    D is formed from B = A - I = B1 + B2 as B + B^T + B^T B, the same algebra
-    as the sum of the graded pieces G_d, in one product; I is never added and
-    removed, so small deformations do not cancel. The same D drives the
-    pressure fixed point. It reads the bands of Y and Yt, every spectrum in
-    between lives on the band, and f and grad_p are returned on the band.
-    grad Yt comes with the samples of Yt from one ``gradient_values``; the
-    viscous flux is formed after the pressure solve, so that f = mask
-    (div(D grad Yt) - A grad_p) is one ``divergence_band``.
+    D is formed from B = A - I = B1 + B2 as B^T B + B + B^T, the same algebra
+    as the sum of the graded pieces G_d, B^T B on its entries i <= j; I is
+    never added and removed, so small deformations do not cancel. The same
+    D drives the pressure fixed point. It reads the masked bands of Y and
+    Yt, every spectrum in between lives on the band, and f and grad_p are
+    returned on the band. grad Yt comes with the samples of Yt, after D,
+    into the workspace's ``b``; the viscous flux is formed after the
+    pressure solve, so that f = mask (div(D grad Yt) - A grad_p) is one
+    ``divergence_band``.
 
     The 2/3 mask zeroes the Nyquist hyperplanes of the leading axes, where
     an odd multiplier leaves a real field's spectrum non-Hermitian and a
-    band could not hold what the full spectrum does. What the state holds
-    outside the 2/3-retained modes is ignored.
+    band could not hold what the full spectrum does.
 
     q0, a pressure potential band, is where the Picard solve starts
     (``solve_pressure_spec``); without it the solve starts cold, and the
@@ -267,20 +257,21 @@ def compute_force(
     grid = state.grid
     if work is None:
         work = ForceWorkspace(grid)
-    y_band, yt_band = _bands(state, work)
+    y_band = dealias_spec(state.Y, grid, out=work.y_band)
+    yt_band = dealias_spec(state.Yt, grid, out=work.yt_band)
     grad_y = gradient_values(y_band, grid, out=work.grad_y, work=work)
-    b1, b2, a_vals = cofactor_values(grad_y, out=(work.b, work.flux, work.a))
-    yt_vals = work.vec[0]
-    grad_yt = gradient_values(yt_band, grid, out=work.grad_yt, work=work, values=yt_vals)
-
-    b = np.add(b1, b2, out=b1)
-    defect = np.einsum("mi...,mj...->ij...", b, b, out=work.defect)
+    b, a_vals = cofactor_values(grad_y, out=(work.b, work.a))
+    defect = work.defect
+    for i, j in itertools.combinations_with_replacement(range(grid.dim), 2):
+        np.einsum("m...,m...->...", b[:, i], b[:, j], out=defect[i, j])
+        defect[j, i] = defect[i, j]  # numpy skips the copy for i == j
     defect += b
     defect += np.swapaxes(b, 0, 1)
 
-    rhs_band = _tensor_rhs_spec(
-        grid, a_vals, grad_y[:, 0], yt_vals, out=work.vec_band[0], work=work
-    )
+    pair = work.b[:2]  # [d1 Y, Yt]: b is read no more
+    np.copyto(pair[0], grad_y[:, 0])
+    grad_yt = gradient_values(yt_band, grid, out=work.grad_yt, work=work, values=pair[1])
+    rhs_band = _tensor_rhs_spec(grid, a_vals, pair, out=work.vec_band[0], work=work)
     pressure = solve_pressure_spec(
         grid, defect, rhs_band, pressure_tol, q0=q0, work=work
     )
@@ -382,7 +373,8 @@ class LagrangianStepper:
     from the grid at the first force, so a warm step allocates no array of
     grid size. A force's a_values, grad_y and grad_yt are that workspace's
     arrays: they hold until the stepper's next force, the predictor force of
-    the next ``step`` included, so read them before stepping.
+    the next ``step`` included, so read them before stepping. Between its
+    forces a step works in the workspace's bands (see ``ForceWorkspace``).
     """
 
     def __init__(self, grid: Grid, dt: float):
@@ -401,12 +393,11 @@ class LagrangianStepper:
         self._grad_p_norm = None
 
     def _force(self, state: FlowState, q0) -> NonlinearForce:
-        if self._work is None:
-            self._work = ForceWorkspace(self.grid)
+        work = self._work = self._work or ForceWorkspace(self.grid)
         tol = PICARD_ABS_TOL
         if self._grad_p_norm is not None:
             tol = max(tol, PICARD_REL_TOL * self._grad_p_norm)
-        force = compute_force(state, pressure_tol=tol, q0=q0, work=self._work)
+        force = compute_force(state, pressure_tol=tol, q0=q0, work=work)
         grid, gp = self.grid, force.pressure.grad_p
         self._grad_p_norm = np.sqrt(weighted_norm_sq(gp, grid.multiplicity, grid))
         return force
@@ -447,15 +438,20 @@ class LagrangianStepper:
         """Advance one dt; force, when given, is self.force(state).
 
         Works on bands: what the state holds outside the 2/3-retained modes
-        is dropped.
+        is dropped. The sums py + i0 f0 and (py + y_f0 f0) + k1 f1 go into buffers.
         """
         grid, dt, prop = self.grid, self.dt, self.propagator
-        py, pyt = prop.apply(*_bands(state))
-
         f0 = force if force is not None else self.force(state)
         f0h = f0.f.band
-        y_star = py + prop.i0 * f0h
-        yt_star = pyt + prop.phi1 * f0h
+        work = self._work = self._work or ForceWorkspace(grid)
+        tmp = work.mat_band[0]
+        y = dealias_spec(state.Y, grid, out=work.y_band)
+        yt = dealias_spec(state.Yt, grid, out=work.yt_band)
+        y_new, yt_new = prop.apply(y, yt, tmp)  # into the state the step returns
+        y_star = np.multiply(prop.i0, f0h, out=y)
+        y_star += y_new
+        yt_star = np.multiply(prop.phi1, f0h, out=yt)
+        yt_star += yt_new
         star = FlowState(grid, y_star, yt_star, state.t + dt)
         # f0 started cold unless state continues the history
         cold = not self._continues(state.t)
@@ -467,15 +463,18 @@ class LagrangianStepper:
         f1h = f1.f.band
         self._keep(self._star, _STAR_HELD, star.t, f1.pressure, start is None)
 
-        y_new = py + prop.y_f0 * f0h + prop.k1 * f1h
-        yt_new = pyt + prop.yt_f0 * f0h + prop.yt_f1 * f1h
+        y_new += np.multiply(prop.y_f0, f0h, out=tmp)
+        y_new += np.multiply(prop.k1, f1h, out=tmp)
+        yt_new += np.multiply(prop.yt_f0, f0h, out=tmp)
+        yt_new += np.multiply(prop.yt_f1, f1h, out=tmp)
         if not (np.isfinite(np.abs(y_new).max()) and np.isfinite(np.abs(yt_new).max())):
             raise FloatingPointError("non-finite spectral coefficients after step")
         return FlowState(grid, y_new, yt_new, state.t + dt)
 
     def step_linear(self, state: FlowState) -> FlowState:
         """Propagate with the forcing forced to zero (linear system)."""
-        y, yt = self.propagator.apply(*_bands(state))
+        y, yt = (dealias_spec(band, self.grid) for band in (state.Y, state.Yt))
+        y, yt = self.propagator.apply(y, yt)
         return FlowState(self.grid, y, yt, state.t + self.dt)
 
 

@@ -59,55 +59,56 @@ class FlowState:
 # -- raw-array kernels -------------------------------------------------------
 
 
-def _transpose(m):
-    return np.swapaxes(m, 0, 1)
-
-
 def _matmul(a, b):
     return np.einsum("im...,mj...->ij...", a, b)
 
 
-# the (i, j) cofactor of a 3x3 matrix g as g[p] g[q] - g[r] g[s]
+# the (i, j) cofactor of a 3x3 matrix g as g[p] g[q] - g[r] g[s], the
+# diagonal first
 _COFACTOR_TERMS = (
     ((0, 0), ((1, 1), (2, 2)), ((2, 1), (1, 2))),
+    ((1, 1), ((0, 0), (2, 2)), ((2, 0), (0, 2))),
+    ((2, 2), ((0, 0), (1, 1)), ((1, 0), (0, 1))),
     ((0, 1), ((2, 0), (1, 2)), ((1, 0), (2, 2))),
     ((0, 2), ((1, 0), (2, 1)), ((2, 0), (1, 1))),
     ((1, 0), ((2, 1), (0, 2)), ((0, 1), (2, 2))),
-    ((1, 1), ((0, 0), (2, 2)), ((2, 0), (0, 2))),
     ((1, 2), ((2, 0), (0, 1)), ((2, 1), (0, 0))),
     ((2, 0), ((0, 1), (1, 2)), ((1, 1), (0, 2))),
     ((2, 1), ((1, 0), (0, 2)), ((0, 0), (1, 2))),
-    ((2, 2), ((0, 0), (1, 1)), ((1, 0), (0, 1))),
 )
+# the 2D entries, in the same order; B2 is 0 in two dimensions
+_PLANE_TERMS = [(ij, None, None) for ij, _, _ in _COFACTOR_TERMS if max(ij) < 2]
 
 
 def cofactor_values(grad, out=None):
-    """Return (B1, B2, A) raw arrays from grad Y values; A = (I + B1) + B2.
+    """Return (B, A) raw arrays from grad Y values: B = B1 + B2 = A - I.
 
-    out, three arrays of grad's shape, receives (B1, B2, A) when given.
+    Entry by entry, bit for bit B1 + B2 and (I + B1) + B2: B_ij = B2_ij - g_ji
+    and A_ij = B_ij off the diagonal, B_ii = t + B2_ii and A_ii = (t + 1) + B2_ii
+    with t = div - g_ii on it. out, two arrays of grad's shape, receives (B, A).
     """
-    dim = grad.shape[0]
-    b1, b2, a = out if out is not None else (np.empty_like(grad) for _ in range(3))
-    div = np.trace(grad, axis1=0, axis2=1, out=a[0, 0])  # a is written last
-    np.negative(_transpose(grad), out=b1)
-    for i in range(dim):
-        b1[i, i] += div
-    if dim == 2:
-        b2[...] = 0.0
-    else:  # b2[i, j] is the (i, j) cofactor of grad; a[0, 0] is scratch
-        for (i, j), (p, q), (r, s) in _COFACTOR_TERMS:
-            np.multiply(grad[p], grad[q], out=b2[i, j])
-            b2[i, j] -= np.multiply(grad[r], grad[s], out=a[0, 0])
-    np.copyto(a, b1)
-    for i in range(dim):
-        a[i, i] += 1.0
-    a += b2
-    return b1, b2, a
+    b, a = out if out is not None else (np.empty_like(grad), np.empty_like(grad))
+    # div and t live in a[0, 1] and a[1, 0], which the diagonal does not write
+    div, t = np.trace(grad, axis1=0, axis2=1, out=a[0, 1]), a[1, 0]
+    for (i, j), pq, rs in _COFACTOR_TERMS if len(grad) == 3 else _PLANE_TERMS:
+        b2 = 0.0
+        if pq is not None:  # the (i, j) cofactor of grad; a[i, j] is scratch
+            b2 = np.multiply(grad[pq[0]], grad[pq[1]], out=b[i, j])
+            b2 -= np.multiply(grad[rs[0]], grad[rs[1]], out=a[i, j])
+        if i == j:
+            np.subtract(div, grad[i, i], out=t)
+            np.add(t, 1.0, out=a[i, i])
+            a[i, i] += b2
+            np.add(t, b2, out=b[i, i])
+        else:
+            np.subtract(b2, grad[j, i], out=b[i, j])
+            np.copyto(a[i, j], b[i, j])
+    return b, a
 
 
 def graded_metric_values(b1, b2):
     """Degree-homogeneous pieces of A^T A - I = (B1^T+B2^T) + (B1+B2) + (B1^T+B2^T)(B1+B2)."""
-    b1t, b2t = _transpose(b1), _transpose(b2)
+    b1t, b2t = np.swapaxes(b1, 0, 1), np.swapaxes(b2, 0, 1)
     g1 = b1 + b1t
     g2 = b2 + b2t + _matmul(b1t, b1)
     if b2.shape[0] == 2:
@@ -325,7 +326,7 @@ def construct_initial_map(
     displacement = grid.rfft(y0)
     grad = gradient_values(displacement, grid)
     det = determinant_values(grad)
-    a0_vals = cofactor_values(grad)[2] / det  # cof(I + grad Y) / det
+    a0_vals = cofactor_values(grad)[1] / det  # cof(I + grad Y) / det
     residual_det = float(np.abs(det - 1.0).max())
 
     pts = np.moveaxis(x0, 0, -1).reshape(-1, grid.dim)

@@ -295,20 +295,21 @@ class ForceWorkspace:
 
     - ``grad_y``, ``grad_yt``, ``a``: (d, d), grad Y, grad Yt and the
       cofactor A, which the force returns;
-    - ``b``: (d, d), B1, then B = B1 + B2, then w x (A^T w) of the
-      pressure right-hand side;
+    - ``b``: (d, d), B = A - I, then in ``b[:2]`` the pair [d1 Y, Yt] of
+      the pressure right-hand side;
     - ``defect``: (d, d), D = A^T A - I, which the pressure solve reads;
-    - ``flux``: (d, d), B2, then Z A of the pressure right-hand side, then
-      the viscous flux D grad Yt;
-    - ``vec``: (3, d), the samples of Yt, which come with grad Yt, and the
-      vectors of the pressure right-hand side, then the Picard iterate and
-      its product with D, then grad_p and A grad_p.
+    - ``flux``: (d, d), Z A of the pressure right-hand side, then the
+      viscous flux D grad Yt;
+    - ``vec``: (3, d), A^T [d1 Y, Yt] and the vector of the pressure
+      right-hand side, then the Picard iterate and its product with D,
+      then grad_p and A grad_p.
 
     Bands (complex, ``grid.band_shape``):
 
-    - ``y_band``, ``yt_band``: (d,), the masked bands of Y and Yt;
+    - ``y_band``, ``yt_band``: (d,), the masked bands of Y and Yt, where
+      ``LagrangianStepper.step`` then forms its predictor state;
     - ``mat_band``: (d, d), the stages of each ``divergence_band``: of Z A,
-      then of the viscous flux less A grad_p;
+      then of the viscous flux less A grad_p; the step's block products in [0].
     - ``vec_band``: (2, d), the pressure right-hand side, and the spectra
       of its assembly and of the Picard iteration.
 

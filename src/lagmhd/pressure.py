@@ -60,26 +60,26 @@ class PressureSolution(NamedTuple):
     potential: np.ndarray
 
 
-def _tensor_rhs_spec(grid: Grid, a_vals, v_vals, w_vals, out=None, work=None):
+def _tensor_rhs_spec(grid: Grid, a_vals, pair, out=None, work=None):
     """R[A^T div2((v x v - w x w) A)] with div2 acting on the second index.
 
-    Returns the band of the spectrum. The divergence-free rows of the cofactor matrix let the nested operator
-    collapse to this conservative form. The product (v x v - w x w) A takes
-    two mat-vecs and two outer products: v_i (A^T v)_l - w_i (A^T w)_l, and
-    its divergence is one ``divergence_band``.
+    Returns the band. The divergence-free rows of the cofactor matrix let the
+    nested operator collapse to this conservative form. ``pair`` holds the
+    samples [v, w]; (v x v - w x w) A is one mat-vec A^T [v, w] and one
+    contraction with [A^T v, -A^T w], bit for bit v_i (A^T v)_l - w_i (A^T w)_l,
+    and its divergence is one ``divergence_band``.
 
     out receives the band when given. ``work`` is the ``ForceWorkspace`` of
     the grid (a fresh one when None); the call overwrites its ``flux``,
-    ``b``, ``vec[1:]``, ``mat_band``, ``vec_band[1]`` and ``pad``, so v and
-    w must not live there.
+    ``vec[1:]``, ``mat_band``, ``vec_band[1]`` and ``pad``, so the pair must
+    not live there (``compute_force`` keeps it in ``b[:2]``).
     """
     if work is None:
         work = ForceWorkspace(grid)
     vec, band, pad = work.vec, work.vec_band[1], work.pad
-    at_v = np.einsum("ml...,m...->l...", a_vals, v_vals, out=vec[1])
-    at_w = np.einsum("ml...,m...->l...", a_vals, w_vals, out=vec[2])
-    za = np.einsum("i...,l...->il...", v_vals, at_v, out=work.flux)
-    za -= np.einsum("i...,l...->il...", w_vals, at_w, out=work.b)
+    at = np.einsum("ml...,pm...->pl...", a_vals, pair, out=vec[1:])
+    np.negative(at[1], out=at[1])
+    za = np.einsum("pi...,pl...->il...", pair, at, out=work.flux)
     w_band = divergence_band(za, grid, out=band, work=work)
     w_band = dealias_spec(w_band, grid, out=w_band)
     w_real = grid.irfft(w_band, out=vec[1], pad=pad[0])

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from lagmhd.fields import VectorField
+from lagmhd.geometry import _COFACTOR_TERMS
 from lagmhd.grid import ForceWorkspace, Grid, multi_indices
 from lagmhd.spectral import dealias_spec, riesz_apply_spec
 
@@ -93,6 +94,36 @@ def poisoned_workspace(grid):
     for arr in vars(work).values():
         arr.fill(np.nan)
     return work
+
+
+def cofactor_pieces(grad):
+    """(B1, B2, A) of grad Y values by the graded algebra, each a whole array:
+    B1 = div(Y) I - grad^T, B2 the cofactors of grad (zeros in 2D) and
+    A = (I + B1) + B2. ``cofactor_values`` returns B1 + B2 and this A, bit
+    for bit."""
+    dim = grad.shape[0]
+    b1 = np.negative(np.swapaxes(grad, 0, 1))
+    for i in range(dim):
+        b1[i, i] += np.trace(grad, axis1=0, axis2=1)
+    b2 = np.zeros_like(grad)
+    if dim == 3:
+        for (i, j), (p, q), (r, s) in _COFACTOR_TERMS:
+            b2[i, j] = grad[p] * grad[q] - grad[r] * grad[s]
+    a = b1.copy()
+    for i in range(dim):
+        a[i, i] += 1.0
+    a += b2
+    return b1, b2, a
+
+
+def same_bits(x, y):
+    """Whether two float or complex arrays hold the same bits: shape, dtype,
+    and every value, the sign of a zero included (np.array_equal on the
+    integer view)."""
+    x, y = np.ascontiguousarray(x), np.ascontiguousarray(y)
+    if x.shape != y.shape or x.dtype != y.dtype:
+        return False
+    return np.array_equal(x.view(np.uint64), y.view(np.uint64))
 
 
 def leray_project(v):

@@ -45,7 +45,25 @@ def test_cli_fit_on_a_malformed_csv_ends_as_one_line(rows, error, tmp_path, caps
     csv.write_text("t,E_total\n" + rows)
     assert main(["fit", "--csv", str(csv), "--column", "E_total"]) == 1
     err = capsys.readouterr().err
-    assert err == f"fit failed: {error}\n"
+    assert err == f"lagmhd: error: fit failed: {error}\n"
+
+
+@pytest.mark.parametrize(
+    "rows, column, error",
+    [
+        ("0,1\n1,abc\n", "E_total", "could not convert string to float: 'abc'"),
+        ("0,1\n1,2\n", "X", "column 'X' not in ['E_total', 't']"),
+    ],
+    ids=["bad-cell", "unknown-column"],
+)
+def test_cli_fit_errors_carry_the_error_prefix(rows, column, error, tmp_path, capsys):
+    # every command's error line starts with "lagmhd: error:", fit's too
+    csv = tmp_path / "diagnostics.csv"
+    csv.write_text("t,E_total\n" + rows)
+    assert main(["fit", "--csv", str(csv), "--column", column]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"lagmhd: error: fit failed: {error}\n"
+    assert captured.out == ""
 
 
 def test_cli_compare(tmp_path, capsys):

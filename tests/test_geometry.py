@@ -22,7 +22,14 @@ from lagmhd.initial_data import (
 )
 from lagmhd.spectral import dealias_spec, gradient_values
 
-from conftest import leray_project, mesh, random_band_limited, zero_band
+from conftest import (
+    cofactor_pieces,
+    leray_project,
+    mesh,
+    random_band_limited,
+    same_bits,
+    zero_band,
+)
 
 
 def shear_state(grid, eps=0.1):
@@ -34,8 +41,11 @@ def shear_state(grid, eps=0.1):
 
 
 def cofactors(y):
-    """(B1, B2, A) of a displacement field."""
-    return cofactor_values(gradient_values(y.band, y.grid))
+    """(B1, B2, A) of a displacement field: B1 and B2 from the graded
+    algebra, A from ``cofactor_values``."""
+    grad = gradient_values(y.band, y.grid)
+    b1, b2, _ = cofactor_pieces(grad)
+    return b1, b2, cofactor_values(grad)[1]
 
 
 def zero_field(grid):
@@ -142,13 +152,41 @@ def test_b_decomposition_sums_to_a(grid3, rng):
 def test_metric_defect_from_b_matches_graded_sum(amp):
     grid = Grid((16, 16, 16), (2 * np.pi,) * 3)
     state = build_flow_state(grid, scaled_spec(default_spec(3, None), amp))
-    b1, b2, _ = cofactor_values(gradient_values(state.Y, grid))
-    b = b1 + b2
+    grad = gradient_values(state.Y, grid)
+    b1, b2, _ = cofactor_pieces(grad)
+    b = cofactor_values(grad)[0]
     from_b = b + np.swapaxes(b, 0, 1) + np.einsum("mi...,mj...->ij...", b, b)
     graded = sum(graded_metric_values(b1, b2))
     scale = np.abs(graded).max()
     assert scale > 0.0
     assert np.abs(from_b - graded).max() < 1e-15 * scale
+
+
+def _gradients_with_zeros(dim, rng, scale):
+    """Random (dim, dim, 8, 8, 8) gradient samples, a quarter of them exact
+    zeros of either sign, and one sample of each a zero matrix."""
+    grad = scale * rng.standard_normal((dim, dim, 8, 8, 8))
+    zeros = rng.random(grad.shape) < 0.25
+    grad[zeros] = np.copysign(0.0, rng.standard_normal(int(zeros.sum())))
+    grad[..., 0, 0, 0] = 0.0
+    grad[..., 1, 0, 0] = -0.0
+    return grad
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("scale", [1e-3, 0.5])
+def test_cofactor_values_keeps_the_graded_algebras_bits(dim, scale, rng):
+    # B is B1 + B2 and A is (I + B1) + B2, bit for bit, signed zeros too,
+    # into fresh arrays and into given ones
+    grad = _gradients_with_zeros(dim, rng, scale)
+    b1, b2, a_ref = cofactor_pieces(grad)
+    b_ref = b1 + b2
+    for out in (None, (np.full_like(grad, np.nan), np.full_like(grad, np.nan))):
+        b, a = cofactor_values(grad, out=out)
+        assert same_bits(b, b_ref)
+        assert same_bits(a, a_ref)
+        if out is not None:
+            assert b is out[0] and a is out[1]
 
 
 # -- determinant -------------------------------------------------------------

@@ -12,12 +12,21 @@ from lagmhd.initial_data import build_flow_state, default_spec, scaled_spec
 from lagmhd.pressure import PressureSolution, _tensor_rhs_spec, solve_pressure_spec
 from lagmhd.spectral import (
     dealias_spec,
+    divergence_band,
     gradient_values,
     riesz_apply_spec,
     weighted_norm_sq,
 )
 
-from conftest import FullSpectrum, leray_project, mesh, zero_band
+from conftest import (
+    FullSpectrum,
+    cofactor_pieces,
+    leray_project,
+    mesh,
+    poisoned_workspace,
+    same_bits,
+    zero_band,
+)
 
 
 def l2(spec, grid):
@@ -63,9 +72,10 @@ def pressure_operands(state):
     """(A^T A - I, rhs band) assembled as compute_force assembles them."""
     grid = state.grid
     grad_y = gradient_values(state.Y, grid)
-    b1, b2, a = cofactor_values(grad_y)
+    b1, b2, _ = cofactor_pieces(grad_y)
+    a = cofactor_values(grad_y)[1]
     defect = sum(graded_metric_values(b1, b2))
-    rhs = _tensor_rhs_spec(grid, a, grad_y[:, 0], grid.irfft(state.Yt))
+    rhs = _tensor_rhs_spec(grid, a, np.stack([grad_y[:, 0], grid.irfft(state.Yt)]))
     return defect, rhs
 
 
@@ -112,9 +122,8 @@ def mask_first_force(state, iterations):
     grid = state.grid
     tables, fft, ifft = band_spectrum(grid)
     grad_y = gradient_values(state.Y, grid)
-    b1, b2, a = cofactor_values(grad_y)
+    b, a = cofactor_values(grad_y)
     grad_yt = gradient_values(state.Yt, grid)
-    b = b1 + b2
     defect = np.einsum("mi...,mj...->ij...", b, b)
     defect += b
     defect += np.swapaxes(b, 0, 1)
@@ -215,10 +224,10 @@ def test_rhs_swap_antisymmetry(grid3, rng):
     state = small_state(Grid((16, 16, 16), (2 * np.pi,) * 3), 0.05)
     grid = state.grid
     grad_y = gradient_values(state.Y, grid)
-    _, _, a_vals = cofactor_values(grad_y)
+    a_vals = cofactor_values(grad_y)[1]
     d1y = grad_y[:, 0]
-    a = _tensor_rhs_spec(grid, a_vals, d1y, grid.irfft(state.Yt))
-    b = _tensor_rhs_spec(grid, a_vals, grid.irfft(state.Yt), d1y)
+    a = _tensor_rhs_spec(grid, a_vals, np.stack([d1y, grid.irfft(state.Yt)]))
+    b = _tensor_rhs_spec(grid, a_vals, np.stack([grid.irfft(state.Yt), d1y]))
     assert np.abs(a + b).max() == 0.0
 
 
@@ -227,7 +236,7 @@ def test_rhs_matches_outer_product_form():
     state = small_state(Grid((16, 16, 16), (2 * np.pi,) * 3), 0.05)
     grid = state.grid
     grad_y = gradient_values(state.Y, grid)
-    _, _, a_vals = cofactor_values(grad_y)
+    a_vals = cofactor_values(grad_y)[1]
     v, w = grad_y[:, 0], grid.irfft(state.Yt)
     half, fft, ifft = half_spectrum(grid)
     z = np.einsum("i...,j...->ij...", v, v) - np.einsum("i...,j...->ij...", w, w)
@@ -238,10 +247,43 @@ def test_rhs_matches_outer_product_form():
     atw = np.einsum("jm...,j...->m...", a_vals, ifft(div_za))
     ref = riesz_apply_spec(dealias_spec(fft(atw), half), half)
     got = np.zeros_like(ref)
-    got[..., : grid.band_shape[-1]] = _tensor_rhs_spec(grid, a_vals, v, w)
+    got[..., : grid.band_shape[-1]] = _tensor_rhs_spec(grid, a_vals, np.stack([v, w]))
     scale = np.abs(ref).max()
     assert scale > 0.0
     assert np.abs(got - ref).max() < 1e-14 * scale
+
+
+def _two_outer_products_rhs(grid, a, v, w):
+    """R[A^T div2((v x v - w x w) A)] by two mat-vecs, two outer products
+    and a subtraction, each einsum on fresh arrays."""
+    at_v = np.einsum("ml...,m...->l...", a, v)
+    at_w = np.einsum("ml...,m...->l...", a, w)
+    za = np.einsum("i...,l...->il...", v, at_v)
+    za -= np.einsum("i...,l...->il...", w, at_w)
+    w_real = grid.irfft(dealias_spec(divergence_band(za, grid), grid))
+    atw = np.einsum("jm...,j...->m...", a, w_real)
+    return riesz_apply_spec(dealias_spec(grid.rfft(atw), grid), grid)
+
+
+@pytest.mark.parametrize("sizes", [(16, 16, 16), (32, 32)], ids=["3D", "2D"])
+def test_the_stacked_rhs_keeps_the_bits_of_two_outer_products(sizes, rng):
+    # on the criterion-6 data, and on random samples with exact zeros of
+    # either sign; the pair in the workspace's b, as compute_force keeps it
+    grid = Grid(sizes, (2 * np.pi,) * len(sizes))
+    state = small_state(grid, 0.05)
+    grad_y = gradient_values(state.Y, grid)
+    a_vals = cofactor_values(grad_y)[1]
+    noise = rng.standard_normal((2, grid.dim) + grid.shape)
+    zeros = rng.random(noise.shape) < 0.25
+    noise[zeros] = np.copysign(0.0, rng.standard_normal(int(zeros.sum())))
+    for pair in (np.stack([grad_y[:, 0], grid.irfft(state.Yt)]), noise):
+        want = _two_outer_products_rhs(grid, a_vals, pair[0], pair[1])
+        assert same_bits(_tensor_rhs_spec(grid, a_vals, pair.copy()), want)
+        work = poisoned_workspace(grid)
+        work.b[:2] = pair
+        got = _tensor_rhs_spec(grid, a_vals, work.b[:2], work=work)
+        assert same_bits(got, want)
+        assert same_bits(work.b[:2], pair)  # the pair is read, not written
 
 
 # -- fixed point -----------------------------------------------------------------
