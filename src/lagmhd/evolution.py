@@ -212,10 +212,10 @@ class NonlinearForce:
     only because perfbench's scaled-force gate (``_scaled_force`` in
     ``perfbench/tests/test_perfbench.py``) rebuilds it with
     ``VectorField.from_spec(force.f.grid, force.f.spec * ...)``; it becomes
-    a band with ROADMAP item 3's benchmark change. a_values,
-    grad_y and grad_yt are arrays of the ``ForceWorkspace`` the force was
-    computed in: a force of a ``LagrangianStepper`` holds them until that
-    stepper computes its next force, which overwrites them.
+    a band with ROADMAP item 3's benchmark change. f's band, grad_p, the
+    potential, a_values, grad_y and grad_yt are arrays of the
+    ``ForceWorkspace`` the force was computed in: a force of a
+    ``LagrangianStepper`` holds them until that stepper's next force.
     """
 
     f: VectorField
@@ -251,8 +251,8 @@ def compute_force(
     its per-solve value.
 
     Every intermediate goes into ``work``, a ``ForceWorkspace`` of the grid;
-    without one the force builds a fresh one and is pure. The returned
-    ``grad_y``, ``grad_yt`` and ``a_values`` are the workspace's arrays.
+    without one the force builds a fresh one and is pure. Every array it
+    returns is the workspace's: f is ``vec_band[0]`` and grad_p ``vec_band[1]``.
     """
     grid = state.grid
     if work is None:
@@ -278,7 +278,7 @@ def compute_force(
     gp_real = grid.irfft(pressure.grad_p, out=work.vec[0], pad=work.pad[0])
     a_gp = np.einsum("im...,m...->i...", a_vals, gp_real, out=work.vec[1])
     flux = np.einsum("jm...,im...->ij...", defect, grad_yt, out=work.flux)
-    f_band = divergence_band(flux, grid, work=work, minus=a_gp)
+    f_band = divergence_band(flux, grid, out=work.vec_band[0], work=work, minus=a_gp)
 
     return NonlinearForce(
         f=VectorField.from_band(grid, dealias_spec(f_band, grid, out=f_band)),
@@ -314,11 +314,11 @@ _STAR_HELD = len(_EXTRAPOLATION)  # predictor potentials
 _STAR_MIN = 4  # predictor potentials the predictor start needs of its own
 
 
-def _combine(weights, potentials):
-    """sum_i weights[i] * potentials[i], a fresh band."""
-    start = weights[0] * potentials[0]
+def _combine(weights, potentials, work):
+    """sum_i weights[i] * potentials[i] into work.q[0], work.q[3] the scratch."""
+    start = np.multiply(weights[0], potentials[0], out=work.q[0])
     for w, q in zip(weights[1:], potentials[1:]):
-        start += w * q
+        start += np.multiply(w, q, out=work.q[3])
     return start
 
 
@@ -370,11 +370,11 @@ class LagrangianStepper:
     uninterrupted run by up to the tolerance.
 
     Every force of the stepper is computed in one ``ForceWorkspace``, built
-    from the grid at the first force, so a warm step allocates no array of
-    grid size. A force's a_values, grad_y and grad_yt are that workspace's
-    arrays: they hold until the stepper's next force, the predictor force of
-    the next ``step`` included, so read them before stepping. Between its
-    forces a step works in the workspace's bands (see ``ForceWorkspace``).
+    from the grid at the first force, so a warm step allocates only the
+    state it returns. The arrays of a force are that workspace's: they hold
+    until the stepper's next force, the predictor force of the next ``step``
+    included, so read them before stepping. Between its forces a step works
+    in the workspace's bands; the history copies potentials into its own.
     """
 
     def __init__(self, grid: Grid, dt: float):
@@ -398,8 +398,8 @@ class LagrangianStepper:
         if self._grad_p_norm is not None:
             tol = max(tol, PICARD_REL_TOL * self._grad_p_norm)
         force = compute_force(state, pressure_tol=tol, q0=q0, work=work)
-        grid, gp = self.grid, force.pressure.grad_p
-        self._grad_p_norm = np.sqrt(weighted_norm_sq(gp, grid.multiplicity, grid))
+        grid, gp, out = self.grid, force.pressure.grad_p, work.mat_band[0]
+        self._grad_p_norm = np.sqrt(weighted_norm_sq(gp, grid.multiplicity, grid, out))
         return force
 
     def _continues(self, t) -> bool:
@@ -420,25 +420,27 @@ class LagrangianStepper:
                 break
             potentials += [q_first, q_star]
         weights = _FIRST_STAGE_WEIGHTS[len(potentials) // 2]
-        return self._force(state, _combine(weights, potentials))
+        return self._force(state, _combine(weights, potentials, self._work))
 
     def _keep(self, history, size, t, pressure, cold):
-        """Put a solve's potential at the head of history. A cold solve
-        starts the history afresh, and leaves it empty when it took a
-        single iteration (the reset rule)."""
+        """Put a copy of a solve's potential at the head of history, in the
+        band it drops once full. A cold solve starts the history afresh, and
+        leaves it empty when it took a single iteration (the reset rule)."""
         if cold:
             self._first.clear()
             self._star.clear()
             if pressure.iterations <= 1:
                 return
-        history.insert(0, (t, pressure.potential))
-        del history[size:]
+        q = history.pop()[1] if len(history) == size else np.empty_like(pressure.potential)
+        np.copyto(q, pressure.potential)
+        history.insert(0, (t, q))
 
     def step(self, state: FlowState, force: NonlinearForce = None) -> FlowState:
         """Advance one dt; force, when given, is self.force(state).
 
         Works on bands: what the state holds outside the 2/3-retained modes
-        is dropped. The sums py + i0 f0 and (py + y_f0 f0) + k1 f1 go into buffers.
+        is dropped. The sums py + i0 f0 and (py + y_f0 f0) + k1 f1 go into
+        buffers, the f0 terms before f1 takes f0's band in the workspace.
         """
         grid, dt, prop = self.grid, self.dt, self.propagator
         f0 = force if force is not None else self.force(state)
@@ -452,22 +454,22 @@ class LagrangianStepper:
         y_star += y_new
         yt_star = np.multiply(prop.phi1, f0h, out=yt)
         yt_star += yt_new
+        y_new += np.multiply(prop.y_f0, f0h, out=tmp)
+        yt_new += np.multiply(prop.yt_f0, f0h, out=tmp)
         star = FlowState(grid, y_star, yt_star, state.t + dt)
         # f0 started cold unless state continues the history
         cold = not self._continues(state.t)
         self._keep(self._first, _FIRST_HELD, state.t, f0.pressure, cold)
         history = self._star if len(self._star) >= _STAR_MIN else self._first
         held = [q for _, q in history]
-        start = _combine(_EXTRAPOLATION[len(held) - 1], held) if held else None
+        start = _combine(_EXTRAPOLATION[len(held) - 1], held, work) if held else None
         f1 = self._force(star, start)
         f1h = f1.f.band
         self._keep(self._star, _STAR_HELD, star.t, f1.pressure, start is None)
 
-        y_new += np.multiply(prop.y_f0, f0h, out=tmp)
         y_new += np.multiply(prop.k1, f1h, out=tmp)
-        yt_new += np.multiply(prop.yt_f0, f0h, out=tmp)
         yt_new += np.multiply(prop.yt_f1, f1h, out=tmp)
-        if not (np.isfinite(np.abs(y_new).max()) and np.isfinite(np.abs(yt_new).max())):
+        if not (np.isfinite(y_new).all() and np.isfinite(yt_new).all()):
             raise FloatingPointError("non-finite spectral coefficients after step")
         return FlowState(grid, y_new, yt_new, state.t + dt)
 
@@ -561,7 +563,6 @@ class EulerianStepper:
             self._entry[i, j] = self._entry[j, i] = e
         self._nstress = d * (d + 1) // 2
         nprod = self._nstress + (3 if d == 3 else 1)
-        self._ik = tuple(1j * k for k in grid.k_axes)
         self._mean = (slice(None),) + (0,) * d  # the mean mode of a vector band
         self._ub_band = np.empty((2 * d,) + band, dtype=complex)
         self._ub = np.empty((2 * d,) + grid.shape)
@@ -585,7 +586,7 @@ class EulerianStepper:
         induction term curl(u x b), masked bands. They are written into
         ``out``, two (d,) bands, by default the first stage's buffers, which
         the next call overwrites."""
-        grid, d, ik, tmp = self.grid, self.grid.dim, self._ik, self._band_tmp
+        grid, d, ik, tmp = self.grid, self.grid.dim, self.grid.ik, self._band_tmp
         rhs_u, h = self._stages[0] if out is None else out
         n = self._n
         ub_band = self._ub_band

@@ -76,12 +76,12 @@ class Grid:
     Wavevectors follow FFT ordering, k_i = (2*pi/L_i) * n_i with
     n_i in {0, ..., N_i/2 - 1, -N_i/2, ..., -1} on the leading axes and
     n_last in {0, ..., K - 1} on the last: every spectral table is a table
-    on the band, of shape ``band_shape``. ``k2`` and ``k1sq`` are the |k|^2
-    and k1^2 symbols. ``multiplicity`` is the Hermitian multiplicity of each
-    plane (the k_last = 0 plane once, every other plane twice, for its
-    k_last < 0 partner), so a sum over the band weighted by it equals the
-    sum over the full spectrum of a real field that is zero outside the
-    band. ``norm_k2`` is |k|^2 times that multiplicity.
+    on the band, of shape ``band_shape``. ``k2``, ``k1sq`` and ``ik`` are
+    the |k|^2, k1^2 and i k_j symbols. ``multiplicity`` is the Hermitian
+    multiplicity of each plane (the k_last = 0 plane once, every other plane
+    twice, for its k_last < 0 partner), so a sum over the band weighted by
+    it equals the sum over the full spectrum of a real field that is zero
+    outside the band. ``norm_k2`` is |k|^2 times that multiplicity.
     """
 
     sizes: tuple
@@ -150,6 +150,9 @@ class Grid:
         object.__setattr__(self, "band_shape", band_shape)
         object.__setattr__(self, "pad_shape", sizes[:-1] + (pad_last,))
         object.__setattr__(self, "k_axes", k_axes)
+        # the symbols i k_j on the whole band: numpy buffers a broadcast operand
+        ik = tuple(np.broadcast_to(1j * k, band_shape).copy() for k in k_axes)
+        object.__setattr__(self, "ik", ik)
         object.__setattr__(self, "k2", k2)
         object.__setattr__(self, "inv_k2", inv_k2)
         object.__setattr__(self, "k1sq", k_axes[0] ** 2)
@@ -289,9 +292,9 @@ class ForceWorkspace:
 
     ``LagrangianStepper`` builds one from its grid and hands it to every
     force it computes, so a warm step allocates no array of grid size;
-    ``compute_force`` without one builds a fresh one. Its arrays are
-    overwritten by the next force on the same workspace. With d = grid.dim,
-    real samples (float64, grid shape):
+    ``compute_force`` without one builds a fresh one. Its arrays, those a
+    force returns included, are overwritten by the next force on the same
+    workspace. With d = grid.dim, real samples (float64, grid shape):
 
     - ``grad_y``, ``grad_yt``, ``a``: (d, d), grad Y, grad Yt and the
       cofactor A, which the force returns;
@@ -309,9 +312,11 @@ class ForceWorkspace:
     - ``y_band``, ``yt_band``: (d,), the masked bands of Y and Yt, where
       ``LagrangianStepper.step`` then forms its predictor state;
     - ``mat_band``: (d, d), the stages of each ``divergence_band``: of Z A,
-      then of the viscous flux less A grad_p; the step's block products in [0].
-    - ``vec_band``: (2, d), the pressure right-hand side, and the spectra
-      of its assembly and of the Picard iteration.
+      then of the viscous flux less A grad_p; the stepper's scratch in [0];
+    - ``vec_band``: (2, d), [0] the pressure right-hand side, then f, and
+      [1] the spectra of its assembly and of the Picard iteration, then grad_p;
+    - ``q``: 4 scalar bands, the Picard potentials in [1] and [2] (the
+      force returns one), a stepper's start in [0], temporaries in [3].
 
     ``pad`` is (d, d) arrays of ``grid.pad_shape``: the slots of
     ``gradient_values``, the plane buffer of ``Grid.irfft``, and of
@@ -333,6 +338,7 @@ class ForceWorkspace:
         self.yt_band = np.empty((d,) + band, dtype=complex)
         self.mat_band = np.empty((d, d) + band, dtype=complex)
         self.vec_band = np.empty((2, d) + band, dtype=complex)
+        self.q = np.empty((4,) + band, dtype=complex)
         self.pad = np.empty((d, d) + grid.pad_shape, dtype=complex)
 
 

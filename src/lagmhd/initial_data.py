@@ -224,7 +224,7 @@ def euler_from_flow(state: FlowState) -> EulerState:
 
     y = _invert_flow_map(make_trig_evaluator(state.Y, grid), x_pts)
     y1_eval = make_trig_evaluator(state.Yt, grid)
-    d1y_eval = make_trig_evaluator(state.Y * (1j * grid.k_axes[0]), grid)
+    d1y_eval = make_trig_evaluator(state.Y * grid.ik[0], grid)
     u_vals = y1_eval(y).reshape((grid.dim,) + grid.shape)
     b_vals = d1y_eval(y).reshape((grid.dim,) + grid.shape)
     u_band, b_band = (

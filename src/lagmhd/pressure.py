@@ -48,7 +48,8 @@ class PressureSolution(NamedTuple):
     """grad_p = rhs - k q on the band, with the band of its potential q.
 
     ``potential`` is what ``solve_pressure_spec`` takes as ``q0`` to start a
-    later solve there; ``iterations``, ``residuals`` and
+    later solve there; it and grad_p are bands of the solve's workspace,
+    which the next solve overwrites. ``iterations``, ``residuals`` and
     ``contraction_estimate`` describe the Picard iteration that produced it.
     A tuple in this order: ``[1]`` is the iteration count.
     """
@@ -104,36 +105,38 @@ def solve_pressure_spec(grid: Grid, defect_vals, rhs_band, tol, q0=None, work=No
     iteration stops at the residual tol and fails after PICARD_MAX_ITER
     iterations (``NotConvergedError``) or 3 consecutive expanding ones
     (``PressureDivergenceError``). The rule is absolute, so where one step
-    meets it the result depends on q0. Returns the ``PressureSolution``,
-    with fresh arrays. ``work`` is the ``ForceWorkspace`` of the grid (a
-    fresh one when None); the iteration overwrites its ``vec[:2]``,
-    ``vec_band[1]`` and ``pad``.
+    meets it the result depends on q0. Returns the ``PressureSolution``.
+    ``work`` is the ``ForceWorkspace`` of the grid (a fresh one when None):
+    the iteration overwrites its ``vec[:2]``, ``vec_band[1]`` (grad_p),
+    ``q[1:]`` (the potential in [1] or [2]) and ``pad``; q0 is read first.
     """
     if work is None:
         work = ForceWorkspace(grid)
     gp_real, mgp, pad = work.vec[0], work.vec[1], work.pad[0]
+    gp, (q_prev, q, tmp) = work.vec_band[1], work.q[1:]
     k = grid.k_axes
-    gp = rhs_band.copy()
+    np.copyto(gp, rhs_band)
     if q0 is None:
-        q_prev = np.zeros(grid.band_shape, dtype=complex)
+        q_prev.fill(0.0)
     else:
-        q_prev = np.array(q0, dtype=complex)
+        np.copyto(q_prev, q0)
         for i in range(grid.dim):
-            gp[i] -= k[i] * q_prev
+            gp[i] -= np.multiply(k[i], q_prev, out=tmp)
     residuals = []
     ratios = []
     bad_streak = 0
     for it in range(1, PICARD_MAX_ITER + 1):
         grid.irfft(gp, out=gp_real, pad=pad)
         np.einsum("jm...,m...->j...", defect_vals, gp_real, out=mgp)
-        q = _k_contract(grid.rfft(mgp, out=work.vec_band[1], pad=pad), k)
+        # grad_p's samples are taken: its band holds the spectra until q is formed
+        _k_contract(grid.rfft(mgp, out=gp, pad=pad), k, out=q, tmp=tmp)
         q *= grid.masked_inv_k2
         for i in range(grid.dim):
             np.multiply(k[i], q, out=gp[i])
         np.subtract(rhs_band, gp, out=gp)
         q_prev -= q  # minus the step of the potential
-        res = float(np.sqrt(weighted_norm_sq(q_prev, grid.norm_k2, grid)))
-        q_prev = q
+        res = float(np.sqrt(weighted_norm_sq(q_prev, grid.norm_k2, grid, out=tmp)))
+        q_prev, q = q, q_prev  # the next potential goes where the step was
         residuals.append(res)
         if len(residuals) >= 2 and residuals[-2] > 0:
             ratio = res / residuals[-2]
@@ -147,7 +150,7 @@ def solve_pressure_spec(grid: Grid, defect_vals, rhs_band, tol, q0=None, work=No
                 )
         if res <= tol:
             contraction = float(np.exp(np.mean(np.log(ratios)))) if ratios else 0.0
-            return PressureSolution(gp, it, residuals, contraction, q)
+            return PressureSolution(gp, it, residuals, contraction, q_prev)
     raise NotConvergedError(
         f"pressure fixed point not converged after {PICARD_MAX_ITER} iterations "
         f"(last residual {residuals[-1]:.3e})",

@@ -26,7 +26,7 @@ def gradient_values(band, grid: Grid, out=None, work=None, values=None):
     i k_last is d_last v^i. ``work``'s ``pad`` holds the slots when given.
     """
     d, nb = grid.dim, grid.band_shape[-1]
-    ik = [1j * k for k in grid.k_axes]
+    ik = grid.ik
     if work is None:
         pad = np.empty((band.shape[0], d) + grid.pad_shape, dtype=complex)
     else:
@@ -52,7 +52,7 @@ def divergence_band(mat, grid: Grid, out=None, work=None, minus=None):
     ``pad`` hold the stages when given.
     """
     d = grid.dim
-    ik = [1j * k for k in grid.k_axes]
+    ik = grid.ik
     slots, pad = (None, None) if work is None else (work.mat_band, work.pad)
     slots = grid.last_forward(mat, out=slots, pad=pad)
     acc = slots[:, -1]
@@ -80,7 +80,7 @@ def _k_contract(spec, symbols, out=None, tmp=None):
 
 def divergence_spec(spec, grid: Grid, out=None):
     """Spectral divergence over the leading component axis."""
-    return _k_contract(spec, [1j * k for k in grid.k_axes], out=out)
+    return _k_contract(spec, grid.ik, out=out)
 
 
 def dealias_spec(spec, grid: Grid, out=None):
@@ -92,9 +92,9 @@ def dealias_spec(spec, grid: Grid, out=None):
 # -- norms --------------------------------------------------------------------
 
 
-def weighted_norm_sq(spec, weight, grid: Grid) -> float:
-    """volume * sum of weight |spec|^2: one weighted copy of spec, one vdot."""
-    return grid.volume * float(np.vdot(spec, np.multiply(spec, weight)).real)
+def weighted_norm_sq(spec, weight, grid: Grid, out=None) -> float:
+    """volume * sum of weight |spec|^2: one weighted copy (into out), one vdot."""
+    return grid.volume * float(np.vdot(spec, np.multiply(spec, weight, out=out)).real)
 
 
 # -- Riesz projector ----------------------------------------------------------

@@ -1,3 +1,4 @@
+import copy
 import math
 import os
 import tracemalloc
@@ -372,30 +373,38 @@ def _force_arrays(force):
     }
 
 
+def _is_array(arr, target):
+    """Whether arr is target's memory: the same shape at the same address."""
+    return arr.shape == target.shape and arr.ctypes.data == target.ctypes.data
+
+
 @pytest.mark.parametrize("sizes", [(16, 16, 16), (32, 32)], ids=["3D", "2D"])
 def test_a_reused_workspace_gives_the_fresh_force_bit_for_bit(sizes):
     # one workspace through states that need one Picard iteration and
-    # several, each with the previous potential as its start: every force
-    # equals the one computed in a fresh workspace, so nothing a force reads
-    # is left from the last one (the transform planes beyond the band included)
+    # several, each started from the potential the last force left in the
+    # workspace: every force equals the one computed in a fresh workspace,
+    # so nothing a force reads is left from the last one (the transform
+    # planes beyond the band included) and the start is read before the
+    # solve overwrites it
     grid = Grid(sizes, (2 * np.pi,) * len(sizes))
     work = poisoned_workspace(grid)
     iterations, q0 = [], None
     for amp in FORCE_AMPS + FORCE_AMPS[::-1] + (0.02,):
         spec = scaled_spec(default_spec(grid.dim, None), amp)
         state = build_flow_state(grid, spec)
-        got = compute_force(state, q0=q0, work=work)
         want = compute_force(state, q0=q0)
+        got = compute_force(state, q0=q0, work=work)
         assert got.pressure.iterations == want.pressure.iterations
         assert got.pressure.residuals == want.pressure.residuals
         assert got.pressure.contraction_estimate == want.pressure.contraction_estimate
         for name, arr in _force_arrays(got).items():
             assert np.array_equal(arr, _force_arrays(want)[name]), name
-        # f, grad_p and the potential are the caller's; the gradients and
-        # the cofactor are the workspace's
-        for name in ("f", "grad_p", "potential"):
-            arr = _force_arrays(got)[name]
-            assert not any(np.may_share_memory(arr, w) for w in vars(work).values())
+        # everything the force returns is the workspace's: f where the
+        # pressure right-hand side was, grad_p in the Picard band, the
+        # potential in one of the two Picard potential bands
+        assert _is_array(got.f.band, work.vec_band[0])
+        assert _is_array(got.pressure.grad_p, work.vec_band[1])
+        assert any(_is_array(got.pressure.potential, q) for q in work.q[1:3])
         assert got.grad_y is work.grad_y and got.grad_yt is work.grad_yt
         assert got.a_values is work.a
         iterations.append(got.pressure.iterations)
@@ -432,9 +441,10 @@ def test_a_step_keeps_the_bits_of_the_sums_on_fresh_bands(monkeypatch, sizes):
     seen = []
 
     def recording(st, **kwargs):
+        # f is the workspace's band: the step's next force overwrites it
         y, yt = st.Y.copy(), st.Yt.copy()
         force = compute_force(st, **kwargs)
-        seen.append((y, yt, force.f.band))
+        seen.append((y, yt, force.f.band.copy()))
         return force
 
     monkeypatch.setattr(evolution, "compute_force", recording)
@@ -452,17 +462,18 @@ def test_a_step_keeps_the_bits_of_the_sums_on_fresh_bands(monkeypatch, sizes):
         state = new
 
 
-def _warm_step_peak(grid):
+def _warm_step_peak(grid, traced_force=False):
     """tracemalloc's peak over a warm step of the criterion-6 data on grid,
-    its first force given as a run gives it, in bands of the state."""
+    its first force given as a run gives it, in bands of the state; with
+    traced_force, over that force and the step."""
     state = build_flow_state(grid, scaled_spec(default_spec(grid.dim, None), 0.05))
     stepper = LagrangianStepper(grid, 0.05)
     for _ in range(2):
         state = stepper.step(state, stepper.force(state))
-    force = stepper.force(state)
+    force = None if traced_force else stepper.force(state)
     tracemalloc.start()
     try:
-        stepper.step(state, force)
+        stepper.step(state, force)  # without a force the step computes it
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -471,18 +482,54 @@ def _warm_step_peak(grid):
 
 def test_a_warm_step_allocates_no_grid_sized_array():
     # the criterion-6 data at 32^3, as the strong3d benchmark runs it: a warm
-    # step holds 5.92 bands of a state at once, measured: the two it
-    # returns, the f band and grad_p of its second force and the Picard
-    # potentials; every other intermediate goes into the workspace (9.9 when
-    # the step formed its band sums on fresh arrays, 56 when every force
-    # allocated its own); one d x d array of samples is 4.4 bands
-    assert _warm_step_peak(Grid((32, 32, 32), (16.0, 2 * np.pi, 2 * np.pi))) <= 6
+    # step holds 2.92 bands of a state at once, measured: the two it
+    # returns and numpy's iteration buffers; every intermediate goes into
+    # the workspace (5.92 when each force allocated its f band, grad_p and
+    # Picard potentials, 9.9 when the step formed its band sums on fresh
+    # arrays, 56 when every force allocated its own); one d x d array of
+    # samples is 4.4 bands
+    assert _warm_step_peak(Grid((32, 32, 32), (16.0, 2 * np.pi, 2 * np.pi))) <= 3
+
+
+def test_a_warm_force_and_step_allocate_two_bands_past_the_state():
+    # the first force as well: 2.92 bands measured, the step's own peak
+    # (8.25 when each force allocated its f band, grad_p and Picard
+    # potentials); within 2 bands of the state the step returns
+    assert _warm_step_peak(
+        Grid((32, 32, 32), (16.0, 2 * np.pi, 2 * np.pi)), traced_force=True
+    ) <= 4
 
 
 def test_a_warm_step_on_the_plane_allocates_no_grid_sized_array():
-    # the same on the plane2d box at 128^2: 6.76 bands measured (11.0 when
-    # the step formed its band sums on fresh arrays)
-    assert _warm_step_peak(Grid((128, 128), (64.0, 2 * np.pi))) <= 7
+    # the same on the plane2d box at 128^2: 4.02 bands measured (6.76 when
+    # each force allocated its f band, grad_p and Picard potentials, 11.0
+    # when the step formed its band sums on fresh arrays). Past the two
+    # bands returned, numpy buffers the strided slot products of
+    # gradient_values, each buffer at most 8192 elements: 1.5 bands of
+    # 128 x 43 x 2 complex samples
+    assert _warm_step_peak(Grid((128, 128), (64.0, 2 * np.pi))) <= 4.1
+
+
+@pytest.mark.parametrize("sizes", [(16, 16, 16), (32, 32)], ids=["3D", "2D"])
+def test_a_step_on_its_own_first_force_equals_one_on_a_copy(sizes):
+    # the given first force is the stepper's: its f band is the workspace's
+    # band that the predictor force overwrites, so the step adds the f0
+    # terms before it forms f1. Two steppers in lockstep, one stepping on
+    # its force, one on a deep copy of it, give the same bits, cold and
+    # warm (the criterion-6 data take several Picard iterations)
+    grid = Grid(sizes, (2 * np.pi,) * len(sizes))
+    state = build_flow_state(grid, scaled_spec(default_spec(grid.dim, None), 0.05))
+    own, copied = LagrangianStepper(grid, 0.05), LagrangianStepper(grid, 0.05)
+    a = b = state
+    for _ in range(8):
+        f0 = own.force(a)
+        f0_band = f0.f.band.copy()
+        a = own.step(a, f0)
+        b = copied.step(b, copy.deepcopy(copied.force(b)))
+        assert _is_array(f0.f.band, own._work.vec_band[0])
+        assert not np.array_equal(f0.f.band, f0_band)  # f1 took the slot
+        assert a.t == b.t
+        assert same_bits(a.Y, b.Y) and same_bits(a.Yt, b.Yt)
 
 
 # -- Lagrangian stepping ---------------------------------------------------------
@@ -580,10 +627,15 @@ def _drive_steps(monkeypatch, spec, cold, steps=6, solves=None):
     compute = evolution.compute_force
 
     def counted(state, *args, q0=None, **kwargs):
+        # copies: the start, grad_p and the potential are the workspace's,
+        # which the stepper's next force overwrites
+        start = None if q0 is None else q0.copy()
         force = compute(state, *args, q0=None if cold else q0, **kwargs)
         iterations.append(force.pressure.iterations)
         if solves is not None:
-            solves.append((state.t, q0, force.pressure))
+            p = force.pressure
+            p = p._replace(grad_p=p.grad_p.copy(), potential=p.potential.copy())
+            solves.append((state.t, start, p))
         return force
 
     monkeypatch.setattr(evolution, "compute_force", counted)
