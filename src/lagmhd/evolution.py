@@ -281,7 +281,7 @@ def compute_force(
     f_band = divergence_band(flux, grid, out=work.vec_band[0], work=work, minus=a_gp)
 
     return NonlinearForce(
-        f=VectorField.from_band(grid, dealias_spec(f_band, grid, out=f_band)),
+        f=VectorField.from_band(grid, f_band),
         pressure=pressure,
         a_values=a_vals,
         grad_y=grad_y,
@@ -629,7 +629,6 @@ class EulerianStepper:
         riesz_apply_spec(n, grid, out=rhs_u)
         rhs_u -= n
 
-        w_band = dealias_spec(w_band, grid, out=w_band)
         if d == 2:
             np.multiply(ik[1], w_band[0], out=h[0])
             np.negative(np.multiply(ik[0], w_band[0], out=h[1]), out=h[1])

@@ -7,13 +7,14 @@ the last ``dim`` axes and spectral transforms act on those.
 
 A real field has one spectral representation, its band: the first
 K = ceil(N_last/3) last-axis planes (k_last = 0, ..., K - 1) of its
-normalized Fourier coefficients, exactly the k_last >= 0 planes the 2/3 mask
-keeps; the k_last < 0 planes are their complex conjugates. A ``Grid`` keeps
-its spectral tables on the band only, and ``rfft``/``irfft`` go between
-samples and bands in two stages: the leading axes by scipy's in-place c2c
-(``lead_pass``), the last axis (``last_forward``, ``last_inverse``) by a
-matmul against a pruned real DFT table for N_last <= MATMUL_MAX_LAST and
-by numpy's r2c/c2r past that.
+normalized Fourier coefficients, exactly the k_last >= 0 planes the 2/3
+mask keeps, zero outside the mask; the k_last < 0 planes are their complex
+conjugates. A ``Grid`` keeps its spectral tables on the band only, and
+``rfft``/``irfft`` go between samples and bands in two stages: the leading
+axes by scipy's single-axis c2c (``lead_pass``), in 3D the pass that meets
+the mask on the lines it keeps only, the last axis (``last_forward``,
+``last_inverse``) by a matmul against a pruned real DFT table for N_last <=
+MATMUL_MAX_LAST and by numpy's r2c/c2r past that.
 """
 
 from __future__ import annotations
@@ -126,11 +127,23 @@ class Grid:
         np.divide(1.0, k2, out=inv_k2, where=k2 > 0)
         # 2/3 rule: keep |n_i| < N_i/3 per axis so that products of retained
         # modes alias only onto discarded ones; stored as 0.0/1.0 so that a
-        # multiply applies it
+        # multiply applies it; along axis i it keeps the blocks 0..ncut and
+        # N_i - ncut..N_i - 1 of a band. In 3D the leading pass that meets it
+        # runs on the lines it keeps, by (inverse, axis): the forward one along
+        # axis -2 on the kept n0 rows, the inverse one along -3 on the kept n1
+        # columns; every other pass runs on the whole band
         mask = np.ones(band_shape)
+        kept, dropped = [], []
         for i, n in enumerate(sizes):
             ncut = int(np.ceil(n / 3.0)) - 1
             mask = mask * along(i, np.abs(np.fft.fftfreq(n) * n) <= ncut)
+            rest = (slice(None),) * (dim - 1 - i)
+            blocks = (slice(0, ncut + 1), slice(n - ncut, n))
+            kept.append(tuple((Ellipsis, b) + rest for b in blocks if b.start < b.stop))
+            dropped.append((Ellipsis, slice(ncut + 1, n - ncut)) + rest)
+        lines = dict.fromkeys(itertools.product((False, True), (-3, -2)), ((Ellipsis,),))
+        if dim == 3:
+            lines.update({(False, -2): kept[0], (True, -3): kept[1]})
         multiplicity = np.full(nb, 2.0)
         multiplicity[0] = 1.0
         # a plane buffer's last axis: the band, all the matmul stage reads,
@@ -162,6 +175,8 @@ class Grid:
         object.__setattr__(self, "dealias_mask_complex", mask.astype(complex))
         # inverse Laplacian restricted to the retained band
         object.__setattr__(self, "masked_inv_k2", mask * inv_k2)
+        object.__setattr__(self, "_dropped", tuple(dropped[:-1]))
+        object.__setattr__(self, "_lines", lines)
         object.__setattr__(self, "multiplicity", multiplicity)
         object.__setattr__(self, "norm_k2", k2 * multiplicity)
         object.__setattr__(self, "_hs_weights", {})
@@ -178,39 +193,50 @@ class Grid:
 
     def rfft(self, values, out=None, pad=None):
         """Real samples -> the band, the first K = ceil(N_last/3) last-axis
-        planes of the normalized coefficients, which the 2/3 mask keeps:
-        ``last_forward`` into ``out``, then one ``lead_pass``; the mask is
-        not applied. out and pad (N_last/2 + 1 last-axis planes, complex)
-        are allocated when not given; the result is ``out``."""
+        planes of the normalized coefficients, zero outside the 2/3 mask:
+        ``last_forward`` into ``out``, then one ``lead_pass`` and
+        ``zero_dropped``. out and pad (N_last/2 + 1 last-axis planes,
+        complex) are allocated when not given; the result is ``out``."""
         out = self.last_forward(values, out=out, pad=pad)
-        return self.lead_pass(out, self.spatial_axes[:-1])
+        return self.zero_dropped(self.lead_pass(out, self.spatial_axes[:-1]))
 
     def irfft(self, band, out=None, pad=None):
-        """Band -> real samples, the argument left unchanged: any k <= N_last/2
-        + 1 planes k_last >= 0, the missing ones zero, go into the first k
-        planes of ``pad`` (overwritten) for one inverse ``lead_pass`` and
-        ``last_inverse``. Exact for a band the 2/3 mask has been applied to:
-        it is zero, hence Hermitian, on the Nyquist hyperplanes of the
-        leading axes. out and pad (``pad_shape``, or k planes if more) are
-        allocated when not given."""
-        k = band.shape[-1]
+        """Band -> real samples of the modes the 2/3 mask keeps, the argument
+        left unchanged and nothing else of it read: its first K planes go
+        into those of ``pad`` (overwritten), ``zero_dropped`` there, for one
+        inverse ``lead_pass`` and ``last_inverse``. out and pad
+        (``pad_shape``) are allocated when not given."""
+        nb = self.band_shape[-1]
         if pad is None:
-            pad = np.empty(band.shape[:-1] + (max(k, self.pad_shape[-1]),), dtype=complex)
-        part = pad[..., :k]
-        part[...] = band
-        self.lead_pass(part, self.spatial_axes[:-1], inverse=True)
-        return self.last_inverse(pad, k, out=out)
+            pad = np.empty(band.shape[:-1] + self.pad_shape[-1:], dtype=complex)
+        part = pad[..., :nb]
+        part[...] = band[..., :nb]
+        self.lead_pass(self.zero_dropped(part), self.spatial_axes[:-1], inverse=True)
+        return self.last_inverse(pad, nb, out=out)
+
+    def zero_dropped(self, band):
+        """band zeroed in place outside the 2/3 mask (it keeps every plane)."""
+        for block in self._dropped:
+            band[block] = 0.0
+        return band
 
     def lead_pass(self, arr, axes, inverse=False):
-        """scipy's c2c over the given leading spatial axes of arr (negative
-        indices), written back into arr; the forward one scaled by 1/N per
-        axis, exactly for power-of-two sizes. A symbol i k_j commutes with
-        the passes along the other axes, so ``spectral.gradient_values`` and
-        ``spectral.divergence_band`` apply it between them."""
-        c2c = sfft.ifftn if inverse else sfft.fftn
-        res = c2c(arr, axes=axes, norm="forward", overwrite_x=True)
-        if not np.may_share_memory(res, arr):  # overwrite_x is a hint only
-            arr[...] = res
+        """scipy's single-axis c2c along each given leading spatial axis of
+        arr (negative indices), written back into arr; the forward one scaled
+        by 1/N, exactly for power-of-two sizes. A transform's passes run along
+        axis -3 before -2, the forward ones ahead of ``zero_dropped`` and the
+        inverse ones on a band zero outside the mask, so in 3D the pass that
+        meets the mask runs on the lines it keeps only. A symbol i k_j
+        commutes with the passes along the other axes, so
+        ``spectral.gradient_values`` and ``spectral.divergence_band`` apply
+        it between them."""
+        c2c = sfft.ifft if inverse else sfft.fft
+        for axis in axes:
+            for block in self._lines[inverse, axis]:
+                part = arr[block]
+                res = c2c(part, axis=axis, norm="forward", overwrite_x=True)
+                if not np.may_share_memory(res, part):  # overwrite_x is a hint only
+                    part[...] = res
         return arr
 
     def last_forward(self, values, out=None, pad=None):

@@ -19,7 +19,7 @@ from .errors import ConfigError, NotConvergedError
 from .evolution import EulerState
 from .geometry import FlowState, make_trig_evaluator
 from .grid import Grid
-from .spectral import dealias_spec, gradient_values, riesz_apply_spec
+from .spectral import gradient_values, riesz_apply_spec
 
 
 @dataclass(frozen=True)
@@ -114,8 +114,7 @@ def _solenoidal_velocity(grid: Grid, modes):
         phase = _phase(grid, m.n, grid.coords, range(grid.dim))
         v[m.axis] += m.amp * np.cos(phase + m.phase)
     band = grid.rfft(v)
-    band = dealias_spec(band - riesz_apply_spec(band, grid), grid)
-    return grid.irfft(band)
+    return grid.irfft(band - riesz_apply_spec(band, grid))
 
 
 def build_flow_state(grid: Grid, spec: InitialDataSpec) -> FlowState:
@@ -134,7 +133,6 @@ def _build_with_gradient(grid: Grid, spec: InitialDataSpec):
     # linear in the scale, so their transforms are taken once per build
     a_profile = _shear_profile(grid, spec.shear_a, axes=(0, 2)[: d - 1])
     a_band = grid.rfft(np.broadcast_to(a_profile, (1,) + grid.shape))
-    a_band = dealias_spec(a_band, grid, out=a_band)
     grad_a = gradient_values(a_band, grid)
     v_unit = _solenoidal_velocity(grid, spec.velocity)
 
@@ -145,14 +143,14 @@ def _build_with_gradient(grid: Grid, spec: InitialDataSpec):
         c_coords = (grid.coords[1] + scale * a_profile,) + grid.coords[2:]
         c_vals = _shear_profile(grid, spec.shear_c, range(1, d), c_coords, scale)
         y0_band = np.zeros((d,) + grid.band_shape, dtype=complex)
-        dealias_spec(grid.rfft(c_vals[None]), grid, out=y0_band[:1])
+        grid.rfft(c_vals[None], out=y0_band[:1])
         np.multiply(scale, a_band, out=y0_band[1:2])
         grad = np.zeros((d, d) + grid.shape)
         gradient_values(y0_band[:1], grid, out=grad[:1])
         np.multiply(scale, grad_a, out=grad[1:2])
         v = scale * v_unit
         y1_vals = v + np.einsum("im...,m...->i...", grad, v)
-        y1_band = dealias_spec(grid.rfft(y1_vals), grid)
+        y1_band = grid.rfft(y1_vals)
         return FlowState(grid, y0_band, y1_band, 0.0), grad
 
     built = assemble(1.0)
@@ -228,8 +226,7 @@ def euler_from_flow(state: FlowState) -> EulerState:
     u_vals = y1_eval(y).reshape((grid.dim,) + grid.shape)
     b_vals = d1y_eval(y).reshape((grid.dim,) + grid.shape)
     u_band, b_band = (
-        dealias_spec(s - riesz_apply_spec(s, grid), grid)
-        for s in (grid.rfft(u_vals), grid.rfft(b_vals))
+        s - riesz_apply_spec(s, grid) for s in (grid.rfft(u_vals), grid.rfft(b_vals))
     )
     mean = (slice(None),) + (0,) * grid.dim
     u_band[mean] = state.Yt[mean]

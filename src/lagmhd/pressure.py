@@ -30,13 +30,9 @@ import numpy as np
 
 from .errors import NotConvergedError, PressureDivergenceError
 from .grid import ForceWorkspace, Grid
-from .spectral import (
-    _k_contract,
-    dealias_spec,
-    divergence_band,
-    riesz_apply_spec,
-    weighted_norm_sq,
-)
+from .spectral import _k_contract, divergence_band, riesz_apply_spec, weighted_norm_sq
+# dealias_spec is not called here; perfbench/layers.py times it by this name
+from .spectral import dealias_spec  # noqa: F401
 
 # the stopping rule (see above); the cap is read at call time
 PICARD_ABS_TOL = 1e-10
@@ -82,11 +78,9 @@ def _tensor_rhs_spec(grid: Grid, a_vals, pair, out=None, work=None):
     np.negative(at[1], out=at[1])
     za = np.einsum("pi...,pl...->il...", pair, at, out=work.flux)
     w_band = divergence_band(za, grid, out=band, work=work)
-    w_band = dealias_spec(w_band, grid, out=w_band)
     w_real = grid.irfft(w_band, out=vec[1], pad=pad[0])
     atw = np.einsum("jm...,j...->m...", a_vals, w_real, out=vec[2])
-    atw_band = dealias_spec(grid.rfft(atw, out=band, pad=pad[0]), grid, out=band)
-    return riesz_apply_spec(atw_band, grid, out=out)
+    return riesz_apply_spec(grid.rfft(atw, out=band, pad=pad[0]), grid, out=out)
 
 
 def solve_pressure_spec(grid: Grid, defect_vals, rhs_band, tol, q0=None, work=None):
@@ -95,7 +89,7 @@ def solve_pressure_spec(grid: Grid, defect_vals, rhs_band, tol, q0=None, work=No
     Works on bands: rhs_band, q0 and the returned grad_p and potential.
     The iterate is the scalar potential q of grad_p = rhs - k q,
     with q = (mask inv_k2) (k . rfft(defect . grad_p)): R[v] = k inv_k2 (k . v),
-    and the 2/3 mask acts after the contraction, on one component. The
+    on rfft's band, already zero outside the 2/3 mask that the table repeats. The
     residual of a step is |grad_p_new - grad_p| = |k (q_new - q)|, summed over
     the band with the Hermitian multiplicity carried by ``grid.norm_k2``.
 

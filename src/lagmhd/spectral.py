@@ -20,10 +20,12 @@ def gradient_values(band, grid: Grid, out=None, work=None, values=None):
     """Real-space gradient of a vector band: out[i, j] = d_j v^i; ``values``,
     when given, receives the samples of v, bit for bit ``grid.irfft(band)``.
 
-    Slot j < d - 1 of each component is i k_j times slot d - 1 (v^i), formed
-    just before the pass along axis j, which runs on the slots formed by
-    then: 15 component passes for a 3D vector, not 18. Slot d - 1 times
-    i k_last is d_last v^i. ``work``'s ``pad`` holds the slots when given.
+    Slot j < d - 1 of each component is i k_j times slot d - 1 (v^i, the
+    band zeroed outside the 2/3 mask: no other mode is read), formed just
+    before the pass along axis j, which runs on the slots formed by then: 15
+    component passes for a 3D vector, not 18, the first 6 on the kept lines
+    only. Slot d - 1 times i k_last is d_last v^i. ``work``'s ``pad`` holds
+    the slots when given.
     """
     d, nb = grid.dim, grid.band_shape[-1]
     ik = grid.ik
@@ -33,6 +35,7 @@ def gradient_values(band, grid: Grid, out=None, work=None, values=None):
         pad = work.pad[: band.shape[0]]
     slots = pad[..., :nb]
     slots[:, -1] = band
+    grid.zero_dropped(slots[:, -1])
     for a in range(d - 1):
         np.multiply(slots[:, -1], ik[a], out=slots[:, a])
         grid.lead_pass(slots if a == d - 2 else slots[:, ::2], (a - d,), inverse=True)
@@ -43,13 +46,14 @@ def gradient_values(band, grid: Grid, out=None, work=None, values=None):
 
 
 def divergence_band(mat, grid: Grid, out=None, work=None, minus=None):
-    """Band of sum_j d_j mat[i, j] - minus[i] from real samples, unmasked.
+    """Band of sum_j d_j mat[i, j] - minus[i] from real samples, zero outside
+    the 2/3 mask.
 
     The mirror image of ``gradient_values``: column d - 1 times i k_last,
     less ``minus``, is a running sum; leading axis j, in rfft's order, takes
     one pass over columns j, ..., d - 1, then column j times i k_j joins the
-    sum: 15 component passes in 3D, not 24. ``work``'s ``mat_band`` and
-    ``pad`` hold the stages when given.
+    sum: 15 component passes in 3D, not 24, the last 6 on the kept lines
+    only. ``work``'s ``mat_band`` and ``pad`` hold the stages when given.
     """
     d = grid.dim
     ik = grid.ik
@@ -64,7 +68,7 @@ def divergence_band(mat, grid: Grid, out=None, work=None, minus=None):
         grid.lead_pass(slots[:, a:], (a - d,))
         slots[:, a] *= ik[a]
         acc = np.add(acc, slots[:, a], out=out if a == d - 2 else acc)
-    return acc
+    return grid.zero_dropped(acc)
 
 
 def _k_contract(spec, symbols, out=None, tmp=None):

@@ -148,6 +148,13 @@ def mirror(grid, band):
     return full
 
 
+def unmasked_band(grid, values):
+    """The first K last-axis planes of the full spectrum of real samples
+    (``Grid.fft``), the 2/3 mask not applied: a band that holds modes the
+    mask drops, which ``Grid.rfft`` zeroes."""
+    return grid.fft(values)[..., : grid.band_shape[-1]]
+
+
 def zero_band(grid):
     """The band of a zero vector field: complex zeros of (d, *grid.band_shape)."""
     return np.zeros((grid.dim,) + grid.band_shape, dtype=complex)

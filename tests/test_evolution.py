@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.fft as sfft
 from scipy.integrate import quad
 
 from lagmhd import evolution
@@ -48,6 +49,7 @@ from conftest import (
     poisoned_workspace,
     random_band_limited,
     same_bits,
+    unmasked_band,
     zero_band,
 )
 
@@ -269,7 +271,9 @@ def _force_transforms(monkeypatch, grid, amp):
     """The stages of every transform over one compute_force, and its Picard
     iteration count: the shapes of the samples each last-axis stage takes
     (``Grid.last_forward``) or gives (``Grid.last_inverse``), in call order,
-    and the number of single-axis component passes of ``Grid.lead_pass``.
+    and the lines of the single-axis leading passes (the scipy.fft calls of
+    ``Grid.lead_pass``), [those of passes on whole bands, those of passes on
+    blocks of them].
 
     The state holds bands only, as a stepped state does, so Yt's samples
     cost a last-axis stage. Every transform of the kernel goes through
@@ -278,22 +282,27 @@ def _force_transforms(monkeypatch, grid, amp):
     built = build_flow_state(grid, scaled_spec(default_spec(grid.dim, None), amp))
     state = FlowState(grid, built.Y, built.Yt, 0.0)
     d = grid.dim
-    calls = {"forward": [], "inverse": [], "passes": 0}
-    stages = Grid.lead_pass, Grid.last_forward, Grid.last_inverse
+    calls = {"forward": [], "inverse": [], "lines": [0, 0]}
+    stages = Grid.last_forward, Grid.last_inverse
 
-    def counted_pass(self, arr, axes, *args, **kwargs):
-        calls["passes"] += arr.size // int(np.prod(arr.shape[-d:])) * len(axes)
-        return stages[0](self, arr, axes, *args, **kwargs)
+    def counted_pass(c2c):
+        def run(arr, *args, axis, **kwargs):
+            whole = arr.shape[-d:] == grid.band_shape
+            calls["lines"][0 if whole else 1] += arr.size // arr.shape[axis]
+            return c2c(arr, *args, axis=axis, **kwargs)
+
+        return run
 
     def counted_forward(self, values, *args, **kwargs):
         calls["forward"].append(values.shape)
-        return stages[1](self, values, *args, **kwargs)
+        return stages[0](self, values, *args, **kwargs)
 
     def counted_inverse(self, pad, k, *args, **kwargs):
         calls["inverse"].append(pad.shape[:-1] + grid.shape[-1:])
-        return stages[2](self, pad, k, *args, **kwargs)
+        return stages[1](self, pad, k, *args, **kwargs)
 
-    monkeypatch.setattr(Grid, "lead_pass", counted_pass)
+    for name in ("fft", "ifft"):
+        monkeypatch.setattr(sfft, name, counted_pass(getattr(sfft, name)))
     monkeypatch.setattr(Grid, "last_forward", counted_forward)
     monkeypatch.setattr(Grid, "last_inverse", counted_inverse)
     iters = compute_force(state).pressure.iterations
@@ -334,10 +343,19 @@ def test_force_takes_one_inverse_transform_per_gradient(monkeypatch, sizes):
             int(np.prod(s[:-d])) for s in calls["forward"] + calls["inverse"]
         )
         assert components == (51 + 6 * iters if d == 3 else 26 + 4 * iters)
-        # single-axis leading passes of a component: the gradients and the
+        # lines of the single-axis leading passes, counted in component
+        # passes of n lines, n = prod(band_shape) / N: the gradients and the
         # divergences share theirs, where one transform per component took
-        # 102 + 12 iters in 3D and 26 + 4 iters in 2D
-        assert calls["passes"] == (78 + 12 * iters if d == 3 else 22 + 4 * iters)
+        # 102 + 12 iters in 3D and 26 + 4 iters in 2D. In 3D the pass of a
+        # transform that meets the mask runs on the 2 ceil(N/3) - 1 of N
+        # lines it keeps; in 2D every pass runs on all lines
+        n, big = int(np.prod(grid.band_shape)) // sizes[0], sizes[0]
+        kept = 2 * -(-big // 3) - 1
+        if d == 3:
+            pruned = (33 + 6 * iters) * n * kept // big
+            assert calls["lines"] == [(45 + 6 * iters) * n, pruned]
+        else:
+            assert calls["lines"] == [(22 + 4 * iters) * n, 0]
 
 
 @pytest.mark.parametrize("sizes", [(16, 16, 16), (32, 32)], ids=["3D", "2D"])
@@ -349,7 +367,7 @@ def test_force_of_a_state_is_that_of_its_projection(sizes, rng):
     shape = (grid.dim,) + grid.shape
     outside = 1.0 - grid.dealias_mask
     bands = [
-        field + 1e-3 * outside * grid.rfft(rng.standard_normal(shape))
+        field + 1e-3 * outside * unmasked_band(grid, rng.standard_normal(shape))
         for field in (built.Y, built.Yt)
     ]
     state = FlowState(grid, *bands, 0.0)
@@ -904,6 +922,31 @@ def test_a_step_never_writes_into_the_state_it_is_given(name):
     for _ in range(2):
         call()
     assert [a.tobytes() for a in arrays] == before
+
+
+@pytest.mark.parametrize("sizes", [(16, 16, 16), (32, 32)], ids=["3D", "2D"])
+def test_every_band_the_program_makes_is_zero_outside_the_mask(sizes, tmp_path):
+    # the precondition of the pruned inverse passes, which read the kept
+    # modes only: initial data, a Lagrangian step, the pushforward and an
+    # Eulerian step, and each state read back from a checkpoint
+    from lagmhd.checkpoint import read_checkpoint, write_checkpoint
+    from lagmhd.initial_data import euler_from_flow
+
+    grid = Grid(sizes, (16.0,) + (2 * np.pi,) * (len(sizes) - 1))
+    flow = build_flow_state(grid, scaled_spec(default_spec(grid.dim, None), 0.05))
+    stepped = LagrangianStepper(grid, 0.05).step(flow)
+    euler = euler_from_flow(flow)
+    states = [flow, stepped, euler, EulerianStepper(grid, 0.05).step(euler)]
+    for i, state in enumerate(states[:]):
+        write_checkpoint(tmp_path / f"{i}.ckpt", state)
+        states.append(read_checkpoint(tmp_path / f"{i}.ckpt"))
+    dropped = grid.dealias_mask == 0.0
+    assert dropped.sum() > 0
+    for state in states:
+        for band in vars(state).values():
+            if isinstance(band, np.ndarray):
+                assert np.abs(band[..., ~dropped]).max() > 0.0
+                assert not np.any(band[..., dropped])
 
 
 def test_nan_detection():

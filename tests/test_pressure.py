@@ -56,7 +56,7 @@ def half_spectrum(grid):
 def band_spectrum(grid):
     """(tables, grid.rfft, grid.irfft) on the band: the full-spectrum tables
     cut to the first K last-axis planes, with the kernel's own transforms,
-    which leave the mask to the caller on the leading axes."""
+    whose rfft applies the mask and whose irfft reads the kept modes only."""
     nb = grid.band_shape[-1]
     band = FullSpectrum(grid, nb)
     band.multiplicity = np.full(nb, 2.0)
@@ -89,8 +89,7 @@ def staged_divergence(mat, grid, minus=None):
     operations: the last-axis stage, the column d - 1 times i k_last (less
     minus) as the running sum, then per leading axis j one pass of the
     columns not yet summed and of the sum, and column j times i k_j added.
-    The 2/3 mask, a 0/1 multiplier, goes on the sum and on the last column
-    after their last pass, before they are added."""
+    The 2/3 mask, a 0/1 multiplier, goes on the sum after the last add."""
     d, ik = grid.dim, [1j * k for k in grid.k_axes]
     out = []
     for i in range(len(mat)):
@@ -101,11 +100,8 @@ def staged_divergence(mat, grid, minus=None):
         for a in range(d - 1):
             for c in cols[a:-1] + [acc]:
                 grid.lead_pass(c, (a - d,))
-            if a == d - 2:
-                acc = dealias_spec(acc, grid)
-                cols[a] = dealias_spec(cols[a], grid)
             acc += cols[a] * ik[a]
-        out.append(acc)
+        out.append(dealias_spec(acc, grid))
     return np.stack(out)
 
 

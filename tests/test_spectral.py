@@ -22,6 +22,8 @@ from conftest import (
     mirror,
     poisoned_workspace,
     random_band_limited,
+    same_bits,
+    unmasked_band,
     weighted_inner,
 )
 
@@ -251,8 +253,8 @@ HALF_GRIDS.update({"3D-64": Grid((4, 4, 64), L3), "2D-128": Grid((8, 128), L2)})
 
 
 # an -open case takes data the 2/3 mask has not been applied to, or the whole
-# k_last >= 0 half in place of the band: what Grid.irfft and the full-spectrum
-# oracle still take, and a band the mask has not cut on the leading axes
+# k_last >= 0 half in place of the band: what the full-spectrum oracle still
+# takes, and what Grid.irfft and gradient_values read as its masked band
 HALF_CASES = list(HALF_GRIDS) + [f"{k}-open" for k in HALF_GRIDS if k != "3D-cube"]
 
 
@@ -364,17 +366,20 @@ def test_rfft_irfft_round_trip_and_fft_is_the_mirror(name, rng):
     nb, axes = grid.band_shape[-1], grid.spatial_axes
     vals = rng.standard_normal((grid.dim,) + grid.shape)
     half = sfft.rfftn(vals, axes=axes, norm="forward")
+    masked = half * FullSpectrum(grid, half.shape[-1]).dealias_mask
     band = grid.rfft(vals)
     assert band.shape == (grid.dim,) + grid.band_shape
-    # the pruned transforms against the full ones
-    assert np.abs(band - half[..., :nb]).max() <= 1e-15 * np.abs(half).max()
+    # the pruned transforms against the full ones, masked
+    assert np.abs(band - masked[..., :nb]).max() <= 1e-15 * np.abs(half).max()
     if is_open:
         # the whole half, Nyquist planes included, goes back to the samples
-        # and mirrors to the full spectrum, which fft is
+        # of its masked part; it mirrors to the full spectrum, which fft is
         kept = half.copy()
         back = grid.irfft(half)
         assert np.array_equal(half, kept)
-        assert np.abs(back - vals).max() <= 1e-14 * np.abs(vals).max()
+        assert np.array_equal(back, grid.irfft(masked))
+        want = sfft.irfftn(masked, s=grid.sizes, axes=axes, norm="forward")
+        assert np.abs(back - want).max() <= 1e-14 * np.abs(vals).max()
         full = sfft.fftn(vals, axes=axes, norm="forward")
         assert np.abs(mirror(grid, half) - full).max() <= 1e-15 * np.abs(full).max()
         assert np.array_equal(grid.fft(vals), full)
@@ -483,14 +488,11 @@ def test_gradient_values_equals_ifft_of_the_full_product(name, rng):
     # a band that is no real field's: k_last = 0 is not Hermitian in itself
     general = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     for band in (real, general):
-        if is_open:
-            # unmasked but for the Nyquist hyperplanes of the leading axes, the
-            # one part of a band that the pruned irfft cannot take exactly
-            for i, m in enumerate(grid.sizes[:-1]):
-                band[(slice(None),) * (i + 1) + (m // 2,)] = 0.0
-        else:
-            band *= grid.dealias_mask
-        full = mirror(grid, band)
+        # an -open band is read as its masked part
+        masked = band * grid.dealias_mask
+        if not is_open:
+            band = masked
+        full = mirror(grid, masked)
         buf = np.empty((grid.dim,) + full.shape, dtype=complex)
         for j, k in enumerate(FullSpectrum(grid).k_axes):
             np.multiply(full, 1j * k, out=buf[:, j])
@@ -499,6 +501,7 @@ def test_gradient_values_equals_ifft_of_the_full_product(name, rng):
         got = gradient_values(band, grid)
         assert np.array_equal(band, kept)
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+        assert np.array_equal(got, gradient_values(masked, grid))
 
 
 # the two last-axis branches of the shared-pass kernels in 2D and 3D: a
@@ -544,11 +547,12 @@ def test_divergence_band_against_fftn(name, rng):
     d, nb = grid.dim, grid.band_shape[-1]
     mat = rng.standard_normal((d, d) + grid.shape)
     vec = rng.standard_normal((d,) + grid.shape)
+    tables = FullSpectrum(grid)
     spec = np.fft.fftn(mat, axes=grid.spatial_axes, norm="forward")
-    div = sum(1j * k * spec[:, j] for j, k in enumerate(FullSpectrum(grid).k_axes))
+    div = sum(1j * k * spec[:, j] for j, k in enumerate(tables.k_axes))
     minus = np.fft.fftn(vec, axes=grid.spatial_axes, norm="forward")
     for arg, full in ((None, div), (vec, div - minus)):
-        want = full[..., :nb]
+        want = (full * tables.dealias_mask)[..., :nb]
         got = divergence_band(mat, grid, minus=arg)
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
         work = poisoned_workspace(grid)
@@ -559,6 +563,84 @@ def test_divergence_band_against_fftn(name, rng):
     # rfft's axis order
     zero = divergence_band(np.zeros_like(mat), grid, minus=vec)
     assert np.array_equal(zero, -grid.rfft(vec))
+
+
+# -- the pruned passes ------------------------------------------------------------
+
+
+def _full_pass(arr, axes, inverse=False):
+    """arr's leading passes over the given axes as one scipy.fft.fftn or
+    ifftn on every line, written back: the form before the pruning."""
+    c2c = sfft.ifftn if inverse else sfft.fftn
+    arr[...] = c2c(arr, axes=axes, norm="forward")
+    return arr
+
+
+def _full_pass_stages(grid, vals, band, mat, vec):
+    """rfft(vals), irfft(band), gradient_values(band) with its samples and
+    divergence_band(mat, minus=vec) in the kernels' order of operations,
+    every leading pass on every line (the forward ones unmasked)."""
+    d, nb, ik, lead = grid.dim, grid.band_shape[-1], grid.ik, grid.spatial_axes[:-1]
+    fwd = _full_pass(grid.last_forward(vals), lead)
+    pad = np.zeros(band.shape[:-1] + grid.pad_shape[-1:], dtype=complex)
+    pad[..., :nb] = band
+    _full_pass(pad[..., :nb], lead, inverse=True)
+    inv = grid.last_inverse(pad, nb)
+    slots = np.zeros((len(band), d) + grid.pad_shape, dtype=complex)
+    slots[:, -1, ..., :nb] = band
+    for a in range(d - 1):
+        slots[:, a, ..., :nb] = slots[:, -1, ..., :nb] * ik[a]
+        cols = slots[..., :nb] if a == d - 2 else slots[:, ::2, ..., :nb]
+        _full_pass(cols, (a - d,), inverse=True)
+    values = grid.last_inverse(slots[:, -1].copy(), nb)
+    slots[:, -1, ..., :nb] *= ik[-1]
+    grad = grid.last_inverse(slots, nb)
+    cols = grid.last_forward(mat)
+    acc = cols[:, -1]
+    acc *= ik[-1]
+    acc -= grid.last_forward(vec)
+    for a in range(d - 1):
+        _full_pass(cols[:, a:], (a - d,))
+        cols[:, a] *= ik[a]
+        acc += cols[:, a]
+    return fwd, inv, (grad, values), acc
+
+
+PRUNED_GRIDS = {
+    "16": Grid((16, 16, 16), (2 * np.pi,) * 3),
+    "32": Grid((32, 32, 32), (16.0, 2 * np.pi, 2 * np.pi)),
+    "64": Grid((64, 64, 64), (2 * np.pi,) * 3),
+    "3D-unequal": Grid((32, 8, 16), L3),
+    "3D-128": KERNEL_GRIDS["3D-128"],
+    "2D": HALF_GRIDS["2D"],
+    "2D-128": Grid((16, 128), L2),
+}
+
+
+@pytest.mark.parametrize("name", PRUNED_GRIDS)
+def test_pruned_passes_keep_the_bits_of_the_full_passes(name, rng):
+    # on masked data (its zeros of either sign), every stage equals the one
+    # whose leading passes run on every line, bit for bit on the modes the
+    # mask keeps, and the forward ones are zero elsewhere; given arrays of
+    # NaN, and an irfft pad that rfft left stale
+    grid = PRUNED_GRIDS[name]
+    d, kept = grid.dim, grid.dealias_mask == 1.0
+    vals = rng.standard_normal((d,) + grid.shape)
+    band = dealias_spec(unmasked_band(grid, rng.standard_normal((d,) + grid.shape)), grid)
+    mat = rng.standard_normal((d, d) + grid.shape)
+    fwd, inv, (grad, samples), div = _full_pass_stages(grid, vals, band, mat, vals)
+
+    pad = np.full((d,) + grid.pad_shape[:-1] + (grid.sizes[-1] // 2 + 1,), np.nan, complex)
+    out = grid.rfft(vals, out=np.full_like(band, np.nan), pad=pad)
+    got_inv = grid.irfft(band, out=np.full(vals.shape, np.nan), pad=pad)
+    values = np.full(vals.shape, np.nan)
+    got_grad = gradient_values(band, grid, out=np.full(mat.shape, np.nan), values=values)
+    got_div = divergence_band(mat, grid, out=np.full_like(band, np.nan), minus=vals)
+    for got, want in ((out, fwd), (got_div, div)):
+        assert same_bits(got[..., kept], want[..., kept])
+        assert np.all(got[..., ~kept] == 0.0)
+    for got, want in ((got_inv, inv), (got_grad, grad), (values, samples)):
+        assert same_bits(got, want)
 
 
 def test_wavevector_lattice_contents():
