@@ -25,13 +25,9 @@ from .geometry import graded_metric_values  # noqa: F401
 from .grid import ForceWorkspace, Grid
 from .pressure import PICARD_ABS_TOL, PICARD_REL_TOL, PressureSolution
 from .pressure import _tensor_rhs_spec, solve_pressure_spec
-from .spectral import (
-    dealias_spec,
-    divergence_band,
-    gradient_values,
-    riesz_apply_spec,
-    weighted_norm_sq,
-)
+from .spectral import divergence_band, gradient_values, riesz_apply_spec, weighted_norm_sq
+# dealias_spec is not called here; perfbench/layers.py times it by this name
+from .spectral import dealias_spec  # noqa: F401
 
 DEGENERATE_REL_TOL = 1e-12  # |disc| <= tol * |k|^4 switches to the double-root limit
 
@@ -233,12 +229,12 @@ def compute_force(
     D is formed from B = A - I = B1 + B2 as B^T B + B + B^T, the same algebra
     as the sum of the graded pieces G_d, B^T B on its entries i <= j; I is
     never added and removed, so small deformations do not cancel. The same
-    D drives the pressure fixed point. It reads the masked bands of Y and
-    Yt, every spectrum in between lives on the band, and f and grad_p are
-    returned on the band. grad Yt comes with the samples of Yt, after D,
-    into the workspace's ``b``; the viscous flux is formed after the
-    pressure solve, so that f = mask (div(D grad Yt) - A grad_p) is one
-    ``divergence_band``.
+    D drives the pressure fixed point. It reads the state's bands of Y and
+    Yt, masked when the state was made, every spectrum in between lives on
+    the band, and f and grad_p are returned on the band. grad Yt comes with
+    the samples of Yt, after D, into the workspace's ``b``; the viscous
+    flux is formed after the pressure solve, so that f = mask (div(D grad
+    Yt) - A grad_p) is one ``divergence_band``.
 
     The 2/3 mask zeroes the Nyquist hyperplanes of the leading axes, where
     an odd multiplier leaves a real field's spectrum non-Hermitian and a
@@ -257,9 +253,7 @@ def compute_force(
     grid = state.grid
     if work is None:
         work = ForceWorkspace(grid)
-    y_band = dealias_spec(state.Y, grid, out=work.y_band)
-    yt_band = dealias_spec(state.Yt, grid, out=work.yt_band)
-    grad_y = gradient_values(y_band, grid, out=work.grad_y, work=work)
+    grad_y = gradient_values(state.Y, grid, out=work.grad_y, work=work)
     b, a_vals = cofactor_values(grad_y, out=(work.b, work.a))
     defect = work.defect
     for i, j in itertools.combinations_with_replacement(range(grid.dim), 2):
@@ -270,7 +264,7 @@ def compute_force(
 
     pair = work.b[:2]  # [d1 Y, Yt]: b is read no more
     np.copyto(pair[0], grad_y[:, 0])
-    grad_yt = gradient_values(yt_band, grid, out=work.grad_yt, work=work, values=pair[1])
+    grad_yt = gradient_values(state.Yt, grid, out=work.grad_yt, work=work, values=pair[1])
     rhs_band = _tensor_rhs_spec(grid, a_vals, pair, out=work.vec_band[0], work=work)
     pressure = solve_pressure_spec(
         grid, defect, rhs_band, pressure_tol, q0=q0, work=work
@@ -438,21 +432,22 @@ class LagrangianStepper:
     def step(self, state: FlowState, force: NonlinearForce = None) -> FlowState:
         """Advance one dt; force, when given, is self.force(state).
 
-        Works on bands: what the state holds outside the 2/3-retained modes
-        is dropped. The sums py + i0 f0 and (py + y_f0 f0) + k1 f1 go into
-        buffers, the f0 terms before f1 takes f0's band in the workspace.
+        Works on the state's bands, zero outside the 2/3 mask since the
+        state was made. The predictor state py + i0 f0 goes into the
+        workspace's ``y_band`` and ``yt_band``, and (py + y_f0 f0) + k1 f1
+        into the bands of the state returned, the f0 terms before f1 takes
+        f0's band in the workspace.
         """
         grid, dt, prop = self.grid, self.dt, self.propagator
         f0 = force if force is not None else self.force(state)
         f0h = f0.f.band
         work = self._work = self._work or ForceWorkspace(grid)
         tmp = work.mat_band[0]
-        y = dealias_spec(state.Y, grid, out=work.y_band)
-        yt = dealias_spec(state.Yt, grid, out=work.yt_band)
-        y_new, yt_new = prop.apply(y, yt, tmp)  # into the state the step returns
-        y_star = np.multiply(prop.i0, f0h, out=y)
+        # into the state the step returns
+        y_new, yt_new = prop.apply(state.Y, state.Yt, tmp)
+        y_star = np.multiply(prop.i0, f0h, out=work.y_band)
         y_star += y_new
-        yt_star = np.multiply(prop.phi1, f0h, out=yt)
+        yt_star = np.multiply(prop.phi1, f0h, out=work.yt_band)
         yt_star += yt_new
         y_new += np.multiply(prop.y_f0, f0h, out=tmp)
         yt_new += np.multiply(prop.yt_f0, f0h, out=tmp)
@@ -475,8 +470,7 @@ class LagrangianStepper:
 
     def step_linear(self, state: FlowState) -> FlowState:
         """Propagate with the forcing forced to zero (linear system)."""
-        y, yt = (dealias_spec(band, self.grid) for band in (state.Y, state.Yt))
-        y, yt = self.propagator.apply(y, yt)
+        y, yt = self.propagator.apply(state.Y, state.Yt)
         return FlowState(self.grid, y, yt, state.t + self.dt)
 
 
@@ -528,8 +522,8 @@ class EulerianStepper:
     Viscosity is treated exactly per mode; the magnetic field advances in the
     conservative curl(u x b) form so its divergence stays zero to round-off,
     with a spectral filter replacing the absent diffusion. The state and
-    every spectrum live on the band: data that starts inside the 2/3 mask
-    stays there.
+    every spectrum live on the band: a state is zero outside the 2/3 mask
+    from its construction, and the masked rfft of every product keeps it so.
 
     The momentum nonlinearity is taken in stress form, n = div(u u^T - b b^T),
     under Leray projection (Zang, Appl. Numer. Math. 7, 1991). For solenoidal
@@ -583,9 +577,10 @@ class EulerianStepper:
 
     def _rhs(self, u_band, b_band, out=None):
         """(rhs_u, h): the projected momentum right-hand side and the
-        induction term curl(u x b), masked bands. They are written into
-        ``out``, two (d,) bands, by default the first stage's buffers, which
-        the next call overwrites."""
+        induction term curl(u x b), masked bands of masked u and b, which it
+        does not mask again. They are written into ``out``, two (d,) bands,
+        by default the first stage's buffers, which the next call
+        overwrites."""
         grid, d, ik, tmp = self.grid, self.grid.dim, self.grid.ik, self._band_tmp
         rhs_u, h = self._stages[0] if out is None else out
         n = self._n
@@ -625,7 +620,6 @@ class EulerianStepper:
         for j in range(1, d):
             tmp += ik[j] * b_mean[j]
         n -= np.multiply(tmp, b_band, out=rhs_u)
-        dealias_spec(n, grid, out=n)
         riesz_apply_spec(n, grid, out=rhs_u)
         rhs_u -= n
 

@@ -15,6 +15,10 @@ axes by scipy's single-axis c2c (``lead_pass``), in 3D the pass that meets
 the mask on the lines it keeps only, the last axis (``last_forward``,
 ``last_inverse``) by a matmul against a pruned real DFT table for N_last <=
 MATMUL_MAX_LAST and by numpy's r2c/c2r past that.
+
+The mask is one float table; ``zero_dropped`` applies it in place, in the
+transforms, the two shared-pass kernels of ``spectral`` and a state's
+constructor (``geometry.check_bands``), so no step or force masks a band.
 """
 
 from __future__ import annotations
@@ -171,10 +175,6 @@ class Grid:
         object.__setattr__(self, "k1sq", k_axes[0] ** 2)
         object.__setattr__(self, "coords", coords)
         object.__setattr__(self, "dealias_mask", mask)
-        # the mask as complex bands take it: numpy would cast it on every call
-        object.__setattr__(self, "dealias_mask_complex", mask.astype(complex))
-        # inverse Laplacian restricted to the retained band
-        object.__setattr__(self, "masked_inv_k2", mask * inv_k2)
         object.__setattr__(self, "_dropped", tuple(dropped[:-1]))
         object.__setattr__(self, "_lines", lines)
         object.__setattr__(self, "multiplicity", multiplicity)
@@ -307,11 +307,6 @@ class Grid:
             cache[s] = w
         return cache[s]
 
-    def same_as(self, other: "Grid") -> bool:
-        if self is other:
-            return True
-        return self.sizes == other.sizes and np.allclose(self.lengths, other.lengths)
-
 
 class ForceWorkspace:
     """The arrays one force evaluation writes its intermediates into.
@@ -335,8 +330,8 @@ class ForceWorkspace:
 
     Bands (complex, ``grid.band_shape``):
 
-    - ``y_band``, ``yt_band``: (d,), the masked bands of Y and Yt, where
-      ``LagrangianStepper.step`` then forms its predictor state;
+    - ``y_band``, ``yt_band``: (d,), where ``LagrangianStepper.step`` forms
+      its predictor state;
     - ``mat_band``: (d, d), the stages of each ``divergence_band``: of Z A,
       then of the viscous flux less A grad_p; the stepper's scratch in [0];
     - ``vec_band``: (2, d), [0] the pressure right-hand side, then f, and

@@ -9,7 +9,7 @@ bracketed metric defect makes the map a contraction, so Picard iteration from
 the one-term truncation converges geometrically; the measured ratio is part of
 the solution object because it doubles as a smallness monitor. R maps into
 gradients, so every iterate is rhs - k q for one scalar potential q, and the
-iteration runs on q: one masked contraction and one residual per step.
+iteration runs on q: one contraction and one residual per step.
 
 A solve starts from a given potential q0 when there is one, and returns the
 potential it converged to, so a time stepper can start the next solve from
@@ -87,11 +87,11 @@ def solve_pressure_spec(grid: Grid, defect_vals, rhs_band, tol, q0=None, work=No
     """Picard iteration grad_p <- -R[defect . grad_p] + rhs from grad_p = rhs - k q0.
 
     Works on bands: rhs_band, q0 and the returned grad_p and potential.
-    The iterate is the scalar potential q of grad_p = rhs - k q,
-    with q = (mask inv_k2) (k . rfft(defect . grad_p)): R[v] = k inv_k2 (k . v),
-    on rfft's band, already zero outside the 2/3 mask that the table repeats. The
-    residual of a step is |grad_p_new - grad_p| = |k (q_new - q)|, summed over
-    the band with the Hermitian multiplicity carried by ``grid.norm_k2``.
+    The iterate is the scalar potential q of grad_p = rhs - k q, with
+    q = inv_k2 (k . rfft(defect . grad_p)): R[v] = k inv_k2 (k . v), on
+    rfft's band, zero outside the 2/3 mask. The residual of a step is
+    |grad_p_new - grad_p| = |k (q_new - q)|, summed over the band with the
+    Hermitian multiplicity carried by ``grid.norm_k2``.
 
     q0 is a starting potential, typically the ``potential`` of a solve nearby
     in time; None starts cold from q = 0, grad_p = rhs. The first residual is
@@ -124,7 +124,7 @@ def solve_pressure_spec(grid: Grid, defect_vals, rhs_band, tol, q0=None, work=No
         np.einsum("jm...,m...->j...", defect_vals, gp_real, out=mgp)
         # grad_p's samples are taken: its band holds the spectra until q is formed
         _k_contract(grid.rfft(mgp, out=gp, pad=pad), k, out=q, tmp=tmp)
-        q *= grid.masked_inv_k2
+        q *= grid.inv_k2
         for i in range(grid.dim):
             np.multiply(k[i], q, out=gp[i])
         np.subtract(rhs_band, gp, out=gp)

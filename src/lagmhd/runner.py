@@ -286,7 +286,7 @@ def _initial_state(config: RunConfig, grid: Grid):
             raise ConfigError(
                 f"checkpoint holds a {type(state).__name__}, not a {kind.__name__}"
             )
-        if not state.grid.same_as(grid):
+        if state.grid != grid:
             raise ConfigError("checkpoint grid does not match the configured grid")
         return state
     flow = _checked_data(grid, config.initial_data_spec())

@@ -88,9 +88,10 @@ def divergence_spec(spec, grid: Grid, out=None):
 
 
 def dealias_spec(spec, grid: Grid, out=None):
-    """spec times the 2/3 mask, a complex band times its complex copy."""
-    mask = grid.dealias_mask_complex if np.iscomplexobj(spec) else grid.dealias_mask
-    return np.multiply(spec, mask, out=out)
+    """spec times the 2/3 mask. No run path calls it: every band the program
+    makes is zero outside the mask (``Grid.rfft``, ``divergence_band`` and
+    the state constructors' ``check_bands``); perfbench times it by name."""
+    return np.multiply(spec, grid.dealias_mask, out=out)
 
 
 # -- norms --------------------------------------------------------------------

@@ -249,7 +249,7 @@ def test_flow_checkpoint_round_trip(tmp_path, grid3, rng):
     assert back.t == state.t
     assert np.array_equal(back.Y, grid3.rfft(grid3.irfft(state.Y)))
     assert np.array_equal(back.Yt, grid3.rfft(grid3.irfft(state.Yt)))
-    assert back.grid.same_as(grid3)
+    assert back.grid == grid3
 
 
 def test_euler_checkpoint_round_trip(tmp_path, grid2, rng):

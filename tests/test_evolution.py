@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import math
 import os
 import tracemalloc
@@ -8,7 +9,7 @@ import pytest
 import scipy.fft as sfft
 from scipy.integrate import quad
 
-from lagmhd import evolution
+from lagmhd import evolution, pressure
 from lagmhd.config import RunConfig
 from lagmhd.errors import NotConvergedError
 
@@ -32,7 +33,7 @@ from lagmhd.evolution import (
     compute_force,
     propagator_matrix,
 )
-from lagmhd.initial_data import build_flow_state, default_spec, scaled_spec
+from lagmhd.initial_data import build_flow_state, default_spec, euler_from_flow, scaled_spec
 from lagmhd.runner import compare_formulations, run_simulation
 from lagmhd.spectral import (
     dealias_spec,
@@ -360,8 +361,9 @@ def test_force_takes_one_inverse_transform_per_gradient(monkeypatch, sizes):
 
 @pytest.mark.parametrize("sizes", [(16, 16, 16), (32, 32)], ids=["3D", "2D"])
 def test_force_of_a_state_is_that_of_its_projection(sizes, rng):
-    # what a state holds outside the 2/3-retained modes (round-off in a state
-    # read from a checkpoint) does not reach the force
+    # a state's constructor masks the bands it is given: what a band holds
+    # outside the 2/3-retained modes (here Grid.fft's, as perfbench's scaled
+    # force has) is dropped there and never reaches the force
     grid = Grid(sizes, (2 * np.pi,) * len(sizes))
     built = build_flow_state(grid, scaled_spec(default_spec(grid.dim, None), 0.05))
     shape = (grid.dim,) + grid.shape
@@ -374,6 +376,8 @@ def test_force_of_a_state_is_that_of_its_projection(sizes, rng):
     projected = FlowState(grid, *(dealias_spec(b, grid) for b in bands), 0.0)
     got, want = compute_force(state), compute_force(projected)
     assert np.abs(bands[0] - projected.Y).max() > 0.0
+    assert np.array_equal(state.Y, projected.Y)
+    assert np.array_equal(state.Yt, projected.Yt)
     assert np.array_equal(got.f.band, want.f.band)
     assert np.array_equal(got.pressure.grad_p, want.pressure.grad_p)
     assert np.array_equal(got.grad_y, want.grad_y)
@@ -470,7 +474,8 @@ def test_a_step_keeps_the_bits_of_the_sums_on_fresh_bands(monkeypatch, sizes):
         seen.clear()
         new = stepper.step(state, stepper.force(state) if given else None)
         (_, _, f0), (y_star, yt_star, f1) = seen
-        y, yt = dealias_spec(state.Y, grid), dealias_spec(state.Yt, grid)
+        # the state's bands, masked on construction, as the step reads them
+        y, yt = state.Y, state.Yt
         py = prop.phi0 * y + prop.phi1 * yt
         pyt = prop.dphi0 * y + prop.dphi1 * yt
         assert same_bits(y_star, py + prop.i0 * f0)
@@ -947,6 +952,52 @@ def test_every_band_the_program_makes_is_zero_outside_the_mask(sizes, tmp_path):
             if isinstance(band, np.ndarray):
                 assert np.abs(band[..., ~dropped]).max() > 0.0
                 assert not np.any(band[..., dropped])
+
+
+@pytest.mark.parametrize("kind", [FlowState, EulerState], ids=["flow", "euler"])
+@pytest.mark.parametrize("sizes", [(16, 8, 16), (32, 16)], ids=["3D", "2D"])
+def test_a_state_holds_its_bands_masked(kind, sizes, rng):
+    # an unmasked band is held as its masked copy, the caller's array left
+    # as it was; a masked band is held as the very array given
+    grid = Grid(sizes, (2 * np.pi,) * len(sizes))
+    shape = (grid.dim,) + grid.shape
+    raw = unmasked_band(grid, rng.standard_normal(shape))
+    given = raw.copy()
+    masked = grid.rfft(rng.standard_normal(shape))
+    state = kind(grid, raw, masked, 0.0)
+    first, second = (getattr(state, f.name) for f in dataclasses.fields(kind)[1:3])
+    assert np.any(raw * (1.0 - grid.dealias_mask))
+    assert same_bits(raw, given)
+    assert first is not raw and np.array_equal(first, dealias_spec(given, grid))
+    assert not np.any(first * (1.0 - grid.dealias_mask))
+    assert second is masked
+
+
+def test_the_run_paths_do_not_mask_again(monkeypatch):
+    # a state's bands are masked when it is made, so the Lagrangian force
+    # and steps, the Eulerian step and a compare never call the mask
+    def raising(*args, **kwargs):
+        raise AssertionError("dealias_spec called on a run path")
+
+    monkeypatch.setattr(evolution, "dealias_spec", raising)
+    monkeypatch.setattr(pressure, "dealias_spec", raising)
+    for sizes in [(16, 16, 16), (32, 32)]:
+        grid = Grid(sizes, (16.0,) + (2 * np.pi,) * (len(sizes) - 1))
+        flow = build_flow_state(grid, scaled_spec(default_spec(grid.dim, None), 0.05))
+        stepper = LagrangianStepper(grid, 0.05)
+        stepped = stepper.step(flow, stepper.force(flow))
+        assert not np.array_equal(stepped.Y, stepper.step_linear(flow).Y)
+        EulerianStepper(grid, 0.05).step(euler_from_flow(flow))
+    cfg = RunConfig(
+        dimension=3,
+        sizes=(16, 16, 16),
+        lengths=(16.0, 2 * np.pi, 2 * np.pi),
+        dt=0.05,
+        t_end=0.25,
+        solver="both",
+    )
+    report = compare_formulations(cfg)
+    assert 0.0 < report.max_u_discrepancy < 1e-6
 
 
 def test_nan_detection():

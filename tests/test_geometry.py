@@ -281,9 +281,11 @@ def test_flow_state_rejects_mismatched_grids(grid3):
         FlowState(grid3, zero_band(grid3), zero_band(other))
     with pytest.raises(ValueError, match="Y "):
         FlowState(grid3, zero_band(grid3)[:2], zero_band(grid3))
-    # a grid is the same as itself, and as another of equal sizes and lengths
+    # a grid equals another of equal sizes and lengths, and no other: not
+    # one whose lengths are those of a five-figure 2 pi
     same = Grid(grid3.sizes, grid3.lengths)
-    assert grid3.same_as(grid3) and grid3.same_as(same)
+    assert grid3 == same
+    assert Grid(grid3.sizes, (6.2832,) * 3) != Grid(grid3.sizes, (2 * np.pi,) * 3)
     FlowState(grid3, zero_band(grid3), zero_band(same))
 
 

@@ -262,6 +262,21 @@ def test_solver_paths_reject_the_same_bad_configs(tmp_path, solver):
             )
 
 
+@pytest.mark.parametrize("solver", ["lagrangian", "eulerian"])
+def test_a_checkpoint_from_another_box_is_refused(tmp_path, solver):
+    # lengths that agree with 2 pi to five figures are another box: a 16^2
+    # checkpoint on them does not resume under the default lengths
+    grid = Grid((16, 16), (6.2832, 6.2832))
+    kind = {"lagrangian": FlowState.zeros, "eulerian": EulerState.equilibrium}
+    ckpt = str(tmp_path / "box.ckpt")
+    write_checkpoint(ckpt, kind[solver](grid))
+    assert read_checkpoint(ckpt).grid == grid
+    cfg = RunConfig(dimension=2, sizes=(16, 16), solver=solver, checkpoint_in=ckpt,
+                    output_dir=str(tmp_path / "out"))
+    with pytest.raises(ConfigError, match="grid does not match"):
+        run_simulation(cfg)
+
+
 def test_eulerian_abort_leaves_checkpoint_and_report(tmp_path, monkeypatch):
     step = EulerianStepper.step
     calls = []

@@ -170,18 +170,18 @@ def test_dealias_zeroes_top_third_and_is_idempotent(grid3, rng):
     assert np.array_equal(d1, d2)
 
 
-def test_dealias_with_the_complex_mask_keeps_the_float_masks_bits(grid3, rng):
-    # the complex mask is the cast numpy makes of the float one, so every
-    # product keeps its bits, signed zeros included
-    band = grid3.rfft(rng.standard_normal((3,) + grid3.shape))
-    band[0, ..., 0].imag = -0.0
-    band[1] = -band[1]
-    want = np.multiply(band, grid3.dealias_mask)
-    got = dealias_spec(band, grid3)
-    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+def test_dealias_spec_masks_as_zero_dropped_does(grid3, rng):
+    # dealias_spec, the tests' oracle and the name perfbench times, multiplies
+    # by the float mask; zero_dropped, the mask of the run paths, zeroes the
+    # dropped blocks in place: on a band that holds modes outside the mask
+    # both give the same values, and a float table stays float
+    band = unmasked_band(grid3, rng.standard_normal((3,) + grid3.shape))
+    assert np.any(band * (1.0 - grid3.dealias_mask))
+    want = grid3.zero_dropped(band.copy())
+    assert np.array_equal(dealias_spec(band, grid3), want)
     values = rng.standard_normal(grid3.band_shape)
     got = dealias_spec(values, grid3)
-    assert got.dtype == float and np.array_equal(got, values * grid3.dealias_mask)
+    assert got.dtype == float and np.array_equal(got, grid3.zero_dropped(values.copy()))
 
 
 @pytest.mark.parametrize("sizes", [(16, 8, 32), (32, 16)], ids=["3D", "2D"])
@@ -192,11 +192,15 @@ def test_dealias_mask_is_the_per_axis_two_thirds_rule(sizes):
     kept = kept[..., : grid.band_shape[-1]]
     assert grid.dealias_mask.dtype == float
     assert np.array_equal(grid.dealias_mask, kept.astype(float))
-    assert np.array_equal(grid.dealias_mask_complex, kept.astype(complex))
-    masked = grid.masked_inv_k2
-    assert np.all(masked[~kept] == 0.0)
-    assert masked[(0,) * grid.dim] == 0.0
-    assert np.array_equal(masked[kept], grid.inv_k2[kept])
+    # zero_dropped, which the transforms and the state constructors apply,
+    # zeroes the same modes, and a masked band times inv_k2, the Picard
+    # potential's symbol, is 0 on the mean mode and outside the mask
+    ones = np.ones(grid.band_shape, dtype=complex)
+    assert np.array_equal(grid.zero_dropped(ones), kept.astype(complex))
+    potential = ones * grid.inv_k2
+    assert np.all(potential[~kept] == 0.0)
+    assert potential[(0,) * grid.dim] == 0.0
+    assert np.array_equal(potential[kept], grid.inv_k2[kept])
 
 
 # non-cubic sizes and unequal lengths, so that a transposed axis shows
@@ -291,7 +295,7 @@ def test_half_tables_are_the_first_last_axis_planes(name):
     assert grid.band_shape == grid.shape[:-1] + (nb,)
     for kh, kf in zip(grid.k_axes, full.k_axes):
         assert np.array_equal(kh, kf[cut])
-    for table in ("k2", "k1sq", "inv_k2", "masked_inv_k2", "dealias_mask"):
+    for table in ("k2", "k1sq", "inv_k2", "dealias_mask"):
         assert np.array_equal(getattr(grid, table), getattr(full, table)[cut])
     for s in range(5):
         assert np.array_equal(grid.hs_weight(s), full.hs_weight(s)[cut])
