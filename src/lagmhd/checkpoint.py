@@ -6,8 +6,8 @@ sizes u32 per axis, lengths f64 per axis, time f64, solver tag u32
 (C) order: Y then Yt for the Lagrangian form, u then b for the Eulerian
 one. The data are the real samples of the state's bands, ``Grid.irfft``
 of each, and reading them back takes their ``Grid.rfft``: that moves a
-band's kept modes by round-off, up to 2e-16 relative (the rest read back
-zero), so a restart is not bit for bit (ROADMAP item 2). An Eulerian file
+band's modes by round-off, up to 2e-16 relative, so a restart is not bit
+for bit (ROADMAP item 2). An Eulerian file
 ends in one more scalar block, where earlier versions of the program
 stored a diagnostic pressure: it is written as zeros and never read, so
 those files load too.

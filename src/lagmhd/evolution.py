@@ -151,9 +151,10 @@ class LinearPropagator:
     Everything lives on the band: the stability check of the characteristic
     roots and the stepping blocks; ``apply`` acts on bands. The blocks are
     elementwise in (|k|^2, k1^2), which is even in every leading wavenumber,
-    so they are evaluated on n_i in {0, ..., N_i/2} of each leading axis and
-    gathered through |n_i| (the -N_i/2 index maps to N_i/2); k(-n) = -k(n)
-    holds exactly, so that is the evaluation on the whole band bit for bit.
+    so they are evaluated on n_i in {0, ..., c_i}, the first c_i + 1 modes
+    of each leading axis of the band, and gathered through |n_i|
+    (``grid.modes``); k(-n) = -k(n) holds exactly, so that is the
+    evaluation on the whole band bit for bit.
     """
 
     grid: Grid
@@ -163,27 +164,29 @@ class LinearPropagator:
         grid, dt = self.grid, self.dt
         if dt <= 0:
             raise ValueError("dt must be positive")
-        lead = grid.sizes[:-1]
-        half = tuple(slice(0, n // 2 + 1) for n in lead)
+        lead = grid.modes[:-1]
+        half = tuple(slice(0, len(n) // 2 + 1) for n in lead)
         a = grid.k2[half]
         b = np.broadcast_to(grid.k1sq[half[:1]], a.shape)
         lp, lm = roots = characteristic_roots(a, b)
         if lp.real.max() > 1e-13 or lm.real.max() > 1e-13:
             raise AssertionError("unstable characteristic root on the lattice")
 
-        fold = np.ix_(
-            *(np.minimum(np.arange(n), n - np.arange(n)) for n in lead),
-            np.arange(grid.band_shape[-1]),
+        fold = np.ix_(*(np.abs(n) for n in lead), grid.modes[-1])
+        phi0, phi1, dphi1 = (e[fold] for e in _phi_entries(a, b, dt, roots))
+        i0, k1 = (e[fold] for e in _integral_entries(a, b, dt, roots))
+        # corrector weights: Y gains y_f0 f0 + k1 f1, Yt gains yt_f0 f0 + yt_f1 f1;
+        # every block complex, x + 0j, as numpy casts it for a product with a band
+        (
+            self.phi0, self.phi1, self.dphi0, self.dphi1, self.i0, self.k1,
+            self.y_f0, self.yt_f0, self.yt_f1,
+        ) = (
+            block.astype(complex)
+            for block in (
+                phi0, phi1, -grid.k1sq * phi1, dphi1, i0, k1,
+                i0 - k1, phi1 - i0 / dt, i0 / dt,
+            )
         )
-        self.phi0, self.phi1, self.dphi1 = (
-            e[fold] for e in _phi_entries(a, b, dt, roots)
-        )
-        self.dphi0 = -grid.k1sq * self.phi1
-        self.i0, self.k1 = (e[fold] for e in _integral_entries(a, b, dt, roots))
-        # corrector weights: Y gains y_f0 f0 + k1 f1, Yt gains yt_f0 f0 + yt_f1 f1
-        self.y_f0 = self.i0 - self.k1
-        self.yt_f0 = self.phi1 - self.i0 / dt
-        self.yt_f1 = self.i0 / dt
 
     def apply(self, y_band, yt_band, tmp=None):
         """Fresh (phi0 y + phi1 yt, dphi0 y + dphi1 yt); ``tmp`` takes phi1 yt."""
@@ -230,15 +233,15 @@ def compute_force(
     as the sum of the graded pieces G_d, B^T B on its entries i <= j; I is
     never added and removed, so small deformations do not cancel. The same
     D drives the pressure fixed point. It reads the state's bands of Y and
-    Yt, masked when the state was made, every spectrum in between lives on
-    the band, and f and grad_p are returned on the band. grad Yt comes with
-    the samples of Yt, after D, into the workspace's ``b``; the viscous
-    flux is formed after the pressure solve, so that f = mask (div(D grad
-    Yt) - A grad_p) is one ``divergence_band``.
+    Yt, every spectrum in between lives on the band, and f and grad_p are
+    returned on the band. grad Yt comes with the samples of Yt, after D,
+    into the workspace's ``b``; the viscous flux is formed after the
+    pressure solve, so that f, the band of div(D grad Yt) - A grad_p, is
+    one ``divergence_band``.
 
-    The 2/3 mask zeroes the Nyquist hyperplanes of the leading axes, where
-    an odd multiplier leaves a real field's spectrum non-Hermitian and a
-    band could not hold what the full spectrum does.
+    The band holds no mode on the Nyquist hyperplanes of the leading axes,
+    where an odd multiplier leaves a real field's spectrum non-Hermitian and
+    a band could not hold what the full spectrum does.
 
     q0, a pressure potential band, is where the Picard solve starts
     (``solve_pressure_spec``); without it the solve starts cold, and the
@@ -392,7 +395,7 @@ class LagrangianStepper:
         if self._grad_p_norm is not None:
             tol = max(tol, PICARD_REL_TOL * self._grad_p_norm)
         force = compute_force(state, pressure_tol=tol, q0=q0, work=work)
-        grid, gp, out = self.grid, force.pressure.grad_p, work.mat_band[0]
+        grid, gp, out = self.grid, force.pressure.grad_p, work.vec_band[2]
         self._grad_p_norm = np.sqrt(weighted_norm_sq(gp, grid.multiplicity, grid, out))
         return force
 
@@ -432,17 +435,16 @@ class LagrangianStepper:
     def step(self, state: FlowState, force: NonlinearForce = None) -> FlowState:
         """Advance one dt; force, when given, is self.force(state).
 
-        Works on the state's bands, zero outside the 2/3 mask since the
-        state was made. The predictor state py + i0 f0 goes into the
-        workspace's ``y_band`` and ``yt_band``, and (py + y_f0 f0) + k1 f1
-        into the bands of the state returned, the f0 terms before f1 takes
-        f0's band in the workspace.
+        Works on the state's bands. The predictor state py + i0 f0 goes into
+        the workspace's ``y_band`` and ``yt_band``, and (py + y_f0 f0) + k1
+        f1 into the bands of the state returned, the f0 terms before f1
+        takes f0's band in the workspace.
         """
         grid, dt, prop = self.grid, self.dt, self.propagator
         f0 = force if force is not None else self.force(state)
         f0h = f0.f.band
         work = self._work = self._work or ForceWorkspace(grid)
-        tmp = work.mat_band[0]
+        tmp = work.vec_band[2]
         # into the state the step returns
         y_new, yt_new = prop.apply(state.Y, state.Yt, tmp)
         y_star = np.multiply(prop.i0, f0h, out=work.y_band)
@@ -511,7 +513,7 @@ def _magnetic_filter(grid: Grid):
     r = np.zeros(grid.band_shape)
     for i, n in enumerate(grid.sizes):
         ncut = int(np.ceil(n / 3.0)) - 1
-        frac = np.abs(np.fft.fftfreq(n) * n)[: grid.band_shape[i]] / max(ncut, 1)
+        frac = np.abs(grid.modes[i]) / max(ncut, 1)
         r = np.maximum(r, frac.reshape([-1 if j == i else 1 for j in range(grid.dim)]))
     return np.exp(-36.0 * np.minimum(r, 1.0) ** 36)
 
@@ -522,8 +524,8 @@ class EulerianStepper:
     Viscosity is treated exactly per mode; the magnetic field advances in the
     conservative curl(u x b) form so its divergence stays zero to round-off,
     with a spectral filter replacing the absent diffusion. The state and
-    every spectrum live on the band: a state is zero outside the 2/3 mask
-    from its construction, and the masked rfft of every product keeps it so.
+    every spectrum live on the band, the modes the 2/3 mask keeps, and the
+    rfft of every product lands there.
 
     The momentum nonlinearity is taken in stress form, n = div(u u^T - b b^T),
     under Leray projection (Zang, Appl. Numer. Math. 7, 1991). For solenoidal
@@ -577,10 +579,9 @@ class EulerianStepper:
 
     def _rhs(self, u_band, b_band, out=None):
         """(rhs_u, h): the projected momentum right-hand side and the
-        induction term curl(u x b), masked bands of masked u and b, which it
-        does not mask again. They are written into ``out``, two (d,) bands,
-        by default the first stage's buffers, which the next call
-        overwrites."""
+        induction term curl(u x b), bands of the bands u and b. They are
+        written into ``out``, two (d,) bands, by default the first stage's
+        buffers, which the next call overwrites."""
         grid, d, ik, tmp = self.grid, self.grid.dim, self.grid.ik, self._band_tmp
         rhs_u, h = self._stages[0] if out is None else out
         n = self._n
@@ -611,7 +612,7 @@ class EulerianStepper:
         prod_band = grid.rfft(prod, out=self._prod_band, pad=self._pad[: len(prod)])
         stress, w_band = prod_band[: self._nstress], prod_band[self._nstress :]
 
-        # n_i = sum_j i k_j T_ij - i (k . B0) b_i, masked
+        # n_i = sum_j i k_j T_ij - i (k . B0) b_i
         for i in range(d):
             np.multiply(ik[0], stress[self._entry[i, 0]], out=n[i])
             for j in range(1, d):

@@ -1,7 +1,8 @@
 """The force field of ``NonlinearForce``, with lazily cached representations.
 
-No state holds one: ``FlowState`` and ``EulerState`` hold bands, the first K
-last-axis planes of the normalized Fourier coefficients (see ``grid``), and
+No state holds one: ``FlowState`` and ``EulerState`` hold bands, the
+normalized Fourier coefficients of the modes the 2/3 mask keeps with
+k_last >= 0 (see ``grid``), and
 b0 is given to ``construct_initial_map`` as samples and to
 ``check_admissible`` as a callable. A ``VectorField`` is left in one role:
 ``NonlinearForce.f``, because perfbench's scaled-force gate
@@ -60,7 +61,7 @@ class VectorField:
 
     @classmethod
     def from_band(cls, grid: Grid, band):
-        """Field that is zero outside the band; ``band`` is its first K planes."""
+        """Field that is zero outside the band."""
         return cls(grid, band=np.asarray(band, dtype=complex))
 
     @property
@@ -83,10 +84,10 @@ class VectorField:
 
     @property
     def band(self):
-        """The first K last-axis planes of the spectrum; what lies outside is dropped."""
+        """The modes of the spectrum the 2/3 mask keeps; the rest is dropped."""
         if self._band is None:
             if self._spec is not None:
-                self._band = self._spec[..., : self.grid.band_shape[-1]]
+                self._band = self.grid.gather(self._spec)
             else:
                 self._band = self.grid.rfft(self._values)
         return self._band

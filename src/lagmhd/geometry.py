@@ -19,28 +19,25 @@ from .spectral import divergence_norm, gradient_values
 
 
 def check_bands(state, names):
-    """Cast each named field of a state to a complex array, check it has the
-    shape of a vector band of the state's grid, (d, *grid.band_shape), and
-    hold it zero outside the 2/3 mask: a band with a non-zero entry there is
-    replaced by its masked copy, a masked one is held as given, so the
-    caller's array is never written and no step or force masks a state's
-    bands again. Raises ValueError naming the first field of another shape."""
+    """Cast each named field of a state to a complex array and check it has
+    the shape of a vector band of the state's grid, (d, *grid.band_shape):
+    a band holds only the modes the 2/3 mask keeps, so no step or force
+    masks a state's bands. Raises ValueError naming the first field of
+    another shape, a band of the wide (N0[, N1], K) layout among them."""
     grid = state.grid
     shape = (grid.dim,) + grid.band_shape
     for name in names:
         band = np.asarray(getattr(state, name), dtype=complex)
         if band.shape != shape:
             raise ValueError(f"{name} has shape {band.shape}, not the band's {shape}")
-        if any(band[block].any() for block in grid._dropped):
-            band = grid.zero_dropped(band.copy())
         setattr(state, name, band)
 
 
 @dataclass
 class FlowState:
     """Lagrangian unknowns at time t: the bands of the displacement Y and the
-    trajectory velocity Yt, complex (d, *grid.band_shape) arrays, held zero
-    outside the 2/3 mask (``check_bands``).
+    trajectory velocity Yt, complex (d, *grid.band_shape) arrays
+    (``check_bands``).
 
     A state is treated as immutable, a rule no type enforces: no step, force
     or sample writes into the arrays of a state it is given, and a state may

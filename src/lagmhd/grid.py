@@ -5,20 +5,24 @@ magnetic field points along it, and all anisotropic weights single out k1.
 Component axes of vector/matrix data always come first, so spatial axes are
 the last ``dim`` axes and spectral transforms act on those.
 
-A real field has one spectral representation, its band: the first
-K = ceil(N_last/3) last-axis planes (k_last = 0, ..., K - 1) of its
-normalized Fourier coefficients, exactly the k_last >= 0 planes the 2/3
-mask keeps, zero outside the mask; the k_last < 0 planes are their complex
-conjugates. A ``Grid`` keeps its spectral tables on the band only, and
-``rfft``/``irfft`` go between samples and bands in two stages: the leading
-axes by scipy's single-axis c2c (``lead_pass``), in 3D the pass that meets
-the mask on the lines it keeps only, the last axis (``last_forward``,
-``last_inverse``) by a matmul against a pruned real DFT table for N_last <=
-MATMUL_MAX_LAST and by numpy's r2c/c2r past that.
-
-The mask is one float table; ``zero_dropped`` applies it in place, in the
-transforms, the two shared-pass kernels of ``spectral`` and a state's
-constructor (``geometry.check_bands``), so no step or force masks a band.
+A real field has one spectral representation, its band: the normalized
+Fourier coefficients of the modes the 2/3 mask keeps with k_last >= 0,
+|n_i| <= ceil(N_i/3) - 1 on each leading axis and the first K =
+ceil(N_last/3) last-axis planes (k_last = 0, ..., K - 1), the k_last < 0
+planes being their complex conjugates. The band is FFT-ordered with the
+dropped middle block of each leading axis cut out, 2 ceil(N_i/3) - 1 modes
+on it, so a negative index names the same wavenumber as in the full
+spectrum (n = -1 is index -1). A ``Grid`` keeps its spectral tables on the
+band only, and ``rfft``/``irfft`` go between samples and bands in two
+stages on the wide (N0[, N1], K) layout, which only a transform's scratch
+and the symbols of its stages hold: the leading axes by scipy's
+single-axis c2c (``lead_pass``), in 3D the pass that meets the mask on the
+lines it keeps only, the last axis (``last_forward``, ``last_inverse``) by
+a matmul against a pruned real DFT table for N_last <= MATMUL_MAX_LAST and
+by numpy's r2c/c2r past that.
+``scatter`` puts a band into that layout, zeros in the dropped blocks
+(``zero_dropped``), and ``gather`` takes it back out, so no band holds a
+mode the mask drops and none is masked.
 """
 
 from __future__ import annotations
@@ -78,15 +82,19 @@ def _dft_tables(n: int):
 class Grid:
     """Uniform periodic grid on a box of per-axis lengths L_i with N_i points.
 
-    Wavevectors follow FFT ordering, k_i = (2*pi/L_i) * n_i with
-    n_i in {0, ..., N_i/2 - 1, -N_i/2, ..., -1} on the leading axes and
-    n_last in {0, ..., K - 1} on the last: every spectral table is a table
-    on the band, of shape ``band_shape``. ``k2``, ``k1sq`` and ``ik`` are
-    the |k|^2, k1^2 and i k_j symbols. ``multiplicity`` is the Hermitian
-    multiplicity of each plane (the k_last = 0 plane once, every other plane
-    twice, for its k_last < 0 partner), so a sum over the band weighted by
-    it equals the sum over the full spectrum of a real field that is zero
-    outside the band. ``norm_k2`` is |k|^2 times that multiplicity.
+    Wavevectors follow FFT ordering, k_i = (2*pi/L_i) * n_i, on the band:
+    ``modes[i]`` holds the n_i of axis i, {0, ..., c_i, -c_i, ..., -1} with
+    c_i = ceil(N_i/3) - 1 on the leading axes and {0, ..., K - 1} on the
+    last, and every spectral table is a table on the band, of shape
+    ``band_shape``. ``k2``, ``k1sq`` and ``ik`` are the |k|^2, k1^2 and i
+    k_j symbols. ``multiplicity`` is the Hermitian multiplicity of each
+    plane (the k_last = 0 plane once, every other plane twice, for its
+    k_last < 0 partner), so a sum over the band weighted by it equals the
+    sum over the full spectrum of a real field that is zero outside the
+    band. ``norm_k2`` is |k|^2 times that multiplicity. ``k``, ``inv_k2``
+    and ``norm_k2``, which only multiply complex bands, are complex whole-
+    band tables, x + 0j: numpy casts a real table so and buffers a broadcast
+    one, and the products keep their bits.
     """
 
     sizes: tuple
@@ -111,47 +119,58 @@ class Grid:
         dim = len(sizes)
         spacings = tuple(l / n for n, l in zip(sizes, lengths))
         nb = int(np.ceil(sizes[-1] / 3.0))
-        band_shape = sizes[:-1] + (nb,)
+        # 2/3 rule: keep |n_i| <= c_i = ceil(N_i/3) - 1 per axis so that
+        # products of retained modes alias only onto discarded ones; on a
+        # leading axis the band keeps n_i = 0..c_i and -c_i..-1, FFT-ordered
+        ncuts = [int(np.ceil(n / 3.0)) - 1 for n in sizes[:-1]]
+        modes = tuple(np.r_[0 : c + 1, -c:0] for c in ncuts) + (np.arange(nb),)
+        band_shape = tuple(len(m) for m in modes)
 
         def along(i, table):
-            """Per-axis table as a view along axis i, the last axis on the band."""
-            if i == dim - 1:
-                table = table[:nb]
+            """Per-axis table as a view along axis i."""
             return table.reshape([-1 if j == i else 1 for j in range(dim)])
 
-        k_axes = tuple(
-            along(i, 2.0 * np.pi * np.fft.fftfreq(n, d=h))
+        # k_i of the N_i FFT-ordered modes of each axis, the first K of the
+        # last; the band's are the entries of its modes
+        wide_k = tuple(
+            2.0 * np.pi * np.fft.fftfreq(n, d=h)[: None if i < dim - 1 else nb]
             for i, (n, h) in enumerate(zip(sizes, spacings))
         )
+        k_axes = tuple(along(i, k[modes[i] % len(k)]) for i, k in enumerate(wide_k))
         k2 = np.zeros(band_shape)
         for ka in k_axes:
             k2 = k2 + ka**2
         # inverse Laplacian symbol, 0 on the mean mode
         inv_k2 = np.zeros(band_shape)
         np.divide(1.0, k2, out=inv_k2, where=k2 > 0)
-        # 2/3 rule: keep |n_i| < N_i/3 per axis so that products of retained
-        # modes alias only onto discarded ones; stored as 0.0/1.0 so that a
-        # multiply applies it; along axis i it keeps the blocks 0..ncut and
-        # N_i - ncut..N_i - 1 of a band. In 3D the leading pass that meets it
-        # runs on the lines it keeps, by (inverse, axis): the forward one along
-        # axis -2 on the kept n0 rows, the inverse one along -3 on the kept n1
-        # columns; every other pass runs on the whole band
-        mask = np.ones(band_shape)
-        kept, dropped = [], []
-        for i, n in enumerate(sizes):
-            ncut = int(np.ceil(n / 3.0)) - 1
-            mask = mask * along(i, np.abs(np.fft.fftfreq(n) * n) <= ncut)
+        # the wide layout of a transform's scratch, by leading axis i: the
+        # (wide, band) slices of the kept blocks and the wide slice of the
+        # dropped one. In 3D the leading pass that meets the mask runs on the
+        # lines it keeps, by (inverse, axis): the forward one along axis -2
+        # on the kept n0 rows, the inverse one along -3 on the kept n1
+        # columns; every other pass runs on the whole scratch
+        kept, dropped, lines_kept = [], [], []
+        for i, (n, c) in enumerate(zip(sizes, ncuts)):
             rest = (slice(None),) * (dim - 1 - i)
-            blocks = (slice(0, ncut + 1), slice(n - ncut, n))
-            kept.append(tuple((Ellipsis, b) + rest for b in blocks if b.start < b.stop))
-            dropped.append((Ellipsis, slice(ncut + 1, n - ncut)) + rest)
+            pairs = [(slice(0, c + 1), slice(0, c + 1))]
+            if c:
+                pairs.append((slice(n - c, n), slice(c + 1, 2 * c + 1)))
+            kept.append(tuple(pairs))
+            lines_kept.append(tuple((Ellipsis, w) + rest for w, _ in pairs))
+            dropped.append((Ellipsis, slice(c + 1, n - c)) + rest)
+        last = (slice(0, nb),)
+        blocks = tuple(
+            ((Ellipsis,) + tuple(w for w, _ in combo) + last,
+             (Ellipsis,) + tuple(b for _, b in combo) + last)
+            for combo in itertools.product(*kept)
+        )
         lines = dict.fromkeys(itertools.product((False, True), (-3, -2)), ((Ellipsis,),))
         if dim == 3:
-            lines.update({(False, -2): kept[0], (True, -3): kept[1]})
+            lines.update({(False, -2): lines_kept[0], (True, -3): lines_kept[1]})
         multiplicity = np.full(nb, 2.0)
         multiplicity[0] = 1.0
         # a plane buffer's last axis: the band, all the matmul stage reads,
-        # or the N_last/2 + 1 planes of numpy's c2r
+        # or the N_last/2 + 1 planes of numpy's r2c
         pad_last = nb if sizes[-1] <= MATMUL_MAX_LAST else sizes[-1] // 2 + 1
         coords = tuple(
             (spacings[i] * np.arange(sizes[i])).reshape(
@@ -164,21 +183,33 @@ class Grid:
         object.__setattr__(self, "spacings", spacings)
         object.__setattr__(self, "volume", float(np.prod(lengths)))
         object.__setattr__(self, "npoints", int(np.prod(sizes)))
+        object.__setattr__(self, "modes", modes)
         object.__setattr__(self, "band_shape", band_shape)
         object.__setattr__(self, "pad_shape", sizes[:-1] + (pad_last,))
         object.__setattr__(self, "k_axes", k_axes)
         # the symbols i k_j on the whole band: numpy buffers a broadcast operand
         ik = tuple(np.broadcast_to(1j * k, band_shape).copy() for k in k_axes)
         object.__setattr__(self, "ik", ik)
+        k = tuple(ka.astype(complex) for ka in np.broadcast_arrays(*k_axes))
+        object.__setattr__(self, "k", k)
+        # the same symbols on the wide layout, for the stages of the
+        # transforms, where a symbol meets samples of the other axes: a
+        # broadcast or blockwise product runs through numpy's iteration
+        # buffers, 1.6-2.7 times the time of one on whole tables
+        wide_ik = tuple(
+            np.broadcast_to(1j * along(i, kw), sizes[:-1] + (nb,)).copy()
+            for i, kw in enumerate(wide_k)
+        )
+        object.__setattr__(self, "_wide_ik", wide_ik)
         object.__setattr__(self, "k2", k2)
-        object.__setattr__(self, "inv_k2", inv_k2)
+        object.__setattr__(self, "inv_k2", inv_k2.astype(complex))
         object.__setattr__(self, "k1sq", k_axes[0] ** 2)
         object.__setattr__(self, "coords", coords)
-        object.__setattr__(self, "dealias_mask", mask)
-        object.__setattr__(self, "_dropped", tuple(dropped[:-1]))
+        object.__setattr__(self, "_blocks", blocks)
+        object.__setattr__(self, "_dropped", tuple(dropped))
         object.__setattr__(self, "_lines", lines)
         object.__setattr__(self, "multiplicity", multiplicity)
-        object.__setattr__(self, "norm_k2", k2 * multiplicity)
+        object.__setattr__(self, "norm_k2", (k2 * multiplicity).astype(complex))
         object.__setattr__(self, "_hs_weights", {})
 
     # -- transforms --------------------------------------------------------
@@ -192,44 +223,61 @@ class Grid:
         return tuple(range(-self.dim, 0))
 
     def rfft(self, values, out=None, pad=None):
-        """Real samples -> the band, the first K = ceil(N_last/3) last-axis
-        planes of the normalized coefficients, zero outside the 2/3 mask:
-        ``last_forward`` into ``out``, then one ``lead_pass`` and
-        ``zero_dropped``. out and pad (N_last/2 + 1 last-axis planes,
-        complex) are allocated when not given; the result is ``out``."""
-        out = self.last_forward(values, out=out, pad=pad)
-        return self.zero_dropped(self.lead_pass(out, self.spatial_axes[:-1]))
+        """Real samples -> the band: ``last_forward`` into the first K planes
+        of pad, one ``lead_pass`` there and ``gather`` into out. out and pad
+        (``pad_shape``, complex) are allocated when not given; the result is
+        ``out``."""
+        wide = self.last_forward(values, pad=pad)
+        return self.gather(self.lead_pass(wide, self.spatial_axes[:-1]), out=out)
 
     def irfft(self, band, out=None, pad=None):
-        """Band -> real samples of the modes the 2/3 mask keeps, the argument
-        left unchanged and nothing else of it read: its first K planes go
-        into those of ``pad`` (overwritten), ``zero_dropped`` there, for one
-        inverse ``lead_pass`` and ``last_inverse``. out and pad
+        """Band -> real samples, the argument left unchanged: ``scatter``
+        into the first K planes of pad (overwritten), one inverse
+        ``lead_pass`` there and ``last_inverse``. out and pad
         (``pad_shape``) are allocated when not given."""
-        nb = self.band_shape[-1]
         if pad is None:
-            pad = np.empty(band.shape[:-1] + self.pad_shape[-1:], dtype=complex)
-        part = pad[..., :nb]
-        part[...] = band[..., :nb]
-        self.lead_pass(self.zero_dropped(part), self.spatial_axes[:-1], inverse=True)
-        return self.last_inverse(pad, nb, out=out)
+            pad = np.empty(band.shape[: -self.dim] + self.pad_shape, dtype=complex)
+        wide = self.scatter(band, pad)
+        self.lead_pass(wide, self.spatial_axes[:-1], inverse=True)
+        return self.last_inverse(wide, out=out)
 
-    def zero_dropped(self, band):
-        """band zeroed in place outside the 2/3 mask (it keeps every plane)."""
+    def scatter(self, band, wide):
+        """The band into the first K last-axis planes of ``wide``, a
+        transform buffer of (N0[, N1]) leading modes: each mode at its place
+        in FFT order, zeros in the blocks the 2/3 mask drops. Returns those
+        K planes."""
+        part = wide[..., : self.band_shape[-1]]
+        for w, b in self._blocks:
+            part[w] = band[b]
+        return self.zero_dropped(part)
+
+    def gather(self, wide, out=None):
+        """The band of ``wide``, a spectrum or a transform buffer of (N0[,
+        N1]) leading modes and at least K last-axis planes: the modes the
+        2/3 mask keeps, into out (allocated when not given)."""
+        if out is None:
+            out = np.empty(wide.shape[: -self.dim] + self.band_shape, dtype=complex)
+        for w, b in self._blocks:
+            out[b] = wide[w]
+        return out
+
+    def zero_dropped(self, wide):
+        """A transform buffer zeroed in place in the leading blocks the 2/3
+        mask drops (it keeps every plane)."""
         for block in self._dropped:
-            band[block] = 0.0
-        return band
+            wide[block] = 0.0
+        return wide
 
     def lead_pass(self, arr, axes, inverse=False):
         """scipy's single-axis c2c along each given leading spatial axis of
-        arr (negative indices), written back into arr; the forward one scaled
-        by 1/N, exactly for power-of-two sizes. A transform's passes run along
-        axis -3 before -2, the forward ones ahead of ``zero_dropped`` and the
-        inverse ones on a band zero outside the mask, so in 3D the pass that
-        meets the mask runs on the lines it keeps only. A symbol i k_j
-        commutes with the passes along the other axes, so
-        ``spectral.gradient_values`` and ``spectral.divergence_band`` apply
-        it between them."""
+        arr, a transform buffer (negative indices), written back into arr;
+        the forward one scaled by 1/N, exactly for power-of-two sizes. A
+        transform's passes run along axis -3 before -2, the forward ones
+        ahead of ``gather`` and the inverse ones on a ``scatter``, zero in
+        the dropped blocks, so in 3D the pass that meets the mask runs on
+        the lines it keeps only. A symbol i k_j commutes with the passes
+        along the other axes, so ``spectral.gradient_values`` and
+        ``spectral.divergence_band`` apply it between them."""
         c2c = sfft.ifft if inverse else sfft.fft
         for axis in axes:
             for block in self._lines[inverse, axis]:
@@ -240,36 +288,37 @@ class Grid:
         return arr
 
     def last_forward(self, values, out=None, pad=None):
-        """Real samples -> their first K last-axis planes, scaled by 1/N_last:
-        for N_last <= MATMUL_MAX_LAST one matmul against the cached table
-        ``_dft_tables(N_last)[0]``, past it numpy's rfft into all N_last/2 + 1
-        planes of ``pad`` and a copy of the first K into ``out``; both are
-        allocated when needed."""
+        """Real samples -> their first K last-axis planes, scaled by 1/N_last,
+        on every leading sample, into out, by default the first K planes of
+        pad: for N_last <= MATMUL_MAX_LAST one matmul against the cached
+        table ``_dft_tables(N_last)[0]``, past it numpy's rfft into all
+        N_last/2 + 1 planes of pad, the first K of which are copied into a
+        given out. pad (``pad_shape``) is allocated when needed."""
         lead, n, nb = values.shape[:-1], self.sizes[-1], self.band_shape[-1]
-        if out is None:
-            out = np.empty(lead + (nb,), dtype=complex)
+        if pad is None and (out is None or n > MATMUL_MAX_LAST):
+            pad = np.empty(lead + self.pad_shape[-1:], dtype=complex)
         if n <= MATMUL_MAX_LAST:
+            out = pad[..., :nb] if out is None else out
             np.matmul(values, _dft_tables(n)[0], out=out.view(float))
-        else:
-            if pad is None:
-                pad = np.empty(lead + (n // 2 + 1,), dtype=complex)
-            np.fft.rfft(values, axis=-1, norm="forward", out=pad)
-            out[...] = pad[..., :nb]
+            return out
+        np.fft.rfft(values, axis=-1, norm="forward", out=pad)
+        if out is None:
+            return pad[..., :nb]
+        out[...] = pad[..., :nb]
         return out
 
-    def last_inverse(self, pad, k, out=None):
-        """The first k last-axis planes of ``pad`` -> real samples, the planes
-        past k taken as zero: for N_last <= MATMUL_MAX_LAST one matmul of the
-        k planes, viewed as float, against the first 2k rows of
-        ``_dft_tables(N_last)[1]``; past it numpy's irfft of all N_last/2 + 1
-        planes of ``pad``, those past k zeroed first."""
-        n = self.sizes[-1]
+    def last_inverse(self, planes, out=None):
+        """The k last-axis planes of ``planes`` -> real samples, the planes
+        past k taken as zero: for N_last <= MATMUL_MAX_LAST one matmul
+        of the planes, viewed as float, against the first 2k rows of
+        ``_dft_tables(N_last)[1]``; past it numpy's irfft, which pads them
+        to N_last/2 + 1 planes itself."""
+        n, k = self.sizes[-1], planes.shape[-1]
         if n > MATMUL_MAX_LAST:
-            pad[..., k:] = 0.0
-            return np.fft.irfft(pad, n=n, axis=-1, norm="forward", out=out)
+            return np.fft.irfft(planes, n=n, axis=-1, norm="forward", out=out)
         if out is None:
-            out = np.empty(pad.shape[:-1] + (n,))
-        return np.matmul(pad[..., :k].view(float), _dft_tables(n)[1][: 2 * k], out=out)
+            out = np.empty(planes.shape[:-1] + (n,))
+        return np.matmul(planes.view(float), _dft_tables(n)[1][: 2 * k], out=out)
 
     def fft(self, values):
         """Real samples -> full spectrum c_k with f(y) = sum c_k e^{ik.y}. No run
@@ -332,17 +381,20 @@ class ForceWorkspace:
 
     - ``y_band``, ``yt_band``: (d,), where ``LagrangianStepper.step`` forms
       its predictor state;
-    - ``mat_band``: (d, d), the stages of each ``divergence_band``: of Z A,
-      then of the viscous flux less A grad_p; the stepper's scratch in [0];
-    - ``vec_band``: (2, d), [0] the pressure right-hand side, then f, and
-      [1] the spectra of its assembly and of the Picard iteration, then grad_p;
+    - ``vec_band``: (3, d), [0] the pressure right-hand side, then f, [1]
+      the spectra of its assembly and of the Picard iteration, then grad_p,
+      and [2] the stepper's scratch;
     - ``q``: 4 scalar bands, the Picard potentials in [1] and [2] (the
       force returns one), a stepper's start in [0], temporaries in [3].
 
-    ``pad`` is (d, d) arrays of ``grid.pad_shape``: the slots of
-    ``gradient_values``, the plane buffer of ``Grid.irfft``, and of
-    ``Grid.rfft`` for N_last past ``MATMUL_MAX_LAST``; a vector uses
-    ``pad[0]``.
+    Transform scratch, on the wide (N0[, N1]) leading modes: ``mat_band``,
+    (d, d) arrays of K last-axis planes, holds the slots of
+    ``gradient_values`` and the stages of each ``divergence_band``, of Z A,
+    then of the viscous flux less A grad_p; ``pad``, (d, d) arrays of
+    ``grid.pad_shape``, is the plane buffer of ``Grid.irfft`` and
+    ``Grid.rfft`` and, past ``MATMUL_MAX_LAST``, of numpy's forward
+    transform in ``divergence_band``; a vector uses ``pad[0]``, and the K
+    planes of ``divergence_band``'s ``minus`` the memory of ``pad[1]``.
     """
 
     def __init__(self, grid: Grid):
@@ -357,9 +409,10 @@ class ForceWorkspace:
         self.vec = np.empty((3, d) + grid.shape)
         self.y_band = np.empty((d,) + band, dtype=complex)
         self.yt_band = np.empty((d,) + band, dtype=complex)
-        self.mat_band = np.empty((d, d) + band, dtype=complex)
-        self.vec_band = np.empty((2, d) + band, dtype=complex)
+        self.vec_band = np.empty((3, d) + band, dtype=complex)
         self.q = np.empty((4,) + band, dtype=complex)
+        wide = grid.pad_shape[:-1] + band[-1:]
+        self.mat_band = np.empty((d, d) + wide, dtype=complex)
         self.pad = np.empty((d, d) + grid.pad_shape, dtype=complex)
 
 

@@ -138,7 +138,7 @@ def _build_with_gradient(grid: Grid, spec: InitialDataSpec):
 
     def assemble(scale: float) -> FlowState:
         # composition tails above the 2/3-mask ball are machine-small at these
-        # amplitudes; rfft drops them, so the state is made masked
+        # amplitudes; rfft drops them, as every band holds the kept modes only
         # the y1 displacement c(y2 + a[, y3]), volume preserving with a
         c_coords = (grid.coords[1] + scale * a_profile,) + grid.coords[2:]
         c_vals = _shear_profile(grid, spec.shear_c, range(1, d), c_coords, scale)

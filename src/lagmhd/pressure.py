@@ -89,7 +89,7 @@ def solve_pressure_spec(grid: Grid, defect_vals, rhs_band, tol, q0=None, work=No
     Works on bands: rhs_band, q0 and the returned grad_p and potential.
     The iterate is the scalar potential q of grad_p = rhs - k q, with
     q = inv_k2 (k . rfft(defect . grad_p)): R[v] = k inv_k2 (k . v), on
-    rfft's band, zero outside the 2/3 mask. The residual of a step is
+    rfft's band. The residual of a step is
     |grad_p_new - grad_p| = |k (q_new - q)|, summed over the band with the
     Hermitian multiplicity carried by ``grid.norm_k2``.
 
@@ -108,7 +108,7 @@ def solve_pressure_spec(grid: Grid, defect_vals, rhs_band, tol, q0=None, work=No
         work = ForceWorkspace(grid)
     gp_real, mgp, pad = work.vec[0], work.vec[1], work.pad[0]
     gp, (q_prev, q, tmp) = work.vec_band[1], work.q[1:]
-    k = grid.k_axes
+    k = grid.k
     np.copyto(gp, rhs_band)
     if q0 is None:
         q_prev.fill(0.0)

@@ -1,9 +1,10 @@
 """Spectral derivatives, divergence, the 2/3 mask, norms and the Riesz projector.
 
-Every helper takes the ``Grid`` and works on bands, the first K last-axis
-planes of the spectrum of a real field (see ``grid``). A norm over a band
-carries ``grid.multiplicity``, or ``grid.norm_k2`` for the |k|^2 weight, so
-that it equals the norm over the full spectrum.
+Every helper takes the ``Grid`` and works on bands, the modes of the
+spectrum of a real field that the 2/3 mask keeps with k_last >= 0 (see
+``grid``). A norm over a band carries ``grid.multiplicity``, or
+``grid.norm_k2`` for the |k|^2 weight, so that it equals the norm over the
+full spectrum.
 """
 
 from __future__ import annotations
@@ -20,55 +21,57 @@ def gradient_values(band, grid: Grid, out=None, work=None, values=None):
     """Real-space gradient of a vector band: out[i, j] = d_j v^i; ``values``,
     when given, receives the samples of v, bit for bit ``grid.irfft(band)``.
 
-    Slot j < d - 1 of each component is i k_j times slot d - 1 (v^i, the
-    band zeroed outside the 2/3 mask: no other mode is read), formed just
-    before the pass along axis j, which runs on the slots formed by then: 15
-    component passes for a 3D vector, not 18, the first 6 on the kept lines
-    only. Slot d - 1 times i k_last is d_last v^i. ``work``'s ``pad`` holds
-    the slots when given.
+    Each component takes d slots of the wide transform layout: slot d - 1 is
+    v^i (``grid.scatter``, zero in the blocks the 2/3 mask drops), and slot
+    j < d - 1 is i k_j times slot d - 1, formed just before the pass along
+    axis j, which runs on the slots formed by then: 15 component passes for
+    a 3D vector, not 18, the first 6 on the kept lines only. Slot d - 1
+    times i k_last is d_last v^i. The symbols are the grid's tables on the
+    wide layout. ``work``'s ``mat_band`` holds the slots when given,
+    contiguous K planes, which numpy's c2r pads itself past
+    ``MATMUL_MAX_LAST``.
     """
-    d, nb = grid.dim, grid.band_shape[-1]
-    ik = grid.ik
+    d, ik = grid.dim, grid._wide_ik
     if work is None:
-        pad = np.empty((band.shape[0], d) + grid.pad_shape, dtype=complex)
+        wide = grid.pad_shape[:-1] + grid.band_shape[-1:]
+        slots = np.empty((band.shape[0], d) + wide, dtype=complex)
     else:
-        pad = work.pad[: band.shape[0]]
-    slots = pad[..., :nb]
-    slots[:, -1] = band
-    grid.zero_dropped(slots[:, -1])
+        slots = work.mat_band[: band.shape[0]]
+    grid.scatter(band, slots[:, -1])
     for a in range(d - 1):
         np.multiply(slots[:, -1], ik[a], out=slots[:, a])
         grid.lead_pass(slots if a == d - 2 else slots[:, ::2], (a - d,), inverse=True)
     if values is not None:
-        grid.last_inverse(pad[:, -1], nb, out=values)
+        grid.last_inverse(slots[:, -1], out=values)
     slots[:, -1] *= ik[-1]
-    return grid.last_inverse(pad, nb, out=out)
+    return grid.last_inverse(slots, out=out)
 
 
 def divergence_band(mat, grid: Grid, out=None, work=None, minus=None):
-    """Band of sum_j d_j mat[i, j] - minus[i] from real samples, zero outside
-    the 2/3 mask.
+    """Band of sum_j d_j mat[i, j] - minus[i] from real samples.
 
     The mirror image of ``gradient_values``: column d - 1 times i k_last,
     less ``minus``, is a running sum; leading axis j, in rfft's order, takes
     one pass over columns j, ..., d - 1, then column j times i k_j joins the
     sum: 15 component passes in 3D, not 24, the last 6 on the kept lines
-    only. ``work``'s ``mat_band`` and ``pad`` hold the stages when given.
+    only; ``grid.gather`` takes the band of the sum. ``work``'s ``mat_band``
+    and ``pad`` hold the stages when given.
     """
-    d = grid.dim
-    ik = grid.ik
+    d, ik = grid.dim, grid._wide_ik
     slots, pad = (None, None) if work is None else (work.mat_band, work.pad)
     slots = grid.last_forward(mat, out=slots, pad=pad)
     acc = slots[:, -1]
     acc *= ik[-1]
     if minus is not None:
-        out = grid.last_forward(minus, out=out, pad=None if pad is None else pad[0])
-        acc -= out
+        # the K planes of minus go to contiguous memory, pad[1]'s, so the
+        # subtraction is not buffered past MATMUL_MAX_LAST
+        planes = None if pad is None else pad[1].reshape(-1)[: acc.size].reshape(acc.shape)
+        acc -= grid.last_forward(minus, out=planes, pad=None if pad is None else pad[0])
     for a in range(d - 1):
         grid.lead_pass(slots[:, a:], (a - d,))
         slots[:, a] *= ik[a]
-        acc = np.add(acc, slots[:, a], out=out if a == d - 2 else acc)
-    return grid.zero_dropped(acc)
+        acc += slots[:, a]
+    return grid.gather(acc, out=out)
 
 
 def _k_contract(spec, symbols, out=None, tmp=None):
@@ -88,10 +91,13 @@ def divergence_spec(spec, grid: Grid, out=None):
 
 
 def dealias_spec(spec, grid: Grid, out=None):
-    """spec times the 2/3 mask. No run path calls it: every band the program
-    makes is zero outside the mask (``Grid.rfft``, ``divergence_band`` and
-    the state constructors' ``check_bands``); perfbench times it by name."""
-    return np.multiply(spec, grid.dealias_mask, out=out)
+    """spec times the 2/3 mask, which keeps every mode of a band: a copy of
+    the band (into out when given). No run path calls it; perfbench times
+    it by name."""
+    if out is None:
+        return spec.copy()
+    np.copyto(out, spec)
+    return out
 
 
 # -- norms --------------------------------------------------------------------
@@ -112,7 +118,7 @@ def riesz_apply_spec(spec, grid: Grid, out=None):
     A given ``out``, which must not share memory with spec, also holds the
     intermediates, so the call then allocates no band.
     """
-    k = grid.k_axes
+    k = grid.k
     if out is None:
         out = np.empty((grid.dim,) + grid.band_shape, dtype=complex)
     # k . c lives in the last row of out until that row is written last

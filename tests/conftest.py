@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+import scipy.fft as sfft
 
 from lagmhd.fields import VectorField
 from lagmhd.geometry import _COFACTOR_TERMS
 from lagmhd.grid import ForceWorkspace, Grid, multi_indices
-from lagmhd.spectral import dealias_spec, riesz_apply_spec
+from lagmhd.spectral import riesz_apply_spec
 
 
 @pytest.fixture(scope="session")
@@ -31,13 +32,15 @@ def mesh(grid):
 class FullSpectrum:
     """Reference spectral tables over the first ``planes`` last-axis planes of
     the full FFT-ordered spectrum of a grid (all N_last of them by default;
-    N_last/2 + 1 is the whole k_last >= 0 half), built from np.fft.fftfreq.
+    N_last/2 + 1 is the whole k_last >= 0 half), built from np.fft.fftfreq:
+    the wide layout, every leading mode held.
 
-    The Grid keeps the same tables on its band, the first K planes, and the
-    same element-by-element arithmetic makes them the first K planes of
-    these. It has the attributes the spectral helpers read of a Grid (dim,
-    band_shape, spatial_axes, volume, k_axes, inv_k2 and dealias_mask), so
-    given it in place of the Grid they act on these planes.
+    The Grid keeps the same tables on its band, the modes the 2/3 mask keeps
+    of the first K planes, and the same element-by-element arithmetic makes
+    them ``narrow`` of these. It has the attributes the spectral helpers
+    read of a Grid (dim, band_shape, spatial_axes, volume, k_axes, k, inv_k2),
+    and ``dealias_mask``, so given it in place of the Grid they act on these
+    planes.
     """
 
     def __init__(self, grid, planes=None):
@@ -55,6 +58,7 @@ class FullSpectrum:
             along(i, 2.0 * np.pi * np.fft.fftfreq(m, d=h))
             for i, (m, h) in enumerate(zip(grid.sizes, grid.spacings))
         )
+        self.k = self.k_axes  # numpy casts them as the Grid stores its k
         self.k2 = np.zeros(self.shape)
         for ka in self.k_axes:
             self.k2 = self.k2 + ka**2
@@ -131,9 +135,11 @@ def leray_project(v):
 def mirror(grid, band):
     """Full spectrum from k_last >= 0 planes by c(-k) = conj(c(k)).
 
-    Takes the band or the whole N_last/2 + 1 half; the planes the argument
-    does not hold are zero.
+    Takes the band, a wide-layout array of its K planes or the whole N_last/2
+    + 1 half; the modes the argument does not hold are zero.
     """
+    if band.shape[band.ndim - grid.dim :] == grid.band_shape:
+        band = widen(grid, band)
     n, k = grid.sizes[-1], band.shape[-1]
     m = min(k, n // 2) - 1  # mirrored planes: k_last = 1..m
     full = np.zeros(band.shape[:-1] + (n,), dtype=complex)
@@ -145,11 +151,55 @@ def mirror(grid, band):
     return full
 
 
-def unmasked_band(grid, values):
-    """The first K last-axis planes of the full spectrum of real samples
-    (``Grid.fft``), the 2/3 mask not applied: a band that holds modes the
-    mask drops, which ``Grid.rfft`` zeroes."""
-    return grid.fft(values)[..., : grid.band_shape[-1]]
+def band_index(grid):
+    """The band's modes in the wide layout, as an ``np.ix_`` index: on each
+    leading axis the indices of |n_i| <= ceil(N_i/3) - 1 in its FFT order,
+    on the last the first K planes. Built from np.fft.fftfreq, not from the
+    Grid's own layout."""
+    index = [
+        np.flatnonzero(np.abs(np.fft.fftfreq(m) * m) <= int(np.ceil(m / 3.0)) - 1)
+        for m in grid.sizes[:-1]
+    ]
+    return (Ellipsis,) + np.ix_(*index, np.arange(-(-grid.sizes[-1] // 3)))
+
+
+def widen(grid, band, planes=None):
+    """The wide-layout reference of a band: the first ``planes`` (K by
+    default) last-axis planes of the FFT-ordered spectrum, every leading
+    mode, the band's modes at their places and zeros elsewhere."""
+    planes = -(-grid.sizes[-1] // 3) if planes is None else planes
+    lead = band.shape[: band.ndim - grid.dim]
+    wide = np.zeros(lead + grid.sizes[:-1] + (planes,), dtype=band.dtype)
+    wide[band_index(grid)] = band
+    return wide
+
+
+def narrow(grid, wide):
+    """The band of a wide-layout array, a spectrum or a whole table of at
+    least K last-axis planes: its entries on the band's modes."""
+    return wide[band_index(grid)]
+
+
+def wide_lead_pass(arr, grid, inverse=False):
+    """arr's leading passes as one scipy.fft.fftn or ifftn on every line,
+    written back: the transforms' leading stage before any pruning."""
+    c2c = sfft.ifftn if inverse else sfft.fftn
+    arr[...] = c2c(arr, axes=grid.spatial_axes[:-1], norm="forward")
+    return arr
+
+
+def wide_rfft(grid, values):
+    """The reference of ``Grid.rfft`` on the wide layout: the grid's
+    last-axis stage, the leading passes on every line, the mask applied."""
+    wide = wide_lead_pass(grid.last_forward(values), grid)
+    return wide * FullSpectrum(grid, wide.shape[-1]).dealias_mask
+
+
+def wide_irfft(grid, wide):
+    """The reference of ``Grid.irfft`` of a wide-layout band: the leading
+    passes on every line of its masked copy, the grid's last-axis stage."""
+    wide = wide * FullSpectrum(grid, wide.shape[-1]).dealias_mask
+    return grid.last_inverse(wide_lead_pass(wide, grid, inverse=True))
 
 
 def zero_band(grid):
@@ -168,7 +218,7 @@ def random_band_limited(grid, rng, rank=1, kmax=3, scale=1.0):
         keep = np.abs(np.fft.fftfreq(n) * n) <= kmax
         mask &= keep.reshape([-1 if j == i else 1 for j in range(grid.dim)])
     spec = spec * mask
-    spec = dealias_spec(spec, FullSpectrum(grid))
+    spec = spec * FullSpectrum(grid).dealias_mask
     vals = grid.ifft(spec)
     vals *= scale / max(np.abs(vals).max(), 1e-300)
     return VectorField.from_values(grid, vals) if rank == 1 else vals

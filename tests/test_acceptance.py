@@ -32,7 +32,7 @@ from lagmhd.oracle import linear_decay_oracle
 from lagmhd.runner import compare_formulations, run_simulation, scaling_run
 from lagmhd.spectral import gradient_values, weighted_norm_sq
 
-from conftest import leray_project, mirror, random_band_limited
+from conftest import leray_project, mirror, narrow, random_band_limited
 from test_admissibility import SEEDS, K, curl_field, uniform_b0
 
 
@@ -85,8 +85,7 @@ def test_criterion_1_linear_exactness():
         ):
             spec[(slice(None),) + idx] = amp
             spec[(slice(None),) + idxc] = np.conj(amp)
-        band = (Ellipsis, slice(0, grid.band_shape[-1]))
-        state = FlowState(grid, y0[band], yt0[band], 0.0)
+        state = FlowState(grid, narrow(grid, y0), narrow(grid, yt0), 0.0)
         for _ in range(nsteps):
             state = stepper.step_linear(state)
         p = propagator_matrix(n.astype(float), nsteps * dt)

@@ -20,7 +20,7 @@ from lagmhd.geometry import FlowState
 from lagmhd.grid import Grid
 from lagmhd.initial_data import VelocityMode, default_spec, scaled_spec
 
-from conftest import random_band_limited
+from conftest import random_band_limited, same_bits, wide_irfft, widen
 
 
 MINIMAL = """
@@ -250,6 +250,29 @@ def test_flow_checkpoint_round_trip(tmp_path, grid3, rng):
     assert np.array_equal(back.Y, grid3.rfft(grid3.irfft(state.Y)))
     assert np.array_equal(back.Yt, grid3.rfft(grid3.irfft(state.Yt)))
     assert back.grid == grid3
+
+
+@pytest.mark.parametrize(
+    "sizes", [(16, 8, 32), (32, 16), (16, 128)], ids=["3D", "2D", "2D-128"]
+)
+@pytest.mark.parametrize("kind", [FlowState, EulerState], ids=["flow", "euler"])
+def test_a_checkpoint_holds_the_samples_of_the_wide_reference(
+    tmp_path, sizes, kind, rng
+):
+    # the payload of a state of kept modes only is, bit for bit, the real
+    # samples of its bands laid out wide, zeros in the dropped blocks,
+    # through every leading pass on every line
+    grid = Grid(sizes, (2 * np.pi,) * len(sizes))
+    shape = (grid.dim,) + grid.shape
+    bands = [grid.rfft(rng.standard_normal(shape)) for _ in range(2)]
+    path = tmp_path / "state.ckpt"
+    write_checkpoint(path, kind(grid, *bands, 0.5))
+    blob = path.read_bytes()
+    header = 12 + 12 * grid.dim + 12
+    payload = np.frombuffer(blob, dtype="<f8", offset=header).reshape((-1,) + grid.shape)
+    assert payload.shape[0] == 2 * grid.dim + (kind is EulerState)
+    for band, samples in zip(bands, payload[: 2 * grid.dim].reshape((2,) + shape)):
+        assert same_bits(samples.astype(float), wide_irfft(grid, widen(grid, band)))
 
 
 def test_euler_checkpoint_round_trip(tmp_path, grid2, rng):

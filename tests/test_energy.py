@@ -37,6 +37,7 @@ from lagmhd.spectral import weighted_norm_sq
 
 from conftest import (
     FullSpectrum,
+    narrow,
     mesh,
     mirror,
     random_band_limited,
@@ -292,9 +293,10 @@ def test_weights_are_rows_of_one_table(ev3):
     full = full_weights(ev3.grid)
     for name, row in rows.items():
         weight = ev3.weights[row]
-        # the band's planes of the full weight, k_last = 0 once, others twice
-        assert np.array_equal(weight[..., 0], full[name][..., 0])
-        assert np.array_equal(weight[..., 1:], 2.0 * full[name][..., 1:nb])
+        # the full weight on the band's modes, k_last = 0 once, others twice
+        cut = narrow(ev3.grid, np.broadcast_to(full[name], ev3.grid.shape))
+        assert np.array_equal(weight[..., 0], cut[..., 0])
+        assert np.array_equal(weight[..., 1:], 2.0 * cut[..., 1:nb])
 
 
 def test_record_sample_builds_one_table_and_no_reductions(monkeypatch):

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.fft as sfft
@@ -11,7 +13,6 @@ from lagmhd.grid import Grid
 from lagmhd.initial_data import build_flow_state, default_spec, scaled_spec
 from lagmhd.pressure import PressureSolution, _tensor_rhs_spec, solve_pressure_spec
 from lagmhd.spectral import (
-    dealias_spec,
     divergence_band,
     gradient_values,
     riesz_apply_spec,
@@ -23,8 +24,10 @@ from conftest import (
     cofactor_pieces,
     leray_project,
     mesh,
+    narrow,
     poisoned_workspace,
     same_bits,
+    widen,
     zero_band,
 )
 
@@ -55,11 +58,15 @@ def half_spectrum(grid):
 
 def band_spectrum(grid):
     """(tables, grid.rfft, grid.irfft) on the band: the full-spectrum tables
-    cut to the first K last-axis planes, with the kernel's own transforms,
-    whose rfft applies the mask and whose irfft reads the kept modes only."""
-    nb = grid.band_shape[-1]
-    band = FullSpectrum(grid, nb)
-    band.multiplicity = np.full(nb, 2.0)
+    on the band's modes (``narrow``), with the kernel's own transforms,
+    which hold the kept modes only."""
+    full = FullSpectrum(grid, grid.band_shape[-1])
+    band = SimpleNamespace(dim=grid.dim, band_shape=grid.band_shape, volume=grid.volume)
+    band.k = band.k_axes = tuple(
+        narrow(grid, np.broadcast_to(k, full.shape)) for k in full.k_axes
+    )
+    band.inv_k2 = narrow(grid, full.inv_k2)
+    band.multiplicity = np.full(grid.band_shape[-1], 2.0)
     band.multiplicity[0] = 1.0
     return band, grid.rfft, grid.irfft
 
@@ -84,13 +91,15 @@ def solve_pressure(state, tol=1e-10):
 
 
 def staged_divergence(mat, grid, minus=None):
-    """Masked band of sum_j d_j mat[i, j] - minus[i], each column on fresh
+    """Band of sum_j d_j mat[i, j] - minus[i], each column on fresh wide
     arrays through the Grid's stages, in ``divergence_band``'s order of
     operations: the last-axis stage, the column d - 1 times i k_last (less
     minus) as the running sum, then per leading axis j one pass of the
-    columns not yet summed and of the sum, and column j times i k_j added.
-    The 2/3 mask, a 0/1 multiplier, goes on the sum after the last add."""
-    d, ik = grid.dim, [1j * k for k in grid.k_axes]
+    columns not yet summed and of the sum, and column j times i k_j added,
+    the symbols those of ``FullSpectrum``. The 2/3 mask, the band's modes
+    of the sum (``narrow``), goes on after the last add."""
+    d = grid.dim
+    ik = [1j * k for k in FullSpectrum(grid, grid.band_shape[-1]).k_axes]
     out = []
     for i in range(len(mat)):
         cols = [grid.last_forward(mat[i, j]) for j in range(d)]
@@ -101,7 +110,7 @@ def staged_divergence(mat, grid, minus=None):
             for c in cols[a:-1] + [acc]:
                 grid.lead_pass(c, (a - d,))
             acc += cols[a] * ik[a]
-        out.append(dealias_spec(acc, grid))
+        out.append(narrow(grid, acc))
     return np.stack(out)
 
 
@@ -110,8 +119,8 @@ def mask_first_force(state, iterations):
 
     The divergences are ``staged_divergence``; the other spectra are bands,
     through ``grid.rfft`` and ``grid.irfft`` (which ``test_spectral.py``
-    pins to scipy's rfftn and irfftn), and the mask is applied explicitly
-    on D grad_p before the Riesz projector; Picard runs on the 3-vector
+    pins to scipy's rfftn and irfftn), whose band of D grad_p holds the
+    kept modes only before the Riesz projector; Picard runs on the 3-vector
     grad_p for the given number of iterations, with |grad_p_new - grad_p|
     as its residual.
     """
@@ -129,13 +138,13 @@ def mask_first_force(state, iterations):
     za -= np.einsum("i...,l...->il...", w, np.einsum("ml...,m...->l...", a, w))
     w_real = ifft(staged_divergence(za, grid))
     atw = np.einsum("jm...,j...->m...", a, w_real)
-    rhs = riesz_apply_spec(dealias_spec(fft(atw), tables), tables)
+    rhs = riesz_apply_spec(fft(atw), tables)
 
     gp = rhs.copy()
     residuals = []
     for _ in range(iterations):
         mgp = np.einsum("jm...,m...->j...", defect, ifft(gp))
-        gp_new = rhs - riesz_apply_spec(dealias_spec(fft(mgp), tables), tables)
+        gp_new = rhs - riesz_apply_spec(fft(mgp), tables)
         residuals.append(l2(gp_new - gp, tables))
         gp = gp_new
     flux = np.einsum("jm...,im...->ij...", defect, grad_yt)
@@ -236,14 +245,13 @@ def test_rhs_matches_outer_product_form():
     v, w = grad_y[:, 0], grid.irfft(state.Yt)
     half, fft, ifft = half_spectrum(grid)
     z = np.einsum("i...,j...->ij...", v, v) - np.einsum("i...,j...->ij...", w, w)
-    za_spec = dealias_spec(fft(np.einsum("im...,ml...->il...", z, a_vals)), half)
+    za_spec = fft(np.einsum("im...,ml...->il...", z, a_vals)) * half.dealias_mask
     div_za = np.zeros((3,) + half.shape, dtype=complex)
     for l in range(3):
         div_za += 1j * half.k_axes[l] * za_spec[:, l]
     atw = np.einsum("jm...,j...->m...", a_vals, ifft(div_za))
-    ref = riesz_apply_spec(dealias_spec(fft(atw), half), half)
-    got = np.zeros_like(ref)
-    got[..., : grid.band_shape[-1]] = _tensor_rhs_spec(grid, a_vals, np.stack([v, w]))
+    ref = riesz_apply_spec(fft(atw) * half.dealias_mask, half)
+    got = widen(grid, _tensor_rhs_spec(grid, a_vals, np.stack([v, w])), ref.shape[-1])
     scale = np.abs(ref).max()
     assert scale > 0.0
     assert np.abs(got - ref).max() < 1e-14 * scale
@@ -256,9 +264,9 @@ def _two_outer_products_rhs(grid, a, v, w):
     at_w = np.einsum("ml...,m...->l...", a, w)
     za = np.einsum("i...,l...->il...", v, at_v)
     za -= np.einsum("i...,l...->il...", w, at_w)
-    w_real = grid.irfft(dealias_spec(divergence_band(za, grid), grid))
+    w_real = grid.irfft(divergence_band(za, grid))
     atw = np.einsum("jm...,j...->m...", a, w_real)
-    return riesz_apply_spec(dealias_spec(grid.rfft(atw), grid), grid)
+    return riesz_apply_spec(grid.rfft(atw), grid)
 
 
 @pytest.mark.parametrize("sizes", [(16, 16, 16), (32, 32)], ids=["3D", "2D"])
@@ -312,7 +320,7 @@ def test_solution_is_gradient_and_solves_fixed_point():
     metric_defect, rhs = pressure_operands(state)
     gp = sol.grad_p
     mgp = np.einsum("jm...,m...->j...", metric_defect, grid.irfft(gp))
-    defect = gp + riesz_apply_spec(dealias_spec(grid.rfft(mgp), grid), grid) - rhs
+    defect = gp + riesz_apply_spec(grid.rfft(mgp), grid) - rhs
     assert l2(defect, grid) <= 2.0 * tol
 
 
