@@ -25,7 +25,8 @@ from .geometry import graded_metric_values  # noqa: F401
 from .grid import ForceWorkspace, Grid
 from .pressure import PICARD_ABS_TOL, PICARD_REL_TOL, PressureSolution
 from .pressure import _tensor_rhs_spec, solve_pressure_spec
-from .spectral import divergence_band, gradient_values, riesz_apply_spec, weighted_norm_sq
+from .spectral import _k_contract, divergence_band, gradient_values
+from .spectral import riesz_apply_spec, weighted_norm_sq
 # dealias_spec is not called here; perfbench/layers.py times it by this name
 from .spectral import dealias_spec  # noqa: F401
 
@@ -207,11 +208,8 @@ class NonlinearForce:
     f = div((A^T A - I) grad Yt) - A grad_p, the viscous flux less the
     pressure force, is a band field of its own; ``pressure`` is the
     ``PressureSolution`` of the solve, passed through as returned, so
-    grad_p is a band. f is the last ``VectorField`` of the package, kept
-    only because perfbench's scaled-force gate (``_scaled_force`` in
-    ``perfbench/tests/test_perfbench.py``) rebuilds it with
-    ``VectorField.from_spec(force.f.grid, force.f.spec * ...)``; it becomes
-    a band with ROADMAP item 3's benchmark change. f's band, grad_p, the
+    grad_p is a band. f is the last ``VectorField`` of the package, for
+    perfbench's scaled-force gate (see ``fields``). f's band, grad_p, the
     potential, a_values, grad_y and grad_yt are arrays of the
     ``ForceWorkspace`` the force was computed in: a force of a
     ``LagrangianStepper`` holds them until that stepper's next force.
@@ -291,7 +289,9 @@ def compute_force(
 # weights of the pressure starts by the history held (see LagrangianStepper):
 # _EXTRAPOLATION[m - 1] extrapolates m potentials at consecutive times,
 # newest first, one step on; _FIRST_STAGE_WEIGHTS[k], with k offsets held,
-# act on (q*_{n+1}, q0_n, q*_n, q0_{n-1}, q*_{n-1}, q0_{n-2}, q*_{n-2})
+# act on (q*_{n+1}, q0_n, q*_n, q0_{n-1}, q*_{n-1}, q0_{n-2}, q*_{n-2}):
+# q*_{n+1} plus the extrapolated offsets d_m = q0_m - q*_m, (1, e1, -e1,
+# e2, -e2, ...) with e = _EXTRAPOLATION[k - 1]
 _EXTRAPOLATION = (
     (1.0,),
     (2.0, -1.0),
@@ -300,11 +300,9 @@ _EXTRAPOLATION = (
     (5.0, -10.0, 10.0, -5.0, 1.0),
     (6.0, -15.0, 20.0, -15.0, 6.0, -1.0),
 )
-_FIRST_STAGE_WEIGHTS = (
-    (1.0,),
-    (1.0, 1.0, -1.0),
-    (1.0, 2.0, -2.0, -1.0, 1.0),
-    (1.0, 3.0, -3.0, -3.0, 3.0, 1.0, -1.0),
+_FIRST_STAGE_WEIGHTS = tuple(  # offsets extrapolated up to the quadratic
+    (1.0,) + tuple(w for e in weights for w in (e, -e))
+    for weights in ((),) + _EXTRAPOLATION[:3]
 )
 _FIRST_HELD = 4  # first-stage potentials: the cubic predictor start of a young history
 _STAR_HELD = len(_EXTRAPOLATION)  # predictor potentials
@@ -511,9 +509,8 @@ def _magnetic_filter(grid: Grid):
     for the missing resistivity of the induction equation. Built on the band.
     """
     r = np.zeros(grid.band_shape)
-    for i, n in enumerate(grid.sizes):
-        ncut = int(np.ceil(n / 3.0)) - 1
-        frac = np.abs(grid.modes[i]) / max(ncut, 1)
+    for i, modes in enumerate(grid.modes):
+        frac = np.abs(modes) / max(int(modes.max()), 1)
         r = np.maximum(r, frac.reshape([-1 if j == i else 1 for j in range(grid.dim)]))
     return np.exp(-36.0 * np.minimum(r, 1.0) ** 36)
 
@@ -612,14 +609,11 @@ class EulerianStepper:
         prod_band = grid.rfft(prod, out=self._prod_band, pad=self._pad[: len(prod)])
         stress, w_band = prod_band[: self._nstress], prod_band[self._nstress :]
 
-        # n_i = sum_j i k_j T_ij - i (k . B0) b_i
+        # n_i = sum_j i k_j T_ij - i (k . B0) b_i; rhs_u[0] is free until
+        # (k . B0) b is formed
         for i in range(d):
-            np.multiply(ik[0], stress[self._entry[i, 0]], out=n[i])
-            for j in range(1, d):
-                n[i] += np.multiply(ik[j], stress[self._entry[i, j]], out=tmp)
-        np.multiply(ik[0], b_mean[0], out=tmp)
-        for j in range(1, d):
-            tmp += ik[j] * b_mean[j]
+            _k_contract([stress[e] for e in self._entry[i]], ik, out=n[i], tmp=tmp)
+        _k_contract(b_mean, ik, out=tmp, tmp=rhs_u[0])
         n -= np.multiply(tmp, b_band, out=rhs_u)
         riesz_apply_spec(n, grid, out=rhs_u)
         rhs_u -= n

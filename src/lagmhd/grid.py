@@ -86,14 +86,16 @@ class Grid:
     ``modes[i]`` holds the n_i of axis i, {0, ..., c_i, -c_i, ..., -1} with
     c_i = ceil(N_i/3) - 1 on the leading axes and {0, ..., K - 1} on the
     last, and every spectral table is a table on the band, of shape
-    ``band_shape``. ``k2``, ``k1sq`` and ``ik`` are the |k|^2, k1^2 and i
-    k_j symbols. ``multiplicity`` is the Hermitian multiplicity of each
-    plane (the k_last = 0 plane once, every other plane twice, for its
-    k_last < 0 partner), so a sum over the band weighted by it equals the
-    sum over the full spectrum of a real field that is zero outside the
-    band. ``norm_k2`` is |k|^2 times that multiplicity. ``k``, ``inv_k2``
-    and ``norm_k2``, which only multiply complex bands, are complex whole-
-    band tables, x + 0j: numpy casts a real table so and buffers a broadcast
+    ``band_shape``. ``k2``, ``k1sq``, ``ik`` and ``inv_lap`` are the |k|^2,
+    k1^2, i k_j and inverse Laplacian (-1/|k|^2, 0 on the mean mode)
+    symbols: the Riesz projector grad Delta^-1 div is ik (inv_lap (ik . c)).
+    ``multiplicity`` is the Hermitian multiplicity of each plane (the
+    k_last = 0 plane once, every other plane twice, for its k_last < 0
+    partner), so a sum over the band weighted by it equals the sum over the
+    full spectrum of a real field that is zero outside the band. ``norm_k2``
+    is |k|^2 times that multiplicity. ``ik``, ``inv_lap`` and ``norm_k2``,
+    which only multiply complex bands, are complex whole-band tables, the
+    last two x + 0j: numpy casts a real table so and buffers a broadcast
     one, and the products keep their bits.
     """
 
@@ -141,8 +143,8 @@ class Grid:
         for ka in k_axes:
             k2 = k2 + ka**2
         # inverse Laplacian symbol, 0 on the mean mode
-        inv_k2 = np.zeros(band_shape)
-        np.divide(1.0, k2, out=inv_k2, where=k2 > 0)
+        inv_lap = np.zeros(band_shape)
+        np.divide(-1.0, k2, out=inv_lap, where=k2 > 0)
         # the wide layout of a transform's scratch, by leading axis i: the
         # (wide, band) slices of the kept blocks and the wide slice of the
         # dropped one. In 3D the leading pass that meets the mask runs on the
@@ -190,8 +192,6 @@ class Grid:
         # the symbols i k_j on the whole band: numpy buffers a broadcast operand
         ik = tuple(np.broadcast_to(1j * k, band_shape).copy() for k in k_axes)
         object.__setattr__(self, "ik", ik)
-        k = tuple(ka.astype(complex) for ka in np.broadcast_arrays(*k_axes))
-        object.__setattr__(self, "k", k)
         # the same symbols on the wide layout, for the stages of the
         # transforms, where a symbol meets samples of the other axes: a
         # broadcast or blockwise product runs through numpy's iteration
@@ -202,7 +202,7 @@ class Grid:
         )
         object.__setattr__(self, "_wide_ik", wide_ik)
         object.__setattr__(self, "k2", k2)
-        object.__setattr__(self, "inv_k2", inv_k2.astype(complex))
+        object.__setattr__(self, "inv_lap", inv_lap.astype(complex))
         object.__setattr__(self, "k1sq", k_axes[0] ** 2)
         object.__setattr__(self, "coords", coords)
         object.__setattr__(self, "_blocks", blocks)

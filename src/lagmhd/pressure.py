@@ -4,12 +4,13 @@ The pressure gradient satisfies
 
     grad_p = -R[(A^T A - I) grad_p] + R[A^T div(A^T (d1Y x d1Y - Yt x Yt))]
 
-with R the inverse-Laplacian grad-div operator. For small deformations the
+with R = grad Delta^-1 div the Riesz projector. For small deformations the
 bracketed metric defect makes the map a contraction, so Picard iteration from
 the one-term truncation converges geometrically; the measured ratio is part of
 the solution object because it doubles as a smallness monitor. R maps into
-gradients, so every iterate is rhs - k q for one scalar potential q, and the
-iteration runs on q: one contraction and one residual per step.
+gradients, so every iterate is rhs - ik phi for one scalar potential
+phi = Delta^-1 div(D grad_p), and the iteration runs on phi: one contraction
+and one residual per step.
 
 A solve starts from a given potential q0 when there is one, and returns the
 potential it converged to, so a time stepper can start the next solve from
@@ -30,7 +31,7 @@ import numpy as np
 
 from .errors import NotConvergedError, PressureDivergenceError
 from .grid import ForceWorkspace, Grid
-from .spectral import _k_contract, divergence_band, riesz_apply_spec, weighted_norm_sq
+from .spectral import _riesz, divergence_band, riesz_apply_spec, weighted_norm_sq
 # dealias_spec is not called here; perfbench/layers.py times it by this name
 from .spectral import dealias_spec  # noqa: F401
 
@@ -41,7 +42,7 @@ PICARD_MAX_ITER = 50
 
 
 class PressureSolution(NamedTuple):
-    """grad_p = rhs - k q on the band, with the band of its potential q.
+    """grad_p = rhs - ik phi on the band, with the band of its potential phi.
 
     ``potential`` is what ``solve_pressure_spec`` takes as ``q0`` to start a
     later solve there; it and grad_p are bands of the solve's workspace,
@@ -84,17 +85,17 @@ def _tensor_rhs_spec(grid: Grid, a_vals, pair, out=None, work=None):
 
 
 def solve_pressure_spec(grid: Grid, defect_vals, rhs_band, tol, q0=None, work=None):
-    """Picard iteration grad_p <- -R[defect . grad_p] + rhs from grad_p = rhs - k q0.
+    """Picard iteration grad_p <- -R[defect . grad_p] + rhs from grad_p = rhs - ik q0.
 
     Works on bands: rhs_band, q0 and the returned grad_p and potential.
-    The iterate is the scalar potential q of grad_p = rhs - k q, with
-    q = inv_k2 (k . rfft(defect . grad_p)): R[v] = k inv_k2 (k . v), on
-    rfft's band. The residual of a step is
-    |grad_p_new - grad_p| = |k (q_new - q)|, summed over the band with the
-    Hermitian multiplicity carried by ``grid.norm_k2``.
+    The iterate is phi = Delta^-1 div(defect . grad_p) = inv_lap (ik .
+    rfft(defect . grad_p)), the potential of R[v] = ik phi on rfft's band,
+    and grad_p = rhs - ik phi. The residual of a step is |grad_p_new -
+    grad_p| = |ik (phi_new - phi)|, summed over the band with the Hermitian
+    multiplicity carried by ``grid.norm_k2``.
 
     q0 is a starting potential, typically the ``potential`` of a solve nearby
-    in time; None starts cold from q = 0, grad_p = rhs. The first residual is
+    in time; None starts cold from phi = 0, grad_p = rhs. The first residual is
     measured from q0, so a start at the fixed point stops after one step. The
     iteration stops at the residual tol and fails after PICARD_MAX_ITER
     iterations (``NotConvergedError``) or 3 consecutive expanding ones
@@ -108,25 +109,21 @@ def solve_pressure_spec(grid: Grid, defect_vals, rhs_band, tol, q0=None, work=No
         work = ForceWorkspace(grid)
     gp_real, mgp, pad = work.vec[0], work.vec[1], work.pad[0]
     gp, (q_prev, q, tmp) = work.vec_band[1], work.q[1:]
-    k = grid.k
     np.copyto(gp, rhs_band)
     if q0 is None:
         q_prev.fill(0.0)
     else:
         np.copyto(q_prev, q0)
-        for i in range(grid.dim):
-            gp[i] -= np.multiply(k[i], q_prev, out=tmp)
+        for i, ik in enumerate(grid.ik):
+            gp[i] -= np.multiply(ik, q_prev, out=tmp)
     residuals = []
     ratios = []
     bad_streak = 0
     for it in range(1, PICARD_MAX_ITER + 1):
         grid.irfft(gp, out=gp_real, pad=pad)
         np.einsum("jm...,m...->j...", defect_vals, gp_real, out=mgp)
-        # grad_p's samples are taken: its band holds the spectra until q is formed
-        _k_contract(grid.rfft(mgp, out=gp, pad=pad), k, out=q, tmp=tmp)
-        q *= grid.inv_k2
-        for i in range(grid.dim):
-            np.multiply(k[i], q, out=gp[i])
+        # grad_p's samples are taken: its band holds the spectra, then R of them
+        _riesz(grid.rfft(mgp, out=gp, pad=pad), grid, gp, q, tmp)
         np.subtract(rhs_band, gp, out=gp)
         q_prev -= q  # minus the step of the potential
         res = float(np.sqrt(weighted_norm_sq(q_prev, grid.norm_k2, grid, out=tmp)))

@@ -111,22 +111,28 @@ def weighted_norm_sq(spec, weight, grid: Grid, out=None) -> float:
 # -- Riesz projector ----------------------------------------------------------
 
 
+def _riesz(spec, grid: Grid, out, phi, tmp):
+    """R c = ik phi into out, with its potential phi = inv_lap (ik . c) =
+    Delta^-1 div c into phi and one temporary, tmp; out may be spec."""
+    _k_contract(spec, grid.ik, out=phi, tmp=tmp)
+    phi *= grid.inv_lap
+    for i, ik in enumerate(grid.ik):
+        np.multiply(ik, phi, out=out[i])
+    return out
+
+
 def riesz_apply_spec(spec, grid: Grid, out=None):
-    """Riesz projector k (k . c) / |k|^2 on spectral coefficients, 0 on the
-    mean mode: identity on gradients, zero on divergence-free fields.
+    """Riesz projector R = grad Delta^-1 div on spectral coefficients, ik phi
+    with phi = inv_lap (ik . c): k (k . c) / |k|^2, 0 on the mean mode,
+    identity on gradients, zero on divergence-free fields.
 
     A given ``out``, which must not share memory with spec, also holds the
     intermediates, so the call then allocates no band.
     """
-    k = grid.k
     if out is None:
         out = np.empty((grid.dim,) + grid.band_shape, dtype=complex)
-    # k . c lives in the last row of out until that row is written last
-    kv = _k_contract(spec, k, out=out[-1], tmp=out[0])
-    kv *= grid.inv_k2
-    for i in range(grid.dim):
-        np.multiply(k[i], kv, out=out[i])
-    return out
+    # phi lives in the last row of out until that row is written last
+    return _riesz(spec, grid, out, out[-1], out[0])
 
 
 def divergence_norm(band, grid: Grid) -> float:

@@ -38,9 +38,9 @@ class FullSpectrum:
     The Grid keeps the same tables on its band, the modes the 2/3 mask keeps
     of the first K planes, and the same element-by-element arithmetic makes
     them ``narrow`` of these. It has the attributes the spectral helpers
-    read of a Grid (dim, band_shape, spatial_axes, volume, k_axes, k, inv_k2),
-    and ``dealias_mask``, so given it in place of the Grid they act on these
-    planes.
+    read of a Grid (dim, band_shape, spatial_axes, volume, k_axes, ik,
+    inv_lap), and ``dealias_mask``, so given it in place of the Grid they act
+    on these planes.
     """
 
     def __init__(self, grid, planes=None):
@@ -58,17 +58,31 @@ class FullSpectrum:
             along(i, 2.0 * np.pi * np.fft.fftfreq(m, d=h))
             for i, (m, h) in enumerate(zip(grid.sizes, grid.spacings))
         )
-        self.k = self.k_axes  # numpy casts them as the Grid stores its k
+        self.ik = tuple(np.broadcast_to(1j * k, self.shape).copy() for k in self.k_axes)
         self.k2 = np.zeros(self.shape)
         for ka in self.k_axes:
             self.k2 = self.k2 + ka**2
         self.k1sq = self.k_axes[0] ** 2
-        self.inv_k2 = np.zeros(self.shape)
-        np.divide(1.0, self.k2, out=self.inv_k2, where=self.k2 > 0)
+        # -1/|k|^2, 0 on the mean mode, complex as the Grid stores it
+        self.inv_lap = np.zeros(self.shape)
+        np.divide(-1.0, self.k2, out=self.inv_lap, where=self.k2 > 0)
+        self.inv_lap = self.inv_lap.astype(complex)
         self.dealias_mask = np.ones(self.shape)
         for i, m in enumerate(grid.sizes):
             kept = np.abs(np.fft.fftfreq(m) * m) <= int(np.ceil(m / 3.0)) - 1
             self.dealias_mask = self.dealias_mask * along(i, kept)
+
+    def riesz_k_form(self, spec):
+        """The Riesz projector in its k form on these planes, k (k . c) /
+        |k|^2 and 0 on the mean mode: k . c over the real k_j, times
+        1/|k|^2, then each k_i times that."""
+        inv_k2 = np.zeros(self.shape)
+        np.divide(1.0, self.k2, out=inv_k2, where=self.k2 > 0)
+        kc = self.k_axes[0] * spec[0]
+        for k, c in zip(self.k_axes[1:], spec[1:]):
+            kc += k * c
+        kc *= inv_k2
+        return np.stack([k * kc for k in self.k_axes])
 
     def hs_weight(self, s):
         """The literal multi-index H^s weight on these planes."""

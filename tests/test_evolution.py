@@ -773,6 +773,17 @@ def _extrapolated(values):
     return sum((-1) ** j * math.comb(m, j + 1) * v for j, v in enumerate(values))
 
 
+def test_the_first_stage_weights_are_q_star_plus_the_extrapolated_offsets():
+    # (1, e1, -e1, e2, -e2, ...) on (q*_{n+1}, q0_n, q*_n, ...), with e the
+    # constant, linear and quadratic extrapolation of _EXTRAPOLATION
+    assert evolution._FIRST_STAGE_WEIGHTS == (
+        (1.0,),
+        (1.0, 1.0, -1.0),
+        (1.0, 2.0, -2.0, -1.0, 1.0),
+        (1.0, 3.0, -3.0, -3.0, 3.0, 1.0, -1.0),
+    )
+
+
 def test_the_extrapolated_starts_pair_solves_by_stored_time(monkeypatch):
     # dt = 0.05 is not a binary fraction: t_3 - dt is not t_2, so a start
     # that looked its solves up by t - dt would never find them. Solve 2m

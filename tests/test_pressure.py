@@ -62,10 +62,8 @@ def band_spectrum(grid):
     which hold the kept modes only."""
     full = FullSpectrum(grid, grid.band_shape[-1])
     band = SimpleNamespace(dim=grid.dim, band_shape=grid.band_shape, volume=grid.volume)
-    band.k = band.k_axes = tuple(
-        narrow(grid, np.broadcast_to(k, full.shape)) for k in full.k_axes
-    )
-    band.inv_k2 = narrow(grid, full.inv_k2)
+    band.ik = tuple(narrow(grid, ik) for ik in full.ik)
+    band.inv_lap = narrow(grid, full.inv_lap)
     band.multiplicity = np.full(grid.band_shape[-1], 2.0)
     band.multiplicity[0] = 1.0
     return band, grid.rfft, grid.irfft
@@ -371,8 +369,33 @@ def test_cold_start_is_the_zero_potential_and_returns_the_potential_of_grad_p():
         grid, metric_defect, rhs, 1e-10, q0=np.zeros(grid.band_shape, complex)
     )
     assert np.array_equal(cold[0], zero[0]) and cold[1:4] == zero[1:4]
-    gp, q = cold[0], cold[4]
-    assert np.array_equal(gp, rhs - np.stack([k * q for k in grid.k_axes]))
+    # grad_p = rhs - ik phi, phi the potential the solve returns
+    gp, phi = cold[0], cold[4]
+    assert np.array_equal(gp, rhs - np.stack([ik * phi for ik in grid.ik]))
+
+
+@pytest.mark.parametrize("sizes", [(16, 16, 16), (32, 32)], ids=["3D", "2D"])
+def test_a_picard_step_is_the_k_form_bit_for_bit(sizes):
+    # one step from a cold start, and one from the potential it returns,
+    # take the bits of rhs - R[D grad_p] with R the k form k (k . v) / |k|^2,
+    # but for the sign of a zero (test_riesz_is_the_k_form_bit_for_bit):
+    # the start rhs - ik phi0 is the cold step's grad_p
+    grid = Grid(sizes, (2 * np.pi,) * len(sizes))
+    defect, rhs = pressure_operands(small_state(grid, 0.05))
+    full = FullSpectrum(grid, grid.band_shape[-1])
+
+    def k_form_step(gp):
+        v = grid.rfft(np.einsum("jm...,m...->j...", defect, grid.irfft(gp)))
+        return rhs - narrow(grid, full.riesz_k_form(widen(grid, v)))
+
+    cold = solve_pressure_spec(grid, defect, rhs, np.inf)
+    want = k_form_step(rhs)
+    warm = solve_pressure_spec(grid, defect, rhs, np.inf, q0=cold.potential.copy())
+    for sol, want in ((cold, want), (warm, k_form_step(want))):
+        nonzero = want != 0.0
+        assert sol.iterations == 1 and nonzero.mean() > 0.8
+        assert np.array_equal(sol.grad_p, want)
+        assert same_bits(sol.grad_p[nonzero], want[nonzero])
 
 
 def test_quadratic_smallness_scaling():

@@ -131,6 +131,26 @@ def test_riesz_identity_on_gradients(grid3, rng):
     assert np.abs(out - grad).max() < 1e-12 * np.abs(grad).max()
 
 
+@pytest.mark.parametrize("sizes", [(16, 8, 32), (32, 16)], ids=["3D", "2D"])
+def test_riesz_is_the_k_form_bit_for_bit(sizes, rng):
+    # ik (inv_lap (ik . c)), the sign of Delta^-1 in the table, has the bits
+    # of k (k . c) / |k|^2 on the real k_j: a factor i only moves and negates
+    # the parts of a product; the same with the intermediates in out. Only
+    # the sign of a zero may differ, in component i where k_i = 0, where 0
+    # multiplies the other part of phi
+    grid = Grid(sizes, (2 * np.pi, 3.0, 5.0)[: len(sizes)])
+    band = grid.rfft(rng.standard_normal((grid.dim,) + grid.shape))
+    full = FullSpectrum(grid, grid.band_shape[-1])
+    want = narrow(grid, full.riesz_k_form(widen(grid, band)))
+    nonzero = want != 0.0
+    assert nonzero.mean() > 0.8
+    out = np.full_like(band, np.nan)
+    assert riesz_apply_spec(band, grid, out=out) is out
+    for got in (riesz_apply_spec(band, grid), out):
+        assert np.array_equal(got, want)
+        assert same_bits(got[nonzero], want[nonzero])
+
+
 def test_riesz_annihilates_divergence_free(grid3, rng):
     v = leray_project(random_band_limited(grid3, rng, rank=1))
     out = riesz_apply_spec(v.band, grid3)
@@ -209,13 +229,16 @@ def test_dealias_mask_is_the_per_axis_two_thirds_rule(sizes):
     kept = kept[..., : grid.band_shape[-1]]
     assert int(kept.sum()) == int(np.prod(grid.band_shape))
     # zero_dropped, which the inverse transforms apply to their scratch,
-    # zeroes the other modes, and inv_k2, the Picard potential's symbol, is
-    # 0 on the mean mode alone
+    # zeroes the other modes, and inv_lap, the symbol of the Picard
+    # potential, is -1/|k|^2 off the mean mode and 0 on it
     ones = np.ones(kept.shape, dtype=complex)
     assert np.array_equal(grid.zero_dropped(ones), kept.astype(complex))
     assert np.array_equal(widen(grid, np.ones(grid.band_shape)), kept.astype(float))
-    assert grid.inv_k2[(0,) * grid.dim] == 0.0
-    assert np.count_nonzero(grid.inv_k2) == grid.inv_k2.size - 1
+    assert grid.inv_lap[(0,) * grid.dim] == 0.0
+    assert np.count_nonzero(grid.inv_lap) == grid.inv_lap.size - 1
+    off = grid.k2 > 0
+    assert np.allclose(grid.inv_lap.real[off] * grid.k2[off], -1.0, rtol=1e-15, atol=0.0)
+    assert not grid.inv_lap.imag.any()
 
 
 # non-cubic sizes and unequal lengths, so that a transposed axis shows
@@ -314,7 +337,7 @@ def test_half_tables_are_the_first_last_axis_planes(name):
 
     for kh, kf in zip(grid.k_axes, full.k_axes):
         assert np.array_equal(np.broadcast_to(kh, grid.band_shape), cut(kf))
-    for table in ("k2", "k1sq", "inv_k2"):
+    for table in ("k2", "k1sq", "inv_lap"):
         got = np.broadcast_to(getattr(grid, table), grid.band_shape)
         assert np.array_equal(got, cut(getattr(full, table)))
     for k, ik in zip(full.k_axes, grid.ik):
@@ -346,7 +369,7 @@ def test_the_band_holds_the_kept_modes_only(sizes):
     shape = tuple(2 * -(-n // 3) - 1 for n in sizes[:-1]) + (-(-sizes[-1] // 3),)
     assert grid.band_shape == shape
     assert [len(m) for m in grid.modes] == list(shape)
-    for table in (grid.k2, grid.inv_k2, grid.norm_k2, grid.hs_weight(2)) + grid.ik:
+    for table in (grid.k2, grid.inv_lap, grid.norm_k2, grid.hs_weight(2)) + grid.ik:
         assert table.shape == shape
     for i, k in enumerate(grid.k_axes + (grid.k1sq,)):
         assert np.broadcast_shapes(k.shape, shape) == shape
@@ -526,14 +549,21 @@ def test_grids_of_one_last_size_share_one_dft_table(monkeypatch, rng):
 
 @pytest.mark.parametrize("name", ["3D", "2D", "2D-4"])
 def test_field_band_is_the_sliced_spectrum_or_rfft_of_values(name, rng):
+    # a field holds its grid and its band, whatever it was built from, and
+    # reads its samples and spectrum back from the band
     grid = HALF_GRIDS[name]
     vals = rng.standard_normal((grid.dim,) + grid.shape)
-    assert np.array_equal(VectorField.from_values(grid, vals).band, grid.rfft(vals))
-    # from a full spectrum: its kept modes, gathered
     spec = grid.fft(vals)
-    band = VectorField.from_spec(grid, spec).band
-    assert band.shape == (grid.dim,) + grid.band_shape
-    assert np.array_equal(band, narrow(grid, spec))
+    # from a full spectrum: its kept modes, gathered
+    for field, band in (
+        (VectorField.from_values(grid, vals), grid.rfft(vals)),
+        (VectorField.from_spec(grid, spec), narrow(grid, spec)),
+    ):
+        assert set(vars(field)) == {"grid", "band"}
+        assert field.band.shape == (grid.dim,) + grid.band_shape
+        assert same_bits(field.band, band)
+        assert same_bits(field.values, grid.irfft(band))
+        assert same_bits(field.spec, grid.fft(grid.irfft(band)))
 
 
 @pytest.mark.parametrize("name", ["3D", "2D", "3D-cube", "2D-4"])
@@ -541,6 +571,7 @@ def test_field_from_band_mirrors_its_spectrum_and_samples(name, rng):
     grid = HALF_GRIDS[name]
     band = grid.rfft(rng.standard_normal((grid.dim,) + grid.shape))
     f = VectorField.from_band(grid, band)
+    assert set(vars(f)) == {"grid", "band"}
     assert np.array_equal(f.band, band)
     assert np.array_equal(f.spec, grid.fft(grid.irfft(band)))
     assert np.array_equal(f.values, grid.irfft(band))
