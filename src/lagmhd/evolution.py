@@ -233,9 +233,13 @@ def compute_force(
     D drives the pressure fixed point. It reads the state's bands of Y and
     Yt, every spectrum in between lives on the band, and f and grad_p are
     returned on the band. grad Yt comes with the samples of Yt, after D,
-    into the workspace's ``b``; the viscous flux is formed after the
-    pressure solve, so that f, the band of div(D grad Yt) - A grad_p, is
-    one ``divergence_band``.
+    into the workspace's ``vec[0]``, and the pair [d1 Y, Yt] of the
+    pressure right-hand side is read where it lies, d1 Y in
+    ``grad_y[:, 0]``: it may live anywhere but ``b`` and ``vec[1:]``. B's
+    array ``b``, read no more once D is formed, takes the pressure tensor
+    Z A and then the viscous flux, which is formed after the pressure
+    solve, so that f, the band of div(D grad Yt) - A grad_p, is one
+    ``divergence_band``.
 
     The band holds no mode on the Nyquist hyperplanes of the leading axes,
     where an odd multiplier leaves a real field's spectrum non-Hermitian and
@@ -263,16 +267,18 @@ def compute_force(
     defect += b
     defect += np.swapaxes(b, 0, 1)
 
-    pair = work.b[:2]  # [d1 Y, Yt]: b is read no more
-    np.copyto(pair[0], grad_y[:, 0])
-    grad_yt = gradient_values(state.Yt, grid, out=work.grad_yt, work=work, values=pair[1])
-    rhs_band = _tensor_rhs_spec(grid, a_vals, pair, out=work.vec_band[0], work=work)
+    # the pair [d1 Y, Yt] read in place; b, read no more, takes Z A
+    yt = work.vec[0]
+    grad_yt = gradient_values(state.Yt, grid, out=work.grad_yt, work=work, values=yt)
+    rhs_band = _tensor_rhs_spec(
+        grid, a_vals, (grad_y[:, 0], yt), out=work.vec_band[0], work=work
+    )
     pressure = solve_pressure_spec(
         grid, defect, rhs_band, pressure_tol, q0=q0, work=work
     )
     gp_real = grid.irfft(pressure.grad_p, out=work.vec[0], pad=work.pad[0])
     a_gp = np.einsum("im...,m...->i...", a_vals, gp_real, out=work.vec[1])
-    flux = np.einsum("jm...,im...->ij...", defect, grad_yt, out=work.flux)
+    flux = np.einsum("jm...,im...->ij...", defect, grad_yt, out=work.b)
     f_band = divergence_band(flux, grid, out=work.vec_band[0], work=work, minus=a_gp)
 
     return NonlinearForce(
@@ -506,13 +512,14 @@ def _magnetic_filter(grid: Grid):
 
     exp(-36 r^36) with r the per-axis-normalized mode fraction: ~1 up to
     two thirds of the retained band, machine-zero at the boundary. Stands in
-    for the missing resistivity of the induction equation. Built on the band.
+    for the missing resistivity of the induction equation. Built on the band,
+    a complex table, x + 0j, as numpy casts it for a product with a band.
     """
     r = np.zeros(grid.band_shape)
     for i, modes in enumerate(grid.modes):
         frac = np.abs(modes) / max(int(modes.max()), 1)
         r = np.maximum(r, frac.reshape([-1 if j == i else 1 for j in range(grid.dim)]))
-    return np.exp(-36.0 * np.minimum(r, 1.0) ** 36)
+    return np.exp(-36.0 * np.minimum(r, 1.0) ** 36).astype(complex)
 
 
 class EulerianStepper:
@@ -539,13 +546,16 @@ class EulerianStepper:
     distinct stress entries stacked with u x b (9 components in 3D, 4 in
     2D). Every array a right-hand side and a step write is allocated once,
     in ``__init__``; a step allocates only the bands of the state it
-    returns.
+    returns. A product of a band-shaped table or field with a (d,) band or
+    stack of samples runs per component or per stress entry: numpy would
+    buffer the operand it broadcasts.
     """
 
     def __init__(self, grid: Grid, dt: float):
         self.grid = grid
         self.dt = dt
-        self.heat = np.exp(-grid.k2 * dt)
+        # complex, x + 0j, as numpy casts it for a product with a band
+        self.heat = np.exp(-grid.k2 * dt).astype(complex)
         self.filter = _magnetic_filter(grid)
         d, band = grid.dim, grid.band_shape
         # row of stress entry (i, j) in the forward transform: the i <= j
@@ -559,7 +569,7 @@ class EulerianStepper:
         self._mean = (slice(None),) + (0,) * d  # the mean mode of a vector band
         self._ub_band = np.empty((2 * d,) + band, dtype=complex)
         self._ub = np.empty((2 * d,) + grid.shape)
-        self._tmp = np.empty((d,) + grid.shape)
+        self._tmp = np.empty(grid.shape)
         self._prod = np.empty((nprod,) + grid.shape)
         self._prod_band = np.empty((nprod,) + band, dtype=complex)
         self._band_tmp = np.empty(band, dtype=complex)
@@ -591,13 +601,14 @@ class EulerianStepper:
         u, b = ub[:d], ub[d:]
 
         # stress u_i u_j - b'_i b'_j for j >= i, then u x b with b = B0 + b'
-        prod = self._prod
+        prod, w = self._prod, self._tmp
+        for i, j in itertools.combinations_with_replacement(range(d), 2):
+            entry = prod[self._entry[i, j]]
+            np.multiply(u[i], u[j], out=entry)
+            entry -= np.multiply(b[i], b[j], out=w)
         for i in range(d):
-            rows = prod[self._entry[i, i] : self._entry[i, i] + d - i]
-            np.multiply(u[i], u[i:], out=rows)
-            rows -= np.multiply(b[i], b[i:], out=self._tmp[: d - i])
-        b += b_mean.reshape((d,) + (1,) * d)
-        cross, w = prod[self._nstress :], self._tmp[0]
+            b[i] += b_mean[i]
+        cross = prod[self._nstress :]
         if d == 2:
             np.multiply(u[0], b[1], out=cross[0])
             cross[0] -= np.multiply(u[1], b[0], out=w)
@@ -614,7 +625,8 @@ class EulerianStepper:
         for i in range(d):
             _k_contract([stress[e] for e in self._entry[i]], ik, out=n[i], tmp=tmp)
         _k_contract(b_mean, ik, out=tmp, tmp=rhs_u[0])
-        n -= np.multiply(tmp, b_band, out=rhs_u)
+        for i in range(d):
+            n[i] -= np.multiply(tmp, b_band[i], out=rhs_u[i])
         riesz_apply_spec(n, grid, out=rhs_u)
         rhs_u -= n
 
@@ -636,19 +648,24 @@ class EulerianStepper:
         ru0, h0 = self._rhs(u0, b0, self._stages[0])
         u_star = np.multiply(ru0, dt, out=self._u_star)
         u_star += u0
-        u_star *= heat
+        for u_i in u_star:
+            u_i *= heat
         b_star = np.multiply(h0, dt, out=self._b_star)
         b_star += b0
         ru1, h1 = self._rhs(u_star, b_star, self._stages[1])
-        ru0 *= heat
+        for ru_i in ru0:
+            ru_i *= heat
         ru0 += ru1
         ru0 *= 0.5 * dt
-        u_new = heat * u0
+        u_new = np.empty_like(u0)
+        for u_i, u0_i in zip(u_new, u0):
+            np.multiply(heat, u0_i, out=u_i)
         u_new += ru0
         h0 += h1
         h0 *= 0.5 * dt
         b_new = b0 + h0
-        b_new *= self.filter
+        for b_i in b_new:
+            b_i *= self.filter
         if not (np.isfinite(u_new).all() and np.isfinite(b_new).all()):
             raise FloatingPointError("non-finite Eulerian state after step")
         return EulerState(grid, u_new, b_new, state.t + dt)

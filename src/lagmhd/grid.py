@@ -364,18 +364,19 @@ class ForceWorkspace:
     force it computes, so a warm step allocates no array of grid size;
     ``compute_force`` without one builds a fresh one. Its arrays, those a
     force returns included, are overwritten by the next force on the same
-    workspace. With d = grid.dim, real samples (float64, grid shape):
+    workspace. With d = grid.dim, real samples (float64, grid shape), six
+    (d, d) tensors in 3D:
 
     - ``grad_y``, ``grad_yt``, ``a``: (d, d), grad Y, grad Yt and the
       cofactor A, which the force returns;
-    - ``b``: (d, d), B = A - I, then in ``b[:2]`` the pair [d1 Y, Yt] of
-      the pressure right-hand side;
+    - ``b``: (d, d), B = A - I until D is formed, then Z A of the pressure
+      right-hand side, then the viscous flux D grad Yt;
     - ``defect``: (d, d), D = A^T A - I, which the pressure solve reads;
-    - ``flux``: (d, d), Z A of the pressure right-hand side, then the
-      viscous flux D grad Yt;
-    - ``vec``: (3, d), A^T [d1 Y, Yt] and the vector of the pressure
-      right-hand side, then the Picard iterate and its product with D,
-      then grad_p and A grad_p.
+    - ``vec``: (3, d), [0] the samples of Yt, which with d1 Y in
+      ``grad_y[:, 0]`` make the pair [v, w] of the pressure right-hand
+      side, [1:] A^T v and -A^T w, then the vector of the right-hand side;
+      then the Picard iterate and its product with D, then grad_p and
+      A grad_p.
 
     Bands (complex, ``grid.band_shape``):
 
@@ -390,11 +391,14 @@ class ForceWorkspace:
     Transform scratch, on the wide (N0[, N1]) leading modes: ``mat_band``,
     (d, d) arrays of K last-axis planes, holds the slots of
     ``gradient_values`` and the stages of each ``divergence_band``, of Z A,
-    then of the viscous flux less A grad_p; ``pad``, (d, d) arrays of
-    ``grid.pad_shape``, is the plane buffer of ``Grid.irfft`` and
-    ``Grid.rfft`` and, past ``MATMUL_MAX_LAST``, of numpy's forward
-    transform in ``divergence_band``; a vector uses ``pad[0]``, and the K
-    planes of ``divergence_band``'s ``minus`` the memory of ``pad[1]``.
+    then of the viscous flux less A grad_p; ``pad``, arrays of
+    ``grid.pad_shape``, keeps only the rows a force reads: past
+    ``MATMUL_MAX_LAST`` (d, d), which numpy's r2c of a matrix in
+    ``divergence_band`` fills, and at or below it one vector row, (1, d).
+    ``pad[0]`` is the plane buffer of ``Grid.irfft`` and ``Grid.rfft`` on a
+    vector, and the K planes of ``divergence_band``'s ``minus`` go to the
+    memory of ``pad[-1]``: at or below ``MATMUL_MAX_LAST`` that is the same
+    row, which no transform reads then.
     """
 
     def __init__(self, grid: Grid):
@@ -405,7 +409,6 @@ class ForceWorkspace:
         self.a = np.empty(mat)
         self.b = np.empty(mat)
         self.defect = np.empty(mat)
-        self.flux = np.empty(mat)
         self.vec = np.empty((3, d) + grid.shape)
         self.y_band = np.empty((d,) + band, dtype=complex)
         self.yt_band = np.empty((d,) + band, dtype=complex)
@@ -413,7 +416,8 @@ class ForceWorkspace:
         self.q = np.empty((4,) + band, dtype=complex)
         wide = grid.pad_shape[:-1] + band[-1:]
         self.mat_band = np.empty((d, d) + wide, dtype=complex)
-        self.pad = np.empty((d, d) + grid.pad_shape, dtype=complex)
+        rows = d if grid.sizes[-1] > MATMUL_MAX_LAST else 1
+        self.pad = np.empty((rows, d) + grid.pad_shape, dtype=complex)
 
 
 def multi_indices(dim: int, s: int):

@@ -25,6 +25,7 @@ PICARD_MAX_ITER iterations.
 
 from __future__ import annotations
 
+import itertools
 from typing import NamedTuple
 
 import numpy as np
@@ -63,21 +64,30 @@ def _tensor_rhs_spec(grid: Grid, a_vals, pair, out=None, work=None):
 
     Returns the band. The divergence-free rows of the cofactor matrix let the
     nested operator collapse to this conservative form. ``pair`` holds the
-    samples [v, w]; (v x v - w x w) A is one mat-vec A^T [v, w] and one
-    contraction with [A^T v, -A^T w], bit for bit v_i (A^T v)_l - w_i (A^T w)_l,
-    and its divergence is one ``divergence_band``.
+    samples (v, w), two (d,) arrays that may live anywhere but the
+    workspace's ``b`` and ``vec[1:]`` (``compute_force`` passes d1 Y as
+    ``grad_y[:, 0]`` and Yt in ``vec[0]``). (v x v - w x w) A is formed
+    from A^T v and -A^T w, one mat-vec each, as v x A^T v plus, entry by
+    entry, w_i (-A^T w)_l, the order in which a contraction of the stacked
+    [v, w] with [A^T v, -A^T w] adds, so bit for bit v_i (A^T v)_l - w_i
+    (A^T w)_l; its divergence is one ``divergence_band``.
 
     out receives the band when given. ``work`` is the ``ForceWorkspace`` of
-    the grid (a fresh one when None); the call overwrites its ``flux``,
-    ``vec[1:]``, ``mat_band``, ``vec_band[1]`` and ``pad``, so the pair must
-    not live there (``compute_force`` keeps it in ``b[:2]``).
+    the grid (a fresh one when None); the call overwrites its ``b`` (Z A),
+    ``vec[1:]``, ``mat_band`` (whose memory takes the entry products
+    first), ``vec_band[1]`` and ``pad``, and reads the pair only.
     """
     if work is None:
         work = ForceWorkspace(grid)
     vec, band, pad = work.vec, work.vec_band[1], work.pad
-    at = np.einsum("ml...,pm...->pl...", a_vals, pair, out=vec[1:])
-    np.negative(at[1], out=at[1])
-    za = np.einsum("pi...,pl...->il...", pair, at, out=work.flux)
+    v, w = pair
+    at_v = np.einsum("ml...,m...->l...", a_vals, v, out=vec[1])
+    at_w = np.einsum("ml...,m...->l...", a_vals, w, out=vec[2])
+    np.negative(at_w, out=at_w)
+    za = np.einsum("i...,l...->il...", v, at_v, out=work.b)
+    tmp = work.mat_band.reshape(-1).view(float)[: grid.npoints].reshape(grid.shape)
+    for i, l in itertools.product(range(grid.dim), repeat=2):
+        za[i, l] += np.multiply(w[i], at_w[l], out=tmp)
     w_band = divergence_band(za, grid, out=band, work=work)
     w_real = grid.irfft(w_band, out=vec[1], pad=pad[0])
     atw = np.einsum("jm...,j...->m...", a_vals, w_real, out=vec[2])

@@ -63,9 +63,10 @@ def divergence_band(mat, grid: Grid, out=None, work=None, minus=None):
     acc = slots[:, -1]
     acc *= ik[-1]
     if minus is not None:
-        # the K planes of minus go to contiguous memory, pad[1]'s, so the
-        # subtraction is not buffered past MATMUL_MAX_LAST
-        planes = None if pad is None else pad[1].reshape(-1)[: acc.size].reshape(acc.shape)
+        # the K planes of minus go to contiguous memory, pad[-1]'s, so the
+        # subtraction is not buffered past MATMUL_MAX_LAST, where numpy's
+        # r2c of minus fills pad[0]
+        planes = None if pad is None else pad[-1].reshape(-1)[: acc.size].reshape(acc.shape)
         acc -= grid.last_forward(minus, out=planes, pad=None if pad is None else pad[0])
     for a in range(d - 1):
         grid.lead_pass(slots[:, a:], (a - d,))

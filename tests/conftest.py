@@ -3,9 +3,10 @@ import pytest
 import scipy.fft as sfft
 
 from lagmhd.fields import VectorField
-from lagmhd.geometry import _COFACTOR_TERMS
+from lagmhd.geometry import _COFACTOR_TERMS, cofactor_values
 from lagmhd.grid import ForceWorkspace, Grid, multi_indices
-from lagmhd.spectral import riesz_apply_spec
+from lagmhd.pressure import PICARD_ABS_TOL, solve_pressure_spec
+from lagmhd.spectral import divergence_band, gradient_values, riesz_apply_spec
 
 
 @pytest.fixture(scope="session")
@@ -109,6 +110,30 @@ def poisoned_workspace(grid):
     for arr in vars(work).values():
         arr.fill(np.nan)
     return work
+
+
+def stacked_pair_force(state, q0=None):
+    """(f band, PressureSolution) of ``compute_force`` at the floor tolerance,
+    each step on fresh arrays: the pair [d1 Y, Yt] stacked into one array,
+    A^T [v, w] by one stacked einsum, its second row negated, and Z A by
+    one contraction of the pair with it."""
+    grid = state.grid
+    grad_y = gradient_values(state.Y, grid)
+    b, a = cofactor_values(grad_y)
+    defect = np.einsum("mi...,mj...->ij...", b, b)
+    defect += b
+    defect += np.swapaxes(b, 0, 1)
+    pair = np.stack([grad_y[:, 0], grid.irfft(state.Yt)])
+    grad_yt = gradient_values(state.Yt, grid)
+    at = np.einsum("ml...,pm...->pl...", a, pair)
+    np.negative(at[1], out=at[1])
+    za = np.einsum("pi...,pl...->il...", pair, at)
+    atw = np.einsum("jm...,j...->m...", a, grid.irfft(divergence_band(za, grid)))
+    rhs = riesz_apply_spec(grid.rfft(atw), grid)
+    pressure = solve_pressure_spec(grid, defect, rhs, PICARD_ABS_TOL, q0=q0)
+    a_gp = np.einsum("im...,m...->i...", a, grid.irfft(pressure.grad_p))
+    flux = np.einsum("jm...,im...->ij...", defect, grad_yt)
+    return divergence_band(flux, grid, minus=a_gp), pressure
 
 
 def cofactor_pieces(grad):

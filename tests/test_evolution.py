@@ -20,7 +20,7 @@ from lagmhd.geometry import (
     determinant_values,
     graded_metric_values,
 )
-from lagmhd.grid import Grid
+from lagmhd.grid import MATMUL_MAX_LAST, ForceWorkspace, Grid
 from lagmhd.evolution import (
     DEGENERATE_REL_TOL,
     EulerianStepper,
@@ -51,6 +51,7 @@ from conftest import (
     poisoned_workspace,
     random_band_limited,
     same_bits,
+    stacked_pair_force,
     widen,
     zero_band,
 )
@@ -438,6 +439,55 @@ def test_a_reused_workspace_gives_the_fresh_force_bit_for_bit(sizes):
         iterations.append(got.pressure.iterations)
         q0 = got.pressure.potential
     assert min(iterations) == 1 and max(iterations) > 1
+
+
+@pytest.mark.parametrize(
+    "sizes", [(16, 16, 16), (32, 32), (4, 8, 128)], ids=["3D", "2D", "4x8x128"]
+)
+def test_the_force_keeps_the_bits_of_the_stacked_pair_on_fresh_arrays(sizes):
+    # the pair read in place (d1 Y in grad_y[:, 0], Yt in vec[0]) and Z A
+    # in B's array give the bits of the stacked pair [d1 Y, Yt], A^T [v, w]
+    # and Z A on fresh arrays; cold, and from a start off the fixed point.
+    # The (4, 8, 128) grid runs numpy's r2c past MATMUL_MAX_LAST, with a
+    # (d, d) plane buffer
+    grid = Grid(sizes, (2 * np.pi,) * len(sizes))
+    state = build_flow_state(grid, scaled_spec(default_spec(grid.dim, None), 0.05))
+    work = poisoned_workspace(grid)
+    q0 = None
+    for _ in range(2):
+        want_f, want = stacked_pair_force(state, q0=q0)
+        got = compute_force(state, q0=q0, work=work)
+        assert same_bits(got.f.band, want_f)
+        assert same_bits(got.pressure.grad_p, want.grad_p)
+        assert same_bits(got.pressure.potential, want.potential)
+        assert got.pressure.iterations == want.iterations
+        q0 = 0.5 * want.potential
+
+
+@pytest.mark.parametrize(
+    "sizes, bound",
+    [((32, 32, 32), 17_793_168), ((16, 16, 16), 2_285_088), ((128, 128), 5_111_328)],
+    ids=["32^3", "16^3", "128^2"],
+)
+def test_a_force_workspace_holds_six_sample_tensors(sizes, bound):
+    # B's array takes Z A and the viscous flux, so there is no flux array:
+    # grad Y, grad Yt, A, B, D and the (3, d) vectors, six (d, d) tensors
+    # in 3D; the plane buffer keeps a (d, d) matrix only where numpy's r2c
+    # of one fills it, and one vector row at or below MATMUL_MAX_LAST. The
+    # bounds are the bytes of that layout (with a flux array and a (d, d)
+    # plane buffer it was 21,233,808, 2,727,456 and 5,635,616 B)
+    grid = Grid(sizes, (2 * np.pi,) * len(sizes))
+    d = grid.dim
+    arrays = vars(ForceWorkspace(grid))
+    assert "flux" not in arrays
+    samples = {name: arr for name, arr in arrays.items() if arr.dtype == float}
+    assert {name: arr.shape for name, arr in samples.items()} == {
+        **dict.fromkeys(["grad_y", "grad_yt", "a", "b", "defect"], (d, d) + grid.shape),
+        "vec": (3, d) + grid.shape,
+    }
+    rows = d if grid.sizes[-1] > MATMUL_MAX_LAST else 1
+    assert arrays["pad"].shape == (rows, d) + grid.pad_shape
+    assert sum(arr.nbytes for arr in arrays.values()) <= bound
 
 
 @pytest.mark.parametrize("sizes", [(16, 16, 16), (32, 32)], ids=["3D", "2D"])
@@ -1239,10 +1289,12 @@ def test_euler_rhs_takes_two_transform_calls(monkeypatch, sizes, rng):
 
 def test_a_warm_euler_step_allocates_no_grid_sized_array():
     # the compare16 grid: a warm step holds the two bands of the state it
-    # returns and numpy's cast buffer of the complex-times-real multiplies,
-    # 106,248 B measured, 3.05 bands of (11, 11, 6) modes (on the wide band
-    # 222,696 B against a bound of 294,912, 4 bands; 23.5 bands when every
-    # right-hand side allocated its transforms and products)
+    # returns, 69,696 B of (11, 11, 6) modes, and numpy's bookkeeping,
+    # 73,796 B measured, 2.12 bands; with real heat and filter tables and
+    # products broadcast over the components it was 106,248 B (3.05 bands,
+    # against a bound of 120,000), numpy's cast and iteration buffers (on
+    # the wide band 222,696 B, and 23.5 bands when every right-hand side
+    # allocated its transforms and products)
     grid = Grid((16, 16, 16), (2 * np.pi,) * 3)
     flow = build_flow_state(grid, scaled_spec(default_spec(3, None), 0.02))
     from lagmhd.initial_data import euler_from_flow
@@ -1257,7 +1309,7 @@ def test_a_warm_euler_step_allocates_no_grid_sized_array():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 120_000
+    assert peak <= 80_000
 
 
 @pytest.mark.parametrize("bad_step", [2, 5], ids=["mid-run", "last-step"])

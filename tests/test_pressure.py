@@ -270,7 +270,8 @@ def _two_outer_products_rhs(grid, a, v, w):
 @pytest.mark.parametrize("sizes", [(16, 16, 16), (32, 32)], ids=["3D", "2D"])
 def test_the_stacked_rhs_keeps_the_bits_of_two_outer_products(sizes, rng):
     # on the criterion-6 data, and on random samples with exact zeros of
-    # either sign; the pair in the workspace's b, as compute_force keeps it
+    # either sign; the pair where compute_force keeps it, v in the
+    # workspace's grad_y[:, 0] and w in its vec[0]
     grid = Grid(sizes, (2 * np.pi,) * len(sizes))
     state = small_state(grid, 0.05)
     grad_y = gradient_values(state.Y, grid)
@@ -282,10 +283,12 @@ def test_the_stacked_rhs_keeps_the_bits_of_two_outer_products(sizes, rng):
         want = _two_outer_products_rhs(grid, a_vals, pair[0], pair[1])
         assert same_bits(_tensor_rhs_spec(grid, a_vals, pair.copy()), want)
         work = poisoned_workspace(grid)
-        work.b[:2] = pair
-        got = _tensor_rhs_spec(grid, a_vals, work.b[:2], work=work)
+        v, w = work.grad_y[:, 0], work.vec[0]
+        v[...], w[...] = pair
+        got = _tensor_rhs_spec(grid, a_vals, (v, w), work=work)
         assert same_bits(got, want)
-        assert same_bits(work.b[:2], pair)  # the pair is read, not written
+        # the pair is read, not written
+        assert same_bits(v, pair[0]) and same_bits(w, pair[1])
 
 
 # -- fixed point -----------------------------------------------------------------
