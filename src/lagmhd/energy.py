@@ -6,7 +6,8 @@ bound, and the dissipation inequality are exactly the paper's. Only the order
 of summation differs from the term-by-term formulas: each functional is
 diagonal in Fourier space, so a sample forms one table of eight weights
 against five per-mode spectra, and every term is a fixed coefficient times a
-power of (t+1) times one entry of that table.
+power of (t+1) times one entry of that table: each functional takes the
+table and the time t of its state.
 
 The ledger re-checks the differential inequality along computed trajectories
 from per-sample sequences of the stored values (times, corrected energy,
@@ -105,14 +106,9 @@ class EnergyEvaluator:
         )
 
 
-def _terms(ev, state, table, coeffs, terms):
-    """coeff * (t+1)^p * table[row, col] for each coefficient and (row, col, p).
-
-    Without a table, one is built from the state.
-    """
-    if table is None:
-        table = ev.sample_table(state)
-    w = state.t + 1.0
+def _terms(table, t, coeffs, terms):
+    """coeff * (t+1)^p * table[row, col] for each coefficient and (row, col, p)."""
+    w = t + 1.0
     powers = (1.0, w, w * w)
     rows = table.tolist()
     return tuple(c * powers[p] * rows[r][s] for c, (r, s, p) in zip(coeffs, terms))
@@ -167,54 +163,45 @@ _CORRECTED_ON_TABLE = tuple(  # the -k2 of the two cross terms
 )
 
 
-def energy_report(ev: EnergyEvaluator, state: FlowState, table=None) -> tuple:
+def energy_report(table, t) -> tuple:
     """The seven weighted energy components; weights are (t+1) and (t+1)^2."""
-    return _terms(ev, state, table, _ONES, ENERGY_TERMS)
+    return _terms(table, t, _ONES, ENERGY_TERMS)
 
 
-def dissipation_report(ev: EnergyEvaluator, state: FlowState, table=None) -> tuple:
+def dissipation_report(table, t) -> tuple:
     """The five dissipation components with their temporal weights."""
-    return _terms(ev, state, table, _ONES, DISSIPATION_TERMS)
+    return _terms(table, t, _ONES, DISSIPATION_TERMS)
 
 
-def corrected_energy(ev: EnergyEvaluator, state: FlowState, table=None) -> tuple:
+def corrected_energy(table, t) -> tuple:
     """The eleven signed terms of the cross-term energy tilde_E."""
-    return _terms(ev, state, table, _CORRECTED_ON_TABLE, CORRECTED_TERMS)
+    return _terms(table, t, _CORRECTED_ON_TABLE, CORRECTED_TERMS)
 
 
-def lower_bound_value(ev: EnergyEvaluator, state: FlowState, table=None) -> float:
+def lower_bound_value(table, t) -> float:
     """Coercivity lower bound for the corrected energy (Young absorption)."""
-    return sum(_terms(ev, state, table, LOWER_BOUND_COEFFS, LOWER_BOUND_TERMS))
+    return sum(_terms(table, t, LOWER_BOUND_COEFFS, LOWER_BOUND_TERMS))
 
 
 LOWER_BOUND_TOL = 1e-12  # a margin at or above -LOWER_BOUND_TOL passes
 
 
-def lower_bound_margin(
-    ev: EnergyEvaluator, state: FlowState, table=None, corrected=None
-) -> float:
-    """Coercivity margin of tilde_E, relative to the larger of the two sides:
-    (tilde_E - lower bound) / max(|tilde_E|, |lower bound|, 1e-300). A given
-    corrected must be sum(corrected_energy(ev, state, table))."""
-    if table is None:
-        table = ev.sample_table(state)
-    ce = sum(corrected_energy(ev, state, table)) if corrected is None else corrected
-    lb = lower_bound_value(ev, state, table)
-    return (ce - lb) / max(abs(ce), abs(lb), 1e-300)
+def lower_bound_margin(table, t, corrected) -> float:
+    """Coercivity margin (tilde_E - lb) / max(|tilde_E|, |lb|, 1e-300), with
+    tilde_E = corrected = sum(corrected_energy(table, t)) and lb its bound."""
+    lb = lower_bound_value(table, t)
+    return (corrected - lb) / max(abs(corrected), abs(lb), 1e-300)
 
 
-def dissipation_inequality_terms(ev: EnergyEvaluator, state: FlowState, table=None):
+def dissipation_inequality_terms(table, t):
     """The five dissipative terms of the differential inequality, weighted."""
-    return _terms(ev, state, table, DISSIPATION_COEFFS, INEQUALITY_TERMS)
+    return _terms(table, t, DISSIPATION_COEFFS, INEQUALITY_TERMS)
 
 
-def forcing_pairings(ev: EnergyEvaluator, state: FlowState, f_band, table=None) -> tuple:
-    """(rhs1, rhs2), the absolute forcing pairings above, of the force band
-    f_band. A given table must have been built with f_band."""
-    if table is None:
-        table = ev.sample_table(state, f_band)
-    rhs1 = sum(_terms(ev, state, table, RHS1_COEFFS, RHS1_TERMS))
-    rhs2 = sum(_terms(ev, state, table, RHS2_COEFFS, RHS2_TERMS))
+def forcing_pairings(table, t) -> tuple:
+    """(rhs1, rhs2), the absolute forcing pairings above, of the table's force."""
+    rhs1 = sum(_terms(table, t, RHS1_COEFFS, RHS1_TERMS))
+    rhs2 = sum(_terms(table, t, RHS2_COEFFS, RHS2_TERMS))
     return abs(rhs1), abs(rhs2)
 
 

@@ -31,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NotConvergedError, PressureDivergenceError
-from .grid import ForceWorkspace, Grid
+from .grid import Grid
 from .spectral import _riesz, divergence_band, riesz_apply_spec, weighted_norm_sq
 # dealias_spec is not called here; perfbench/layers.py times it by this name
 from .spectral import dealias_spec  # noqa: F401
@@ -59,7 +59,7 @@ class PressureSolution(NamedTuple):
     potential: np.ndarray
 
 
-def _tensor_rhs_spec(grid: Grid, a_vals, pair, out=None, work=None):
+def _tensor_rhs_spec(grid: Grid, a_vals, pair, out=None, *, work):
     """R[A^T div2((v x v - w x w) A)] with div2 acting on the second index.
 
     Returns the band. The divergence-free rows of the cofactor matrix let the
@@ -73,12 +73,10 @@ def _tensor_rhs_spec(grid: Grid, a_vals, pair, out=None, work=None):
     (A^T w)_l; its divergence is one ``divergence_band``.
 
     out receives the band when given. ``work`` is the ``ForceWorkspace`` of
-    the grid (a fresh one when None); the call overwrites its ``b`` (Z A),
-    ``vec[1:]``, ``mat_band`` (whose memory takes the entry products
-    first), ``vec_band[1]`` and ``pad``, and reads the pair only.
+    the grid; the call overwrites its ``b`` (Z A), ``vec[1:]``, ``mat_band``
+    (whose memory takes the entry products first), ``vec_band[1]`` and
+    ``pad``, and reads the pair only.
     """
-    if work is None:
-        work = ForceWorkspace(grid)
     vec, band, pad = work.vec, work.vec_band[1], work.pad
     v, w = pair
     at_v = np.einsum("ml...,m...->l...", a_vals, v, out=vec[1])
@@ -94,7 +92,7 @@ def _tensor_rhs_spec(grid: Grid, a_vals, pair, out=None, work=None):
     return riesz_apply_spec(grid.rfft(atw, out=band, pad=pad[0]), grid, out=out)
 
 
-def solve_pressure_spec(grid: Grid, defect_vals, rhs_band, tol, q0=None, work=None):
+def solve_pressure_spec(grid: Grid, defect_vals, rhs_band, tol, q0=None, *, work):
     """Picard iteration grad_p <- -R[defect . grad_p] + rhs from grad_p = rhs - ik q0.
 
     Works on bands: rhs_band, q0 and the returned grad_p and potential.
@@ -111,12 +109,10 @@ def solve_pressure_spec(grid: Grid, defect_vals, rhs_band, tol, q0=None, work=No
     iterations (``NotConvergedError``) or 3 consecutive expanding ones
     (``PressureDivergenceError``). The rule is absolute, so where one step
     meets it the result depends on q0. Returns the ``PressureSolution``.
-    ``work`` is the ``ForceWorkspace`` of the grid (a fresh one when None):
-    the iteration overwrites its ``vec[:2]``, ``vec_band[1]`` (grad_p),
-    ``q[1:]`` (the potential in [1] or [2]) and ``pad``; q0 is read first.
+    ``work`` is the ``ForceWorkspace`` of the grid: the iteration overwrites
+    its ``vec[:2]``, ``vec_band[1]`` (grad_p), ``q[1:]`` (the potential in
+    [1] or [2]) and ``pad``; q0 is read first.
     """
-    if work is None:
-        work = ForceWorkspace(grid)
     gp_real, mgp, pad = work.vec[0], work.vec[1], work.pad[0]
     gp, (q_prev, q, tmp) = work.vec_band[1], work.q[1:]
     np.copyto(gp, rhs_band)

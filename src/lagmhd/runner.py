@@ -150,17 +150,17 @@ def _grad_u_sup(rows) -> float:
 
 
 def _record_sample(ev: EnergyEvaluator, state: FlowState, force: NonlinearForce):
-    table = ev.sample_table(state, force.f.band)
-    e = energy_report(ev, state, table)
-    d = dissipation_report(ev, state, table)
-    ce = corrected_energy(ev, state, table)
-    diss_terms = dissipation_inequality_terms(ev, state, table)
-    rhs1, rhs2 = forcing_pairings(ev, state, force.f.band, table)
+    table, t = ev.sample_table(state, force.f.band), state.t
+    e = energy_report(table, t)
+    d = dissipation_report(table, t)
+    ce = corrected_energy(table, t)
+    diss_terms = dissipation_inequality_terms(table, t)
+    rhs1, rhs2 = forcing_pairings(table, t)
     det = determinant_values(force.grad_y)
     corrected = sum(ce)
     row = np.empty_like(force.grad_yt[0])
     return RunSample(
-        t=state.t,
+        t=t,
         energy=e,
         energy_total=sum(e),
         dissipation=d,
@@ -170,7 +170,7 @@ def _record_sample(ev: EnergyEvaluator, state: FlowState, force: NonlinearForce)
         rhs1=rhs1,
         rhs2=rhs2,
         det_drift=float(np.abs(det - 1.0).max()),
-        lower_bound_margin=lower_bound_margin(ev, state, table, corrected),
+        lower_bound_margin=lower_bound_margin(table, t, corrected),
         grad_u_sup=_grad_u_sup(  # the rows of (grad_y Yt) A^T through one buffer
             np.einsum("m...,jm...->j...", g, force.a_values, out=row)
             for g in force.grad_yt
@@ -296,18 +296,16 @@ def _initial_state(config: RunConfig, grid: Grid):
     return euler if solver == "eulerian" else _Pair(flow, euler)
 
 
-def _drive(config, initial, force, step, record=None, write_outputs=True):
+def _drive(config, initial, force, step, record=None):
     """Step initial() to t_end: f = force(state), a sample record(state, f)
     every cadence, state = step(state, f); a last sample at t_end. Without
     record nothing is sampled and the cadence is not read. initial() runs
-    here so that this frame holds the only reference to the state. With
-    outputs, a solver failure ends the run as an abort; without, it raises
-    RunAbortedError. A finished run removes an earlier run's abort report
-    and checkpoint, unless that checkpoint is its checkpoint_in.
+    here so that this frame holds the only reference to the state. Returns
+    the state reached, the samples and the solver failure (RuntimeError or
+    FloatingPointError) that stopped the stepping, or None; writes nothing.
     """
     state = initial()
-    t0 = state.t
-    span = config.t_end - t0
+    span = config.t_end - state.t
     n_steps = round(span / config.dt)
     if n_steps < 1 or abs(n_steps * config.dt - span) > 1e-9 * max(1.0, span):
         raise ConfigError("t_end - t0 must be a positive multiple of dt")
@@ -316,13 +314,6 @@ def _drive(config, initial, force, step, record=None, write_outputs=True):
         raise ConfigError("t_end - t0 must be a multiple of the sample cadence")
 
     samples = []
-    aborted = False
-    abort_reason = ""
-    out_dir = config.output_dir or "."
-    if write_outputs:
-        os.makedirs(out_dir, exist_ok=True)
-    ckpt_path = os.path.join(out_dir, "state_final.ckpt")
-
     try:
         for i in range(n_steps):
             f = force(state)
@@ -332,75 +323,12 @@ def _drive(config, initial, force, step, record=None, write_outputs=True):
         if record:
             samples.append(record(state, force(state)))
     except (RuntimeError, FloatingPointError) as exc:
-        abort_reason = f"{type(exc).__name__}: {exc}"
-        if not write_outputs:
-            raise RunAbortedError(abort_reason) from exc
-        aborted = True
-        ckpt_path = os.path.join(out_dir, "state_abort.ckpt")
+        return state, samples, exc
+    return state, samples, None
 
-    ledger_passed, rhs_integral = _postprocess(samples)
 
-    csv_path = ""
-    if write_outputs:
-        write_checkpoint(ckpt_path, state)
-        csv_path = os.path.join(out_dir, "diagnostics.csv")
-        write_diagnostics(csv_path, samples)
-        report_path = os.path.join(out_dir, "abort_report.txt")
-        if aborted:
-            with open(report_path, "w") as fh:
-                fh.write(f"aborted at t = {state.t:.12g}\nreason: {abort_reason}\n")
-        else:  # an earlier run's abort outputs are stale now, bar this run's input
-            kept = config.checkpoint_in and os.path.realpath(config.checkpoint_in)
-            for path in (report_path, os.path.join(out_dir, "state_abort.ckpt")):
-                if os.path.exists(path) and os.path.realpath(path) != kept:
-                    os.remove(path)
-
-    fits = {}
-    times = np.array([s.t for s in samples])
-    lo, hi = FIT_WINDOW
-    hi = min(hi, float(times[-1]) if len(times) else hi)
-    for name, values in (  # sqrt D_grad_yt_h2; sqrt E_w2_grad_d1yt_h1 over t+1
-        ("grad_yt_h2", np.sqrt([s.dissipation[0] for s in samples])),
-        ("grad_d1yt_h1", np.sqrt([s.energy[5] for s in samples]) / (times + 1.0)),
-    ):
-        try:
-            fits[name] = fit_decay_rate(times, values, (lo, hi))
-        except ValueError:
-            fits[name] = None
-
-    script_e0 = samples[0].script_e if samples else NAN
-    script_e_final = samples[-1].script_e if samples else NAN
-    gul1 = samples[-1].grad_u_l1t if samples else NAN
-    tail_ratio = NAN
-    if len(samples) >= 2 and gul1 > 0:
-        # the share of the integral after the first sample of the last 20%;
-        # none when only the last sample lies there
-        t_tail = t0 + 0.8 * (times[-1] - t0)
-        idx = int(np.searchsorted(times, t_tail))
-        if idx < len(samples) - 1:
-            tail_ratio = (gul1 - samples[idx].grad_u_l1t) / gul1
-    return RunReport(
-        config=config,
-        aborted=aborted,
-        abort_reason=abort_reason,
-        t_final=state.t,
-        script_e0=script_e0,
-        script_e_final=script_e_final,
-        script_e_ratio=script_e_final / script_e0 if script_e0 > 0 else NAN,
-        det_drift_max=max((s.det_drift for s in samples), default=NAN),
-        ledger_pass_rate=float(np.mean(ledger_passed)) if len(ledger_passed) else NAN,
-        ledger_checked=len(ledger_passed),
-        decay_fits=fits,
-        grad_u_l1t=gul1,
-        grad_u_tail_ratio=tail_ratio,
-        pressure_iters_max=max((s.pressure_iters for s in samples), default=0),
-        lower_bound_margin_min=min((s.lower_bound_margin for s in samples), default=NAN),
-        rhs_integral=rhs_integral,
-        samples=samples,
-        csv_path=csv_path,
-        checkpoint_path=ckpt_path if write_outputs else "",
-        final_state=state,
-    )
+def _reason(failure) -> str:
+    return f"{type(failure).__name__}: {failure}" if failure else ""
 
 
 def _solver(config: RunConfig, grid: Grid):
@@ -427,11 +355,82 @@ def _solver(config: RunConfig, grid: Grid):
 
 
 def run_simulation(config: RunConfig) -> RunReport:
-    """Step the configured solver to t_end, emitting diagnostics per cadence."""
+    """Step the configured solver to t_end and write the run's outputs into
+    output_dir, made before the data are built: diagnostics.csv, and
+    state_final.ckpt, or state_abort.ckpt and abort_report.txt when a solver
+    failure ends the run. An earlier run's files of the other outcome go,
+    bar this run's checkpoint_in."""
     if config.solver == "both":
         raise ConfigError("solver=both runs through compare_formulations")
     grid = Grid(config.sizes, config.lengths)
-    return _drive(config, lambda: _initial_state(config, grid), *_solver(config, grid))
+    out_dir = config.output_dir or "."
+    os.makedirs(out_dir, exist_ok=True)
+    state, samples, failure = _drive(
+        config, lambda: _initial_state(config, grid), *_solver(config, grid)
+    )
+    ledger_passed, rhs_integral = _postprocess(samples)
+    outcome, other = ("abort", "final") if failure else ("final", "abort")
+    ckpt_path = os.path.join(out_dir, f"state_{outcome}.ckpt")
+    write_checkpoint(ckpt_path, state)
+    csv_path = os.path.join(out_dir, "diagnostics.csv")
+    write_diagnostics(csv_path, samples)
+    stale = [f"state_{other}.ckpt"]  # an earlier run's files of the other outcome
+    if failure:
+        with open(os.path.join(out_dir, "abort_report.txt"), "w") as fh:
+            fh.write(f"aborted at t = {state.t:.12g}\nreason: {_reason(failure)}\n")
+    else:
+        stale.append("abort_report.txt")
+    kept = config.checkpoint_in and os.path.realpath(config.checkpoint_in)
+    for path in (os.path.join(out_dir, name) for name in stale):
+        if os.path.exists(path) and os.path.realpath(path) != kept:
+            os.remove(path)
+
+    fits = {}
+    times = np.array([s.t for s in samples])
+    lo, hi = FIT_WINDOW
+    hi = min(hi, float(times[-1]) if len(times) else hi)
+    for name, values in (  # sqrt D_grad_yt_h2; sqrt E_w2_grad_d1yt_h1 over t+1
+        ("grad_yt_h2", np.sqrt([s.dissipation[0] for s in samples])),
+        ("grad_d1yt_h1", np.sqrt([s.energy[5] for s in samples]) / (times + 1.0)),
+    ):
+        try:
+            fits[name] = fit_decay_rate(times, values, (lo, hi))
+        except ValueError:
+            fits[name] = None
+
+    script_e0 = samples[0].script_e if samples else NAN
+    script_e_final = samples[-1].script_e if samples else NAN
+    gul1 = samples[-1].grad_u_l1t if samples else NAN
+    tail_ratio = NAN
+    if len(samples) >= 2 and gul1 > 0:
+        # the share of the integral after the first sample of the last 20%;
+        # none when only the last sample lies there
+        t_tail = times[0] + 0.8 * (times[-1] - times[0])
+        idx = int(np.searchsorted(times, t_tail))
+        if idx < len(samples) - 1:
+            tail_ratio = (gul1 - samples[idx].grad_u_l1t) / gul1
+    return RunReport(
+        config=config,
+        aborted=failure is not None,
+        abort_reason=_reason(failure),
+        t_final=state.t,
+        script_e0=script_e0,
+        script_e_final=script_e_final,
+        script_e_ratio=script_e_final / script_e0 if script_e0 > 0 else NAN,
+        det_drift_max=max((s.det_drift for s in samples), default=NAN),
+        ledger_pass_rate=float(np.mean(ledger_passed)) if len(ledger_passed) else NAN,
+        ledger_checked=len(ledger_passed),
+        decay_fits=fits,
+        grad_u_l1t=gul1,
+        grad_u_tail_ratio=tail_ratio,
+        pressure_iters_max=max((s.pressure_iters for s in samples), default=0),
+        lower_bound_margin_min=min((s.lower_bound_margin for s in samples), default=NAN),
+        rhs_integral=rhs_integral,
+        samples=samples,
+        csv_path=csv_path,
+        checkpoint_path=ckpt_path,
+        final_state=state,
+    )
 
 
 @dataclass
@@ -463,9 +462,9 @@ def compare_formulations(config: RunConfig) -> CompareReport:
     # and the pushforward's evaluator chunks then set a compare's peak
     # memory. _drive pops the pair, so that its frame holds the only reference.
     start = [_initial_state(config, grid)]
-    flow, euler = _drive(
-        config, start.pop, *_solver(config, grid), write_outputs=False
-    ).final_state
+    (flow, euler), _, failure = _drive(config, start.pop, *_solver(config, grid))
+    if failure:
+        raise RunAbortedError(_reason(failure)) from failure
 
     stride = tuple(max(1, n // 8) for n in grid.sizes)
     sel = tuple(slice(None, None, st) for st in stride)
@@ -500,8 +499,10 @@ def scaling_run(config: RunConfig, amplitude: float):
     """
     spec = scaled_spec(default_spec(config.dimension, epsilon0=None), amplitude)
     grid = Grid(config.sizes, config.lengths)
-    report = _drive(
-        config, lambda: _checked_data(grid, spec), *_solver(config, grid),
-        write_outputs=False,
+    _, samples, failure = _drive(
+        config, lambda: _checked_data(grid, spec), *_solver(config, grid)
     )
-    return report.script_e_final, report.rhs_integral
+    if failure:
+        raise RunAbortedError(_reason(failure)) from failure
+    _, rhs_integral = _postprocess(samples)
+    return samples[-1].script_e, rhs_integral

@@ -130,7 +130,9 @@ def stacked_pair_force(state, q0=None):
     za = np.einsum("pi...,pl...->il...", pair, at)
     atw = np.einsum("jm...,j...->m...", a, grid.irfft(divergence_band(za, grid)))
     rhs = riesz_apply_spec(grid.rfft(atw), grid)
-    pressure = solve_pressure_spec(grid, defect, rhs, PICARD_ABS_TOL, q0=q0)
+    pressure = solve_pressure_spec(
+        grid, defect, rhs, PICARD_ABS_TOL, q0=q0, work=ForceWorkspace(grid)
+    )
     a_gp = np.einsum("im...,m...->i...", a, grid.irfft(pressure.grad_p))
     flux = np.einsum("jm...,im...->ij...", defect, grad_yt)
     return divergence_band(flux, grid, minus=a_gp), pressure

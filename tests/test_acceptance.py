@@ -10,6 +10,7 @@ from lagmhd.config import RunConfig
 from lagmhd.energy import (
     LOWER_BOUND_TOL,
     EnergyEvaluator,
+    corrected_energy,
     fit_decay_rate,
     lower_bound_margin,
     nonlinear_scaling_study,
@@ -159,7 +160,9 @@ def test_criterion_4_ledger(small_data_run):
             random_band_limited(grid, rng, rank=1, kmax=4).band,
             float(rng.uniform(0.0, 10.0)),
         )
-        margin = lower_bound_margin(ev, state)
+        table = ev.sample_table(state)
+        corrected = sum(corrected_energy(table, state.t))
+        margin = lower_bound_margin(table, state.t, corrected)
         all_pass &= margin >= -LOWER_BOUND_TOL
         min_margin = min(min_margin, margin)
     rate = small_data_run.ledger_pass_rate

@@ -96,17 +96,19 @@ def test_coefficient_tables():
 
 def test_zero_state_all_components_vanish(ev3):
     state = FlowState.zeros(ev3.grid)
-    assert sum(energy_report(ev3, state)) == 0.0
-    assert sum(dissipation_report(ev3, state)) == 0.0
-    assert sum(corrected_energy(ev3, state)) == 0.0
+    assert sum(energy_report(ev3.sample_table(state), state.t)) == 0.0
+    assert sum(dissipation_report(ev3.sample_table(state), state.t)) == 0.0
+    assert sum(corrected_energy(ev3.sample_table(state), state.t)) == 0.0
 
 
 def test_weights_are_one_at_time_zero(ev3, rng):
     grid = ev3.grid
     state0 = random_state(grid, rng, t=0.0)
-    e0 = dict(zip(ENERGY_COLUMNS, energy_report(ev3, state0), strict=True))
+    e0 = energy_report(ev3.sample_table(state0), state0.t)
+    e0 = dict(zip(ENERGY_COLUMNS, e0, strict=True))
     state3 = FlowState(grid, state0.Y, state0.Yt, 3.0)
-    e3 = dict(zip(ENERGY_COLUMNS, energy_report(ev3, state3), strict=True))
+    e3 = energy_report(ev3.sample_table(state3), state3.t)
+    e3 = dict(zip(ENERGY_COLUMNS, e3, strict=True))
     # the (t+1) and (t+1)^2 weighted components scale literally
     assert e3["E_w_grad_yt_h2"] == pytest.approx(4.0 * e0["E_w_grad_yt_h2"], rel=1e-13)
     assert e3["E_w_grad_d1y_h2"] == pytest.approx(4.0 * e0["E_w_grad_d1y_h2"], rel=1e-13)
@@ -125,7 +127,7 @@ def test_single_mode_energy_component_analytic(ev3):
     state = FlowState(
         grid, VectorField.from_values(grid, vals).band, zero_band(grid), 0.0
     )
-    e = energy_report(ev3, state)
+    e = energy_report(ev3.sample_table(state), state.t)
     expect = eps**2 * 3.0 * (2 * np.pi) ** 3 / 2.0
     assert e[ENERGY_COLUMNS.index("E_d1y_h2")] == pytest.approx(expect, rel=1e-12)
 
@@ -136,7 +138,7 @@ def test_corrected_energy_coefficient_audit_without_velocity(ev3, rng):
     y = random_band_limited(grid, rng, rank=1, kmax=3)
     t = 1.7
     state = FlowState(grid, y.band, zero_band(grid), t)
-    ce = corrected_energy(ev3, state)
+    ce = corrected_energy(ev3.sample_table(state), state.t)
     yh = y.spec
     w = t + 1.0
     full = full_weights(grid)
@@ -160,7 +162,9 @@ def test_lower_bound_holds_for_random_states(ev3, rng):
     worst = np.inf
     for i in range(100):
         state = random_state(ev3.grid, rng, t=float(rng.uniform(0, 5)))
-        margin = lower_bound_margin(ev3, state)
+        table = ev3.sample_table(state)
+        corrected = sum(corrected_energy(table, state.t))
+        margin = lower_bound_margin(table, state.t, corrected)
         assert margin >= -LOWER_BOUND_TOL
         worst = min(worst, margin)
     assert worst >= -1e-12
@@ -171,7 +175,7 @@ def test_corrected_energy_bounded_by_initial_norm(ev3, rng):
     ratios = []
     for _ in range(50):
         state = random_state(ev3.grid, rng, t=0.0)
-        ce = sum(corrected_energy(ev3, state))
+        ce = sum(corrected_energy(ev3.sample_table(state), state.t))
         ratios.append(ce / ev3.initial_norm(state))
     assert max(ratios) < 4.0
 
@@ -264,21 +268,18 @@ def test_table_functionals_match_literal_formulas(grid, t, rng):
     f = random_band_limited(grid, rng, rank=1, kmax=4)
     table = ev.sample_table(state, f.band)
     got = {
-        "energy": energy_report(ev, state, table),
-        "dissipation": dissipation_report(ev, state, table),
-        "corrected": corrected_energy(ev, state, table),
-        "lower_bound": (lower_bound_value(ev, state, table),),
-        "dissipation_terms": dissipation_inequality_terms(ev, state, table),
-        "rhs": forcing_pairings(ev, state, f.band, table),
+        "energy": energy_report(table, state.t),
+        "dissipation": dissipation_report(table, state.t),
+        "corrected": corrected_energy(table, state.t),
+        "lower_bound": (lower_bound_value(table, state.t),),
+        "dissipation_terms": dissipation_inequality_terms(table, state.t),
+        "rhs": forcing_pairings(table, state.t),
     }
     for name, expect in _literal_functionals(state, f.spec).items():
         scale = abs(sum(expect))
         assert scale > 0.0, name
         err = max(abs(a - e) for a, e in zip(got[name], expect, strict=True))
         assert err <= 1e-14 * scale, (name, err / scale)
-    # without a table each function builds its own, with the same result
-    assert energy_report(ev, state) == got["energy"]
-    assert forcing_pairings(ev, state, f.band) == got["rhs"]
 
 
 def test_weights_are_rows_of_one_table(ev3):
@@ -344,8 +345,9 @@ def _linear_ledger(grid, ev, state0, cadence, nsamples):
     for _ in range(nsamples):
         st = FlowState(grid, yh, yth, t)
         times.append(t)
-        corrected.append(sum(corrected_energy(ev, st)))
-        dissipation.append(dissipation_inequality_terms(ev, st))
+        table = ev.sample_table(st)
+        corrected.append(sum(corrected_energy(table, t)))
+        dissipation.append(dissipation_inequality_terms(table, t))
         yh, yth = prop.apply(yh, yth)
         t += cadence
     return times, corrected, dissipation, [0.0] * nsamples
@@ -385,7 +387,8 @@ def test_ledger_requires_uniform_cadence_and_samples():
 
 def test_forcing_pairings_zero_force(ev3, rng):
     state = random_state(ev3.grid, rng)
-    rhs1, rhs2 = forcing_pairings(ev3, state, np.zeros_like(state.Y))
+    table = ev3.sample_table(state, np.zeros_like(state.Y))
+    rhs1, rhs2 = forcing_pairings(table, state.t)
     assert rhs1 == 0.0 and rhs2 == 0.0
 
 

@@ -9,7 +9,7 @@ from lagmhd.errors import NotConvergedError, PressureDivergenceError
 from lagmhd.fields import VectorField
 from lagmhd.evolution import compute_force
 from lagmhd.geometry import FlowState, cofactor_values, graded_metric_values
-from lagmhd.grid import Grid
+from lagmhd.grid import ForceWorkspace, Grid
 from lagmhd.initial_data import build_flow_state, default_spec, scaled_spec
 from lagmhd.pressure import PressureSolution, _tensor_rhs_spec, solve_pressure_spec
 from lagmhd.spectral import (
@@ -80,7 +80,8 @@ def pressure_operands(state):
     b1, b2, _ = cofactor_pieces(grad_y)
     a = cofactor_values(grad_y)[1]
     defect = sum(graded_metric_values(b1, b2))
-    rhs = _tensor_rhs_spec(grid, a, np.stack([grad_y[:, 0], grid.irfft(state.Yt)]))
+    pair = np.stack([grad_y[:, 0], grid.irfft(state.Yt)])
+    rhs = _tensor_rhs_spec(grid, a, pair, work=ForceWorkspace(grid))
     return defect, rhs
 
 
@@ -229,8 +230,12 @@ def test_rhs_swap_antisymmetry(grid3, rng):
     grad_y = gradient_values(state.Y, grid)
     a_vals = cofactor_values(grad_y)[1]
     d1y = grad_y[:, 0]
-    a = _tensor_rhs_spec(grid, a_vals, np.stack([d1y, grid.irfft(state.Yt)]))
-    b = _tensor_rhs_spec(grid, a_vals, np.stack([grid.irfft(state.Yt), d1y]))
+    a = _tensor_rhs_spec(
+        grid, a_vals, np.stack([d1y, grid.irfft(state.Yt)]), work=ForceWorkspace(grid)
+    )
+    b = _tensor_rhs_spec(
+        grid, a_vals, np.stack([grid.irfft(state.Yt), d1y]), work=ForceWorkspace(grid)
+    )
     assert np.abs(a + b).max() == 0.0
 
 
@@ -249,7 +254,8 @@ def test_rhs_matches_outer_product_form():
         div_za += 1j * half.k_axes[l] * za_spec[:, l]
     atw = np.einsum("jm...,j...->m...", a_vals, ifft(div_za))
     ref = riesz_apply_spec(fft(atw) * half.dealias_mask, half)
-    got = widen(grid, _tensor_rhs_spec(grid, a_vals, np.stack([v, w])), ref.shape[-1])
+    got = _tensor_rhs_spec(grid, a_vals, np.stack([v, w]), work=ForceWorkspace(grid))
+    got = widen(grid, got, ref.shape[-1])
     scale = np.abs(ref).max()
     assert scale > 0.0
     assert np.abs(got - ref).max() < 1e-14 * scale
@@ -281,7 +287,8 @@ def test_the_stacked_rhs_keeps_the_bits_of_two_outer_products(sizes, rng):
     noise[zeros] = np.copysign(0.0, rng.standard_normal(int(zeros.sum())))
     for pair in (np.stack([grad_y[:, 0], grid.irfft(state.Yt)]), noise):
         want = _two_outer_products_rhs(grid, a_vals, pair[0], pair[1])
-        assert same_bits(_tensor_rhs_spec(grid, a_vals, pair.copy()), want)
+        fresh = ForceWorkspace(grid)
+        assert same_bits(_tensor_rhs_spec(grid, a_vals, pair.copy(), work=fresh), want)
         work = poisoned_workspace(grid)
         v, w = work.grad_y[:, 0], work.vec[0]
         v[...], w[...] = pair
@@ -329,8 +336,12 @@ def test_linearity_in_rhs():
     grid = Grid((16, 16, 16), (2 * np.pi,) * 3)
     state = small_state(grid, 0.05)
     metric_defect, rhs = pressure_operands(state)
-    gp1 = solve_pressure_spec(grid, metric_defect, rhs, 1e-13)[0]
-    gp2 = solve_pressure_spec(grid, metric_defect, 2.0 * rhs, 1e-13)[0]
+    gp1 = solve_pressure_spec(
+        grid, metric_defect, rhs, 1e-13, work=ForceWorkspace(grid)
+    )[0]
+    gp2 = solve_pressure_spec(
+        grid, metric_defect, 2.0 * rhs, 1e-13, work=ForceWorkspace(grid)
+    )[0]
     assert np.abs(gp2 - 2.0 * gp1).max() < 1e-10 * max(np.abs(gp1).max(), 1e-300)
 
 
@@ -339,7 +350,9 @@ def test_the_solve_returns_its_pressure_solution_with_the_count_at_index_1():
     # five-way unpacking reads the fields in their order
     grid = Grid((16, 16, 16), (2 * np.pi,) * 3)
     metric_defect, rhs = pressure_operands(small_state(grid, 0.05))
-    sol = solve_pressure_spec(grid, metric_defect, rhs, 1e-10)
+    sol = solve_pressure_spec(
+        grid, metric_defect, rhs, 1e-10, work=ForceWorkspace(grid)
+    )
     assert isinstance(sol, PressureSolution)
     assert sol[1] == sol.iterations > 1
     gp, iters, residuals, contraction, q = sol
@@ -353,9 +366,13 @@ def test_the_solve_returns_its_pressure_solution_with_the_count_at_index_1():
 def test_start_at_the_converged_potential_stops_in_one_iteration():
     grid = Grid((16, 16, 16), (2 * np.pi,) * 3)
     metric_defect, rhs = pressure_operands(small_state(grid, 0.05))
-    gp, iters, _, _, q = solve_pressure_spec(grid, metric_defect, rhs, 1e-10)
+    gp, iters, _, _, q = solve_pressure_spec(
+        grid, metric_defect, rhs, 1e-10, work=ForceWorkspace(grid)
+    )
     assert iters > 1
-    warm, warm_iters, _, _, _ = solve_pressure_spec(grid, metric_defect, rhs, 1e-10, q0=q)
+    warm, warm_iters, _, _, _ = solve_pressure_spec(
+        grid, metric_defect, rhs, 1e-10, q0=q, work=ForceWorkspace(grid)
+    )
     assert warm_iters == 1
     # one more step of a contraction whose steps were already below the
     # absolute tolerance: the results differ by a fraction of it
@@ -367,9 +384,12 @@ def test_cold_start_is_the_zero_potential_and_returns_the_potential_of_grad_p():
     # holds that solve bit for bit
     grid = Grid((16, 16, 16), (2 * np.pi,) * 3)
     metric_defect, rhs = pressure_operands(small_state(grid, 0.05))
-    cold = solve_pressure_spec(grid, metric_defect, rhs, 1e-10, q0=None)
+    cold = solve_pressure_spec(
+        grid, metric_defect, rhs, 1e-10, q0=None, work=ForceWorkspace(grid)
+    )
     zero = solve_pressure_spec(
-        grid, metric_defect, rhs, 1e-10, q0=np.zeros(grid.band_shape, complex)
+        grid, metric_defect, rhs, 1e-10, q0=np.zeros(grid.band_shape, complex),
+        work=ForceWorkspace(grid),
     )
     assert np.array_equal(cold[0], zero[0]) and cold[1:4] == zero[1:4]
     # grad_p = rhs - ik phi, phi the potential the solve returns
@@ -391,9 +411,11 @@ def test_a_picard_step_is_the_k_form_bit_for_bit(sizes):
         v = grid.rfft(np.einsum("jm...,m...->j...", defect, grid.irfft(gp)))
         return rhs - narrow(grid, full.riesz_k_form(widen(grid, v)))
 
-    cold = solve_pressure_spec(grid, defect, rhs, np.inf)
+    cold = solve_pressure_spec(grid, defect, rhs, np.inf, work=ForceWorkspace(grid))
     want = k_form_step(rhs)
-    warm = solve_pressure_spec(grid, defect, rhs, np.inf, q0=cold.potential.copy())
+    warm = solve_pressure_spec(
+        grid, defect, rhs, np.inf, q0=cold.potential.copy(), work=ForceWorkspace(grid)
+    )
     for sol, want in ((cold, want), (warm, k_form_step(want))):
         nonzero = want != 0.0
         assert sol.iterations == 1 and nonzero.mean() > 0.8

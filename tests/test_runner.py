@@ -1,5 +1,6 @@
 import os
 from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -7,18 +8,20 @@ import pytest
 from lagmhd import pressure
 from lagmhd.checkpoint import read_checkpoint, write_checkpoint
 from lagmhd.config import RunConfig
-from lagmhd.energy import EnergyEvaluator, lower_bound_margin
-from lagmhd.errors import ConfigError, InitialDataError
+from lagmhd.energy import EnergyEvaluator, corrected_energy, lower_bound_margin
+from lagmhd.errors import ConfigError, InitialDataError, RunAbortedError
 from lagmhd.evolution import EulerianStepper, EulerState
 from lagmhd.geometry import FlowState
 from lagmhd.grid import Grid
 from lagmhd.initial_data import VelocityMode, build_flow_state, euler_from_flow
 from lagmhd.runner import (
     CSV_COLUMNS,
+    _drive,
     _grad_u_sup,
     compare_formulations,
     read_diagnostics,
     run_simulation,
+    scaling_run,
 )
 
 
@@ -66,8 +69,10 @@ def test_every_sample_carries_its_coercivity_margin(tmp_path):
     # read from the sample's own table, it is the margin of the final state
     # evaluated cold, bit for bit
     final = report.final_state
+    table = EnergyEvaluator(final.grid).sample_table(final)
+    corrected = sum(corrected_energy(table, final.t))
     assert report.samples[-1].lower_bound_margin == lower_bound_margin(
-        EnergyEvaluator(final.grid), final
+        table, final.t, corrected
     )
     margins = [s.lower_bound_margin for s in report.samples]
     assert report.lower_bound_margin_min == min(margins) >= 0.0
@@ -340,6 +345,87 @@ def test_a_finished_run_keeps_the_abort_checkpoint_it_resumed_from(tmp_path):
     assert not report.aborted
     assert not os.path.exists(report_path)
     assert os.path.exists(ckpt) and os.path.exists(report.checkpoint_path)
+
+
+def test_an_aborted_run_removes_an_earlier_runs_final_checkpoint(tmp_path):
+    # the other way round: a finished run, then an aborted one into the same
+    # output_dir; a resume from state_final.ckpt would continue the first run
+    cfg = small_config(
+        tmp_path, sizes=(8, 8, 8), lengths=(2 * np.pi,) * 3, t_end=0.5,
+        y0_modes_a=(), y0_modes_c=(), epsilon0=1e-4,
+    )
+    assert not run_simulation(cfg).aborted
+    report = run_simulation(replace(cfg, epsilon0=1e4))
+    assert report.aborted
+    assert sorted(os.listdir(tmp_path)) == [
+        "abort_report.txt", "diagnostics.csv", "state_abort.ckpt"
+    ]
+
+
+def test_an_aborted_run_keeps_the_final_checkpoint_it_resumed_from(tmp_path, monkeypatch):
+    cfg = small_config(tmp_path, solver="eulerian", sizes=(8, 8, 8), t_end=0.5)
+    first = run_simulation(cfg)
+    step = EulerianStepper.step
+
+    def failing_step(self, state):
+        if state.t > 0.6:
+            raise FloatingPointError("injected")
+        return step(self, state)
+
+    monkeypatch.setattr(EulerianStepper, "step", failing_step)
+    report = run_simulation(replace(cfg, t_end=1.0, checkpoint_in=first.checkpoint_path))
+    assert report.aborted
+    assert sorted(os.listdir(tmp_path)) == [
+        "abort_report.txt", "diagnostics.csv", "state_abort.ckpt", "state_final.ckpt"
+    ]
+    assert read_checkpoint(first.checkpoint_path).t == pytest.approx(0.5)
+
+
+class _Counter(NamedTuple):
+    t: float
+    n: int
+
+
+def test_drive_returns_what_it_reached_when_a_step_fails(tmp_path, monkeypatch):
+    # ten steps of 0.05, a sample every other one; the seventh step fails
+    monkeypatch.chdir(tmp_path)
+    cfg = small_config(tmp_path / "out", t_end=0.5, cadence=0.1)
+    failure = FloatingPointError("injected")
+
+    def step(state, f):
+        if state.n == 6:
+            raise failure
+        return _Counter((state.n + 1) * cfg.dt, state.n + 1)
+
+    state, samples, got = _drive(
+        cfg, lambda: _Counter(0.0, 0), lambda state: None, step, lambda state, f: state.n
+    )
+    assert got is failure
+    assert state.n == 6 and samples == [0, 2, 4, 6]
+    assert os.listdir(tmp_path) == []
+
+
+def test_compare_and_scaling_write_nothing(tmp_path, monkeypatch):
+    # output_dir unset: a writer would write into the working directory
+    monkeypatch.chdir(tmp_path)
+    cfg = small_config(tmp_path, solver="both", sizes=(8, 8, 8), t_end=0.5,
+                       y0_modes_a=(), y0_modes_c=(), output_dir="")
+    compare_formulations(cfg)
+    plane = RunConfig(dimension=2, sizes=(16, 16), dt=0.05, t_end=0.5, cadence=0.25)
+    script_e, rhs_integral = scaling_run(plane, 2.5e-3)
+    assert script_e > 0.0 and rhs_integral > 0.0
+    assert os.listdir(tmp_path) == []
+    # a step that fails raises, its failure the cause, and still writes nothing
+    injected = FloatingPointError("injected")
+
+    def failing_step(self, state):
+        raise injected
+
+    monkeypatch.setattr(EulerianStepper, "step", failing_step)
+    with pytest.raises(RunAbortedError, match="^FloatingPointError: injected$") as info:
+        compare_formulations(cfg)
+    assert info.value.__cause__ is injected
+    assert os.listdir(tmp_path) == []
 
 
 def test_compare_rejects_a_checkpoint(tmp_path):
