@@ -10,13 +10,16 @@ band's modes by round-off, up to 2e-16 relative, so a restart is not bit
 for bit (ROADMAP item 2). An Eulerian file
 ends in one more scalar block, where earlier versions of the program
 stored a diagnostic pressure: it is written as zeros and never read, so
-those files load too.
+those files load too. A snapshot is written next to its path and moved
+onto it, so an interrupted write leaves the earlier file as it was.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import struct
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -27,6 +30,21 @@ from .grid import Grid
 
 MAGIC = b"MHDL"
 VERSION = 1
+
+
+@contextmanager
+def replaced(path, mode="wb"):
+    """A file opened at path + ".tmp" and moved onto path by os.replace when
+    the block ends. When the block or the move fails, the temporary file
+    goes and path keeps what it held: a write is never seen half done."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, mode) as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def write_checkpoint(path, state) -> None:
@@ -40,21 +58,20 @@ def write_checkpoint(path, state) -> None:
     arrays = [grid.irfft(band) for band in bands]
     if tag == 1:
         arrays.append(np.zeros(grid.shape))
-    dim = grid.dim
-    header = MAGIC + struct.pack("<II", VERSION, dim)
-    header += struct.pack(f"<{dim}I", *grid.sizes)
-    header += struct.pack(f"<{dim}d", *grid.lengths)
-    header += struct.pack("<dI", float(state.t), tag)
-    with open(path, "wb") as fh:
+    dim = grid.dim  # "<" packs without padding: the fields follow one another
+    header = MAGIC + struct.pack(
+        f"<II{dim}I{dim}ddI", VERSION, dim, *grid.sizes, *grid.lengths, float(state.t), tag
+    )
+    with replaced(path) as fh:
         fh.write(header)
         for arr in arrays:
             fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
-def read_checkpoint(path):
-    """Read a snapshot; returns a FlowState or EulerState on a fresh grid."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
+def read_header(fh):
+    """(sizes, lengths, t, solver tag) of the snapshot open as fh, read from
+    its header alone; fh is left at the payload."""
+    blob = fh.read(12)
     if len(blob) < 12 or blob[:4] != MAGIC:
         raise CheckpointFormatError("bad magic; not a field snapshot")
     version, dim = struct.unpack_from("<II", blob, 4)
@@ -62,33 +79,35 @@ def read_checkpoint(path):
         raise CheckpointFormatError(f"unsupported snapshot version {version}")
     if dim not in (2, 3):
         raise CheckpointFormatError(f"bad dimension {dim}")
-    off = 12
     need = dim * 4 + dim * 8 + 8 + 4
-    if len(blob) < off + need:
+    blob = fh.read(need)
+    if len(blob) < need:
         raise CheckpointFormatError("truncated header")
-    sizes = struct.unpack_from(f"<{dim}I", blob, off)
-    off += dim * 4
-    lengths = struct.unpack_from(f"<{dim}d", blob, off)
-    off += dim * 8
-    t, tag = struct.unpack_from("<dI", blob, off)
-    off += 12
+    fields = struct.unpack(f"<{dim}I{dim}ddI", blob)
+    sizes, lengths, (t, tag) = fields[:dim], fields[dim:-2], fields[-2:]
     if tag not in (0, 1):
         raise CheckpointFormatError(f"unknown solver tag {tag}")
     if not math.isfinite(t):
         raise CheckpointFormatError(f"non-finite time {t} in header")
+    return sizes, lengths, t, tag
+
+
+def read_checkpoint(path):
+    """Read a snapshot; returns a FlowState or EulerState on a fresh grid."""
+    with open(path, "rb") as fh:
+        sizes, lengths, t, tag = read_header(fh)
+        payload = fh.read()
     # the payload is checked before a grid is built, so a header that
     # claims a huge grid allocates nothing
-    npoints = math.prod(sizes)
-    expected = off + (2 * dim + tag) * npoints * 8
-    if len(blob) != expected:
-        raise CheckpointFormatError(
-            f"payload length {len(blob) - off} bytes, expected {expected - off}"
-        )
+    dim, npoints = len(sizes), math.prod(sizes)
+    expected = (2 * dim + tag) * npoints * 8
+    if len(payload) != expected:
+        raise CheckpointFormatError(f"payload length {len(payload)} bytes, expected {expected}")
     try:
         grid = Grid(sizes, lengths)
     except ValueError as exc:
         raise CheckpointFormatError(f"bad grid in header: {exc}") from exc
     # (Y, Yt) or (u, b); an Eulerian file's last block is not read
-    data = np.frombuffer(blob, dtype="<f8", count=2 * dim * npoints, offset=off)
+    data = np.frombuffer(payload, dtype="<f8", count=2 * dim * npoints)
     pair = data.astype(float).reshape((2, dim) + grid.shape)
     return (FlowState, EulerState)[tag](grid, *(grid.rfft(v) for v in pair), t)

@@ -9,12 +9,12 @@ against five per-mode spectra, and every term is a fixed coefficient times a
 power of (t+1) times one entry of that table: each functional takes the
 table and the time t of its state.
 
-The ledger re-checks the differential inequality along computed trajectories
-from per-sample sequences of the stored values (times, corrected energy,
-dissipative terms, forcing pairings): the time derivative comes from centered
-differences, never from re-derived algebra, so it audits the run rather than
-the arithmetic. One running trapezoid integrates the sampled series in time:
-the dissipation of script_E and the sup-norm of the velocity gradient.
+The ledger re-checks the differential inequality at one interior sample from
+the stored values of the sample and its neighbours (corrected energy,
+dissipative terms, forcing pairings): the time derivative comes from a
+centered difference, never from re-derived algebra, so it audits the run
+rather than the arithmetic. The runner's running audit forms each row as its
+successor arrives, and adds the time integrals of the sampled series itself.
 """
 
 from __future__ import annotations
@@ -211,41 +211,21 @@ def forcing_pairings(table, t) -> tuple:
 LEDGER_BAND_FACTOR = 10.0
 
 
-def ledger_check(times, corrected, dissipation, rhs):
-    """Centered-difference audit of the dissipation inequality.
+def ledger_check(spacing, corrected, dissipation, rhs, scale):
+    """Centered-difference audit of the dissipation inequality at one
+    interior sample.
 
-    The arguments are per-sample sequences: the sample times, the corrected
-    energy, the five dissipative terms and the forcing pairings rhs1 + rhs2.
-    Returns the interior samples' lhs and pass flags (lhs <= rhs + band) as
-    arrays, and the band: LEDGER_BAND_FACTOR * cadence^2 * (global scale of
-    the corrected energy), matching the O(cadence^2) truncation of the
-    derivative.
+    spacing is the sample spacing, corrected the corrected energies of the
+    samples before and after, dissipation the five dissipative terms at the
+    sample and rhs its forcing pairings rhs1 + rhs2; scale is the largest
+    |corrected energy| the audit has seen. Returns the lhs, its pass flag
+    (lhs <= rhs + band) and the band: LEDGER_BAND_FACTOR * spacing^2 *
+    scale, matching the O(spacing^2) truncation of the derivative.
     """
-    if len(times) < 3:
-        raise ValueError("ledger needs at least 3 uniformly spaced samples")
-    times = np.asarray(times, dtype=float)
-    steps = np.diff(times)
-    if np.abs(steps - steps[0]).max() > 1e-9 * max(steps[0], 1e-300):
-        raise ValueError("ledger samples are not uniformly spaced")
-    dt = steps[0]
-    corrected = np.asarray(corrected, dtype=float)
-    band = LEDGER_BAND_FACTOR * dt * dt * np.abs(corrected).max()
-    d_corr = (corrected[2:] - corrected[:-2]) / (2.0 * dt)
-    lhs = d_corr + np.array([sum(d) for d in dissipation[1:-1]])
-    return lhs, lhs <= np.asarray(rhs[1:-1], dtype=float) + band, float(band)
-
-
-def running_trapezoid(times, values):
-    """Trapezoid integral of a sampled series from times[0] to each sample."""
-    times = np.asarray(times, dtype=float)
-    vals = np.asarray(values, dtype=float)
-    if times.shape != vals.shape:
-        raise ValueError("times and values must align")
-    out = np.zeros_like(vals)
-    if len(vals) > 1:
-        increments = 0.5 * (vals[1:] + vals[:-1]) * np.diff(times)
-        out[1:] = np.cumsum(increments)
-    return out
+    before, after = corrected
+    lhs = (after - before) / (2.0 * spacing) + sum(dissipation)
+    band = LEDGER_BAND_FACTOR * spacing * spacing * scale
+    return lhs, lhs <= rhs + band, band
 
 
 # -- fits and studies ----------------------------------------------------------

@@ -8,27 +8,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .checkpoint import read_checkpoint, write_checkpoint
+from .checkpoint import read_checkpoint, read_header, replaced, write_checkpoint
 from .config import RunConfig
 from .energy import (
-    EnergyEvaluator,
-    corrected_energy,
-    dissipation_inequality_terms,
-    dissipation_report,
-    energy_report,
-    fit_decay_rate,
-    forcing_pairings,
-    ledger_check,
-    lower_bound_margin,
-    running_trapezoid,
+    EnergyEvaluator, corrected_energy, dissipation_inequality_terms, dissipation_report,
+    energy_report, fit_decay_rate, forcing_pairings, ledger_check, lower_bound_margin,
 )
 from .errors import ConfigError, InitialDataError, RunAbortedError
-from .evolution import (
-    EulerianStepper,
-    EulerState,
-    LagrangianStepper,
-    NonlinearForce,
-)
+from .evolution import EulerianStepper, EulerState, LagrangianStepper, NonlinearForce
 from .geometry import FlowState, determinant_values, make_trig_evaluator
 from .grid import Grid
 from .initial_data import _build_with_gradient, default_spec, euler_from_flow, scaled_spec
@@ -40,31 +27,11 @@ NAN = float("nan")
 FIT_WINDOW = (5.0, 50.0)  # t-range of a run's decay fits, clipped to its end
 
 CSV_COLUMNS = (
-    "t",
-    "E_yt_h2",
-    "E_d1y_h2",
-    "E_lap_y_h2",
-    "E_w_grad_yt_h2",
-    "E_w_grad_d1y_h2",
-    "E_w2_grad_d1yt_h1",
-    "E_w2_grad_d11y_h1",
-    "D_grad_yt_h2",
-    "D_grad_d1y_h2",
-    "D_w_grad_d11y_h1",
-    "D_w_lap_yt_h2",
-    "D_w2_lap_d1yt_h1",
-    "E_total",
-    "D_total",
-    "script_E",
-    "tilde_E",
-    "ledger_lhs",
-    "ledger_rhs",
-    "ledger_pass",
-    "det_drift_max",
-    "pressure_iters",
-    "contraction_est",
-    "grad_u_linf",
-    "grad_u_l1t",
+    "t", "E_yt_h2", "E_d1y_h2", "E_lap_y_h2", "E_w_grad_yt_h2", "E_w_grad_d1y_h2",
+    "E_w2_grad_d1yt_h1", "E_w2_grad_d11y_h1", "D_grad_yt_h2", "D_grad_d1y_h2",
+    "D_w_grad_d11y_h1", "D_w_lap_yt_h2", "D_w2_lap_d1yt_h1", "E_total", "D_total",
+    "script_E", "tilde_E", "ledger_lhs", "ledger_rhs", "ledger_pass", "det_drift_max",
+    "pressure_iters", "contraction_est", "grad_u_linf", "grad_u_l1t",
 )
 
 
@@ -160,15 +127,8 @@ def _record_sample(ev: EnergyEvaluator, state: FlowState, force: NonlinearForce)
     corrected = sum(ce)
     row = np.empty_like(force.grad_yt[0])
     return RunSample(
-        t=t,
-        energy=e,
-        energy_total=sum(e),
-        dissipation=d,
-        dissipation_total=sum(d),
-        corrected=corrected,
-        diss_terms=diss_terms,
-        rhs1=rhs1,
-        rhs2=rhs2,
+        t=t, energy=e, energy_total=sum(e), dissipation=d, dissipation_total=sum(d),
+        corrected=corrected, diss_terms=diss_terms, rhs1=rhs1, rhs2=rhs2,
         det_drift=float(np.abs(det - 1.0).max()),
         lower_bound_margin=lower_bound_margin(table, t, corrected),
         grad_u_sup=_grad_u_sup(  # the rows of (grad_y Yt) A^T through one buffer
@@ -180,57 +140,72 @@ def _record_sample(ev: EnergyEvaluator, state: FlowState, force: NonlinearForce)
     )
 
 
-def _postprocess(samples):
-    """Fill running script-E, the grad-u integral, and the ledger columns.
-    Returns the ledger's pass flags and the time integral of rhs1 + rhs2."""
-    e_tot = np.array([s.energy_total for s in samples])
-    d_tot = np.array([s.dissipation_total for s in samples])
-    times = np.array([s.t for s in samples])
-    script_e = np.maximum.accumulate(e_tot) + running_trapezoid(times, d_tot)
-    gul1 = running_trapezoid(times, [s.grad_u_sup for s in samples])
-    for s, se, g in zip(samples, script_e, gul1):
-        s.script_e = float(se)
-        s.grad_u_l1t = float(g)
-    if samples and np.isnan(e_tot).all():  # no energies measured, no ledger
-        return (), NAN
-    if len(samples) < 3:
-        return (), 0.0
-    rhs = [s.rhs1 + s.rhs2 for s in samples]
-    lhs, passed, _ = ledger_check(
-        times, [s.corrected for s in samples], [s.diss_terms for s in samples], rhs
+class _Audit:
+    """What the running audit keeps between samples, fed one sample at a time
+    by _postprocess: the sup of E and the trapezoid sums of D and |grad u|_inf,
+    added in np.cumsum's order so that they keep a whole-run cumsum's bits;
+    the first sample spacing; the largest |tilde_E| so far; whether the
+    samples carry energies (an Eulerian run's do not), and the last two
+    samples. A ledger row is formed when its successor arrives; the row is
+    then final and goes to out, the open CSV, when there is one."""
+
+    def __init__(self, out=None):
+        self.out, self.ledger, self.before, self.pending = out, False, None, None
+        self.sup_e, self.scale, self.spacing = -np.inf, 0.0, NAN
+        self.d_sum = self.gu_sum = 0.0
+        self.checked = self.passed = 0
+
+    def close(self):
+        """Write the last row, which has no successor and so no ledger."""
+        if self.out is not None and self.pending is not None:
+            write_diagnostics(self.out, self.pending)
+
+
+def _postprocess(audit: _Audit, s: RunSample) -> RunSample:
+    """Audit one sample as it arrives: fill its script_E and grad-u integral,
+    and the ledger columns of the pending sample, whose row is then final and
+    written. Returns s, the new pending sample."""
+    last = audit.pending
+    audit.sup_e = float(np.maximum(audit.sup_e, s.energy_total))  # NaN stays NaN
+    audit.scale = float(np.maximum(audit.scale, abs(s.corrected)))
+    if last is None:
+        audit.ledger = not np.isnan(s.energy_total)
+    else:
+        h = s.t - last.t
+        audit.d_sum += 0.5 * (s.dissipation_total + last.dissipation_total) * h
+        audit.gu_sum += 0.5 * (s.grad_u_sup + last.grad_u_sup) * h
+        if audit.before is None:
+            audit.spacing = h
+        elif audit.ledger:
+            if abs(h - audit.spacing) > 1e-9 * max(audit.spacing, 1e-300):
+                raise ValueError("ledger samples are not uniformly spaced")
+            rhs = last.rhs1 + last.rhs2
+            corrected = (audit.before.corrected, s.corrected)
+            lhs, ok, _ = ledger_check(audit.spacing, corrected, last.diss_terms, rhs, audit.scale)
+            last.ledger_lhs, last.ledger_rhs, last.ledger_pass = lhs, rhs, float(ok)
+            audit.checked += 1
+            audit.passed += ok
+        if audit.out is not None:
+            write_diagnostics(audit.out, last)
+    s.script_e = audit.sup_e + audit.d_sum
+    s.grad_u_l1t = audit.gu_sum
+    audit.before, audit.pending = last, s
+    return s
+
+
+def _rhs_integral(samples) -> float:
+    """The trapezoid integral of the samples' forcing pairings rhs1 + rhs2."""
+    return float(np.trapezoid([s.rhs1 + s.rhs2 for s in samples], [s.t for s in samples]))
+
+
+def write_diagnostics(out, s: RunSample) -> None:
+    """Write the CSV row of one sample to the open file out."""
+    row = (
+        s.t, *s.energy, *s.dissipation, s.energy_total, s.dissipation_total, s.script_e,
+        s.corrected, s.ledger_lhs, s.ledger_rhs, s.ledger_pass, s.det_drift,
+        float(s.pressure_iters), s.contraction, s.grad_u_sup, s.grad_u_l1t,
     )
-    interior = zip(samples[1:-1], lhs.tolist(), rhs[1:-1], passed.tolist())
-    for s, lhs_i, rhs_i, ok in interior:
-        s.ledger_lhs = lhs_i
-        s.ledger_rhs = rhs_i
-        s.ledger_pass = float(ok)
-    return passed, float(np.trapezoid(rhs, times))
-
-
-def write_diagnostics(path, samples) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(CSV_COLUMNS) + "\n")
-        for s in samples:
-            row = (
-                (s.t,)
-                + s.energy
-                + s.dissipation
-                + (
-                    s.energy_total,
-                    s.dissipation_total,
-                    s.script_e,
-                    s.corrected,
-                    s.ledger_lhs,
-                    s.ledger_rhs,
-                    s.ledger_pass,
-                    s.det_drift,
-                    float(s.pressure_iters),
-                    s.contraction,
-                    s.grad_u_sup,
-                    s.grad_u_l1t,
-                )
-            )
-            fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
+    out.write(",".join(f"{x:.17g}" for x in row) + "\n")
 
 
 def read_diagnostics(path):
@@ -273,27 +248,50 @@ class _Pair(NamedTuple):
     t = property(lambda self: self.flow.t)
 
 
+def _start_time(config: RunConfig, grid: Grid) -> float:
+    """The time the configured run starts from, read before anything is
+    made: 0 for data, or the header's time of a checkpoint that holds the
+    solver's kind of state on the configured grid."""
+    if not config.checkpoint_in:
+        return 0.0
+    with open(config.checkpoint_in, "rb") as fh:
+        sizes, lengths, t, tag = read_header(fh)
+    kind = (FlowState, EulerState)[tag]
+    want = EulerState if config.solver == "eulerian" else FlowState
+    if kind is not want:
+        raise ConfigError(f"checkpoint holds a {kind.__name__}, not a {want.__name__}")
+    if (sizes, lengths) != (grid.sizes, grid.lengths):
+        raise ConfigError("checkpoint grid does not match the configured grid")
+    return t
+
+
 def _initial_state(config: RunConfig, grid: Grid):
-    """The start of the configured solver: its checkpoint, or the checked
-    data. The compare's pair starts from the data."""
+    """The start of the configured solver: its checkpoint, which _start_time
+    has checked, or the checked data. The compare's pair starts from the
+    data."""
     solver = config.solver
     if config.checkpoint_in:
         if solver == "both":
             raise ConfigError("compare_formulations starts from the data, not a checkpoint")
-        kind = EulerState if solver == "eulerian" else FlowState
-        state = read_checkpoint(config.checkpoint_in)
-        if not isinstance(state, kind):
-            raise ConfigError(
-                f"checkpoint holds a {type(state).__name__}, not a {kind.__name__}"
-            )
-        if state.grid != grid:
-            raise ConfigError("checkpoint grid does not match the configured grid")
-        return state
+        return read_checkpoint(config.checkpoint_in)
     flow = _checked_data(grid, config.initial_data_spec())
     if solver == "lagrangian":
         return flow
     euler = euler_from_flow(flow)
     return euler if solver == "eulerian" else _Pair(flow, euler)
+
+
+def _schedule(config, t0, sampled):
+    """The steps from t0 to t_end, and the steps between samples: every
+    step's count when nothing is sampled, and the cadence is not read."""
+    span = config.t_end - t0
+    n_steps = round(span / config.dt)
+    if n_steps < 1 or abs(n_steps * config.dt - span) > 1e-9 * max(1.0, span):
+        raise ConfigError("t_end - t0 must be a positive multiple of dt")
+    sample_every = round(config.cadence / config.dt) if sampled else n_steps
+    if n_steps % sample_every != 0:
+        raise ConfigError("t_end - t0 must be a multiple of the sample cadence")
+    return n_steps, sample_every
 
 
 def _drive(config, initial, force, step, record=None):
@@ -302,17 +300,11 @@ def _drive(config, initial, force, step, record=None):
     record nothing is sampled and the cadence is not read. initial() runs
     here so that this frame holds the only reference to the state. Returns
     the state reached, the samples and the solver failure (RuntimeError or
-    FloatingPointError) that stopped the stepping, or None; writes nothing.
+    FloatingPointError) that stopped the stepping, or None; writes nothing
+    itself.
     """
     state = initial()
-    span = config.t_end - state.t
-    n_steps = round(span / config.dt)
-    if n_steps < 1 or abs(n_steps * config.dt - span) > 1e-9 * max(1.0, span):
-        raise ConfigError("t_end - t0 must be a positive multiple of dt")
-    sample_every = round(config.cadence / config.dt) if record else n_steps
-    if n_steps % sample_every != 0:
-        raise ConfigError("t_end - t0 must be a multiple of the sample cadence")
-
+    n_steps, sample_every = _schedule(config, state.t, record is not None)
     samples = []
     try:
         for i in range(n_steps):
@@ -356,27 +348,33 @@ def _solver(config: RunConfig, grid: Grid):
 
 def run_simulation(config: RunConfig) -> RunReport:
     """Step the configured solver to t_end and write the run's outputs into
-    output_dir, made before the data are built: diagnostics.csv, and
+    output_dir: diagnostics.csv, each row as it becomes final, then
     state_final.ckpt, or state_abort.ckpt and abort_report.txt when a solver
-    failure ends the run. An earlier run's files of the other outcome go,
-    bar this run's checkpoint_in."""
+    failure ends the run. A schedule or a checkpoint that the run refuses
+    leaves no output_dir; it is made before the data are built. An earlier
+    run's files of the other outcome go, bar this run's checkpoint_in."""
     if config.solver == "both":
         raise ConfigError("solver=both runs through compare_formulations")
     grid = Grid(config.sizes, config.lengths)
+    _schedule(config, _start_time(config, grid), sampled=True)
     out_dir = config.output_dir or "."
     os.makedirs(out_dir, exist_ok=True)
-    state, samples, failure = _drive(
-        config, lambda: _initial_state(config, grid), *_solver(config, grid)
-    )
-    ledger_passed, rhs_integral = _postprocess(samples)
+    csv_path = os.path.join(out_dir, "diagnostics.csv")
+    force, step, record = _solver(config, grid)
+    with open(csv_path, "w", encoding="utf-8", buffering=1) as out:  # flushed per line
+        out.write(",".join(CSV_COLUMNS) + "\n")
+        audit = _Audit(out)
+        state, samples, failure = _drive(
+            config, lambda: _initial_state(config, grid), force, step,
+            lambda state, f: _postprocess(audit, record(state, f)),
+        )
+        audit.close()
     outcome, other = ("abort", "final") if failure else ("final", "abort")
     ckpt_path = os.path.join(out_dir, f"state_{outcome}.ckpt")
     write_checkpoint(ckpt_path, state)
-    csv_path = os.path.join(out_dir, "diagnostics.csv")
-    write_diagnostics(csv_path, samples)
     stale = [f"state_{other}.ckpt"]  # an earlier run's files of the other outcome
     if failure:
-        with open(os.path.join(out_dir, "abort_report.txt"), "w") as fh:
+        with replaced(os.path.join(out_dir, "abort_report.txt"), "w") as fh:
             fh.write(f"aborted at t = {state.t:.12g}\nreason: {_reason(failure)}\n")
     else:
         stale.append("abort_report.txt")
@@ -418,14 +416,14 @@ def run_simulation(config: RunConfig) -> RunReport:
         script_e_final=script_e_final,
         script_e_ratio=script_e_final / script_e0 if script_e0 > 0 else NAN,
         det_drift_max=max((s.det_drift for s in samples), default=NAN),
-        ledger_pass_rate=float(np.mean(ledger_passed)) if len(ledger_passed) else NAN,
-        ledger_checked=len(ledger_passed),
+        ledger_pass_rate=audit.passed / audit.checked if audit.checked else NAN,
+        ledger_checked=audit.checked,
         decay_fits=fits,
         grad_u_l1t=gul1,
         grad_u_tail_ratio=tail_ratio,
         pressure_iters_max=max((s.pressure_iters for s in samples), default=0),
         lower_bound_margin_min=min((s.lower_bound_margin for s in samples), default=NAN),
-        rhs_integral=rhs_integral,
+        rhs_integral=_rhs_integral(samples),
         samples=samples,
         csv_path=csv_path,
         checkpoint_path=ckpt_path,
@@ -499,10 +497,12 @@ def scaling_run(config: RunConfig, amplitude: float):
     """
     spec = scaled_spec(default_spec(config.dimension, epsilon0=None), amplitude)
     grid = Grid(config.sizes, config.lengths)
+    force, step, record = _solver(config, grid)
+    audit = _Audit()
     _, samples, failure = _drive(
-        config, lambda: _checked_data(grid, spec), *_solver(config, grid)
+        config, lambda: _checked_data(grid, spec), force, step,
+        lambda state, f: _postprocess(audit, record(state, f)),
     )
     if failure:
         raise RunAbortedError(_reason(failure)) from failure
-    _, rhs_integral = _postprocess(samples)
-    return samples[-1].script_e, rhs_integral
+    return samples[-1].script_e, _rhs_integral(samples)

@@ -1,10 +1,13 @@
+import errno
+import os
 import struct
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from lagmhd.checkpoint import read_checkpoint, write_checkpoint
+from lagmhd import checkpoint
+from lagmhd.checkpoint import read_checkpoint, replaced, write_checkpoint
 from lagmhd.config import (
     KEYS,
     SOLVERS,
@@ -289,6 +292,51 @@ def test_euler_checkpoint_round_trip(tmp_path, grid2, rng):
     # the scalar block after u and b is written as zeros
     tail = path.read_bytes()[-u.values[0].nbytes :]
     assert tail == bytes(len(tail))
+
+
+def test_an_interrupted_write_keeps_the_earlier_file(tmp_path, grid2, rng, monkeypatch):
+    # the disk fills halfway through the first payload block: the earlier
+    # checkpoint must survive whole, and no temporary file may stay
+    path = tmp_path / "state.ckpt"
+    write_checkpoint(path, FlowState.zeros(grid2, t=0.25))
+    earlier = path.read_bytes()
+
+    class FullDisk:
+        def __init__(self, fh):
+            self.fh, self.writes = fh, 0
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            self.writes += 1
+            if self.writes == 2:  # the header went, then half a block
+                self.fh.write(data[: len(data) // 2])
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return self.fh.write(data)
+
+    monkeypatch.setattr(checkpoint, "open", lambda *a: FullDisk(open(*a)), raising=False)
+    state = FlowState(grid2, random_band_limited(grid2, rng, rank=1).band,
+                      random_band_limited(grid2, rng, rank=1).band, 0.5)
+    with pytest.raises(OSError, match="No space"):
+        write_checkpoint(path, state)
+    monkeypatch.undo()
+    assert path.read_bytes() == earlier
+    assert os.listdir(tmp_path) == ["state.ckpt"]
+    # the abort report goes through the same replacement, as text
+    report = tmp_path / "abort_report.txt"
+    report.write_text("aborted at t = 0.1\n")
+    with pytest.raises(RuntimeError):
+        with replaced(report, "w") as fh:
+            fh.write("aborted at")
+            raise RuntimeError("interrupted")
+    assert report.read_text() == "aborted at t = 0.1\n"
+    assert sorted(os.listdir(tmp_path)) == ["abort_report.txt", "state.ckpt"]
+    write_checkpoint(path, state)
+    assert read_checkpoint(path).t == 0.5
 
 
 def test_euler_checkpoint_with_a_stored_pressure_loads(tmp_path, grid2, rng):

@@ -25,14 +25,13 @@ from lagmhd.energy import (
     lower_bound_margin,
     lower_bound_value,
     nonlinear_scaling_study,
-    running_trapezoid,
 )
 from lagmhd.config import RunConfig
 from lagmhd.evolution import LinearPropagator
 from lagmhd.fields import VectorField
 from lagmhd.geometry import FlowState
 from lagmhd.grid import Grid
-from lagmhd.runner import CSV_COLUMNS, run_simulation
+from lagmhd.runner import CSV_COLUMNS, RunSample, _Audit, _postprocess, run_simulation
 from lagmhd.spectral import weighted_norm_sq
 
 from conftest import (
@@ -337,31 +336,56 @@ def test_record_sample_builds_one_table_and_no_reductions(monkeypatch):
 
 
 def _linear_ledger(grid, ev, state0, cadence, nsamples):
-    """ledger_check's per-sample sequences along a forcing-free linear run."""
+    """The samples of a forcing-free linear run, as the audit reads them."""
     prop = LinearPropagator(grid, cadence)
     yh, yth = state0.Y.copy(), state0.Yt.copy()
-    times, corrected, dissipation = [], [], []
+    samples = []
     t = 0.0
     for _ in range(nsamples):
-        st = FlowState(grid, yh, yth, t)
-        times.append(t)
-        table = ev.sample_table(st)
-        corrected.append(sum(corrected_energy(table, t)))
-        dissipation.append(dissipation_inequality_terms(table, t))
+        table = ev.sample_table(FlowState(grid, yh, yth, t))
+        e = energy_report(table, t)
+        samples.append(RunSample(
+            t=t, grad_u_sup=0.0, energy_total=sum(e), dissipation_total=0.0,
+            corrected=sum(corrected_energy(table, t)),
+            diss_terms=dissipation_inequality_terms(table, t), rhs1=0.0, rhs2=0.0,
+        ))
         yh, yth = prop.apply(yh, yth)
         t += cadence
-    return times, corrected, dissipation, [0.0] * nsamples
+    return samples
+
+
+def _ledger_rows(samples):
+    """ledger_check of each interior sample, banded by the largest
+    |corrected energy| up to its successor: the (lhs, pass, band) rows."""
+    spacing = samples[1].t - samples[0].t
+    scale = np.maximum.accumulate([abs(s.corrected) for s in samples])
+    return [
+        ledger_check(spacing, (before.corrected, after.corrected), s.diss_terms, 0.0,
+                     scale[i + 1])
+        for i, (before, s, after) in enumerate(zip(samples, samples[1:], samples[2:]), 1)
+    ]
+
+
+def _audited(samples):
+    audit = _Audit()
+    for s in samples:
+        _postprocess(audit, s)
+    return audit
 
 
 def test_ledger_linear_run_all_pass(ev3, rng):
     grid = ev3.grid
     state0 = random_state(grid, rng, scale=0.01, t=0.0)
     for cadence in (0.2, 0.1):
-        sequences = _linear_ledger(grid, ev3, state0, cadence, 41)
-        lhs, passed, band = ledger_check(*sequences)
-        assert passed.all()
+        samples = _linear_ledger(grid, ev3, state0, cadence, 41)
+        rows = _ledger_rows(samples)
+        assert all(passed for _, passed, _ in rows)
         # the forcing-free inequality is strict: lhs stays below the band
-        assert lhs.max() <= band
+        assert all(lhs <= band for lhs, _, band in rows)
+        # the audit forms the same rows as its samples arrive
+        audit = _audited(samples)
+        assert audit.checked == audit.passed == 39
+        assert [s.ledger_lhs for s in samples[1:-1]] == [lhs for lhs, _, _ in rows]
 
 
 def test_ledger_band_shrinks_with_cadence(ev3, rng):
@@ -369,20 +393,24 @@ def test_ledger_band_shrinks_with_cadence(ev3, rng):
     state0 = random_state(grid, rng, scale=0.01, t=0.0)
     bands = []
     for cadence in (0.2, 0.1):
-        sequences = _linear_ledger(grid, ev3, state0, cadence, 41)
-        bands.append(ledger_check(*sequences)[2])
+        samples = _linear_ledger(grid, ev3, state0, cadence, 41)
+        bands.append(_ledger_rows(samples)[-1][2])  # banded by the whole run
     assert bands[0] / bands[1] == pytest.approx(4.0, rel=0.15)
 
 
 def test_ledger_requires_uniform_cadence_and_samples():
-    def check(times):
-        n = len(times)
-        return ledger_check(times, [1.0] * n, [(0.0,) * 5] * n, [0.0] * n)
+    def audit(times):
+        samples = [
+            RunSample(t=t, grad_u_sup=0.0, energy_total=1.0, corrected=1.0,
+                      diss_terms=(0.0,) * 5, rhs1=0.0, rhs2=0.0)
+            for t in times
+        ]
+        return _audited(samples), samples
 
-    with pytest.raises(ValueError):
-        check([0.0, 0.1])
-    with pytest.raises(ValueError):
-        check([0.0, 0.1, 0.3])
+    two, samples = audit([0.0, 0.1])
+    assert two.checked == 0 and np.isnan([s.ledger_pass for s in samples]).all()
+    with pytest.raises(ValueError, match="uniformly spaced"):
+        audit([0.0, 0.1, 0.3])
 
 
 def test_forcing_pairings_zero_force(ev3, rng):
@@ -426,11 +454,18 @@ def test_fit_decay_rate_validation():
         fit_decay_rate(t[:5], np.ones(5), (0.0, 10.0))
 
 
+def _grad_u_integral(t, values):
+    """The audit's grad_u_l1t column over samples of |grad u|_inf at times t."""
+    samples = [RunSample(t=float(ti), grad_u_sup=float(v)) for ti, v in zip(t, values)]
+    _audited(samples)
+    return np.array([s.grad_u_l1t for s in samples])
+
+
 def test_grad_u_integral_zero_and_closed_form():
     t = np.linspace(0.0, 5.0, 2001)
-    assert running_trapezoid(t, np.zeros_like(t)).max() == 0.0
+    assert _grad_u_integral(t, np.zeros_like(t)).max() == 0.0
     vals = np.exp(-t)
-    integral = running_trapezoid(t, vals)
+    integral = _grad_u_integral(t, vals)
     expect = 1.0 - np.exp(-t)
     assert np.abs(integral - expect).max() < 1e-6  # trapezoid, O(dt^2)
 
@@ -469,7 +504,7 @@ def test_grad_u_integral_damped_oscillator_closed_form():
     errs = []
     for cadence in (0.05, 0.025):
         t = np.arange(0.0, 10.0 + cadence / 2, cadence)
-        integral = running_trapezoid(t, amplitude(t))
+        integral = _grad_u_integral(t, amplitude(t))
         errs.append(abs(integral[-1] - ref))
     assert errs[0] < 1e-3 and errs[1] < errs[0]
     # kinks at the zero crossings keep it second order on average

@@ -50,7 +50,8 @@ def test_a_shear_c_mode_with_the_wrong_index_count_is_a_config_error(sizes, n, t
     with pytest.raises(ConfigError, match="shear mode"):
         build_flow_state(grid, InitialDataSpec(shear_c=(mode,)))
     cfg = RunConfig(dimension=len(sizes), sizes=sizes, lengths=grid.lengths,
-                    dt=0.05, t_end=0.1, y0_modes_c=(mode,), output_dir=str(tmp_path))
+                    dt=0.05, t_end=0.1, cadence=0.05, y0_modes_c=(mode,),
+                    output_dir=str(tmp_path))
     with pytest.raises(ConfigError, match="shear mode"):
         runner.run_simulation(cfg)
 

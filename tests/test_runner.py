@@ -1,14 +1,26 @@
+import io
 import os
+import signal
+import subprocess
+import sys
+import time
 from dataclasses import replace
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
 import pytest
 
+import lagmhd
 from lagmhd import pressure
 from lagmhd.checkpoint import read_checkpoint, write_checkpoint
-from lagmhd.config import RunConfig
-from lagmhd.energy import EnergyEvaluator, corrected_energy, lower_bound_margin
+from lagmhd.config import RunConfig, dump_config
+from lagmhd.energy import (
+    LEDGER_BAND_FACTOR,
+    EnergyEvaluator,
+    corrected_energy,
+    lower_bound_margin,
+)
 from lagmhd.errors import ConfigError, InitialDataError, RunAbortedError
 from lagmhd.evolution import EulerianStepper, EulerState
 from lagmhd.geometry import FlowState
@@ -16,8 +28,11 @@ from lagmhd.grid import Grid
 from lagmhd.initial_data import VelocityMode, build_flow_state, euler_from_flow
 from lagmhd.runner import (
     CSV_COLUMNS,
+    RunSample,
+    _Audit,
     _drive,
     _grad_u_sup,
+    _postprocess,
     compare_formulations,
     read_diagnostics,
     run_simulation,
@@ -106,6 +121,107 @@ def test_the_row_wise_velocity_gradient_sup_keeps_the_bits(shape):
     row = np.empty_like(grad_yt[0])
     rows = (np.einsum("m...,jm...->j...", g, a, out=row) for g in grad_yt)
     assert _grad_u_sup(rows) == want
+
+
+def test_the_running_audit_keeps_the_bits_of_the_whole_run_formulas():
+    # the audit, one sample at a time, against whole-run formulas as the
+    # reference: a running max plus a cumsum trapezoid for script_E, the
+    # same trapezoid for grad_u_l1t, and the ledger's centred difference over
+    # the first spacing, banded by the running max of |tilde_E| up to the
+    # successor. Times accumulate a cadence of 0.1, as a run's do, so that
+    # the spacings differ from the first in their last bits
+    rng = np.random.default_rng(5)
+    n = 40
+    t = np.array(list(accumulate([0.3] + [0.1] * (n - 1))))
+    assert len(set(np.diff(t).tolist())) > 1
+    e = np.exp(rng.standard_normal(n))
+    d, gu, rhs1, rhs2 = rng.uniform(0.0, 1.0, (4, n))
+    c = rng.uniform(-1.0, 1.0, n)
+    diss = rng.uniform(0.0, 0.5, (n, 5))
+    rhs1 *= 8.0
+    samples = [
+        RunSample(t=t[i], grad_u_sup=gu[i], energy_total=e[i], dissipation_total=d[i],
+                  corrected=c[i], diss_terms=tuple(diss[i]), rhs1=rhs1[i], rhs2=rhs2[i])
+        for i in range(n)
+    ]
+    out = io.StringIO()
+    audit = _Audit(out)
+    for i, s in enumerate(samples):
+        _postprocess(audit, s)
+        assert out.getvalue().count("\n") == i  # a row is written once final
+    audit.close()
+    assert out.getvalue().count("\n") == n
+
+    def trapezoid(v):
+        out = np.zeros_like(v)
+        out[1:] = np.cumsum(0.5 * (v[1:] + v[:-1]) * np.diff(t))
+        return out
+
+    spacing = np.diff(t)[0]
+    lhs = (c[2:] - c[:-2]) / (2.0 * spacing) + np.array([sum(x) for x in diss[1:-1].tolist()])
+    band = LEDGER_BAND_FACTOR * spacing * spacing * np.maximum.accumulate(np.abs(c))[2:]
+    passed = lhs <= (rhs1 + rhs2)[1:-1] + band
+    assert 0 < passed.sum() < n - 2  # both outcomes occur
+    column = {name: np.array([getattr(s, name) for s in samples])
+              for name in ("script_e", "grad_u_l1t", "ledger_lhs", "ledger_rhs", "ledger_pass")}
+    assert column["script_e"].tolist() == (np.maximum.accumulate(e) + trapezoid(d)).tolist()
+    assert column["grad_u_l1t"].tolist() == trapezoid(gu).tolist()
+    assert column["ledger_lhs"][1:-1].tolist() == lhs.tolist()
+    assert column["ledger_rhs"][1:-1].tolist() == (rhs1 + rhs2)[1:-1].tolist()
+    assert column["ledger_pass"][1:-1].tolist() == passed.astype(float).tolist()
+    assert np.isnan([column[k][[0, -1]] for k in ("ledger_lhs", "ledger_pass")]).all()
+    assert (audit.checked, audit.passed) == (n - 2, passed.sum())
+
+
+def test_a_killed_run_leaves_the_complete_rows_of_an_uninterrupted_one(tmp_path):
+    # a run killed with SIGKILL after at least three rows: every line it left
+    # is whole and equals the same line of an uninterrupted run, header
+    # included; no later row changes an earlier one, so the uninterrupted
+    # run need only reach one sample past the last row left
+    cfg = RunConfig(dimension=2, sizes=(16, 16), dt=0.05, t_end=1000.0, cadence=0.05)
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(dump_config(cfg))
+    csv_path = tmp_path / "killed" / "diagnostics.csv"
+    src = os.path.dirname(os.path.dirname(lagmhd.__file__))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "lagmhd.cli", "run", "--config", str(cfg_path),
+         "--output", str(csv_path.parent)],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    )
+    try:
+        deadline = time.monotonic() + 120.0
+        while not (csv_path.exists() and csv_path.read_bytes().count(b"\n") >= 4):
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.01)
+        proc.send_signal(signal.SIGKILL)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert proc.returncode == -signal.SIGKILL
+    text = csv_path.read_text()
+    assert text.endswith("\n")  # no partial line
+    lines = text.splitlines()
+    rows = len(lines) - 1
+    assert rows >= 3
+    full = run_simulation(replace(cfg, t_end=rows * cfg.cadence, output_dir=str(tmp_path / "full")))
+    with open(full.csv_path) as fh:
+        assert fh.read().splitlines()[: len(lines)] == lines
+
+
+@pytest.mark.parametrize("resumed", [False, True], ids=["data", "resumed"])
+def test_a_refused_schedule_makes_nothing(tmp_path, resumed):
+    # t_end - t0 = 0.52 from the data, and 0.48 from a checkpoint at t = 0.52,
+    # is no multiple of dt = 0.05; t0 comes from the checkpoint's header
+    cfg = RunConfig(dimension=2, sizes=(16, 16), dt=0.05, t_end=0.52,
+                    output_dir=str(tmp_path / "out"))
+    if resumed:
+        ckpt = str(tmp_path / "start.ckpt")
+        write_checkpoint(ckpt, FlowState.zeros(Grid(cfg.sizes, cfg.lengths), t=0.52))
+        cfg = replace(cfg, t_end=1.0, checkpoint_in=ckpt)
+    with pytest.raises(ConfigError, match="multiple of dt"):
+        run_simulation(cfg)
+    assert not os.path.exists(cfg.output_dir)
 
 
 def test_runs_are_deterministic(tmp_path):
