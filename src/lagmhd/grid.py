@@ -15,14 +15,17 @@ on it, so a negative index names the same wavenumber as in the full
 spectrum (n = -1 is index -1). A ``Grid`` keeps its spectral tables on the
 band only, and ``rfft``/``irfft`` go between samples and bands in two
 stages on the wide (N0[, N1], K) layout, which only a transform's scratch
-and the symbols of its stages hold: the leading axes by scipy's
-single-axis c2c (``lead_pass``), in 3D the pass that meets the mask on the
-lines it keeps only, the last axis (``last_forward``, ``last_inverse``) by
-a matmul against a pruned real DFT table for N_last <= MATMUL_MAX_LAST and
+and the symbols of its stages hold: the leading axes by a single-axis c2c
+(``lead_pass``), numpy.fft's in 2D and scipy.fft's in 3D, where the pass
+that meets the mask runs on the lines it keeps only, the last axis
+(``last_forward``, ``last_inverse``) by a matmul against a pruned real DFT table for N_last <= MATMUL_MAX_LAST and
 by numpy's r2c/c2r past that.
 ``scatter`` puts a band into that layout, zeros in the dropped blocks
 (``zero_dropped``), and ``gather`` takes it back out, so no band holds a
 mode the mask drops and none is masked.
+
+scipy is imported by the first 3D ``Grid`` only (and by ``Grid.fft`` and
+``Grid.ifft``), so a 2D run loads no scipy module.
 """
 
 from __future__ import annotations
@@ -32,7 +35,13 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft as sfft
+
+# scipy.fft, imported by the first 3D Grid, whose leading passes it runs:
+# numpy.fft's c2c takes the 3D middle-axis pass in chunks of lines, 1.5-2.1
+# times scipy's time there (544 / 355 us on a (9, 32, 32, 11) buffer, 99 / 47
+# us at (9, 16, 16, 6); 2-core Xeon, numpy 2.4, scipy 1.17), while on the 2D
+# pass it gives scipy's bits in the same time
+sfft = None
 
 
 # Largest N_last whose last-axis stage is a matmul. Speed-up of the matmul
@@ -119,6 +128,9 @@ class Grid:
                 raise ValueError(f"box length {l} must be positive and finite")
 
         dim = len(sizes)
+        if dim == 3:
+            global sfft
+            import scipy.fft as sfft
         spacings = tuple(l / n for n, l in zip(sizes, lengths))
         nb = int(np.ceil(sizes[-1] / 3.0))
         # 2/3 rule: keep |n_i| <= c_i = ceil(N_i/3) - 1 per axis so that
@@ -269,15 +281,23 @@ class Grid:
         return wide
 
     def lead_pass(self, arr, axes, inverse=False):
-        """scipy's single-axis c2c along each given leading spatial axis of
-        arr, a transform buffer (negative indices), written back into arr;
-        the forward one scaled by 1/N, exactly for power-of-two sizes. A
-        transform's passes run along axis -3 before -2, the forward ones
-        ahead of ``gather`` and the inverse ones on a ``scatter``, zero in
-        the dropped blocks, so in 3D the pass that meets the mask runs on
-        the lines it keeps only. A symbol i k_j commutes with the passes
-        along the other axes, so ``spectral.gradient_values`` and
-        ``spectral.divergence_band`` apply it between them."""
+        """A single-axis c2c along each given leading spatial axis of arr, a
+        transform buffer (negative indices), written back into arr; the
+        forward one scaled by 1/N, exactly for power-of-two sizes. In 2D
+        numpy.fft's fft or ifft writes the one pass on the whole buffer
+        (``out=arr``); in 3D scipy.fft's runs with ``overwrite_x``, copied
+        back when scipy returns a new array. A transform's passes run along
+        axis -3 before -2, the forward ones ahead of ``gather`` and the
+        inverse ones on a ``scatter``, zero in the dropped blocks, so in 3D
+        the pass that meets the mask runs on the lines it keeps only. A
+        symbol i k_j commutes with the passes along the other axes, so
+        ``spectral.gradient_values`` and ``spectral.divergence_band`` apply
+        it between them."""
+        if self.dim == 2:
+            c2c = np.fft.ifft if inverse else np.fft.fft
+            for axis in axes:
+                c2c(arr, axis=axis, norm="forward", out=arr)
+            return arr
         c2c = sfft.ifft if inverse else sfft.fft
         for axis in axes:
             for block in self._lines[inverse, axis]:
@@ -321,17 +341,23 @@ class Grid:
         return np.matmul(planes.view(float), _dft_tables(n)[1][: 2 * k], out=out)
 
     def fft(self, values):
-        """Real samples -> full spectrum c_k with f(y) = sum c_k e^{ik.y}. No run
-        path calls it or ``ifft``: perfbench's ``_scaled_force`` (through
-        the force's ``spec``), ``test_rfft_matches_the_full_transform`` and
+        """Real samples -> full spectrum c_k with f(y) = sum c_k e^{ik.y}, by
+        scipy.fft's fftn, imported here. No run path calls it or ``ifft``:
+        perfbench's ``_scaled_force`` (through the force's ``spec``),
+        ``test_rfft_matches_the_full_transform`` and
         ``test_gate_passes_transforms_through_rfft`` do (ROADMAP item 3)."""
-        return sfft.fftn(values, axes=self.spatial_axes, norm="forward")
+        import scipy.fft
+
+        return scipy.fft.fftn(values, axes=self.spatial_axes, norm="forward")
 
     def ifft(self, spec):
-        """Spectrum of a real field -> real samples: one irfftn of the k_last
-        >= 0 half, the k_last < 0 planes not read. Kept for perfbench."""
+        """Spectrum of a real field -> real samples: one scipy.fft irfftn of
+        the k_last >= 0 half, the k_last < 0 planes not read. Kept for
+        perfbench."""
+        import scipy.fft
+
         half = spec[..., : self.sizes[-1] // 2 + 1]
-        return sfft.irfftn(half, s=self.sizes, axes=self.spatial_axes, norm="forward")
+        return scipy.fft.irfftn(half, s=self.sizes, axes=self.spatial_axes, norm="forward")
 
     # -- norms and weights --------------------------------------------------
 

@@ -221,11 +221,16 @@ def narrow(grid, wide):
     return wide[band_index(grid)]
 
 
-def wide_lead_pass(arr, grid, inverse=False):
-    """arr's leading passes as one scipy.fft.fftn or ifftn on every line,
-    written back: the transforms' leading stage before any pruning."""
-    c2c = sfft.ifftn if inverse else sfft.fftn
-    arr[...] = c2c(arr, axes=grid.spatial_axes[:-1], norm="forward")
+def wide_lead_pass(arr, grid, inverse=False, axes=None):
+    """arr's leading passes over the given axes (by default every leading
+    spatial axis) as one fftn or ifftn on every line, written back: the
+    transforms' leading stage before any pruning. The c2c is the one
+    ``Grid.lead_pass`` runs in the grid's dimension, numpy.fft's in 2D and
+    scipy.fft's in 3D, so the two agree bit for bit whatever the versions."""
+    lib = np.fft if grid.dim == 2 else sfft
+    c2c = lib.ifftn if inverse else lib.fftn
+    axes = grid.spatial_axes[:-1] if axes is None else axes
+    arr[...] = c2c(arr, axes=axes, norm="forward")
     return arr
 
 

@@ -1,5 +1,12 @@
+import json
+import os
+import subprocess
+import sys
+import textwrap
+
 import pytest
 
+import lagmhd
 from lagmhd.cli import main
 
 
@@ -29,6 +36,37 @@ def test_cli_run_and_fit(tmp_path, capsys):
     )
     assert rc == 1
     assert "fit failed" in capsys.readouterr().err
+
+
+def test_a_2d_run_loads_no_scipy_and_a_3d_grid_loads_scipy_fft(tmp_path):
+    # in a fresh interpreter a 16^2 run through the CLI exits 0, writes its
+    # CSV and leaves no scipy module loaded: numpy.fft runs the 2D leading
+    # pass. Building a 16^3 grid afterwards loads scipy.fft, whose c2c the
+    # 3D leading passes run
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(
+        "dimension = 2\nsizes = 16,16\ndt = 0.05\nt_end = 0.5\ncadence = 0.25\n"
+    )
+    script = textwrap.dedent("""
+        import json, sys
+        from lagmhd.cli import main
+        from lagmhd.grid import Grid
+        rc = main(["run", "--config", sys.argv[1], "--output", sys.argv[2]])
+        scipy = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+        Grid((16, 16, 16), (1.0, 1.0, 1.0))
+        print(json.dumps([rc, scipy, "scipy.fft" in sys.modules]))
+    """)
+    src = os.path.dirname(os.path.dirname(lagmhd.__file__))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(cfg_path), str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    rc, scipy, grid_3d_loads_fft = json.loads(proc.stdout.splitlines()[-1])
+    assert rc == 0 and (tmp_path / "out" / "diagnostics.csv").exists()
+    assert scipy == []
+    assert grid_3d_loads_fft
 
 
 @pytest.mark.parametrize(

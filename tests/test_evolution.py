@@ -274,9 +274,10 @@ def _force_transforms(monkeypatch, grid, amp):
     """The stages of every transform over one compute_force, and its Picard
     iteration count: the shapes of the samples each last-axis stage takes
     (``Grid.last_forward``) or gives (``Grid.last_inverse``), in call order,
-    and the lines of the single-axis leading passes (the scipy.fft calls of
-    ``Grid.lead_pass``), [those of passes on whole transform buffers, of
-    the wide (N0[, N1], K) layout, those of passes on blocks of them].
+    and the lines of the single-axis leading passes (the calls of the c2c
+    ``Grid.lead_pass`` runs, numpy.fft's in 2D and scipy.fft's in 3D),
+    [those of passes on whole transform buffers, of the wide (N0[, N1], K)
+    layout, those of passes on blocks of them].
 
     The state holds bands only, as a stepped state does, so Yt's samples
     cost a last-axis stage. Every transform of the kernel goes through
@@ -306,8 +307,9 @@ def _force_transforms(monkeypatch, grid, amp):
         calls["inverse"].append(planes.shape[:-1] + grid.shape[-1:])
         return stages[1](self, planes, *args, **kwargs)
 
+    kernel = np.fft if d == 2 else sfft
     for name in ("fft", "ifft"):
-        monkeypatch.setattr(sfft, name, counted_pass(getattr(sfft, name)))
+        monkeypatch.setattr(kernel, name, counted_pass(getattr(kernel, name)))
     monkeypatch.setattr(Grid, "last_forward", counted_forward)
     monkeypatch.setattr(Grid, "last_inverse", counted_inverse)
     iters = compute_force(state).pressure.iterations

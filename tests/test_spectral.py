@@ -465,6 +465,12 @@ def test_rfft_irfft_round_trip_and_fft_is_the_mirror(name, rng):
     # every kept mode, and agree with the full ones
     assert same_bits(band, narrow(grid, wide_rfft(grid, vals)))
     assert np.abs(band - narrow(grid, half)).max() <= 1e-15 * np.abs(half).max()
+    if grid.dim == 2:
+        # numpy's leading pass, which the grid runs in 2D, agrees with scipy's
+        wide = grid.last_forward(vals)
+        by_numpy = np.fft.fft(wide, axis=-2, norm="forward")
+        by_scipy = sfft.fft(wide, axis=-2, norm="forward")
+        assert np.abs(by_numpy - by_scipy).max() <= 1e-15 * np.abs(by_scipy).max()
     if is_open:
         # the band of the whole half, Nyquist planes included, is its kept
         # modes: it goes back to the samples of its masked part, and the
@@ -702,14 +708,6 @@ def test_shared_pass_kernels_in_a_workspace_allocate_no_band(sizes, lengths, rng
 # -- the pruned passes ------------------------------------------------------------
 
 
-def _full_pass(arr, axes, inverse=False):
-    """arr's leading passes over the given axes as one scipy.fft.fftn or
-    ifftn on every line, written back: the form before the pruning."""
-    c2c = sfft.ifftn if inverse else sfft.fftn
-    arr[...] = c2c(arr, axes=axes, norm="forward")
-    return arr
-
-
 def _full_pass_stages(grid, vals, band, mat, vec):
     """rfft(vals), irfft(band), gradient_values(band) with its samples and
     divergence_band(mat, minus=vec) in the kernels' order of operations, on
@@ -724,7 +722,8 @@ def _full_pass_stages(grid, vals, band, mat, vec):
     slots[:, -1] = wide
     for a in range(d - 1):
         slots[:, a] = slots[:, -1] * ik[a]
-        _full_pass(slots if a == d - 2 else slots[:, ::2], (a - d,), inverse=True)
+        part = slots if a == d - 2 else slots[:, ::2]
+        wide_lead_pass(part, grid, inverse=True, axes=(a - d,))
     values = grid.last_inverse(slots[:, -1].copy())
     slots[:, -1] *= ik[-1]
     grad = grid.last_inverse(slots)
@@ -733,7 +732,7 @@ def _full_pass_stages(grid, vals, band, mat, vec):
     acc *= ik[-1]
     acc -= grid.last_forward(vec)
     for a in range(d - 1):
-        _full_pass(cols[:, a:], (a - d,))
+        wide_lead_pass(cols[:, a:], grid, axes=(a - d,))
         cols[:, a] *= ik[a]
         acc += cols[:, a]
     return fwd, inv, (grad, values), acc
