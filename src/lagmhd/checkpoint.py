@@ -1,17 +1,12 @@
 """Binary field snapshots for restart.
 
-Layout (little endian): magic b"MHDL", version u32, dimension u32,
+Layout (little endian): magic b"MHDL", version u32 (2), dimension u32,
 sizes u32 per axis, lengths f64 per axis, time f64, solver tag u32
-(0 = lagrangian, 1 = eulerian), then raw f64 field data in axis-major
-(C) order: Y then Yt for the Lagrangian form, u then b for the Eulerian
-one. The data are the real samples of the state's bands, ``Grid.irfft``
-of each, and reading them back takes their ``Grid.rfft``: that moves a
-band's modes by round-off, up to 2e-16 relative, so a restart is not bit
-for bit (ROADMAP item 2). An Eulerian file
-ends in one more scalar block, where earlier versions of the program
-stored a diagnostic pressure: it is written as zeros and never read, so
-those files load too. A snapshot is written next to its path and moved
-onto it, so an interrupted write leaves the earlier file as it was.
+(0 = lagrangian, 1 = eulerian), then the state's bands, each (d,
+*band_shape) complex128 in C order: Y then Yt, or u then b. A read gives
+back every bit written; a file of another version is refused. A snapshot
+is written next to its path and moved onto it, so an interrupted write
+leaves the earlier file as it was.
 """
 
 from __future__ import annotations
@@ -26,10 +21,10 @@ import numpy as np
 from .errors import CheckpointFormatError
 from .evolution import EulerState
 from .geometry import FlowState
-from .grid import Grid
+from .grid import Grid, band_shape_of
 
 MAGIC = b"MHDL"
-VERSION = 1
+VERSION = 2
 
 
 @contextmanager
@@ -55,17 +50,14 @@ def write_checkpoint(path, state) -> None:
     else:
         raise TypeError("checkpoint expects a FlowState or EulerState")
     grid = state.grid
-    arrays = [grid.irfft(band) for band in bands]
-    if tag == 1:
-        arrays.append(np.zeros(grid.shape))
     dim = grid.dim  # "<" packs without padding: the fields follow one another
     header = MAGIC + struct.pack(
         f"<II{dim}I{dim}ddI", VERSION, dim, *grid.sizes, *grid.lengths, float(state.t), tag
     )
     with replaced(path) as fh:
         fh.write(header)
-        for arr in arrays:
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        for band in bands:
+            fh.write(np.ascontiguousarray(band, dtype="<c16"))
 
 
 def read_header(fh):
@@ -99,15 +91,13 @@ def read_checkpoint(path):
         payload = fh.read()
     # the payload is checked before a grid is built, so a header that
     # claims a huge grid allocates nothing
-    dim, npoints = len(sizes), math.prod(sizes)
-    expected = (2 * dim + tag) * npoints * 8
+    dim, band_shape = len(sizes), band_shape_of(sizes)
+    expected = 2 * dim * math.prod(band_shape) * 16
     if len(payload) != expected:
         raise CheckpointFormatError(f"payload length {len(payload)} bytes, expected {expected}")
     try:
         grid = Grid(sizes, lengths)
     except ValueError as exc:
         raise CheckpointFormatError(f"bad grid in header: {exc}") from exc
-    # (Y, Yt) or (u, b); an Eulerian file's last block is not read
-    data = np.frombuffer(payload, dtype="<f8", count=2 * dim * npoints)
-    pair = data.astype(float).reshape((2, dim) + grid.shape)
-    return (FlowState, EulerState)[tag](grid, *(grid.rfft(v) for v in pair), t)
+    pair = np.frombuffer(payload, dtype="<c16").reshape((2, dim) + band_shape)
+    return (FlowState, EulerState)[tag](grid, *pair.astype(complex), t)  # (Y, Yt) or (u, b)

@@ -77,7 +77,7 @@ def _dft_tables(n: int):
     table[..., 0] = np.cos(theta)
     table[..., 1] = -np.sin(theta)
     table[:, [0, -1], 1] = 0.0
-    nb = -(-n // 3)
+    (nb,) = band_shape_of((n,))
     fwd = table[:, :nb].reshape(n, 2 * nb) / n
     multiplicity = np.full(k.size, 2.0)
     multiplicity[[0, -1]] = 1.0
@@ -85,6 +85,15 @@ def _dft_tables(n: int):
     fwd.flags.writeable = False
     inv.flags.writeable = False
     return fwd, inv
+
+
+def band_shape_of(sizes) -> tuple:
+    """The shape of a band on a grid of these sizes. The 2/3 rule keeps
+    |n_i| <= c_i = ceil(N_i/3) - 1 per axis, so that products of retained
+    modes alias only onto discarded ones: 2 c_i + 1 modes on a leading axis,
+    and K = ceil(N_last/3) planes k_last >= 0 on the last."""
+    *lead, last = (-(-int(n) // 3) for n in sizes)
+    return tuple(2 * c - 1 for c in lead) + (last,)
 
 
 @dataclass(frozen=True)
@@ -132,13 +141,11 @@ class Grid:
             global sfft
             import scipy.fft as sfft
         spacings = tuple(l / n for n, l in zip(sizes, lengths))
-        nb = int(np.ceil(sizes[-1] / 3.0))
-        # 2/3 rule: keep |n_i| <= c_i = ceil(N_i/3) - 1 per axis so that
-        # products of retained modes alias only onto discarded ones; on a
-        # leading axis the band keeps n_i = 0..c_i and -c_i..-1, FFT-ordered
-        ncuts = [int(np.ceil(n / 3.0)) - 1 for n in sizes[:-1]]
+        band_shape = band_shape_of(sizes)
+        # on a leading axis the band keeps n_i = 0..c_i and -c_i..-1,
+        # FFT-ordered, on the last n = 0..K - 1
+        ncuts, nb = [m // 2 for m in band_shape[:-1]], band_shape[-1]
         modes = tuple(np.r_[0 : c + 1, -c:0] for c in ncuts) + (np.arange(nb),)
-        band_shape = tuple(len(m) for m in modes)
 
         def along(i, table):
             """Per-axis table as a view along axis i."""

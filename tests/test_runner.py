@@ -258,12 +258,11 @@ def test_checkpoint_restart_matches_uninterrupted(tmp_path, solver):
     full = run("full", t_end=1.0)
     first = run("first", t_end=0.5)
     resumed = run("second", t_end=1.0, checkpoint_in=first.checkpoint_path)
+    # a checkpoint holds the state's bands, so the resumed run continues
+    # the same trajectory bit for bit
     for name in ("Y", "Yt") if solver == "lagrangian" else ("u", "b"):
-        grid = full.final_state.grid
-        want = grid.irfft(getattr(full.final_state, name))
-        got = grid.irfft(getattr(resumed.final_state, name))
-        scale = max(np.abs(want).max(), 1e-300)
-        assert np.abs(want - got).max() < 1e-12 * scale, name
+        want = getattr(full.final_state, name)
+        assert np.array_equal(getattr(resumed.final_state, name), want), name
 
 
 def test_large_data_exercises_pressure_abort(tmp_path, monkeypatch):
@@ -292,7 +291,7 @@ def test_large_data_exercises_pressure_abort(tmp_path, monkeypatch):
     assert os.path.exists(report.checkpoint_path)
     assert os.path.exists(os.path.join(cfg.output_dir, "abort_report.txt"))
     state = read_checkpoint(report.checkpoint_path)
-    assert np.isfinite(state.grid.irfft(state.Y)).max()
+    assert np.isfinite(state.Y).all() and np.isfinite(state.Yt).all()
 
 
 def test_initial_det_precondition_enforced(tmp_path):
