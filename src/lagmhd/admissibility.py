@@ -101,12 +101,14 @@ class AdmissibilityReport:
         return buf.getvalue()
 
 
+ODE_STEPS_PER_HALFWIDTH = 128  # RK4 steps across half the support slab
+
+
 def check_admissible(
     b0,
     slab_halfwidth: float,
     tol: float,
     seed_grid,
-    dt_ode: float = None,
     test_field=None,
 ) -> AdmissibilityReport:
     """Run the plane-seeded admissibility integrals for f = b0 - e1.
@@ -119,8 +121,7 @@ def check_admissible(
     """
     seeds = np.atleast_2d(np.asarray(seed_grid, dtype=float))
     dim = seeds.shape[1] + 1
-    if dt_ode is None:
-        dt_ode = slab_halfwidth / 128.0
+    dt_ode = slab_halfwidth / ODE_STEPS_PER_HALFWIDTH
     margin = 4.0 * dt_ode
 
     f_fn = test_field

@@ -61,8 +61,9 @@ def write_checkpoint(path, state) -> None:
 
 
 def read_header(fh):
-    """(sizes, lengths, t, solver tag) of the snapshot open as fh, read from
-    its header alone; fh is left at the payload."""
+    """(sizes, lengths, t, state class) of the snapshot open as fh, read
+    from its header alone: the solver tag names the class, FlowState or
+    EulerState. fh is left at the payload."""
     blob = fh.read(12)
     if len(blob) < 12 or blob[:4] != MAGIC:
         raise CheckpointFormatError("bad magic; not a field snapshot")
@@ -81,13 +82,13 @@ def read_header(fh):
         raise CheckpointFormatError(f"unknown solver tag {tag}")
     if not math.isfinite(t):
         raise CheckpointFormatError(f"non-finite time {t} in header")
-    return sizes, lengths, t, tag
+    return sizes, lengths, t, (FlowState, EulerState)[tag]
 
 
 def read_checkpoint(path):
     """Read a snapshot; returns a FlowState or EulerState on a fresh grid."""
     with open(path, "rb") as fh:
-        sizes, lengths, t, tag = read_header(fh)
+        sizes, lengths, t, kind = read_header(fh)
         payload = fh.read()
     # the payload is checked before a grid is built, so a header that
     # claims a huge grid allocates nothing
@@ -100,4 +101,4 @@ def read_checkpoint(path):
     except ValueError as exc:
         raise CheckpointFormatError(f"bad grid in header: {exc}") from exc
     pair = np.frombuffer(payload, dtype="<c16").reshape((2, dim) + band_shape)
-    return (FlowState, EulerState)[tag](grid, *pair.astype(complex), t)  # (Y, Yt) or (u, b)
+    return kind(grid, *pair.astype(complex), t)  # (Y, Yt) or (u, b)

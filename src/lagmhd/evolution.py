@@ -282,7 +282,7 @@ def compute_force(
     f_band = divergence_band(flux, grid, out=work.vec_band[0], work=work, minus=a_gp)
 
     return NonlinearForce(
-        f=VectorField.from_band(grid, f_band),
+        f=VectorField(grid, f_band),
         pressure=pressure,
         a_values=a_vals,
         grad_y=grad_y,

@@ -8,7 +8,8 @@ b0 is given to ``construct_initial_map`` as samples and to
 ``NonlinearForce.f``, because perfbench's scaled-force gate
 (``_scaled_force`` in ``perfbench/tests/test_perfbench.py``) rebuilds that
 force with ``from_spec`` from its ``spec``; it becomes a band with ROADMAP
-item 3's benchmark change. ``from_values`` builds the tests' random fields.
+item 3's benchmark change. A field is built from its band,
+``VectorField(grid, band)``, or from a full spectrum by ``from_spec``.
 ``Grid.fft`` and ``Grid.ifft`` stay for ``_scaled_force`` and for
 ``test_rfft_matches_the_full_transform`` and
 ``test_gate_passes_transforms_through_rfft``.
@@ -34,20 +35,10 @@ class VectorField:
         self.band = band
 
     @classmethod
-    def from_values(cls, grid: Grid, values):
-        """Field of real samples: their band, ``Grid.rfft``."""
-        return cls(grid, grid.rfft(np.asarray(values, dtype=float)))
-
-    @classmethod
     def from_spec(cls, grid: Grid, spec):
         """Field of a full spectrum, its kept modes (``Grid.gather``): only
         perfbench's ``_scaled_force`` builds one (ROADMAP item 3)."""
         return cls(grid, grid.gather(np.asarray(spec, dtype=complex)))
-
-    @classmethod
-    def from_band(cls, grid: Grid, band):
-        """Field that is zero outside the band."""
-        return cls(grid, np.asarray(band, dtype=complex))
 
     @property
     def values(self):

@@ -23,20 +23,22 @@ def _smoothstep(x):
     return x * x * x * (10.0 - 15.0 * x + 6.0 * x * x)
 
 
+# PowerLawProfile's envelopes r^EXPONENT_Y and r^EXPONENT_YT, each tapered
+# over TAPER_OCTAVES at both ends of [k_min, k_max]
+EXPONENT_Y, EXPONENT_YT, TAPER_OCTAVES = -2.5, -1.5, 1.0
+
+
 @dataclass
 class PowerLawProfile:
     """Radial power-law envelopes for (Y, Yt), smoothly cut to [k_min, k_max].
 
-    The default exponents put the data at the borderline regularity the
+    The exponents put the data at the borderline regularity the
     smallness functional allows (lap Y in H^2, Yt in H^3 up to logarithms),
     which is where the temporal weights are saturated.
     """
 
     k_min: float = 1e-3
     k_max: float = 2.0
-    exponent_y: float = -2.5
-    exponent_yt: float = -1.5
-    taper_octaves: float = 1.0
 
     def __post_init__(self):
         if not 0 < self.k_min < self.k_max:
@@ -44,7 +46,7 @@ class PowerLawProfile:
 
     def cutoff(self, r):
         lr = np.log(r)
-        width = self.taper_octaves * np.log(2.0)
+        width = TAPER_OCTAVES * np.log(2.0)
         lo = _smoothstep((lr - np.log(self.k_min)) / width)
         hi = _smoothstep((np.log(self.k_max) - lr) / width)
         return lo * hi
@@ -52,7 +54,7 @@ class PowerLawProfile:
     def amplitudes(self, r, u):
         """(y, yt) initial spectral amplitudes at radius r, direction cosine u."""
         c = self.cutoff(r)
-        return r**self.exponent_y * c, r**self.exponent_yt * c
+        return r**EXPONENT_Y * c, r**EXPONENT_YT * c
 
 
 @dataclass

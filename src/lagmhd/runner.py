@@ -46,7 +46,6 @@ class RunSample:
     dissipation: tuple = (NAN,) * 5
     dissipation_total: float = NAN
     corrected: float = NAN
-    diss_terms: tuple = (NAN,) * 5
     rhs1: float = NAN
     rhs2: float = NAN
     det_drift: float = NAN
@@ -121,15 +120,13 @@ def _record_sample(ev: EnergyEvaluator, state: FlowState, force: NonlinearForce)
     e = energy_report(table, t)
     d = dissipation_report(table, t)
     ce = corrected_energy(table, t)
-    diss_terms = dissipation_inequality_terms(table, t)
     rhs1, rhs2 = forcing_pairings(table, t)
     det = determinant_values(force.grad_y)
     corrected = sum(ce)
     row = np.empty_like(force.grad_yt[0])
     return RunSample(
         t=t, energy=e, energy_total=sum(e), dissipation=d, dissipation_total=sum(d),
-        corrected=corrected, diss_terms=diss_terms, rhs1=rhs1, rhs2=rhs2,
-        det_drift=float(np.abs(det - 1.0).max()),
+        corrected=corrected, rhs1=rhs1, rhs2=rhs2, det_drift=float(np.abs(det - 1.0).max()),
         lower_bound_margin=lower_bound_margin(table, t, corrected),
         grad_u_sup=_grad_u_sup(  # the rows of (grad_y Yt) A^T through one buffer
             np.einsum("m...,jm...->j...", g, force.a_values, out=row)
@@ -181,7 +178,8 @@ def _postprocess(audit: _Audit, s: RunSample) -> RunSample:
                 raise ValueError("ledger samples are not uniformly spaced")
             rhs = last.rhs1 + last.rhs2
             corrected = (audit.before.corrected, s.corrected)
-            lhs, ok, _ = ledger_check(audit.spacing, corrected, last.diss_terms, rhs, audit.scale)
+            diss = dissipation_inequality_terms(last.dissipation)
+            lhs, ok, _ = ledger_check(audit.spacing, corrected, diss, rhs, audit.scale)
             last.ledger_lhs, last.ledger_rhs, last.ledger_pass = lhs, rhs, float(ok)
             audit.checked += 1
             audit.passed += ok
@@ -255,8 +253,7 @@ def _start_time(config: RunConfig, grid: Grid) -> float:
     if not config.checkpoint_in:
         return 0.0
     with open(config.checkpoint_in, "rb") as fh:
-        sizes, lengths, t, tag = read_header(fh)
-    kind = (FlowState, EulerState)[tag]
+        sizes, lengths, t, kind = read_header(fh)
     want = EulerState if config.solver == "eulerian" else FlowState
     if kind is not want:
         raise ConfigError(f"checkpoint holds a {kind.__name__}, not a {want.__name__}")
@@ -351,14 +348,20 @@ def run_simulation(config: RunConfig) -> RunReport:
     output_dir: diagnostics.csv, each row as it becomes final, then
     state_final.ckpt, or state_abort.ckpt and abort_report.txt when a solver
     failure ends the run. A schedule or a checkpoint that the run refuses
-    leaves no output_dir; it is made before the data are built. An earlier
-    run's files of the other outcome go, bar this run's checkpoint_in."""
+    leaves no output_dir; it is made before the data are built. Before the
+    CSV is opened, an earlier run's checkpoints and abort report go, bar
+    this run's checkpoint_in, so that no exit leaves them beside its rows."""
     if config.solver == "both":
         raise ConfigError("solver=both runs through compare_formulations")
     grid = Grid(config.sizes, config.lengths)
     _schedule(config, _start_time(config, grid), sampled=True)
     out_dir = config.output_dir or "."
     os.makedirs(out_dir, exist_ok=True)
+    kept = config.checkpoint_in and os.path.realpath(config.checkpoint_in)
+    for name in ("state_final.ckpt", "state_abort.ckpt", "abort_report.txt"):
+        path = os.path.join(out_dir, name)
+        if os.path.exists(path) and os.path.realpath(path) != kept:
+            os.remove(path)
     csv_path = os.path.join(out_dir, "diagnostics.csv")
     force, step, record = _solver(config, grid)
     with open(csv_path, "w", encoding="utf-8", buffering=1) as out:  # flushed per line
@@ -369,19 +372,11 @@ def run_simulation(config: RunConfig) -> RunReport:
             lambda state, f: _postprocess(audit, record(state, f)),
         )
         audit.close()
-    outcome, other = ("abort", "final") if failure else ("final", "abort")
-    ckpt_path = os.path.join(out_dir, f"state_{outcome}.ckpt")
+    ckpt_path = os.path.join(out_dir, f"state_{'abort' if failure else 'final'}.ckpt")
     write_checkpoint(ckpt_path, state)
-    stale = [f"state_{other}.ckpt"]  # an earlier run's files of the other outcome
     if failure:
         with replaced(os.path.join(out_dir, "abort_report.txt"), "w") as fh:
             fh.write(f"aborted at t = {state.t:.12g}\nreason: {_reason(failure)}\n")
-    else:
-        stale.append("abort_report.txt")
-    kept = config.checkpoint_in and os.path.realpath(config.checkpoint_in)
-    for path in (os.path.join(out_dir, name) for name in stale):
-        if os.path.exists(path) and os.path.realpath(path) != kept:
-            os.remove(path)
 
     fits = {}
     times = np.array([s.t for s in samples])

@@ -86,11 +86,6 @@ def _k_contract(spec, symbols, out=None, tmp=None):
     return out
 
 
-def divergence_spec(spec, grid: Grid, out=None):
-    """Spectral divergence over the leading component axis."""
-    return _k_contract(spec, grid.ik, out=out)
-
-
 def dealias_spec(spec, grid: Grid, out=None):
     """spec times the 2/3 mask, which keeps every mode of a band: a copy of
     the band (into out when given). No run path calls it; perfbench times
@@ -138,6 +133,6 @@ def riesz_apply_spec(spec, grid: Grid, out=None):
 
 def divergence_norm(band, grid: Grid) -> float:
     """L2 norm of the spectral divergence of a vector band; 0 for solenoidal fields."""
-    div = divergence_spec(band, grid)
+    div = _k_contract(band, grid.ik)
     return float(np.sqrt(weighted_norm_sq(div, grid.multiplicity, grid)))
 

@@ -170,7 +170,7 @@ def same_bits(x, y):
 
 def leray_project(v):
     """Project the band of v onto divergence-free fields: v - riesz_apply_spec(v)."""
-    return VectorField.from_band(v.grid, v.band - riesz_apply_spec(v.band, v.grid))
+    return VectorField(v.grid, v.band - riesz_apply_spec(v.band, v.grid))
 
 
 def mirror(grid, band):
@@ -267,4 +267,4 @@ def random_band_limited(grid, rng, rank=1, kmax=3, scale=1.0):
     spec = spec * FullSpectrum(grid).dealias_mask
     vals = grid.ifft(spec)
     vals *= scale / max(np.abs(vals).max(), 1e-300)
-    return VectorField.from_values(grid, vals) if rank == 1 else vals
+    return VectorField(grid, grid.rfft(vals)) if rank == 1 else vals

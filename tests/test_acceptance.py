@@ -263,7 +263,7 @@ def test_criterion_8_pressure_solver():
     grid = Grid((16, 16, 16), (2 * np.pi,) * 3)
     state = build_flow_state(grid, default_spec(3, 1e-4))
     sol = compute_force(state).pressure
-    projected = leray_project(VectorField.from_band(grid, sol.grad_p))
+    projected = leray_project(VectorField(grid, sol.grad_p))
     leray = np.sqrt(weighted_norm_sq(projected.band, grid.multiplicity, grid))
     contractions = []
     for amp in (0.08, 0.04):

@@ -147,7 +147,7 @@ def test_integral_zero_field():
     def zero(pts):
         return np.zeros_like(np.atleast_2d(pts))
 
-    report = check_admissible(uniform_b0, K, 1e-6, [[0.5, 0.5]], 0.05, test_field=zero)
+    report = check_admissible(uniform_b0, K, 1e-6, [[0.5, 0.5]], test_field=zero)
     assert np.abs(report.integrals).max() == 0.0
 
 
@@ -166,7 +166,7 @@ def test_integral_reduces_to_line_quadrature_for_uniform_b0():
         return out
 
     seed = np.array([0.0, 0.8, 1.9])
-    got = check_admissible(uniform_b0, K, 1e-6, [seed[1:]], 0.01, test_field=f)
+    got = check_admissible(uniform_b0, K, 1e-6, [seed[1:]], test_field=f)
     got = got.integrals[0]
     line = quad(g, -K, K, epsabs=1e-13)[0]
     assert abs(got[1] - line * h(seed[1], seed[2])) < 1e-10
@@ -181,7 +181,7 @@ def test_integral_reduces_to_line_quadrature_for_uniform_b0():
         out[:, 1] = g_pos(pts[:, 0]) * h(pts[:, 1], pts[:, 2])
         return out
 
-    got_pos = check_admissible(uniform_b0, K, 1e-6, [seed[1:]], 0.01, test_field=f_pos)
+    got_pos = check_admissible(uniform_b0, K, 1e-6, [seed[1:]], test_field=f_pos)
     got_pos = got_pos.integrals[0]
     line_pos = quad(g_pos, -K, K, epsabs=1e-13)[0]
     assert got_pos[1] == pytest.approx(line_pos * h(seed[1], seed[2]), rel=1e-9)
@@ -192,7 +192,7 @@ def test_integral_rejects_unsupported_field():
         return np.ones_like(np.atleast_2d(pts))
 
     with pytest.raises(ValueError, match="not supported"):
-        check_admissible(uniform_b0, K, 1e-6, [[0.0, 0.0]], 0.05, test_field=everywhere)
+        check_admissible(uniform_b0, K, 1e-6, [[0.0, 0.0]], test_field=everywhere)
 
 
 # -- verdicts -------------------------------------------------------------------

@@ -28,7 +28,6 @@ from lagmhd.energy import (
 )
 from lagmhd.config import RunConfig
 from lagmhd.evolution import LinearPropagator
-from lagmhd.fields import VectorField
 from lagmhd.geometry import FlowState
 from lagmhd.grid import Grid
 from lagmhd.runner import CSV_COLUMNS, RunSample, _Audit, _postprocess, run_simulation
@@ -123,9 +122,7 @@ def test_single_mode_energy_component_analytic(ev3):
     eps = 1e-3
     vals = np.zeros((3,) + grid.shape)
     vals[1] = eps * np.sin(y1)
-    state = FlowState(
-        grid, VectorField.from_values(grid, vals).band, zero_band(grid), 0.0
-    )
+    state = FlowState(grid, grid.rfft(vals), zero_band(grid), 0.0)
     e = energy_report(ev3.sample_table(state), state.t)
     expect = eps**2 * 3.0 * (2 * np.pi) ** 3 / 2.0
     assert e[ENERGY_COLUMNS.index("E_d1y_h2")] == pytest.approx(expect, rel=1e-12)
@@ -271,7 +268,7 @@ def test_table_functionals_match_literal_formulas(grid, t, rng):
         "dissipation": dissipation_report(table, state.t),
         "corrected": corrected_energy(table, state.t),
         "lower_bound": (lower_bound_value(table, state.t),),
-        "dissipation_terms": dissipation_inequality_terms(table, state.t),
+        "dissipation_terms": dissipation_inequality_terms(dissipation_report(table, state.t)),
         "rhs": forcing_pairings(table, state.t),
     }
     for name, expect in _literal_functionals(state, f.spec).items():
@@ -279,6 +276,22 @@ def test_table_functionals_match_literal_formulas(grid, t, rng):
         assert scale > 0.0, name
         err = max(abs(a - e) for a, e in zip(got[name], expect, strict=True))
         assert err <= 1e-14 * scale, (name, err / scale)
+
+
+def test_inequality_terms_of_the_dissipation_keep_the_table_products_bits(rng):
+    # coefficient * (t+1)^p * table entry, the product grouped as the table
+    # functionals group it: the two p = 0 terms carry (t+1)^0 = 1 and the
+    # others a power of two, so weighting the dissipation components instead
+    # changes no bit
+    terms = ((GRAD_H2, 1, 0), (GRAD_D1_H2, 0, 0), (LAP_H2, 1, 1), (GRAD_D11_H1, 0, 1),
+             (LAP_D1_H1, 1, 2))
+    for _ in range(2000):
+        table = rng.standard_normal((8, 5)) * 10.0 ** rng.uniform(-30, 30, (8, 5))
+        t = float(rng.uniform(0.0, 1e3))
+        w = t + 1.0
+        want = tuple(c * (1.0, w, w * w)[p] * table[r, s]
+                     for c, (r, s, p) in zip(DISSIPATION_COEFFS, terms))
+        assert dissipation_inequality_terms(dissipation_report(table, t)) == want
 
 
 def test_weights_are_rows_of_one_table(ev3):
@@ -347,7 +360,7 @@ def _linear_ledger(grid, ev, state0, cadence, nsamples):
         samples.append(RunSample(
             t=t, grad_u_sup=0.0, energy_total=sum(e), dissipation_total=0.0,
             corrected=sum(corrected_energy(table, t)),
-            diss_terms=dissipation_inequality_terms(table, t), rhs1=0.0, rhs2=0.0,
+            dissipation=dissipation_report(table, t), rhs1=0.0, rhs2=0.0,
         ))
         yh, yth = prop.apply(yh, yth)
         t += cadence
@@ -360,8 +373,8 @@ def _ledger_rows(samples):
     spacing = samples[1].t - samples[0].t
     scale = np.maximum.accumulate([abs(s.corrected) for s in samples])
     return [
-        ledger_check(spacing, (before.corrected, after.corrected), s.diss_terms, 0.0,
-                     scale[i + 1])
+        ledger_check(spacing, (before.corrected, after.corrected),
+                     dissipation_inequality_terms(s.dissipation), 0.0, scale[i + 1])
         for i, (before, s, after) in enumerate(zip(samples, samples[1:], samples[2:]), 1)
     ]
 
@@ -402,7 +415,7 @@ def test_ledger_requires_uniform_cadence_and_samples():
     def audit(times):
         samples = [
             RunSample(t=t, grad_u_sup=0.0, energy_total=1.0, corrected=1.0,
-                      diss_terms=(0.0,) * 5, rhs1=0.0, rhs2=0.0)
+                      dissipation=(0.0,) * 5, rhs1=0.0, rhs2=0.0)
             for t in times
         ]
         return _audited(samples), samples

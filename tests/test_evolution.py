@@ -36,7 +36,6 @@ from lagmhd.evolution import (
 from lagmhd.initial_data import build_flow_state, default_spec, euler_from_flow, scaled_spec
 from lagmhd.runner import compare_formulations, run_simulation
 from lagmhd.spectral import (
-    divergence_spec,
     gradient_values,
     riesz_apply_spec,
     weighted_norm_sq,
@@ -1074,9 +1073,7 @@ def test_nan_detection():
     grid = Grid((8, 8, 8), (2 * np.pi,) * 3)
     bad = np.zeros((3,) + grid.shape)
     bad[0, 0, 0, 0] = np.nan
-    state = FlowState(
-        grid, VectorField.from_values(grid, bad).band, zero_band(grid), 0.0
-    )
+    state = FlowState(grid, grid.rfft(bad), zero_band(grid), 0.0)
     stepper = LagrangianStepper(grid, 0.1)
     with pytest.raises((FloatingPointError, RuntimeError)):
         stepper.step(state)
@@ -1165,7 +1162,8 @@ def test_euler_from_flow_starts_both_fields_solenoidal(amp):
 
     state = euler_from_flow(flow)
     for field in (state.u, state.b):
-        assert np.abs(divergence_spec(field, grid)).max() < 1e-17
+        div = sum(ik * c for ik, c in zip(grid.ik, field))
+        assert np.abs(div).max() < 1e-17
 
 
 def test_euler_from_flow_keeps_the_exact_means():
@@ -1357,7 +1355,7 @@ def test_euler_2d_curl_form(grid2, rng):
     u = leray_project(u)
     b = np.zeros((2,) + grid2.shape)
     b[0] = 1.0
-    state = EulerState(grid2, u.band, VectorField.from_values(grid2, b).band, 0.0)
+    state = EulerState(grid2, u.band, grid2.rfft(b), 0.0)
     stepper = EulerianStepper(grid2, 0.05)
     for _ in range(10):
         state = stepper.step(state)

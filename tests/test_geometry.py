@@ -37,7 +37,7 @@ def shear_state(grid, eps=0.1):
     y1 = mesh(grid)[0]
     vals = np.zeros((grid.dim,) + grid.shape)
     vals[1] = eps * np.sin(y1)
-    return VectorField.from_values(grid, vals)
+    return VectorField(grid, grid.rfft(vals))
 
 
 def cofactors(y):
@@ -49,7 +49,7 @@ def cofactors(y):
 
 
 def zero_field(grid):
-    return VectorField.from_band(grid, zero_band(grid))
+    return VectorField(grid, zero_band(grid))
 
 
 def metric_graded(y):
@@ -102,7 +102,7 @@ def test_cofactor_quadratic_entry_sign(grid3):
     vals = np.zeros((3,) + grid3.shape)
     vals[2] = a * np.sin(y2)
     vals[1] = c * np.sin(y3)
-    _, b2, _ = cofactors(VectorField.from_values(grid3, vals))
+    _, b2, _ = cofactors(VectorField(grid3, grid3.rfft(vals)))
     expect = -a * np.cos(y2) * c * np.cos(y3)
     assert np.abs(b2[0, 0] - expect).max() < 1e-12
 
@@ -124,7 +124,7 @@ def test_cofactor_inverse_when_volume_preserving(grid3):
     # exact composition of shears: det(I + grad Y) = 1, so A^T (I + grad Y) = I
     grid = Grid((32, 32, 32), (2 * np.pi,) * 3)
     state = build_flow_state(grid, scaled_spec(default_spec(3, None), 0.05))
-    _, _, a = cofactors(VectorField.from_band(grid, state.Y))
+    _, _, a = cofactors(VectorField(grid, state.Y))
     grad = gradient_values(state.Y, grid)
     m = grad.copy()
     for i in range(3):
@@ -202,11 +202,11 @@ def test_determinant_at_rest_and_shears(grid3):
     y1, y2, _ = mesh(grid3)
     vals = np.zeros((3,) + grid3.shape)
     vals[0] = 0.3 * np.sin(y2)  # nilpotent gradient
-    det = _det(VectorField.from_values(grid3, vals))
+    det = _det(VectorField(grid3, grid3.rfft(vals)))
     assert np.abs(det - 1.0).max() < 1e-13
     vals = np.zeros((3,) + grid3.shape)
     vals[0] = 0.3 * np.sin(y1)  # deliberately non-volume-preserving probe
-    det = _det(VectorField.from_values(grid3, vals))
+    det = _det(VectorField(grid3, grid3.rfft(vals)))
     assert np.abs(det - (1.0 + 0.3 * np.cos(y1))).max() < 1e-12
 
 
@@ -242,7 +242,7 @@ def test_graded_sum_reproduces_metric_defect(grid3, rng):
 def test_graded_homogeneity(grid3, rng, s):
     y = random_band_limited(grid3, rng, rank=1, kmax=2, scale=0.3)
     base = metric_graded(y)
-    scaled = metric_graded(VectorField.from_values(grid3, s * y.values))
+    scaled = metric_graded(VectorField(grid3, grid3.rfft(s * y.values)))
     for d, (g_base, g_scaled) in enumerate(zip(base, scaled), start=1):
         ref = np.abs(g_base).max() * s**d
         assert np.abs(g_scaled - s**d * g_base).max() < 1e-8 * ref
@@ -397,7 +397,7 @@ def _roundtrip_b0(grid, amp):
     # keep the mean drift exactly e1 and the perturbation exactly solenoidal
     pert = euler.b.copy()
     pert[e1_idx] -= 1.0
-    pert = leray_project(VectorField.from_band(grid, pert)).band
+    pert = leray_project(VectorField(grid, pert)).band
     pert[e1_idx] += 1.0
     return grid.irfft(pert), state
 

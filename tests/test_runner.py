@@ -19,6 +19,7 @@ from lagmhd.energy import (
     LEDGER_BAND_FACTOR,
     EnergyEvaluator,
     corrected_energy,
+    dissipation_inequality_terms,
     lower_bound_margin,
 )
 from lagmhd.errors import ConfigError, InitialDataError, RunAbortedError
@@ -141,7 +142,7 @@ def test_the_running_audit_keeps_the_bits_of_the_whole_run_formulas():
     rhs1 *= 8.0
     samples = [
         RunSample(t=t[i], grad_u_sup=gu[i], energy_total=e[i], dissipation_total=d[i],
-                  corrected=c[i], diss_terms=tuple(diss[i]), rhs1=rhs1[i], rhs2=rhs2[i])
+                  corrected=c[i], dissipation=tuple(diss[i]), rhs1=rhs1[i], rhs2=rhs2[i])
         for i in range(n)
     ]
     out = io.StringIO()
@@ -158,7 +159,9 @@ def test_the_running_audit_keeps_the_bits_of_the_whole_run_formulas():
         return out
 
     spacing = np.diff(t)[0]
-    lhs = (c[2:] - c[:-2]) / (2.0 * spacing) + np.array([sum(x) for x in diss[1:-1].tolist()])
+    lhs = (c[2:] - c[:-2]) / (2.0 * spacing) + np.array(
+        [sum(dissipation_inequality_terms(x)) for x in diss[1:-1].tolist()]
+    )
     band = LEDGER_BAND_FACTOR * spacing * spacing * np.maximum.accumulate(np.abs(c))[2:]
     passed = lhs <= (rhs1 + rhs2)[1:-1] + band
     assert 0 < passed.sum() < n - 2  # both outcomes occur
@@ -182,6 +185,10 @@ def test_a_killed_run_leaves_the_complete_rows_of_an_uninterrupted_one(tmp_path)
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text(dump_config(cfg))
     csv_path = tmp_path / "killed" / "diagnostics.csv"
+    # an earlier run's checkpoint, which the killed run's rows must not stand beside
+    stale = csv_path.parent / "state_final.ckpt"
+    csv_path.parent.mkdir()
+    write_checkpoint(str(stale), FlowState.zeros(Grid(cfg.sizes, cfg.lengths)))
     src = os.path.dirname(os.path.dirname(lagmhd.__file__))
     env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
     proc = subprocess.Popen(
@@ -199,6 +206,7 @@ def test_a_killed_run_leaves_the_complete_rows_of_an_uninterrupted_one(tmp_path)
         proc.kill()
         proc.wait()
     assert proc.returncode == -signal.SIGKILL
+    assert os.listdir(csv_path.parent) == ["diagnostics.csv"]
     text = csv_path.read_text()
     assert text.endswith("\n")  # no partial line
     lines = text.splitlines()
@@ -494,6 +502,44 @@ def test_an_aborted_run_keeps_the_final_checkpoint_it_resumed_from(tmp_path, mon
         "abort_report.txt", "diagnostics.csv", "state_abort.ckpt", "state_final.ckpt"
     ]
     assert read_checkpoint(first.checkpoint_path).t == pytest.approx(0.5)
+
+
+def test_a_run_refused_by_its_data_check_leaves_no_earlier_checkpoint(tmp_path):
+    # a finished run, then the criterion-6 data on the same box, which the
+    # data check refuses once the CSV is open: the finished run's checkpoint
+    # must not stand beside the refused run's header as if it were its own
+    assert not run_simulation(small_config(tmp_path, t_end=0.1, cadence=0.05)).aborted
+    with pytest.raises(InitialDataError, match="4.891e-06"):
+        run_simulation(strong_config(tmp_path))
+    assert os.listdir(tmp_path) == ["diagnostics.csv"]
+    assert (tmp_path / "diagnostics.csv").read_text() == ",".join(CSV_COLUMNS) + "\n"
+
+
+def test_an_interrupted_run_leaves_no_earlier_checkpoint_or_report(tmp_path, monkeypatch):
+    # a run in a used output_dir, stopped by an interrupt that no solver
+    # failure handler catches: it leaves its rows, and none of the earlier
+    # run's checkpoints or its report
+    cfg = small_config(tmp_path, solver="eulerian", sizes=(8, 8, 8), t_end=0.5)
+    grid = Grid(cfg.sizes, cfg.lengths)
+    for name in ("state_final.ckpt", "state_abort.ckpt"):
+        write_checkpoint(str(tmp_path / name), EulerState.equilibrium(grid))
+    (tmp_path / "abort_report.txt").write_text("aborted at t = 0.1\nreason: earlier run\n")
+    step = EulerianStepper.step
+    calls = []
+
+    def interrupted_step(self, state):
+        calls.append(state.t)
+        if len(calls) == 6:
+            raise KeyboardInterrupt
+        return step(self, state)
+
+    monkeypatch.setattr(EulerianStepper, "step", interrupted_step)
+    with pytest.raises(KeyboardInterrupt):
+        run_simulation(cfg)
+    assert os.listdir(tmp_path) == ["diagnostics.csv"]
+    # the sample at t = 0.25 waits for its successor, so one row is final
+    rows = read_diagnostics(str(tmp_path / "diagnostics.csv"))
+    assert rows["t"].tolist() == [0.0]
 
 
 class _Counter(NamedTuple):

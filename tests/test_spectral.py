@@ -562,7 +562,7 @@ def test_field_band_is_the_sliced_spectrum_or_rfft_of_values(name, rng):
     spec = grid.fft(vals)
     # from a full spectrum: its kept modes, gathered
     for field, band in (
-        (VectorField.from_values(grid, vals), grid.rfft(vals)),
+        (VectorField(grid, grid.rfft(vals)), grid.rfft(vals)),
         (VectorField.from_spec(grid, spec), narrow(grid, spec)),
     ):
         assert set(vars(field)) == {"grid", "band"}
@@ -576,17 +576,17 @@ def test_field_band_is_the_sliced_spectrum_or_rfft_of_values(name, rng):
 def test_field_from_band_mirrors_its_spectrum_and_samples(name, rng):
     grid = HALF_GRIDS[name]
     band = grid.rfft(rng.standard_normal((grid.dim,) + grid.shape))
-    f = VectorField.from_band(grid, band)
+    f = VectorField(grid, band)
     assert set(vars(f)) == {"grid", "band"}
     assert np.array_equal(f.band, band)
     assert np.array_equal(f.spec, grid.fft(grid.irfft(band)))
     assert np.array_equal(f.values, grid.irfft(band))
     # samples first, spectrum second: both still come from the band
-    g = VectorField.from_band(grid, band)
+    g = VectorField(grid, band)
     assert np.array_equal(g.values, f.values)
     assert np.array_equal(g.spec, f.spec)
     with pytest.raises(ValueError):
-        VectorField.from_band(grid, grid.fft(grid.irfft(band)))
+        VectorField(grid, grid.fft(grid.irfft(band)))
 
 
 @pytest.mark.parametrize("name", HALF_CASES)
