@@ -16,32 +16,62 @@ spectrum (n = -1 is index -1). A ``Grid`` keeps its spectral tables on the
 band only, and ``rfft``/``irfft`` go between samples and bands in two
 stages on the wide (N0[, N1], K) layout, which only a transform's scratch
 and the symbols of its stages hold: the leading axes by a single-axis c2c
-(``lead_pass``), numpy.fft's in 2D and scipy.fft's in 3D, where the pass
-that meets the mask runs on the lines it keeps only, the last axis
-(``last_forward``, ``last_inverse``) by a matmul against a pruned real DFT table for N_last <= MATMUL_MAX_LAST and
-by numpy's r2c/c2r past that.
+(``lead_pass``), numpy.fft's in 2D and scipy's pocketfft extension's in
+3D, where the pass that meets the mask runs on the lines it keeps only, the
+last axis (``last_forward``, ``last_inverse``) by a matmul against a pruned
+real DFT table for N_last <= MATMUL_MAX_LAST and by numpy's r2c/c2r past
+that.
 ``scatter`` puts a band into that layout, zeros in the dropped blocks
 (``zero_dropped``), and ``gather`` takes it back out, so no band holds a
 mode the mask drops and none is masked.
 
-scipy is imported by the first 3D ``Grid`` only (and by ``Grid.fft`` and
-``Grid.ifft``), so a 2D run loads no scipy module.
+No run imports a scipy module: the first 3D ``Grid`` loads the one
+extension its leading passes call, pocketfft's, by its path in the scipy
+package, and only ``Grid.fft`` and ``Grid.ifft`` import scipy.fft.
 """
 
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
 import itertools
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-# scipy.fft, imported by the first 3D Grid, whose leading passes it runs:
-# numpy.fft's c2c takes the 3D middle-axis pass in chunks of lines, 1.5-2.1
-# times scipy's time there (544 / 355 us on a (9, 32, 32, 11) buffer, 99 / 47
-# us at (9, 16, 16, 6); 2-core Xeon, numpy 2.4, scipy 1.17), while on the 2D
-# pass it gives scipy's bits in the same time
+# scipy's pocketfft extension, loaded by the first 3D Grid, whose leading
+# passes call its c2c: numpy.fft's c2c takes the 3D middle-axis pass in
+# chunks of lines, 1.5-2.1 times pocketfft's time there (544 / 355 us on a
+# (9, 32, 32, 11) buffer, 99 / 47 us at (9, 16, 16, 6); 2-core Xeon, numpy
+# 2.4, scipy 1.17), while on the 2D pass it gives the same bits in the same
+# time. The extension alone adds 0.4 MB to a process, where importing
+# scipy.fft to reach it loads 85 scipy modules and adds 26 MB and 0.25 s
 sfft = None
+_POCKETFFT = "scipy.fft._pocketfft.pypocketfft"
+
+
+@functools.lru_cache(maxsize=None)
+def _pocketfft():
+    """scipy's pocketfft extension, without importing a scipy module: the one
+    scipy.fft holds when it is loaded, else the file in the scipy package,
+    loaded under its full name, the last part of which names its init
+    function. A missing file raises an ImportError."""
+    if _POCKETFFT in sys.modules:
+        return sys.modules[_POCKETFFT]
+    scipy = importlib.util.find_spec("scipy")
+    root = scipy.submodule_search_locations[0] if scipy else "<scipy not installed>"
+    path = os.path.join(
+        root, "fft", "_pocketfft", "pypocketfft" + importlib.machinery.EXTENSION_SUFFIXES[0]
+    )
+    if not os.path.isfile(path):
+        raise ImportError(f"a 3D grid needs scipy's pocketfft extension at {path}", path=path)
+    spec = importlib.util.spec_from_file_location(_POCKETFFT, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 # Largest N_last whose last-axis stage is a matmul. Speed-up of the matmul
@@ -139,7 +169,7 @@ class Grid:
         dim = len(sizes)
         if dim == 3:
             global sfft
-            import scipy.fft as sfft
+            sfft = _pocketfft()
         spacings = tuple(l / n for n, l in zip(sizes, lengths))
         band_shape = band_shape_of(sizes)
         # on a leading axis the band keeps n_i = 0..c_i and -c_i..-1,
@@ -292,26 +322,25 @@ class Grid:
         transform buffer (negative indices), written back into arr; the
         forward one scaled by 1/N, exactly for power-of-two sizes. In 2D
         numpy.fft's fft or ifft writes the one pass on the whole buffer
-        (``out=arr``); in 3D scipy.fft's runs with ``overwrite_x``, copied
-        back when scipy returns a new array. A transform's passes run along
-        axis -3 before -2, the forward ones ahead of ``gather`` and the
-        inverse ones on a ``scatter``, zero in the dropped blocks, so in 3D
-        the pass that meets the mask runs on the lines it keeps only. A
-        symbol i k_j commutes with the passes along the other axes, so
-        ``spectral.gradient_values`` and ``spectral.divergence_band`` apply
-        it between them."""
+        (``out=arr``); in 3D pocketfft's c2c (``sfft``) writes each into its
+        blocks of lines (out=), the call, and so the bits, of scipy.fft's fft
+        or ifft with ``norm="forward"`` and ``overwrite_x``. A transform's
+        passes run along axis -3 before -2, the forward ones ahead of
+        ``gather`` and the inverse ones on a ``scatter``, zero in the dropped
+        blocks, so in 3D the pass that meets the mask runs on the lines it
+        keeps only. A symbol i k_j commutes with the passes along the other
+        axes, so ``spectral.gradient_values`` and ``spectral.divergence_band``
+        apply it between them."""
         if self.dim == 2:
             c2c = np.fft.ifft if inverse else np.fft.fft
             for axis in axes:
                 c2c(arr, axis=axis, norm="forward", out=arr)
             return arr
-        c2c = sfft.ifft if inverse else sfft.fft
+        norm = 0 if inverse else 2  # pocketfft's codes: 2 scales by 1/N, 0 not at all
         for axis in axes:
             for block in self._lines[inverse, axis]:
                 part = arr[block]
-                res = c2c(part, axis=axis, norm="forward", overwrite_x=True)
-                if not np.may_share_memory(res, part):  # overwrite_x is a hint only
-                    part[...] = res
+                sfft.c2c(part, (axis,), not inverse, norm, part, 1)
         return arr
 
     def last_forward(self, values, out=None, pad=None):
@@ -349,9 +378,9 @@ class Grid:
 
     def fft(self, values):
         """Real samples -> full spectrum c_k with f(y) = sum c_k e^{ik.y}, by
-        scipy.fft's fftn, imported here. No run path calls it or ``ifft``:
-        perfbench's ``_scaled_force`` (through the force's ``spec``),
-        ``test_rfft_matches_the_full_transform`` and
+        scipy.fft's fftn, imported here and in ``ifft`` only. No run path
+        calls it or ``ifft``: perfbench's ``_scaled_force`` (through the
+        force's ``spec``), ``test_rfft_matches_the_full_transform`` and
         ``test_gate_passes_transforms_through_rfft`` do (ROADMAP item 3)."""
         import scipy.fft
 

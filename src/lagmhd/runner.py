@@ -367,11 +367,13 @@ def run_simulation(config: RunConfig) -> RunReport:
     with open(csv_path, "w", encoding="utf-8", buffering=1) as out:  # flushed per line
         out.write(",".join(CSV_COLUMNS) + "\n")
         audit = _Audit(out)
-        state, samples, failure = _drive(
-            config, lambda: _initial_state(config, grid), force, step,
-            lambda state, f: _postprocess(audit, record(state, f)),
-        )
-        audit.close()
+        try:
+            state, samples, failure = _drive(
+                config, lambda: _initial_state(config, grid), force, step,
+                lambda state, f: _postprocess(audit, record(state, f)),
+            )
+        finally:  # an interrupt too leaves the pending row
+            audit.close()
     ckpt_path = os.path.join(out_dir, f"state_{'abort' if failure else 'final'}.ckpt")
     write_checkpoint(ckpt_path, state)
     if failure:

@@ -226,7 +226,8 @@ def wide_lead_pass(arr, grid, inverse=False, axes=None):
     spatial axis) as one fftn or ifftn on every line, written back: the
     transforms' leading stage before any pruning. The c2c is the one
     ``Grid.lead_pass`` runs in the grid's dimension, numpy.fft's in 2D and
-    scipy.fft's in 3D, so the two agree bit for bit whatever the versions."""
+    scipy.fft's in 3D, which calls the same pocketfft c2c, so the two agree
+    bit for bit whatever the versions."""
     lib = np.fft if grid.dim == 2 else sfft
     c2c = lib.ifftn if inverse else lib.fftn
     axes = grid.spatial_axes[:-1] if axes is None else axes

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import subprocess
@@ -38,35 +39,44 @@ def test_cli_run_and_fit(tmp_path, capsys):
     assert "fit failed" in capsys.readouterr().err
 
 
-def test_a_2d_run_loads_no_scipy_and_a_3d_grid_loads_scipy_fft(tmp_path):
-    # in a fresh interpreter a 16^2 run through the CLI exits 0, writes its
-    # CSV and leaves no scipy module loaded: numpy.fft runs the 2D leading
-    # pass. Building a 16^3 grid afterwards loads scipy.fft, whose c2c the
-    # 3D leading passes run
-    cfg_path = tmp_path / "run.cfg"
-    cfg_path.write_text(
-        "dimension = 2\nsizes = 16,16\ndt = 0.05\nt_end = 0.5\ncadence = 0.25\n"
-    )
+def test_a_2d_and_a_3d_run_load_no_scipy_module(tmp_path):
+    # in a fresh interpreter a 16^2 and then a 16^3 run through the CLI each
+    # exit 0, write their CSV and leave no scipy module loaded: numpy.fft
+    # runs the 2D leading pass, and the first 3D grid loads pocketfft's
+    # extension by its path in the scipy package, whose c2c the 3D leading
+    # passes run
     script = textwrap.dedent("""
-        import json, sys
+        import json, os, sys
+        import lagmhd.grid
         from lagmhd.cli import main
-        from lagmhd.grid import Grid
-        rc = main(["run", "--config", sys.argv[1], "--output", sys.argv[2]])
-        scipy = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-        Grid((16, 16, 16), (1.0, 1.0, 1.0))
-        print(json.dumps([rc, scipy, "scipy.fft" in sys.modules]))
+        found = []
+        for cfg, out in zip(sys.argv[1::2], sys.argv[2::2]):
+            rc = main(["run", "--config", cfg, "--output", out])
+            scipy = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+            found.append([rc, os.path.exists(os.path.join(out, "diagnostics.csv")), scipy])
+        ext = lagmhd.grid.sfft
+        print(json.dumps([found, ext.__name__, ext.__file__, type(ext.c2c).__name__]))
     """)
+    args = []
+    for dim, sizes in ((2, "16,16"), (3, "16,16,16")):
+        cfg_path = tmp_path / f"run{dim}.cfg"
+        cfg_path.write_text(
+            f"dimension = {dim}\nsizes = {sizes}\ndt = 0.05\nt_end = 0.5\ncadence = 0.25\n"
+        )
+        args += [str(cfg_path), str(tmp_path / f"out{dim}")]
     src = os.path.dirname(os.path.dirname(lagmhd.__file__))
     env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
     proc = subprocess.run(
-        [sys.executable, "-c", script, str(cfg_path), str(tmp_path / "out")],
+        [sys.executable, "-c", script, *args],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    rc, scipy, grid_3d_loads_fft = json.loads(proc.stdout.splitlines()[-1])
-    assert rc == 0 and (tmp_path / "out" / "diagnostics.csv").exists()
-    assert scipy == []
-    assert grid_3d_loads_fft
+    found, name, path, kind = json.loads(proc.stdout.splitlines()[-1])
+    assert found == [[0, True, []], [0, True, []]]
+    assert name == "scipy.fft._pocketfft.pypocketfft"
+    scipy_dir = importlib.util.find_spec("scipy").submodule_search_locations[0]
+    assert os.path.dirname(path) == os.path.join(scipy_dir, "fft", "_pocketfft")
+    assert kind == "builtin_function_or_method"
 
 
 @pytest.mark.parametrize(

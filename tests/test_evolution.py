@@ -6,9 +6,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.fft as sfft
 from scipy.integrate import quad
 
+import lagmhd.grid as grid_module
 from lagmhd import evolution, pressure
 from lagmhd.config import RunConfig
 from lagmhd.errors import NotConvergedError
@@ -274,7 +274,8 @@ def _force_transforms(monkeypatch, grid, amp):
     iteration count: the shapes of the samples each last-axis stage takes
     (``Grid.last_forward``) or gives (``Grid.last_inverse``), in call order,
     and the lines of the single-axis leading passes (the calls of the c2c
-    ``Grid.lead_pass`` runs, numpy.fft's in 2D and scipy.fft's in 3D),
+    ``Grid.lead_pass`` runs, numpy.fft's in 2D and the grid's pocketfft
+    ``sfft.c2c`` in 3D),
     [those of passes on whole transform buffers, of the wide (N0[, N1], K)
     layout, those of passes on blocks of them].
 
@@ -290,10 +291,13 @@ def _force_transforms(monkeypatch, grid, amp):
 
     wide = grid.sizes[:-1] + grid.band_shape[-1:]
 
+    def count(arr, axis):
+        whole = arr.shape[-d:] == wide
+        calls["lines"][0 if whole else 1] += arr.size // arr.shape[axis]
+
     def counted_pass(c2c):
         def run(arr, *args, axis, **kwargs):
-            whole = arr.shape[-d:] == wide
-            calls["lines"][0 if whole else 1] += arr.size // arr.shape[axis]
+            count(arr, axis)
             return c2c(arr, *args, axis=axis, **kwargs)
 
         return run
@@ -306,9 +310,17 @@ def _force_transforms(monkeypatch, grid, amp):
         calls["inverse"].append(planes.shape[:-1] + grid.shape[-1:])
         return stages[1](self, planes, *args, **kwargs)
 
-    kernel = np.fft if d == 2 else sfft
-    for name in ("fft", "ifft"):
-        monkeypatch.setattr(kernel, name, counted_pass(getattr(kernel, name)))
+    if d == 2:
+        for name in ("fft", "ifft"):
+            monkeypatch.setattr(np.fft, name, counted_pass(getattr(np.fft, name)))
+    else:
+        c2c = grid_module.sfft.c2c
+
+        def counted_c2c(arr, axes, *args):
+            count(arr, *axes)
+            return c2c(arr, axes, *args)
+
+        monkeypatch.setattr(grid_module.sfft, "c2c", counted_c2c)
     monkeypatch.setattr(Grid, "last_forward", counted_forward)
     monkeypatch.setattr(Grid, "last_inverse", counted_inverse)
     iters = compute_force(state).pressure.iterations

@@ -520,6 +520,8 @@ def test_an_interrupted_run_leaves_no_earlier_checkpoint_or_report(tmp_path, mon
     # failure handler catches: it leaves its rows, and none of the earlier
     # run's checkpoints or its report
     cfg = small_config(tmp_path, solver="eulerian", sizes=(8, 8, 8), t_end=0.5)
+    full = run_simulation(replace(cfg, output_dir=str(tmp_path / "full")))
+    full = read_diagnostics(full.csv_path)
     grid = Grid(cfg.sizes, cfg.lengths)
     for name in ("state_final.ckpt", "state_abort.ckpt"):
         write_checkpoint(str(tmp_path / name), EulerState.equilibrium(grid))
@@ -536,10 +538,13 @@ def test_an_interrupted_run_leaves_no_earlier_checkpoint_or_report(tmp_path, mon
     monkeypatch.setattr(EulerianStepper, "step", interrupted_step)
     with pytest.raises(KeyboardInterrupt):
         run_simulation(cfg)
-    assert os.listdir(tmp_path) == ["diagnostics.csv"]
-    # the sample at t = 0.25 waits for its successor, so one row is final
+    assert sorted(os.listdir(tmp_path)) == ["diagnostics.csv", "full"]
+    # the samples at t = 0 and 0.25 were recorded: both rows are written,
+    # each the uninterrupted run's (an Eulerian run has no ledger columns)
     rows = read_diagnostics(str(tmp_path / "diagnostics.csv"))
-    assert rows["t"].tolist() == [0.0]
+    assert rows["t"].tolist() == [0.0, 0.25]
+    for name, column in rows.items():
+        np.testing.assert_array_equal(column, full[name][:2])
 
 
 class _Counter(NamedTuple):

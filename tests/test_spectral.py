@@ -1,6 +1,8 @@
-import numpy as np
+import importlib.machinery
+import sys
 import tracemalloc
 
+import numpy as np
 import pytest
 import scipy.fft as sfft
 
@@ -772,6 +774,47 @@ def test_pruned_passes_keep_the_bits_of_the_full_passes(name, rng):
         assert same_bits(got, narrow(grid, want))
     for got, want in ((got_inv, inv), (got_grad, grad), (values, samples)):
         assert same_bits(got, want)
+
+
+@pytest.mark.parametrize("n", [16, 32])
+def test_3d_lead_pass_is_scipy_fft_written_in_place_on_the_kept_lines(n, rng):
+    # each 3D pass on a (3, n, n, K) transform buffer equals scipy.fft's
+    # fft or ifft (norm="forward") of the lines it runs on, bit for bit: the
+    # forward pass along axis -2 on the kept n0 rows, the inverse one along
+    # -3 on the kept n1 columns, the other two on every line; the other lines
+    # keep their values, and the result is the buffer, written with no
+    # array the size of a kept-line block allocated
+    grid = Grid((n,) * 3, (2 * np.pi,) * 3)
+    shape = (3,) + grid.sizes[:-1] + grid.band_shape[-1:]
+    for inverse, axis in [(False, -3), (False, -2), (True, -3), (True, -2)]:
+        lines = [slice(None)] * 4
+        if (inverse, axis) in ((False, -2), (True, -3)):
+            across = -5 - axis  # the other leading axis
+            lines[across] = grid.modes[across + 3] % n
+        lines = tuple(lines)
+        arr = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        want = arr.copy()
+        c2c = sfft.ifft if inverse else sfft.fft
+        want[lines] = c2c(arr[lines], axis=axis, norm="forward")
+        tracemalloc.start()
+        got = grid.lead_pass(arr, (axis,), inverse=inverse)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert got is arr and same_bits(arr, want)
+        assert peak < want[lines].nbytes // 3
+
+
+def test_a_3d_grid_without_the_pocketfft_extension_names_its_path(monkeypatch):
+    # no fallback kernel: a 3D grid whose extension file is not there
+    # raises an ImportError that names the path it looked at
+    monkeypatch.delitem(sys.modules, grid_module._POCKETFFT, raising=False)
+    monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".missing.so"])
+    grid_module._pocketfft.cache_clear()
+    try:
+        with pytest.raises(ImportError, match=r"pypocketfft\.missing\.so"):
+            Grid((8, 8, 8), (1.0, 1.0, 1.0))
+    finally:
+        grid_module._pocketfft.cache_clear()
 
 
 def test_wavevector_lattice_contents():
