@@ -12,7 +12,10 @@ cross-formulation checks.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
+import os
+import threading
 from dataclasses import dataclass
 from functools import partial
 
@@ -25,7 +28,7 @@ from .geometry import graded_metric_values  # noqa: F401
 from .grid import ForceWorkspace, Grid
 from .pressure import PICARD_ABS_TOL, PICARD_REL_TOL, PressureSolution
 from .pressure import _tensor_rhs_spec, solve_pressure_spec
-from .spectral import _k_contract, divergence_band, gradient_values
+from .spectral import _k_contract, divergence_finish, divergence_start, gradient_values
 from .spectral import riesz_apply_spec, weighted_norm_sq
 # dealias_spec is not called here; perfbench/layers.py times it by this name
 from .spectral import dealias_spec  # noqa: F401
@@ -222,6 +225,87 @@ class NonlinearForce:
     grad_yt: np.ndarray
 
 
+# the helper thread of this process, (pid, task queue), started by the
+# first force that runs a task on it, under the lock: a forked child starts
+# its own
+_helper = None
+_helper_lock = threading.Lock()
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, all of the machine's where the
+    system cannot tell."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _serve(tasks):
+    """The helper thread's loop: run each task, drop it, then put the
+    exception it raised, or None, on the queue that came with it. A task
+    held until the next one would keep its arrays, a workspace's, alive
+    past the run that made them."""
+    while True:
+        task, done = tasks.get()
+        error = None
+        try:
+            task()
+        except BaseException as exc:  # raised again by the thread that waits
+            error = exc
+        del task
+        done.put(error)
+
+
+@contextlib.contextmanager
+def _alongside(task, threaded):
+    """Run task beside the block: on the helper thread when threaded, which
+    the block's exit waits for, finally, before an exception of the block
+    propagates; otherwise after the block, which runs the stages in
+    sequence. An exception of the task is raised at the exit."""
+    if not threaded:
+        yield
+        task()
+        return
+    import queue
+
+    global _helper
+    with _helper_lock:
+        if _helper is None or _helper[0] != os.getpid():
+            tasks = queue.SimpleQueue()
+            threading.Thread(target=_serve, args=(tasks,), name="lagmhd-force", daemon=True).start()
+            _helper = (os.getpid(), tasks)
+        tasks = _helper[1]
+    done = queue.SimpleQueue()
+    tasks.put((task, done))
+    try:
+        yield
+    finally:
+        error = done.get()
+    if error is not None:
+        raise error
+
+
+def _metric_defect(b, out):
+    """D = B^T B + B + B^T into out, B^T B on its entries i <= j."""
+    for i, j in itertools.combinations_with_replacement(range(len(b)), 2):
+        np.einsum("m...,m...->...", b[:, i], b[:, j], out=out[i, j])
+        out[j, i] = out[i, j]  # numpy skips the copy for i == j
+    out += b
+    out += np.swapaxes(b, 0, 1)
+    return out
+
+
+def _viscous_planes(grid, defect, grad_yt, rows, slots, pad, start):
+    """The last-axis planes of the viscous flux D grad Yt in slots, the
+    flux formed in blocks of len(rows) rows into rows (pad for numpy's
+    r2c), then, with start, ``divergence_start`` of them."""
+    for i in range(0, grid.dim, len(rows)):
+        block = slice(i, i + len(rows))
+        flux = np.einsum("jm...,im...->ij...", defect, grad_yt[block], out=rows)
+        grid.last_forward(flux, out=slots[block], pad=pad)
+    return divergence_start(slots, grid) if start else slots
+
+
 def compute_force(
     state: FlowState, pressure_tol: float = PICARD_ABS_TOL, q0=None, work=None
 ) -> NonlinearForce:
@@ -232,14 +316,27 @@ def compute_force(
     never added and removed, so small deformations do not cancel. The same
     D drives the pressure fixed point. It reads the state's bands of Y and
     Yt, every spectrum in between lives on the band, and f and grad_p are
-    returned on the band. grad Yt comes with the samples of Yt, after D,
-    into the workspace's ``vec[0]``, and the pair [d1 Y, Yt] of the
-    pressure right-hand side is read where it lies, d1 Y in
-    ``grad_y[:, 0]``: it may live anywhere but ``b`` and ``vec[1:]``. B's
-    array ``b``, read no more once D is formed, takes the pressure tensor
-    Z A and then the viscous flux, which is formed after the pressure
-    solve, so that f, the band of div(D grad Yt) - A grad_p, is one
-    ``divergence_band``.
+    returned on the band. grad Yt comes with the samples of Yt into the
+    workspace's ``vec[0]``, and the pair [d1 Y, Yt] of the pressure
+    right-hand side is read where it lies, d1 Y in ``grad_y[:, 0]``: it may
+    live anywhere but ``b`` and ``vec[1:]``. B's array ``b``, read no more
+    once D is formed, takes the pressure tensor Z A.
+
+    Two pairs of stages do not depend on each other: D and the gradient of
+    Yt, and the viscous stages (the flux D grad Yt, its last-axis planes
+    and their ``divergence_start``) and the pressure right-hand side and
+    solve. On a workspace with the helper's arrays
+    (``grid.OVERLAP_MIN_POINTS``) in a process with at least 2 usable
+    CPUs, D and the viscous stages run on a helper thread beside their
+    partners, the flux row by row into ``flux_row`` and its planes in
+    ``flux_slots``, and f, the band of div(D grad Yt) - A grad_p, is
+    ``divergence_finish`` of those planes less A grad_p. Otherwise each
+    runs after its partner, the flux into ``b`` and its planes in
+    ``mat_band``, and f takes the calls of ``divergence_band``. Every line
+    of every transform gets the same call on both paths, so the force has
+    the same bits. The helper calls numpy and ``Grid`` methods only, no
+    name that perfbench's tracer rebinds (its spans keep one stack per
+    process), and the force waits for it before it returns or raises.
 
     The band holds no mode on the Nyquist hyperplanes of the leading axes,
     where an odd multiplier leaves a real field's spectrum non-Hermitian and
@@ -258,28 +355,31 @@ def compute_force(
     grid = state.grid
     if work is None:
         work = ForceWorkspace(grid)
+    threaded = hasattr(work, "flux_row") and _usable_cpus() >= 2
     grad_y = gradient_values(state.Y, grid, out=work.grad_y, work=work)
     b, a_vals = cofactor_values(grad_y, out=(work.b, work.a))
-    defect = work.defect
-    for i, j in itertools.combinations_with_replacement(range(grid.dim), 2):
-        np.einsum("m...,m...->...", b[:, i], b[:, j], out=defect[i, j])
-        defect[j, i] = defect[i, j]  # numpy skips the copy for i == j
-    defect += b
-    defect += np.swapaxes(b, 0, 1)
+    defect, yt = work.defect, work.vec[0]
+    with _alongside(partial(_metric_defect, b, defect), threaded):
+        grad_yt = gradient_values(state.Yt, grid, out=work.grad_yt, work=work, values=yt)
 
+    if threaded:
+        viscous = (work.flux_row, work.flux_slots, getattr(work, "flux_pad", None))
+    else:
+        viscous = (work.b, work.mat_band, work.pad)
     # the pair [d1 Y, Yt] read in place; b, read no more, takes Z A
-    yt = work.vec[0]
-    grad_yt = gradient_values(state.Yt, grid, out=work.grad_yt, work=work, values=yt)
-    rhs_band = _tensor_rhs_spec(
-        grid, a_vals, (grad_y[:, 0], yt), out=work.vec_band[0], work=work
+    task = partial(_viscous_planes, grid, defect, grad_yt, *viscous, start=threaded)
+    with _alongside(task, threaded):
+        rhs_band = _tensor_rhs_spec(
+            grid, a_vals, (grad_y[:, 0], yt), out=work.vec_band[0], work=work
+        )
+        pressure = solve_pressure_spec(
+            grid, defect, rhs_band, pressure_tol, q0=q0, work=work
+        )
+        gp_real = grid.irfft(pressure.grad_p, out=work.vec[0], pad=work.pad[0])
+        a_gp = np.einsum("im...,m...->i...", a_vals, gp_real, out=work.vec[1])
+    f_band = divergence_finish(
+        viscous[1], grid, out=work.vec_band[0], pad=work.pad, minus=a_gp, started=threaded
     )
-    pressure = solve_pressure_spec(
-        grid, defect, rhs_band, pressure_tol, q0=q0, work=work
-    )
-    gp_real = grid.irfft(pressure.grad_p, out=work.vec[0], pad=work.pad[0])
-    a_gp = np.einsum("im...,m...->i...", a_vals, gp_real, out=work.vec[1])
-    flux = np.einsum("jm...,im...->ij...", defect, grad_yt, out=work.b)
-    f_band = divergence_band(flux, grid, out=work.vec_band[0], work=work, minus=a_gp)
 
     return NonlinearForce(
         f=VectorField(grid, f_band),

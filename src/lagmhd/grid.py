@@ -82,6 +82,17 @@ def _pocketfft():
 # N_last log N_last.
 MATMUL_MAX_LAST = 64
 
+# Fewest grid points on which a force runs its metric defect and viscous
+# stages on a helper thread, beside the gradient of Yt and the pressure
+# solve (``evolution.compute_force``). Step time with the helper over the
+# step without it, alternating in one process, seed-0 data (2-core Xeon,
+# numpy 2.4, one BLAS thread): slab3d 0.81 and strong3d 0.84 at 32^3, and
+# with the helper on smaller grids, 1.12 on compare16's data at 16^3 and
+# 0.90-0.94 on plane2d's at 128^2. In perfbench the helper at 16^3 raised
+# compare16's step_ms_p50 by 9.7%, and at 128^2 it gave plane2d no gain, a
+# step tail 2-6% longer and a peak RSS 1.4 MB larger
+OVERLAP_MIN_POINTS = 32**3
+
 
 def _is_power_of_two(n: int) -> bool:
     return n >= 2 and (n & (n - 1)) == 0
@@ -432,7 +443,8 @@ class ForceWorkspace:
     - ``grad_y``, ``grad_yt``, ``a``: (d, d), grad Y, grad Yt and the
       cofactor A, which the force returns;
     - ``b``: (d, d), B = A - I until D is formed, then Z A of the pressure
-      right-hand side, then the viscous flux D grad Yt;
+      right-hand side, then, below ``OVERLAP_MIN_POINTS``, the viscous
+      flux D grad Yt;
     - ``defect``: (d, d), D = A^T A - I, which the pressure solve reads;
     - ``vec``: (3, d), [0] the samples of Yt, which with d1 Y in
       ``grad_y[:, 0]`` make the pair [v, w] of the pressure right-hand
@@ -453,7 +465,8 @@ class ForceWorkspace:
     Transform scratch, on the wide (N0[, N1]) leading modes: ``mat_band``,
     (d, d) arrays of K last-axis planes, holds the slots of
     ``gradient_values`` and the stages of each ``divergence_band``, of Z A,
-    then of the viscous flux less A grad_p; ``pad``, arrays of
+    then, below ``OVERLAP_MIN_POINTS``, of the viscous flux less A grad_p;
+    ``pad``, arrays of
     ``grid.pad_shape``, keeps only the rows a force reads: past
     ``MATMUL_MAX_LAST`` (d, d), which numpy's r2c of a matrix in
     ``divergence_band`` fills, and at or below it one vector row, (1, d).
@@ -461,6 +474,15 @@ class ForceWorkspace:
     vector, and the K planes of ``divergence_band``'s ``minus`` go to the
     memory of ``pad[-1]``: at or below ``MATMUL_MAX_LAST`` that is the same
     row, which no transform reads then.
+
+    From ``OVERLAP_MIN_POINTS`` grid points on, the helper thread of
+    ``evolution.compute_force`` has arrays of its own, for the viscous
+    stages it runs beside the pressure solve: ``flux_row``, (1, d) samples,
+    one row of the flux D grad Yt at a time, and ``flux_slots``, laid out
+    as ``mat_band``, the flux's planes, less A grad_p at the end; past
+    ``MATMUL_MAX_LAST`` also ``flux_pad``, (1, d) of ``grid.pad_shape``,
+    which numpy's r2c of a row fills. Below that size the workspace has
+    none of them, and the flux takes ``b`` and ``mat_band``.
     """
 
     def __init__(self, grid: Grid):
@@ -480,6 +502,11 @@ class ForceWorkspace:
         self.mat_band = np.empty((d, d) + wide, dtype=complex)
         rows = d if grid.sizes[-1] > MATMUL_MAX_LAST else 1
         self.pad = np.empty((rows, d) + grid.pad_shape, dtype=complex)
+        if grid.npoints >= OVERLAP_MIN_POINTS:
+            self.flux_row = np.empty((1, d) + grid.shape)
+            self.flux_slots = np.empty((d, d) + wide, dtype=complex)
+            if grid.sizes[-1] > MATMUL_MAX_LAST:
+                self.flux_pad = np.empty((1, d) + grid.pad_shape, dtype=complex)
 
 
 def multi_indices(dim: int, s: int):

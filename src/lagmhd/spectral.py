@@ -55,11 +55,39 @@ def divergence_band(mat, grid: Grid, out=None, work=None, minus=None):
     one pass over columns j, ..., d - 1, then column j times i k_j joins the
     sum: 15 component passes in 3D, not 24, the last 6 on the kept lines
     only; ``grid.gather`` takes the band of the sum. ``work``'s ``mat_band``
-    and ``pad`` hold the stages when given.
+    and ``pad`` hold the stages when given. It is ``divergence_finish`` of
+    mat's last-axis planes, with the stages of ``divergence_start`` in the
+    same passes.
     """
-    d, ik = grid.dim, grid._wide_ik
     slots, pad = (None, None) if work is None else (work.mat_band, work.pad)
     slots = grid.last_forward(mat, out=slots, pad=pad)
+    return divergence_finish(slots, grid, out=out, pad=pad, minus=minus, started=False)
+
+
+def divergence_start(slots, grid: Grid):
+    """The stages of ``divergence_band`` that need the matrix alone, on
+    columns 0, ..., d - 2 of slots, its last-axis planes
+    (``grid.last_forward``'s), in place: column j takes the passes along
+    leading axes 0, ..., j, then i k_j."""
+    d, ik = grid.dim, grid._wide_ik
+    for a in range(d - 1):
+        grid.lead_pass(slots[:, a:-1], (a - d,))
+        slots[:, a] *= ik[a]
+    return slots
+
+
+def divergence_finish(slots, grid: Grid, out=None, pad=None, minus=None, started=True):
+    """The band of the divergence, less ``minus``, from the last-axis planes
+    of a matrix in slots, after ``divergence_start`` when started: column
+    d - 1, times i k_last, less minus is the running sum, which takes the
+    pass along each leading axis j and then column j. Not started, each
+    pass runs on columns j, ..., d - 1 at once and column j takes i k_j
+    there, so the sum takes ``divergence_start``'s stages in its own calls;
+    every line of a pass gets the same c2c either way, and the band the
+    same bits. Column d - 1 holds the sum; pad, of ``ForceWorkspace.pad``'s
+    layout, the planes of minus; ``grid.gather`` takes the band into out.
+    """
+    d, ik = grid.dim, grid._wide_ik
     acc = slots[:, -1]
     acc *= ik[-1]
     if minus is not None:
@@ -69,8 +97,9 @@ def divergence_band(mat, grid: Grid, out=None, work=None, minus=None):
         planes = None if pad is None else pad[-1].reshape(-1)[: acc.size].reshape(acc.shape)
         acc -= grid.last_forward(minus, out=planes, pad=None if pad is None else pad[0])
     for a in range(d - 1):
-        grid.lead_pass(slots[:, a:], (a - d,))
-        slots[:, a] *= ik[a]
+        grid.lead_pass(acc if started else slots[:, a:], (a - d,))
+        if not started:
+            slots[:, a] *= ik[a]
         acc += slots[:, a]
     return grid.gather(acc, out=out)
 

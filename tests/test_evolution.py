@@ -2,7 +2,12 @@ import copy
 import dataclasses
 import math
 import os
+import signal
+import sys
+import threading
+import time
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -20,7 +25,7 @@ from lagmhd.geometry import (
     determinant_values,
     graded_metric_values,
 )
-from lagmhd.grid import MATMUL_MAX_LAST, ForceWorkspace, Grid
+from lagmhd.grid import MATMUL_MAX_LAST, OVERLAP_MIN_POINTS, ForceWorkspace, Grid
 from lagmhd.evolution import (
     DEGENERATE_REL_TOL,
     EulerianStepper,
@@ -479,7 +484,7 @@ def test_the_force_keeps_the_bits_of_the_stacked_pair_on_fresh_arrays(sizes):
 
 @pytest.mark.parametrize(
     "sizes, bound",
-    [((32, 32, 32), 17_793_168), ((16, 16, 16), 2_285_088), ((128, 128), 5_111_328)],
+    [((32, 32, 32), 20_201_616), ((16, 16, 16), 2_285_088), ((128, 128), 5_111_328)],
     ids=["32^3", "16^3", "128^2"],
 )
 def test_a_force_workspace_holds_six_sample_tensors(sizes, bound):
@@ -488,19 +493,159 @@ def test_a_force_workspace_holds_six_sample_tensors(sizes, bound):
     # in 3D; the plane buffer keeps a (d, d) matrix only where numpy's r2c
     # of one fills it, and one vector row at or below MATMUL_MAX_LAST. The
     # bounds are the bytes of that layout (with a flux array and a (d, d)
-    # plane buffer it was 21,233,808, 2,727,456 and 5,635,616 B)
+    # plane buffer it was 21,233,808, 2,727,456 and 5,635,616 B). From
+    # OVERLAP_MIN_POINTS on, the helper thread's viscous stages add one
+    # flux row of samples and the (d, d) slots of its planes, and the 32^3
+    # layout is pinned exactly: 17,793,168 B without them
     grid = Grid(sizes, (2 * np.pi,) * len(sizes))
     d = grid.dim
+    helper = grid.npoints >= OVERLAP_MIN_POINTS
     arrays = vars(ForceWorkspace(grid))
     assert "flux" not in arrays
     samples = {name: arr for name, arr in arrays.items() if arr.dtype == float}
     assert {name: arr.shape for name, arr in samples.items()} == {
         **dict.fromkeys(["grad_y", "grad_yt", "a", "b", "defect"], (d, d) + grid.shape),
         "vec": (3, d) + grid.shape,
+        **({"flux_row": (1, d) + grid.shape} if helper else {}),
     }
     rows = d if grid.sizes[-1] > MATMUL_MAX_LAST else 1
     assert arrays["pad"].shape == (rows, d) + grid.pad_shape
-    assert sum(arr.nbytes for arr in arrays.values()) <= bound
+    total = sum(arr.nbytes for arr in arrays.values())
+    if helper:
+        assert arrays["flux_slots"].shape == arrays["mat_band"].shape
+        assert "flux_pad" not in arrays
+        assert total == bound
+    else:
+        assert not {"flux_row", "flux_slots", "flux_pad"} & set(arrays)
+        assert total <= bound
+
+
+def _helper_runs(monkeypatch, cpus):
+    """Have compute_force see this many usable CPUs: 2 runs the helper
+    thread on a workspace with its arrays, 1 defers its tasks."""
+    monkeypatch.setattr(evolution, "_usable_cpus", lambda: cpus)
+
+
+@pytest.mark.parametrize("sizes", [(32, 32, 32), (128, 256)], ids=["32^3", "128x256"])
+@pytest.mark.parametrize("amp", FORCE_AMPS)
+def test_the_helper_thread_gives_the_deferred_force_bit_for_bit(monkeypatch, sizes, amp):
+    # the metric defect and the viscous stages on the helper thread, the
+    # flux row by row, give the bits of the deferred stages in B's array
+    # and mat_band, on one Picard iteration and several; the 128 x 256
+    # grid takes its last-axis planes by numpy's r2c, in flux_pad
+    grid = Grid(sizes, (2 * np.pi,) * len(sizes))
+    state = build_flow_state(grid, scaled_spec(default_spec(grid.dim, None), amp))
+    forces = {}
+    for cpus in (2, 1):
+        _helper_runs(monkeypatch, cpus)
+        forces[cpus] = compute_force(state, work=poisoned_workspace(grid))
+    assert "lagmhd-force" in [t.name for t in threading.enumerate()]
+    got, want = forces[2], forces[1]
+    # the helper holds no task once it is done: the workspace of a force
+    # goes when its caller drops it, not with the next task
+    work = ForceWorkspace(grid)
+    _helper_runs(monkeypatch, 2)
+    compute_force(state, work=work)
+    slots = weakref.ref(work.flux_slots)
+    del work
+    assert slots() is None
+    for name, arr in _force_arrays(got).items():
+        assert same_bits(arr, _force_arrays(want)[name]), name
+    assert got.pressure.iterations == want.pressure.iterations
+    assert got.pressure.residuals == want.pressure.residuals
+
+
+def test_a_picard_failure_waits_for_the_helper_thread(monkeypatch):
+    # the criterion-6 data at 32^3 with one Picard iteration allowed: the
+    # solve fails while the helper, held back, still forms the viscous
+    # stages; the force waits for it before the error propagates, and the
+    # next force on the workspace is the fresh one bit for bit
+    grid = Grid((32, 32, 32), (16.0, 2 * np.pi, 2 * np.pi))
+    state = build_flow_state(grid, scaled_spec(default_spec(3, None), 0.05))
+    _helper_runs(monkeypatch, 2)
+    viscous_planes, finished = evolution._viscous_planes, []
+
+    def held_back(*args, **kwargs):
+        time.sleep(0.2)
+        viscous_planes(*args, **kwargs)
+        finished.append(True)
+
+    work = poisoned_workspace(grid)
+    monkeypatch.setattr(evolution, "_viscous_planes", held_back)
+    monkeypatch.setattr(pressure, "PICARD_MAX_ITER", 1)
+    with pytest.raises(NotConvergedError):
+        compute_force(state, work=work)
+    assert finished == [True]
+    monkeypatch.setattr(pressure, "PICARD_MAX_ITER", 50)
+    got = compute_force(state, work=work)
+    want = compute_force(state)
+    assert got.pressure.iterations > 1
+    for name, arr in _force_arrays(got).items():
+        assert same_bits(arr, _force_arrays(want)[name]), name
+
+
+def test_forces_in_threads_share_the_helper_thread(monkeypatch):
+    # three threads, more than the cores, each computing 32^3 forces on a
+    # workspace of its own with a short switch interval: every force waits
+    # for its own task on the one helper thread, so each has the bits of
+    # the deferred force of its data
+    grid = Grid((32, 32, 32), (2 * np.pi,) * 3)
+    states = [
+        build_flow_state(grid, scaled_spec(default_spec(3, None), amp))
+        for amp in (1e-4, 0.02, 0.05)
+    ]
+    _helper_runs(monkeypatch, 1)
+    want = [compute_force(state).f.band.copy() for state in states]
+    _helper_runs(monkeypatch, 2)
+    got = [[] for _ in states]
+
+    def forces(i):
+        work = ForceWorkspace(grid)
+        for _ in range(3):
+            got[i].append(compute_force(states[i], work=work).f.band.copy())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=forces, args=(i,)) for i in range(len(states))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert [t.name for t in threading.enumerate()].count("lagmhd-force") == 1
+    for bands, band in zip(got, want):
+        assert len(bands) == 3 and all(same_bits(b, band) for b in bands)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_child_starts_its_own_helper_thread(monkeypatch):
+    # the parent's helper thread is not in a forked child, which must start
+    # its own: the child's 32^3 force ends, with the parent's bits
+    grid = Grid((32, 32, 32), (2 * np.pi,) * 3)
+    state = build_flow_state(grid, scaled_spec(default_spec(3, None), 0.05))
+    _helper_runs(monkeypatch, 2)
+    want = compute_force(state).f.band
+    pid = os.fork()
+    if pid == 0:  # the child leaves by os._exit alone
+        code = 1
+        try:
+            code = 0 if same_bits(compute_force(state).f.band, want) else 3
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 60.0
+    while True:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            break
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child's force did not end within 60 s")
+        time.sleep(0.05)
+    assert os.waitstatus_to_exitcode(status) == 0
 
 
 @pytest.mark.parametrize("sizes", [(16, 16, 16), (32, 32)], ids=["3D", "2D"])
