@@ -659,13 +659,15 @@ class EulerianStepper:
         self.filter = _magnetic_filter(grid)
         d, band = grid.dim, grid.band_shape
         # row of stress entry (i, j) in the forward transform: the i <= j
-        # entries in row order, then u x b
+        # entries in row order, then the entries E_ij = u_i b_j - u_j b_i,
+        # i < j, of u x b
         self._entry = np.zeros((d, d), dtype=int)
         pairs = itertools.combinations_with_replacement(range(d), 2)
         for e, (i, j) in enumerate(pairs):
             self._entry[i, j] = self._entry[j, i] = e
         self._nstress = d * (d + 1) // 2
-        nprod = self._nstress + (3 if d == 3 else 1)
+        self._pairs = tuple(itertools.combinations(range(d), 2))
+        nprod = self._nstress + len(self._pairs)
         self._mean = (slice(None),) + (0,) * d  # the mean mode of a vector band
         self._ub_band = np.empty((2 * d,) + band, dtype=complex)
         self._ub = np.empty((2 * d,) + grid.shape)
@@ -700,7 +702,7 @@ class EulerianStepper:
         ub = grid.irfft(ub_band, out=self._ub, pad=self._pad[: 2 * d])
         u, b = ub[:d], ub[d:]
 
-        # stress u_i u_j - b'_i b'_j for j >= i, then u x b with b = B0 + b'
+        # stress u_i u_j - b'_i b'_j for j >= i, then E_ij with b = B0 + b'
         prod, w = self._prod, self._tmp
         for i, j in itertools.combinations_with_replacement(range(d), 2):
             entry = prod[self._entry[i, j]]
@@ -708,17 +710,11 @@ class EulerianStepper:
             entry -= np.multiply(b[i], b[j], out=w)
         for i in range(d):
             b[i] += b_mean[i]
-        cross = prod[self._nstress :]
-        if d == 2:
-            np.multiply(u[0], b[1], out=cross[0])
-            cross[0] -= np.multiply(u[1], b[0], out=w)
-        else:
-            for c in range(3):
-                p, q = (c + 1) % 3, (c + 2) % 3
-                np.multiply(u[p], b[q], out=cross[c])
-                cross[c] -= np.multiply(u[q], b[p], out=w)
+        for entry, (i, j) in zip(prod[self._nstress :], self._pairs):
+            np.multiply(u[i], b[j], out=entry)
+            entry -= np.multiply(u[j], b[i], out=w)
         prod_band = grid.rfft(prod, out=self._prod_band, pad=self._pad[: len(prod)])
-        stress, w_band = prod_band[: self._nstress], prod_band[self._nstress :]
+        stress, cross = prod_band[: self._nstress], prod_band[self._nstress :]
 
         # n_i = sum_j i k_j T_ij - i (k . B0) b_i; rhs_u[0] is free until
         # (k . B0) b is formed
@@ -730,14 +726,11 @@ class EulerianStepper:
         riesz_apply_spec(n, grid, out=rhs_u)
         rhs_u -= n
 
-        if d == 2:
-            np.multiply(ik[1], w_band[0], out=h[0])
-            np.negative(np.multiply(ik[0], w_band[0], out=h[1]), out=h[1])
-        else:
-            for c in range(3):
-                p, q = (c + 1) % 3, (c + 2) % 3
-                np.multiply(ik[p], w_band[q], out=h[c])
-                h[c] -= np.multiply(ik[q], w_band[p], out=tmp)
+        # curl(u x b)_i = sum_j ik_j E_ij, E antisymmetric
+        h[...] = 0.0
+        for e_band, (i, j) in zip(cross, self._pairs):
+            h[i] += np.multiply(ik[j], e_band, out=tmp)
+            h[j] -= np.multiply(ik[i], e_band, out=tmp)
         return rhs_u, h
 
     def step(self, state: EulerState) -> EulerState:
