@@ -607,29 +607,15 @@ class EulerState:
         return cls(grid, u, b)
 
 
-def _magnetic_filter(grid: Grid):
-    """High-order exponential filter pinned to the 2/3-mask boundary.
-
-    exp(-36 r^36) with r the per-axis-normalized mode fraction: ~1 up to
-    two thirds of the retained band, machine-zero at the boundary. Stands in
-    for the missing resistivity of the induction equation. Built on the band,
-    a complex table, x + 0j, as numpy casts it for a product with a band.
-    """
-    r = np.zeros(grid.band_shape)
-    for i, modes in enumerate(grid.modes):
-        frac = np.abs(modes) / max(int(modes.max()), 1)
-        r = np.maximum(r, frac.reshape([-1 if j == i else 1 for j in range(grid.dim)]))
-    return np.exp(-36.0 * np.minimum(r, 1.0) ** 36).astype(complex)
-
-
 class EulerianStepper:
     """Integrating-factor Heun scheme for the primitive system.
 
     Viscosity is treated exactly per mode; the magnetic field advances in the
     conservative curl(u x b) form so its divergence stays zero to round-off,
-    with a spectral filter replacing the absent diffusion. The state and
-    every spectrum live on the band, the modes the 2/3 mask keeps, and the
-    rfft of every product lands there.
+    and takes no dissipation beyond the system's own: the system is
+    non-resistive, and b decays only through its coupling to u under the
+    mean field. The state and every spectrum live on the band, the modes the
+    2/3 mask keeps, and the rfft of every product lands there.
 
     The momentum nonlinearity is taken in stress form, n = div(u u^T - b b^T),
     under Leray projection (Zang, Appl. Numer. Math. 7, 1991). For solenoidal
@@ -643,12 +629,14 @@ class EulerianStepper:
 
     A right-hand side then takes two transform calls: one inverse of the
     stacked (u, b') band (2d components) and one forward of the d(d+1)/2
-    distinct stress entries stacked with u x b (9 components in 3D, 4 in
-    2D). Every array a right-hand side and a step write is allocated once,
-    in ``__init__``; a step allocates only the bands of the state it
-    returns. A product of a band-shaped table or field with a (d,) band or
-    stack of samples runs per component or per stress entry: numpy would
-    buffer the operand it broadcasts.
+    distinct stress entries stacked with the d(d-1)/2 entries
+    E_ij = u_i b_j - u_j b_i, i < j, of u x b (9 components in 3D, 4 in
+    2D). One loop over those entries forms curl(u x b)_i = sum_j ik_j E_ij
+    in either dimension. Every array a right-hand side and a step write is
+    allocated once, in ``__init__``; a step allocates only the bands of the
+    state it returns. A product of a band-shaped table or field with a (d,)
+    band or stack of samples runs per component or per stress entry: numpy
+    would buffer the operand it broadcasts.
     """
 
     def __init__(self, grid: Grid, dt: float):
@@ -656,7 +644,6 @@ class EulerianStepper:
         self.dt = dt
         # complex, x + 0j, as numpy casts it for a product with a band
         self.heat = np.exp(-grid.k2 * dt).astype(complex)
-        self.filter = _magnetic_filter(grid)
         d, band = grid.dim, grid.band_shape
         # row of stress entry (i, j) in the forward transform: the i <= j
         # entries in row order, then the entries E_ij = u_i b_j - u_j b_i,
@@ -757,8 +744,6 @@ class EulerianStepper:
         h0 += h1
         h0 *= 0.5 * dt
         b_new = b0 + h0
-        for b_i in b_new:
-            b_i *= self.filter
         if not (np.isfinite(u_new).all() and np.isfinite(b_new).all()):
             raise FloatingPointError("non-finite Eulerian state after step")
         return EulerState(grid, u_new, b_new, state.t + dt)

@@ -38,7 +38,13 @@ from lagmhd.evolution import (
     compute_force,
     propagator_matrix,
 )
-from lagmhd.initial_data import build_flow_state, default_spec, euler_from_flow, scaled_spec
+from lagmhd.initial_data import (
+    VelocityMode,
+    build_flow_state,
+    default_spec,
+    euler_from_flow,
+    scaled_spec,
+)
 from lagmhd.runner import compare_formulations, run_simulation
 from lagmhd.spectral import (
     gradient_values,
@@ -1521,3 +1527,61 @@ def test_euler_2d_curl_form(grid2, rng):
         div += 1j * grid2.k_axes[j] * state.b[j]
     assert np.abs(div).max() < 1e-13
     assert np.isfinite(grid2.irfft(state.u)).all()
+
+
+@pytest.mark.parametrize(
+    "sizes, n, component",
+    [((16, 16, 16), 5, 2), ((32, 32), 10, 0)],
+    ids=["3D", "2D"],
+)
+def test_euler_keeps_a_magnetostatic_shear_on_the_outermost_retained_mode(
+    sizes, n, component
+):
+    # u = 0 and b = e1 + 1e-3 cos(n y2) e_c with e_c transverse to the
+    # wavevector n e2: k . B0 = 0 and the Lorentz force is a gradient, so the
+    # state is steady in the non-resistive system, here on the highest y2
+    # mode the 2/3 mask keeps (b moves by 5.7e-24 in 3D and 0 in 2D), which
+    # a filter on b pinned to the mask's boundary would wipe: |b - b0| would
+    # read the mode's whole band coefficient, 5e-4
+    grid = Grid(sizes, (2 * np.pi,) * len(sizes))
+    assert grid.modes[1].max() == n
+    y2 = np.arange(sizes[1]) * (2 * np.pi / sizes[1])
+    values = np.zeros((grid.dim,) + grid.shape)
+    values[0] = 1.0
+    values[component] += 1e-3 * np.cos(n * y2).reshape(
+        [-1 if i == 1 else 1 for i in range(grid.dim)]
+    )
+    b0 = grid.rfft(values)
+    state = EulerState(grid, np.zeros_like(b0), b0.copy())
+    stepper = EulerianStepper(grid, 0.05)
+    for _ in range(10):
+        state = stepper.step(state)
+    assert np.abs(state.b - b0).max() <= 1e-15
+
+
+def test_euler_run_decays_over_a_long_horizon(tmp_path):
+    # criterion 7's data with the Eulerian solver alone to t = 50: b takes
+    # no dissipation beyond its coupling to u under the mean field, and the
+    # run still finishes, with |grad u|_inf down from 4.0e-4 to 2.9e-13
+    cfg = RunConfig(
+        dimension=3,
+        sizes=(16, 16, 16),
+        lengths=(2 * np.pi,) * 3,
+        dt=0.025,
+        cadence=0.25,
+        t_end=50.0,
+        solver="eulerian",
+        epsilon0=1e-4,
+        y0_modes_a=(),
+        y0_modes_c=(),
+        y1_modes=(
+            VelocityMode((1, 1, 0), axis=2, amp=1.0, phase=0.3),
+            VelocityMode((0, 1, 1), axis=0, amp=0.7, phase=1.1),
+        ),
+        output_dir=str(tmp_path),
+    )
+    report = run_simulation(cfg)
+    assert not report.aborted
+    assert report.t_final == pytest.approx(50.0)
+    first, last = report.samples[0].grad_u_sup, report.samples[-1].grad_u_sup
+    assert last < 1e-8 * first
