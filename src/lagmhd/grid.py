@@ -16,8 +16,8 @@ spectrum (n = -1 is index -1). A ``Grid`` keeps its spectral tables on the
 band only, and ``rfft``/``irfft`` go between samples and bands in two
 stages on the wide (N0[, N1], K) layout, which only a transform's scratch
 and the symbols of its stages hold: the leading axes by a single-axis c2c
-(``lead_pass``), numpy.fft's in 2D and scipy's pocketfft extension's in
-3D, where the pass that meets the mask runs on the lines it keeps only, the
+(``lead_pass``), scipy's pocketfft extension's in either dimension, where
+in 3D the pass that meets the mask runs on the lines it keeps only, the
 last axis (``last_forward``, ``last_inverse``) by a matmul against a pruned
 real DFT table for N_last <= MATMUL_MAX_LAST and by numpy's r2c/c2r past
 that.
@@ -25,9 +25,9 @@ that.
 (``zero_dropped``), and ``gather`` takes it back out, so no band holds a
 mode the mask drops and none is masked.
 
-No run imports a scipy module: the first 3D ``Grid`` loads the one
-extension its leading passes call, pocketfft's, by its path in the scipy
-package, and only ``Grid.fft`` and ``Grid.ifft`` import scipy.fft.
+No run imports a scipy module: the first ``Grid`` loads the one extension
+its leading passes call, pocketfft's, by its path in the scipy package, and
+only ``Grid.fft`` and ``Grid.ifft`` import scipy.fft.
 """
 
 from __future__ import annotations
@@ -42,13 +42,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# scipy's pocketfft extension, loaded by the first 3D Grid, whose leading
+# scipy's pocketfft extension, loaded by the first Grid, whose leading
 # passes call its c2c: numpy.fft's c2c takes the 3D middle-axis pass in
 # chunks of lines, 1.5-2.1 times pocketfft's time there (544 / 355 us on a
 # (9, 32, 32, 11) buffer, 99 / 47 us at (9, 16, 16, 6); 2-core Xeon, numpy
-# 2.4, scipy 1.17), while on the 2D pass it gives the same bits in the same
-# time. The extension alone adds 0.4 MB to a process, where importing
-# scipy.fft to reach it loads 85 scipy modules and adds 26 MB and 0.25 s
+# 2.4, scipy 1.17), and on the 2D pass it gives numpy.fft's bits in 0.8-0.9
+# of its time (85 / 100 us on a (2, 2, 128, 43) buffer). The extension alone
+# adds 0.4-0.8 MB to a process, where importing scipy.fft to reach it loads
+# 85 scipy modules and adds 26 MB and 0.25 s
 sfft = None
 _POCKETFFT = "scipy.fft._pocketfft.pypocketfft"
 
@@ -67,7 +68,7 @@ def _pocketfft():
         root, "fft", "_pocketfft", "pypocketfft" + importlib.machinery.EXTENSION_SUFFIXES[0]
     )
     if not os.path.isfile(path):
-        raise ImportError(f"a 3D grid needs scipy's pocketfft extension at {path}", path=path)
+        raise ImportError(f"a grid needs scipy's pocketfft extension at {path}", path=path)
     spec = importlib.util.spec_from_file_location(_POCKETFFT, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
@@ -178,9 +179,8 @@ class Grid:
                 raise ValueError(f"box length {l} must be positive and finite")
 
         dim = len(sizes)
-        if dim == 3:
-            global sfft
-            sfft = _pocketfft()
+        global sfft
+        sfft = _pocketfft()
         spacings = tuple(l / n for n, l in zip(sizes, lengths))
         band_shape = band_shape_of(sizes)
         # on a leading axis the band keeps n_i = 0..c_i and -c_i..-1,
@@ -331,22 +331,17 @@ class Grid:
     def lead_pass(self, arr, axes, inverse=False):
         """A single-axis c2c along each given leading spatial axis of arr, a
         transform buffer (negative indices), written back into arr; the
-        forward one scaled by 1/N, exactly for power-of-two sizes. In 2D
-        numpy.fft's fft or ifft writes the one pass on the whole buffer
-        (``out=arr``); in 3D pocketfft's c2c (``sfft``) writes each into its
-        blocks of lines (out=), the call, and so the bits, of scipy.fft's fft
-        or ifft with ``norm="forward"`` and ``overwrite_x``. A transform's
-        passes run along axis -3 before -2, the forward ones ahead of
-        ``gather`` and the inverse ones on a ``scatter``, zero in the dropped
-        blocks, so in 3D the pass that meets the mask runs on the lines it
-        keeps only. A symbol i k_j commutes with the passes along the other
-        axes, so ``spectral.gradient_values`` and ``spectral.divergence_band``
-        apply it between them."""
-        if self.dim == 2:
-            c2c = np.fft.ifft if inverse else np.fft.fft
-            for axis in axes:
-                c2c(arr, axis=axis, norm="forward", out=arr)
-            return arr
+        forward one scaled by 1/N, exactly for power-of-two sizes. pocketfft's
+        c2c (``sfft``) writes each into its blocks of lines (out=), the call,
+        and so the bits, of scipy.fft's fft or ifft with ``norm="forward"``
+        and ``overwrite_x``; in 2D, where the one pass runs on the whole
+        buffer, those are also numpy.fft's bits. A transform's passes run
+        along axis -3 before -2, the forward ones ahead of ``gather`` and the
+        inverse ones on a ``scatter``, zero in the dropped blocks, so in 3D
+        the pass that meets the mask runs on the lines it keeps only. A
+        symbol i k_j commutes with the passes along the other axes, so
+        ``spectral.gradient_values`` and ``spectral.divergence_band`` apply
+        it between them."""
         norm = 0 if inverse else 2  # pocketfft's codes: 2 scales by 1/N, 0 not at all
         for axis in axes:
             for block in self._lines[inverse, axis]:

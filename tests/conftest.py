@@ -224,12 +224,10 @@ def narrow(grid, wide):
 def wide_lead_pass(arr, grid, inverse=False, axes=None):
     """arr's leading passes over the given axes (by default every leading
     spatial axis) as one fftn or ifftn on every line, written back: the
-    transforms' leading stage before any pruning. The c2c is the one
-    ``Grid.lead_pass`` runs in the grid's dimension, numpy.fft's in 2D and
-    scipy.fft's in 3D, which calls the same pocketfft c2c, so the two agree
-    bit for bit whatever the versions."""
-    lib = np.fft if grid.dim == 2 else sfft
-    c2c = lib.ifftn if inverse else lib.fftn
+    transforms' leading stage before any pruning. scipy.fft calls the
+    pocketfft c2c ``Grid.lead_pass`` runs in either dimension, so the two
+    agree bit for bit whatever the versions."""
+    c2c = sfft.ifftn if inverse else sfft.fftn
     axes = grid.spatial_axes[:-1] if axes is None else axes
     arr[...] = c2c(arr, axes=axes, norm="forward")
     return arr

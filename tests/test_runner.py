@@ -26,7 +26,13 @@ from lagmhd.errors import ConfigError, InitialDataError, RunAbortedError
 from lagmhd.evolution import EulerianStepper, EulerState
 from lagmhd.geometry import FlowState
 from lagmhd.grid import Grid
-from lagmhd.initial_data import VelocityMode, build_flow_state, euler_from_flow
+from lagmhd.initial_data import (
+    VelocityMode,
+    build_flow_state,
+    default_spec,
+    euler_from_flow,
+    scaled_spec,
+)
 from lagmhd.runner import (
     CSV_COLUMNS,
     RunSample,
@@ -78,6 +84,41 @@ def test_csv_shape_and_header(tmp_path):
     data = read_diagnostics(report.csv_path)
     assert np.all(np.diff(data["script_E"]) >= -1e-15)  # nondecreasing
     assert np.all(np.diff(data["t"]) == pytest.approx(cfg.cadence))
+
+
+# the columns that are no smooth function of dt: a count, a pass flag and
+# the contraction estimate, a sup over Picard iterations
+NOT_SMOOTH_IN_DT = ("pressure_iters", "ledger_pass", "contraction_est")
+
+
+def test_every_float_column_is_second_order_in_dt(tmp_path):
+    # Richardson audit on criterion 6's data (the strong3d run, 32^3 on the
+    # (16, 2pi, 2pi) box to t = 1): at dt = 1/8, 1/16 and 1/32 the successive
+    # differences of each float column fall by a factor in [3, 5], on the
+    # t = 1 row, and for the ledger columns on the last row that has one.
+    # Criterion 6 checks the order of the det drift alone; a first-order
+    # defect in what a sample reads (the predictor state sampled, a Duhamel
+    # weight off by O(dt)) fails here
+    data = scaled_spec(default_spec(3, None), 0.05)
+    rows = []
+    for dt in (1 / 8, 1 / 16, 1 / 32):
+        cfg = small_config(
+            tmp_path / f"dt{round(1 / dt)}", sizes=(32, 32, 32), dt=dt, epsilon0=36.4,
+            y0_modes_a=data.shear_a, y0_modes_c=data.shear_c, y1_modes=data.velocity,
+        )
+        csv = read_diagnostics(run_simulation(cfg).csv_path)
+        assert np.array_equal(csv["t"], [0.0, 0.25, 0.5, 0.75, 1.0])
+        rows.append(csv)
+    factors = {}
+    for name in CSV_COLUMNS[1:]:
+        if name in NOT_SMOOTH_IN_DT:
+            continue
+        row = -2 if name.startswith("ledger_") else -1
+        c8, c16, c32 = (csv[name][row] for csv in rows)
+        factors[name] = (c8 - c16) / (c16 - c32)
+    assert len(factors) == 21
+    outside = {k: f for k, f in factors.items() if not 3.0 <= f <= 5.0}
+    assert not outside, f"halving factors outside [3, 5]: {outside}"
 
 
 def test_every_sample_carries_its_coercivity_margin(tmp_path):

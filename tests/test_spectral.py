@@ -1,4 +1,5 @@
 import importlib.machinery
+import itertools
 import sys
 import tracemalloc
 
@@ -467,12 +468,6 @@ def test_rfft_irfft_round_trip_and_fft_is_the_mirror(name, rng):
     # every kept mode, and agree with the full ones
     assert same_bits(band, narrow(grid, wide_rfft(grid, vals)))
     assert np.abs(band - narrow(grid, half)).max() <= 1e-15 * np.abs(half).max()
-    if grid.dim == 2:
-        # numpy's leading pass, which the grid runs in 2D, agrees with scipy's
-        wide = grid.last_forward(vals)
-        by_numpy = np.fft.fft(wide, axis=-2, norm="forward")
-        by_scipy = sfft.fft(wide, axis=-2, norm="forward")
-        assert np.abs(by_numpy - by_scipy).max() <= 1e-15 * np.abs(by_scipy).max()
     if is_open:
         # the band of the whole half, Nyquist planes included, is its kept
         # modes: it goes back to the samples of its masked part, and the
@@ -776,23 +771,26 @@ def test_pruned_passes_keep_the_bits_of_the_full_passes(name, rng):
         assert same_bits(got, want)
 
 
-@pytest.mark.parametrize("n", [16, 32])
-def test_3d_lead_pass_is_scipy_fft_written_in_place_on_the_kept_lines(n, rng):
-    # each 3D pass on a (3, n, n, K) transform buffer equals scipy.fft's
-    # fft or ifft (norm="forward") of the lines it runs on, bit for bit: the
-    # forward pass along axis -2 on the kept n0 rows, the inverse one along
-    # -3 on the kept n1 columns, the other two on every line; the other lines
-    # keep their values, and the result is the buffer, written with no
-    # array the size of a kept-line block allocated
-    grid = Grid((n,) * 3, (2 * np.pi,) * 3)
-    shape = (3,) + grid.sizes[:-1] + grid.band_shape[-1:]
-    for inverse, axis in [(False, -3), (False, -2), (True, -3), (True, -2)]:
-        lines = [slice(None)] * 4
-        if (inverse, axis) in ((False, -2), (True, -3)):
+@pytest.mark.parametrize("sizes", [(16,) * 3, (32,) * 3, (128, 128)], ids=["16", "32", "2D-128"])
+def test_lead_pass_is_scipy_fft_written_in_place_on_the_kept_lines(sizes, rng):
+    # each pass on a (3, N0[, N1], K) transform buffer equals scipy.fft's
+    # fft or ifft (norm="forward") of the lines it runs on, bit for bit: in
+    # 3D the forward pass along axis -2 on the kept n0 rows, the inverse one
+    # along -3 on the kept n1 columns, the other two on every line, in 2D
+    # both passes along -2 on every line; the other lines keep their values,
+    # and the result is the buffer, written with no array the size of a
+    # kept-line block allocated. The buffer is the K planes of one of
+    # ``pad_shape``, as in ``Grid.irfft``: at 128^2 K = 43 of 65
+    grid = Grid(sizes, (2 * np.pi,) * len(sizes))
+    d, nb = grid.dim, grid.band_shape[-1]
+    shape = (3,) + grid.pad_shape
+    for inverse, axis in itertools.product((False, True), grid.spatial_axes[:-1]):
+        lines = [slice(None)] * (d + 1)
+        if d == 3 and (inverse, axis) in ((False, -2), (True, -3)):
             across = -5 - axis  # the other leading axis
-            lines[across] = grid.modes[across + 3] % n
+            lines[across] = grid.modes[across + 3] % grid.sizes[across + 3]
         lines = tuple(lines)
-        arr = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        arr = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))[..., :nb]
         want = arr.copy()
         c2c = sfft.ifft if inverse else sfft.fft
         want[lines] = c2c(arr[lines], axis=axis, norm="forward")
@@ -804,15 +802,16 @@ def test_3d_lead_pass_is_scipy_fft_written_in_place_on_the_kept_lines(n, rng):
         assert peak < want[lines].nbytes // 3
 
 
-def test_a_3d_grid_without_the_pocketfft_extension_names_its_path(monkeypatch):
-    # no fallback kernel: a 3D grid whose extension file is not there
-    # raises an ImportError that names the path it looked at
+def test_a_grid_without_the_pocketfft_extension_names_its_path(monkeypatch):
+    # no fallback kernel: a 3D or a 2D grid whose extension file is not
+    # there raises an ImportError that names the path it looked at
     monkeypatch.delitem(sys.modules, grid_module._POCKETFFT, raising=False)
     monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".missing.so"])
     grid_module._pocketfft.cache_clear()
     try:
-        with pytest.raises(ImportError, match=r"pypocketfft\.missing\.so"):
-            Grid((8, 8, 8), (1.0, 1.0, 1.0))
+        for sizes in ((8, 8, 8), (8, 8)):
+            with pytest.raises(ImportError, match=r"a grid needs .*pypocketfft\.missing\.so"):
+                Grid(sizes, (1.0,) * len(sizes))
     finally:
         grid_module._pocketfft.cache_clear()
 
