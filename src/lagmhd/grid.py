@@ -46,8 +46,8 @@ import numpy as np
 # passes call its c2c: numpy.fft's c2c takes the 3D middle-axis pass in
 # chunks of lines, 1.5-2.1 times pocketfft's time there (544 / 355 us on a
 # (9, 32, 32, 11) buffer, 99 / 47 us at (9, 16, 16, 6); 2-core Xeon, numpy
-# 2.4, scipy 1.17), and on the 2D pass it gives numpy.fft's bits in 0.8-0.9
-# of its time (85 / 100 us on a (2, 2, 128, 43) buffer). The extension alone
+# 2.4, scipy 1.17), and on the 2D pass it gives numpy.fft's bits in 0.87-0.92
+# of its time (70 / 76 us on a (2, 2, 128, 43) buffer). The extension alone
 # adds 0.4-0.8 MB to a process, where importing scipy.fft to reach it loads
 # 85 scipy modules and adds 26 MB and 0.25 s
 sfft = None
