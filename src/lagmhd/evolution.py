@@ -28,6 +28,7 @@ from .geometry import graded_metric_values  # noqa: F401
 from .grid import ForceWorkspace, Grid
 from .pressure import PICARD_ABS_TOL, PICARD_REL_TOL, PressureSolution
 from .pressure import _tensor_rhs_spec, solve_pressure_spec
+from . import spectral
 from .spectral import _k_contract, divergence_finish, divergence_start, gradient_values
 from .spectral import riesz_apply_spec, weighted_norm_sq
 # dealias_spec is not called here; perfbench/layers.py times it by this name
@@ -256,14 +257,34 @@ def _serve(tasks):
         done.put(error)
 
 
+def _after(first, formed, task):
+    """Run first, put the exception it raised, or None, on formed, then run
+    task unless first raised."""
+    try:
+        first()
+    except BaseException as exc:
+        formed.put(exc)
+        raise
+    formed.put(None)
+    task()
+
+
 @contextlib.contextmanager
-def _alongside(task, threaded):
+def _alongside(task, threaded, first=None):
     """Run task beside the block: on the helper thread when threaded, which
     the block's exit waits for, finally, before an exception of the block
     propagates; otherwise after the block, which runs the stages in
-    sequence. An exception of the task is raised at the exit."""
+    sequence. An exception of the task is raised at the exit.
+
+    ``first`` is a task whose output the block reads after calling the
+    function the block is given. Threaded, the helper runs first ahead of
+    task, and that call waits for first and raises its exception, in which
+    case task does not run and the exit raises the same; otherwise first
+    runs ahead of the block and the call returns at once."""
     if not threaded:
-        yield
+        if first is not None:
+            first()
+        yield lambda: None
         task()
         return
     import queue
@@ -275,10 +296,20 @@ def _alongside(task, threaded):
             threading.Thread(target=_serve, args=(tasks,), name="lagmhd-force", daemon=True).start()
             _helper = (os.getpid(), tasks)
         tasks = _helper[1]
-    done = queue.SimpleQueue()
+    formed, done = queue.SimpleQueue(), queue.SimpleQueue()
+    if first is None:
+        formed.put(None)
+    else:
+        task = partial(_after, first, formed, task)
+
+    def ready():
+        error = formed.get()
+        if error is not None:
+            raise error
+
     tasks.put((task, done))
     try:
-        yield
+        yield ready
     finally:
         error = done.get()
     if error is not None:
@@ -319,24 +350,30 @@ def compute_force(
     returned on the band. grad Yt comes with the samples of Yt into the
     workspace's ``vec[0]``, and the pair [d1 Y, Yt] of the pressure
     right-hand side is read where it lies, d1 Y in ``grad_y[:, 0]``: it may
-    live anywhere but ``b`` and ``vec[1:]``. B's array ``b``, read no more
-    once D is formed, takes the pressure tensor Z A.
+    live anywhere but ``b``, ``za_row`` and ``vec[1:]``.
 
-    Two pairs of stages do not depend on each other: D and the gradient of
-    Yt, and the viscous stages (the flux D grad Yt, its last-axis planes
-    and their ``divergence_start``) and the pressure right-hand side and
-    solve. On a workspace with the helper's arrays
-    (``grid.OVERLAP_MIN_POINTS``) in a process with at least 2 usable
-    CPUs, D and the viscous stages run on a helper thread beside their
-    partners, the flux row by row into ``flux_row`` and its planes in
-    ``flux_slots``, and f, the band of div(D grad Yt) - A grad_p, is
-    ``divergence_finish`` of those planes less A grad_p. Otherwise each
-    runs after its partner, the flux into ``b`` and its planes in
-    ``mat_band``, and f takes the calls of ``divergence_band``. Every line
-    of every transform gets the same call on both paths, so the force has
-    the same bits. The helper calls numpy and ``Grid`` methods only, no
-    name that perfbench's tracer rebinds (its spans keep one stack per
-    process), and the force waits for it before it returns or raises.
+    The force runs in three phases. (1) The gradient of Yt, beside the
+    gradient of Y and the cofactor. (2) D, then the viscous stages (the
+    flux D grad Yt, its last-axis planes and their ``divergence_start``),
+    beside the pressure right-hand side, then the solve, which waits for D
+    alone, and A grad_p. (3) f, the band of div(D grad Yt) - A grad_p, is
+    ``divergence_finish`` of the flux's planes less A grad_p. On a
+    workspace with the helper's arrays (``grid.OVERLAP_MIN_POINTS``) in a
+    process with at least 2 usable CPUs, the first stages of phases 1 and 2
+    run on a helper thread: the gradient of Yt with its slots in
+    ``flux_slots``, the flux row by row into ``flux_row`` and its planes
+    in ``flux_slots``; meanwhile the right-hand side forms Z A a row at a
+    time in ``za_row``, leaving B in ``b``. Otherwise the stages run in
+    sequence: the gradient of Yt after the cofactor, its slots in
+    ``mat_band``; D ahead of the right-hand side, which forms Z A in
+    ``b``; the flux, into ``b`` and its planes in ``mat_band``, after
+    A grad_p, and f takes the calls of ``divergence_band``. Every line of
+    every transform gets the same call on both paths, so the force has the
+    same bits. The helper calls numpy, ``Grid`` methods and
+    ``spectral.gradient_values`` only, no name that perfbench's tracer
+    rebinds (its spans keep one stack per process), and the force waits for
+    it before it returns or raises; an exception of D is raised as itself,
+    before the solve.
 
     The band holds no mode on the Nyquist hyperplanes of the leading axes,
     where an odd multiplier leaves a real field's spectrum non-Hermitian and
@@ -356,22 +393,25 @@ def compute_force(
     if work is None:
         work = ForceWorkspace(grid)
     threaded = hasattr(work, "flux_row") and _usable_cpus() >= 2
-    grad_y = gradient_values(state.Y, grid, out=work.grad_y, work=work)
-    b, a_vals = cofactor_values(grad_y, out=(work.b, work.a))
-    defect, yt = work.defect, work.vec[0]
-    with _alongside(partial(_metric_defect, b, defect), threaded):
-        grad_yt = gradient_values(state.Yt, grid, out=work.grad_yt, work=work, values=yt)
-
     if threaded:
-        viscous = (work.flux_row, work.flux_slots, getattr(work, "flux_pad", None))
+        viscous, za = (work.flux_row, work.flux_slots, work.pad[-1:]), work.za_row
     else:
-        viscous = (work.b, work.mat_band, work.pad)
-    # the pair [d1 Y, Yt] read in place; b, read no more, takes Z A
-    task = partial(_viscous_planes, grid, defect, grad_yt, *viscous, start=threaded)
+        viscous, za = (work.b, work.mat_band, work.pad), work.b
+    grad_yt, yt, defect = work.grad_yt, work.vec[0], work.defect
+    task = partial(
+        spectral.gradient_values, state.Yt, grid, out=grad_yt, values=yt, slots=viscous[1]
+    )
     with _alongside(task, threaded):
+        grad_y = gradient_values(state.Y, grid, out=work.grad_y, slots=work.mat_band)
+        b, a_vals = cofactor_values(grad_y, out=(work.b, work.a))
+
+    task = partial(_viscous_planes, grid, defect, grad_yt, *viscous, start=threaded)
+    with _alongside(task, threaded, first=partial(_metric_defect, b, defect)) as formed:
+        # the pair [d1 Y, Yt] read in place
         rhs_band = _tensor_rhs_spec(
-            grid, a_vals, (grad_y[:, 0], yt), out=work.vec_band[0], work=work
+            grid, a_vals, (grad_y[:, 0], yt), out=work.vec_band[0], work=work, rows=za
         )
+        formed()
         pressure = solve_pressure_spec(
             grid, defect, rhs_band, pressure_tol, q0=q0, work=work
         )

@@ -83,16 +83,17 @@ def _pocketfft():
 # N_last log N_last.
 MATMUL_MAX_LAST = 64
 
-# Fewest grid points on which a force runs its metric defect and viscous
-# stages on a helper thread, beside the gradient of Yt and the pressure
-# solve (``evolution.compute_force``). Step time with the helper over the
-# step without it, alternating in one process, seed-0 data (2-core Xeon,
-# numpy 2.4, one BLAS thread): slab3d 0.81 and strong3d 0.84 at 32^3, and
-# with the helper on smaller grids, 1.12 on compare16's data at 16^3 and
-# 0.90-0.94 on plane2d's at 128^2. In perfbench the helper at 16^3 raised
-# compare16's step_ms_p50 by 9.7%, and at 128^2 it gave plane2d no gain, a
-# step tail 2-6% longer and a peak RSS 1.4 MB larger
-OVERLAP_MIN_POINTS = 32**3
+# Fewest grid points on which a force runs the gradient of Yt, its metric
+# defect and its viscous stages on a helper thread, beside the gradient of
+# Y and the pressure right-hand side and solve (``evolution.compute_force``).
+# Step time with the helper over the step without it, alternating in one
+# process, seed-0 data, over 3 to 4 runs (2-core Xeon shared with other
+# loads, numpy 2.4, one BLAS thread): 0.71-0.73 on slab3d's and 0.72-0.74
+# on strong3d's at 32^3, 0.85-0.99 on plane2d's at 128^2, and, with the
+# helper forced on, 1.06-1.21 on compare16's at 16^3, where the stages run
+# in sequence. With only D and the viscous stages on the helper one run
+# read 0.81, 0.82, 0.95 and 1.08
+OVERLAP_MIN_POINTS = 128**2
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -437,9 +438,9 @@ class ForceWorkspace:
 
     - ``grad_y``, ``grad_yt``, ``a``: (d, d), grad Y, grad Yt and the
       cofactor A, which the force returns;
-    - ``b``: (d, d), B = A - I until D is formed, then Z A of the pressure
-      right-hand side, then, below ``OVERLAP_MIN_POINTS``, the viscous
-      flux D grad Yt;
+    - ``b``: (d, d), B = A - I until D is formed, then, below
+      ``OVERLAP_MIN_POINTS``, Z A of the pressure right-hand side, then the
+      viscous flux D grad Yt;
     - ``defect``: (d, d), D = A^T A - I, which the pressure solve reads;
     - ``vec``: (3, d), [0] the samples of Yt, which with d1 Y in
       ``grad_y[:, 0]`` make the pair [v, w] of the pressure right-hand
@@ -458,26 +459,28 @@ class ForceWorkspace:
       force returns one), a stepper's start in [0], temporaries in [3].
 
     Transform scratch, on the wide (N0[, N1]) leading modes: ``mat_band``,
-    (d, d) arrays of K last-axis planes, holds the slots of
-    ``gradient_values`` and the stages of each ``divergence_band``, of Z A,
-    then, below ``OVERLAP_MIN_POINTS``, of the viscous flux less A grad_p;
-    ``pad``, arrays of
+    (d, d) arrays of K last-axis planes, holds the slots of the gradient of
+    Y and the stages of the divergence of Z A, and, below
+    ``OVERLAP_MIN_POINTS``, the slots of the gradient of Yt and the stages
+    of the viscous flux less A grad_p; ``pad``, arrays of
     ``grid.pad_shape``, keeps only the rows a force reads: past
-    ``MATMUL_MAX_LAST`` (d, d), which numpy's r2c of a matrix in
-    ``divergence_band`` fills, and at or below it one vector row, (1, d).
-    ``pad[0]`` is the plane buffer of ``Grid.irfft`` and ``Grid.rfft`` on a
-    vector, and the K planes of ``divergence_band``'s ``minus`` go to the
-    memory of ``pad[-1]``: at or below ``MATMUL_MAX_LAST`` that is the same
-    row, which no transform reads then.
+    ``MATMUL_MAX_LAST`` (d, d), which numpy's r2c of a matrix fills, and at
+    or below it one vector row, (1, d). ``pad[0]`` is the plane buffer of
+    ``Grid.irfft`` and ``Grid.rfft`` on a vector, and the K planes of
+    ``divergence_finish``'s ``minus`` go to the memory of ``pad[-1]``: at
+    or below ``MATMUL_MAX_LAST`` that is the same row, which no transform
+    reads then.
 
     From ``OVERLAP_MIN_POINTS`` grid points on, the helper thread of
-    ``evolution.compute_force`` has arrays of its own, for the viscous
-    stages it runs beside the pressure solve: ``flux_row``, (1, d) samples,
-    one row of the flux D grad Yt at a time, and ``flux_slots``, laid out
-    as ``mat_band``, the flux's planes, less A grad_p at the end; past
-    ``MATMUL_MAX_LAST`` also ``flux_pad``, (1, d) of ``grid.pad_shape``,
-    which numpy's r2c of a row fills. Below that size the workspace has
-    none of them, and the flux takes ``b`` and ``mat_band``.
+    ``evolution.compute_force`` has arrays of its own: ``flux_slots``, laid
+    out as ``mat_band``, the slots of the gradient of Yt, then the planes
+    of the viscous flux D grad Yt, less A grad_p at the end, and
+    ``flux_row``, (1, d) samples, one row of the flux at a time, whose
+    numpy r2c past ``MATMUL_MAX_LAST`` fills ``pad[-1]``, a row the calling
+    thread does not read meanwhile. While the helper forms D from B, the
+    pressure right-hand side forms Z A a row at a time in ``za_row``, (1,
+    d) samples, its r2c in ``pad[0]``. Below that size the workspace has
+    none of the three, and Z A and the flux take ``b`` and ``mat_band``.
     """
 
     def __init__(self, grid: Grid):
@@ -498,10 +501,9 @@ class ForceWorkspace:
         rows = d if grid.sizes[-1] > MATMUL_MAX_LAST else 1
         self.pad = np.empty((rows, d) + grid.pad_shape, dtype=complex)
         if grid.npoints >= OVERLAP_MIN_POINTS:
+            self.za_row = np.empty((1, d) + grid.shape)
             self.flux_row = np.empty((1, d) + grid.shape)
             self.flux_slots = np.empty((d, d) + wide, dtype=complex)
-            if grid.sizes[-1] > MATMUL_MAX_LAST:
-                self.flux_pad = np.empty((1, d) + grid.pad_shape, dtype=complex)
 
 
 def multi_indices(dim: int, s: int):

@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import NotConvergedError, PressureDivergenceError
 from .grid import Grid
-from .spectral import _riesz, divergence_band, riesz_apply_spec, weighted_norm_sq
+from .spectral import _riesz, divergence_finish, riesz_apply_spec, weighted_norm_sq
 # dealias_spec is not called here; perfbench/layers.py times it by this name
 from .spectral import dealias_spec  # noqa: F401
 
@@ -59,34 +59,43 @@ class PressureSolution(NamedTuple):
     potential: np.ndarray
 
 
-def _tensor_rhs_spec(grid: Grid, a_vals, pair, out=None, *, work):
+def _tensor_rhs_spec(grid: Grid, a_vals, pair, out=None, *, work, rows=None):
     """R[A^T div2((v x v - w x w) A)] with div2 acting on the second index.
 
     Returns the band. The divergence-free rows of the cofactor matrix let the
     nested operator collapse to this conservative form. ``pair`` holds the
-    samples (v, w), two (d,) arrays that may live anywhere but the
-    workspace's ``b`` and ``vec[1:]`` (``compute_force`` passes d1 Y as
+    samples (v, w), two (d,) arrays that may live anywhere but rows and the
+    workspace's ``vec[1:]`` (``compute_force`` passes d1 Y as
     ``grad_y[:, 0]`` and Yt in ``vec[0]``). (v x v - w x w) A is formed
-    from A^T v and -A^T w, one mat-vec each, as v x A^T v plus, entry by
-    entry, w_i (-A^T w)_l, the order in which a contraction of the stacked
-    [v, w] with [A^T v, -A^T w] adds, so bit for bit v_i (A^T v)_l - w_i
-    (A^T w)_l; its divergence is one ``divergence_band``.
+    from A^T v and -A^T w, one mat-vec each, in blocks of len(rows) rows
+    into rows, by default B's array ``b``, the whole tensor: v x A^T v
+    plus, entry by entry, w_i (-A^T w)_l, the order in which a contraction
+    of the stacked [v, w] with [A^T v, -A^T w] adds, so bit for bit
+    v_i (A^T v)_l - w_i (A^T w)_l. Each block's last-axis planes go into
+    its rows of ``mat_band``, and ``divergence_finish`` of them is the
+    divergence, with the calls of one ``divergence_band`` of the tensor.
+    ``compute_force`` passes ``za_row``, one row, when its helper thread
+    forms D from B meanwhile.
 
     out receives the band when given. ``work`` is the ``ForceWorkspace`` of
-    the grid; the call overwrites its ``b`` (Z A), ``vec[1:]``, ``mat_band``
-    (whose memory takes the entry products first), ``vec_band[1]`` and
-    ``pad``, and reads the pair only.
+    the grid; the call overwrites rows, ``vec[1:]``, ``mat_band`` (whose
+    last row's memory takes the entry products first), ``vec_band[1]``
+    and ``pad``, and reads the pair only.
     """
-    vec, band, pad = work.vec, work.vec_band[1], work.pad
+    vec, band, pad, slots = work.vec, work.vec_band[1], work.pad, work.mat_band
+    rows = work.b if rows is None else rows
     v, w = pair
     at_v = np.einsum("ml...,m...->l...", a_vals, v, out=vec[1])
     at_w = np.einsum("ml...,m...->l...", a_vals, w, out=vec[2])
     np.negative(at_w, out=at_w)
-    za = np.einsum("i...,l...->il...", v, at_v, out=work.b)
-    tmp = work.mat_band.reshape(-1).view(float)[: grid.npoints].reshape(grid.shape)
-    for i, l in itertools.product(range(grid.dim), repeat=2):
-        za[i, l] += np.multiply(w[i], at_w[l], out=tmp)
-    w_band = divergence_band(za, grid, out=band, work=work)
+    tmp = slots[-1].reshape(-1).view(float)[: grid.npoints].reshape(grid.shape)
+    for i in range(0, grid.dim, len(rows)):
+        block = slice(i, i + len(rows))
+        za = np.einsum("i...,l...->il...", v[block], at_v, out=rows)
+        for r, l in itertools.product(range(len(rows)), range(grid.dim)):
+            za[r, l] += np.multiply(w[i + r], at_w[l], out=tmp)
+        grid.last_forward(za, out=slots[block], pad=pad[: len(rows)])
+    w_band = divergence_finish(slots, grid, out=band, pad=pad, started=False)
     w_real = grid.irfft(w_band, out=vec[1], pad=pad[0])
     atw = np.einsum("jm...,j...->m...", a_vals, w_real, out=vec[2])
     return riesz_apply_spec(grid.rfft(atw, out=band, pad=pad[0]), grid, out=out)

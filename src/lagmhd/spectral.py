@@ -17,7 +17,7 @@ from .grid import Grid
 # -- derivatives --------------------------------------------------------------
 
 
-def gradient_values(band, grid: Grid, out=None, work=None, values=None):
+def gradient_values(band, grid: Grid, out=None, values=None, slots=None):
     """Real-space gradient of a vector band: out[i, j] = d_j v^i; ``values``,
     when given, receives the samples of v, bit for bit ``grid.irfft(band)``.
 
@@ -27,16 +27,14 @@ def gradient_values(band, grid: Grid, out=None, work=None, values=None):
     axis j, which runs on the slots formed by then: 15 component passes for
     a 3D vector, not 18, the first 6 on the kept lines only. Slot d - 1
     times i k_last is d_last v^i. The symbols are the grid's tables on the
-    wide layout. ``work``'s ``mat_band`` holds the slots when given,
-    contiguous K planes, which numpy's c2r pads itself past
+    wide layout. ``slots``, laid out as ``ForceWorkspace.mat_band``, holds
+    them when given, contiguous K planes, which numpy's c2r pads itself past
     ``MATMUL_MAX_LAST``.
     """
     d, ik = grid.dim, grid._wide_ik
-    if work is None:
+    if slots is None:
         wide = grid.pad_shape[:-1] + grid.band_shape[-1:]
         slots = np.empty((band.shape[0], d) + wide, dtype=complex)
-    else:
-        slots = work.mat_band[: band.shape[0]]
     grid.scatter(band, slots[:, -1])
     for a in range(d - 1):
         np.multiply(slots[:, -1], ik[a], out=slots[:, a])

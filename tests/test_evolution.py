@@ -14,7 +14,7 @@ import pytest
 from scipy.integrate import quad
 
 import lagmhd.grid as grid_module
-from lagmhd import evolution, pressure
+from lagmhd import evolution, pressure, spectral
 from lagmhd.config import RunConfig
 from lagmhd.errors import NotConvergedError
 
@@ -287,7 +287,9 @@ def _force_transforms(monkeypatch, grid, amp):
     and the lines of the single-axis leading passes (the calls of the
     grid's pocketfft ``sfft.c2c``, which ``Grid.lead_pass`` runs),
     [those of passes on whole transform buffers, of the wide (N0[, N1], K)
-    layout, those of passes on blocks of them].
+    layout, those of passes on blocks of them]. The last-axis stages of a
+    helper thread go to "helper", in its call order, as ("forward" or
+    "inverse", shape); its leading passes join the lines.
 
     The state holds bands only, as a stepped state does, so Yt's samples
     cost a last-axis stage. Every transform of the kernel goes through
@@ -296,8 +298,9 @@ def _force_transforms(monkeypatch, grid, amp):
     built = build_flow_state(grid, scaled_spec(default_spec(grid.dim, None), amp))
     state = FlowState(grid, built.Y, built.Yt, 0.0)
     d = grid.dim
-    calls = {"forward": [], "inverse": [], "lines": [0, 0]}
+    calls = {"forward": [], "inverse": [], "lines": [0, 0], "helper": []}
     stages = Grid.last_forward, Grid.last_inverse
+    main = threading.current_thread()
 
     wide = grid.sizes[:-1] + grid.band_shape[-1:]
     c2c = grid_module.sfft.c2c
@@ -308,11 +311,18 @@ def _force_transforms(monkeypatch, grid, amp):
         return c2c(arr, axes, *args)
 
     def counted_forward(self, values, *args, **kwargs):
-        calls["forward"].append(values.shape)
+        if threading.current_thread() is main:
+            calls["forward"].append(values.shape)
+        else:
+            calls["helper"].append(("forward", values.shape))
         return stages[0](self, values, *args, **kwargs)
 
     def counted_inverse(self, planes, *args, **kwargs):
-        calls["inverse"].append(planes.shape[:-1] + grid.shape[-1:])
+        shape = planes.shape[:-1] + grid.shape[-1:]
+        if threading.current_thread() is main:
+            calls["inverse"].append(shape)
+        else:
+            calls["helper"].append(("inverse", shape))
         return stages[1](self, planes, *args, **kwargs)
 
     monkeypatch.setattr(grid_module.sfft, "c2c", counted_c2c)
@@ -337,6 +347,34 @@ def test_force_takes_one_viscous_transform(monkeypatch, sizes):
         # Z A and A^T w for the pressure rhs, D grad_p per Picard iteration,
         # then the viscous flux and A grad_p of one divergence_band
         assert calls["forward"] == [mat, vec] + [vec] * iters + [mat, vec]
+
+
+@pytest.mark.parametrize("amp", FORCE_AMPS)
+def test_the_helper_thread_splits_the_matrix_transforms_into_rows(monkeypatch, amp):
+    # on the plane2d box at 128^2, with the helper thread: the calling
+    # thread takes grad Y, Z A a row at a time and A^T w for the pressure
+    # rhs, D grad_p and grad_p per Picard iteration, the final grad_p and
+    # A grad_p; the helper the samples of Yt and grad Yt, then the viscous
+    # flux a row at a time. Every last-axis component of the deferred force
+    # is taken once, the (d, d) matrices of Z A and the flux as d rows
+    grid = Grid((128, 128), (64.0, 2 * np.pi))
+    d = grid.dim
+    vec, mat, row = (d,) + grid.shape, (d, d) + grid.shape, (1, d) + grid.shape
+    runs = {}
+    for cpus in (2, 1):
+        _helper_runs(monkeypatch, cpus)
+        runs[cpus] = _force_transforms(monkeypatch, grid, amp)
+    (calls, iters), (serial, serial_iters) = runs[2], runs[1]
+
+    def components(c):
+        shapes = c["forward"] + c["inverse"] + [shape for _, shape in c["helper"]]
+        return sum(int(np.prod(shape[:-d])) for shape in shapes)
+
+    assert iters == serial_iters and not serial["helper"]
+    assert components(calls) == components(serial)
+    assert calls["forward"] == [row] * d + [vec] + [vec] * iters + [vec]
+    assert calls["inverse"] == [mat, vec] + [vec] * iters + [vec]
+    assert calls["helper"] == [("inverse", vec), ("inverse", mat)] + [("forward", row)] * d
 
 
 @pytest.mark.parametrize("sizes", [(16, 16, 16), (32, 32)], ids=["3D", "2D"])
@@ -473,41 +511,44 @@ def test_the_force_keeps_the_bits_of_the_stacked_pair_on_fresh_arrays(sizes):
 
 
 @pytest.mark.parametrize(
-    "sizes, bound",
-    [((32, 32, 32), 20_201_616), ((16, 16, 16), 2_285_088), ((128, 128), 5_111_328)],
+    "sizes, size",
+    [((32, 32, 32), 20_988_048), ((16, 16, 16), 2_285_088), ((128, 128), 5_987_872)],
     ids=["32^3", "16^3", "128^2"],
 )
-def test_a_force_workspace_holds_six_sample_tensors(sizes, bound):
-    # B's array takes Z A and the viscous flux, so there is no flux array:
-    # grad Y, grad Yt, A, B, D and the (3, d) vectors, six (d, d) tensors
-    # in 3D; the plane buffer keeps a (d, d) matrix only where numpy's r2c
-    # of one fills it, and one vector row at or below MATMUL_MAX_LAST. The
-    # bounds are the bytes of that layout (with a flux array and a (d, d)
-    # plane buffer it was 21,233,808, 2,727,456 and 5,635,616 B). From
-    # OVERLAP_MIN_POINTS on, the helper thread's viscous stages add one
-    # flux row of samples and the (d, d) slots of its planes, and the 32^3
-    # layout is pinned exactly: 17,793,168 B without them
+def test_a_force_workspace_holds_six_sample_tensors(sizes, size):
+    # B's array takes Z A and the deferred viscous flux, so there is no
+    # flux array: grad Y, grad Yt, A, B, D and the (3, d) vectors, six
+    # (d, d) tensors in 3D; the plane buffer keeps a (d, d) matrix only
+    # where numpy's r2c of one fills it, and one vector row at or below
+    # MATMUL_MAX_LAST. Every layout is pinned exactly, at its bytes (the
+    # 16^3 and 128^2 ones were bounds, at 2,285,088 and 5,111,328 B). From
+    # OVERLAP_MIN_POINTS on, 128^2 included, the helper thread's stages add
+    # one flux row of samples and the (d, d) slots of its gradient and
+    # planes, and the pressure right-hand side, which leaves B to the
+    # helper's D, one row of Z A (20,201,616 B at 32^3 without that row);
+    # the flux row's r2c past MATMUL_MAX_LAST fills the plane buffer's
+    # last row. A 16^3 workspace holds no helper array
     grid = Grid(sizes, (2 * np.pi,) * len(sizes))
     d = grid.dim
     helper = grid.npoints >= OVERLAP_MIN_POINTS
+    assert helper == (sizes != (16, 16, 16))
     arrays = vars(ForceWorkspace(grid))
     assert "flux" not in arrays
     samples = {name: arr for name, arr in arrays.items() if arr.dtype == float}
+    rows = dict.fromkeys(["za_row", "flux_row"], (1, d) + grid.shape) if helper else {}
     assert {name: arr.shape for name, arr in samples.items()} == {
         **dict.fromkeys(["grad_y", "grad_yt", "a", "b", "defect"], (d, d) + grid.shape),
         "vec": (3, d) + grid.shape,
-        **({"flux_row": (1, d) + grid.shape} if helper else {}),
+        **rows,
     }
-    rows = d if grid.sizes[-1] > MATMUL_MAX_LAST else 1
-    assert arrays["pad"].shape == (rows, d) + grid.pad_shape
-    total = sum(arr.nbytes for arr in arrays.values())
+    planes = d if grid.sizes[-1] > MATMUL_MAX_LAST else 1
+    assert arrays["pad"].shape == (planes, d) + grid.pad_shape
     if helper:
         assert arrays["flux_slots"].shape == arrays["mat_band"].shape
-        assert "flux_pad" not in arrays
-        assert total == bound
     else:
-        assert not {"flux_row", "flux_slots", "flux_pad"} & set(arrays)
-        assert total <= bound
+        assert not {"za_row", "flux_row", "flux_slots"} & set(arrays)
+    assert "flux_pad" not in arrays
+    assert sum(arr.nbytes for arr in arrays.values()) == size
 
 
 def _helper_runs(monkeypatch, cpus):
@@ -516,14 +557,23 @@ def _helper_runs(monkeypatch, cpus):
     monkeypatch.setattr(evolution, "_usable_cpus", lambda: cpus)
 
 
-@pytest.mark.parametrize("sizes", [(32, 32, 32), (128, 256)], ids=["32^3", "128x256"])
+@pytest.mark.parametrize(
+    "sizes, lengths",
+    [((32, 32, 32), None), ((128, 256), None), ((128, 128), (64.0, 2 * np.pi))],
+    ids=["32^3", "128x256", "128^2"],
+)
 @pytest.mark.parametrize("amp", FORCE_AMPS)
-def test_the_helper_thread_gives_the_deferred_force_bit_for_bit(monkeypatch, sizes, amp):
-    # the metric defect and the viscous stages on the helper thread, the
-    # flux row by row, give the bits of the deferred stages in B's array
-    # and mat_band, on one Picard iteration and several; the 128 x 256
-    # grid takes its last-axis planes by numpy's r2c, in flux_pad
-    grid = Grid(sizes, (2 * np.pi,) * len(sizes))
+def test_the_helper_thread_gives_the_deferred_force_bit_for_bit(
+    monkeypatch, sizes, lengths, amp
+):
+    # the gradient of Yt, the metric defect and the viscous stages on the
+    # helper thread, the gradient's slots and the flux's planes in
+    # flux_slots and the flux row by row, give the bits of the deferred
+    # stages in mat_band and B's array, on one Picard iteration and
+    # several; the 128 x 256 grid and the plane2d box at 128^2, the
+    # smallest grid with the helper's arrays, take their last-axis planes
+    # by numpy's r2c, the flux row's in the last row of the plane buffer
+    grid = Grid(sizes, lengths or (2 * np.pi,) * len(sizes))
     state = build_flow_state(grid, scaled_spec(default_spec(grid.dim, None), amp))
     forces = {}
     for cpus in (2, 1):
@@ -567,6 +617,58 @@ def test_a_picard_failure_waits_for_the_helper_thread(monkeypatch):
         compute_force(state, work=work)
     assert finished == [True]
     monkeypatch.setattr(pressure, "PICARD_MAX_ITER", 50)
+    got = compute_force(state, work=work)
+    want = compute_force(state)
+    assert got.pressure.iterations > 1
+    for name, arr in _force_arrays(got).items():
+        assert same_bits(arr, _force_arrays(want)[name]), name
+
+
+class _HelperFailure(Exception):
+    pass
+
+
+@pytest.mark.parametrize("stage", ["defect", "gradient"])
+def test_a_helper_failure_surfaces_as_itself(monkeypatch, stage):
+    # the criterion-6 data at 32^3: the helper's metric defect, or its
+    # gradient of Yt, raises after a pause. The force raises that
+    # exception, not a pressure error, once the helper is done, and no
+    # stage that reads the failed one's output runs: neither the solve nor
+    # the viscous stages after D, nor the pressure right-hand side after
+    # the gradient. The next force on the workspace is the fresh one bit
+    # for bit
+    grid = Grid((32, 32, 32), (16.0, 2 * np.pi, 2 * np.pi))
+    state = build_flow_state(grid, scaled_spec(default_spec(3, None), 0.05))
+    _helper_runs(monkeypatch, 2)
+    main, ran = threading.current_thread(), []
+
+    def failing(*args, **kwargs):
+        ran.append((stage, threading.current_thread() is main))
+        time.sleep(0.2)
+        raise _HelperFailure(stage)
+
+    def recording(name, call):
+        def recorded(*args, **kwargs):
+            ran.append(name)
+            return call(*args, **kwargs)
+
+        return recorded
+
+    if stage == "defect":
+        monkeypatch.setattr(evolution, "_metric_defect", failing)
+        later = ("_viscous_planes", "solve_pressure_spec")
+    else:  # the helper reaches the gradient through spectral, the main thread not
+        monkeypatch.setattr(spectral, "gradient_values", failing)
+        later = ("_metric_defect", "_viscous_planes", "_tensor_rhs_spec", "solve_pressure_spec")
+    for name in later:
+        monkeypatch.setattr(evolution, name, recording(name, getattr(evolution, name)))
+    work = poisoned_workspace(grid)
+    with pytest.raises(_HelperFailure, match=stage):
+        compute_force(state, work=work)
+    time.sleep(0.1)  # a stage left queued on the helper would run by now
+    assert ran == [(stage, False)]
+    monkeypatch.undo()
+    _helper_runs(monkeypatch, 2)
     got = compute_force(state, work=work)
     want = compute_force(state)
     assert got.pressure.iterations > 1

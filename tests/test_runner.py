@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import lagmhd
-from lagmhd import pressure
+from lagmhd import evolution, pressure, runner
 from lagmhd.checkpoint import read_checkpoint, write_checkpoint
 from lagmhd.config import RunConfig, dump_config
 from lagmhd.energy import (
@@ -23,7 +23,7 @@ from lagmhd.energy import (
     lower_bound_margin,
 )
 from lagmhd.errors import ConfigError, InitialDataError, RunAbortedError
-from lagmhd.evolution import EulerianStepper, EulerState
+from lagmhd.evolution import EulerianStepper, EulerState, compute_force
 from lagmhd.geometry import FlowState
 from lagmhd.grid import Grid
 from lagmhd.initial_data import (
@@ -256,6 +256,73 @@ def test_a_killed_run_leaves_the_complete_rows_of_an_uninterrupted_one(tmp_path)
     full = run_simulation(replace(cfg, t_end=rows * cfg.cadence, output_dir=str(tmp_path / "full")))
     with open(full.csv_path) as fh:
         assert fh.read().splitlines()[: len(lines)] == lines
+
+
+# the columns of a row that depend on its state alone, and the forcing
+# pairings, which also read the pressure solve's iterate
+STATE_ONLY = (
+    "energy", "energy_total", "dissipation", "dissipation_total", "corrected",
+    "det_drift", "lower_bound_margin", "grad_u_sup",
+)
+PAIRINGS = ("rhs1", "rhs2")
+
+
+def test_every_row_is_its_states_own_and_that_of_a_run_stopped_there(tmp_path, monkeypatch):
+    # ROADMAP item 21's oracles, on the criterion-6 data at 32^3 (several
+    # Picard iterations per force), whose forces run their stages on the
+    # helper thread, with 2 usable CPUs. Cold: every row _drive records
+    # equals _record_sample of a fresh compute_force of the state _drive
+    # holds then, with a fresh evaluator, independent of the stepper's
+    # workspace and history: exactly on the columns of the state alone,
+    # and within a tenth of the relative solve tolerance PICARD_REL_TOL on
+    # the forcing pairings, where the run's warm solve stops elsewhere than
+    # the cold one (9.2e-11 relative measured). Prefix: a run stopped at
+    # the interior sample time t = 0.5 writes, as its last row, the row of
+    # the longer run at that time, on every column but the ledger's, which
+    # a last row leaves NaN. A sample read from another state, such as the
+    # previous step's predictor, fails the cold check
+    base = scaled_spec(default_spec(3, None), 0.05)
+    cfg = RunConfig(
+        dimension=3, sizes=(32, 32, 32), lengths=(16.0, 2 * np.pi, 2 * np.pi),
+        dt=0.05, t_end=1.0, cadence=0.25, epsilon0=36.4, y0_modes_a=base.shear_a,
+        y0_modes_c=base.shear_c, y1_modes=base.velocity,
+    )
+    monkeypatch.setattr(evolution, "_usable_cpus", lambda: 2)
+    drive, cold = runner._drive, []
+
+    def hooked(config, initial, force, step, record=None):
+        def checked(state, f):
+            row = record(state, f)
+            grid = state.grid
+            fresh = runner._record_sample(EnergyEvaluator(grid), state, compute_force(state))
+            cold.append((row, fresh))
+            return row
+
+        return drive(config, initial, force, step, checked)
+
+    monkeypatch.setattr(runner, "_drive", hooked)
+    full = run_simulation(replace(cfg, output_dir=str(tmp_path / "full")))
+    # the times accumulate by + dt, so 0.5 is 0.49999999999999994
+    times = [row.t for row, _ in cold]
+    assert np.allclose(times, [0.0, 0.25, 0.5, 0.75, 1.0], rtol=0.0, atol=1e-12)
+    assert max(row.pressure_iters for row, _ in cold) > 1
+    for row, fresh in cold:
+        for name in STATE_ONLY:
+            assert getattr(row, name) == getattr(fresh, name), (row.t, name)
+        for name in PAIRINGS:
+            got, want = getattr(row, name), getattr(fresh, name)
+            assert abs(got - want) <= 0.1 * pressure.PICARD_REL_TOL * abs(want), (row.t, name)
+
+    monkeypatch.setattr(runner, "_drive", drive)
+    stopped = run_simulation(replace(cfg, t_end=0.5, output_dir=str(tmp_path / "stopped")))
+    long_rows = read_diagnostics(full.csv_path)
+    last = read_diagnostics(stopped.csv_path)
+    ledger = ("ledger_lhs", "ledger_rhs", "ledger_pass")
+    for name in CSV_COLUMNS:
+        if name in ledger:
+            assert np.isnan(last[name][-1]) and not np.isnan(long_rows[name][2]), name
+        else:
+            assert last[name][-1] == long_rows[name][2], name
 
 
 @pytest.mark.parametrize("resumed", [False, True], ids=["data", "resumed"])

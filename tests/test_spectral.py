@@ -640,7 +640,7 @@ def test_gradient_values_and_its_samples_against_fftn(name, rng):
     assert np.array_equal(gradient_values(band, grid), got)
     # in a workspace whose arrays hold NaN, into its own arrays
     work = poisoned_workspace(grid)
-    out = gradient_values(band, grid, out=work.grad_y, work=work, values=work.vec[0])
+    out = gradient_values(band, grid, out=work.grad_y, values=work.vec[0], slots=work.mat_band)
     assert out is work.grad_y
     assert np.array_equal(out, got) and np.array_equal(work.vec[0], values)
 
@@ -688,7 +688,9 @@ def test_shared_pass_kernels_in_a_workspace_allocate_no_band(sizes, lengths, rng
     vec = rng.standard_normal((d,) + grid.shape)
     out = np.empty_like(band)
     calls = (
-        lambda: gradient_values(band, grid, out=work.grad_y, work=work, values=work.vec[0]),
+        lambda: gradient_values(
+            band, grid, out=work.grad_y, values=work.vec[0], slots=work.mat_band
+        ),
         lambda: divergence_band(mat, grid, out=out, work=work, minus=vec),
     )
     for call in calls:
