@@ -22,7 +22,7 @@ from functools import partial
 import numpy as np
 
 from .fields import VectorField
-from .geometry import FlowState, check_bands, cofactor_values
+from .geometry import FlowState, check_bands, cofactor_times, cofactor_values
 # graded_metric_values is not called here; perfbench/layers.py times it by this name
 from .geometry import graded_metric_values  # noqa: F401
 from .grid import ForceWorkspace, Grid
@@ -214,14 +214,14 @@ class NonlinearForce:
     ``PressureSolution`` of the solve, passed through as returned, so
     grad_p is a band. f is the last ``VectorField`` of the package, for
     perfbench's scaled-force gate (see ``fields``). f's band, grad_p, the
-    potential, a_values, grad_y and grad_yt are arrays of the
+    potential, b_values (B = A - I), grad_y and grad_yt are arrays of the
     ``ForceWorkspace`` the force was computed in: a force of a
     ``LagrangianStepper`` holds them until that stepper's next force.
     """
 
     f: VectorField
     pressure: PressureSolution
-    a_values: np.ndarray
+    b_values: np.ndarray
     grad_y: np.ndarray
     grad_yt: np.ndarray
 
@@ -342,15 +342,16 @@ def compute_force(
 ) -> NonlinearForce:
     """Assemble f = div(D grad Yt) - A grad_p with dealiased products, D = A^T A - I.
 
-    D is formed from B = A - I = B1 + B2 as B^T B + B + B^T, the same algebra
-    as the sum of the graded pieces G_d, B^T B on its entries i <= j; I is
-    never added and removed, so small deformations do not cancel. The same
-    D drives the pressure fixed point. It reads the state's bands of Y and
+    The cofactor is held as B = A - I = B1 + B2 alone: D is B^T B + B + B^T,
+    the same algebra as the sum of the graded pieces G_d, B^T B on its
+    entries i <= j, and each product with A adds I where it reads A
+    (``cofactor_times``), so small deformations do not cancel. The same D
+    drives the pressure fixed point. It reads the state's bands of Y and
     Yt, every spectrum in between lives on the band, and f and grad_p are
     returned on the band. grad Yt comes with the samples of Yt into the
     workspace's ``vec[0]``, and the pair [d1 Y, Yt] of the pressure
     right-hand side is read where it lies, d1 Y in ``grad_y[:, 0]``: it may
-    live anywhere but ``b``, ``za_row`` and ``vec[1:]``.
+    live anywhere but ``za`` and ``vec[1:]``.
 
     The force runs in three phases. (1) The gradient of Yt, beside the
     gradient of Y and the cofactor. (2) D, then the viscous stages (the
@@ -362,12 +363,11 @@ def compute_force(
     process with at least 2 usable CPUs, the first stages of phases 1 and 2
     run on a helper thread: the gradient of Yt with its slots in
     ``flux_slots``, the flux row by row into ``flux_row`` and its planes
-    in ``flux_slots``; meanwhile the right-hand side forms Z A a row at a
-    time in ``za_row``, leaving B in ``b``. Otherwise the stages run in
-    sequence: the gradient of Yt after the cofactor, its slots in
-    ``mat_band``; D ahead of the right-hand side, which forms Z A in
-    ``b``; the flux, into ``b`` and its planes in ``mat_band``, after
-    A grad_p, and f takes the calls of ``divergence_band``. Every line of
+    in ``flux_slots``. Otherwise the stages run in sequence: the gradient
+    of Yt after the cofactor, its slots in ``mat_band``; D ahead of the
+    right-hand side; the flux, into ``za`` and its planes in ``mat_band``,
+    after A grad_p, and f takes the calls of ``divergence_band``. Either
+    way the right-hand side forms Z A whole in ``za``. Every line of
     every transform gets the same call on both paths, so the force has the
     same bits. The helper calls numpy, ``Grid`` methods and
     ``spectral.gradient_values`` only, no name that perfbench's tracer
@@ -394,29 +394,29 @@ def compute_force(
         work = ForceWorkspace(grid)
     threaded = hasattr(work, "flux_row") and _usable_cpus() >= 2
     if threaded:
-        viscous, za = (work.flux_row, work.flux_slots, work.pad[-1:]), work.za_row
+        viscous = work.flux_row, work.flux_slots, work.pad[-1:]
     else:
-        viscous, za = (work.b, work.mat_band, work.pad), work.b
+        viscous = work.za, work.mat_band, work.pad[: grid.dim]
     grad_yt, yt, defect = work.grad_yt, work.vec[0], work.defect
     task = partial(
         spectral.gradient_values, state.Yt, grid, out=grad_yt, values=yt, slots=viscous[1]
     )
     with _alongside(task, threaded):
         grad_y = gradient_values(state.Y, grid, out=work.grad_y, slots=work.mat_band)
-        b, a_vals = cofactor_values(grad_y, out=(work.b, work.a))
+        b = cofactor_values(grad_y, out=work.b, scratch=work.za[0])
 
     task = partial(_viscous_planes, grid, defect, grad_yt, *viscous, start=threaded)
     with _alongside(task, threaded, first=partial(_metric_defect, b, defect)) as formed:
         # the pair [d1 Y, Yt] read in place
         rhs_band = _tensor_rhs_spec(
-            grid, a_vals, (grad_y[:, 0], yt), out=work.vec_band[0], work=work, rows=za
+            grid, b, (grad_y[:, 0], yt), out=work.vec_band[0], work=work
         )
         formed()
         pressure = solve_pressure_spec(
             grid, defect, rhs_band, pressure_tol, q0=q0, work=work
         )
         gp_real = grid.irfft(pressure.grad_p, out=work.vec[0], pad=work.pad[0])
-        a_gp = np.einsum("im...,m...->i...", a_vals, gp_real, out=work.vec[1])
+        a_gp = cofactor_times(b, gp_real, work.vec[1])
     f_band = divergence_finish(
         viscous[1], grid, out=work.vec_band[0], pad=work.pad, minus=a_gp, started=threaded
     )
@@ -424,7 +424,7 @@ def compute_force(
     return NonlinearForce(
         f=VectorField(grid, f_band),
         pressure=pressure,
-        a_values=a_vals,
+        b_values=b,
         grad_y=grad_y,
         grad_yt=grad_yt,
     )

@@ -83,30 +83,35 @@ _COFACTOR_TERMS = (
 _PLANE_TERMS = [(ij, None, None) for ij, _, _ in _COFACTOR_TERMS if max(ij) < 2]
 
 
-def cofactor_values(grad, out=None):
-    """Return (B, A) raw arrays from grad Y values: B = B1 + B2 = A - I.
+def cofactor_values(grad, out=None, scratch=None):
+    """B = B1 + B2 = A - I from grad Y values: A is held as B alone, and its
+    readers take I + B (``cofactor_times``).
 
-    Entry by entry, bit for bit B1 + B2 and (I + B1) + B2: B_ij = B2_ij - g_ji
-    and A_ij = B_ij off the diagonal, B_ii = t + B2_ii and A_ii = (t + 1) + B2_ii
-    with t = div - g_ii on it. out, two arrays of grad's shape, receives (B, A).
+    Entry by entry, bit for bit B1 + B2: B_ij = B2_ij - g_ji off the
+    diagonal, B_ii = t + B2_ii with t = div - g_ii on it. out (grad's shape)
+    receives B; scratch, d sample arrays, holds div, t and a product.
     """
-    b, a = out if out is not None else (np.empty_like(grad), np.empty_like(grad))
-    # div and t live in a[0, 1] and a[1, 0], which the diagonal does not write
-    div, t = np.trace(grad, axis1=0, axis2=1, out=a[0, 1]), a[1, 0]
+    b = np.empty_like(grad) if out is None else out
+    tmp = np.empty_like(grad[0]) if scratch is None else scratch
+    div, t = np.trace(grad, axis1=0, axis2=1, out=tmp[0]), tmp[1]
     for (i, j), pq, rs in _COFACTOR_TERMS if len(grad) == 3 else _PLANE_TERMS:
         b2 = 0.0
-        if pq is not None:  # the (i, j) cofactor of grad; a[i, j] is scratch
+        if pq is not None:  # the (i, j) cofactor of grad
             b2 = np.multiply(grad[pq[0]], grad[pq[1]], out=b[i, j])
-            b2 -= np.multiply(grad[rs[0]], grad[rs[1]], out=a[i, j])
+            b2 -= np.multiply(grad[rs[0]], grad[rs[1]], out=tmp[2])
         if i == j:
             np.subtract(div, grad[i, i], out=t)
-            np.add(t, 1.0, out=a[i, i])
-            a[i, i] += b2
             np.add(t, b2, out=b[i, i])
         else:
             np.subtract(b2, grad[j, i], out=b[i, j])
-            np.copyto(a[i, j], b[i, j])
-    return b, a
+    return b
+
+
+def cofactor_times(b, v, out=None, transpose=False):
+    """A v, or A^T v with transpose, from B's samples: B v + v, I added where
+    A = I + B is read. Into out when given."""
+    out = np.einsum("ml...,m...->l..." if transpose else "lm...,m...->l...", b, v, out=out)
+    return np.add(out, v, out=out)
 
 
 def graded_metric_values(b1, b2):
@@ -329,7 +334,9 @@ def construct_initial_map(
     displacement = grid.rfft(y0)
     grad = gradient_values(displacement, grid)
     det = determinant_values(grad)
-    a0_vals = cofactor_values(grad)[1] / det  # cof(I + grad Y) / det
+    a0_vals = cofactor_values(grad)  # cof(I + grad Y) - I
+    np.einsum("ii...->i...", a0_vals)[...] += 1.0  # the diagonal, a view
+    a0_vals /= det
     residual_det = float(np.abs(det - 1.0).max())
 
     pts = np.moveaxis(x0, 0, -1).reshape(-1, grid.dim)

@@ -293,14 +293,16 @@ class Grid:
 
     def irfft(self, band, out=None, pad=None):
         """Band -> real samples, the argument left unchanged: ``scatter``
-        into the first K planes of pad (overwritten), one inverse
-        ``lead_pass`` there and ``last_inverse``. out and pad
+        into the first K planes of pad (overwritten), zeros in the rest, one
+        inverse ``lead_pass`` on the K and ``last_inverse`` of all of pad, one
+        contiguous run for numpy's c2r past ``MATMUL_MAX_LAST``. out and pad
         (``pad_shape``) are allocated when not given."""
         if pad is None:
             pad = np.empty(band.shape[: -self.dim] + self.pad_shape, dtype=complex)
         wide = self.scatter(band, pad)
+        pad[..., wide.shape[-1] :] = 0.0
         self.lead_pass(wide, self.spatial_axes[:-1], inverse=True)
-        return self.last_inverse(wide, out=out)
+        return self.last_inverse(pad, out=out)
 
     def scatter(self, band, wide):
         """The band into the first K last-axis planes of ``wide``, a
@@ -436,15 +438,14 @@ class ForceWorkspace:
     workspace. With d = grid.dim, real samples (float64, grid shape), six
     (d, d) tensors in 3D:
 
-    - ``grad_y``, ``grad_yt``, ``a``: (d, d), grad Y, grad Yt and the
-      cofactor A, which the force returns;
-    - ``b``: (d, d), B = A - I until D is formed, then, below
-      ``OVERLAP_MIN_POINTS``, Z A of the pressure right-hand side, then the
-      viscous flux D grad Yt;
+    - ``grad_y``, ``grad_yt``, ``b``: (d, d), grad Y, grad Yt and B = A - I,
+      the cofactor held as B alone, which the force returns;
+    - ``za``: (d, d), the cofactor's scratch, then Z A of the pressure
+      right-hand side, then, in sequence, the viscous flux D grad Yt;
     - ``defect``: (d, d), D = A^T A - I, which the pressure solve reads;
     - ``vec``: (3, d), [0] the samples of Yt, which with d1 Y in
       ``grad_y[:, 0]`` make the pair [v, w] of the pressure right-hand
-      side, [1:] A^T v and -A^T w, then the vector of the right-hand side;
+      side, [1:] A^T v and A^T w, then the vector of the right-hand side;
       then the Picard iterate and its product with D, then grad_p and
       A grad_p.
 
@@ -460,13 +461,13 @@ class ForceWorkspace:
 
     Transform scratch, on the wide (N0[, N1]) leading modes: ``mat_band``,
     (d, d) arrays of K last-axis planes, holds the slots of the gradient of
-    Y and the stages of the divergence of Z A, and, below
-    ``OVERLAP_MIN_POINTS``, the slots of the gradient of Yt and the stages
-    of the viscous flux less A grad_p; ``pad``, arrays of
-    ``grid.pad_shape``, keeps only the rows a force reads: past
-    ``MATMUL_MAX_LAST`` (d, d), which numpy's r2c of a matrix fills, and at
-    or below it one vector row, (1, d). ``pad[0]`` is the plane buffer of
-    ``Grid.irfft`` and ``Grid.rfft`` on a vector, and the K planes of
+    Y and the stages of the divergence of Z A, and, in sequence, the slots
+    of the gradient of Yt and the stages of the viscous flux less A grad_p;
+    ``pad``, arrays of ``grid.pad_shape``, keeps only the rows a force
+    reads: past ``MATMUL_MAX_LAST`` the d rows numpy's r2c of a matrix
+    fills, and the helper's own, and at or below it one vector row, (1, d).
+    ``pad[0]`` is the plane buffer of ``Grid.irfft`` and ``Grid.rfft`` on a
+    vector, and the K planes of
     ``divergence_finish``'s ``minus`` go to the memory of ``pad[-1]``: at
     or below ``MATMUL_MAX_LAST`` that is the same row, which no transform
     reads then.
@@ -476,11 +477,9 @@ class ForceWorkspace:
     out as ``mat_band``, the slots of the gradient of Yt, then the planes
     of the viscous flux D grad Yt, less A grad_p at the end, and
     ``flux_row``, (1, d) samples, one row of the flux at a time, whose
-    numpy r2c past ``MATMUL_MAX_LAST`` fills ``pad[-1]``, a row the calling
-    thread does not read meanwhile. While the helper forms D from B, the
-    pressure right-hand side forms Z A a row at a time in ``za_row``, (1,
-    d) samples, its r2c in ``pad[0]``. Below that size the workspace has
-    none of the three, and Z A and the flux take ``b`` and ``mat_band``.
+    numpy r2c past ``MATMUL_MAX_LAST`` fills ``pad[-1]``, past the d rows
+    the calling thread's r2c of Z A fills meanwhile. Below that size the
+    workspace has neither, and the flux takes ``za`` and ``mat_band``.
     """
 
     def __init__(self, grid: Grid):
@@ -488,8 +487,8 @@ class ForceWorkspace:
         mat = (d, d) + grid.shape
         self.grad_y = np.empty(mat)
         self.grad_yt = np.empty(mat)
-        self.a = np.empty(mat)
         self.b = np.empty(mat)
+        self.za = np.empty(mat)
         self.defect = np.empty(mat)
         self.vec = np.empty((3, d) + grid.shape)
         self.y_band = np.empty((d,) + band, dtype=complex)
@@ -498,10 +497,11 @@ class ForceWorkspace:
         self.q = np.empty((4,) + band, dtype=complex)
         wide = grid.pad_shape[:-1] + band[-1:]
         self.mat_band = np.empty((d, d) + wide, dtype=complex)
-        rows = d if grid.sizes[-1] > MATMUL_MAX_LAST else 1
+        helper = grid.npoints >= OVERLAP_MIN_POINTS
+        # past MATMUL_MAX_LAST a matrix's r2c fills d rows, the helper's one more
+        rows = d + helper if grid.sizes[-1] > MATMUL_MAX_LAST else 1
         self.pad = np.empty((rows, d) + grid.pad_shape, dtype=complex)
-        if grid.npoints >= OVERLAP_MIN_POINTS:
-            self.za_row = np.empty((1, d) + grid.shape)
+        if helper:
             self.flux_row = np.empty((1, d) + grid.shape)
             self.flux_slots = np.empty((d, d) + wide, dtype=complex)
 

@@ -16,7 +16,7 @@ from .energy import (
 )
 from .errors import ConfigError, InitialDataError, RunAbortedError
 from .evolution import EulerianStepper, EulerState, LagrangianStepper, NonlinearForce
-from .geometry import FlowState, determinant_values, make_trig_evaluator
+from .geometry import FlowState, cofactor_times, determinant_values, make_trig_evaluator
 from .grid import Grid
 from .initial_data import _build_with_gradient, default_spec, euler_from_flow, scaled_spec
 # not called here; perfbench/layers.py times the build by this name
@@ -129,8 +129,7 @@ def _record_sample(ev: EnergyEvaluator, state: FlowState, force: NonlinearForce)
         corrected=corrected, rhs1=rhs1, rhs2=rhs2, det_drift=float(np.abs(det - 1.0).max()),
         lower_bound_margin=lower_bound_margin(table, t, corrected),
         grad_u_sup=_grad_u_sup(  # the rows of (grad_y Yt) A^T through one buffer
-            np.einsum("m...,jm...->j...", g, force.a_values, out=row)
-            for g in force.grad_yt
+            cofactor_times(force.b_values, g, row) for g in force.grad_yt
         ),
         pressure_iters=force.pressure.iterations,
         contraction=force.pressure.contraction_estimate,

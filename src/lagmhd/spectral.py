@@ -53,12 +53,12 @@ def divergence_band(mat, grid: Grid, out=None, work=None, minus=None):
     one pass over columns j, ..., d - 1, then column j times i k_j joins the
     sum: 15 component passes in 3D, not 24, the last 6 on the kept lines
     only; ``grid.gather`` takes the band of the sum. ``work``'s ``mat_band``
-    and ``pad`` hold the stages when given. It is ``divergence_finish`` of
-    mat's last-axis planes, with the stages of ``divergence_start`` in the
-    same passes.
+    and ``pad``, mat's r2c in its first d rows, hold the stages when given.
+    It is ``divergence_finish`` of mat's last-axis planes, with the stages
+    of ``divergence_start`` in the same passes.
     """
     slots, pad = (None, None) if work is None else (work.mat_band, work.pad)
-    slots = grid.last_forward(mat, out=slots, pad=pad)
+    slots = grid.last_forward(mat, out=slots, pad=None if pad is None else pad[: len(mat)])
     return divergence_finish(slots, grid, out=out, pad=pad, minus=minus, started=False)
 
 

@@ -112,28 +112,42 @@ def poisoned_workspace(grid):
     return work
 
 
+def identity_plus(b):
+    """I + B on a fresh array: the cofactor A whole, from B."""
+    a = b.copy()
+    for i in range(len(b)):
+        a[i, i] += 1.0
+    return a
+
+
+def a_times(b, v, transpose=False):
+    """A v, or A^T v when transpose, on fresh arrays, with the cofactor
+    A = I + B read as the force reads it: the product with B, then v added."""
+    return np.einsum("ml...,m...->l..." if transpose else "im...,m...->i...", b, v) + v
+
+
 def stacked_pair_force(state, q0=None):
     """(f band, PressureSolution) of ``compute_force`` at the floor tolerance,
     each step on fresh arrays: the pair [d1 Y, Yt] stacked into one array,
-    A^T [v, w] by one stacked einsum, its second row negated, and Z A by
-    one contraction of the pair with it."""
+    B^T [v, w] by one stacked einsum plus the pair, its second row negated,
+    and Z A by one contraction of the pair with it."""
     grid = state.grid
     grad_y = gradient_values(state.Y, grid)
-    b, a = cofactor_values(grad_y)
+    b = cofactor_values(grad_y)
     defect = np.einsum("mi...,mj...->ij...", b, b)
     defect += b
     defect += np.swapaxes(b, 0, 1)
     pair = np.stack([grad_y[:, 0], grid.irfft(state.Yt)])
     grad_yt = gradient_values(state.Yt, grid)
-    at = np.einsum("ml...,pm...->pl...", a, pair)
+    at = np.einsum("ml...,pm...->pl...", b, pair) + pair
     np.negative(at[1], out=at[1])
     za = np.einsum("pi...,pl...->il...", pair, at)
-    atw = np.einsum("jm...,j...->m...", a, grid.irfft(divergence_band(za, grid)))
+    atw = a_times(b, grid.irfft(divergence_band(za, grid)), transpose=True)
     rhs = riesz_apply_spec(grid.rfft(atw), grid)
     pressure = solve_pressure_spec(
         grid, defect, rhs, PICARD_ABS_TOL, q0=q0, work=ForceWorkspace(grid)
     )
-    a_gp = np.einsum("im...,m...->i...", a, grid.irfft(pressure.grad_p))
+    a_gp = a_times(b, grid.irfft(pressure.grad_p))
     flux = np.einsum("jm...,im...->ij...", defect, grad_yt)
     return divergence_band(flux, grid, minus=a_gp), pressure
 
@@ -141,8 +155,7 @@ def stacked_pair_force(state, q0=None):
 def cofactor_pieces(grad):
     """(B1, B2, A) of grad Y values by the graded algebra, each a whole array:
     B1 = div(Y) I - grad^T, B2 the cofactors of grad (zeros in 2D) and
-    A = (I + B1) + B2. ``cofactor_values`` returns B1 + B2 and this A, bit
-    for bit."""
+    A = (I + B1) + B2. ``cofactor_values`` returns B1 + B2, bit for bit."""
     dim = grad.shape[0]
     b1 = np.negative(np.swapaxes(grad, 0, 1))
     for i in range(dim):

@@ -54,7 +54,9 @@ from lagmhd.spectral import (
 
 from conftest import (
     FullSpectrum,
+    a_times,
     cofactor_pieces,
+    identity_plus,
     leray_project,
     mirror,
     narrow,
@@ -214,11 +216,11 @@ def test_integral_entries_quadrature_oracle():
 
 
 def _pressure_force(force):
-    """The band of -A grad_p, formed on its own: -rfft(A irfft(grad_p))."""
+    """The band of -A grad_p, formed on its own: -rfft(A irfft(grad_p)),
+    A = I + B."""
     grid = force.f.grid
     grad_p = grid.irfft(force.pressure.grad_p)
-    a_gp = np.einsum("im...,m...->i...", force.a_values, grad_p)
-    return -grid.rfft(a_gp)
+    return -grid.rfft(a_times(force.b_values, grad_p))
 
 
 def test_force_zero_at_equilibrium(grid3):
@@ -266,7 +268,7 @@ def test_force_decomposition_consistency():
     # viscous part against A^T A - I formed directly from A
     grad_y = gradient_values(state.Y, grid)
     b1, b2, _ = cofactor_pieces(grad_y)
-    a = cofactor_values(grad_y)[1]
+    a = identity_plus(cofactor_values(grad_y))
     ata = np.einsum("ji...,jm...->im...", a, a)
     for i in range(3):
         ata[i, i] -= 1.0
@@ -352,11 +354,11 @@ def test_force_takes_one_viscous_transform(monkeypatch, sizes):
 @pytest.mark.parametrize("amp", FORCE_AMPS)
 def test_the_helper_thread_splits_the_matrix_transforms_into_rows(monkeypatch, amp):
     # on the plane2d box at 128^2, with the helper thread: the calling
-    # thread takes grad Y, Z A a row at a time and A^T w for the pressure
-    # rhs, D grad_p and grad_p per Picard iteration, the final grad_p and
-    # A grad_p; the helper the samples of Yt and grad Yt, then the viscous
-    # flux a row at a time. Every last-axis component of the deferred force
-    # is taken once, the (d, d) matrices of Z A and the flux as d rows
+    # thread takes grad Y, Z A whole, in one (d, d) forward, and A^T w for
+    # the pressure rhs, D grad_p and grad_p per Picard iteration, the final
+    # grad_p and A grad_p; the helper the samples of Yt and grad Yt, then
+    # the viscous flux a row at a time. Every last-axis component of the
+    # deferred force is taken once, the (d, d) flux as d rows
     grid = Grid((128, 128), (64.0, 2 * np.pi))
     d = grid.dim
     vec, mat, row = (d,) + grid.shape, (d, d) + grid.shape, (1, d) + grid.shape
@@ -372,7 +374,7 @@ def test_the_helper_thread_splits_the_matrix_transforms_into_rows(monkeypatch, a
 
     assert iters == serial_iters and not serial["helper"]
     assert components(calls) == components(serial)
-    assert calls["forward"] == [row] * d + [vec] + [vec] * iters + [vec]
+    assert calls["forward"] == [mat, vec] + [vec] * iters + [vec]
     assert calls["inverse"] == [mat, vec] + [vec] * iters + [vec]
     assert calls["helper"] == [("inverse", vec), ("inverse", mat)] + [("forward", row)] * d
 
@@ -444,7 +446,7 @@ def _force_arrays(force):
         "potential": force.pressure.potential,
         "grad_y": force.grad_y,
         "grad_yt": force.grad_yt,
-        "a_values": force.a_values,
+        "b_values": force.b_values,
     }
 
 
@@ -481,7 +483,7 @@ def test_a_reused_workspace_gives_the_fresh_force_bit_for_bit(sizes):
         assert _is_array(got.pressure.grad_p, work.vec_band[1])
         assert any(_is_array(got.pressure.potential, q) for q in work.q[1:3])
         assert got.grad_y is work.grad_y and got.grad_yt is work.grad_yt
-        assert got.a_values is work.a
+        assert got.b_values is work.b
         iterations.append(got.pressure.iterations)
         q0 = got.pressure.potential
     assert min(iterations) == 1 and max(iterations) > 1
@@ -512,41 +514,43 @@ def test_the_force_keeps_the_bits_of_the_stacked_pair_on_fresh_arrays(sizes):
 
 @pytest.mark.parametrize(
     "sizes, size",
-    [((32, 32, 32), 20_988_048), ((16, 16, 16), 2_285_088), ((128, 128), 5_987_872)],
+    [((32, 32, 32), 20_201_616), ((16, 16, 16), 2_285_088), ((128, 128), 5_991_968)],
     ids=["32^3", "16^3", "128^2"],
 )
 def test_a_force_workspace_holds_six_sample_tensors(sizes, size):
-    # B's array takes Z A and the deferred viscous flux, so there is no
-    # flux array: grad Y, grad Yt, A, B, D and the (3, d) vectors, six
-    # (d, d) tensors in 3D; the plane buffer keeps a (d, d) matrix only
-    # where numpy's r2c of one fills it, and one vector row at or below
-    # MATMUL_MAX_LAST. Every layout is pinned exactly, at its bytes (the
-    # 16^3 and 128^2 ones were bounds, at 2,285,088 and 5,111,328 B). From
+    # the cofactor is B alone, and the array A took holds Z A whole and
+    # the deferred viscous flux, so there is no flux array and no row of
+    # Z A: grad Y, grad Yt, B, Z A, D and the (3, d) vectors, six (d, d)
+    # tensors in 3D; the plane buffer keeps a (d, d) matrix only where
+    # numpy's r2c of one fills it, and one vector row at or below
+    # MATMUL_MAX_LAST. Every layout is pinned exactly, at its bytes. From
     # OVERLAP_MIN_POINTS on, 128^2 included, the helper thread's stages add
     # one flux row of samples and the (d, d) slots of its gradient and
-    # planes, and the pressure right-hand side, which leaves B to the
-    # helper's D, one row of Z A (20,201,616 B at 32^3 without that row);
-    # the flux row's r2c past MATMUL_MAX_LAST fills the plane buffer's
-    # last row. A 16^3 workspace holds no helper array
+    # planes, and past MATMUL_MAX_LAST one plane row, the last, that the
+    # flux row's r2c fills apart from the d rows of Z A's (20,988,048 B at
+    # 32^3 and 5,987,872 B at 128^2 with a row of Z A and no such plane
+    # row). A 16^3 workspace holds no helper array
     grid = Grid(sizes, (2 * np.pi,) * len(sizes))
     d = grid.dim
     helper = grid.npoints >= OVERLAP_MIN_POINTS
     assert helper == (sizes != (16, 16, 16))
     arrays = vars(ForceWorkspace(grid))
-    assert "flux" not in arrays
+    assert "flux" not in arrays and "a" not in arrays and "za_row" not in arrays
     samples = {name: arr for name, arr in arrays.items() if arr.dtype == float}
-    rows = dict.fromkeys(["za_row", "flux_row"], (1, d) + grid.shape) if helper else {}
+    rows = {"flux_row": (1, d) + grid.shape} if helper else {}
     assert {name: arr.shape for name, arr in samples.items()} == {
-        **dict.fromkeys(["grad_y", "grad_yt", "a", "b", "defect"], (d, d) + grid.shape),
+        **dict.fromkeys(["grad_y", "grad_yt", "b", "za", "defect"], (d, d) + grid.shape),
         "vec": (3, d) + grid.shape,
         **rows,
     }
-    planes = d if grid.sizes[-1] > MATMUL_MAX_LAST else 1
+    planes = 1
+    if grid.sizes[-1] > MATMUL_MAX_LAST:
+        planes = d + 1 if helper else d
     assert arrays["pad"].shape == (planes, d) + grid.pad_shape
     if helper:
         assert arrays["flux_slots"].shape == arrays["mat_band"].shape
     else:
-        assert not {"za_row", "flux_row", "flux_slots"} & set(arrays)
+        assert not {"flux_row", "flux_slots"} & set(arrays)
     assert "flux_pad" not in arrays
     assert sum(arr.nbytes for arr in arrays.values()) == size
 
@@ -593,6 +597,43 @@ def test_the_helper_thread_gives_the_deferred_force_bit_for_bit(
         assert same_bits(arr, _force_arrays(want)[name]), name
     assert got.pressure.iterations == want.pressure.iterations
     assert got.pressure.residuals == want.pressure.residuals
+
+
+def test_the_helper_flux_rows_plane_buffer_is_its_own_under_fast_switching(monkeypatch):
+    # on the plane2d box at 128^2, past MATMUL_MAX_LAST, the calling
+    # thread's numpy r2c of Z A fills the first d rows of the plane buffer
+    # while the helper's r2c of each flux row fills the last: with the
+    # threads switching every microsecond, and every r2c handing the GIL
+    # over before its caller reads the buffer it filled, every threaded
+    # force on one workspace, over several repeats on both amplitudes, has
+    # the bits of the deferred force. A plane buffer of d rows, whose last
+    # row both r2c's fill, fails here on every repeat (without the hand-
+    # over it failed about one force in 150)
+    grid = Grid((128, 128), (64.0, 2 * np.pi))
+    assert grid.sizes[-1] > MATMUL_MAX_LAST and grid.npoints >= OVERLAP_MIN_POINTS
+    rfft, interval = np.fft.rfft, sys.getswitchinterval()
+
+    def handing_over(*args, **kwargs):
+        out = rfft(*args, **kwargs)
+        time.sleep(1e-3)
+        return out
+
+    for amp in FORCE_AMPS:
+        state = build_flow_state(grid, scaled_spec(default_spec(grid.dim, None), amp))
+        _helper_runs(monkeypatch, 1)
+        want = {k: v.copy() for k, v in _force_arrays(compute_force(state)).items()}
+        _helper_runs(monkeypatch, 2)
+        monkeypatch.setattr(np.fft, "rfft", handing_over)
+        work = poisoned_workspace(grid)
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(6):
+                got = _force_arrays(compute_force(state, work=work))
+                for name, arr in got.items():
+                    assert same_bits(arr, want[name]), name
+        finally:
+            sys.setswitchinterval(interval)
+            monkeypatch.undo()
 
 
 def test_a_picard_failure_waits_for_the_helper_thread(monkeypatch):

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from lagmhd import geometry
+from lagmhd import evolution, geometry
 from lagmhd.errors import ConstructionFailedError
 from lagmhd.fields import VectorField
+from lagmhd.evolution import compute_force
 from lagmhd.geometry import (
     FlowState,
     cofactor_values,
@@ -12,7 +13,7 @@ from lagmhd.geometry import (
     graded_metric_values,
     make_trig_evaluator,
 )
-from lagmhd.grid import Grid
+from lagmhd.grid import ForceWorkspace, Grid
 from lagmhd.initial_data import (
     InitialDataSpec,
     ShearMode,
@@ -24,6 +25,7 @@ from lagmhd.spectral import gradient_values
 
 from conftest import (
     cofactor_pieces,
+    identity_plus,
     leray_project,
     mesh,
     random_band_limited,
@@ -42,10 +44,10 @@ def shear_state(grid, eps=0.1):
 
 def cofactors(y):
     """(B1, B2, A) of a displacement field: B1 and B2 from the graded
-    algebra, A from ``cofactor_values``."""
+    algebra, A as I + B with B from ``cofactor_values``."""
     grad = gradient_values(y.band, y.grid)
     b1, b2, _ = cofactor_pieces(grad)
-    return b1, b2, cofactor_values(grad)[1]
+    return b1, b2, identity_plus(cofactor_values(grad))
 
 
 def zero_field(grid):
@@ -144,8 +146,8 @@ def test_b_decomposition_sums_to_a(grid3, rng):
     eye = np.zeros((3, 3) + grid3.shape)
     for i in range(3):
         eye[i, i] = 1.0
-    resid = a - (eye + b1 + b2)
-    assert np.abs(resid).max() == 0.0  # identity by construction
+    resid = a - (eye + (b1 + b2))
+    assert np.abs(resid).max() == 0.0  # I + B, B = B1 + B2 bit for bit
 
 
 @pytest.mark.parametrize("amp", [1e-4, 0.05])
@@ -154,7 +156,7 @@ def test_metric_defect_from_b_matches_graded_sum(amp):
     state = build_flow_state(grid, scaled_spec(default_spec(3, None), amp))
     grad = gradient_values(state.Y, grid)
     b1, b2, _ = cofactor_pieces(grad)
-    b = cofactor_values(grad)[0]
+    b = cofactor_values(grad)
     from_b = b + np.swapaxes(b, 0, 1) + np.einsum("mi...,mj...->ij...", b, b)
     graded = sum(graded_metric_values(b1, b2))
     scale = np.abs(graded).max()
@@ -176,17 +178,70 @@ def _gradients_with_zeros(dim, rng, scale):
 @pytest.mark.parametrize("dim", [2, 3])
 @pytest.mark.parametrize("scale", [1e-3, 0.5])
 def test_cofactor_values_keeps_the_graded_algebras_bits(dim, scale, rng):
-    # B is B1 + B2 and A is (I + B1) + B2, bit for bit, signed zeros too,
-    # into fresh arrays and into given ones
+    # B is B1 + B2, bit for bit, signed zeros too, into a fresh array and
+    # into a given one, with given scratch or its own; the scratch is not
+    # read before it is written
     grad = _gradients_with_zeros(dim, rng, scale)
-    b1, b2, a_ref = cofactor_pieces(grad)
+    b1, b2, _ = cofactor_pieces(grad)
     b_ref = b1 + b2
-    for out in (None, (np.full_like(grad, np.nan), np.full_like(grad, np.nan))):
-        b, a = cofactor_values(grad, out=out)
+    given = (np.full_like(grad, np.nan), np.full_like(grad[0], np.nan))
+    for out, scratch in ((None, None), given):
+        b = cofactor_values(grad, out=out, scratch=scratch)
         assert same_bits(b, b_ref)
-        assert same_bits(a, a_ref)
         if out is not None:
-            assert b is out[0] and a is out[1]
+            assert b is out
+
+
+def _b_and_a_entry_by_entry(grad):
+    """(B, A) by the kernel that stored both, entry by entry: B_ij = B2_ij -
+    g_ji and A_ij = B_ij off the diagonal, B_ii = t + B2_ii and A_ii =
+    (t + 1) + B2_ii with t = div - g_ii, on fresh arrays."""
+    b, a = np.empty_like(grad), np.empty_like(grad)
+    div = np.trace(grad, axis1=0, axis2=1)
+    terms = geometry._COFACTOR_TERMS if len(grad) == 3 else geometry._PLANE_TERMS
+    for (i, j), pq, rs in terms:
+        b2 = 0.0
+        if pq is not None:
+            b2 = grad[pq[0]] * grad[pq[1]] - grad[rs[0]] * grad[rs[1]]
+        if i == j:
+            t = div - grad[i, i]
+            a[i, i] = (t + 1.0) + b2
+            b[i, i] = t + b2
+        else:
+            b[i, j] = b2 - grad[j, i]
+            a[i, j] = b[i, j]
+    return b, a
+
+
+@pytest.mark.parametrize(
+    "sizes, lengths, cpus",
+    [((16, 16, 16), None, 1), ((32, 32), None, 1), ((128, 128), (64.0, 2 * np.pi), 2)],
+    ids=["16^3", "32^2", "128^2-helper"],
+)
+def test_b_and_d_keep_the_bits_of_the_kernel_that_stored_a(monkeypatch, sizes, lengths, cpus):
+    # the cofactor kernel stores B alone: B is the B of the kernel that
+    # also stored A = (I + B1) + B2, bit for bit, on random gradients with
+    # exact zeros and on the criterion-6 data, and the force's B and its
+    # metric defect D = B^T B + B + B^T, on the helper thread at 128^2,
+    # are those of that B; A itself is I + B now, within round-off of the
+    # stored A
+    rng = np.random.default_rng(7)
+    for dim in (2, 3):
+        grad = _gradients_with_zeros(dim, rng, 0.5)
+        b_ref, a_ref = _b_and_a_entry_by_entry(grad)
+        assert same_bits(cofactor_values(grad), b_ref)
+        assert np.abs(identity_plus(b_ref) - a_ref).max() <= 4e-16 * np.abs(a_ref).max()
+    grid = Grid(sizes, lengths or (2 * np.pi,) * len(sizes))
+    state = build_flow_state(grid, scaled_spec(default_spec(grid.dim, None), 0.05))
+    b_ref, _ = _b_and_a_entry_by_entry(gradient_values(state.Y, grid))
+    d_ref = np.einsum("mi...,mj...->ij...", b_ref, b_ref)
+    d_ref += b_ref
+    d_ref += np.swapaxes(b_ref, 0, 1)
+    monkeypatch.setattr(evolution, "_usable_cpus", lambda: cpus)
+    work = ForceWorkspace(grid)
+    force = compute_force(state, work=work)
+    assert force.b_values is work.b and same_bits(work.b, b_ref)
+    assert same_bits(work.defect, d_ref)
 
 
 # -- determinant -------------------------------------------------------------

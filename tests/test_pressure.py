@@ -21,7 +21,9 @@ from lagmhd.spectral import (
 
 from conftest import (
     FullSpectrum,
+    a_times,
     cofactor_pieces,
+    identity_plus,
     leray_project,
     mesh,
     narrow,
@@ -78,10 +80,10 @@ def pressure_operands(state):
     grid = state.grid
     grad_y = gradient_values(state.Y, grid)
     b1, b2, _ = cofactor_pieces(grad_y)
-    a = cofactor_values(grad_y)[1]
+    b = cofactor_values(grad_y)
     defect = sum(graded_metric_values(b1, b2))
     pair = np.stack([grad_y[:, 0], grid.irfft(state.Yt)])
-    rhs = _tensor_rhs_spec(grid, a, pair, work=ForceWorkspace(grid))
+    rhs = _tensor_rhs_spec(grid, b, pair, work=ForceWorkspace(grid))
     return defect, rhs
 
 
@@ -126,17 +128,17 @@ def mask_first_force(state, iterations):
     grid = state.grid
     tables, fft, ifft = band_spectrum(grid)
     grad_y = gradient_values(state.Y, grid)
-    b, a = cofactor_values(grad_y)
+    b = cofactor_values(grad_y)
     grad_yt = gradient_values(state.Yt, grid)
     defect = np.einsum("mi...,mj...->ij...", b, b)
     defect += b
     defect += np.swapaxes(b, 0, 1)
 
     v, w = grad_y[:, 0], grid.irfft(state.Yt)
-    za = np.einsum("i...,l...->il...", v, np.einsum("ml...,m...->l...", a, v))
-    za -= np.einsum("i...,l...->il...", w, np.einsum("ml...,m...->l...", a, w))
+    za = np.einsum("i...,l...->il...", v, a_times(b, v, transpose=True))
+    za -= np.einsum("i...,l...->il...", w, a_times(b, w, transpose=True))
     w_real = ifft(staged_divergence(za, grid))
-    atw = np.einsum("jm...,j...->m...", a, w_real)
+    atw = a_times(b, w_real, transpose=True)
     rhs = riesz_apply_spec(fft(atw), tables)
 
     gp = rhs.copy()
@@ -147,7 +149,7 @@ def mask_first_force(state, iterations):
         residuals.append(l2(gp_new - gp, tables))
         gp = gp_new
     flux = np.einsum("jm...,im...->ij...", defect, grad_yt)
-    a_gp = np.einsum("im...,m...->i...", a, ifft(gp))
+    a_gp = a_times(b, ifft(gp))
     return staged_divergence(flux, grid, minus=a_gp), gp, residuals
 
 
@@ -226,23 +228,25 @@ def test_rhs_swap_antisymmetry(grid3, rng):
     state = small_state(Grid((16, 16, 16), (2 * np.pi,) * 3), 0.05)
     grid = state.grid
     grad_y = gradient_values(state.Y, grid)
-    a_vals = cofactor_values(grad_y)[1]
+    b_vals = cofactor_values(grad_y)
     d1y = grad_y[:, 0]
     a = _tensor_rhs_spec(
-        grid, a_vals, np.stack([d1y, grid.irfft(state.Yt)]), work=ForceWorkspace(grid)
+        grid, b_vals, np.stack([d1y, grid.irfft(state.Yt)]), work=ForceWorkspace(grid)
     )
     b = _tensor_rhs_spec(
-        grid, a_vals, np.stack([grid.irfft(state.Yt), d1y]), work=ForceWorkspace(grid)
+        grid, b_vals, np.stack([grid.irfft(state.Yt), d1y]), work=ForceWorkspace(grid)
     )
     assert np.abs(a + b).max() == 0.0
 
 
 def test_rhs_matches_outer_product_form():
-    # Z A with Z = v x v - w x w formed as a matrix, against the mat-vec form
+    # Z A with Z = v x v - w x w formed as a matrix and A = I + B stored
+    # whole, against the mat-vec form on B
     state = small_state(Grid((16, 16, 16), (2 * np.pi,) * 3), 0.05)
     grid = state.grid
     grad_y = gradient_values(state.Y, grid)
-    a_vals = cofactor_values(grad_y)[1]
+    b_vals = cofactor_values(grad_y)
+    a_vals = identity_plus(b_vals)
     v, w = grad_y[:, 0], grid.irfft(state.Yt)
     half, fft, ifft = half_spectrum(grid)
     z = np.einsum("i...,j...->ij...", v, v) - np.einsum("i...,j...->ij...", w, w)
@@ -252,22 +256,22 @@ def test_rhs_matches_outer_product_form():
         div_za += 1j * half.k_axes[l] * za_spec[:, l]
     atw = np.einsum("jm...,j...->m...", a_vals, ifft(div_za))
     ref = riesz_apply_spec(fft(atw) * half.dealias_mask, half)
-    got = _tensor_rhs_spec(grid, a_vals, np.stack([v, w]), work=ForceWorkspace(grid))
+    got = _tensor_rhs_spec(grid, b_vals, np.stack([v, w]), work=ForceWorkspace(grid))
     got = widen(grid, got, ref.shape[-1])
     scale = np.abs(ref).max()
     assert scale > 0.0
     assert np.abs(got - ref).max() < 1e-14 * scale
 
 
-def _two_outer_products_rhs(grid, a, v, w):
-    """R[A^T div2((v x v - w x w) A)] by two mat-vecs, two outer products
-    and a subtraction, each einsum on fresh arrays."""
-    at_v = np.einsum("ml...,m...->l...", a, v)
-    at_w = np.einsum("ml...,m...->l...", a, w)
+def _two_outer_products_rhs(grid, b, v, w):
+    """R[A^T div2((v x v - w x w) A)], A = I + B, by two mat-vecs, two
+    outer products and a subtraction, each on fresh arrays."""
+    at_v = a_times(b, v, transpose=True)
+    at_w = a_times(b, w, transpose=True)
     za = np.einsum("i...,l...->il...", v, at_v)
     za -= np.einsum("i...,l...->il...", w, at_w)
     w_real = grid.irfft(divergence_band(za, grid))
-    atw = np.einsum("jm...,j...->m...", a, w_real)
+    atw = a_times(b, w_real, transpose=True)
     return riesz_apply_spec(grid.rfft(atw), grid)
 
 
@@ -279,18 +283,18 @@ def test_the_stacked_rhs_keeps_the_bits_of_two_outer_products(sizes, rng):
     grid = Grid(sizes, (2 * np.pi,) * len(sizes))
     state = small_state(grid, 0.05)
     grad_y = gradient_values(state.Y, grid)
-    a_vals = cofactor_values(grad_y)[1]
+    b_vals = cofactor_values(grad_y)
     noise = rng.standard_normal((2, grid.dim) + grid.shape)
     zeros = rng.random(noise.shape) < 0.25
     noise[zeros] = np.copysign(0.0, rng.standard_normal(int(zeros.sum())))
     for pair in (np.stack([grad_y[:, 0], grid.irfft(state.Yt)]), noise):
-        want = _two_outer_products_rhs(grid, a_vals, pair[0], pair[1])
+        want = _two_outer_products_rhs(grid, b_vals, pair[0], pair[1])
         fresh = ForceWorkspace(grid)
-        assert same_bits(_tensor_rhs_spec(grid, a_vals, pair.copy(), work=fresh), want)
+        assert same_bits(_tensor_rhs_spec(grid, b_vals, pair.copy(), work=fresh), want)
         work = poisoned_workspace(grid)
         v, w = work.grad_y[:, 0], work.vec[0]
         v[...], w[...] = pair
-        got = _tensor_rhs_spec(grid, a_vals, (v, w), work=work)
+        got = _tensor_rhs_spec(grid, b_vals, (v, w), work=work)
         assert same_bits(got, want)
         # the pair is read, not written
         assert same_bits(v, pair[0]) and same_bits(w, pair[1])

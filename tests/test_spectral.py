@@ -11,7 +11,7 @@ from lagmhd.energy import EnergyEvaluator
 from lagmhd.fields import VectorField
 from lagmhd.geometry import FlowState
 import lagmhd.grid as grid_module
-from lagmhd.grid import ForceWorkspace, Grid, multi_indices
+from lagmhd.grid import MATMUL_MAX_LAST, ForceWorkspace, Grid, multi_indices
 from lagmhd.spectral import (
     dealias_spec,
     divergence_band,
@@ -520,6 +520,32 @@ def test_rfft_irfft_into_given_arrays_equal_the_allocating_forms(name, rng):
         assert grid.irfft(arg, out=out, pad=stale) is out
         assert np.array_equal(out, want)
         assert np.array_equal(arg, kept)
+
+
+@pytest.mark.parametrize(
+    "sizes, lengths", [((128, 128), (64.0, 2 * np.pi)), ((4, 8, 128), None)],
+    ids=["2D-128", "4x8x128"],
+)
+def test_irfft_past_the_matmul_size_keeps_the_bits_of_the_c2r_of_the_band_planes(
+    sizes, lengths, rng
+):
+    # past MATMUL_MAX_LAST Grid.irfft zeroes the planes K..N_last/2 of its
+    # plane buffer and runs numpy's c2r on all N_last/2 + 1 of them: the
+    # bits of numpy's c2r of the K contiguous planes alone, which pads them
+    # itself, on the component shapes a 128^2 run transforms (a scalar, a
+    # vector, the Eulerian stepper's stack of 2 d and a matrix), into a
+    # plane buffer of NaN and an allocated one
+    grid = Grid(sizes, lengths or (2 * np.pi,) * len(sizes))
+    d, n, nb = grid.dim, grid.sizes[-1], grid.band_shape[-1]
+    assert n > MATMUL_MAX_LAST and grid.pad_shape[-1] == n // 2 + 1 > nb
+    for comp in [(), (d,), (2 * d,), (d, d)]:
+        band = grid.rfft(rng.standard_normal(comp + grid.shape))
+        planes = np.empty(comp + grid.pad_shape[:-1] + (nb,), dtype=complex)
+        grid.lead_pass(grid.scatter(band, planes), grid.spatial_axes[:-1], inverse=True)
+        want = np.fft.irfft(planes, n=n, axis=-1, norm="forward")
+        pad = np.full(comp + grid.pad_shape, np.nan, dtype=complex)
+        assert same_bits(grid.irfft(band, pad=pad), want)
+        assert same_bits(grid.irfft(band), want)
 
 
 def test_grids_of_one_last_size_share_one_dft_table(monkeypatch, rng):
