@@ -363,7 +363,10 @@ def compute_force(
     process with at least 2 usable CPUs, the first stages of phases 1 and 2
     run on a helper thread: the gradient of Yt with its slots in
     ``flux_slots``, the flux row by row into ``flux_row`` and its planes
-    in ``flux_slots``. Otherwise the stages run in sequence: the gradient
+    in ``flux_slots``. Past ``MATMUL_MAX_LAST`` the gradient of Y runs its
+    c2r through the plane rows ``pad[:d]``, and the helper its c2r's and
+    r2c's through its own row ``pad[-1:]``, one vector row at a time.
+    Otherwise the stages run in sequence: the gradient
     of Yt after the cofactor, its slots in ``mat_band``; D ahead of the
     right-hand side; the flux, into ``za`` and its planes in ``mat_band``,
     after A grad_p, and f takes the calls of ``divergence_band``. Either
@@ -399,10 +402,13 @@ def compute_force(
         viscous = work.za, work.mat_band, work.pad[: grid.dim]
     grad_yt, yt, defect = work.grad_yt, work.vec[0], work.defect
     task = partial(
-        spectral.gradient_values, state.Yt, grid, out=grad_yt, values=yt, slots=viscous[1]
+        spectral.gradient_values, state.Yt, grid, out=grad_yt, values=yt, slots=viscous[1],
+        pad=viscous[2],
     )
     with _alongside(task, threaded):
-        grad_y = gradient_values(state.Y, grid, out=work.grad_y, slots=work.mat_band)
+        grad_y = gradient_values(
+            state.Y, grid, out=work.grad_y, slots=work.mat_band, pad=work.pad[: grid.dim]
+        )
         b = cofactor_values(grad_y, out=work.b, scratch=work.za[0])
 
     task = partial(_viscous_planes, grid, defect, grad_yt, *viscous, start=threaded)

@@ -19,14 +19,16 @@ and the symbols of its stages hold: the leading axes by a single-axis c2c
 (``lead_pass``), scipy's pocketfft extension's in either dimension, where
 in 3D the pass that meets the mask runs on the lines it keeps only, the
 last axis (``last_forward``, ``last_inverse``) by a matmul against a pruned
-real DFT table for N_last <= MATMUL_MAX_LAST and by numpy's r2c/c2r past
-that.
+real DFT table for N_last <= MATMUL_MAX_LAST and past that by the same
+extension's r2c/c2r, with numpy.fft's rfft/irfft bits, the c2r of the K
+planes through zero-tailed rows of a plane buffer.
 ``scatter`` puts a band into that layout, zeros in the dropped blocks
 (``zero_dropped``), and ``gather`` takes it back out, so no band holds a
 mode the mask drops and none is masked.
 
-No run imports a scipy module: the first ``Grid`` loads the one extension
-its leading passes call, pocketfft's, by its path in the scipy package, and
+No run imports a scipy module or numpy.fft: the first ``Grid`` loads the
+one extension its transforms call, pocketfft's, by its path in the scipy
+package, and forms its wavenumbers as numpy.fft's fftfreq does, without it;
 only ``Grid.fft`` and ``Grid.ifft`` import scipy.fft.
 """
 
@@ -36,6 +38,7 @@ import functools
 import importlib.machinery
 import importlib.util
 import itertools
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -43,7 +46,8 @@ from dataclasses import dataclass
 import numpy as np
 
 # scipy's pocketfft extension, loaded by the first Grid, whose leading
-# passes call its c2c: numpy.fft's c2c takes the 3D middle-axis pass in
+# passes call its c2c, and its last-axis stages past MATMUL_MAX_LAST its
+# r2c and c2r: numpy.fft's c2c takes the 3D middle-axis pass in
 # chunks of lines, 1.5-2.1 times pocketfft's time there (544 / 355 us on a
 # (9, 32, 32, 11) buffer, 99 / 47 us at (9, 16, 16, 6); 2-core Xeon, numpy
 # 2.4, scipy 1.17), and on the 2D pass it gives numpy.fft's bits in 0.87-0.92
@@ -76,10 +80,12 @@ def _pocketfft():
 
 
 # Largest N_last whose last-axis stage is a matmul. Speed-up of the matmul
-# over numpy.fft's rfft/irfft on that stage, for a 3-vector on one thread
-# (2-core Xeon, numpy 2.4, OpenBLAS 0.3.31), forward / inverse: 16^3 3.7x /
-# 5.0x, 32^3 3.5x / 3.7x, 64^3 1.7x / 2.3x, 128^2 0.57x / 0.95x, 256^2
-# 0.51x / 0.46x. The matmul's work grows as N_last^2, the FFT's as
+# over pocketfft's r2c/c2r on that stage (the r2c's K planes copied out, the
+# c2r's K planes padded into zeroed plane rows), for a 3-vector on one
+# thread (2-core Xeon, numpy 2.4, scipy 1.17, OpenBLAS 0.3.31, best of 7 or
+# 21), forward / inverse: 16^3 3.0x / 4.6-5.6x, 32^3 3.3x / 4.7x, 64^3
+# 1.9-2.2x / 2.6-2.8x, 128^2 0.70-0.90x / 0.57-1.02x, 256^2 0.53-0.55x /
+# 0.56-0.61x. The matmul's work grows as N_last^2, the FFT's as
 # N_last log N_last.
 MATMUL_MAX_LAST = 64
 
@@ -194,10 +200,12 @@ class Grid:
             return table.reshape([-1 if j == i else 1 for j in range(dim)])
 
         # k_i of the N_i FFT-ordered modes of each axis, the first K of the
-        # last; the band's are the entries of its modes
+        # last, as numpy.fft's fftfreq forms them, with its bits: the
+        # integers n_i times 1/(N_i h_i); the band's are the entries of its
+        # modes
+        wide_n = [np.r_[0 : (n + 1) // 2, -(n // 2) : 0] for n in sizes[:-1]] + [np.arange(nb)]
         wide_k = tuple(
-            2.0 * np.pi * np.fft.fftfreq(n, d=h)[: None if i < dim - 1 else nb]
-            for i, (n, h) in enumerate(zip(sizes, spacings))
+            2.0 * np.pi * (m * (1.0 / (n * h))) for m, n, h in zip(wide_n, sizes, spacings)
         )
         k_axes = tuple(along(i, k[modes[i] % len(k)]) for i, k in enumerate(wide_k))
         k2 = np.zeros(band_shape)
@@ -233,7 +241,7 @@ class Grid:
         multiplicity = np.full(nb, 2.0)
         multiplicity[0] = 1.0
         # a plane buffer's last axis: the band, all the matmul stage reads,
-        # or the N_last/2 + 1 planes of numpy's r2c
+        # or the N_last/2 + 1 planes of pocketfft's r2c and c2r
         pad_last = nb if sizes[-1] <= MATMUL_MAX_LAST else sizes[-1] // 2 + 1
         coords = tuple(
             (spacings[i] * np.arange(sizes[i])).reshape(
@@ -294,9 +302,9 @@ class Grid:
     def irfft(self, band, out=None, pad=None):
         """Band -> real samples, the argument left unchanged: ``scatter``
         into the first K planes of pad (overwritten), zeros in the rest, one
-        inverse ``lead_pass`` on the K and ``last_inverse`` of all of pad, one
-        contiguous run for numpy's c2r past ``MATMUL_MAX_LAST``. out and pad
-        (``pad_shape``) are allocated when not given."""
+        inverse ``lead_pass`` on the K and ``last_inverse`` of all of pad,
+        which past ``MATMUL_MAX_LAST`` is one pocketfft c2r of pad, with no
+        copy. out and pad (``pad_shape``) are allocated when not given."""
         if pad is None:
             pad = np.empty(band.shape[: -self.dim] + self.pad_shape, dtype=complex)
         wide = self.scatter(band, pad)
@@ -356,9 +364,10 @@ class Grid:
         """Real samples -> their first K last-axis planes, scaled by 1/N_last,
         on every leading sample, into out, by default the first K planes of
         pad: for N_last <= MATMUL_MAX_LAST one matmul against the cached
-        table ``_dft_tables(N_last)[0]``, past it numpy's rfft into all
-        N_last/2 + 1 planes of pad, the first K of which are copied into a
-        given out. pad (``pad_shape``) is allocated when needed."""
+        table ``_dft_tables(N_last)[0]``, past it pocketfft's r2c (``sfft``,
+        numpy.fft's rfft bits) into all N_last/2 + 1 planes of pad, the
+        first K of which are copied into a given out. pad (``pad_shape``) is
+        allocated when needed."""
         lead, n, nb = values.shape[:-1], self.sizes[-1], self.band_shape[-1]
         if pad is None and (out is None or n > MATMUL_MAX_LAST):
             pad = np.empty(lead + self.pad_shape[-1:], dtype=complex)
@@ -366,24 +375,43 @@ class Grid:
             out = pad[..., :nb] if out is None else out
             np.matmul(values, _dft_tables(n)[0], out=out.view(float))
             return out
-        np.fft.rfft(values, axis=-1, norm="forward", out=pad)
+        sfft.r2c(values, (-1,), True, 2, pad, 1)
         if out is None:
             return pad[..., :nb]
         out[...] = pad[..., :nb]
         return out
 
-    def last_inverse(self, planes, out=None):
+    def last_inverse(self, planes, out=None, pad=None):
         """The k last-axis planes of ``planes`` -> real samples, the planes
-        past k taken as zero: for N_last <= MATMUL_MAX_LAST one matmul
-        of the planes, viewed as float, against the first 2k rows of
-        ``_dft_tables(N_last)[1]``; past it numpy's irfft, which pads them
-        to N_last/2 + 1 planes itself."""
+        past k taken as zero, into out (allocated when not given): for
+        N_last <= MATMUL_MAX_LAST one matmul of the planes, viewed as float,
+        against the first 2k rows of ``_dft_tables(N_last)[1]``; past it
+        pocketfft's c2r (numpy.fft's irfft bits), which reads all N_last/2 +
+        1 planes: fewer are first copied into the first k planes of pad,
+        zero past them, as many entries of planes' axis 0 per c2r as pad
+        holds (at least one). pad, such as rows of ``ForceWorkspace.pad``,
+        is allocated for all entries when not given."""
         n, k = self.sizes[-1], planes.shape[-1]
-        if n > MATMUL_MAX_LAST:
-            return np.fft.irfft(planes, n=n, axis=-1, norm="forward", out=out)
         if out is None:
             out = np.empty(planes.shape[:-1] + (n,))
-        return np.matmul(planes.view(float), _dft_tables(n)[1][: 2 * k], out=out)
+        if n <= MATMUL_MAX_LAST:
+            return np.matmul(planes.view(float), _dft_tables(n)[1][: 2 * k], out=out)
+        full = n // 2 + 1
+        if k == full:
+            return sfft.c2r(planes, (-1,), n, False, 0, out, 1)
+        entry = planes.shape[1:-1] + (full,)
+        if pad is None:
+            pad = np.empty((len(planes),) + entry, dtype=complex)
+        each = math.prod(entry)
+        step = min(len(planes), pad.size // each)
+        rows = pad.reshape(-1)[: step * each].reshape((step,) + entry)
+        rows[..., k:] = 0.0
+        for i in range(0, len(planes), step):
+            block = planes[i : i + step]
+            part = rows[: len(block)]
+            part[..., :k] = block
+            sfft.c2r(part, (-1,), n, False, 0, out[i : i + step], 1)
+        return out
 
     def fft(self, values):
         """Real samples -> full spectrum c_k with f(y) = sum c_k e^{ik.y}, by
@@ -464,22 +492,26 @@ class ForceWorkspace:
     Y and the stages of the divergence of Z A, and, in sequence, the slots
     of the gradient of Yt and the stages of the viscous flux less A grad_p;
     ``pad``, arrays of ``grid.pad_shape``, keeps only the rows a force
-    reads: past ``MATMUL_MAX_LAST`` the d rows numpy's r2c of a matrix
-    fills, and the helper's own, and at or below it one vector row, (1, d).
-    ``pad[0]`` is the plane buffer of ``Grid.irfft`` and ``Grid.rfft`` on a
-    vector, and the K planes of
+    reads: past ``MATMUL_MAX_LAST`` the d rows the r2c of a matrix fills
+    and the c2r of a gradient pads its slots into, and the helper's own,
+    and at or below it one vector row, (1, d), which no last-axis stage
+    reads then. ``pad[0]`` is the plane buffer of ``Grid.irfft`` and
+    ``Grid.rfft`` on a vector, and the K planes of
     ``divergence_finish``'s ``minus`` go to the memory of ``pad[-1]``: at
-    or below ``MATMUL_MAX_LAST`` that is the same row, which no transform
-    reads then.
+    or below ``MATMUL_MAX_LAST`` that is the same row.
 
     From ``OVERLAP_MIN_POINTS`` grid points on, the helper thread of
     ``evolution.compute_force`` has arrays of its own: ``flux_slots``, laid
     out as ``mat_band``, the slots of the gradient of Yt, then the planes
     of the viscous flux D grad Yt, less A grad_p at the end, and
-    ``flux_row``, (1, d) samples, one row of the flux at a time, whose
-    numpy r2c past ``MATMUL_MAX_LAST`` fills ``pad[-1]``, past the d rows
-    the calling thread's r2c of Z A fills meanwhile. Below that size the
-    workspace has neither, and the flux takes ``za`` and ``mat_band``.
+    ``flux_row``, (1, d) samples, one row of the flux at a time. Past
+    ``MATMUL_MAX_LAST`` its last-axis stages use ``pad[-1]``, past the d
+    rows of the calling thread: in phase 1 the c2r of Yt's samples and
+    then, a vector row at a time, of its gradient's slots pad into it
+    while the gradient of Y pads into the first d, and in phase 2 the r2c
+    of each flux row fills it while the r2c of Z A fills the first d.
+    Below that size the workspace has neither, and the flux takes ``za``
+    and ``mat_band``.
     """
 
     def __init__(self, grid: Grid):
@@ -498,7 +530,7 @@ class ForceWorkspace:
         wide = grid.pad_shape[:-1] + band[-1:]
         self.mat_band = np.empty((d, d) + wide, dtype=complex)
         helper = grid.npoints >= OVERLAP_MIN_POINTS
-        # past MATMUL_MAX_LAST a matrix's r2c fills d rows, the helper's one more
+        # past MATMUL_MAX_LAST a matrix's r2c and c2r use d rows, the helper's one more
         rows = d + helper if grid.sizes[-1] > MATMUL_MAX_LAST else 1
         self.pad = np.empty((rows, d) + grid.pad_shape, dtype=complex)
         if helper:

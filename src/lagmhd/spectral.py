@@ -17,7 +17,7 @@ from .grid import Grid
 # -- derivatives --------------------------------------------------------------
 
 
-def gradient_values(band, grid: Grid, out=None, values=None, slots=None):
+def gradient_values(band, grid: Grid, out=None, values=None, slots=None, pad=None):
     """Real-space gradient of a vector band: out[i, j] = d_j v^i; ``values``,
     when given, receives the samples of v, bit for bit ``grid.irfft(band)``.
 
@@ -28,8 +28,11 @@ def gradient_values(band, grid: Grid, out=None, values=None, slots=None):
     a 3D vector, not 18, the first 6 on the kept lines only. Slot d - 1
     times i k_last is d_last v^i. The symbols are the grid's tables on the
     wide layout. ``slots``, laid out as ``ForceWorkspace.mat_band``, holds
-    them when given, contiguous K planes, which numpy's c2r pads itself past
-    ``MATMUL_MAX_LAST``.
+    them when given, contiguous K planes. Past ``MATMUL_MAX_LAST`` each c2r
+    of ``grid.last_inverse`` reads them through zero-tailed plane rows,
+    ``pad``, rows of ``ForceWorkspace.pad``, when given (d rows take all
+    of a vector's slots in one call, one row those of one component per
+    call), else rows of its own.
     """
     d, ik = grid.dim, grid._wide_ik
     if slots is None:
@@ -40,9 +43,9 @@ def gradient_values(band, grid: Grid, out=None, values=None, slots=None):
         np.multiply(slots[:, -1], ik[a], out=slots[:, a])
         grid.lead_pass(slots if a == d - 2 else slots[:, ::2], (a - d,), inverse=True)
     if values is not None:
-        grid.last_inverse(slots[:, -1], out=values)
+        grid.last_inverse(slots[:, -1], out=values, pad=pad)
     slots[:, -1] *= ik[-1]
-    return grid.last_inverse(slots, out=out)
+    return grid.last_inverse(slots, out=out, pad=pad)
 
 
 def divergence_band(mat, grid: Grid, out=None, work=None, minus=None):

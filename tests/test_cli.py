@@ -41,9 +41,10 @@ def test_cli_run_and_fit(tmp_path, capsys):
 
 def test_a_2d_and_a_3d_run_load_no_scipy_module(tmp_path):
     # in a fresh interpreter a 16^2 and then a 16^3 run through the CLI each
-    # exit 0, write their CSV and leave no scipy module loaded: the first
-    # grid, the 2D one, loads pocketfft's extension by its path in the scipy
-    # package, whose c2c the leading passes of either dimension run
+    # exit 0, write their CSV and leave no scipy module and no numpy.fft
+    # module loaded: the first grid, the 2D one, loads pocketfft's extension
+    # by its path in the scipy package, whose c2c the leading passes of
+    # either dimension run, and forms its wavenumbers without numpy.fft
     script = textwrap.dedent("""
         import json, os, sys
         import lagmhd.grid
@@ -52,8 +53,10 @@ def test_a_2d_and_a_3d_run_load_no_scipy_module(tmp_path):
         for cfg, out in zip(sys.argv[1::2], sys.argv[2::2]):
             rc = main(["run", "--config", cfg, "--output", out])
             scipy = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+            numpy_fft = sorted(m for m in sys.modules if m.split(".")[:2] == ["numpy", "fft"])
             ext = getattr(lagmhd.grid.sfft, "__name__", None)
-            found.append([rc, os.path.exists(os.path.join(out, "diagnostics.csv")), scipy, ext])
+            csv = os.path.exists(os.path.join(out, "diagnostics.csv"))
+            found.append([rc, csv, scipy, numpy_fft, ext])
         ext = lagmhd.grid.sfft
         print(json.dumps([found, ext.__file__, type(ext.c2c).__name__]))
     """)
@@ -73,7 +76,7 @@ def test_a_2d_and_a_3d_run_load_no_scipy_module(tmp_path):
     assert proc.returncode == 0, proc.stderr
     found, path, kind = json.loads(proc.stdout.splitlines()[-1])
     name = "scipy.fft._pocketfft.pypocketfft"
-    assert found == [[0, True, [], name], [0, True, [], name]]
+    assert found == [[0, True, [], [], name], [0, True, [], [], name]]
     scipy_dir = importlib.util.find_spec("scipy").submodule_search_locations[0]
     assert os.path.dirname(path) == os.path.join(scipy_dir, "fft", "_pocketfft")
     assert kind == "builtin_function_or_method"

@@ -291,7 +291,10 @@ def _force_transforms(monkeypatch, grid, amp):
     [those of passes on whole transform buffers, of the wide (N0[, N1], K)
     layout, those of passes on blocks of them]. The last-axis stages of a
     helper thread go to "helper", in its call order, as ("forward" or
-    "inverse", shape); its leading passes join the lines.
+    "inverse", shape); its leading passes join the lines. Past
+    ``MATMUL_MAX_LAST`` each call of pocketfft's r2c or c2r, which those
+    stages run, goes to "pocketfft" as (name, on the helper, the shape of
+    its samples), in call order.
 
     The state holds bands only, as a stepped state does, so Yt's samples
     cost a last-axis stage. Every transform of the kernel goes through
@@ -300,7 +303,7 @@ def _force_transforms(monkeypatch, grid, amp):
     built = build_flow_state(grid, scaled_spec(default_spec(grid.dim, None), amp))
     state = FlowState(grid, built.Y, built.Yt, 0.0)
     d = grid.dim
-    calls = {"forward": [], "inverse": [], "lines": [0, 0], "helper": []}
+    calls = {"forward": [], "inverse": [], "lines": [0, 0], "helper": [], "pocketfft": []}
     stages = Grid.last_forward, Grid.last_inverse
     main = threading.current_thread()
 
@@ -311,6 +314,16 @@ def _force_transforms(monkeypatch, grid, amp):
         (axis,) = axes
         calls["lines"][0 if arr.shape[-d:] == wide else 1] += arr.size // arr.shape[axis]
         return c2c(arr, axes, *args)
+
+    def counted_last(name):
+        call = getattr(grid_module.sfft, name)
+
+        def counted(arr, *args):
+            helper = threading.current_thread() is not main
+            calls["pocketfft"].append((name, helper, arr.shape[:-1] + grid.shape[-1:]))
+            return call(arr, *args)
+
+        return counted
 
     def counted_forward(self, values, *args, **kwargs):
         if threading.current_thread() is main:
@@ -328,6 +341,8 @@ def _force_transforms(monkeypatch, grid, amp):
         return stages[1](self, planes, *args, **kwargs)
 
     monkeypatch.setattr(grid_module.sfft, "c2c", counted_c2c)
+    for name in ("r2c", "c2r"):
+        monkeypatch.setattr(grid_module.sfft, name, counted_last(name))
     monkeypatch.setattr(Grid, "last_forward", counted_forward)
     monkeypatch.setattr(Grid, "last_inverse", counted_inverse)
     iters = compute_force(state).pressure.iterations
@@ -358,7 +373,10 @@ def test_the_helper_thread_splits_the_matrix_transforms_into_rows(monkeypatch, a
     # the pressure rhs, D grad_p and grad_p per Picard iteration, the final
     # grad_p and A grad_p; the helper the samples of Yt and grad Yt, then
     # the viscous flux a row at a time. Every last-axis component of the
-    # deferred force is taken once, the (d, d) flux as d rows
+    # deferred force is taken once, the (d, d) flux as d rows. Past
+    # MATMUL_MAX_LAST the calling thread's c2r of grad Y reads all its
+    # slots through the d plane rows it owns, and the helper's c2r of grad
+    # Yt, through its one row, runs a vector row at a time
     grid = Grid((128, 128), (64.0, 2 * np.pi))
     d = grid.dim
     vec, mat, row = (d,) + grid.shape, (d, d) + grid.shape, (1, d) + grid.shape
@@ -372,11 +390,24 @@ def test_the_helper_thread_splits_the_matrix_transforms_into_rows(monkeypatch, a
         shapes = c["forward"] + c["inverse"] + [shape for _, shape in c["helper"]]
         return sum(int(np.prod(shape[:-d])) for shape in shapes)
 
+    def pocketfft(c, helper=None):
+        return [(name, shape) for name, on, shape in c["pocketfft"] if helper in (None, on)]
+
+    def pocketfft_components(c):
+        counts = {}
+        for name, shape in pocketfft(c):
+            counts[name] = counts.get(name, 0) + int(np.prod(shape[:-d]))
+        return counts
+
     assert iters == serial_iters and not serial["helper"]
     assert components(calls) == components(serial)
     assert calls["forward"] == [mat, vec] + [vec] * iters + [vec]
     assert calls["inverse"] == [mat, vec] + [vec] * iters + [vec]
     assert calls["helper"] == [("inverse", vec), ("inverse", mat)] + [("forward", row)] * d
+    assert not pocketfft(serial, True)
+    assert pocketfft_components(calls) == pocketfft_components(serial)
+    assert pocketfft(calls, False)[0] == ("c2r", mat)
+    assert pocketfft(calls, True) == [("c2r", vec)] + [("c2r", row)] * d + [("r2c", row)] * d
 
 
 @pytest.mark.parametrize("sizes", [(16, 16, 16), (32, 32)], ids=["3D", "2D"])
@@ -601,29 +632,42 @@ def test_the_helper_thread_gives_the_deferred_force_bit_for_bit(
 
 def test_the_helper_flux_rows_plane_buffer_is_its_own_under_fast_switching(monkeypatch):
     # on the plane2d box at 128^2, past MATMUL_MAX_LAST, the calling
-    # thread's numpy r2c of Z A fills the first d rows of the plane buffer
-    # while the helper's r2c of each flux row fills the last: with the
-    # threads switching every microsecond, and every r2c handing the GIL
-    # over before its caller reads the buffer it filled, every threaded
-    # force on one workspace, over several repeats on both amplitudes, has
+    # thread's plane rows are the first d of the workspace's plane buffer
+    # and the helper's the last: in phase 1 the c2r of grad Y pads its
+    # slots into the first d while the helper's c2r of Yt's samples and
+    # grad Yt pads its own into the last, and in phase 2 the r2c of Z A
+    # fills the first d while the helper's r2c of each flux row fills the
+    # last. With the threads switching every microsecond, and every r2c and
+    # c2r of pocketfft handing the GIL over before and after it runs, so
+    # between a pad and the call that reads it, every threaded force on
+    # one poisoned workspace, over several repeats on both amplitudes, has
     # the bits of the deferred force. A plane buffer of d rows, whose last
     # row both r2c's fill, fails here on every repeat (without the hand-
-    # over it failed about one force in 150)
+    # over it failed about one force in 150), as does a helper that pads
+    # its gradient's c2r into the first row
     grid = Grid((128, 128), (64.0, 2 * np.pi))
     assert grid.sizes[-1] > MATMUL_MAX_LAST and grid.npoints >= OVERLAP_MIN_POINTS
-    rfft, interval = np.fft.rfft, sys.getswitchinterval()
+    interval, main, ran = sys.getswitchinterval(), threading.current_thread(), set()
 
-    def handing_over(*args, **kwargs):
-        out = rfft(*args, **kwargs)
-        time.sleep(1e-3)
-        return out
+    def handing_over(name):
+        call = getattr(grid_module.sfft, name)
+
+        def run(*args):
+            ran.add((name, threading.current_thread() is main))
+            time.sleep(1e-3)
+            out = call(*args)
+            time.sleep(1e-3)
+            return out
+
+        return run
 
     for amp in FORCE_AMPS:
         state = build_flow_state(grid, scaled_spec(default_spec(grid.dim, None), amp))
         _helper_runs(monkeypatch, 1)
         want = {k: v.copy() for k, v in _force_arrays(compute_force(state)).items()}
         _helper_runs(monkeypatch, 2)
-        monkeypatch.setattr(np.fft, "rfft", handing_over)
+        for name in ("r2c", "c2r"):
+            monkeypatch.setattr(grid_module.sfft, name, handing_over(name))
         work = poisoned_workspace(grid)
         sys.setswitchinterval(1e-6)
         try:
@@ -634,6 +678,7 @@ def test_the_helper_flux_rows_plane_buffer_is_its_own_under_fast_switching(monke
         finally:
             sys.setswitchinterval(interval)
             monkeypatch.undo()
+    assert ran == {(name, on) for name in ("r2c", "c2r") for on in (True, False)}
 
 
 def test_a_picard_failure_waits_for_the_helper_thread(monkeypatch):

@@ -548,6 +548,72 @@ def test_irfft_past_the_matmul_size_keeps_the_bits_of_the_c2r_of_the_band_planes
         assert same_bits(grid.irfft(band), want)
 
 
+@pytest.mark.parametrize(
+    "sizes, lengths",
+    [((128, 128), (64.0, 2 * np.pi)), ((128, 256), None), ((4, 8, 128), None)],
+    ids=["128^2", "128x256", "4x8x128"],
+)
+def test_last_axis_stages_past_the_matmul_size_keep_numpy_fft_bits(sizes, lengths, rng):
+    # past MATMUL_MAX_LAST the last-axis stages run pocketfft's r2c and c2r:
+    # last_forward has the bits of numpy.fft's rfft, and last_inverse those
+    # of its irfft, on all N_last/2 + 1 planes and on the first K, which it
+    # copies into zero-tailed plane rows, given (NaN, one vector row or a
+    # matrix's d rows) or its own; gradient_values' samples and gradient,
+    # its c2r's through the same rows, are numpy's c2r of its K-plane slots
+    grid = Grid(sizes, lengths or (2 * np.pi,) * len(sizes))
+    d, n, nb = grid.dim, grid.sizes[-1], grid.band_shape[-1]
+    assert n > MATMUL_MAX_LAST and grid.pad_shape[-1] == n // 2 + 1 > nb
+
+    def irfft(planes):
+        return np.fft.irfft(planes, n=n, axis=-1, norm="forward")
+
+    def rows(count):
+        return np.full((count, d) + grid.pad_shape, np.nan, dtype=complex)
+
+    for comp in [(d,), (d, d)]:
+        values = rng.standard_normal(comp + grid.shape)
+        full = np.fft.rfft(values, axis=-1, norm="forward")
+        assert same_bits(grid.last_forward(values), full[..., :nb])
+        pad = np.full(comp + grid.pad_shape, np.nan, dtype=complex)
+        out = np.full(comp + grid.pad_shape[:-1] + (nb,), np.nan, dtype=complex)
+        assert grid.last_forward(values, out=out, pad=pad) is out
+        assert same_bits(out, full[..., :nb]) and same_bits(pad, full)
+        planes = full[..., :nb].copy()
+        assert same_bits(grid.last_inverse(full), irfft(full))
+        for pad in (None, rows(1), rows(d)):
+            out = np.full(values.shape, np.nan)
+            assert grid.last_inverse(planes, out=out, pad=pad) is out
+            assert same_bits(out, irfft(planes))
+            assert same_bits(grid.last_inverse(planes, pad=pad), irfft(planes))
+
+    wide = grid.pad_shape[:-1] + (nb,)
+    for comp in [(1,), (d,)]:
+        band = grid.rfft(rng.standard_normal(comp + grid.shape))
+        planes = grid.scatter(band, np.empty(comp + wide, dtype=complex))
+        want_values = irfft(grid.lead_pass(planes, grid.spatial_axes[:-1], inverse=True))
+        for pad in (None, rows(1), rows(d)):
+            slots = np.full(comp + (d,) + wide, np.nan, dtype=complex)
+            values = np.full(comp + grid.shape, np.nan)
+            grad = gradient_values(band, grid, values=values, slots=slots, pad=pad)
+            assert same_bits(grad, irfft(slots))
+            assert same_bits(values, want_values)
+
+
+@pytest.mark.parametrize(
+    "sizes, lengths",
+    [((128, 128), (64.0, 2 * np.pi)), ((32, 8, 16), L3), ((4, 8, 128), None)],
+    ids=["128^2", "32x8x16", "4x8x128"],
+)
+def test_grid_wavenumbers_keep_the_bits_of_fftfreq(sizes, lengths):
+    # a grid forms its wavenumbers without numpy.fft, as fftfreq's integers
+    # times 1/(N_i h_i): on the band's modes of every axis they are 2 pi
+    # times numpy.fft's fftfreq(N_i, h_i), bit for bit
+    grid = Grid(sizes, lengths or (2 * np.pi,) * len(sizes))
+    for i, (n, h) in enumerate(zip(grid.sizes, grid.spacings)):
+        want = 2.0 * np.pi * np.fft.fftfreq(n, d=h)
+        assert same_bits(grid.k_axes[i].reshape(-1), want[grid.modes[i] % n])
+
+
 def test_grids_of_one_last_size_share_one_dft_table(monkeypatch, rng):
     seen = []
     tables = grid_module._dft_tables
@@ -702,10 +768,12 @@ def test_divergence_band_against_fftn(name, rng):
 )
 def test_shared_pass_kernels_in_a_workspace_allocate_no_band(sizes, lengths, rng):
     # in a warm workspace the two kernels allocate numpy's bookkeeping
-    # only (about 1.8 KB): an operand numpy cannot walk as one run, such as
-    # the first K of the N_last/2 + 1 planes of numpy's r2c at 128^2, is
-    # buffered, 88 KB there, and fails the bound; a vector band is 117 KB
-    # at 128^2 and 233 KB at 32^3
+    # only (about 1.8 KB), the gradient's c2r reading its slots through the
+    # workspace's plane rows, as compute_force passes them: an operand numpy
+    # cannot walk as one run, such as the first K of the N_last/2 + 1
+    # planes of the r2c at 128^2, is buffered, 88 KB there, and fails the
+    # bound, as do rows the c2r allocates; a vector band is 117 KB at
+    # 128^2 and 233 KB at 32^3
     grid = Grid(sizes, lengths)
     d = grid.dim
     work = ForceWorkspace(grid)
@@ -715,7 +783,8 @@ def test_shared_pass_kernels_in_a_workspace_allocate_no_band(sizes, lengths, rng
     out = np.empty_like(band)
     calls = (
         lambda: gradient_values(
-            band, grid, out=work.grad_y, values=work.vec[0], slots=work.mat_band
+            band, grid, out=work.grad_y, values=work.vec[0], slots=work.mat_band,
+            pad=work.pad[:d],
         ),
         lambda: divergence_band(mat, grid, out=out, work=work, minus=vec),
     )
